@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
-from .controllers import OlfatiSaberParams, ReynoldsParams
 from .core import MotionLimits, NoiseSpec
 from .harness import (
     MODEL_TAGS,
+    MODELS,
     ExperimentConfig,
     ModelSpec,
     aggregate_finals,
@@ -25,7 +26,6 @@ from .harness import (
     run_noise_sweep,
     simulate,
 )
-from .mpc import MpcParams
 from .output import (
     COMPARISON_SUMMARY_FIELDS,
     NOISE_SUMMARY_FIELDS,
@@ -34,6 +34,14 @@ from .output import (
     write_steps_csv,
     write_summary_csv,
 )
+
+# key prefix -> parameter dataclass; every field f is the key "<prefix>.f",
+# except a field named r, which takes the top-level interaction radius
+_SECTIONS = {
+    "limits": MotionLimits,
+    "noise": NoiseSpec,
+    **{model.prefix: model.params for model in MODELS.values()},
+}
 
 DEFAULTS = {
     "model": "df_distributed",
@@ -44,31 +52,16 @@ DEFAULTS = {
     "seed": "1",
     "r": "8.4",
     "workers": "0",
-    "limits.dt": "0.3",
-    "limits.v_max": "8",
-    "limits.a_max": "1",
-    "noise.sigma_x": "0",
-    "noise.sigma_v": "0",
     "init.position_min": "-15",
     "init.position_max": "15",
     "init.velocity_min": "0",
     "init.velocity_max": "2",
-    "reynolds.r_c": "9",
-    "reynolds.r_s": "5",
-    "reynolds.r_al": "7.5",
-    "reynolds.w_c": "8",
-    "reynolds.w_s": "12",
-    "reynolds.w_al": "8",
-    "olfati.d": "7",
-    "olfati.epsilon": "0.1",
-    "olfati.a": "5",
-    "olfati.b": "5",
-    "olfati.h": "0.2",
-    "olfati.c_alignment": "1",
-    "mpc.horizon": "3",
-    "mpc.lam": "1",
-    "mpc.d": "7",
-    "mpc.omega": "50",
+    **{
+        f"{prefix}.{f.name}": f"{f.default:g}"
+        for prefix, params in _SECTIONS.items()
+        for f in fields(params)
+        if f.name != "r"
+    },
 }
 
 
@@ -147,38 +140,24 @@ def _box(settings, lo_key, hi_key, dimension) -> tuple:
     return tuple(zip(lows, highs))
 
 
+def _read_section(settings, prefix, params):
+    """Build the parameter dataclass of a config section; fields with an int
+    default are read as integers, the others as floats."""
+    values = {}
+    for f in fields(params):
+        if f.name == "r":
+            values["r"] = _get_float(settings, "r")
+        else:
+            get = _get_int if isinstance(f.default, int) else _get_float
+            values[f.name] = get(settings, f"{prefix}.{f.name}")
+    return params(**values)
+
+
 def build_model_spec(settings, tag: str) -> ModelSpec:
-    if tag not in MODEL_TAGS:
+    if tag not in MODELS:
         raise CliError(f"unknown model {tag!r}; choose from {', '.join(MODEL_TAGS)}")
-    r = _get_float(settings, "r")
-    if tag == "reynolds":
-        params = ReynoldsParams(
-            r_c=_get_float(settings, "reynolds.r_c"),
-            r_s=_get_float(settings, "reynolds.r_s"),
-            r_al=_get_float(settings, "reynolds.r_al"),
-            w_c=_get_float(settings, "reynolds.w_c"),
-            w_s=_get_float(settings, "reynolds.w_s"),
-            w_al=_get_float(settings, "reynolds.w_al"),
-        )
-    elif tag == "olfati_saber":
-        params = OlfatiSaberParams(
-            r=r,
-            d=_get_float(settings, "olfati.d"),
-            epsilon=_get_float(settings, "olfati.epsilon"),
-            a=_get_float(settings, "olfati.a"),
-            b=_get_float(settings, "olfati.b"),
-            h=_get_float(settings, "olfati.h"),
-            c_alignment=_get_float(settings, "olfati.c_alignment"),
-        )
-    else:
-        params = MpcParams(
-            horizon=_get_int(settings, "mpc.horizon"),
-            lam=_get_float(settings, "mpc.lam"),
-            r=r,
-            d=_get_float(settings, "mpc.d"),
-            omega=_get_float(settings, "mpc.omega"),
-        )
-    return ModelSpec(tag, params)
+    model = MODELS[tag]
+    return ModelSpec(tag, _read_section(settings, model.prefix, model.params))
 
 
 def build_experiment(settings, tag: str, out_dir: str | None) -> ExperimentConfig:
@@ -187,16 +166,9 @@ def build_experiment(settings, tag: str, out_dir: str | None) -> ExperimentConfi
         model=build_model_spec(settings, tag),
         n=_get_int(settings, "n"),
         steps=_get_int(settings, "steps"),
-        limits=MotionLimits(
-            v_max=_get_float(settings, "limits.v_max"),
-            a_max=_get_float(settings, "limits.a_max"),
-            dt=_get_float(settings, "limits.dt"),
-        ),
+        limits=_read_section(settings, "limits", MotionLimits),
         r=_get_float(settings, "r"),
-        noise=NoiseSpec(
-            sigma_x=_get_float(settings, "noise.sigma_x"),
-            sigma_v=_get_float(settings, "noise.sigma_v"),
-        ),
+        noise=_read_section(settings, "noise", NoiseSpec),
         runs=_get_int(settings, "runs"),
         base_seed=_get_int(settings, "seed"),
         init_position_box=_box(

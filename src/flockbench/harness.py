@@ -19,8 +19,9 @@ comparison's runs exactly.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,17 +42,12 @@ from .core import (
     step_dynamics,
 )
 from .metrics import evaluate_metrics
-from .mpc import (
-    CENTRALIZED_MPC_TAGS,
-    DISTRIBUTED_MPC_TAGS,
-    MpcParams,
-    SolverError,
-    solve_mpc,
-    solve_mpc_distributed_all,
-)
+from .mpc import MpcParams, SolverError, solve_mpc, solve_mpc_distributed_all
 
 __all__ = [
+    "MODELS",
     "MODEL_TAGS",
+    "ModelEntry",
     "ModelSpec",
     "ExperimentConfig",
     "RunRecord",
@@ -66,23 +62,80 @@ __all__ = [
     "aggregate_finals",
 ]
 
-MODEL_TAGS = (
-    "reynolds",
-    "olfati_saber",
-    "lattice_centralized",
-    "lattice_distributed",
-    "df_centralized",
-    "df_distributed",
-)
 
-_PARAM_TYPES = {
-    "reynolds": ReynoldsParams,
-    "olfati_saber": OlfatiSaberParams,
-    "lattice_centralized": MpcParams,
-    "lattice_distributed": MpcParams,
-    "df_centralized": MpcParams,
-    "df_distributed": MpcParams,
+# --------------------------------------------------------------------------
+# Model registry
+# --------------------------------------------------------------------------
+#
+# A step function maps (true configuration, ExperimentConfig, rng, warm) to
+# (accelerations, next warm start).  Sensing, controllers and solvers are
+# looked up as module globals on every call, so wrapping those names in this
+# module (for tracing or profiling) reaches the closed loop.
+
+
+def _local_views(config, noise, rng):
+    return [sense_local(config, i, noise, rng) for i in range(config.n)]
+
+
+def _shift_plan(controls, axis_t):
+    """Receding-horizon warm start: drop the applied step, zero-pad the end."""
+    shifted = np.roll(controls, -1, axis=axis_t)
+    index = [slice(None)] * controls.ndim
+    index[axis_t] = -1
+    shifted[tuple(index)] = 0.0
+    return shifted
+
+
+def _rule_accels(law, config, cfg, rng):
+    views = _local_views(config, cfg.noise, rng)
+    params = cfg.model.params
+    return np.stack([law(i, view, params) for i, view in enumerate(views)])
+
+
+def _reynolds_step(config, cfg, rng, warm):
+    return _rule_accels(reynolds_accel, config, cfg, rng), None
+
+
+def _olfati_saber_step(config, cfg, rng, warm):
+    return _rule_accels(olfati_saber_accel, config, cfg, rng), None
+
+
+def _centralized_mpc_step(config, cfg, rng, warm):
+    model = cfg.model
+    view = sense_global(config, cfg.noise, rng)
+    result = solve_mpc(
+        model.tag, view, model.params, cfg.limits, warm_start=warm, full_output=True
+    )
+    return result.accel, _shift_plan(result.controls, axis_t=0)
+
+
+def _distributed_mpc_step(config, cfg, rng, warm):
+    views = _local_views(config, cfg.noise, rng)
+    accel, plans = solve_mpc_distributed_all(
+        cfg.model.tag, views, cfg.model.params, cfg.limits, warm_start=warm
+    )
+    return accel, _shift_plan(plans, axis_t=1)
+
+
+@dataclass(frozen=True)
+class ModelEntry:
+    """Parameter dataclass, config-key prefix and closed-loop step of a tag."""
+
+    params: type
+    prefix: str
+    step: Callable
+
+
+MODELS = {
+    "reynolds": ModelEntry(ReynoldsParams, "reynolds", _reynolds_step),
+    "olfati_saber": ModelEntry(OlfatiSaberParams, "olfati", _olfati_saber_step),
+    "lattice_centralized": ModelEntry(MpcParams, "mpc", _centralized_mpc_step),
+    "lattice_distributed": ModelEntry(MpcParams, "mpc", _distributed_mpc_step),
+    "df_centralized": ModelEntry(MpcParams, "mpc", _centralized_mpc_step),
+    "df_distributed": ModelEntry(MpcParams, "mpc", _distributed_mpc_step),
 }
+
+MODEL_TAGS = tuple(MODELS)
 
 
 @dataclass(frozen=True)
@@ -93,9 +146,9 @@ class ModelSpec:
     params: object
 
     def __post_init__(self):
-        if self.tag not in MODEL_TAGS:
+        if self.tag not in MODELS:
             raise ValueError(f"unknown model tag {self.tag!r}")
-        expected = _PARAM_TYPES[self.tag]
+        expected = MODELS[self.tag].params
         if not isinstance(self.params, expected):
             raise ValueError(
                 f"model {self.tag!r} expects {expected.__name__} parameters,"
@@ -107,11 +160,11 @@ class ModelSpec:
 
 def default_model_spec(tag: str, r: float = 8.4) -> ModelSpec:
     """The benchmark defaults for a tag, at interaction radius r."""
-    if tag == "reynolds":
-        return ModelSpec(tag, ReynoldsParams())
-    if tag == "olfati_saber":
-        return ModelSpec(tag, OlfatiSaberParams(r=r))
-    return ModelSpec(tag, MpcParams(r=r))
+    if tag not in MODELS:
+        raise ValueError(f"unknown model tag {tag!r}")
+    params = MODELS[tag].params
+    has_r = any(f.name == "r" for f in fields(params))
+    return ModelSpec(tag, params(r=r) if has_r else params())
 
 
 @dataclass(frozen=True)
@@ -177,19 +230,6 @@ def sample_initial_config(cfg: ExperimentConfig, rng: RandomStream) -> FlockConf
 # --------------------------------------------------------------------------
 
 
-def _local_views(config, noise, rng):
-    return [sense_local(config, i, noise, rng) for i in range(config.n)]
-
-
-def _shift_plan(controls, axis_t):
-    """Receding-horizon warm start: drop the applied step, zero-pad the end."""
-    shifted = np.roll(controls, -1, axis=axis_t)
-    index = [slice(None)] * controls.ndim
-    index[axis_t] = -1
-    shifted[tuple(index)] = 0.0
-    return shifted
-
-
 def simulate(
     cfg: ExperimentConfig,
     seed: int,
@@ -211,40 +251,15 @@ def simulate(
                 f"expected {cfg.n}x{cfg.dimension}"
             )
         config = initial
-    tag = cfg.model.tag
-    params = cfg.model.params
+    step_model = MODELS[cfg.model.tag].step
     warm = None
     records = []
     started = time.perf_counter()
     for step in range(cfg.steps):
         try:
-            if tag == "reynolds":
-                views = _local_views(config, cfg.noise, rng)
-                accel = np.stack(
-                    [reynolds_accel(i, views[i], params) for i in range(cfg.n)]
-                )
-            elif tag == "olfati_saber":
-                views = _local_views(config, cfg.noise, rng)
-                accel = np.stack(
-                    [olfati_saber_accel(i, views[i], params) for i in range(cfg.n)]
-                )
-            elif tag in CENTRALIZED_MPC_TAGS:
-                view = sense_global(config, cfg.noise, rng)
-                result = solve_mpc(
-                    tag, view, params, cfg.limits, warm_start=warm, full_output=True
-                )
-                accel = result.accel
-                warm = _shift_plan(result.controls, axis_t=0)
-            elif tag in DISTRIBUTED_MPC_TAGS:
-                views = _local_views(config, cfg.noise, rng)
-                accel, plans = solve_mpc_distributed_all(
-                    tag, views, params, cfg.limits, warm_start=warm
-                )
-                warm = _shift_plan(plans, axis_t=1)
-            else:  # pragma: no cover - ModelSpec validates tags
-                raise ValueError(f"unknown model tag {tag!r}")
+            accel, warm = step_model(config, cfg, rng, warm)
         except SolverError as err:
-            err.diagnostics.update(run_id=run_id, step=step, model=tag)
+            err.diagnostics.update(run_id=run_id, step=step, model=cfg.model.tag)
             raise
         config = step_dynamics(config, accel, cfg.limits)
         records.append(evaluate_metrics(config, cfg.r))
@@ -343,11 +358,19 @@ def run_noise_sweep(
 # --------------------------------------------------------------------------
 
 
-def _mean_or_none(values):
-    present = [v for v in values if v is not None]
-    if not present:
-        return None, len(values)
-    return sum(present) / len(present), len(values) - len(present)
+def _metric_means(metrics) -> dict:
+    """Means of the four metrics over runs; diameters of all-isolated
+    configurations are left out of their mean and counted instead."""
+    diameters = [m.max_diameter for m in metrics if m.max_diameter is not None]
+    return {
+        "mean_num_components": float(np.mean([m.num_components for m in metrics])),
+        "mean_max_diameter": sum(diameters) / len(diameters) if diameters else None,
+        "max_diameter_none_count": len(metrics) - len(diameters),
+        "mean_velocity_convergence": float(
+            np.mean([m.velocity_convergence for m in metrics])
+        ),
+        "mean_irregularity": float(np.mean([m.irregularity for m in metrics])),
+    }
 
 
 def aggregate_steps(records_by_model: dict) -> list:
@@ -358,27 +381,9 @@ def aggregate_steps(records_by_model: dict) -> list:
     """
     rows = []
     for tag, records in records_by_model.items():
-        steps = len(records[0].metrics)
-        for step in range(steps):
+        for step in range(len(records[0].metrics)):
             at_step = [rec.metrics[step] for rec in records]
-            diam, none_count = _mean_or_none([m.max_diameter for m in at_step])
-            rows.append(
-                {
-                    "model": tag,
-                    "step": step,
-                    "mean_num_components": float(
-                        np.mean([m.num_components for m in at_step])
-                    ),
-                    "mean_max_diameter": diam,
-                    "max_diameter_none_count": none_count,
-                    "mean_velocity_convergence": float(
-                        np.mean([m.velocity_convergence for m in at_step])
-                    ),
-                    "mean_irregularity": float(
-                        np.mean([m.irregularity for m in at_step])
-                    ),
-                }
-            )
+            rows.append({"model": tag, "step": step, **_metric_means(at_step)})
     return rows
 
 
@@ -388,8 +393,6 @@ def aggregate_finals(records_by_model_level: dict) -> list:
     for (tag, level), records in sorted(
         records_by_model_level.items(), key=lambda kv: (kv[0][1], kv[0][0])
     ):
-        finals = [rec.metrics[-1] for rec in records]
-        diam, none_count = _mean_or_none([m.max_diameter for m in finals])
         noise = noise_for_level(level)
         rows.append(
             {
@@ -397,15 +400,7 @@ def aggregate_finals(records_by_model_level: dict) -> list:
                 "level": level,
                 "sigma_x": noise.sigma_x,
                 "sigma_v": noise.sigma_v,
-                "mean_num_components": float(
-                    np.mean([m.num_components for m in finals])
-                ),
-                "mean_max_diameter": diam,
-                "max_diameter_none_count": none_count,
-                "mean_velocity_convergence": float(
-                    np.mean([m.velocity_convergence for m in finals])
-                ),
-                "mean_irregularity": float(np.mean([m.irregularity for m in finals])),
+                **_metric_means([rec.metrics[-1] for rec in records]),
             }
         )
     return rows

@@ -2,7 +2,7 @@
 Receding-horizon (MPC) flocking controllers.
 
 Four models share one machinery: a finite-horizon double-integrator rollout,
-a per-configuration stage cost, and a projected-gradient-descent solver over
+a per-configuration stage cost, and one projected-gradient-descent loop over
 the horizon's accelerations.
 
   - lattice_centralized / lattice_distributed: stage cost penalizes the
@@ -20,16 +20,24 @@ neighbors at constant sensed velocity.
 Edge sums follow the ordered-pair convention (each unordered neighbor pair
 contributes twice) for the centralized edge-set costs.
 
-The solver uses Armijo backtracking (halving, initial step 1.0), projects
-every per-step acceleration onto the a_max ball after each update, and stops
-on a projected-gradient tolerance of 1e-6 or after 200 iterations.  Results
-are feasible local minimizers; global optimality is not claimed.  Gradients
-are analytic (backpropagated through the rollout, including the velocity
-clamp); finite differences are used as an independent oracle in the tests.
+Every solve runs the same projected-gradient loop, `_solve_batch`, over a
+batch of independent plans that converge and stop row by row.  A
+centralized solve is a batch of one plan of shape (T, n, m) covering all
+agents; a distributed step is a batch of n single-agent plans of shape
+(T, m), and a standalone distributed solve is a batch of one, bit-identical
+to its row in the full batch.  Each row takes Armijo backtracking steps
+(halving from 1.0), projects every per-step acceleration onto the a_max
+ball after each update, and stops on a projected-gradient tolerance of
+1e-6, when its step falls below 2**-40 (a stall), or after 200 iterations.
+Results are feasible local minimizers; global optimality is not claimed.
+Gradients are analytic (backpropagated through the rollout, including the
+velocity clamp); finite differences are used as an independent oracle in
+the tests.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,15 +227,56 @@ def _edge_mask(positions: np.ndarray, r: float):
     return mask, dist
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int):
+    """Read-only index arrays of the pairs i < j among n agents; cached
+    because rebuilding them for every stage evaluation took about a quarter
+    of a profiled centralized run."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _centralized_stage(tag, x, r, d, omega, gradient=False):
+    """Centralized stage cost at positions x (n, m) or, with gradient=True,
+    its gradient with respect to x.
+
+    Edge sums run over ordered neighbor pairs of x; the gradient treats that
+    edge set as constant.  The df cost is 0 for fewer than two agents.
+    """
+    n = x.shape[0]
+    mask, dist = _edge_mask(x, r)
+    dist_f = np.maximum(dist, EPS_DIST)
+    lattice = tag == "lattice_centralized"
+    if not gradient:
+        if lattice:
+            return float(((dist_f - d) ** 2)[mask].sum())
+        if n < 2:
+            return 0.0
+        sq = dist * dist
+        cohesion = (2.0 / (n * (n - 1))) * float(sq[_upper_pairs(n)].sum())
+        sq_f = np.maximum(sq, EPS_DIST_SQ)
+        return cohesion + omega * float((1.0 / sq_f)[mask].sum())
+    active = mask & (dist >= EPS_DIST)
+    if lattice:
+        coef = np.where(active, 4.0 * (dist_f - d) / dist_f, 0.0)
+        return coef.sum(axis=1)[:, None] * x - coef @ x
+    if n < 2:
+        return np.zeros_like(x)
+    c_n = 2.0 / (n * (n - 1))
+    grad = 2.0 * c_n * (n * x - x.sum(axis=0))
+    sq_f = dist_f * dist_f
+    coef = np.where(active, -4.0 * omega / (sq_f * sq_f), 0.0)
+    return grad + (coef.sum(axis=1)[:, None] * x - coef @ x)
+
+
 def lattice_deviation_centralized(
     config: FlockConfiguration, r: float, d: float
 ) -> float:
     """Total squared deviation of neighbor distances from the scale d,
     summed over ordered pairs (each unordered pair counts twice)."""
-    mask, dist = _edge_mask(config.positions, r)
-    dist_f = np.maximum(dist, EPS_DIST)
-    dev = (dist_f - d) ** 2
-    return float(dev[mask].sum())
+    return _centralized_stage("lattice_centralized", config.positions, r, d, None)
 
 
 def lattice_deviation_distributed(
@@ -248,16 +297,7 @@ def cost_df_centralized(config: FlockConfiguration, r: float, omega: float) -> f
 
     Defined as 0 for fewer than two agents (no pairs).
     """
-    n = config.n
-    if n < 2:
-        return 0.0
-    mask, dist = _edge_mask(config.positions, r)
-    sq = dist * dist
-    iu = np.triu_indices(n, k=1)
-    cohesion = (2.0 / (n * (n - 1))) * float(sq[iu].sum())
-    sq_f = np.maximum(sq, EPS_DIST_SQ)
-    separation = omega * float((1.0 / sq_f)[mask].sum())
-    return cohesion + separation
+    return _centralized_stage("df_centralized", config.positions, r, None, omega)
 
 
 def cost_df_distributed(
@@ -306,34 +346,6 @@ def mpc_objective(
     return stage + params.lam * float((u * u).sum())
 
 
-# --------------------------------------------------------------------------
-# Stage gradients with respect to positions
-# --------------------------------------------------------------------------
-
-
-def _stage_grad_centralized(tag, X, params):
-    """Gradient of the centralized stage cost at positions X (n, m).
-
-    The neighbor edge set is evaluated at X and treated as constant.
-    """
-    n = X.shape[0]
-    mask, dist = _edge_mask(X, r=params.r)
-    dist_f = np.maximum(dist, EPS_DIST)
-    active = mask & (dist >= EPS_DIST)
-    if tag == "lattice_centralized":
-        coef = np.where(active, 4.0 * (dist_f - params.d) / dist_f, 0.0)
-        return coef.sum(axis=1)[:, None] * X - coef @ X
-    # df_centralized: cohesion over all pairs + separation over edges
-    if n < 2:
-        return np.zeros_like(X)
-    c_n = 2.0 / (n * (n - 1))
-    grad = 2.0 * c_n * (n * X - X.sum(axis=0))
-    sq_f = dist_f * dist_f
-    coef = np.where(active, -4.0 * params.omega / (sq_f * sq_f), 0.0)
-    grad += coef.sum(axis=1)[:, None] * X - coef @ X
-    return grad
-
-
 def _edge_stage_terms(tag, dist, counts_per_row, params):
     """Per-edge stage cost and the scalar d(cost)/d(dist) for batched
     distributed problems.  dist has one row per edge."""
@@ -354,8 +366,25 @@ def _edge_stage_terms(tag, dist, counts_per_row, params):
 
 
 # --------------------------------------------------------------------------
-# Backpropagation through the rollout
+# Batched rollout and backpropagation.  Arrays are (B, T, ...): one row per
+# independent problem, then the predicted steps 1..T.
 # --------------------------------------------------------------------------
+
+
+def _rollout_arrays(x0, v0, U, limits):
+    """Positions and pre-clamp velocities at steps 1..T under controls U,
+    from the (B, ...) initial states x0, v0."""
+    dt, v_max = limits.dt, limits.v_max
+    x, v = x0, v0
+    xs = np.empty_like(U)
+    ws = np.empty_like(U)
+    for t in range(U.shape[1]):
+        x = x + dt * v
+        w = v + dt * U[:, t]
+        v = clamp_norm(w, v_max)
+        xs[:, t] = x
+        ws[:, t] = w
+    return xs, ws
 
 
 def _clamp_backprop(w, p, v_max):
@@ -371,74 +400,53 @@ def _clamp_backprop(w, p, v_max):
     return np.where(over, clamped, p)
 
 
-def _backprop_controls(gx, W, U, dt, v_max, lam):
-    """Adjoint pass: gradient of the objective w.r.t. controls.
+def _backprop_controls(gx, W, U, limits, lam):
+    """Adjoint pass: gradient of the objective w.r.t. the controls U.
 
-    gx[t] is the stage gradient at predicted step t+1 (t = 0..T-1); W[t] is
-    the pre-clamp velocity that produced step t+1's velocity.
+    gx[:, t] is the stage gradient at predicted step t+1; W[:, t] is the
+    pre-clamp velocity that produced step t+1's velocity.
     """
-    T = U.shape[0]
+    dt, v_max = limits.dt, limits.v_max
     gu = np.empty_like(U)
-    px = np.zeros_like(gx[-1])
-    pv = np.zeros_like(gx[-1])
-    for t in range(T - 1, -1, -1):
-        px = px + gx[t]
-        q = _clamp_backprop(W[t], pv, v_max)
-        gu[t] = dt * q + 2.0 * lam * U[t]
+    px = np.zeros_like(gx[:, -1])
+    pv = np.zeros_like(px)
+    for t in range(U.shape[1] - 1, -1, -1):
+        px = px + gx[:, t]
+        q = _clamp_backprop(W[:, t], pv, v_max)
+        gu[:, t] = dt * q + 2.0 * lam * U[:, t]
         pv = dt * px + q
     return gu
 
 
-def _centralized_rollout_arrays(X0, V0, U, limits):
-    dt, v_max = limits.dt, limits.v_max
-    x, v = X0, V0
-    xs, ws = [], []
-    for t in range(U.shape[0]):
-        x = x + dt * v
-        w = v + dt * U[t]
-        v = clamp_norm(w, v_max)
-        xs.append(x)
-        ws.append(w)
-    return xs, ws
-
-
-def _centralized_stage_value(tag, x_t, params):
-    mask, dist = _edge_mask(x_t, params.r)
-    if tag == "lattice_centralized":
-        dist_f = np.maximum(dist, EPS_DIST)
-        return float(((dist_f - params.d) ** 2)[mask].sum())
-    n = x_t.shape[0]
-    if n < 2:
-        return 0.0
-    sq = dist * dist
-    iu = np.triu_indices(n, k=1)
-    value = (2.0 / (n * (n - 1))) * float(sq[iu].sum())
-    sq_f = np.maximum(sq, EPS_DIST_SQ)
-    return value + params.omega * float((1.0 / sq_f)[mask].sum())
-
-
-def _centralized_objective(tag, X0, V0, U, params, limits):
-    xs, _ = _centralized_rollout_arrays(X0, V0, U, limits)
-    stage = sum(_centralized_stage_value(tag, x_t, params) for x_t in xs)
-    return stage + params.lam * float((U * U).sum())
-
-
-def _centralized_objective_grad(tag, X0, V0, U, params, limits):
-    """Objective value and analytic gradient for a centralized model."""
-    xs, ws = _centralized_rollout_arrays(X0, V0, U, limits)
-    stage = 0.0
-    gx = []
-    for x_t in xs:
-        stage += _centralized_stage_value(tag, x_t, params)
-        gx.append(_stage_grad_centralized(tag, x_t, params))
-    value = stage + params.lam * float((U * U).sum())
-    grad = _backprop_controls(gx, ws, U, limits.dt, limits.v_max, params.lam)
-    return value, grad
-
-
 # --------------------------------------------------------------------------
-# Batched distributed problems
+# Problems: objective(U) -> (B,) and gradient(U) -> U.shape
 # --------------------------------------------------------------------------
+
+
+@dataclass
+class _CentralizedProblem:
+    """Every agent's plan as one row, U of shape (1, T, n, m); the neighbor
+    edge set is re-evaluated at every predicted step."""
+
+    tag: str
+    params: MpcParams
+    limits: MotionLimits
+    x0: np.ndarray  # (1, n, m) positions
+    v0: np.ndarray  # (1, n, m) velocities
+
+    def _stage(self, x, gradient=False):
+        p = self.params
+        return _centralized_stage(self.tag, x, p.r, p.d, p.omega, gradient)
+
+    def objective(self, U):
+        xs, _ = _rollout_arrays(self.x0, self.v0, U, self.limits)
+        stage = sum(self._stage(x) for x in xs[0])
+        return np.array([stage + self.params.lam * float((U * U).sum())])
+
+    def gradient(self, U):
+        xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
+        gx = np.stack([self._stage(x, gradient=True) for x in xs[0]])[None]
+        return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
 
 
 @dataclass
@@ -463,27 +471,13 @@ class _BatchProblem:
     def size(self) -> int:
         return self.x0.shape[0]
 
-    def _rollout(self, U):
-        dt, v_max = self.limits.dt, self.limits.v_max
-        T = U.shape[1]
-        x, v = self.x0, self.v0
-        xs = np.empty((self.size, T, self.x0.shape[1]))
-        ws = np.empty_like(xs)
-        for t in range(T):
-            x = x + dt * v
-            w = v + dt * U[:, t]
-            v = clamp_norm(w, v_max)
-            xs[:, t] = x
-            ws[:, t] = w
-        return xs, ws
-
     def _edge_dist(self, xs):
         diff = xs[self.src] - self.nbr_pos  # (E, T, m)
         return diff, np.sqrt((diff * diff).sum(axis=-1))
 
     def objective(self, U):
         """Per-row objective values, shape (B,)."""
-        xs, _ = self._rollout(U)
+        xs, _ = _rollout_arrays(self.x0, self.v0, U, self.limits)
         out = self.params.lam * (U * U).sum(axis=(1, 2))
         if self.src.size:
             _, dist = self._edge_dist(xs)
@@ -496,9 +490,8 @@ class _BatchProblem:
 
     def gradient(self, U):
         """Per-row analytic gradient, shape (B, T, m)."""
-        xs, ws = self._rollout(U)
-        T, m = U.shape[1], U.shape[2]
-        gx = np.zeros((self.size, T, m))
+        xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
+        gx = np.zeros_like(U)
         if self.src.size:
             diff, dist = self._edge_dist(xs)
             counts_per_row = self.counts[self.src][:, None].astype(np.float64)
@@ -506,15 +499,7 @@ class _BatchProblem:
             dist_f = np.maximum(dist, EPS_DIST)
             contrib = (dcost / dist_f)[:, :, None] * diff  # (E, T, m)
             np.add.at(gx, self.src, contrib)
-        gu = np.empty_like(U)
-        px = np.zeros((self.size, m))
-        pv = np.zeros((self.size, m))
-        for t in range(T - 1, -1, -1):
-            px = px + gx[:, t]
-            q = _clamp_backprop(ws[:, t], pv, self.limits.v_max)
-            gu[:, t] = self.limits.dt * q + 2.0 * self.params.lam * U[:, t]
-            pv = self.limits.dt * px + q
-        return gu
+        return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
 
 
 def _build_batch_problem(tag, views, agents, params, limits, neighbor_sets=None):
@@ -530,6 +515,8 @@ def _build_batch_problem(tag, views, agents, params, limits, neighbor_sets=None)
     v0 = np.empty((len(agents), m))
     src, nbr_blocks, counts = [], [], np.zeros(len(agents), dtype=np.int64)
     for k, (i, view) in enumerate(zip(agents, views)):
+        if not 0 <= i < view.n:
+            raise IndexError(f"agent index {i} out of range for n={view.n}")
         pos, vel = view.positions, view.velocities
         x0[k], v0[k] = pos[i], vel[i]
         if neighbor_sets is not None and neighbor_sets[k] is not None:
@@ -571,10 +558,12 @@ def _build_batch_problem(tag, views, agents, params, limits, neighbor_sets=None)
 # --------------------------------------------------------------------------
 
 
-def _solve_batch(problem: _BatchProblem, warm, keep_trace=False):
-    """Run per-row projected gradient descent with per-row Armijo line
-    search; rows converge and stop independently."""
-    B = problem.size
+def _solve_batch(problem, warm, keep_trace=False):
+    """Run projected gradient descent on the B rows of warm (B, T, ...) with
+    a per-row Armijo line search; rows converge and stop independently."""
+    B = warm.shape[0]
+    row_axes = tuple(range(1, warm.ndim))
+    per_row = (B,) + (1,) * (warm.ndim - 1)
     a_max = problem.limits.a_max
     U = clamp_norm(warm, a_max)
     J = problem.objective(U)
@@ -590,7 +579,7 @@ def _solve_batch(problem: _BatchProblem, warm, keep_trace=False):
     for _ in range(MAX_ITER):
         G = problem.gradient(U)
         cand = clamp_norm(U - G, a_max)
-        pg = np.sqrt(((U - cand) ** 2).sum(axis=(1, 2)))
+        pg = np.sqrt(((U - cand) ** 2).sum(axis=row_axes))
         converged |= active & (pg <= GRAD_TOL)
         active &= ~converged
         if not active.any():
@@ -600,14 +589,14 @@ def _solve_batch(problem: _BatchProblem, warm, keep_trace=False):
         searching = active.copy()
         accepted = np.zeros(B, dtype=bool)
         while searching.any():
-            U_try = clamp_norm(U - step[:, None, None] * G, a_max)
+            U_try = clamp_norm(U - step.reshape(per_row) * G, a_max)
             J_try = problem.objective(U_try)
             if not np.isfinite(J_try[searching]).all():
                 raise SolverError(
                     "non-finite MPC objective during line search",
                     diagnostics={"objective": J_try, "controls": U_try},
                 )
-            delta = ((U - U_try) ** 2).sum(axis=(1, 2))
+            delta = ((U - U_try) ** 2).sum(axis=row_axes)
             ok = searching & (J_try <= J - (ARMIJO_C / step) * delta)
             if ok.any():
                 U[ok] = U_try[ok]
@@ -618,64 +607,30 @@ def _solve_batch(problem: _BatchProblem, warm, keep_trace=False):
             searching &= step >= MIN_STEP
         # rows whose line search stalled make no further progress
         active &= accepted
-        if keep_trace:
+        if keep_trace and accepted[0]:
             trace.append(float(J[0]))
         if not active.any():
             break
     return U, J, converged, iterations, trace
 
 
-def _solve_centralized(tag, view, params, limits, warm, keep_trace=False):
-    a_max = limits.a_max
-    U = clamp_norm(warm, a_max)
-    value, grad = _centralized_objective_grad(
-        tag, view.positions, view.velocities, U, params, limits
-    )
-    if not np.isfinite(value):
-        raise SolverError(
-            "non-finite MPC objective at the initial point",
-            diagnostics={"objective": value, "controls": U},
-        )
-    trace = [value] if keep_trace else None
-    converged = False
-    iterations = 0
-    for _ in range(MAX_ITER):
-        cand = clamp_norm(U - grad, a_max)
-        if np.sqrt(((U - cand) ** 2).sum()) <= GRAD_TOL:
-            converged = True
-            break
-        iterations += 1
-        step = 1.0
-        accepted = False
-        while step >= MIN_STEP:
-            U_try = clamp_norm(U - step * grad, a_max)
-            value_try = _centralized_objective(
-                tag, view.positions, view.velocities, U_try, params, limits
-            )
-            if not np.isfinite(value_try):
-                raise SolverError(
-                    "non-finite MPC objective during line search",
-                    diagnostics={"objective": value_try, "controls": U_try},
-                )
-            delta = ((U - U_try) ** 2).sum()
-            if value_try <= value - (ARMIJO_C / step) * delta:
-                U, value = U_try, value_try
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        _, grad = _centralized_objective_grad(
-            tag, view.positions, view.velocities, U, params, limits
-        )
-        if keep_trace:
-            trace.append(value)
-    return U, value, converged, iterations, trace
-
-
 # --------------------------------------------------------------------------
 # Public solve entry points
 # --------------------------------------------------------------------------
+
+
+def _single_problem(tag, view, params, limits, agent, neighbor_set=None):
+    """One solve as a batch of one row: every agent's plan for a
+    centralized tag, `agent`'s own plan for a distributed one."""
+    if tag in CENTRALIZED_MPC_TAGS:
+        return _CentralizedProblem(
+            tag, params, limits, view.positions[None], view.velocities[None]
+        )
+    if agent is None:
+        raise ValueError(f"{tag} needs the agent index")
+    return _build_batch_problem(
+        tag, [view], [agent], params, limits, neighbor_sets=[neighbor_set]
+    )
 
 
 def mpc_objective_gradient(
@@ -692,16 +647,7 @@ def mpc_objective_gradient(
     _check_tag(tag)
     params.require_for(tag)
     U = np.asarray(controls, dtype=np.float64)
-    if tag in CENTRALIZED_MPC_TAGS:
-        _, grad = _centralized_objective_grad(
-            tag, initial_view.positions, initial_view.velocities, U, params, limits
-        )
-        return grad
-    if agent is None:
-        raise ValueError(f"{tag} needs the agent index")
-    problem = _build_batch_problem(
-        tag, [initial_view], [agent], params, limits, neighbor_sets=[neighbor_set]
-    )
+    problem = _single_problem(tag, initial_view, params, limits, agent, neighbor_set)
     return problem.gradient(U[None])[0]
 
 
@@ -724,40 +670,22 @@ def solve_mpc(
     """
     _check_tag(tag)
     params.require_for(tag)
+    problem = _single_problem(tag, initial_view, params, limits, agent)
     T, m = params.horizon, initial_view.dimension
-    if tag in CENTRALIZED_MPC_TAGS:
-        shape = (T, initial_view.n, m)
-        warm = np.zeros(shape) if warm_start is None else np.asarray(warm_start, dtype=np.float64)
-        if warm.shape != shape:
-            raise ValueError(f"warm start must have shape {shape}, got {warm.shape}")
-        U, value, converged, iterations, trace = _solve_centralized(
-            tag, initial_view, params, limits, warm, keep_trace=full_output
-        )
-        result = SolveResult(
-            accel=U[0].copy(),
-            controls=U,
-            objectives=trace or [],
-            iterations=iterations,
-            converged=converged,
-        )
-    else:
-        if agent is None:
-            raise ValueError(f"{tag} needs the agent index")
-        shape = (T, m)
-        warm = np.zeros(shape) if warm_start is None else np.asarray(warm_start, dtype=np.float64)
-        if warm.shape != shape:
-            raise ValueError(f"warm start must have shape {shape}, got {warm.shape}")
-        problem = _build_batch_problem(tag, [initial_view], [agent], params, limits)
-        U, J, converged, iterations, trace = _solve_batch(
-            problem, warm[None], keep_trace=full_output
-        )
-        result = SolveResult(
-            accel=U[0, 0].copy(),
-            controls=U[0],
-            objectives=trace or [],
-            iterations=iterations,
-            converged=bool(converged[0]),
-        )
+    shape = (T, initial_view.n, m) if tag in CENTRALIZED_MPC_TAGS else (T, m)
+    warm = np.zeros(shape) if warm_start is None else np.asarray(warm_start, dtype=np.float64)
+    if warm.shape != shape:
+        raise ValueError(f"warm start must have shape {shape}, got {warm.shape}")
+    U, _, converged, iterations, trace = _solve_batch(
+        problem, warm[None], keep_trace=full_output
+    )
+    result = SolveResult(
+        accel=U[0, 0].copy(),
+        controls=U[0],
+        objectives=trace or [],
+        iterations=iterations,
+        converged=bool(converged[0]),
+    )
     return result if full_output else result.accel
 
 

@@ -1,10 +1,18 @@
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from flockbench.cli import main, parse_config_file
+from flockbench.cli import (
+    DEFAULTS,
+    CliError,
+    build_model_spec,
+    main,
+    parse_config_file,
+)
 
 FAST_OVERRIDES = [
     "--set", "n=4",
@@ -180,3 +188,27 @@ def test_cli_determinism_across_processes(tmp_path):
 def test_model_rejects_unknown_choice():
     with pytest.raises(SystemExit):
         run_cli(["simulate", "--model", "nonsense", "--out", "/tmp/unused"])
+
+
+def test_readme_config_block_lists_defaults():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1]
+    block = section.split("```", 2)[1]
+    listed = {}
+    for line in block.splitlines():
+        for key, value in re.findall(r"([\w.]+) = (\S+)", line.split("#", 1)[0]):
+            assert key not in listed, f"{key} listed twice"
+            listed[key] = value
+    assert listed == DEFAULTS
+
+
+def test_model_spec_reads_section_keys():
+    settings = dict(DEFAULTS, r="9.5")
+    settings.update({"mpc.horizon": "5", "mpc.omega": "20", "olfati.d": "6.5"})
+    mpc = build_model_spec(settings, "df_centralized").params
+    assert (mpc.horizon, mpc.omega, mpc.r) == (5, 20.0, 9.5)
+    assert isinstance(mpc.horizon, int)
+    assert build_model_spec(settings, "olfati_saber").params.d == 6.5
+    settings["mpc.horizon"] = "2.5"
+    with pytest.raises(CliError):
+        build_model_spec(settings, "df_centralized")

@@ -1,0 +1,119 @@
+"""Golden outputs: exact bytes that a refactor must leave unchanged.
+
+The digests below pin the result files of short seeded runs of every model,
+the configuration echo of a default `simulate`, and the head of the noise
+stream.  They hold on the x86-64 host they were generated on (Python 3.11,
+numpy 2.4); `RandomStream.normals` goes through numpy's `log`/`cos`/`sin`,
+whose vectorized rounding may differ on other CPUs, so a mismatch there is a
+platform difference before it is a regression.
+
+Regenerate (only for an intended change of output bytes, recorded in
+CHANGES.md) with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from flockbench import ExperimentConfig, RandomStream, default_model_spec, run_noise_sweep
+from flockbench.cli import main
+from flockbench.output import write_steps_csv
+
+GOLDEN_STEPS = {
+    "reynolds@0": "900687af7f8d58f0874a98a499f8e315d0c11939ae479397efaea4b5d43f33b5",
+    "reynolds@3": "335cda4d2cfdedac7489653084c0cda75a5288a858030a02a408320a62c74491",
+    "olfati_saber@0": "2d990c79cad36617aecaeb73f3e82409fde3bee14a21923fb1e0fce1f749b0ba",
+    "olfati_saber@3": "8c37d263f67942ff7c00a02e34cee9e7b23a6e154b5180c44323086fb915811b",
+    "lattice_centralized@0": "d8a0484748e77f30d88c1bbd11424a85e58c542fc823a88a26d3157258a738de",
+    "lattice_centralized@3": "cda2df88684ffd38e3baa1ad049cfa736e25bb18e0328520d16078f2de5acc09",
+    "lattice_distributed@0": "9d893338bdc9cbcf00be720b31e5c58796ea060262cc24370785e78583b1bdb2",
+    "lattice_distributed@3": "1b3b22de8cd88a3b5fc33455286387fcbfe34fba3b60cab42fb684970cebc39c",
+    "df_centralized@0": "40a9e35a68da198f4ac95e284b84fda4364b5584de65f77301d131d7d70a9115",
+    "df_centralized@3": "79f7e7c4510684723ad6e00dd29bdf09442d9e2e594ea82867fe807a49420c00",
+    "df_distributed@0": "209e9caca3982d49eb99736f1af995c26d04ea8721f1147bb8b6fe8923383669",
+    "df_distributed@3": "913674122154d8791b6325ee244a18ca1d3053a77729cecc14e50fb0b685b44a",
+}
+
+GOLDEN_EFFECTIVE_CONFIG = (
+    "723d20ce3c3f75437218dbd570883386d020634c9d4cdaae14e091b81aeda7e6"
+)
+
+GOLDEN_NORMALS = [
+    "0x1.1a0e7968905f6p+0",
+    "-0x1.6af3c51f13955p-2",
+    "0x1.ddd9ed8673eb3p+0",
+    "-0x1.3f8484b65ca98p-1",
+    "-0x1.5a55b43c20fbep+0",
+    "0x1.6a28344bee112p-1",
+    "-0x1.0900773f23e04p-1",
+    "0x1.541a869d3e2d8p-2",
+    "0x1.13e9847a0b784p+0",
+    "0x1.82147644d7cd6p-3",
+    "-0x1.7630720013e29p-1",
+    "-0x1.6dbe96aa74e35p-3",
+    "0x1.6cbcfff2fee8fp-2",
+    "-0x1.72477265c977cp+0",
+    "-0x1.7abc65b60a50dp+0",
+    "0x1.c7ae0bddcb8c8p-2",
+]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def steps_digest(tag, level, tmp_path) -> str:
+    """sha256 of steps.csv for 2 runs of `tag` at n=8, 10 steps, noise `level`."""
+    cfg = ExperimentConfig(model=default_model_spec(tag), n=8, steps=10, runs=2)
+    records = run_noise_sweep(cfg, [cfg.model], [level])
+    path = tmp_path / f"steps_{tag}_{level}.csv"
+    write_steps_csv(path, {tag: records[(tag, level)]})
+    return _sha256(path)
+
+
+def effective_config_digest(tmp_path) -> str:
+    """sha256 of effective_config.txt from `simulate` with every default."""
+    out = tmp_path / "sim"
+    assert main(["simulate", "--model", "df_distributed", "--out", str(out)]) == 0
+    return _sha256(out / "effective_config.txt")
+
+
+def normals_hex() -> list:
+    return [float(z).hex() for z in RandomStream(1).normals(16)]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_STEPS))
+def test_steps_csv_matches_golden(key, tmp_path):
+    tag, level = key.split("@")
+    assert steps_digest(tag, int(level), tmp_path) == GOLDEN_STEPS[key]
+
+
+def test_effective_config_matches_golden(tmp_path):
+    assert effective_config_digest(tmp_path) == GOLDEN_EFFECTIVE_CONFIG
+
+
+def test_random_stream_normals_match_golden():
+    assert normals_hex() == GOLDEN_NORMALS
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = pathlib.Path(tmp)
+        steps = {}
+        for key in GOLDEN_STEPS:
+            tag, level = key.split("@")
+            steps[key] = steps_digest(tag, int(level), tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            config_digest = effective_config_digest(tmp_path)
+        golden = {
+            "steps": steps,
+            "effective_config": config_digest,
+            "normals": normals_hex(),
+        }
+    print(json.dumps(golden, indent=4))

@@ -18,6 +18,7 @@ from flockbench import (
     sample_initial_config,
     simulate,
 )
+from flockbench import harness
 from flockbench.harness import aggregate_finals, aggregate_steps, run_batch
 
 
@@ -242,3 +243,27 @@ def test_aggregate_finals_reports_noise_parameters():
     levels = {row["level"]: row for row in rows}
     assert levels[1]["sigma_x"] == pytest.approx(0.2)
     assert levels[4]["sigma_v"] == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize(
+    "tag, names",
+    [
+        ("reynolds", ("sense_local", "reynolds_accel")),
+        ("olfati_saber", ("sense_local", "olfati_saber_accel")),
+        ("df_centralized", ("sense_global", "solve_mpc")),
+        ("lattice_distributed", ("sense_local", "solve_mpc_distributed_all")),
+    ],
+)
+def test_simulate_calls_layers_through_harness_names(tag, names, monkeypatch):
+    # wrapping a layer entry point in the harness module reaches the loop
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    simulate(small_cfg(tag, steps=3), seed=1)
+    assert all(count > 0 for count in calls.values()), calls

@@ -454,6 +454,19 @@ def test_batched_solve_matches_per_agent_exactly(np_rng):
                 assert np.array_equal(single.accel, batch_accels[i])
 
 
+@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+def test_distributed_agent_index_validated(tag):
+    cfg = config([[0, 0], [3, 0], [5, 1]])
+    u = np.zeros((3, 2))
+    for agent in (-1, cfg.n):
+        with pytest.raises(IndexError):
+            solve_mpc(tag, cfg, PARAMS, LIMITS, agent=agent)
+        with pytest.raises(IndexError):
+            mpc_objective_gradient(tag, cfg, u, PARAMS, LIMITS, agent=agent)
+    # the last agent by its valid index still solves
+    assert np.isfinite(solve_mpc(tag, cfg, PARAMS, LIMITS, agent=cfg.n - 1)).all()
+
+
 def test_unknown_tag_rejected():
     cfg = config([[0, 0]])
     with pytest.raises(ValueError):
