@@ -18,7 +18,6 @@ from .controllers import (
     reynolds_separation,
 )
 from .core import (
-    AgentState,
     FlockConfiguration,
     MotionLimits,
     NoiseSpec,

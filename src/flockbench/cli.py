@@ -26,6 +26,7 @@ from .harness import (
     run_noise_sweep,
     simulate,
 )
+from .mpc import SolverError
 from .output import (
     COMPARISON_SUMMARY_FIELDS,
     NOISE_SUMMARY_FIELDS,
@@ -160,7 +161,7 @@ def build_model_spec(settings, tag: str) -> ModelSpec:
     return ModelSpec(tag, _read_section(settings, model.prefix, model.params))
 
 
-def build_experiment(settings, tag: str, out_dir: str | None) -> ExperimentConfig:
+def build_experiment(settings, tag: str) -> ExperimentConfig:
     dimension = _get_int(settings, "dimension")
     return ExperimentConfig(
         model=build_model_spec(settings, tag),
@@ -177,7 +178,6 @@ def build_experiment(settings, tag: str, out_dir: str | None) -> ExperimentConfi
         init_velocity_box=_box(
             settings, "init.velocity_min", "init.velocity_max", dimension
         ),
-        output_dir=out_dir,
     )
 
 
@@ -218,9 +218,15 @@ def _prepare_out(out_dir: str, settings) -> None:
             handle.write(f"{key} = {settings[key]}\n")
 
 
+def _echo_models(settings, models) -> dict:
+    """Settings to echo for a multi-model command: `model` lists the
+    comma-joined tags that ran."""
+    return {**settings, "model": ",".join(spec.tag for spec in models)}
+
+
 def _cmd_simulate(args) -> int:
     settings = resolve_settings(args)
-    cfg = build_experiment(settings, settings["model"], args.out)
+    cfg = build_experiment(settings, settings["model"])
     _prepare_out(args.out, settings)
     record = simulate(cfg, seed=_get_int(settings, "seed"))
     write_steps_csv(os.path.join(args.out, "steps.csv"), {cfg.model.tag: [record]})
@@ -242,8 +248,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     settings = resolve_settings(args)
     models = _resolve_models(settings, args.models)
-    cfg = build_experiment(settings, models[0].tag, args.out)
-    _prepare_out(args.out, settings)
+    cfg = build_experiment(settings, models[0].tag)
+    _prepare_out(args.out, _echo_models(settings, models))
     records = run_comparison(cfg, models, runs=cfg.runs, workers=_workers(settings))
     write_steps_csv(os.path.join(args.out, "steps.csv"), records)
     summary = aggregate_steps(records)
@@ -262,8 +268,8 @@ def _cmd_noise_sweep(args) -> int:
     settings = resolve_settings(args)
     models = _resolve_models(settings, args.models)
     levels = _parse_levels(args.levels)
-    cfg = build_experiment(settings, models[0].tag, args.out)
-    _prepare_out(args.out, settings)
+    cfg = build_experiment(settings, models[0].tag)
+    _prepare_out(args.out, _echo_models(settings, models))
     records = run_noise_sweep(
         cfg, models, levels, runs=cfg.runs, workers=_workers(settings)
     )
@@ -354,7 +360,7 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, SolverError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

@@ -43,9 +43,9 @@ class ReynoldsParams:
     w_al: float = 8.0
 
     def __post_init__(self):
-        if min(self.r_c, self.r_s, self.r_al) <= 0:
+        if not all(x > 0 for x in (self.r_c, self.r_s, self.r_al)):
             raise ValueError("rule radii must be positive")
-        if min(self.w_c, self.w_s, self.w_al) < 0:
+        if not all(x >= 0 for x in (self.w_c, self.w_s, self.w_al)):
             raise ValueError("rule weights must be nonnegative")
 
 
@@ -72,11 +72,11 @@ class OlfatiSaberParams:
             raise ValueError("sigmoid parameters must satisfy 0 < a <= b")
         if not 0 < self.h < 1:
             raise ValueError("bump threshold h must be in (0, 1)")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0 < self.d < self.r:
             raise ValueError("need 0 < d < r")
-        if self.c_alignment < 0:
+        if not self.c_alignment >= 0:
             raise ValueError("c_alignment must be nonnegative")
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "AgentState",
     "FlockConfiguration",
     "MotionLimits",
     "NoiseSpec",
@@ -39,14 +38,6 @@ __all__ = [
 # coincident agents produce large-but-finite forces instead of NaN/inf.
 EPS_DIST = 1e-6
 EPS_DIST_SQ = EPS_DIST * EPS_DIST
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Position and velocity of one agent (length units, length/step-time)."""
-
-    position: np.ndarray
-    velocity: np.ndarray
 
 
 class FlockConfiguration:
@@ -87,11 +78,6 @@ class FlockConfiguration:
     def dimension(self) -> int:
         return self.positions.shape[1]
 
-    def agent(self, i: int) -> AgentState:
-        if not 0 <= i < self.n:
-            raise IndexError(f"agent index {i} out of range for n={self.n}")
-        return AgentState(self.positions[i], self.velocities[i])
-
     def __eq__(self, other):
         return (
             isinstance(other, FlockConfiguration)
@@ -129,7 +115,7 @@ class NoiseSpec:
     sigma_v: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_x < 0 or self.sigma_v < 0:
+        if not (self.sigma_x >= 0 and self.sigma_v >= 0):
             raise ValueError("noise std devs must be nonnegative")
 
     @property

@@ -154,8 +154,6 @@ class ModelSpec:
                 f"model {self.tag!r} expects {expected.__name__} parameters,"
                 f" got {type(self.params).__name__}"
             )
-        if isinstance(self.params, MpcParams):
-            self.params.require_for(self.tag)
 
 
 def default_model_spec(tag: str, r: float = 8.4) -> ModelSpec:
@@ -181,18 +179,17 @@ class ExperimentConfig:
     base_seed: int = 1
     init_position_box: tuple = ((-15.0, 15.0), (-15.0, 15.0))
     init_velocity_box: tuple = ((0.0, 2.0), (0.0, 2.0))
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.steps < 1 or self.runs < 1:
             raise ValueError("n, steps and runs must all be at least 1")
-        if self.r <= 0:
+        if not self.r > 0:
             raise ValueError("interaction radius must be positive")
         if len(self.init_position_box) != len(self.init_velocity_box):
             raise ValueError("position and velocity boxes must share a dimension")
         for box in (self.init_position_box, self.init_velocity_box):
             for lo, hi in box:
-                if lo > hi:
+                if not lo <= hi:
                     raise ValueError(f"box range ({lo}, {hi}) has min > max")
 
     @property

@@ -11,11 +11,15 @@ the horizon's accelerations.
     mean squared pairwise distance (cohesion) plus an omega-weighted sum of
     inverse squared neighbor distances (separation); no target geometry.
 
+`MpcParams` always carries both d and omega; each model reads the one its
+cost uses.
+
 Centralized models optimize all agents' accelerations against one shared
 noisy measurement, recomputing the neighbor edge set at every predicted
 step.  Distributed models optimize a single agent against its own noisy
 view, freezing its neighbor set at the current step and extrapolating
-neighbors at constant sensed velocity.
+neighbors at constant sensed velocity.  A batch of distributed problems
+stacks the views and takes its edges from one (B, n) neighbor mask.
 
 Edge sums follow the ordered-pair convention (each unordered neighbor pair
 contributes twice) for the centralized edge-set costs.
@@ -81,36 +85,32 @@ MIN_STEP = 2.0**-40
 
 @dataclass(frozen=True)
 class MpcParams:
-    """Horizon length, control penalty and stage-cost parameters.
+    """Horizon length, control penalty, interaction radius and the two
+    stage-cost parameters.
 
-    d is the lattice scale (lattice models), omega the separation weight
-    (declarative-flocking models); each model validates that its parameter
-    is present.
+    d is the lattice scale (read by the lattice models) and omega the
+    separation weight (read by the declarative-flocking models).  Every
+    field is a required number: None fails with a TypeError, and NaN or a
+    value out of range with a ValueError.
     """
 
     horizon: int = 3
     lam: float = 1.0
     r: float = 8.4
-    d: float | None = 7.0
-    omega: float | None = 50.0
+    d: float = 7.0
+    omega: float = 50.0
 
     def __post_init__(self):
-        if self.horizon < 1:
+        if not self.horizon >= 1:
             raise ValueError("horizon must be at least 1")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("control penalty lam must be positive")
-        if self.r <= 0:
+        if not self.r > 0:
             raise ValueError("interaction radius must be positive")
-        if self.d is not None and self.d <= 0:
+        if not self.d > 0:
             raise ValueError("lattice scale d must be positive")
-        if self.omega is not None and self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError("separation weight omega must be positive")
-
-    def require_for(self, tag: str):
-        if tag.startswith("lattice") and self.d is None:
-            raise ValueError(f"{tag} requires the lattice scale d")
-        if tag.startswith("df") and self.omega is None:
-            raise ValueError(f"{tag} requires the separation weight omega")
 
 
 @dataclass
@@ -338,7 +338,6 @@ def mpc_objective(
     """Full horizon objective: stage costs over predicted steps 1..T plus
     lam times the squared norm of the control sequence."""
     _check_tag(tag)
-    params.require_for(tag)
     u = np.asarray(controls, dtype=np.float64)
     stage = sum(
         _stage_cost(tag, cfg, params, agent, neighbor_set) for cfg in trajectory[1:]
@@ -346,7 +345,7 @@ def mpc_objective(
     return stage + params.lam * float((u * u).sum())
 
 
-def _edge_stage_terms(tag, dist, counts_per_row, params):
+def _edge_stage_terms(tag, dist, edge_counts, params):
     """Per-edge stage cost and the scalar d(cost)/d(dist) for batched
     distributed problems.  dist has one row per edge."""
     dist_f = np.maximum(dist, EPS_DIST)
@@ -355,7 +354,7 @@ def _edge_stage_terms(tag, dist, counts_per_row, params):
         cost = (dist_f - params.d) ** 2
         dcost = np.where(active, 2.0 * (dist_f - params.d), 0.0)
     else:  # df_distributed: (1/|N|) dist^2 + omega / dist^2
-        inv_cnt = 1.0 / counts_per_row
+        inv_cnt = 1.0 / edge_counts
         sq = dist * dist
         sq_f = np.maximum(sq, EPS_DIST_SQ)
         cost = inv_cnt * sq + params.omega / sq_f
@@ -465,7 +464,7 @@ class _BatchProblem:
     v0: np.ndarray  # (B, m) own velocities
     src: np.ndarray  # (E,) batch row of each neighbor edge
     nbr_pos: np.ndarray  # (E, T, m) neighbor positions at steps 1..T
-    counts: np.ndarray  # (B,) neighbor count per row
+    edge_counts: np.ndarray  # (E, 1) neighbor count of each edge's row
 
     @property
     def size(self) -> int:
@@ -481,8 +480,7 @@ class _BatchProblem:
         out = self.params.lam * (U * U).sum(axis=(1, 2))
         if self.src.size:
             _, dist = self._edge_dist(xs)
-            counts_per_row = self.counts[self.src][:, None].astype(np.float64)
-            cost, _ = _edge_stage_terms(self.tag, dist, counts_per_row, self.params)
+            cost, _ = _edge_stage_terms(self.tag, dist, self.edge_counts, self.params)
             out = out + np.bincount(
                 self.src, weights=cost.sum(axis=1), minlength=self.size
             )
@@ -494,8 +492,7 @@ class _BatchProblem:
         gx = np.zeros_like(U)
         if self.src.size:
             diff, dist = self._edge_dist(xs)
-            counts_per_row = self.counts[self.src][:, None].astype(np.float64)
-            _, dcost = _edge_stage_terms(self.tag, dist, counts_per_row, self.params)
+            _, dcost = _edge_stage_terms(self.tag, dist, self.edge_counts, self.params)
             dist_f = np.maximum(dist, EPS_DIST)
             contrib = (dcost / dist_f)[:, :, None] * diff  # (E, T, m)
             np.add.at(gx, self.src, contrib)
@@ -505,51 +502,47 @@ class _BatchProblem:
 def _build_batch_problem(tag, views, agents, params, limits, neighbor_sets=None):
     """Assemble a batch problem from per-agent noisy views.
 
-    views[k] is the view of agents[k]; each agent's neighbor set is frozen,
-    either as given in neighbor_sets[k] or computed once from its own view
-    (strict < r).
+    views[k] is the view of agents[k].  Row k of one (B, n) neighbor mask
+    holds agents[k]'s frozen neighbor set: the strict < r test on its own
+    view, unless neighbor_sets[k] gives the set.  The edges are the mask's
+    nonzero entries in row-major order.
     """
-    T = params.horizon
-    m = views[0].dimension
-    x0 = np.empty((len(agents), m))
-    v0 = np.empty((len(agents), m))
-    src, nbr_blocks, counts = [], [], np.zeros(len(agents), dtype=np.int64)
-    for k, (i, view) in enumerate(zip(agents, views)):
-        if not 0 <= i < view.n:
-            raise IndexError(f"agent index {i} out of range for n={view.n}")
-        pos, vel = view.positions, view.velocities
-        x0[k], v0[k] = pos[i], vel[i]
-        if neighbor_sets is not None and neighbor_sets[k] is not None:
-            nbr = np.asarray(sorted(neighbor_sets[k]), dtype=np.int64)
-            if nbr.size and (nbr.min() < 0 or nbr.max() >= view.n or i in nbr):
-                raise ValueError(f"invalid neighbor set for agent {i}")
-        else:
-            diff = pos - pos[i]
-            dist = np.sqrt((diff * diff).sum(axis=-1))
-            nbr = np.nonzero(dist < params.r)[0]
-            nbr = nbr[nbr != i]
-        counts[k] = nbr.size
-        if nbr.size:
-            src.extend([k] * nbr.size)
-            # iterated constant-velocity extrapolation, matching the rollout
-            block = np.empty((nbr.size, T, m))
-            p = pos[nbr]
-            for t in range(T):
-                p = p + limits.dt * vel[nbr]
-                block[:, t] = p
-            nbr_blocks.append(block)
-    nbr_pos = (
-        np.concatenate(nbr_blocks, axis=0) if nbr_blocks else np.empty((0, T, m))
-    )
+    agents = np.asarray(agents, dtype=np.int64)
+    rows = np.arange(agents.size)
+    pos = np.stack([view.positions for view in views])  # (B, n, m)
+    vel = np.stack([view.velocities for view in views])
+    n = pos.shape[1]
+    bad = agents[(agents < 0) | (agents >= n)]
+    if bad.size:
+        raise IndexError(f"agent index {bad[0]} out of range for n={n}")
+    x0, v0 = pos[rows, agents], vel[rows, agents]
+    diff = pos - x0[:, None]
+    mask = np.sqrt((diff * diff).sum(axis=-1)) < params.r
+    for k, given in enumerate(neighbor_sets or ()):
+        if given is not None:
+            idx = np.asarray(sorted(given), dtype=np.int64)
+            if idx.size and (idx.min() < 0 or idx.max() >= n or agents[k] in idx):
+                raise ValueError(f"invalid neighbor set for agent {agents[k]}")
+            mask[k] = False
+            mask[k, idx] = True
+    mask[rows, agents] = False
+    src, nbr = np.nonzero(mask)
+    # iterated constant-velocity extrapolation, matching the rollout
+    nbr_pos = np.empty((src.size, params.horizon, pos.shape[2]))
+    p, v = pos[src, nbr], vel[src, nbr]
+    for t in range(params.horizon):
+        p = p + limits.dt * v
+        nbr_pos[:, t] = p
+    counts = np.bincount(src, minlength=agents.size)
     return _BatchProblem(
         tag=tag,
         params=params,
         limits=limits,
         x0=x0,
         v0=v0,
-        src=np.asarray(src, dtype=np.int64),
+        src=src,
         nbr_pos=nbr_pos,
-        counts=counts,
+        edge_counts=counts[src][:, None].astype(np.float64),
     )
 
 
@@ -645,10 +638,20 @@ def mpc_objective_gradient(
     """Analytic gradient of the horizon objective with respect to the
     controls, at the given initial view.  Shape matches `controls`."""
     _check_tag(tag)
-    params.require_for(tag)
     U = np.asarray(controls, dtype=np.float64)
     problem = _single_problem(tag, initial_view, params, limits, agent, neighbor_set)
     return problem.gradient(U[None])[0]
+
+
+def _warm_start(warm_start, shape):
+    """The given warm start as a float64 array of the given shape, or zeros
+    when absent."""
+    if warm_start is None:
+        return np.zeros(shape)
+    warm = np.asarray(warm_start, dtype=np.float64)
+    if warm.shape != shape:
+        raise ValueError(f"warm start must have shape {shape}, got {warm.shape}")
+    return warm
 
 
 def solve_mpc(
@@ -669,13 +672,10 @@ def solve_mpc(
     the accepted-objective trace is returned instead.
     """
     _check_tag(tag)
-    params.require_for(tag)
     problem = _single_problem(tag, initial_view, params, limits, agent)
     T, m = params.horizon, initial_view.dimension
     shape = (T, initial_view.n, m) if tag in CENTRALIZED_MPC_TAGS else (T, m)
-    warm = np.zeros(shape) if warm_start is None else np.asarray(warm_start, dtype=np.float64)
-    if warm.shape != shape:
-        raise ValueError(f"warm start must have shape {shape}, got {warm.shape}")
+    warm = _warm_start(warm_start, shape)
     U, _, converged, iterations, trace = _solve_batch(
         problem, warm[None], keep_trace=full_output
     )
@@ -703,19 +703,10 @@ def solve_mpc_distributed_all(
     The per-agent problems are independent; batching them changes nothing
     but the amount of Python overhead.
     """
-    _check_tag(tag)
     if tag not in DISTRIBUTED_MPC_TAGS:
-        raise ValueError(f"{tag} is not a distributed MPC model")
-    params.require_for(tag)
+        raise ValueError(f"{tag!r} is not a distributed MPC model")
     n = len(views)
-    T, m = params.horizon, views[0].dimension
-    warm = (
-        np.zeros((n, T, m))
-        if warm_start is None
-        else np.asarray(warm_start, dtype=np.float64)
-    )
-    if warm.shape != (n, T, m):
-        raise ValueError(f"warm start must have shape {(n, T, m)}, got {warm.shape}")
-    problem = _build_batch_problem(tag, views, list(range(n)), params, limits)
-    U, J, converged, iterations, _ = _solve_batch(problem, warm)
+    warm = _warm_start(warm_start, (n, params.horizon, views[0].dimension))
+    problem = _build_batch_problem(tag, views, range(n), params, limits)
+    U, _, _, _, _ = _solve_batch(problem, warm)
     return U[:, 0].copy(), U

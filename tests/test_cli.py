@@ -123,6 +123,42 @@ def test_compare_and_plot(tmp_path):
     assert (replot / "irregularity.svg").exists()
 
 
+@pytest.mark.parametrize("command", [["compare"], ["noise-sweep", "--levels", "0"]])
+def test_multi_model_commands_echo_models_run(tmp_path, command):
+    out = tmp_path / "multi"
+    code = run_cli(
+        command
+        + ["--models", "reynolds,olfati_saber", "--runs", "1", "--out", str(out)]
+        + ["--workers", "1"]
+        + FAST_OVERRIDES
+    )
+    assert code == 0
+    echoed = (out / "effective_config.txt").read_text().splitlines()
+    assert "model = reynolds,olfati_saber" in echoed
+
+
+def test_solver_error_is_one_line(tmp_path, capsys):
+    code = run_cli(
+        ["simulate", "--model", "df_centralized", "--out", str(tmp_path / "x")]
+        + ["--set", "mpc.omega=1e308"]
+        + FAST_OVERRIDES
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SolverError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["noise.sigma_x", "r", "mpc.d"])
+def test_nan_setting_fails(tmp_path, capsys, key):
+    code = run_cli(
+        ["simulate", "--model", "df_distributed", "--out", str(tmp_path / "x")]
+        + ["--set", f"{key}=nan"]
+        + FAST_OVERRIDES
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+
+
 def test_noise_sweep_outputs(tmp_path):
     out = tmp_path / "sweep"
     code = run_cli(

@@ -300,10 +300,3 @@ def test_configuration_is_immutable(np_rng):
     with pytest.raises(ValueError):
         cfg.positions[0, 0] = 1.0
 
-
-def test_configuration_agent_accessor(np_rng):
-    cfg = random_config(np_rng, n=3)
-    state = cfg.agent(2)
-    assert np.array_equal(state.position, cfg.positions[2])
-    with pytest.raises(IndexError):
-        cfg.agent(3)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from flockbench import (
     MotionLimits,
     MpcParams,
     NoiseSpec,
+    OlfatiSaberParams,
     RandomStream,
     ReynoldsParams,
     default_model_spec,
@@ -38,10 +41,30 @@ def test_model_spec_validates_tag_and_params():
         ModelSpec("unknown", ReynoldsParams())
     with pytest.raises(ValueError):
         ModelSpec("reynolds", MpcParams())
+    with pytest.raises(TypeError):
+        MpcParams(d=None)
+    with pytest.raises(TypeError):
+        MpcParams(omega=None)
+
+
+def _nan_cases():
+    nan = float("nan")
+    for cls in (MpcParams, ReynoldsParams, OlfatiSaberParams, NoiseSpec, MotionLimits):
+        for f in fields(cls):
+            if isinstance(f.default, float):
+                yield pytest.param(cls, {f.name: nan}, id=f"{cls.__name__}.{f.name}")
+    yield pytest.param(small_cfg, {"r": nan}, id="ExperimentConfig.r")
+    yield pytest.param(
+        small_cfg,
+        {"init_position_box": ((nan, 1.0), (0.0, 1.0))},
+        id="ExperimentConfig.init_position_box",
+    )
+
+
+@pytest.mark.parametrize("make, kwargs", _nan_cases())
+def test_parameters_reject_nan(make, kwargs):
     with pytest.raises(ValueError):
-        ModelSpec("lattice_centralized", MpcParams(d=None))
-    with pytest.raises(ValueError):
-        ModelSpec("df_centralized", MpcParams(omega=None))
+        make(**kwargs)
 
 
 def test_experiment_config_validation():

@@ -5,6 +5,7 @@ from flockbench import (
     FlockConfiguration,
     MotionLimits,
     MpcParams,
+    RandomStream,
     cost_df_centralized,
     cost_df_distributed,
     lattice_deviation_centralized,
@@ -12,8 +13,10 @@ from flockbench import (
     mpc_objective,
     mpc_objective_gradient,
     neighbors,
+    noise_for_level,
     rollout_centralized,
     rollout_distributed,
+    sense_local,
     solve_mpc,
     solve_mpc_distributed_all,
     step_dynamics,
@@ -316,11 +319,11 @@ def test_objective_linear_in_lambda(np_rng):
 
 
 def test_objective_requires_model_parameter():
+    for name in ("d", "omega"):
+        with pytest.raises(TypeError):
+            MpcParams(**{name: None})
     cfg = config([[0, 0], [5, 0]])
-    u = np.zeros((3, 2, 2))
-    traj = rollout_centralized(cfg, u, LIMITS)
-    with pytest.raises(ValueError):
-        mpc_objective("lattice_centralized", traj, u, MpcParams(d=None))
+    traj = rollout_centralized(cfg, np.zeros((3, 2, 2)), LIMITS)
     with pytest.raises(ValueError):
         mpc_objective("df_distributed", traj, np.zeros((3, 2)), PARAMS)  # no agent
 
@@ -355,6 +358,23 @@ def test_gradient_matches_finite_differences(tag, np_rng):
         check = scale > 1e-8
         rel = np.abs(analytic - numeric)[check] / scale[check]
         assert rel.max() < 1e-4
+
+
+@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+def test_gradient_with_given_neighbor_set(tag, np_rng):
+    # the given frozen set adds agent 2 (beyond r) and leaves out agent 1
+    # (inside r), so it overrides the radius test both ways
+    view = config([[0, 0], [4, 1], [12, -3], [-3, 5]], np_rng.uniform(-2, 2, (4, 2)))
+    assert neighbors(view, 0, PARAMS.r) == {1, 3}
+    ns = {2, 3}
+    u = np_rng.uniform(-1, 1, (3, 2))
+    analytic = mpc_objective_gradient(
+        tag, view, u, PARAMS, LIMITS, agent=0, neighbor_set=ns
+    )
+    numeric = finite_difference_gradient(tag, view, u, PARAMS, LIMITS, agent=0, ns=ns)
+    assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
+    radius_set = mpc_objective_gradient(tag, view, u, PARAMS, LIMITS, agent=0)
+    assert not np.allclose(analytic, radius_set, rtol=1e-4, atol=1e-7)
 
 
 def test_gradient_includes_velocity_clamp(np_rng):
@@ -432,18 +452,26 @@ def test_solver_warm_start_validation():
 
 
 def test_batched_solve_matches_per_agent_exactly(np_rng):
+    # noiseless views first, then a distinct noisy view per observer, so a
+    # row built from another agent's view cannot match its standalone solve
+    rng = RandomStream(11)
+    noise = noise_for_level(3)
+    cases = [(5, 6.0, None)] * 5 + [(5, 6.0, noise)] * 3 + [(30, 15.0, noise)]
     for tag in DISTRIBUTED_MPC_TAGS:
-        for _ in range(5):
-            cfg = random_config(np_rng, n=5, span=6.0, v_span=3.0)
-            views = [cfg] * cfg.n  # noiseless: every agent sees the truth
-            warm = np_rng.uniform(-0.5, 0.5, (cfg.n, 3, 2))
+        for n, span, sensing in cases:
+            cfg = random_config(np_rng, n=n, span=span, v_span=3.0)
+            if sensing is None:
+                views = [cfg] * n  # every agent sees the truth
+            else:
+                views = [sense_local(cfg, i, sensing, rng) for i in range(n)]
+            warm = np_rng.uniform(-0.5, 0.5, (n, 3, 2))
             batch_accels, batch_plans = solve_mpc_distributed_all(
                 tag, views, PARAMS, LIMITS, warm_start=warm
             )
-            for i in range(cfg.n):
+            for i in range(n):
                 single = solve_mpc(
                     tag,
-                    cfg,
+                    views[i],
                     PARAMS,
                     LIMITS,
                     warm_start=warm[i],
