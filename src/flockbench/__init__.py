@@ -12,7 +12,9 @@ from .controllers import (
     OlfatiSaberParams,
     ReynoldsParams,
     olfati_saber_accel,
+    olfati_saber_accel_all,
     reynolds_accel,
+    reynolds_accel_all,
     reynolds_alignment,
     reynolds_cohesion,
     reynolds_separation,
@@ -29,6 +31,7 @@ from .core import (
     proximity_net,
     sense_global,
     sense_local,
+    sense_local_all,
     step_dynamics,
 )
 from .harness import (

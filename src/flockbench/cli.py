@@ -188,6 +188,8 @@ def _resolve_models(settings, models_arg: str) -> list:
         tags = [tag.strip() for tag in models_arg.split(",") if tag.strip()]
     if not tags:
         raise CliError("no models selected")
+    if len(set(tags)) != len(tags):
+        raise CliError(f"model tags listed more than once: {models_arg!r}")
     return [build_model_spec(settings, tag) for tag in tags]
 
 
@@ -200,6 +202,8 @@ def _parse_levels(text: str) -> list:
         levels = [int(part) for part in text.split(",") if part.strip()]
     if not levels or any(level < 0 for level in levels):
         raise CliError(f"invalid noise levels {text!r}")
+    if len(set(levels)) != len(levels):
+        raise CliError(f"noise levels listed more than once: {text!r}")
     return levels
 
 

@@ -6,6 +6,14 @@ to an acceleration command.  The view is expected to carry the agent's own
 row exactly (see ``core.sense_local``); neighborhoods are computed from the
 view's positions.  Outputs are raw commands: the simulation loop clamps them
 to the acceleration bound when stepping the dynamics.
+
+The closed loop steers every agent in one array pass: ``reynolds_accel_all``
+and ``olfati_saber_accel_all`` take all n views stacked as (n, n, m) arrays
+(row i is agent i's view, as ``core.sense_local_all`` returns them) and
+reduce over per-rule (n, n) neighbor masks.  Each masked sum runs over the
+neighbors in ascending index order, as the per-agent ``x[mask]`` sums do, so
+the array passes equal the per-agent functions bit for bit; those stay as
+the readable definitions and as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_DIST_SQ, FlockConfiguration
+from .core import EPS_DIST_SQ, FlockConfiguration, check_stacked_views
 
 __all__ = [
     "ReynoldsParams",
@@ -24,6 +32,8 @@ __all__ = [
     "reynolds_separation",
     "reynolds_accel",
     "olfati_saber_accel",
+    "reynolds_accel_all",
+    "olfati_saber_accel_all",
 ]
 
 
@@ -88,6 +98,38 @@ def _neighbor_mask(view: FlockConfiguration, i: int, radius: float) -> np.ndarra
     return mask
 
 
+class _StackedViews:
+    """All n views stacked as (n, n, m) arrays, row i being agent i's view,
+    with each agent's own state and its offsets to everyone it sees."""
+
+    def __init__(self, positions, velocities):
+        pos, vel = check_stacked_views(positions, velocities)
+        own = np.arange(pos.shape[0])
+        self.positions, self.velocities = pos, vel
+        self.own_pos, self.own_vel = pos[own, own], vel[own, own]
+        self.diff = pos - self.own_pos[:, None]  # x_j - x_i in view i
+        self.sq = (self.diff * self.diff).sum(axis=-1)
+        self.dist = np.sqrt(self.sq)
+
+    def mask(self, radius):
+        """(n, n) neighbor mask of the strict < radius test, self excluded."""
+        mask = self.dist < radius
+        np.fill_diagonal(mask, False)
+        return mask
+
+
+def _masked_sum(mask, x):
+    """Sum over j of x[i, j] where mask[i, j], in ascending j: the order of
+    the per-agent ``x[mask].sum(axis=0)``."""
+    return np.where(mask[..., None], x, 0.0).sum(axis=1)
+
+
+def _masked_mean(mask, x):
+    """Per-row mean of the masked x[i, j] and whether row i has any."""
+    count = mask.sum(axis=1)
+    return _masked_sum(mask, x) / np.maximum(count, 1)[:, None], (count > 0)[:, None]
+
+
 def reynolds_alignment(
     i: int, view: FlockConfiguration, params: ReynoldsParams
 ) -> np.ndarray:
@@ -135,6 +177,23 @@ def reynolds_accel(
         + reynolds_cohesion(i, view, params)
         + reynolds_separation(i, view, params)
     )
+
+
+def reynolds_accel_all(positions, velocities, params: ReynoldsParams) -> np.ndarray:
+    """``reynolds_accel`` of every agent from its stacked (n, n, m) view,
+    shape (n, m); row i equals ``reynolds_accel(i, view_i, params)``."""
+    views = _StackedViews(positions, velocities)
+    mean_vel, has_al = _masked_mean(views.mask(params.r_al), views.velocities)
+    centroid, has_c = _masked_mean(views.mask(params.r_c), views.positions)
+    # x_i - x_j as the per-agent rule computes it; -diff would flip the
+    # sign of exact zeros
+    away = views.own_pos[:, None] - views.positions
+    push = away / np.maximum(views.sq, EPS_DIST_SQ)[..., None]
+    mean_push, has_s = _masked_mean(views.mask(params.r_s), push)
+    alignment = np.where(has_al, params.w_al * (mean_vel - views.own_vel), 0.0)
+    cohesion = np.where(has_c, params.w_c * (centroid - views.own_pos), 0.0)
+    separation = np.where(has_s, params.w_s * mean_push, 0.0)
+    return alignment + cohesion + separation
 
 
 # --------------------------------------------------------------------------
@@ -204,3 +263,22 @@ def olfati_saber_accel(
     rel_vel = view.velocities[mask] - view.velocities[i]
     consensus = params.c_alignment * (adjacency[:, None] * rel_vel).sum(axis=0)
     return force + consensus
+
+
+def olfati_saber_accel_all(
+    positions, velocities, params: OlfatiSaberParams
+) -> np.ndarray:
+    """``olfati_saber_accel`` of every agent from its stacked (n, n, m)
+    view, shape (n, m); row i equals ``olfati_saber_accel(i, view_i, params)``."""
+    views = _StackedViews(positions, velocities)
+    mask = views.mask(params.r)
+    eps = params.epsilon
+    dist = views.dist
+    dist_sig = sigma_norm(dist, eps)
+    r_sig = sigma_norm(params.r, eps)
+    n_ij = views.diff / np.sqrt(1.0 + eps * dist * dist)[..., None]
+    force = _masked_sum(mask, action_function(dist_sig, params)[..., None] * n_ij)
+    adjacency = bump(dist_sig / r_sig, params.h)
+    rel_vel = views.velocities - views.own_vel[:, None]
+    consensus = params.c_alignment * _masked_sum(mask, adjacency[..., None] * rel_vel)
+    return np.where(mask.any(axis=1)[:, None], force + consensus, 0.0)

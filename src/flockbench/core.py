@@ -32,6 +32,7 @@ __all__ = [
     "is_quasi_alpha_lattice",
     "sense_global",
     "sense_local",
+    "sense_local_all",
 ]
 
 # Squared-distance floor used wherever an inverse distance appears, so that
@@ -358,3 +359,44 @@ def sense_local(
     pos[i] = config.positions[i]
     vel[i] = config.velocities[i]
     return FlockConfiguration(pos, vel)
+
+
+def check_stacked_views(positions, velocities):
+    """Stacked per-observer views as float64 arrays, checked to be matching
+    (n, n, m) arrays; row i is observer i's view of all n agents."""
+    pos = np.asarray(positions, dtype=np.float64)
+    vel = np.asarray(velocities, dtype=np.float64)
+    if pos.ndim != 3 or pos.shape[0] != pos.shape[1] or vel.shape != pos.shape:
+        raise ValueError(
+            f"views must be matching (n, n, m) arrays, got {pos.shape}"
+            f" and {vel.shape}"
+        )
+    return pos, vel
+
+
+def sense_local_all(config: FlockConfiguration, noise: NoiseSpec, rng: RandomStream):
+    """Every observer's noisy view in one pass, as (n, n, m) position and
+    velocity arrays whose row i equals ``sense_local(config, i, ...)``.
+
+    One draw of n * 2*n*m normals is the concatenation of the n per-call
+    blocks of successive ``sense_local`` calls for i = 0..n-1, so the
+    views and the stream afterwards are exactly theirs.  Unperturbed
+    components are read-only broadcasts of the true state.
+    """
+    n, m = config.n, config.dimension
+    z = rng.normals(n * 2 * n * m).reshape(n, n, 2, m)
+    own = np.arange(n)
+
+    def views(true, sigma, block):
+        if not sigma > 0:
+            return np.broadcast_to(true, (n, n, m))
+        out = true + sigma * block
+        if not np.isfinite(out).all():
+            raise ValueError("positions/velocities must be finite")
+        out[own, own] = true
+        return out
+
+    return (
+        views(config.positions, noise.sigma_x, z[:, :, 0]),
+        views(config.velocities, noise.sigma_v, z[:, :, 1]),
+    )

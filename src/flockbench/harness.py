@@ -6,7 +6,11 @@ Simulation loop, per step: sample sensing noise (one shared view for
 centralized MPC models, one view per agent for everything else), compute
 accelerations with the chosen model, advance the true noiseless state, and
 evaluate the four metrics on the true state.  Noise only ever corrupts what
-controllers see.
+controllers see.  The per-agent views come from one array pass,
+``sense_local_all``, as (n, n, m) arrays that the rule controllers
+(``reynolds_accel_all``, ``olfati_saber_accel_all``) and the distributed MPC
+batch take whole; the per-agent ``sense_local``, ``reynolds_accel`` and
+``olfati_saber_accel`` are the oracles the tests hold them to.
 
 Reproducibility: run j of an experiment uses the seed
 ``mix_seed(base_seed, j)``; noise-sweep run j at level L uses
@@ -28,8 +32,8 @@ import numpy as np
 from .controllers import (
     OlfatiSaberParams,
     ReynoldsParams,
-    olfati_saber_accel,
-    reynolds_accel,
+    olfati_saber_accel_all,
+    reynolds_accel_all,
 )
 from .core import (
     FlockConfiguration,
@@ -38,11 +42,15 @@ from .core import (
     RandomStream,
     mix_seed,
     sense_global,
-    sense_local,
+    sense_local_all,
     step_dynamics,
 )
 from .metrics import evaluate_metrics
 from .mpc import MpcParams, SolverError, solve_mpc, solve_mpc_distributed_all
+
+# Not called by the loop; kept bound because tracing tools wrap these names.
+from .controllers import olfati_saber_accel, reynolds_accel
+from .core import sense_local
 
 __all__ = [
     "MODELS",
@@ -73,10 +81,6 @@ __all__ = [
 # module (for tracing or profiling) reaches the closed loop.
 
 
-def _local_views(config, noise, rng):
-    return [sense_local(config, i, noise, rng) for i in range(config.n)]
-
-
 def _shift_plan(controls, axis_t):
     """Receding-horizon warm start: drop the applied step, zero-pad the end."""
     shifted = np.roll(controls, -1, axis=axis_t)
@@ -86,18 +90,14 @@ def _shift_plan(controls, axis_t):
     return shifted
 
 
-def _rule_accels(law, config, cfg, rng):
-    views = _local_views(config, cfg.noise, rng)
-    params = cfg.model.params
-    return np.stack([law(i, view, params) for i, view in enumerate(views)])
-
-
 def _reynolds_step(config, cfg, rng, warm):
-    return _rule_accels(reynolds_accel, config, cfg, rng), None
+    positions, velocities = sense_local_all(config, cfg.noise, rng)
+    return reynolds_accel_all(positions, velocities, cfg.model.params), None
 
 
 def _olfati_saber_step(config, cfg, rng, warm):
-    return _rule_accels(olfati_saber_accel, config, cfg, rng), None
+    positions, velocities = sense_local_all(config, cfg.noise, rng)
+    return olfati_saber_accel_all(positions, velocities, cfg.model.params), None
 
 
 def _centralized_mpc_step(config, cfg, rng, warm):
@@ -110,9 +110,10 @@ def _centralized_mpc_step(config, cfg, rng, warm):
 
 
 def _distributed_mpc_step(config, cfg, rng, warm):
-    views = _local_views(config, cfg.noise, rng)
+    positions, velocities = sense_local_all(config, cfg.noise, rng)
     accel, plans = solve_mpc_distributed_all(
-        cfg.model.tag, views, cfg.model.params, cfg.limits, warm_start=warm
+        cfg.model.tag, positions, velocities, cfg.model.params, cfg.limits,
+        warm_start=warm,
     )
     return accel, _shift_plan(plans, axis_t=1)
 

@@ -7,6 +7,12 @@ component diameter (cohesion; None when all agents are isolated), velocity
 convergence (mean squared deviation from the component-mean velocity,
 averaged over components) and irregularity (mean per-component sample std
 dev of nearest-neighbor distances; 0 when no component has two members).
+
+`evaluate_metrics` computes one distance matrix per configuration, labels
+the components from its ``< r`` test by array min-label propagation, and
+slices the diameters and nearest-neighbor distances out of that matrix.
+`connected_components` uses the same labeller, and the public per-measure
+functions take a configuration and a component list.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FlockConfiguration, ProximityNet, proximity_net
+from .core import FlockConfiguration, ProximityNet, pairwise_distances
 
 __all__ = [
     "MetricsRecord",
@@ -43,28 +49,24 @@ class MetricsRecord:
             raise ValueError("velocity_convergence and irregularity are nonnegative")
 
 
-class _UnionFind:
-    """Union-find with path compression; representative = smallest member."""
+def _component_labels(adjacency: np.ndarray) -> np.ndarray:
+    """Label every agent with the smallest member of its connected component.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
+    `adjacency` is a symmetric (n, n) boolean matrix whose diagonal is set.
+    Each round gives every agent the smallest label among its neighbors and
+    then the label of that label (pointer jumping); labels only shrink and
+    always name a member of the component, so at the fixed point each
+    component carries its smallest member, and the roots are the agents
+    with ``labels == arange(n)``.
+    """
+    n = adjacency.shape[0]
+    labels = np.arange(n)
+    while True:
+        spread = np.where(adjacency, labels, n).min(axis=1)
+        spread = spread[spread]
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
 
 
 def connected_components(net: ProximityNet) -> list:
@@ -72,13 +74,30 @@ def connected_components(net: ProximityNet) -> list:
 
     Output is a list of sets ordered by each component's smallest member.
     """
-    uf = _UnionFind(net.n)
+    adjacency = np.eye(net.n, dtype=bool)
     for i, j in net.edges:
-        uf.union(i, j)
-    groups = {}
-    for i in range(net.n):
-        groups.setdefault(uf.find(i), set()).add(i)
-    return [groups[root] for root in sorted(groups)]
+        adjacency[i, j] = adjacency[j, i] = True
+    labels = _component_labels(adjacency)
+    roots = np.flatnonzero(labels == np.arange(net.n))
+    return [set(np.flatnonzero(labels == root).tolist()) for root in roots]
+
+
+# The measures below take the components with two or more members, each as
+# ascending indices, in the order of their smallest members: a singleton
+# adds only to the component count.
+
+
+def _groups(components) -> list:
+    return [np.array(sorted(comp)) for comp in components if len(comp) >= 2]
+
+
+def _max_diameter(dist: np.ndarray, groups: list) -> float | None:
+    best = None
+    for idx in groups:
+        diam = float(dist[idx[:, None], idx].max())
+        if best is None or diam > best:
+            best = diam
+    return best
 
 
 def max_component_diameter(
@@ -89,61 +108,61 @@ def max_component_diameter(
     None when every component is a singleton (the diameter's max runs over
     an empty set in that case).
     """
-    pos = config.positions
-    best = None
-    for comp in components:
-        if len(comp) < 2:
-            continue
-        idx = sorted(comp)
-        sub = pos[idx]
-        diff = sub[:, None, :] - sub[None, :, :]
-        diam = float(np.sqrt((diff * diff).sum(axis=-1)).max())
-        if best is None or diam > best:
-            best = diam
-    return best
+    dist = pairwise_distances(config.positions)
+    return _max_diameter(dist, _groups(components))
+
+
+def _velocity_convergence(vel: np.ndarray, groups: list, num_components: int) -> float:
+    total = 0.0
+    for idx in groups:
+        v = vel[idx]
+        dev = v - v.mean(axis=0)
+        total += float((dev * dev).sum()) / len(idx)
+    return total / num_components
 
 
 def velocity_convergence(config: FlockConfiguration, components: list) -> float:
     """Average over components of the mean squared deviation from the
     component's mean velocity.  Singletons contribute zero."""
-    vel = config.velocities
-    total = 0.0
-    for comp in components:
-        idx = sorted(comp)
-        v = vel[idx]
-        dev = v - v.mean(axis=0)
-        total += float((dev * dev).sum()) / len(idx)
-    return total / len(components)
+    return _velocity_convergence(
+        config.velocities, _groups(components), len(components)
+    )
 
 
-def irregularity(config: FlockConfiguration, components: list) -> float:
-    """Mean over non-singleton components of the sample standard deviation
-    of each member's nearest-neighbor distance (nearest within the same
-    component).  0 when all agents are isolated."""
-    pos = config.positions
+def _irregularity(dist: np.ndarray, groups: list) -> float:
     stds = []
-    for comp in components:
-        if len(comp) < 2:
-            continue
-        idx = sorted(comp)
-        sub = pos[idx]
-        diff = sub[:, None, :] - sub[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        nearest = dist.min(axis=1)
+    for idx in groups:
+        sub = dist[idx[:, None], idx]
+        np.fill_diagonal(sub, np.inf)
+        nearest = sub.min(axis=1)
         stds.append(float(nearest.std(ddof=1)))
     if not stds:
         return 0.0
     return sum(stds) / len(stds)
 
 
+def irregularity(config: FlockConfiguration, components: list) -> float:
+    """Mean over non-singleton components of the sample standard deviation
+    of each member's nearest-neighbor distance (nearest within the same
+    component).  0 when all agents are isolated."""
+    dist = pairwise_distances(config.positions)
+    return _irregularity(dist, _groups(components))
+
+
 def evaluate_metrics(config: FlockConfiguration, r: float) -> MetricsRecord:
     """All four measures of one configuration at interaction radius r."""
-    net = proximity_net(config, r)
-    comps = connected_components(net)
+    if r <= 0:
+        raise ValueError("interaction radius must be positive")
+    dist = pairwise_distances(config.positions)
+    labels = _component_labels(dist < r)
+    sizes = np.bincount(labels)  # nonzero at the roots, labels == arange(n)
+    num_components = int(np.count_nonzero(sizes))
+    groups = [np.flatnonzero(labels == root) for root in np.flatnonzero(sizes > 1)]
     return MetricsRecord(
-        num_components=len(comps),
-        max_diameter=max_component_diameter(config, comps),
-        velocity_convergence=velocity_convergence(config, comps),
-        irregularity=irregularity(config, comps),
+        num_components=num_components,
+        max_diameter=_max_diameter(dist, groups),
+        velocity_convergence=_velocity_convergence(
+            config.velocities, groups, num_components
+        ),
+        irregularity=_irregularity(dist, groups),
     )

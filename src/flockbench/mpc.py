@@ -19,7 +19,8 @@ noisy measurement, recomputing the neighbor edge set at every predicted
 step.  Distributed models optimize a single agent against its own noisy
 view, freezing its neighbor set at the current step and extrapolating
 neighbors at constant sensed velocity.  A batch of distributed problems
-stacks the views and takes its edges from one (B, n) neighbor mask.
+takes the views stacked as (B, n, m) arrays and its edges from one (B, n)
+neighbor mask.
 
 Edge sums follow the ordered-pair convention (each unordered neighbor pair
 contributes twice) for the centralized edge-set costs.
@@ -51,6 +52,7 @@ from .core import (
     EPS_DIST_SQ,
     FlockConfiguration,
     MotionLimits,
+    check_stacked_views,
     clamp_norm,
 )
 
@@ -499,18 +501,18 @@ class _BatchProblem:
         return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
 
 
-def _build_batch_problem(tag, views, agents, params, limits, neighbor_sets=None):
+def _build_batch_problem(
+    tag, pos, vel, agents, params, limits, neighbor_sets=None
+):
     """Assemble a batch problem from per-agent noisy views.
 
-    views[k] is the view of agents[k].  Row k of one (B, n) neighbor mask
-    holds agents[k]'s frozen neighbor set: the strict < r test on its own
-    view, unless neighbor_sets[k] gives the set.  The edges are the mask's
-    nonzero entries in row-major order.
+    pos[k] and vel[k], (n, m) each, are the view of agents[k].  Row k of one
+    (B, n) neighbor mask holds agents[k]'s frozen neighbor set: the strict
+    < r test on its own view, unless neighbor_sets[k] gives the set.  The
+    edges are the mask's nonzero entries in row-major order.
     """
     agents = np.asarray(agents, dtype=np.int64)
     rows = np.arange(agents.size)
-    pos = np.stack([view.positions for view in views])  # (B, n, m)
-    vel = np.stack([view.velocities for view in views])
     n = pos.shape[1]
     bad = agents[(agents < 0) | (agents >= n)]
     if bad.size:
@@ -553,58 +555,68 @@ def _build_batch_problem(tag, views, agents, params, limits, neighbor_sets=None)
 
 def _solve_batch(problem, warm, keep_trace=False):
     """Run projected gradient descent on the B rows of warm (B, T, ...) with
-    a per-row Armijo line search; rows converge and stop independently."""
-    B = warm.shape[0]
-    row_axes = tuple(range(1, warm.ndim))
-    per_row = (B,) + (1,) * (warm.ndim - 1)
-    a_max = problem.limits.a_max
-    U = clamp_norm(warm, a_max)
-    J = problem.objective(U)
-    if not np.isfinite(J).all():
-        raise SolverError(
-            "non-finite MPC objective at the initial point",
-            diagnostics={"objective": J, "controls": U},
-        )
-    trace = [float(J[0])] if keep_trace else None
-    active = np.ones(B, dtype=bool)
-    converged = np.zeros(B, dtype=bool)
-    iterations = 0
-    for _ in range(MAX_ITER):
-        G = problem.gradient(U)
-        cand = clamp_norm(U - G, a_max)
-        pg = np.sqrt(((U - cand) ** 2).sum(axis=row_axes))
-        converged |= active & (pg <= GRAD_TOL)
-        active &= ~converged
-        if not active.any():
-            break
-        iterations += 1
-        step = np.ones(B)
-        searching = active.copy()
-        accepted = np.zeros(B, dtype=bool)
-        while searching.any():
-            U_try = clamp_norm(U - step.reshape(per_row) * G, a_max)
-            J_try = problem.objective(U_try)
-            if not np.isfinite(J_try[searching]).all():
+    a per-row Armijo line search; rows converge and stop independently.
+
+    Overflow and invalid operations are not warned about: a non-finite
+    objective or gradient in a row still being solved raises SolverError.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        B = warm.shape[0]
+        row_axes = tuple(range(1, warm.ndim))
+        per_row = (B,) + (1,) * (warm.ndim - 1)
+        a_max = problem.limits.a_max
+        U = clamp_norm(warm, a_max)
+        J = problem.objective(U)
+        if not np.isfinite(J).all():
+            raise SolverError(
+                "non-finite MPC objective at the initial point",
+                diagnostics={"objective": J, "controls": U},
+            )
+        trace = [float(J[0])] if keep_trace else None
+        active = np.ones(B, dtype=bool)
+        converged = np.zeros(B, dtype=bool)
+        iterations = 0
+        for _ in range(MAX_ITER):
+            G = problem.gradient(U)
+            if not np.isfinite(G[active]).all():
                 raise SolverError(
-                    "non-finite MPC objective during line search",
-                    diagnostics={"objective": J_try, "controls": U_try},
+                    "non-finite MPC gradient",
+                    diagnostics={"gradient": G, "controls": U},
                 )
-            delta = ((U - U_try) ** 2).sum(axis=row_axes)
-            ok = searching & (J_try <= J - (ARMIJO_C / step) * delta)
-            if ok.any():
-                U[ok] = U_try[ok]
-                J[ok] = J_try[ok]
-                accepted |= ok
-                searching &= ~ok
-            step[searching] *= 0.5
-            searching &= step >= MIN_STEP
-        # rows whose line search stalled make no further progress
-        active &= accepted
-        if keep_trace and accepted[0]:
-            trace.append(float(J[0]))
-        if not active.any():
-            break
-    return U, J, converged, iterations, trace
+            cand = clamp_norm(U - G, a_max)
+            pg = np.sqrt(((U - cand) ** 2).sum(axis=row_axes))
+            converged |= active & (pg <= GRAD_TOL)
+            active &= ~converged
+            if not active.any():
+                break
+            iterations += 1
+            step = np.ones(B)
+            searching = active.copy()
+            accepted = np.zeros(B, dtype=bool)
+            while searching.any():
+                U_try = clamp_norm(U - step.reshape(per_row) * G, a_max)
+                J_try = problem.objective(U_try)
+                if not np.isfinite(J_try[searching]).all():
+                    raise SolverError(
+                        "non-finite MPC objective during line search",
+                        diagnostics={"objective": J_try, "controls": U_try},
+                    )
+                delta = ((U - U_try) ** 2).sum(axis=row_axes)
+                ok = searching & (J_try <= J - (ARMIJO_C / step) * delta)
+                if ok.any():
+                    U[ok] = U_try[ok]
+                    J[ok] = J_try[ok]
+                    accepted |= ok
+                    searching &= ~ok
+                step[searching] *= 0.5
+                searching &= step >= MIN_STEP
+            # rows whose line search stalled make no further progress
+            active &= accepted
+            if keep_trace and accepted[0]:
+                trace.append(float(J[0]))
+            if not active.any():
+                break
+        return U, J, converged, iterations, trace
 
 
 # --------------------------------------------------------------------------
@@ -622,7 +634,13 @@ def _single_problem(tag, view, params, limits, agent, neighbor_set=None):
     if agent is None:
         raise ValueError(f"{tag} needs the agent index")
     return _build_batch_problem(
-        tag, [view], [agent], params, limits, neighbor_sets=[neighbor_set]
+        tag,
+        view.positions[None],
+        view.velocities[None],
+        [agent],
+        params,
+        limits,
+        neighbor_sets=[neighbor_set],
     )
 
 
@@ -691,22 +709,26 @@ def solve_mpc(
 
 def solve_mpc_distributed_all(
     tag: str,
-    views,
+    positions,
+    velocities,
     params: MpcParams,
     limits: MotionLimits,
     warm_start=None,
 ):
     """Solve every agent's distributed problem against the same step
-    snapshot (views[i] is agent i's noisy view) and return the stacked
-    first-step accelerations (n, m) plus the full control plans (n, T, m).
+    snapshot and return the stacked first-step accelerations (n, m) plus
+    the full control plans (n, T, m).
 
-    The per-agent problems are independent; batching them changes nothing
-    but the amount of Python overhead.
+    positions[i] and velocities[i] are agent i's noisy view: (n, n, m)
+    arrays, as ``core.sense_local_all`` returns them.  The per-agent
+    problems are independent; batching them changes nothing but the amount
+    of Python overhead.
     """
     if tag not in DISTRIBUTED_MPC_TAGS:
         raise ValueError(f"{tag!r} is not a distributed MPC model")
-    n = len(views)
-    warm = _warm_start(warm_start, (n, params.horizon, views[0].dimension))
-    problem = _build_batch_problem(tag, views, range(n), params, limits)
+    pos, vel = check_stacked_views(positions, velocities)
+    n = pos.shape[0]
+    warm = _warm_start(warm_start, (n, params.horizon, pos.shape[2]))
+    problem = _build_batch_problem(tag, pos, vel, range(n), params, limits)
     U, _, _, _, _ = _solve_batch(problem, warm)
     return U[:, 0].copy(), U

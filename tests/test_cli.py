@@ -137,15 +137,39 @@ def test_multi_model_commands_echo_models_run(tmp_path, command):
     assert "model = reynolds,olfati_saber" in echoed
 
 
-def test_solver_error_is_one_line(tmp_path, capsys):
+def test_solver_error_is_one_line(tmp_path):
+    # a separate process, so numpy warnings would reach stderr too
+    proc = subprocess.run(
+        [sys.executable, "-m", "flockbench", "simulate", "--model", "df_centralized"]
+        + ["--out", str(tmp_path / "x"), "--set", "mpc.omega=1e308"]
+        + FAST_OVERRIDES,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: SolverError: non-finite MPC gradient\n"
+
+
+@pytest.mark.parametrize("command", [["compare"], ["noise-sweep", "--levels", "0"]])
+def test_duplicate_models_rejected(tmp_path, capsys, command):
+    out = tmp_path / "dup"
     code = run_cli(
-        ["simulate", "--model", "df_centralized", "--out", str(tmp_path / "x")]
-        + ["--set", "mpc.omega=1e308"]
-        + FAST_OVERRIDES
+        command + ["--models", "reynolds,olfati_saber,reynolds", "--out", str(out)]
     )
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: SolverError: ") and err.count("\n") == 1
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not out.exists()
+
+
+def test_duplicate_levels_rejected(tmp_path, capsys):
+    out = tmp_path / "dup"
+    code = run_cli(
+        ["noise-sweep", "--models", "reynolds", "--levels", "3,1,3", "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["noise.sigma_x", "r", "mpc.d"])

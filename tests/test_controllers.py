@@ -3,13 +3,18 @@ import pytest
 
 from flockbench import (
     FlockConfiguration,
+    NoiseSpec,
     OlfatiSaberParams,
+    RandomStream,
     ReynoldsParams,
     olfati_saber_accel,
+    olfati_saber_accel_all,
     reynolds_accel,
+    reynolds_accel_all,
     reynolds_alignment,
     reynolds_cohesion,
     reynolds_separation,
+    sense_local,
 )
 from flockbench.controllers import action_function, bump, sigma_norm
 from conftest import hexagonal_patch, random_config
@@ -227,3 +232,53 @@ def test_param_validation():
         OlfatiSaberParams(h=1.0)
     with pytest.raises(ValueError):
         OlfatiSaberParams(d=9.0, r=8.4)
+
+
+# --------------------------------------------------------------------------
+# array passes over all observers against the per-agent controllers
+# --------------------------------------------------------------------------
+
+
+def _oracle_views(np_rng):
+    """Stacked (n, n, m) views and the per-agent views they hold."""
+    noise = NoiseSpec(0.5, 0.3)
+    yield [view_of([[1.0, 2.0]], [[0.5, -0.5]])]  # n = 1
+    for seed in range(60):
+        cfg = random_config(np_rng, n=int(np_rng.integers(2, 16)), span=12.0)
+        pos = np.array(cfg.positions)
+        if seed % 3 == 0:
+            pos[1] = pos[0]  # coincident agents: the EPS_DIST_SQ floor
+        if seed % 5 == 0:
+            pos[-1] += 1000.0  # an agent no one sees
+        cfg = FlockConfiguration(pos, cfg.velocities)
+        if seed % 2:
+            yield [cfg] * cfg.n
+        else:
+            rng = RandomStream(seed)
+            yield [sense_local(cfg, i, noise, rng) for i in range(cfg.n)]
+
+
+@pytest.mark.parametrize(
+    "law, law_all, params",
+    [
+        (reynolds_accel, reynolds_accel_all, PARAMS),
+        (reynolds_accel, reynolds_accel_all, ReynoldsParams(r_s=9.5, w_al=0.0)),
+        (olfati_saber_accel, olfati_saber_accel_all, OS),
+        (olfati_saber_accel, olfati_saber_accel_all, OlfatiSaberParams(r=12.0, d=2.0)),
+    ],
+)
+def test_array_pass_matches_per_agent_controller(np_rng, law, law_all, params):
+    for views in _oracle_views(np_rng):
+        positions = np.stack([view.positions for view in views])
+        velocities = np.stack([view.velocities for view in views])
+        expected = np.stack([law(i, view, params) for i, view in enumerate(views)])
+        assert np.array_equal(law_all(positions, velocities, params), expected)
+
+
+@pytest.mark.parametrize("law_all", [reynolds_accel_all, olfati_saber_accel_all])
+def test_array_pass_rejects_unstacked_views(law_all):
+    views = np.zeros((3, 3, 2))
+    with pytest.raises(ValueError):
+        law_all(views[0], views[0], PARAMS)  # one (n, m) view, not n of them
+    with pytest.raises(ValueError):
+        law_all(views, views[:, :2], PARAMS)

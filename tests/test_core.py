@@ -14,6 +14,7 @@ from flockbench import (
     proximity_net,
     sense_global,
     sense_local,
+    sense_local_all,
     step_dynamics,
 )
 from conftest import random_config
@@ -247,6 +248,30 @@ def test_sense_local_index_check(np_rng):
     cfg = random_config(np_rng, n=3)
     with pytest.raises(IndexError):
         sense_local(cfg, 3, NoiseSpec(0, 0), RandomStream(0))
+
+
+@pytest.mark.parametrize("sigmas", [(0, 0), (0.4, 0), (0, 0.3), (0.4, 0.3)])
+def test_sense_local_all_matches_successive_calls(np_rng, sigmas):
+    noise = NoiseSpec(*sigmas)
+    for seed in range(20):
+        cfg = random_config(np_rng, n=int(np_rng.integers(1, 13)), dim=1 + seed % 3)
+        each, once = RandomStream(seed), RandomStream(seed)
+        views = [sense_local(cfg, i, noise, each) for i in range(cfg.n)]
+        positions, velocities = sense_local_all(cfg, noise, once)
+        assert positions.shape == velocities.shape == (cfg.n, cfg.n, cfg.dimension)
+        for i, view in enumerate(views):
+            assert np.array_equal(positions[i], view.positions)
+            assert np.array_equal(velocities[i], view.velocities)
+        # the stream continues where the n successive calls left it
+        assert np.array_equal(once.normals(7), each.normals(7))
+
+
+def test_sense_local_all_rejects_non_finite_views(np_rng):
+    # as sense_local does, through the FlockConfiguration it builds
+    cfg = random_config(np_rng, n=6)
+    for noise in (NoiseSpec(1e308, 0), NoiseSpec(0, 1e308)):
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            sense_local_all(cfg, noise, RandomStream(1))
 
 
 # --------------------------------------------------------------------------

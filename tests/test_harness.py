@@ -1,9 +1,14 @@
+import ast
+import importlib
+import pathlib
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from flockbench import (
+    MODEL_TAGS,
     ExperimentConfig,
     FlockConfiguration,
     ModelSpec,
@@ -271,10 +276,10 @@ def test_aggregate_finals_reports_noise_parameters():
 @pytest.mark.parametrize(
     "tag, names",
     [
-        ("reynolds", ("sense_local", "reynolds_accel")),
-        ("olfati_saber", ("sense_local", "olfati_saber_accel")),
+        ("reynolds", ("sense_local_all", "reynolds_accel_all")),
+        ("olfati_saber", ("sense_local_all", "olfati_saber_accel_all")),
         ("df_centralized", ("sense_global", "solve_mpc")),
-        ("lattice_distributed", ("sense_local", "solve_mpc_distributed_all")),
+        ("lattice_distributed", ("sense_local_all", "solve_mpc_distributed_all")),
     ],
 )
 def test_simulate_calls_layers_through_harness_names(tag, names, monkeypatch):
@@ -290,3 +295,29 @@ def test_simulate_calls_layers_through_harness_names(tag, names, monkeypatch):
         monkeypatch.setattr(harness, name, counted)
     simulate(small_cfg(tag, steps=3), seed=1)
     assert all(count > 0 for count in calls.values()), calls
+
+
+@pytest.mark.parametrize("level", [0, 3])
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+def test_closed_loop_raises_no_warnings(tag, level):
+    # masked means over empty neighborhoods and solver overflow stay silent
+    cfg = small_cfg(tag, n=8, steps=10, noise=noise_for_level(level))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate(cfg, seed=5)
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracing.py wraps these names by (module, attribute); it is
+    # read here, not imported, because the suite does not collect perfbench/
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    (entry_points,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "ENTRY_POINTS" for target in node.targets)
+    ]
+    assert entry_points
+    for module, attr, _, _ in entry_points:
+        assert callable(getattr(importlib.import_module(f"flockbench.{module}"), attr))

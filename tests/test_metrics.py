@@ -76,6 +76,55 @@ def test_components_match_transitive_closure_oracle(np_rng):
         assert components_of(cfg, r) == _brute_force_components(cfg, r)
 
 
+def _bfs_components(cfg, r):
+    n = cfg.n
+    adjacent = [
+        [j for j in range(n) if j != i
+         and np.linalg.norm(cfg.positions[i] - cfg.positions[j]) < r]
+        for i in range(n)
+    ]
+    label = [None] * n
+    comps = []
+    for start in range(n):
+        if label[start] is not None:
+            continue
+        label[start] = start
+        comp, queue = {start}, [start]
+        while queue:
+            for j in adjacent[queue.pop(0)]:
+                if label[j] is None:
+                    label[j] = start
+                    comp.add(j)
+                    queue.append(j)
+        comps.append(comp)
+    return comps
+
+
+def _oracle_flocks(np_rng):
+    yield config([[0, 0]]), 8.4
+    yield config(np.arange(12.0)[:, None] * [20.0, 0.0]), 8.4  # all isolated
+    for _ in range(5):  # one chain, agents in shuffled order
+        n = int(np_rng.integers(2, 31))
+        along = np_rng.permutation(n) * 5.0
+        yield config(np.stack([along, np.zeros(n)], axis=1)), 8.4
+    for _ in range(200):
+        cfg = random_config(np_rng, n=int(np_rng.integers(1, 31)), span=15.0)
+        yield cfg, float(np_rng.uniform(1.0, 15.0))
+
+
+def test_component_labels_match_bfs(np_rng):
+    # connected_components and evaluate_metrics share one array labeller
+    for cfg, r in _oracle_flocks(np_rng):
+        comps = _bfs_components(cfg, r)
+        assert components_of(cfg, r) == comps
+        assert evaluate_metrics(cfg, r) == MetricsRecord(
+            num_components=len(comps),
+            max_diameter=max_component_diameter(cfg, comps),
+            velocity_convergence=velocity_convergence(cfg, comps),
+            irregularity=irregularity(cfg, comps),
+        )
+
+
 # --------------------------------------------------------------------------
 # max component diameter
 # --------------------------------------------------------------------------

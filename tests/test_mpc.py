@@ -466,7 +466,12 @@ def test_batched_solve_matches_per_agent_exactly(np_rng):
                 views = [sense_local(cfg, i, sensing, rng) for i in range(n)]
             warm = np_rng.uniform(-0.5, 0.5, (n, 3, 2))
             batch_accels, batch_plans = solve_mpc_distributed_all(
-                tag, views, PARAMS, LIMITS, warm_start=warm
+                tag,
+                np.stack([view.positions for view in views]),
+                np.stack([view.velocities for view in views]),
+                PARAMS,
+                LIMITS,
+                warm_start=warm,
             )
             for i in range(n):
                 single = solve_mpc(
@@ -480,6 +485,15 @@ def test_batched_solve_matches_per_agent_exactly(np_rng):
                 )
                 assert np.array_equal(single.controls, batch_plans[i])
                 assert np.array_equal(single.accel, batch_accels[i])
+
+
+def test_distributed_batch_rejects_unstacked_views():
+    views = np.zeros((3, 3, 2))
+    for positions, velocities in ((views[0], views[0]), (views, views[:, :2])):
+        with pytest.raises(ValueError):
+            solve_mpc_distributed_all(
+                "df_distributed", positions, velocities, PARAMS, LIMITS
+            )
 
 
 @pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
