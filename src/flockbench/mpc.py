@@ -26,24 +26,24 @@ Edge sums follow the ordered-pair convention (each unordered neighbor pair
 contributes twice) for the centralized edge-set costs.
 
 Every solve runs the same projected-gradient loop, `_solve_batch`, over a
-batch of independent plans that converge and stop row by row.  A
-centralized solve is a batch of one plan of shape (T, n, m) covering all
-agents; a distributed step is a batch of n single-agent plans of shape
-(T, m), and a standalone distributed solve is a batch of one, bit-identical
-to its row in the full batch.  Each row takes Armijo backtracking steps
-(halving from 1.0), projects every per-step acceleration onto the a_max
-ball after each update, and stops on a projected-gradient tolerance of
-1e-6, when its step falls below 2**-40 (a stall), or after 200 iterations.
-Results are feasible local minimizers; global optimality is not claimed.
-Gradients are analytic (backpropagated through the rollout, including the
-velocity clamp); finite differences are used as an independent oracle in
-the tests.
+batch of independent plans that converge and stop row by row, and evaluates
+only the rows still in play.  A centralized solve is a batch of one plan of
+shape (T, n, m) covering all agents; a distributed step is a batch of n
+single-agent plans of shape (T, m), and a standalone distributed solve is a
+batch of one, bit-identical to its row in the full batch.  Each row takes
+Armijo backtracking steps (halving from 1.0), projects every per-step
+acceleration onto the a_max ball after each update, and stops on a
+projected-gradient tolerance of 1e-6, when its step falls below 2**-40 (a
+stall), or after 200 iterations.  Results are feasible local minimizers;
+global optimality is not claimed.  Gradients are analytic (backpropagated
+through the rollout, including the velocity clamp); finite differences are
+used as an independent oracle in the tests.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,7 +127,12 @@ class SolveResult:
 
 
 class SolverError(RuntimeError):
-    """Raised when the solver hits a non-finite objective."""
+    """Raised when the solver hits a non-finite objective or gradient.
+
+    `diagnostics["agents"]` holds the failing batch rows (for a distributed
+    step, the agent indices), and the objective or gradient and controls
+    arrays hold those rows' values in the same order.
+    """
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -449,10 +454,15 @@ class _CentralizedProblem:
         gx = np.stack([self._stage(x, gradient=True) for x in xs[0]])[None]
         return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
 
+    def rows(self, idx):
+        """A batch of one is its only sub-batch that still has rows."""
+        return self
+
 
 @dataclass
 class _BatchProblem:
-    """B independent single-agent problems evaluated in lockstep.
+    """B independent single-agent problems; the solver evaluates only the
+    rows still in play, through `rows`.
 
     Each row solves one agent against its frozen, constant-velocity
     neighbors; rows never interact, so a batch of one is bit-identical to
@@ -499,6 +509,23 @@ class _BatchProblem:
             contrib = (dcost / dist_f)[:, :, None] * diff  # (E, T, m)
             np.add.at(gx, self.src, contrib)
         return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
+
+    def rows(self, idx):
+        """The sub-batch of the ascending batch rows idx.  Each row keeps
+        its edges in their order, so its sums accumulate as in the full
+        batch and its values are bit-identical."""
+        keep = np.zeros(self.size, dtype=bool)
+        keep[idx] = True
+        edges = keep[self.src]
+        renumber = np.cumsum(keep) - 1
+        return replace(
+            self,
+            x0=self.x0[idx],
+            v0=self.v0[idx],
+            src=renumber[self.src[edges]],
+            nbr_pos=self.nbr_pos[edges],
+            edge_counts=self.edge_counts[edges],
+        )
 
 
 def _build_batch_problem(
@@ -553,9 +580,31 @@ def _build_batch_problem(
 # --------------------------------------------------------------------------
 
 
+def _check_finite(message, rows, name, values, controls):
+    """Raise SolverError if any row of values is non-finite; rows holds the
+    batch row of each row of values and controls."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = ~finite.reshape(finite.shape[0], -1).all(axis=1)
+        raise SolverError(
+            message,
+            diagnostics={
+                "agents": rows[bad],
+                name: values[bad],
+                "controls": controls[bad],
+            },
+        )
+
+
 def _solve_batch(problem, warm, keep_trace=False):
     """Run projected gradient descent on the B rows of warm (B, T, ...) with
     a per-row Armijo line search; rows converge and stop independently.
+
+    Only rows still in play are evaluated: each gradient on the live rows
+    (neither converged nor stalled), each line-search probe on the live rows
+    still searching, through the sub-problem `problem.rows` returns.  Rows
+    never interact, so every row computes exactly what a batch of it alone
+    would.
 
     Overflow and invalid operations are not warned about: a non-finite
     objective or gradient in a row still being solved raises SolverError.
@@ -563,59 +612,71 @@ def _solve_batch(problem, warm, keep_trace=False):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         B = warm.shape[0]
         row_axes = tuple(range(1, warm.ndim))
-        per_row = (B,) + (1,) * (warm.ndim - 1)
+        per_row = (-1,) + (1,) * (warm.ndim - 1)
         a_max = problem.limits.a_max
         U = clamp_norm(warm, a_max)
+        live, live_problem = np.arange(B), problem
         J = problem.objective(U)
-        if not np.isfinite(J).all():
-            raise SolverError(
-                "non-finite MPC objective at the initial point",
-                diagnostics={"objective": J, "controls": U},
-            )
+        _check_finite(
+            "non-finite MPC objective at the initial point", live, "objective", J, U
+        )
         trace = [float(J[0])] if keep_trace else None
-        active = np.ones(B, dtype=bool)
         converged = np.zeros(B, dtype=bool)
         iterations = 0
         for _ in range(MAX_ITER):
-            G = problem.gradient(U)
-            if not np.isfinite(G[active]).all():
-                raise SolverError(
-                    "non-finite MPC gradient",
-                    diagnostics={"gradient": G, "controls": U},
-                )
-            cand = clamp_norm(U - G, a_max)
-            pg = np.sqrt(((U - cand) ** 2).sum(axis=row_axes))
-            converged |= active & (pg <= GRAD_TOL)
-            active &= ~converged
-            if not active.any():
+            U_live = U[live]
+            G = live_problem.gradient(U_live)
+            _check_finite("non-finite MPC gradient", live, "gradient", G, U_live)
+            cand = clamp_norm(U_live - G, a_max)
+            done = np.sqrt(((U_live - cand) ** 2).sum(axis=row_axes)) <= GRAD_TOL
+            converged[live[done]] = True
+            if done.all():
                 break
             iterations += 1
-            step = np.ones(B)
-            searching = active.copy()
+            if done.any():
+                going = np.flatnonzero(~done)
+                live, live_problem = live[going], live_problem.rows(going)
+                U_live, G = U_live[going], G[going]
             accepted = np.zeros(B, dtype=bool)
-            while searching.any():
-                U_try = clamp_norm(U - step.reshape(per_row) * G, a_max)
-                J_try = problem.objective(U_try)
-                if not np.isfinite(J_try[searching]).all():
-                    raise SolverError(
-                        "non-finite MPC objective during line search",
-                        diagnostics={"objective": J_try, "controls": U_try},
-                    )
-                delta = ((U - U_try) ** 2).sum(axis=row_axes)
-                ok = searching & (J_try <= J - (ARMIJO_C / step) * delta)
+            # the rows still searching: their batch rows, steps, start
+            # points, directions, objectives and sub-problem
+            ids, step, U_from, G_from, J_from, probe_problem = (
+                live, np.ones(live.size), U_live, G, J[live], live_problem
+            )
+            while ids.size:
+                U_try = clamp_norm(U_from - step.reshape(per_row) * G_from, a_max)
+                J_try = probe_problem.objective(U_try)
+                _check_finite(
+                    "non-finite MPC objective during line search",
+                    ids,
+                    "objective",
+                    J_try,
+                    U_try,
+                )
+                delta = ((U_from - U_try) ** 2).sum(axis=row_axes)
+                ok = J_try <= J_from - (ARMIJO_C / step) * delta
                 if ok.any():
-                    U[ok] = U_try[ok]
-                    J[ok] = J_try[ok]
-                    accepted |= ok
-                    searching &= ~ok
-                step[searching] *= 0.5
-                searching &= step >= MIN_STEP
-            # rows whose line search stalled make no further progress
-            active &= accepted
+                    hit = ids[ok]
+                    U[hit] = U_try[ok]
+                    J[hit] = J_try[ok]
+                    accepted[hit] = True
+                step = 0.5 * step
+                searching = ~ok & (step >= MIN_STEP)
+                if not searching.all():
+                    kept = np.flatnonzero(searching)
+                    ids, step, U_from, G_from, J_from = (
+                        ids[kept], step[kept], U_from[kept], G_from[kept], J_from[kept]
+                    )
+                    if ids.size:
+                        probe_problem = probe_problem.rows(kept)
             if keep_trace and accepted[0]:
                 trace.append(float(J[0]))
-            if not active.any():
+            # rows whose line search stalled make no further progress
+            going = np.flatnonzero(accepted[live])
+            if not going.size:
                 break
+            if going.size < live.size:
+                live, live_problem = live[going], live_problem.rows(going)
         return U, J, converged, iterations, trace
 
 

@@ -18,6 +18,7 @@ from flockbench import (
     OlfatiSaberParams,
     RandomStream,
     ReynoldsParams,
+    SolverError,
     default_model_spec,
     mix_seed,
     noise_for_level,
@@ -170,6 +171,18 @@ def test_simulate_initial_override():
     assert gap == pytest.approx(50.0**0.25, rel=0.05)
     with pytest.raises(ValueError):
         simulate(cfg, seed=1, initial=FlockConfiguration([[0.0, 0.0]], [[0.0, 0.0]]))
+
+
+def test_solver_error_names_run_step_model_and_agents():
+    # the close pair's separation gradient overflows at omega = 1e308
+    cfg = small_cfg(model=ModelSpec("df_distributed", MpcParams(omega=1e308)), n=3)
+    start = FlockConfiguration([[0.0, 0.0], [4.0, 0.0], [40.0, 40.0]], np.zeros((3, 2)))
+    with pytest.raises(SolverError) as info:
+        simulate(cfg, seed=1, run_id=4, initial=start)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["agents"].tolist() == [0, 1]
+    assert diagnostics["run_id"] == 4 and diagnostics["step"] == 0
+    assert diagnostics["model"] == "df_distributed"
 
 
 def test_run_batch_parallel_matches_serial():

@@ -6,6 +6,7 @@ from flockbench import (
     MotionLimits,
     MpcParams,
     RandomStream,
+    SolverError,
     cost_df_centralized,
     cost_df_distributed,
     lattice_deviation_centralized,
@@ -17,11 +18,18 @@ from flockbench import (
     rollout_centralized,
     rollout_distributed,
     sense_local,
+    sense_local_all,
     solve_mpc,
     solve_mpc_distributed_all,
     step_dynamics,
 )
-from flockbench.mpc import CENTRALIZED_MPC_TAGS, DISTRIBUTED_MPC_TAGS, MPC_TAGS
+from flockbench.mpc import (
+    CENTRALIZED_MPC_TAGS,
+    DISTRIBUTED_MPC_TAGS,
+    MPC_TAGS,
+    _build_batch_problem,
+    _solve_batch,
+)
 from conftest import hexagonal_patch, random_config
 
 LIMITS = MotionLimits()
@@ -485,6 +493,120 @@ def test_batched_solve_matches_per_agent_exactly(np_rng):
                 )
                 assert np.array_equal(single.controls, batch_plans[i])
                 assert np.array_equal(single.accel, batch_accels[i])
+
+
+@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+def test_batch_rows_match_full_batch(tag, np_rng):
+    cfg = random_config(np_rng, n=8, span=6.0, v_span=3.0)
+    pos = cfg.positions.copy()
+    pos[6], pos[7] = (-60.0, 60.0), (60.0, 60.0)  # out of everyone's range
+    flock = config(pos, cfg.velocities)
+    views = sense_local_all(flock, noise_for_level(3), RandomStream(5))
+    full = _build_batch_problem(tag, *views, range(8), PARAMS, LIMITS)
+    assert not np.isin([6, 7], full.src).any()
+    U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
+    J, G = full.objective(U), full.gradient(U)
+    for idx in ([3], range(8), [0, 4, 7], [6, 7]):
+        idx = np.asarray(idx)
+        sub = full.rows(idx)
+        assert np.array_equal(sub.objective(U[idx]), J[idx])
+        assert np.array_equal(sub.gradient(U[idx]), G[idx])
+    assert full.rows(np.array([6, 7])).src.size == 0
+
+
+class CountingProblem:
+    """Passes every evaluation on to a batch problem and logs the batch rows
+    and the controls it was handed; its sub-batches log to the same list."""
+
+    def __init__(self, problem, ids, log):
+        self.problem, self.ids, self.log = problem, ids, log
+        self.limits = problem.limits
+
+    def rows(self, idx):
+        return CountingProblem(self.problem.rows(idx), self.ids[idx], self.log)
+
+    def objective(self, U):
+        self.log.append(("objective", self.ids.tolist(), U.copy()))
+        return self.problem.objective(U)
+
+    def gradient(self, U):
+        self.log.append(("gradient", self.ids.tolist(), U.copy()))
+        return self.problem.gradient(U)
+
+
+def test_solver_evaluates_only_rows_in_play(np_rng):
+    # agents 0 and 1 sit at the df equilibrium spacing and agent 5 alone, so
+    # all three converge at the first check; the close trio 2-4 does not
+    s_star = 50.0**0.25
+    pos = np.array([[0, 0], [s_star, 0], [30, 0], [31.5, 0.5], [31, -1], [-30, 20]])
+    vel = np.array([[0, 0], [0, 0], [1, 0], [-1, 0.5], [0, -1], [0, 0]], dtype=float)
+    n = len(pos)
+    warm = np.zeros((n, 3, 2))
+    warm[2:5] = np_rng.uniform(-0.5, 0.5, (3, 3, 2))
+    views = np.stack([pos] * n), np.stack([vel] * n)
+    problem = _build_batch_problem("df_distributed", *views, range(n), PARAMS, LIMITS)
+    log = []
+    U, _, _, _, _ = _solve_batch(CountingProblem(problem, np.arange(n), log), warm)
+    view = config(pos, vel)
+    singles = [
+        solve_mpc(
+            "df_distributed",
+            view,
+            PARAMS,
+            LIMITS,
+            warm_start=warm[i],
+            agent=i,
+            full_output=True,
+        )
+        for i in range(n)
+    ]
+    for i in range(n):
+        assert np.array_equal(U[i], singles[i].controls)
+    iterations = [s.iterations for s in singles]
+    assert iterations[0] == iterations[1] == iterations[5] == 0
+    assert min(iterations[2:5]) >= 5
+    # a converged row's last gradient is the one that finds it converged
+    gradients = [iterations[i] + singles[i].converged for i in range(n)]
+    starts = [k for k, entry in enumerate(log) if entry[0] == "gradient"]
+    handed = [log[k][1] for k in starts]
+    sizes = [len(ids) for ids in handed]
+    assert sizes == sorted(sizes, reverse=True)
+    live = [[i for i in range(n) if gradients[i] > k] for k in range(len(starts))]
+    assert handed == live
+    for k, start in enumerate(starts):
+        end = starts[k + 1] if k + 1 < len(starts) else len(log)
+        probes = log[start + 1 : end]
+        if not probes:
+            continue
+        # the probes of iteration k hold the rows with a k-th line search,
+        # and a row leaves them for good once it is accepted or stalls
+        assert probes[0][1] == [i for i in range(n) if iterations[i] > k]
+        for before, after in zip(probes, probes[1:]):
+            assert set(after[1]) <= set(before[1])
+        if end == len(log):
+            continue
+        for i, plan in zip(log[end][1], log[end][2]):
+            hits = [
+                np.array_equal(plan, tried[ids.index(i)])
+                for _, ids, tried in probes
+                if i in ids
+            ]
+            # the probe that found the accepted plan was the row's last
+            assert hits.index(True) == len(hits) - 1
+
+
+def test_distributed_solver_error_names_failing_agents():
+    # at omega = 1e308 the close pair's separation gradient overflows; the
+    # isolated agent 2 has no neighbors and a finite gradient
+    pos = np.array([[0.0, 0.0], [4.0, 0.0], [40.0, 40.0]])
+    params = MpcParams(omega=1e308)
+    with pytest.raises(SolverError, match="^non-finite MPC gradient$") as info:
+        solve_mpc_distributed_all(
+            "df_distributed", np.stack([pos] * 3), np.zeros((3, 3, 2)), params, LIMITS
+        )
+    diagnostics = info.value.diagnostics
+    assert diagnostics["agents"].tolist() == [0, 1]
+    assert diagnostics["gradient"].shape == diagnostics["controls"].shape == (2, 3, 2)
 
 
 def test_distributed_batch_rejects_unstacked_views():
