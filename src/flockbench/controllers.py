@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_DIST_SQ, FlockConfiguration, check_stacked_views
+from .core import EPS_DIST_SQ, FlockConfiguration, check_stacked_views, sq_norm
 
 __all__ = [
     "ReynoldsParams",
@@ -108,7 +108,7 @@ class _StackedViews:
         self.positions, self.velocities = pos, vel
         self.own_pos, self.own_vel = pos[own, own], vel[own, own]
         self.diff = pos - self.own_pos[:, None]  # x_j - x_i in view i
-        self.sq = (self.diff * self.diff).sum(axis=-1)
+        self.sq = sq_norm(self.diff)
         self.dist = np.sqrt(self.sq)
 
     def mask(self, radius):

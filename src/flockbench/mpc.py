@@ -31,10 +31,14 @@ only the rows still in play.  A centralized solve is a batch of one plan of
 shape (T, n, m) covering all agents; a distributed step is a batch of n
 single-agent plans of shape (T, m), and a standalone distributed solve is a
 batch of one, bit-identical to its row in the full batch.  Each row takes
-Armijo backtracking steps (halving from 1.0), projects every per-step
-acceleration onto the a_max ball after each update, and stops on a
-projected-gradient tolerance of 1e-6, when its step falls below 2**-40 (a
-stall), or after 200 iterations.  Results are feasible local minimizers;
+Armijo backtracking steps, accepting the first of the steps 1, 1/2, 1/4, ...
+that passes; the probes are evaluated a few at a time, in one objective
+call per batch, and those past the accepted step are discarded.  The row
+projects every per-step acceleration onto the a_max ball after each update,
+and stops on a projected-gradient tolerance of 1e-6, when its step falls
+below 2**-40 (a stall), or after 200 iterations.  A centralized objective
+evaluates its plans' T predicted configurations in one array pass over the
+pairs i < j.  Results are feasible local minimizers;
 global optimality is not claimed.  Gradients are analytic (backpropagated
 through the rollout, including the velocity clamp); finite differences are
 used as an independent oracle in the tests.
@@ -54,6 +58,7 @@ from .core import (
     MotionLimits,
     check_stacked_views,
     clamp_norm,
+    sq_norm,
 )
 
 __all__ = [
@@ -82,7 +87,12 @@ MPC_TAGS = CENTRALIZED_MPC_TAGS + DISTRIBUTED_MPC_TAGS
 GRAD_TOL = 1e-6
 MAX_ITER = 200
 ARMIJO_C = 1e-4
-MIN_STEP = 2.0**-40
+LAST_HALVING = 40  # the smallest line-search step is 2**-LAST_HALVING
+# Most line-search probes one row evaluates in one objective call.  A row's
+# window is the probe count of its previous line search, up to this cap:
+# longer windows waste probes past the accepted step and grow the batch.
+PROBE_WINDOW_CAP = 6
+_STEPS = np.ldexp(1.0, -np.arange(LAST_HALVING + 1))  # 2**-h, h halvings
 
 
 @dataclass(frozen=True)
@@ -228,45 +238,70 @@ def rollout_distributed(
 def _edge_mask(positions: np.ndarray, r: float):
     """Strict-inequality adjacency mask and the distance matrix."""
     diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    dist = np.sqrt(sq_norm(diff))
     mask = dist < r
     np.fill_diagonal(mask, False)
     return mask, dist
 
 
 @functools.lru_cache(maxsize=16)
-def _upper_pairs(n: int):
-    """Read-only index arrays of the pairs i < j among n agents; cached
-    because rebuilding them for every stage evaluation took about a quarter
-    of a profiled centralized run."""
-    pairs = np.triu_indices(n, k=1)
-    for index in pairs:
+def _pair_layout(n: int):
+    """Read-only index arrays for n agents: the pairs i < j in row-major
+    order, and for each ordered pair (i, j), i != j, in row-major order, the
+    position of {i, j} in that list.  Cached because rebuilding pair indices
+    for every stage evaluation took about a quarter of a profiled
+    centralized run."""
+    iu, ju = np.triu_indices(n, k=1)
+    pair_of = np.zeros((n, n), dtype=np.intp)
+    pair_of[iu, ju] = pair_of[ju, iu] = np.arange(iu.size)
+    ordered = pair_of[~np.eye(n, dtype=bool)]
+    for index in (iu, ju, ordered):
         index.flags.writeable = False
-    return pairs
+    return iu, ju, ordered
 
 
-def _centralized_stage(tag, x, r, d, omega, gradient=False):
-    """Centralized stage cost at positions x (n, m) or, with gradient=True,
-    its gradient with respect to x.
+def _centralized_stage_values(tag, x, r, d, omega):
+    """Centralized stage cost of every configuration in the stack x of
+    shape (S, n, m), as an (S,) array.
 
-    Edge sums run over ordered neighbor pairs of x; the gradient treats that
-    edge set as constant.  The df cost is 0 for fewer than two agents.
+    Edge sums run over the ordered neighbor pairs of each configuration;
+    the df cost is 0 for fewer than two agents.  Distances are computed
+    once per pair i < j and gathered for the ordered pairs.  Each stage's
+    edge terms are summed on their own as one row-major 1-D slice, and its
+    cohesion as one contiguous row, so a stage's value has the same bits in
+    any stack.
     """
+    S, n = x.shape[:2]
+    if tag == "df_centralized" and n < 2:
+        return np.zeros(S)
+    iu, ju, ordered = _pair_layout(n)
+    # np.take, unlike x[:, iu], returns C-contiguous arrays, so each row of
+    # dist sums pairwise as a lone 1-D array does
+    dist = np.sqrt(sq_norm(np.take(x, iu, axis=1) - np.take(x, ju, axis=1)))
+    every = np.take(dist, ordered, axis=1)
+    edges = np.flatnonzero(every < r)
+    near = np.take(every, edges)  # the stages' edge distances, row-major
+    if tag == "lattice_centralized":
+        terms = (np.maximum(near, EPS_DIST) - d) ** 2
+    else:
+        terms = 1.0 / np.maximum(near * near, EPS_DIST_SQ)
+    ends = np.searchsorted(edges, np.arange(S + 1) * ordered.size)
+    edge_sums = np.array(
+        [np.add.reduce(terms[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+    )
+    if tag == "lattice_centralized":
+        return edge_sums
+    return (2.0 / (n * (n - 1))) * (dist * dist).sum(axis=1) + omega * edge_sums
+
+
+def _centralized_stage_gradient(tag, x, r, d, omega):
+    """Gradient of the centralized stage cost at positions x (n, m) with
+    respect to x, treating the edge set of x as constant."""
     n = x.shape[0]
     mask, dist = _edge_mask(x, r)
     dist_f = np.maximum(dist, EPS_DIST)
-    lattice = tag == "lattice_centralized"
-    if not gradient:
-        if lattice:
-            return float(((dist_f - d) ** 2)[mask].sum())
-        if n < 2:
-            return 0.0
-        sq = dist * dist
-        cohesion = (2.0 / (n * (n - 1))) * float(sq[_upper_pairs(n)].sum())
-        sq_f = np.maximum(sq, EPS_DIST_SQ)
-        return cohesion + omega * float((1.0 / sq_f)[mask].sum())
     active = mask & (dist >= EPS_DIST)
-    if lattice:
+    if tag == "lattice_centralized":
         coef = np.where(active, 4.0 * (dist_f - d) / dist_f, 0.0)
         return coef.sum(axis=1)[:, None] * x - coef @ x
     if n < 2:
@@ -283,7 +318,8 @@ def lattice_deviation_centralized(
 ) -> float:
     """Total squared deviation of neighbor distances from the scale d,
     summed over ordered pairs (each unordered pair counts twice)."""
-    return _centralized_stage("lattice_centralized", config.positions, r, d, None)
+    stack = config.positions[None]
+    return float(_centralized_stage_values("lattice_centralized", stack, r, d, None)[0])
 
 
 def lattice_deviation_distributed(
@@ -304,7 +340,8 @@ def cost_df_centralized(config: FlockConfiguration, r: float, omega: float) -> f
 
     Defined as 0 for fewer than two agents (no pairs).
     """
-    return _centralized_stage("df_centralized", config.positions, r, None, omega)
+    stack = config.positions[None]
+    return float(_centralized_stage_values("df_centralized", stack, r, None, omega)[0])
 
 
 def cost_df_distributed(
@@ -352,23 +389,26 @@ def mpc_objective(
     return stage + params.lam * float((u * u).sum())
 
 
-def _edge_stage_terms(tag, dist, edge_counts, params):
-    """Per-edge stage cost and the scalar d(cost)/d(dist) for batched
-    distributed problems.  dist has one row per edge."""
-    dist_f = np.maximum(dist, EPS_DIST)
-    active = dist >= EPS_DIST
+def _edge_stage_cost(tag, dist, edge_counts, params):
+    """Per-edge stage cost of batched distributed problems; dist has one
+    row per edge.  df_distributed: (1/|N|) dist^2 + omega / dist^2."""
     if tag == "lattice_distributed":
-        cost = (dist_f - params.d) ** 2
-        dcost = np.where(active, 2.0 * (dist_f - params.d), 0.0)
-    else:  # df_distributed: (1/|N|) dist^2 + omega / dist^2
-        inv_cnt = 1.0 / edge_counts
-        sq = dist * dist
-        sq_f = np.maximum(sq, EPS_DIST_SQ)
-        cost = inv_cnt * sq + params.omega / sq_f
-        dcost = 2.0 * inv_cnt * dist + np.where(
-            sq >= EPS_DIST_SQ, -2.0 * params.omega / (sq_f * dist_f), 0.0
-        )
-    return cost, dcost
+        return (np.maximum(dist, EPS_DIST) - params.d) ** 2
+    sq = dist * dist
+    return (1.0 / edge_counts) * sq + params.omega / np.maximum(sq, EPS_DIST_SQ)
+
+
+def _edge_stage_dcost(tag, dist, edge_counts, params):
+    """Per-edge d(stage cost)/d(dist), 0 where an EPS floor holds the cost
+    constant."""
+    dist_f = np.maximum(dist, EPS_DIST)
+    if tag == "lattice_distributed":
+        return np.where(dist >= EPS_DIST, 2.0 * (dist_f - params.d), 0.0)
+    sq = dist * dist
+    sq_f = np.maximum(sq, EPS_DIST_SQ)
+    return 2.0 * (1.0 / edge_counts) * dist + np.where(
+        sq >= EPS_DIST_SQ, -2.0 * params.omega / (sq_f * dist_f), 0.0
+    )
 
 
 # --------------------------------------------------------------------------
@@ -396,7 +436,7 @@ def _rollout_arrays(x0, v0, U, limits):
 def _clamp_backprop(w, p, v_max):
     """Apply the (symmetric) Jacobian of the norm clamp at pre-clamp
     velocities w to the adjoint p, rowwise over the last axis."""
-    norms = np.sqrt((w * w).sum(axis=-1, keepdims=True))
+    norms = np.sqrt(sq_norm(w, keepdims=True))
     over = norms > v_max
     if not over.any():
         return p
@@ -431,8 +471,9 @@ def _backprop_controls(gx, W, U, limits, lam):
 
 @dataclass
 class _CentralizedProblem:
-    """Every agent's plan as one row, U of shape (1, T, n, m); the neighbor
-    edge set is re-evaluated at every predicted step."""
+    """Plans for every agent from one initial state: U of shape (K, T, n, m)
+    holds K plans, and each is evaluated as if alone.  The neighbor edge
+    set is re-evaluated at every predicted step."""
 
     tag: str
     params: MpcParams
@@ -440,22 +481,34 @@ class _CentralizedProblem:
     x0: np.ndarray  # (1, n, m) positions
     v0: np.ndarray  # (1, n, m) velocities
 
-    def _stage(self, x, gradient=False):
-        p = self.params
-        return _centralized_stage(self.tag, x, p.r, p.d, p.omega, gradient)
-
     def objective(self, U):
+        """Objective of each plan, shape (K,): all K * T predicted
+        configurations go through one stage pass."""
+        K, T = U.shape[:2]
+        p = self.params
         xs, _ = _rollout_arrays(self.x0, self.v0, U, self.limits)
-        stage = sum(self._stage(x) for x in xs[0])
-        return np.array([stage + self.params.lam * float((U * U).sum())])
+        stages = _centralized_stage_values(
+            self.tag, xs.reshape(K * T, *xs.shape[2:]), p.r, p.d, p.omega
+        ).reshape(K, T)
+        stage = stages[:, 0]
+        for t in range(1, T):
+            stage = stage + stages[:, t]
+        return stage + p.lam * (U * U).reshape(K, -1).sum(axis=1)
 
     def gradient(self, U):
         xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
-        gx = np.stack([self._stage(x, gradient=True) for x in xs[0]])[None]
-        return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
+        p = self.params
+        gx = np.stack(
+            [
+                _centralized_stage_gradient(self.tag, x, p.r, p.d, p.omega)
+                for x in xs.reshape(-1, *xs.shape[2:])
+            ]
+        ).reshape(xs.shape)
+        return _backprop_controls(gx, ws, U, self.limits, p.lam)
 
     def rows(self, idx):
-        """A batch of one is its only sub-batch that still has rows."""
+        """The problem itself: a centralized solve is a batch of one, and
+        its repeated row is a stack of plans `objective` already takes."""
         return self
 
 
@@ -484,7 +537,7 @@ class _BatchProblem:
 
     def _edge_dist(self, xs):
         diff = xs[self.src] - self.nbr_pos  # (E, T, m)
-        return diff, np.sqrt((diff * diff).sum(axis=-1))
+        return diff, np.sqrt(sq_norm(diff))
 
     def objective(self, U):
         """Per-row objective values, shape (B,)."""
@@ -492,7 +545,7 @@ class _BatchProblem:
         out = self.params.lam * (U * U).sum(axis=(1, 2))
         if self.src.size:
             _, dist = self._edge_dist(xs)
-            cost, _ = _edge_stage_terms(self.tag, dist, self.edge_counts, self.params)
+            cost = _edge_stage_cost(self.tag, dist, self.edge_counts, self.params)
             out = out + np.bincount(
                 self.src, weights=cost.sum(axis=1), minlength=self.size
             )
@@ -504,25 +557,29 @@ class _BatchProblem:
         gx = np.zeros_like(U)
         if self.src.size:
             diff, dist = self._edge_dist(xs)
-            _, dcost = _edge_stage_terms(self.tag, dist, self.edge_counts, self.params)
+            dcost = _edge_stage_dcost(self.tag, dist, self.edge_counts, self.params)
             dist_f = np.maximum(dist, EPS_DIST)
             contrib = (dcost / dist_f)[:, :, None] * diff  # (E, T, m)
             np.add.at(gx, self.src, contrib)
         return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
 
     def rows(self, idx):
-        """The sub-batch of the ascending batch rows idx.  Each row keeps
-        its edges in their order, so its sums accumulate as in the full
-        batch and its values are bit-identical."""
-        keep = np.zeros(self.size, dtype=bool)
-        keep[idx] = True
-        edges = keep[self.src]
-        renumber = np.cumsum(keep) - 1
+        """The sub-batch of the batch rows idx, in that order; a row may
+        repeat.  src is ascending, so each row's edges are one slice of it,
+        and a row keeps them in their order: its sums accumulate as in the
+        full batch and its values are bit-identical."""
+        idx = np.asarray(idx)
+        bounds = np.searchsorted(self.src, np.arange(self.size + 1))
+        start = bounds[idx]
+        counts = bounds[idx + 1] - start
+        src = np.repeat(np.arange(idx.size), counts)
+        offset = np.repeat(start - (np.cumsum(counts) - counts), counts)
+        edges = np.arange(src.size) + offset
         return replace(
             self,
             x0=self.x0[idx],
             v0=self.v0[idx],
-            src=renumber[self.src[edges]],
+            src=src,
             nbr_pos=self.nbr_pos[edges],
             edge_counts=self.edge_counts[edges],
         )
@@ -546,7 +603,7 @@ def _build_batch_problem(
         raise IndexError(f"agent index {bad[0]} out of range for n={n}")
     x0, v0 = pos[rows, agents], vel[rows, agents]
     diff = pos - x0[:, None]
-    mask = np.sqrt((diff * diff).sum(axis=-1)) < params.r
+    mask = np.sqrt(sq_norm(diff)) < params.r
     for k, given in enumerate(neighbor_sets or ()):
         if given is not None:
             idx = np.asarray(sorted(given), dtype=np.int64)
@@ -606,8 +663,17 @@ def _solve_batch(problem, warm, keep_trace=False):
     never interact, so every row computes exactly what a batch of it alone
     would.
 
+    A row's line search tries the steps 1, 1/2, 1/4, ... and accepts the
+    first that passes the Armijo test.  Each objective call evaluates the
+    next w of them for every searching row at once (rows repeated in the
+    sub-problem), w being the row's probe count in its previous line search
+    up to PROBE_WINDOW_CAP; the probes past the accepted one are discarded,
+    so the accepted step is the one a probe-by-probe search accepts.
+
     Overflow and invalid operations are not warned about: a non-finite
     objective or gradient in a row still being solved raises SolverError.
+    A non-finite probe raises only if a probe-by-probe search reaches it,
+    and then names the rows that search would name.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         B = warm.shape[0]
@@ -622,6 +688,7 @@ def _solve_batch(problem, warm, keep_trace=False):
         )
         trace = [float(J[0])] if keep_trace else None
         converged = np.zeros(B, dtype=bool)
+        window = np.ones(B, dtype=np.int64)
         iterations = 0
         for _ in range(MAX_ITER):
             U_live = U[live]
@@ -638,37 +705,91 @@ def _solve_batch(problem, warm, keep_trace=False):
                 live, live_problem = live[going], live_problem.rows(going)
                 U_live, G = U_live[going], G[going]
             accepted = np.zeros(B, dtype=bool)
-            # the rows still searching: their batch rows, steps, start
-            # points, directions, objectives and sub-problem
-            ids, step, U_from, G_from, J_from, probe_problem = (
-                live, np.ones(live.size), U_live, G, J[live], live_problem
+            # line-search probes gone non-finite before their row's first
+            # pass: halvings, batch rows, objectives and plans
+            failed = []
+            # the rows still searching: their batch rows, the halving of
+            # their next probe, start points, directions, objectives and
+            # sub-problem
+            ids, next_h, U_from, G_from, J_from, probe_problem = (
+                live, np.zeros(live.size, dtype=np.int64), U_live, G, J[live],
+                live_problem,
             )
             while ids.size:
-                U_try = clamp_norm(U_from - step.reshape(per_row) * G_from, a_max)
-                J_try = probe_problem.objective(U_try)
-                _check_finite(
-                    "non-finite MPC objective during line search",
-                    ids,
-                    "objective",
-                    J_try,
-                    U_try,
-                )
-                delta = ((U_from - U_try) ** 2).sum(axis=row_axes)
-                ok = J_try <= J_from - (ARMIJO_C / step) * delta
-                if ok.any():
-                    hit = ids[ok]
-                    U[hit] = U_try[ok]
-                    J[hit] = J_try[ok]
-                    accepted[hit] = True
-                step = 0.5 * step
-                searching = ~ok & (step >= MIN_STEP)
+                # each row's next w probes, at the halvings next_h ...
+                # next_h + w - 1
+                w = np.minimum(window[ids], LAST_HALVING + 1 - next_h)
+                # with one probe per row, the rows need no gather and the
+                # sub-problem no rebuild
+                single = w.sum() == ids.size
+                if single:
+                    halvings, U_base, G_base, J_base, batch = (
+                        next_h, U_from, G_from, J_from, probe_problem
+                    )
+                else:
+                    first = np.cumsum(w) - w  # each row's first probe
+                    rep = np.repeat(np.arange(ids.size), w)
+                    halvings = np.arange(rep.size) + np.repeat(next_h - first, w)
+                    U_base, G_base, J_base = U_from[rep], G_from[rep], J_from[rep]
+                    batch = probe_problem.rows(rep)
+                step = _STEPS[halvings]
+                U_try = clamp_norm(U_base - step.reshape(per_row) * G_base, a_max)
+                J_try = batch.objective(U_try)
+                delta = ((U_base - U_try) ** 2).sum(axis=row_axes)
+                ok = J_try <= J_base - (ARMIJO_C / step) * delta
+                # where a probe-by-probe search ends: at each row's first
+                # probe that passes or is non-finite (at, ended), and whether
+                # it passed
+                finite = np.isfinite(J_try)
+                all_finite = finite.all()
+                stop = ok if all_finite else ok | ~finite
+                if single:
+                    at, ended, passed = np.arange(ids.size), stop, ok
+                else:
+                    at = np.minimum.reduceat(
+                        np.where(stop, np.arange(ok.size), ok.size), first
+                    )
+                    ended = at < ok.size
+                    passed = np.append(ok, False)[at]
+                if not all_finite:
+                    fail = ended & ~passed
+                    if fail.any():
+                        bad = at[fail]
+                        failed.append(
+                            (halvings[bad], ids[fail], J_try[bad], U_try[bad])
+                        )
+                if passed.any():
+                    at, rows = at[passed], ids[passed]
+                    U[rows] = U_try[at]
+                    J[rows] = J_try[at]
+                    accepted[rows] = True
+                    window[rows] = np.minimum(halvings[at] + 1, PROBE_WINDOW_CAP)
+                next_h = next_h + w
+                searching = ~ended & (next_h <= LAST_HALVING)
                 if not searching.all():
                     kept = np.flatnonzero(searching)
-                    ids, step, U_from, G_from, J_from = (
-                        ids[kept], step[kept], U_from[kept], G_from[kept], J_from[kept]
+                    ids, next_h, U_from, G_from, J_from = (
+                        ids[kept],
+                        next_h[kept],
+                        U_from[kept],
+                        G_from[kept],
+                        J_from[kept],
                     )
                     if ids.size:
                         probe_problem = probe_problem.rows(kept)
+            if failed:
+                # a probe-by-probe search stops at the first failing probe
+                # and names every row that fails there
+                halvings, rows, values, plans = map(np.concatenate, zip(*failed))
+                named = np.flatnonzero(halvings == halvings.min())
+                named = named[np.argsort(rows[named])]
+                _check_finite(
+                    "non-finite MPC objective during line search",
+                    rows[named],
+                    "objective",
+                    values[named],
+                    plans[named],
+                )
             if keep_trace and accepted[0]:
                 trace.append(float(J[0]))
             # rows whose line search stalled make no further progress

@@ -17,6 +17,7 @@ from flockbench import (
     sense_local_all,
     step_dynamics,
 )
+from flockbench.core import sq_norm
 from conftest import random_config
 
 LIMITS = MotionLimits(v_max=8.0, a_max=1.0, dt=0.3)
@@ -325,3 +326,26 @@ def test_configuration_is_immutable(np_rng):
     with pytest.raises(ValueError):
         cfg.positions[0, 0] = 1.0
 
+
+
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sq_norm_matches_sum_of_squares(m, keepdims, np_rng):
+    # magnitudes spread over 16 decades so that rounding differs by order
+    scale = 10.0 ** np_rng.integers(-8, 8, size=(6, 7, 1))
+    base = np_rng.normal(size=(6, 7, m)) * scale
+    strided = np.moveaxis(np_rng.normal(size=(m, 6, 7)), 0, -1)
+    views = (
+        base,  # contiguous
+        base.transpose(1, 0, 2),  # transposed
+        np.asfortranarray(base),  # the summed axis is the slowest
+        strided,  # the summed axis is not contiguous
+        base[:, [5, 0, 3, 3]],  # fancy-indexed with a leading slice
+        base[[4, 1], 2:],
+        base[::2, ::-1],
+    )
+    for v in views:
+        expected = (v * v).sum(axis=-1, keepdims=keepdims)
+        got = sq_norm(v, keepdims=keepdims)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)

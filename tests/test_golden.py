@@ -35,6 +35,13 @@ GOLDEN_STEPS = {
     "df_distributed@3": "913674122154d8791b6325ee244a18ca1d3053a77729cecc14e50fb0b685b44a",
 }
 
+# Centralized runs at the paper's flock size, where solves reach long
+# line searches and stalls that the n = 8 runs above seldom do.
+GOLDEN_STEPS_N30 = {
+    "lattice_centralized@0": "33e12f03bb3534eb00e0f4d57b26f59b163ff02e0637cae996efdec41cc01a71",
+    "df_centralized@0": "205cdc42002a1f6e6b115f725142e1a482759b25d8a50854faaf9a7fec98f8f5",
+}
+
 GOLDEN_EFFECTIVE_CONFIG = (
     "723d20ce3c3f75437218dbd570883386d020634c9d4cdaae14e091b81aeda7e6"
 )
@@ -63,9 +70,10 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def steps_digest(tag, level, tmp_path) -> str:
-    """sha256 of steps.csv for 2 runs of `tag` at n=8, 10 steps, noise `level`."""
-    cfg = ExperimentConfig(model=default_model_spec(tag), n=8, steps=10, runs=2)
+def steps_digest(tag, level, tmp_path, n=8, steps=10) -> str:
+    """sha256 of steps.csv for 2 runs of `tag` at n agents, `steps` steps,
+    noise `level`."""
+    cfg = ExperimentConfig(model=default_model_spec(tag), n=n, steps=steps, runs=2)
     records = run_noise_sweep(cfg, [cfg.model], [level])
     path = tmp_path / f"steps_{tag}_{level}.csv"
     write_steps_csv(path, {tag: records[(tag, level)]})
@@ -89,6 +97,13 @@ def test_steps_csv_matches_golden(key, tmp_path):
     assert steps_digest(tag, int(level), tmp_path) == GOLDEN_STEPS[key]
 
 
+@pytest.mark.parametrize("key", sorted(GOLDEN_STEPS_N30))
+def test_steps_csv_matches_golden_n30(key, tmp_path):
+    tag, level = key.split("@")
+    digest = steps_digest(tag, int(level), tmp_path, n=30, steps=15)
+    assert digest == GOLDEN_STEPS_N30[key]
+
+
 def test_effective_config_matches_golden(tmp_path):
     assert effective_config_digest(tmp_path) == GOLDEN_EFFECTIVE_CONFIG
 
@@ -109,10 +124,15 @@ if __name__ == "__main__":
         for key in GOLDEN_STEPS:
             tag, level = key.split("@")
             steps[key] = steps_digest(tag, int(level), tmp_path)
+        steps_n30 = {}
+        for key in GOLDEN_STEPS_N30:
+            tag, level = key.split("@")
+            steps_n30[key] = steps_digest(tag, int(level), tmp_path, n=30, steps=15)
         with contextlib.redirect_stdout(io.StringIO()):
             config_digest = effective_config_digest(tmp_path)
         golden = {
             "steps": steps,
+            "steps_n30": steps_n30,
             "effective_config": config_digest,
             "normals": normals_hex(),
         }

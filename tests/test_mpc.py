@@ -1,7 +1,11 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from flockbench import (
+    ExperimentConfig,
     FlockConfiguration,
     MotionLimits,
     MpcParams,
@@ -9,9 +13,11 @@ from flockbench import (
     SolverError,
     cost_df_centralized,
     cost_df_distributed,
+    default_model_spec,
     lattice_deviation_centralized,
     lattice_deviation_distributed,
     mpc_objective,
+    mix_seed,
     mpc_objective_gradient,
     neighbors,
     noise_for_level,
@@ -19,15 +25,24 @@ from flockbench import (
     rollout_distributed,
     sense_local,
     sense_local_all,
+    simulate,
     solve_mpc,
     solve_mpc_distributed_all,
     step_dynamics,
 )
+from flockbench import mpc
+from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm
 from flockbench.mpc import (
+    ARMIJO_C,
     CENTRALIZED_MPC_TAGS,
     DISTRIBUTED_MPC_TAGS,
+    GRAD_TOL,
+    LAST_HALVING,
+    MAX_ITER,
     MPC_TAGS,
+    PROBE_WINDOW_CAP,
     _build_batch_problem,
+    _CentralizedProblem,
     _solve_batch,
 )
 from conftest import hexagonal_patch, random_config
@@ -506,7 +521,7 @@ def test_batch_rows_match_full_batch(tag, np_rng):
     assert not np.isin([6, 7], full.src).any()
     U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
     J, G = full.objective(U), full.gradient(U)
-    for idx in ([3], range(8), [0, 4, 7], [6, 7]):
+    for idx in ([3], range(8), [0, 4, 7], [6, 7], [5, 5, 0, 6, 2, 2, 2]):
         idx = np.asarray(idx)
         sub = full.rows(idx)
         assert np.array_equal(sub.objective(U[idx]), J[idx])
@@ -578,21 +593,296 @@ def test_solver_evaluates_only_rows_in_play(np_rng):
         probes = log[start + 1 : end]
         if not probes:
             continue
-        # the probes of iteration k hold the rows with a k-th line search,
-        # and a row leaves them for good once it is accepted or stalls
-        assert probes[0][1] == [i for i in range(n) if iterations[i] > k]
+        # the probes of iteration k hold the rows with a k-th line search
+        # (a row repeats once per probe of its window), and a row leaves
+        # them for good once it is accepted or stalls
+        assert sorted(set(probes[0][1])) == [i for i in range(n) if iterations[i] > k]
         for before, after in zip(probes, probes[1:]):
             assert set(after[1]) <= set(before[1])
         if end == len(log):
             continue
         for i, plan in zip(log[end][1], log[end][2]):
             hits = [
-                np.array_equal(plan, tried[ids.index(i)])
+                any(np.array_equal(plan, p) for j, p in zip(ids, tried) if j == i)
                 for _, ids, tried in probes
                 if i in ids
             ]
-            # the probe that found the accepted plan was the row's last
+            # the call that found the accepted plan was the row's last
             assert hits.index(True) == len(hits) - 1
+
+
+# --------------------------------------------------------------------------
+# stacked centralized stages and the batched line search
+# --------------------------------------------------------------------------
+
+
+def plain_centralized_cost(tag, pos, params):
+    """The centralized stage cost written out pair by pair."""
+    n, total = len(pos), 0.0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            dist = math.dist(pos[i], pos[j])
+            if tag == "df_centralized" and i < j:
+                total += 2.0 / (n * (n - 1)) * dist * dist
+            if dist < params.r:
+                if tag == "lattice_centralized":
+                    total += (max(dist, EPS_DIST) - params.d) ** 2
+                else:
+                    total += params.omega / max(dist * dist, EPS_DIST_SQ)
+    return total
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+@pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
+def test_stacked_centralized_objective_matches_single_plans(
+    tag, n, T, degenerate, np_rng
+):
+    pos = np_rng.uniform(-8.0, 8.0, (n, 2))
+    vel = np_rng.uniform(-1.0, 1.0, (n, 2))
+    if degenerate and n >= 2:
+        # two coincident agents, which the zero plan keeps together (the
+        # EPS floors), and an agent no one sees
+        pos[1], vel[1] = pos[0], vel[0]
+        pos[-1] = (80.0, 80.0)
+    view = config(pos, vel)
+    params = MpcParams(horizon=T)
+    problem = _CentralizedProblem(
+        tag, params, LIMITS, view.positions[None], view.velocities[None]
+    )
+    U = np_rng.uniform(-1.0, 1.0, (6, T, n, 2))
+    U[0] = 0.0
+    J = problem.objective(U)
+    assert J.shape == (6,)
+    public = lattice_deviation_centralized if tag == "lattice_centralized" else (
+        cost_df_centralized
+    )
+    args = (params.d,) if tag == "lattice_centralized" else (params.omega,)
+    xs, _ = mpc._rollout_arrays(problem.x0, problem.v0, U, LIMITS)
+    stack = xs.reshape(-1, n, 2)
+    stages = mpc._centralized_stage_values(tag, stack, params.r, params.d, params.omega)
+    for s, x in enumerate(stack):
+        alone = mpc._centralized_stage_values(
+            tag, x[None], params.r, params.d, params.omega
+        )
+        assert np.array_equal(alone, stages[s : s + 1])
+    for k, plan in enumerate(U):
+        assert np.array_equal(problem.objective(U[k : k + 1]), J[k : k + 1])
+        trajectory = rollout_centralized(view, plan, LIMITS)
+        assert mpc_objective(tag, trajectory, plan, params) == J[k]
+        for cfg in trajectory[1:]:
+            expected = plain_centralized_cost(tag, cfg.positions, params)
+            got = public(cfg, params.r, *args)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TrappedProblem:
+    """Passes evaluations on to a problem, except that its objective is NaN
+    at chosen line-search probes: traps[i][k] holds the halvings h whose
+    probe (step 2**-h) is trapped in batch row i's k-th line search, counted
+    by the row's gradient evaluations.  Logs the rows of each objective call
+    and counts the trapped probes it was handed."""
+
+    def __init__(self, problem, ids, traps, state):
+        self.problem, self.ids, self.traps, self.state = problem, ids, traps, state
+        self.limits = problem.limits
+
+    @classmethod
+    def wrap(cls, problem, size, traps=None):
+        state = {"grads": {}, "plans": {}, "calls": [], "trapped": 0}
+        return cls(problem, np.arange(size), traps or {}, state)
+
+    def rows(self, idx):
+        return TrappedProblem(self.problem.rows(idx), self.ids[idx], self.traps, self.state)
+
+    def gradient(self, U):
+        G = self.problem.gradient(U)
+        for i, u, g in zip(self.ids.tolist(), U, G):
+            k = self.state["grads"].get(i, 0)
+            self.state["grads"][i] = k + 1
+            trapped = self.traps.get(i, [])
+            halvings = trapped[k] if k < len(trapped) else ()
+            self.state["plans"][i] = [
+                clamp_norm(u - 2.0**-h * g, self.limits.a_max) for h in halvings
+            ]
+        return G
+
+    def objective(self, U):
+        J = self.problem.objective(U).copy()
+        self.state["calls"].append(self.ids.tolist())
+        for k, (i, u) in enumerate(zip(self.ids.tolist(), U)):
+            if any(np.array_equal(u, p) for p in self.state["plans"].get(i, ())):
+                J[k] = np.nan
+                self.state["trapped"] += 1
+        return J
+
+
+def sequential_solve(problem, warm):
+    """Reference solver: projected gradient descent whose line search probes
+    the steps 1, 1/2, ..., 2**-LAST_HALVING one at a time, each row
+    evaluated alone through problem.rows and every row searching in
+    lockstep, raising on the first probe that is non-finite.  Returns the
+    plans, and per row its iterations, converged flag, accepted-objective
+    trace and the halvings of its accepted steps."""
+    B, a_max = warm.shape[0], problem.limits.a_max
+    alone = [problem.rows(np.array([i])) for i in range(B)]
+    U = clamp_norm(warm, a_max)
+    J = [alone[i].objective(U[i : i + 1])[0] for i in range(B)]
+    traces = [[float(j)] for j in J]
+    accepted = [[] for _ in range(B)]
+    iterations = np.zeros(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
+    live = list(range(B))
+    for _ in range(MAX_ITER):
+        G = {i: alone[i].gradient(U[i : i + 1])[0] for i in live}
+        for i in live:
+            step = np.sqrt(((U[i] - clamp_norm(U[i] - G[i], a_max)) ** 2).sum())
+            converged[i] = step <= GRAD_TOL
+        live = [i for i in live if not converged[i]]
+        if not live:
+            break
+        iterations[live] += 1
+        searching, going = list(live), []
+        for h in range(LAST_HALVING + 1):
+            step = 2.0**-h
+            tried = {i: clamp_norm(U[i] - step * G[i], a_max) for i in searching}
+            values = {i: alone[i].objective(tried[i][None])[0] for i in searching}
+            bad = [i for i in searching if not np.isfinite(values[i])]
+            if bad:
+                raise SolverError(
+                    "non-finite MPC objective during line search",
+                    {"agents": np.array(bad)},
+                )
+            for i in searching:
+                delta = ((U[i] - tried[i]) ** 2).sum()
+                if values[i] <= J[i] - (ARMIJO_C / step) * delta:
+                    U[i], J[i] = tried[i], values[i]
+                    traces[i].append(float(values[i]))
+                    accepted[i].append(h)
+                    going.append(i)
+            searching = [i for i in searching if i not in going]
+            if not searching:
+                break
+        live = sorted(going)
+        if not live:
+            break
+    return U, iterations, converged, traces, accepted
+
+
+def closed_loop_solve(tag, steps, level=0):
+    """The problem and warm start of the last MPC solve of a closed-loop run
+    of `steps` steps at n = 30."""
+    solve, solves = mpc._solve_batch, []
+
+    def spy(problem, warm, keep_trace=False):
+        solves.append((problem, warm.copy()))
+        return solve(problem, warm, keep_trace)
+
+    noise = noise_for_level(level)
+    cfg = ExperimentConfig(model=default_model_spec(tag), steps=steps, noise=noise)
+    with mock.patch.object(mpc, "_solve_batch", spy):
+        simulate(cfg, mix_seed(1, 0))
+    return solves[-1]
+
+
+def ladder_cases(np_rng):
+    """Random centralized and noisy distributed problems with warm starts,
+    and closed-loop solves at n = 30 whose line searches run long: the df
+    centralized one halves its step dozens of times and stalls."""
+    cases = []
+    for tag in CENTRALIZED_MPC_TAGS:
+        for n in (5, 10):
+            view = random_config(np_rng, n=n, span=6.0, v_span=3.0)
+            problem = _CentralizedProblem(
+                tag, PARAMS, LIMITS, view.positions[None], view.velocities[None]
+            )
+            cases.append((problem, np_rng.uniform(-0.5, 0.5, (1, 3, n, 2))))
+    stream = RandomStream(7)
+    for tag in DISTRIBUTED_MPC_TAGS:
+        for n in (6, 12):
+            cfg = random_config(np_rng, n=n, span=8.0, v_span=3.0)
+            views = sense_local_all(cfg, noise_for_level(3), stream)
+            problem = _build_batch_problem(tag, *views, range(n), PARAMS, LIMITS)
+            cases.append((problem, np_rng.uniform(-0.5, 0.5, (n, 3, 2))))
+    cases.append(closed_loop_solve("df_centralized", 6))
+    cases.append(closed_loop_solve("lattice_centralized", 6))
+    cases.append(closed_loop_solve("df_distributed", 7, level=10))
+    return cases
+
+
+def test_step_ladder_matches_sequential_line_search(np_rng):
+    repeated, deepest = 0, 0
+    for problem, warm in ladder_cases(np_rng):
+        B = len(warm)
+        U, iterations, converged, traces, accepted = sequential_solve(problem, warm)
+        deepest = max([deepest] + [h for halvings in accepted for h in halvings])
+        wrapped = TrappedProblem.wrap(problem, B)
+        got_U, _, got_converged, got_iterations, _ = _solve_batch(wrapped, warm)
+        assert np.array_equal(got_U, U)
+        assert np.array_equal(got_converged, converged)
+        assert got_iterations == iterations.max()
+        calls = wrapped.state["calls"]
+        repeated += sum(len(ids) > len(set(ids)) for ids in calls)
+        for i in range(B):
+            one = _solve_batch(problem.rows(np.array([i])), warm[i : i + 1], True)
+            plan, _, one_converged, one_iterations, trace = one
+            assert np.array_equal(plan[0], U[i])
+            assert (one_converged[0], one_iterations) == (converged[i], iterations[i])
+            assert trace == traces[i]
+    # the ladder did evaluate several probes of one row in one call, and
+    # some line searches took several calls
+    assert repeated > 0
+    assert deepest > PROBE_WINDOW_CAP
+
+
+def test_step_ladder_ignores_non_finite_probes_past_the_accepted_step(np_rng):
+    trapped = 0
+    for problem, warm in ladder_cases(np_rng):
+        B = len(warm)
+        U, iterations, converged, _, accepted = sequential_solve(problem, warm)
+        # every probe below the step each line search accepts is NaN
+        traps = {
+            i: [range(h + 1, LAST_HALVING + 1) for h in accepted[i]] for i in range(B)
+        }
+        wrapped = TrappedProblem.wrap(problem, B, traps)
+        got_U, _, got_converged, got_iterations, _ = _solve_batch(wrapped, warm)
+        assert np.array_equal(got_U, U)
+        assert np.array_equal(got_converged, converged)
+        assert got_iterations == iterations.max()
+        trapped += wrapped.state["trapped"]
+    assert trapped > 0
+
+
+def test_step_ladder_raises_where_sequential_search_does(np_rng):
+    rng = np.random.default_rng(3)
+    raised, several = 0, 0
+    for problem, warm in ladder_cases(np_rng) * 3:
+        B = len(warm)
+        _, _, _, _, accepted = sequential_solve(problem, warm)
+        # in one line search of the solve, trap a probe that half of the
+        # rows reach: at or above the halving they accept there
+        k = int(rng.integers(max(len(halvings) for halvings in accepted)))
+        traps = {
+            i: [()] * k + [(int(rng.integers(accepted[i][k] + 1)),)]
+            for i in range(B)
+            if len(accepted[i]) > k and rng.random() < 0.5
+        }
+        outcomes = []
+        for solve in (sequential_solve, _solve_batch):
+            try:
+                solve(TrappedProblem.wrap(problem, B, traps), warm)
+                outcomes.append(None)
+            except SolverError as err:
+                outcomes.append((str(err), err.diagnostics["agents"].tolist()))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[1] is not None:
+            raised += 1
+            # rows trapped at a later halving than the first are not named
+            several += len(outcomes[1][1]) < len(traps)
+    assert raised > 0 and several > 0
 
 
 def test_distributed_solver_error_names_failing_agents():
