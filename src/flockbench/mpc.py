@@ -36,12 +36,18 @@ that passes; the probes are evaluated a few at a time, in one objective
 call per batch, and those past the accepted step are discarded.  The row
 projects every per-step acceleration onto the a_max ball after each update,
 and stops on a projected-gradient tolerance of 1e-6, when its step falls
-below 2**-40 (a stall), or after 200 iterations.  A centralized objective
-evaluates its plans' T predicted configurations in one array pass over the
-pairs i < j.  Results are feasible local minimizers;
-global optimality is not claimed.  Gradients are analytic (backpropagated
-through the rollout, including the velocity clamp); finite differences are
-used as an independent oracle in the tests.
+below 2**-40 (a stall), or after 200 iterations.
+
+Each point is rolled out once: a problem's `evaluate` returns the objective
+with the rollout it computed, and the gradient at an accepted point reuses
+the rollout of the probe that accepted it.  The predicted step-1 positions
+x0 + dt * v0 do not depend on the controls, so a centralized problem prices
+that stage once, on construction, and each objective call evaluates its
+plans' steps 2..T in one array pass over the pairs i < j; no gradient takes
+a step-1 stage gradient.  Results are feasible local minimizers; global
+optimality is not claimed.  Gradients are analytic (backpropagated through
+the rollout, including the velocity clamp); finite differences are used as
+an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -235,15 +241,6 @@ def rollout_distributed(
 # --------------------------------------------------------------------------
 
 
-def _edge_mask(positions: np.ndarray, r: float):
-    """Strict-inequality adjacency mask and the distance matrix."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(sq_norm(diff))
-    mask = dist < r
-    np.fill_diagonal(mask, False)
-    return mask, dist
-
-
 @functools.lru_cache(maxsize=16)
 def _pair_layout(n: int):
     """Read-only index arrays for n agents: the pairs i < j in row-major
@@ -295,22 +292,31 @@ def _centralized_stage_values(tag, x, r, d, omega):
 
 
 def _centralized_stage_gradient(tag, x, r, d, omega):
-    """Gradient of the centralized stage cost at positions x (n, m) with
-    respect to x, treating the edge set of x as constant."""
-    n = x.shape[0]
-    mask, dist = _edge_mask(x, r)
+    """Gradient of the centralized stage cost of every configuration in the
+    stack x of shape (S, n, m) with respect to its positions, treating each
+    configuration's edge set as constant.
+
+    One pass over the (S, n, n) pair arrays; each stage's coefficient row
+    sums and matrix product are the ones it would get alone, so a stage's
+    gradient has the same bits in any stack.
+    """
+    n = x.shape[1]
+    diff = x[:, :, None, :] - x[:, None, :, :]
+    dist = np.sqrt(sq_norm(diff))
+    mask = dist < r
+    mask[:, np.arange(n), np.arange(n)] = False
     dist_f = np.maximum(dist, EPS_DIST)
     active = mask & (dist >= EPS_DIST)
     if tag == "lattice_centralized":
         coef = np.where(active, 4.0 * (dist_f - d) / dist_f, 0.0)
-        return coef.sum(axis=1)[:, None] * x - coef @ x
+        return coef.sum(axis=-1)[..., None] * x - coef @ x
     if n < 2:
         return np.zeros_like(x)
     c_n = 2.0 / (n * (n - 1))
-    grad = 2.0 * c_n * (n * x - x.sum(axis=0))
+    grad = 2.0 * c_n * (n * x - x.sum(axis=1, keepdims=True))
     sq_f = dist_f * dist_f
     coef = np.where(active, -4.0 * omega / (sq_f * sq_f), 0.0)
-    return grad + (coef.sum(axis=1)[:, None] * x - coef @ x)
+    return grad + (coef.sum(axis=-1)[..., None] * x - coef @ x)
 
 
 def lattice_deviation_centralized(
@@ -419,7 +425,12 @@ def _edge_stage_dcost(tag, dist, edge_counts, params):
 
 def _rollout_arrays(x0, v0, U, limits):
     """Positions and pre-clamp velocities at steps 1..T under controls U,
-    from the (B, ...) initial states x0, v0."""
+    from the (B, ...) initial states x0, v0.
+
+    The step-1 positions x0 + dt * v0 do not depend on U.  A problem's
+    `evaluate` returns this rollout with the objective, and the gradient at
+    an accepted point takes the rollout of the probe that accepted it.
+    """
     dt, v_max = limits.dt, limits.v_max
     x, v = x0, v0
     xs = np.empty_like(U)
@@ -449,23 +460,28 @@ def _clamp_backprop(w, p, v_max):
 def _backprop_controls(gx, W, U, limits, lam):
     """Adjoint pass: gradient of the objective w.r.t. the controls U.
 
-    gx[:, t] is the stage gradient at predicted step t+1; W[:, t] is the
-    pre-clamp velocity that produced step t+1's velocity.
+    gx[:, t] is the stage gradient at predicted step t+2; W[:, t] is the
+    pre-clamp velocity that produced step t+1's velocity.  Step 1's
+    positions do not depend on U, so its stage gradient never reaches the
+    controls and is not taken: with T = 1 the gradient is the control
+    penalty's alone.
     """
     dt, v_max = limits.dt, limits.v_max
     gu = np.empty_like(U)
-    px = np.zeros_like(gx[:, -1])
+    px = np.zeros_like(U[:, 0])
     pv = np.zeros_like(px)
-    for t in range(U.shape[1] - 1, -1, -1):
-        px = px + gx[:, t]
+    for t in range(U.shape[1] - 1, 0, -1):
+        px = px + gx[:, t - 1]
         q = _clamp_backprop(W[:, t], pv, v_max)
         gu[:, t] = dt * q + 2.0 * lam * U[:, t]
         pv = dt * px + q
+    gu[:, 0] = dt * _clamp_backprop(W[:, 0], pv, v_max) + 2.0 * lam * U[:, 0]
     return gu
 
 
 # --------------------------------------------------------------------------
-# Problems: objective(U) -> (B,) and gradient(U) -> U.shape
+# Problems: evaluate(U) -> (objective (B,), xs, ws) and
+# gradient(U, xs, ws) -> U.shape, given the rollout evaluate returned for U
 # --------------------------------------------------------------------------
 
 
@@ -473,42 +489,57 @@ def _backprop_controls(gx, W, U, limits, lam):
 class _CentralizedProblem:
     """Plans for every agent from one initial state: U of shape (K, T, n, m)
     holds K plans, and each is evaluated as if alone.  The neighbor edge
-    set is re-evaluated at every predicted step."""
+    set is re-evaluated at every predicted step.
+
+    The predicted step-1 configuration x0 + dt * v0 is the same for every
+    plan, so its stage cost is computed once, on construction.
+    """
 
     tag: str
     params: MpcParams
     limits: MotionLimits
     x0: np.ndarray  # (1, n, m) positions
     v0: np.ndarray  # (1, n, m) velocities
+    first_stage: np.ndarray = field(init=False)  # (1,) stage cost at step 1
 
-    def objective(self, U):
-        """Objective of each plan, shape (K,): all K * T predicted
-        configurations go through one stage pass."""
+    def __post_init__(self):
+        p = self.params
+        # as inside _solve_batch: a non-finite cost raises SolverError
+        # there, without numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.first_stage = _centralized_stage_values(
+                self.tag, self.x0 + self.limits.dt * self.v0, p.r, p.d, p.omega
+            )
+
+    def _later(self, xs):
+        """The predicted configurations at steps 2..T, one stack."""
+        return xs[:, 1:].reshape(-1, *xs.shape[2:])
+
+    def evaluate(self, U):
+        """Objective of each plan, shape (K,), and the rollout: the K * (T-1)
+        configurations past step 1 go through one stage pass."""
         K, T = U.shape[:2]
         p = self.params
-        xs, _ = _rollout_arrays(self.x0, self.v0, U, self.limits)
-        stages = _centralized_stage_values(
-            self.tag, xs.reshape(K * T, *xs.shape[2:]), p.r, p.d, p.omega
-        ).reshape(K, T)
-        stage = stages[:, 0]
-        for t in range(1, T):
-            stage = stage + stages[:, t]
-        return stage + p.lam * (U * U).reshape(K, -1).sum(axis=1)
-
-    def gradient(self, U):
         xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
+        stage = self.first_stage
+        if T > 1:
+            stages = _centralized_stage_values(
+                self.tag, self._later(xs), p.r, p.d, p.omega
+            ).reshape(K, T - 1)
+            for t in range(T - 1):
+                stage = stage + stages[:, t]
+        return stage + p.lam * (U * U).reshape(K, -1).sum(axis=1), xs, ws
+
+    def gradient(self, U, xs, ws):
         p = self.params
-        gx = np.stack(
-            [
-                _centralized_stage_gradient(self.tag, x, p.r, p.d, p.omega)
-                for x in xs.reshape(-1, *xs.shape[2:])
-            ]
-        ).reshape(xs.shape)
+        gx = _centralized_stage_gradient(
+            self.tag, self._later(xs), p.r, p.d, p.omega
+        ).reshape(U.shape[0], U.shape[1] - 1, *U.shape[2:])
         return _backprop_controls(gx, ws, U, self.limits, p.lam)
 
     def rows(self, idx):
         """The problem itself: a centralized solve is a batch of one, and
-        its repeated row is a stack of plans `objective` already takes."""
+        its repeated row is a stack of plans `evaluate` already takes."""
         return self
 
 
@@ -535,31 +566,28 @@ class _BatchProblem:
     def size(self) -> int:
         return self.x0.shape[0]
 
-    def _edge_dist(self, xs):
-        diff = xs[self.src] - self.nbr_pos  # (E, T, m)
-        return diff, np.sqrt(sq_norm(diff))
-
-    def objective(self, U):
-        """Per-row objective values, shape (B,)."""
-        xs, _ = _rollout_arrays(self.x0, self.v0, U, self.limits)
+    def evaluate(self, U):
+        """Per-row objective values, shape (B,), and the rollout."""
+        xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
         out = self.params.lam * (U * U).sum(axis=(1, 2))
         if self.src.size:
-            _, dist = self._edge_dist(xs)
+            dist = np.sqrt(sq_norm(xs[self.src] - self.nbr_pos))  # (E, T)
             cost = _edge_stage_cost(self.tag, dist, self.edge_counts, self.params)
             out = out + np.bincount(
                 self.src, weights=cost.sum(axis=1), minlength=self.size
             )
-        return out
+        return out, xs, ws
 
-    def gradient(self, U):
-        """Per-row analytic gradient, shape (B, T, m)."""
-        xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
-        gx = np.zeros_like(U)
+    def gradient(self, U, xs, ws):
+        """Per-row analytic gradient, shape (B, T, m), from the edge terms
+        at steps 2..T."""
+        gx = np.zeros_like(U[:, 1:])
         if self.src.size:
-            diff, dist = self._edge_dist(xs)
+            diff = xs[self.src, 1:] - self.nbr_pos[:, 1:]  # (E, T-1, m)
+            dist = np.sqrt(sq_norm(diff))
             dcost = _edge_stage_dcost(self.tag, dist, self.edge_counts, self.params)
             dist_f = np.maximum(dist, EPS_DIST)
-            contrib = (dcost / dist_f)[:, :, None] * diff  # (E, T, m)
+            contrib = (dcost / dist_f)[:, :, None] * diff
             np.add.at(gx, self.src, contrib)
         return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
 
@@ -670,6 +698,10 @@ def _solve_batch(problem, warm, keep_trace=False):
     up to PROBE_WINDOW_CAP; the probes past the accepted one are discarded,
     so the accepted step is the one a probe-by-probe search accepts.
 
+    `evaluate` returns each probe's rollout with its objective, and the
+    solver keeps the rollout of every row's current point: the gradient
+    there reuses it, so each accepted point is rolled out once.
+
     Overflow and invalid operations are not warned about: a non-finite
     objective or gradient in a row still being solved raises SolverError.
     A non-finite probe raises only if a probe-by-probe search reaches it,
@@ -682,7 +714,9 @@ def _solve_batch(problem, warm, keep_trace=False):
         a_max = problem.limits.a_max
         U = clamp_norm(warm, a_max)
         live, live_problem = np.arange(B), problem
-        J = problem.objective(U)
+        # each row's objective and the rollout it came from, kept for the
+        # gradient at the row's current point
+        J, XS, WS = problem.evaluate(U)
         _check_finite(
             "non-finite MPC objective at the initial point", live, "objective", J, U
         )
@@ -692,7 +726,7 @@ def _solve_batch(problem, warm, keep_trace=False):
         iterations = 0
         for _ in range(MAX_ITER):
             U_live = U[live]
-            G = live_problem.gradient(U_live)
+            G = live_problem.gradient(U_live, XS[live], WS[live])
             _check_finite("non-finite MPC gradient", live, "gradient", G, U_live)
             cand = clamp_norm(U_live - G, a_max)
             done = np.sqrt(((U_live - cand) ** 2).sum(axis=row_axes)) <= GRAD_TOL
@@ -734,7 +768,7 @@ def _solve_batch(problem, warm, keep_trace=False):
                     batch = probe_problem.rows(rep)
                 step = _STEPS[halvings]
                 U_try = clamp_norm(U_base - step.reshape(per_row) * G_base, a_max)
-                J_try = batch.objective(U_try)
+                J_try, xs_try, ws_try = batch.evaluate(U_try)
                 delta = ((U_base - U_try) ** 2).sum(axis=row_axes)
                 ok = J_try <= J_base - (ARMIJO_C / step) * delta
                 # where a probe-by-probe search ends: at each row's first
@@ -762,6 +796,7 @@ def _solve_batch(problem, warm, keep_trace=False):
                     at, rows = at[passed], ids[passed]
                     U[rows] = U_try[at]
                     J[rows] = J_try[at]
+                    XS[rows], WS[rows] = xs_try[at], ws_try[at]
                     accepted[rows] = True
                     window[rows] = np.minimum(halvings[at] + 1, PROBE_WINDOW_CAP)
                 next_h = next_h + w
@@ -838,9 +873,10 @@ def mpc_objective_gradient(
     """Analytic gradient of the horizon objective with respect to the
     controls, at the given initial view.  Shape matches `controls`."""
     _check_tag(tag)
-    U = np.asarray(controls, dtype=np.float64)
+    U = np.asarray(controls, dtype=np.float64)[None]
     problem = _single_problem(tag, initial_view, params, limits, agent, neighbor_set)
-    return problem.gradient(U[None])[0]
+    xs, ws = _rollout_arrays(problem.x0, problem.v0, U, limits)
+    return problem.gradient(U, xs, ws)[0]
 
 
 def _warm_start(warm_start, shape):

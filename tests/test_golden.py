@@ -35,11 +35,14 @@ GOLDEN_STEPS = {
     "df_distributed@3": "913674122154d8791b6325ee244a18ca1d3053a77729cecc14e50fb0b685b44a",
 }
 
-# Centralized runs at the paper's flock size, where solves reach long
-# line searches and stalls that the n = 8 runs above seldom do.
+# Runs at the paper's flock size, where solves reach long line searches and
+# stalls that the n = 8 runs above seldom do: the centralized models
+# noiseless, the distributed ones under noise.
 GOLDEN_STEPS_N30 = {
     "lattice_centralized@0": "33e12f03bb3534eb00e0f4d57b26f59b163ff02e0637cae996efdec41cc01a71",
     "df_centralized@0": "205cdc42002a1f6e6b115f725142e1a482759b25d8a50854faaf9a7fec98f8f5",
+    "lattice_distributed@10": "372a8fd20f0f3a32c789e04cede819e9ceb756e56a63143fc1f43a3616b92745",
+    "df_distributed@10": "538565bcf79ba11f15392cfec9f9c53daee77a0f5e11c1bf30b59abacd743150",
 }
 
 GOLDEN_EFFECTIVE_CONFIG = (

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,7 @@ from flockbench.mpc import (
     PROBE_WINDOW_CAP,
     _build_batch_problem,
     _CentralizedProblem,
+    _single_problem,
     _solve_batch,
 )
 from conftest import hexagonal_patch, random_config
@@ -520,12 +522,15 @@ def test_batch_rows_match_full_batch(tag, np_rng):
     full = _build_batch_problem(tag, *views, range(8), PARAMS, LIMITS)
     assert not np.isin([6, 7], full.src).any()
     U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
-    J, G = full.objective(U), full.gradient(U)
+    J, XS, WS = full.evaluate(U)
+    G = full.gradient(U, XS, WS)
     for idx in ([3], range(8), [0, 4, 7], [6, 7], [5, 5, 0, 6, 2, 2, 2]):
         idx = np.asarray(idx)
         sub = full.rows(idx)
-        assert np.array_equal(sub.objective(U[idx]), J[idx])
-        assert np.array_equal(sub.gradient(U[idx]), G[idx])
+        J_sub, xs, ws = sub.evaluate(U[idx])
+        assert np.array_equal(J_sub, J[idx])
+        assert np.array_equal(xs, XS[idx]) and np.array_equal(ws, WS[idx])
+        assert np.array_equal(sub.gradient(U[idx], xs, ws), G[idx])
     assert full.rows(np.array([6, 7])).src.size == 0
 
 
@@ -540,13 +545,13 @@ class CountingProblem:
     def rows(self, idx):
         return CountingProblem(self.problem.rows(idx), self.ids[idx], self.log)
 
-    def objective(self, U):
-        self.log.append(("objective", self.ids.tolist(), U.copy()))
-        return self.problem.objective(U)
+    def evaluate(self, U):
+        self.log.append(("evaluate", self.ids.tolist(), U.copy()))
+        return self.problem.evaluate(U)
 
-    def gradient(self, U):
+    def gradient(self, U, xs, ws):
         self.log.append(("gradient", self.ids.tolist(), U.copy()))
-        return self.problem.gradient(U)
+        return self.problem.gradient(U, xs, ws)
 
 
 def test_solver_evaluates_only_rows_in_play(np_rng):
@@ -634,8 +639,30 @@ def plain_centralized_cost(tag, pos, params):
     return total
 
 
+def one_stage_gradient(tag, x, params):
+    """The centralized stage gradient of one configuration x (n, m), with
+    the 2-D arrays of a single stage."""
+    n = x.shape[0]
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    mask = dist < params.r
+    np.fill_diagonal(mask, False)
+    dist_f = np.maximum(dist, EPS_DIST)
+    active = mask & (dist >= EPS_DIST)
+    if tag == "lattice_centralized":
+        coef = np.where(active, 4.0 * (dist_f - params.d) / dist_f, 0.0)
+        return coef.sum(axis=1)[:, None] * x - coef @ x
+    if n < 2:
+        return np.zeros_like(x)
+    c_n = 2.0 / (n * (n - 1))
+    grad = 2.0 * c_n * (n * x - x.sum(axis=0))
+    sq_f = dist_f * dist_f
+    coef = np.where(active, -4.0 * params.omega / (sq_f * sq_f), 0.0)
+    return grad + (coef.sum(axis=1)[:, None] * x - coef @ x)
+
+
 @pytest.mark.parametrize("degenerate", [False, True])
-@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("T", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 5, 30])
 @pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
 def test_stacked_centralized_objective_matches_single_plans(
@@ -655,28 +682,137 @@ def test_stacked_centralized_objective_matches_single_plans(
     )
     U = np_rng.uniform(-1.0, 1.0, (6, T, n, 2))
     U[0] = 0.0
-    J = problem.objective(U)
+    J, xs, _ = problem.evaluate(U)
     assert J.shape == (6,)
     public = lattice_deviation_centralized if tag == "lattice_centralized" else (
         cost_df_centralized
     )
     args = (params.d,) if tag == "lattice_centralized" else (params.omega,)
-    xs, _ = mpc._rollout_arrays(problem.x0, problem.v0, U, LIMITS)
     stack = xs.reshape(-1, n, 2)
-    stages = mpc._centralized_stage_values(tag, stack, params.r, params.d, params.omega)
+    stage_args = (params.r, params.d, params.omega)
+    stages = mpc._centralized_stage_values(tag, stack, *stage_args)
+    grads = mpc._centralized_stage_gradient(tag, stack, *stage_args)
+    assert grads.shape == stack.shape
     for s, x in enumerate(stack):
-        alone = mpc._centralized_stage_values(
-            tag, x[None], params.r, params.d, params.omega
-        )
+        alone = mpc._centralized_stage_values(tag, x[None], *stage_args)
         assert np.array_equal(alone, stages[s : s + 1])
+        alone = mpc._centralized_stage_gradient(tag, x[None], *stage_args)
+        assert np.array_equal(alone, grads[s : s + 1])
+        assert np.array_equal(one_stage_gradient(tag, x, params), grads[s])
+    # the step-1 stage, computed once per problem, is every plan's step 1
+    assert np.array_equal(np.broadcast_to(problem.first_stage, (6,)), stages[::T])
     for k, plan in enumerate(U):
-        assert np.array_equal(problem.objective(U[k : k + 1]), J[k : k + 1])
+        assert np.array_equal(problem.evaluate(U[k : k + 1])[0], J[k : k + 1])
         trajectory = rollout_centralized(view, plan, LIMITS)
         assert mpc_objective(tag, trajectory, plan, params) == J[k]
         for cfg in trajectory[1:]:
             expected = plain_centralized_cost(tag, cfg.positions, params)
             got = public(cfg, params.r, *args)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def fast_config(np_rng, n):
+    """n agents close together, moving just under the speed limit."""
+    heading = np_rng.uniform(0.0, 2.0 * np.pi, n)
+    speed = np_rng.uniform(7.5, 7.95, n)
+    vel = speed[:, None] * np.stack([np.cos(heading), np.sin(heading)], axis=1)
+    return config(np_rng.uniform(-8.0, 8.0, (n, 2)), vel)
+
+
+def assert_clamp_active(ws):
+    assert (np.sqrt((ws * ws).sum(axis=-1)) > LIMITS.v_max).any()
+
+
+@pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
+def test_centralized_gradient_reuses_probe_rollout(tag, np_rng):
+    # agents moving close to the speed limit, so the plans drive the clamp
+    view = fast_config(np_rng, 12)
+    problem = _CentralizedProblem(
+        tag, PARAMS, LIMITS, view.positions[None], view.velocities[None]
+    )
+    # a line-search call: several probes of the one row at once
+    U = np_rng.uniform(-1.0, 1.0, (5, 3, 12, 2))
+    U = clamp_norm(U, LIMITS.a_max)
+    _, xs, ws = problem.evaluate(U)
+    assert_clamp_active(ws)
+    for k in range(len(U)):
+        plan = U[k : k + 1]
+        reused = problem.gradient(plan, xs[k : k + 1], ws[k : k + 1])
+        fresh = problem.gradient(
+            plan, *mpc._rollout_arrays(problem.x0, problem.v0, plan, LIMITS)
+        )
+        assert np.array_equal(reused, fresh)
+        public = mpc_objective_gradient(tag, view, U[k], PARAMS, LIMITS)
+        assert np.array_equal(reused[0], public)
+
+
+@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+def test_distributed_gradient_reuses_probe_rollout(tag, np_rng):
+    n = 10
+    cfg = fast_config(np_rng, n)
+    pos, vel = sense_local_all(cfg, noise_for_level(3), RandomStream(9))
+    full = _build_batch_problem(tag, pos, vel, range(n), PARAMS, LIMITS)
+    # a line-search call: rows repeated once per probe
+    rep = np.array([0, 0, 0, 3, 4, 4, 7, 9, 9, 9, 9])
+    # plans that mostly speed each agent up along its sensed heading
+    own = vel[rep, rep]
+    ahead = own / np.sqrt((own * own).sum(axis=-1, keepdims=True))
+    U = ahead[:, None, :] + np_rng.uniform(-0.5, 0.5, (rep.size, 3, 2))
+    U = clamp_norm(U, LIMITS.a_max)
+    _, xs, ws = full.rows(rep).evaluate(U)
+    assert_clamp_active(ws)
+    for k, i in enumerate(rep):
+        row, plan = full.rows(np.array([i])), U[k : k + 1]
+        reused = row.gradient(plan, xs[k : k + 1], ws[k : k + 1])
+        fresh = row.gradient(plan, *mpc._rollout_arrays(row.x0, row.v0, plan, LIMITS))
+        assert np.array_equal(reused, fresh)
+        view = FlockConfiguration(pos[i], vel[i])
+        public = mpc_objective_gradient(tag, view, U[k], PARAMS, LIMITS, agent=i)
+        assert np.array_equal(reused[0], public)
+
+
+@pytest.mark.parametrize("tag", MPC_TAGS)
+def test_one_step_horizon_gradient_is_control_penalty(tag, np_rng):
+    # step 1 does not depend on the controls: with T = 1 only lam |U|^2 does
+    params = MpcParams(horizon=1, lam=0.7)
+    view = random_config(np_rng, n=6, span=5.0, v_span=7.9)
+    shape = (1, 6, 2) if tag in CENTRALIZED_MPC_TAGS else (1, 2)
+    u = clamp_norm(np_rng.uniform(-1.0, 1.0, shape), LIMITS.a_max)
+    agent = None if tag in CENTRALIZED_MPC_TAGS else 2
+    grad = mpc_objective_gradient(tag, view, u, params, LIMITS, agent=agent)
+    assert np.array_equal(grad, 2.0 * params.lam * u)
+    U, *_ = _solve_batch(_single_problem(tag, view, params, LIMITS, agent), u[None])
+    assert np.allclose(U, 0.0, atol=1e-5)
+
+
+def test_solver_rolls_out_once_per_evaluation():
+    # every rollout inside the solver comes from an evaluation; a gradient
+    # takes the rollout of the evaluation that accepted its point
+    counts = {"rollouts": 0, "evaluations": 0, "in_gradient": 0}
+    rollout = mpc._rollout_arrays
+    evaluate, gradient = _CentralizedProblem.evaluate, _CentralizedProblem.gradient
+
+    def counting_rollout(*args):
+        counts["rollouts"] += 1
+        return rollout(*args)
+
+    def counting_evaluate(self, U):
+        counts["evaluations"] += 1
+        return evaluate(self, U)
+
+    def checked_gradient(self, U, xs, ws):
+        before = counts["rollouts"]
+        G = gradient(self, U, xs, ws)
+        counts["in_gradient"] += counts["rollouts"] - before
+        return G
+
+    cfg = ExperimentConfig(model=default_model_spec("df_centralized"))
+    with mock.patch.object(mpc, "_rollout_arrays", counting_rollout), \
+            mock.patch.object(_CentralizedProblem, "evaluate", counting_evaluate), \
+            mock.patch.object(_CentralizedProblem, "gradient", checked_gradient):
+        simulate(cfg, mix_seed(1, 0))
+    assert (cfg.n, cfg.steps) == (30, 100)
+    assert counts == {"rollouts": 5977, "evaluations": 5977, "in_gradient": 0}
 
 
 class TrappedProblem:
@@ -698,8 +834,8 @@ class TrappedProblem:
     def rows(self, idx):
         return TrappedProblem(self.problem.rows(idx), self.ids[idx], self.traps, self.state)
 
-    def gradient(self, U):
-        G = self.problem.gradient(U)
+    def gradient(self, U, xs, ws):
+        G = self.problem.gradient(U, xs, ws)
         for i, u, g in zip(self.ids.tolist(), U, G):
             k = self.state["grads"].get(i, 0)
             self.state["grads"][i] = k + 1
@@ -710,14 +846,15 @@ class TrappedProblem:
             ]
         return G
 
-    def objective(self, U):
-        J = self.problem.objective(U).copy()
+    def evaluate(self, U):
+        J, xs, ws = self.problem.evaluate(U)
+        J = J.copy()
         self.state["calls"].append(self.ids.tolist())
         for k, (i, u) in enumerate(zip(self.ids.tolist(), U)):
             if any(np.array_equal(u, p) for p in self.state["plans"].get(i, ())):
                 J[k] = np.nan
                 self.state["trapped"] += 1
-        return J
+        return J, xs, ws
 
 
 def sequential_solve(problem, warm):
@@ -726,18 +863,23 @@ def sequential_solve(problem, warm):
     evaluated alone through problem.rows and every row searching in
     lockstep, raising on the first probe that is non-finite.  Returns the
     plans, and per row its iterations, converged flag, accepted-objective
-    trace and the halvings of its accepted steps."""
+    trace and the halvings of its accepted steps.  The gradient at a point
+    takes the rollout the point's evaluation returned."""
     B, a_max = warm.shape[0], problem.limits.a_max
     alone = [problem.rows(np.array([i])) for i in range(B)]
     U = clamp_norm(warm, a_max)
-    J = [alone[i].objective(U[i : i + 1])[0] for i in range(B)]
+    J, rollouts = [], []
+    for i in range(B):
+        value, xs, ws = alone[i].evaluate(U[i : i + 1])
+        J.append(value[0])
+        rollouts.append((xs, ws))
     traces = [[float(j)] for j in J]
     accepted = [[] for _ in range(B)]
     iterations = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
     live = list(range(B))
     for _ in range(MAX_ITER):
-        G = {i: alone[i].gradient(U[i : i + 1])[0] for i in live}
+        G = {i: alone[i].gradient(U[i : i + 1], *rollouts[i])[0] for i in live}
         for i in live:
             step = np.sqrt(((U[i] - clamp_norm(U[i] - G[i], a_max)) ** 2).sum())
             converged[i] = step <= GRAD_TOL
@@ -749,7 +891,8 @@ def sequential_solve(problem, warm):
         for h in range(LAST_HALVING + 1):
             step = 2.0**-h
             tried = {i: clamp_norm(U[i] - step * G[i], a_max) for i in searching}
-            values = {i: alone[i].objective(tried[i][None])[0] for i in searching}
+            evaluated = {i: alone[i].evaluate(tried[i][None]) for i in searching}
+            values = {i: evaluated[i][0][0] for i in searching}
             bad = [i for i in searching if not np.isfinite(values[i])]
             if bad:
                 raise SolverError(
@@ -760,6 +903,7 @@ def sequential_solve(problem, warm):
                 delta = ((U[i] - tried[i]) ** 2).sum()
                 if values[i] <= J[i] - (ARMIJO_C / step) * delta:
                     U[i], J[i] = tried[i], values[i]
+                    rollouts[i] = evaluated[i][1:]
                     traces[i].append(float(values[i]))
                     accepted[i].append(h)
                     going.append(i)
@@ -897,6 +1041,17 @@ def test_distributed_solver_error_names_failing_agents():
     diagnostics = info.value.diagnostics
     assert diagnostics["agents"].tolist() == [0, 1]
     assert diagnostics["gradient"].shape == diagnostics["controls"].shape == (2, 3, 2)
+
+
+def test_centralized_non_finite_first_stage_raises_without_warnings():
+    # at omega = 1e308 the close pair's step-1 separation cost overflows
+    view = config([[0.0, 0.0], [0.5, 0.0], [3.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            SolverError, match="^non-finite MPC objective at the initial point$"
+        ):
+            solve_mpc("df_centralized", view, MpcParams(omega=1e308), LIMITS)
 
 
 def test_distributed_batch_rejects_unstacked_views():
