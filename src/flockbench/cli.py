@@ -32,6 +32,7 @@ from .output import (
     NOISE_SUMMARY_FIELDS,
     emit_plots,
     read_summary_csv,
+    write_final_state_csv,
     write_steps_csv,
     write_summary_csv,
 )
@@ -234,17 +235,7 @@ def _cmd_simulate(args) -> int:
     _prepare_out(args.out, settings)
     record = simulate(cfg, seed=_get_int(settings, "seed"))
     write_steps_csv(os.path.join(args.out, "steps.csv"), {cfg.model.tag: [record]})
-    final = record.final
-    with open(os.path.join(args.out, "final_state.csv"), "w") as handle:
-        cols = [f"x{k}" for k in range(final.dimension)] + [
-            f"v{k}" for k in range(final.dimension)
-        ]
-        handle.write("agent," + ",".join(cols) + "\n")
-        for i in range(final.n):
-            values = [f"{v:.17g}" for v in final.positions[i]] + [
-                f"{v:.17g}" for v in final.velocities[i]
-            ]
-            handle.write(f"{i}," + ",".join(values) + "\n")
+    write_final_state_csv(os.path.join(args.out, "final_state.csv"), record.final)
     print(f"simulated {cfg.model.tag}: {cfg.steps} steps, n={cfg.n} -> {args.out}")
     return 0
 

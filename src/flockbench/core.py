@@ -188,15 +188,11 @@ class RandomStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` doubles uniform on (0, 1]."""
-        if count == 0:
-            return np.empty(0)
         raw = self._bits.random_raw(count)
         return ((raw >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
 
     def normals(self, count: int) -> np.ndarray:
         """`count` standard normal samples (Box-Muller pairs)."""
-        if count == 0:
-            return np.empty(0)
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs)
         u1, u2 = u[0::2], u[1::2]
@@ -277,7 +273,7 @@ def neighbors(config: FlockConfiguration, i: int, r: float) -> set:
     """Indices of agents strictly closer than r to agent i."""
     if not 0 <= i < config.n:
         raise IndexError(f"agent index {i} out of range for n={config.n}")
-    if r <= 0:
+    if not r > 0:
         raise ValueError("interaction radius must be positive")
     diff = config.positions - config.positions[i]
     dist = np.sqrt((diff * diff).sum(axis=-1))
@@ -286,7 +282,7 @@ def neighbors(config: FlockConfiguration, i: int, r: float) -> set:
 
 def proximity_net(config: FlockConfiguration, r: float) -> ProximityNet:
     """Build the proximity net: edge {i, j} iff ||x_i - x_j|| < r (strict)."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("interaction radius must be positive")
     dist = pairwise_distances(config.positions)
     ii, jj = np.nonzero(dist < r)
@@ -302,9 +298,9 @@ def is_quasi_alpha_lattice(
     delta = 0 tests an exact lattice; a configuration with no edges is
     vacuously regular.
     """
-    if d <= 0:
+    if not d > 0:
         raise ValueError("lattice scale d must be positive")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("tolerance delta must be nonnegative")
     net = proximity_net(config, r)
     pos = config.positions

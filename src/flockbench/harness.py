@@ -103,9 +103,7 @@ def _olfati_saber_step(config, cfg, rng, warm):
 def _centralized_mpc_step(config, cfg, rng, warm):
     model = cfg.model
     view = sense_global(config, cfg.noise, rng)
-    result = solve_mpc(
-        model.tag, view, model.params, cfg.limits, warm_start=warm, full_output=True
-    )
+    result = solve_mpc(model.tag, view, model.params, cfg.limits, warm_start=warm)
     return result.accel, _shift_plan(result.controls, axis_t=0)
 
 

@@ -151,7 +151,7 @@ def irregularity(config: FlockConfiguration, components: list) -> float:
 
 def evaluate_metrics(config: FlockConfiguration, r: float) -> MetricsRecord:
     """All four measures of one configuration at interaction radius r."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("interaction radius must be positive")
     dist = pairwise_distances(config.positions)
     labels = _component_labels(dist < r)

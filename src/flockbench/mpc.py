@@ -27,7 +27,9 @@ contributes twice) for the centralized edge-set costs.
 
 Every solve runs the same projected-gradient loop, `_solve_batch`, over a
 batch of independent plans that converge and stop row by row, and evaluates
-only the rows still in play.  A centralized solve is a batch of one plan of
+only the rows still in play.  `solve_mpc` returns one `SolveResult` (plan,
+accepted-objective trace, iterations, converged); the distributed batch
+returns every agent's plan.  A centralized solve is a batch of one plan of
 shape (T, n, m) covering all agents; a distributed step is a batch of n
 single-agent plans of shape (T, m), and a standalone distributed solve is a
 batch of one, bit-identical to its row in the full batch.  Each row takes
@@ -133,13 +135,20 @@ class MpcParams:
 
 @dataclass
 class SolveResult:
-    """Outcome of one MPC solve."""
+    """Outcome of one MPC solve: the accepted control plan, the objective
+    at the start and after each accepted step, the number of iterations
+    that searched for a step, and whether the projected-gradient test
+    passed (a row that stops without it either stalled or hit MAX_ITER)."""
 
-    accel: np.ndarray
     controls: np.ndarray
     objectives: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+
+    @property
+    def accel(self) -> np.ndarray:
+        """The first-step accelerations: a view of controls[0]."""
+        return self.controls[0]
 
 
 class SolverError(RuntimeError):
@@ -165,15 +174,6 @@ def _check_tag(tag: str):
 # --------------------------------------------------------------------------
 
 
-def _predict(x, v, u, dt, v_max):
-    """One prediction step: position uses the current velocity, then the
-    velocity is updated and clamped.  Controls are applied as given (the
-    solver keeps them feasible through projection)."""
-    x_next = x + dt * v
-    v_next = clamp_norm(v + dt * u, v_max)
-    return x_next, v_next
-
-
 def rollout_centralized(
     init: FlockConfiguration, controls, limits: MotionLimits
 ) -> list:
@@ -190,7 +190,9 @@ def rollout_centralized(
     x, v = init.positions, init.velocities
     out = [init]
     for t in range(u.shape[0]):
-        x, v = _predict(x, v, u[t], limits.dt, limits.v_max)
+        # positions advance with the current velocity, then the velocity
+        # takes the (unprojected) control and is clamped
+        x, v = x + limits.dt * v, clamp_norm(v + limits.dt * u[t], limits.v_max)
         out.append(FlockConfiguration(x, v))
     return out
 
@@ -218,20 +220,12 @@ def rollout_distributed(
         raise ValueError(
             f"controls must have shape (T, {view.dimension}), got {u.shape}"
         )
-    pos = view.positions.copy()
-    vel = view.velocities.copy()
-    x_i, v_i = pos[i], vel[i]
+    pos, vel = view.positions, view.velocities
     out = [view]
     for t in range(u.shape[0]):
-        pos = pos + limits.dt * vel  # constant-velocity neighbors
-        x_i, v_i = _predict(
-            x_i[None], v_i[None], u[t][None], limits.dt, limits.v_max
-        )
-        x_i, v_i = x_i[0], v_i[0]
-        pos[i] = x_i
-        new_vel = vel.copy()
-        new_vel[i] = v_i
-        vel = new_vel
+        pos = pos + limits.dt * vel  # everyone at their current velocity
+        vel = vel.copy()
+        vel[i] = clamp_norm(vel[i] + limits.dt * u[t], limits.v_max)
         out.append(FlockConfiguration(pos, vel))
     return out
 
@@ -521,13 +515,12 @@ class _CentralizedProblem:
         K, T = U.shape[:2]
         p = self.params
         xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
+        stages = _centralized_stage_values(
+            self.tag, self._later(xs), p.r, p.d, p.omega
+        ).reshape(K, T - 1)
         stage = self.first_stage
-        if T > 1:
-            stages = _centralized_stage_values(
-                self.tag, self._later(xs), p.r, p.d, p.omega
-            ).reshape(K, T - 1)
-            for t in range(T - 1):
-                stage = stage + stages[:, t]
+        for t in range(T - 1):
+            stage = stage + stages[:, t]
         return stage + p.lam * (U * U).reshape(K, -1).sum(axis=1), xs, ws
 
     def gradient(self, U, xs, ws):
@@ -569,26 +562,22 @@ class _BatchProblem:
     def evaluate(self, U):
         """Per-row objective values, shape (B,), and the rollout."""
         xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
-        out = self.params.lam * (U * U).sum(axis=(1, 2))
-        if self.src.size:
-            dist = np.sqrt(sq_norm(xs[self.src] - self.nbr_pos))  # (E, T)
-            cost = _edge_stage_cost(self.tag, dist, self.edge_counts, self.params)
-            out = out + np.bincount(
-                self.src, weights=cost.sum(axis=1), minlength=self.size
-            )
+        dist = np.sqrt(sq_norm(xs[self.src] - self.nbr_pos))  # (E, T)
+        cost = _edge_stage_cost(self.tag, dist, self.edge_counts, self.params)
+        out = self.params.lam * (U * U).sum(axis=(1, 2)) + np.bincount(
+            self.src, weights=cost.sum(axis=1), minlength=self.size
+        )
         return out, xs, ws
 
     def gradient(self, U, xs, ws):
         """Per-row analytic gradient, shape (B, T, m), from the edge terms
         at steps 2..T."""
+        diff = xs[self.src, 1:] - self.nbr_pos[:, 1:]  # (E, T-1, m)
+        dist = np.sqrt(sq_norm(diff))
+        dcost = _edge_stage_dcost(self.tag, dist, self.edge_counts, self.params)
+        dist_f = np.maximum(dist, EPS_DIST)
         gx = np.zeros_like(U[:, 1:])
-        if self.src.size:
-            diff = xs[self.src, 1:] - self.nbr_pos[:, 1:]  # (E, T-1, m)
-            dist = np.sqrt(sq_norm(diff))
-            dcost = _edge_stage_dcost(self.tag, dist, self.edge_counts, self.params)
-            dist_f = np.maximum(dist, EPS_DIST)
-            contrib = (dcost / dist_f)[:, :, None] * diff
-            np.add.at(gx, self.src, contrib)
+        np.add.at(gx, self.src, (dcost / dist_f)[:, :, None] * diff)
         return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
 
     def rows(self, idx):
@@ -681,9 +670,14 @@ def _check_finite(message, rows, name, values, controls):
         )
 
 
-def _solve_batch(problem, warm, keep_trace=False):
+def _solve_batch(problem, warm):
     """Run projected gradient descent on the B rows of warm (B, T, ...) with
     a per-row Armijo line search; rows converge and stop independently.
+
+    Returns (U, converged, iterations, trace): the final plans, each row's
+    converged flag, the number of iterations in which some row searched for
+    a step (the most any row took), and row 0's objective at the start and
+    after each of its accepted steps.
 
     Only rows still in play are evaluated: each gradient on the live rows
     (neither converged nor stalled), each line-search probe on the live rows
@@ -720,7 +714,7 @@ def _solve_batch(problem, warm, keep_trace=False):
         _check_finite(
             "non-finite MPC objective at the initial point", live, "objective", J, U
         )
-        trace = [float(J[0])] if keep_trace else None
+        trace = [float(J[0])]
         converged = np.zeros(B, dtype=bool)
         window = np.ones(B, dtype=np.int64)
         iterations = 0
@@ -825,7 +819,7 @@ def _solve_batch(problem, warm, keep_trace=False):
                     values[named],
                     plans[named],
                 )
-            if keep_trace and accepted[0]:
+            if accepted[0]:
                 trace.append(float(J[0]))
             # rows whose line search stalled make no further progress
             going = np.flatnonzero(accepted[live])
@@ -833,7 +827,7 @@ def _solve_batch(problem, warm, keep_trace=False):
                 break
             if going.size < live.size:
                 live, live_problem = live[going], live_problem.rows(going)
-        return U, J, converged, iterations, trace
+        return U, converged, iterations, trace
 
 
 # --------------------------------------------------------------------------
@@ -897,32 +891,26 @@ def solve_mpc(
     limits: MotionLimits,
     warm_start=None,
     agent: int | None = None,
-    full_output: bool = False,
-):
-    """Minimize the horizon objective and return the first-step accelerations.
+) -> SolveResult:
+    """Minimize the horizon objective from one view.
 
-    Centralized tags return an (n, m) array for all agents; distributed tags
-    solve for `agent` alone and return its (m,) acceleration.  `warm_start`
-    is a full control sequence (projected onto the feasible set on entry);
-    zeros are used when absent.  With full_output=True a SolveResult with
-    the accepted-objective trace is returned instead.
+    A centralized tag plans every agent: the controls are (T, n, m) and
+    `.accel` is the (n, m) first step.  A distributed tag plans `agent`
+    alone against its frozen, coasting neighbors: the controls are (T, m)
+    and `.accel` is its (m,) first step.  `warm_start` is a full control
+    sequence of that shape (projected onto the feasible set on entry);
+    zeros are used when absent.
     """
     _check_tag(tag)
     problem = _single_problem(tag, initial_view, params, limits, agent)
-    T, m = params.horizon, initial_view.dimension
-    shape = (T, initial_view.n, m) if tag in CENTRALIZED_MPC_TAGS else (T, m)
-    warm = _warm_start(warm_start, shape)
-    U, _, converged, iterations, trace = _solve_batch(
-        problem, warm[None], keep_trace=full_output
-    )
-    result = SolveResult(
-        accel=U[0, 0].copy(),
+    warm = _warm_start(warm_start, (params.horizon,) + problem.x0.shape[1:])
+    U, converged, iterations, trace = _solve_batch(problem, warm[None])
+    return SolveResult(
         controls=U[0],
-        objectives=trace or [],
+        objectives=trace,
         iterations=iterations,
         converged=bool(converged[0]),
     )
-    return result if full_output else result.accel
 
 
 def solve_mpc_distributed_all(
@@ -948,5 +936,5 @@ def solve_mpc_distributed_all(
     n = pos.shape[0]
     warm = _warm_start(warm_start, (n, params.horizon, pos.shape[2]))
     problem = _build_batch_problem(tag, pos, vel, range(n), params, limits)
-    U, _, _, _, _ = _solve_batch(problem, warm)
+    U, _, _, _ = _solve_batch(problem, warm)
     return U[:, 0].copy(), U

@@ -19,6 +19,7 @@ __all__ = [
     "METRIC_COLUMNS",
     "format_value",
     "write_steps_csv",
+    "write_final_state_csv",
     "write_summary_csv",
     "read_summary_csv",
     "render_line_chart",
@@ -104,6 +105,18 @@ def write_steps_csv(path, records_by_model) -> None:
                     }
                 )
     _write_rows(path, STEP_FIELDS, rows)
+
+
+def write_final_state_csv(path, config) -> None:
+    """One row per agent: its index, then its position and velocity
+    components."""
+    m = config.dimension
+    fields = ["agent"] + [f"x{k}" for k in range(m)] + [f"v{k}" for k in range(m)]
+    rows = [
+        dict(zip(fields, [i, *config.positions[i], *config.velocities[i]]))
+        for i in range(config.n)
+    ]
+    _write_rows(path, fields, rows)
 
 
 def write_summary_csv(path, rows, fields) -> None:

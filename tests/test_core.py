@@ -126,6 +126,15 @@ def test_neighbors_index_out_of_range():
         neighbors(config([[0, 0]]), 1, 8.4)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
+def test_radius_must_be_positive(r):
+    cfg = config([[0, 0], [5, 0]])
+    with pytest.raises(ValueError):
+        neighbors(cfg, 0, r)
+    with pytest.raises(ValueError):
+        proximity_net(cfg, r)
+
+
 def test_proximity_net_collinear_chain():
     cfg = config([[0, 0], [5, 0], [10, 0]])
     net = proximity_net(cfg, 8.4)
@@ -173,6 +182,22 @@ def test_quasi_lattice_tolerance_boundary():
 def test_quasi_lattice_vacuous_without_edges():
     cfg = config([[0, 0], [50, 0], [100, 0]])
     assert is_quasi_alpha_lattice(cfg, 8.4, 7.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "r, d, delta",
+    [
+        (float("nan"), 7.0, 0.3),
+        (8.4, float("nan"), 0.3),
+        (8.4, 7.0, float("nan")),
+        (8.4, 0.0, 0.3),
+        (8.4, 7.0, -0.1),
+    ],
+)
+def test_quasi_lattice_rejects_invalid_parameters(r, d, delta):
+    cfg = config([[0, 0], [7.4, 0]])  # 0.4 off the scale d = 7
+    with pytest.raises(ValueError):
+        is_quasi_alpha_lattice(cfg, r, d, delta)
 
 
 @settings(max_examples=50, deadline=None)
@@ -285,6 +310,15 @@ def test_random_stream_bit_exact_reproduction():
     b = RandomStream(123456789).normals(1001)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, RandomStream(987654321).normals(1001))
+
+
+def test_random_stream_zero_count_draws_nothing():
+    for draw in ("uniforms", "normals"):
+        stream = RandomStream(5)
+        empty = getattr(stream, draw)(0)
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        # nothing was consumed: the next draw is a fresh stream's first
+        assert np.array_equal(stream.normals(4), RandomStream(5).normals(4))
 
 
 def test_random_stream_uniforms_in_half_open_interval():

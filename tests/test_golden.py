@@ -1,8 +1,8 @@
 """Golden outputs: exact bytes that a refactor must leave unchanged.
 
 The digests below pin the result files of short seeded runs of every model,
-the configuration echo of a default `simulate`, and the head of the noise
-stream.  They hold on the x86-64 host they were generated on (Python 3.11,
+the configuration echo of a default `simulate`, the final state of a short
+`simulate`, and the head of the noise stream.  They hold on the x86-64 host they were generated on (Python 3.11,
 numpy 2.4); `RandomStream.normals` goes through numpy's `log`/`cos`/`sin`,
 whose vectorized rounding may differ on other CPUs, so a mismatch there is a
 platform difference before it is a regression.
@@ -11,12 +11,20 @@ Regenerate (only for an intended change of output bytes, recorded in
 CHANGES.md) with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from flockbench import ExperimentConfig, RandomStream, default_model_spec, run_noise_sweep
+from flockbench import (
+    ExperimentConfig,
+    RandomStream,
+    default_model_spec,
+    run_noise_sweep,
+    simulate,
+)
 from flockbench.cli import main
 from flockbench.output import write_steps_csv
 
@@ -48,6 +56,12 @@ GOLDEN_STEPS_N30 = {
 GOLDEN_EFFECTIVE_CONFIG = (
     "723d20ce3c3f75437218dbd570883386d020634c9d4cdaae14e091b81aeda7e6"
 )
+
+# final_state.csv of a short `simulate` (FINAL_STATE_RUN)
+GOLDEN_FINAL_STATE = (
+    "54ea399d23d098a35f9a71f2c3eff30a8031136baa6c3304062767856e4b2fec"
+)
+FINAL_STATE_RUN = {"model": "df_centralized", "seed": 11, "n": 6, "steps": 5}
 
 GOLDEN_NORMALS = [
     "0x1.1a0e7968905f6p+0",
@@ -90,6 +104,15 @@ def effective_config_digest(tmp_path) -> str:
     return _sha256(out / "effective_config.txt")
 
 
+def final_state_path(tmp_path):
+    """final_state.csv written by `simulate` for FINAL_STATE_RUN."""
+    run, out = FINAL_STATE_RUN, tmp_path / "final"
+    args = ["simulate", "--model", run["model"], "--seed", str(run["seed"])]
+    args += ["--set", f"n={run['n']}", "--set", f"steps={run['steps']}"]
+    assert main(args + ["--out", str(out)]) == 0
+    return out / "final_state.csv"
+
+
 def normals_hex() -> list:
     return [float(z).hex() for z in RandomStream(1).normals(16)]
 
@@ -109,6 +132,23 @@ def test_steps_csv_matches_golden_n30(key, tmp_path):
 
 def test_effective_config_matches_golden(tmp_path):
     assert effective_config_digest(tmp_path) == GOLDEN_EFFECTIVE_CONFIG
+
+
+def test_final_state_matches_golden_and_parses_back(tmp_path):
+    path = final_state_path(tmp_path)
+    assert _sha256(path) == GOLDEN_FINAL_STATE
+    run = FINAL_STATE_RUN
+    cfg = ExperimentConfig(
+        model=default_model_spec(run["model"]), n=run["n"], steps=run["steps"]
+    )
+    final = simulate(cfg, seed=run["seed"]).final
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["agent", "x0", "x1", "v0", "v1"]
+    assert [row[0] for row in rows] == [str(i) for i in range(run["n"])]
+    values = np.array([[float(v) for v in row[1:]] for row in rows])
+    expected = np.hstack([final.positions, final.velocities])
+    assert values.tobytes() == expected.tobytes()
 
 
 def test_random_stream_normals_match_golden():
@@ -133,10 +173,12 @@ if __name__ == "__main__":
             steps_n30[key] = steps_digest(tag, int(level), tmp_path, n=30, steps=15)
         with contextlib.redirect_stdout(io.StringIO()):
             config_digest = effective_config_digest(tmp_path)
+            final_state_digest = _sha256(final_state_path(tmp_path))
         golden = {
             "steps": steps,
             "steps_n30": steps_n30,
             "effective_config": config_digest,
+            "final_state": final_state_digest,
             "normals": normals_hex(),
         }
     print(json.dumps(golden, indent=4))

@@ -268,6 +268,12 @@ def test_all_isolated_equivalences(np_rng):
             assert rec.irregularity == 0.0
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
+def test_evaluate_metrics_rejects_invalid_radius(r):
+    with pytest.raises(ValueError):
+        evaluate_metrics(config([[0, 0], [5, 0]]), r)
+
+
 def test_metrics_record_validation():
     with pytest.raises(ValueError):
         MetricsRecord(0, None, 0.0, 0.0)

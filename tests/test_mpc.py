@@ -159,6 +159,45 @@ def test_rollout_distributed_validates_neighbors():
         rollout_distributed(0, view, np.zeros((3, 2)), {5}, LIMITS)
 
 
+def same_bits(a, b):
+    """Equal values, signed zeros included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_rollout_oracles_match_rollout_arrays(np_rng):
+    # plans beyond the speed limit drive the velocity clamp; signed zeros in
+    # the states and plans must come out as the solver's rollout has them
+    clamped = 0
+    for _ in range(50):
+        n, T = int(np_rng.integers(1, 6)), int(np_rng.integers(1, 5))
+        pos = np_rng.uniform(-5.0, 5.0, (n, 2))
+        vel = np_rng.uniform(-7.9, 7.9, (n, 2))
+        U = np_rng.uniform(-4.0, 4.0, (T, n, 2)) / LIMITS.dt
+        for array in (pos, vel, U):
+            array[np_rng.random(array.shape) < 0.2] = -0.0
+        view = config(pos, vel)
+        xs, ws = mpc._rollout_arrays(pos[None], vel[None], U[None], LIMITS)
+        vs = clamp_norm(ws, LIMITS.v_max)
+        clamped += np.count_nonzero(np.linalg.norm(ws, axis=-1) > LIMITS.v_max)
+        for t, cfg in enumerate(rollout_centralized(view, U, LIMITS)[1:]):
+            assert same_bits(cfg.positions, xs[0, t])
+            assert same_bits(cfg.velocities, vs[0, t])
+        # agent i follows the solver's rollout and everyone else coasts
+        i = int(np_rng.integers(n))
+        xs, ws = mpc._rollout_arrays(pos[i][None], vel[i][None], U[None, :, i], LIMITS)
+        vs = clamp_norm(ws, LIMITS.v_max)
+        coasting = pos.copy()
+        traj = rollout_distributed(i, view, U[:, i], set(), LIMITS)
+        assert traj[0] is view
+        for t, cfg in enumerate(traj[1:]):
+            coasting = coasting + LIMITS.dt * vel
+            expected_pos, expected_vel = coasting.copy(), vel.copy()
+            expected_pos[i], expected_vel[i] = xs[0, t], vs[0, t]
+            assert same_bits(cfg.positions, expected_pos)
+            assert same_bits(cfg.velocities, expected_vel)
+    assert clamped > 0
+
+
 def test_frozen_neighbor_still_costed_outside_radius():
     # sensed neighbor leaves the radius during the horizon but stays in the
     # stage cost because the neighbor set is frozen at the current step
@@ -423,22 +462,22 @@ def test_gradient_includes_velocity_clamp(np_rng):
 def test_solver_isolated_agent_returns_zero():
     iso = config([[0, 0]], [[0.2, 0.1]])
     for tag in CENTRALIZED_MPC_TAGS:
-        assert np.allclose(solve_mpc(tag, iso, PARAMS, LIMITS), 0.0)
+        assert np.allclose(solve_mpc(tag, iso, PARAMS, LIMITS).accel, 0.0)
     for tag in DISTRIBUTED_MPC_TAGS:
-        assert np.allclose(solve_mpc(tag, iso, PARAMS, LIMITS, agent=0), 0.0)
+        assert np.allclose(solve_mpc(tag, iso, PARAMS, LIMITS, agent=0).accel, 0.0)
 
 
 def test_solver_quiet_at_distributed_equilibrium():
     s_star = 50.0**0.25
     cfg = config([[0, 0], [s_star, 0]])
-    accel = solve_mpc("df_distributed", cfg, PARAMS, LIMITS, agent=0)
+    accel = solve_mpc("df_distributed", cfg, PARAMS, LIMITS, agent=0).accel
     assert np.linalg.norm(accel) < 1e-3
 
 
 def test_solver_repulsion_inside_equilibrium():
     cfg = config([[0, 0], [2, 0]])
-    a0 = solve_mpc("df_distributed", cfg, PARAMS, LIMITS, agent=0)
-    a1 = solve_mpc("df_distributed", cfg, PARAMS, LIMITS, agent=1)
+    a0 = solve_mpc("df_distributed", cfg, PARAMS, LIMITS, agent=0).accel
+    a1 = solve_mpc("df_distributed", cfg, PARAMS, LIMITS, agent=1).accel
     assert a0[0] < 0.0 and a1[0] > 0.0
 
 
@@ -447,11 +486,9 @@ def test_solver_feasibility(np_rng):
         for _ in range(5):
             view = random_config(np_rng, span=6.0, v_span=6.0)
             if tag in CENTRALIZED_MPC_TAGS:
-                result = solve_mpc(tag, view, PARAMS, LIMITS, full_output=True)
+                result = solve_mpc(tag, view, PARAMS, LIMITS)
             else:
-                result = solve_mpc(
-                    tag, view, PARAMS, LIMITS, agent=0, full_output=True
-                )
+                result = solve_mpc(tag, view, PARAMS, LIMITS, agent=0)
             norms = np.linalg.norm(result.controls.reshape(-1, 2), axis=1)
             assert (norms <= LIMITS.a_max + 1e-9).all()
 
@@ -460,7 +497,7 @@ def test_solver_monotone_descent(np_rng):
     for tag in MPC_TAGS:
         view = random_config(np_rng, n=6, span=6.0, v_span=4.0)
         kwargs = {} if tag in CENTRALIZED_MPC_TAGS else {"agent": 0}
-        result = solve_mpc(tag, view, PARAMS, LIMITS, full_output=True, **kwargs)
+        result = solve_mpc(tag, view, PARAMS, LIMITS, **kwargs)
         values = np.asarray(result.objectives)
         assert len(values) >= 1
         assert (np.diff(values) <= 1e-12).all()
@@ -500,13 +537,7 @@ def test_batched_solve_matches_per_agent_exactly(np_rng):
             )
             for i in range(n):
                 single = solve_mpc(
-                    tag,
-                    views[i],
-                    PARAMS,
-                    LIMITS,
-                    warm_start=warm[i],
-                    agent=i,
-                    full_output=True,
+                    tag, views[i], PARAMS, LIMITS, warm_start=warm[i], agent=i
                 )
                 assert np.array_equal(single.controls, batch_plans[i])
                 assert np.array_equal(single.accel, batch_accels[i])
@@ -566,18 +597,10 @@ def test_solver_evaluates_only_rows_in_play(np_rng):
     views = np.stack([pos] * n), np.stack([vel] * n)
     problem = _build_batch_problem("df_distributed", *views, range(n), PARAMS, LIMITS)
     log = []
-    U, _, _, _, _ = _solve_batch(CountingProblem(problem, np.arange(n), log), warm)
+    U, _, _, _ = _solve_batch(CountingProblem(problem, np.arange(n), log), warm)
     view = config(pos, vel)
     singles = [
-        solve_mpc(
-            "df_distributed",
-            view,
-            PARAMS,
-            LIMITS,
-            warm_start=warm[i],
-            agent=i,
-            full_output=True,
-        )
+        solve_mpc("df_distributed", view, PARAMS, LIMITS, warm_start=warm[i], agent=i)
         for i in range(n)
     ]
     for i in range(n):
@@ -921,9 +944,9 @@ def closed_loop_solve(tag, steps, level=0):
     of `steps` steps at n = 30."""
     solve, solves = mpc._solve_batch, []
 
-    def spy(problem, warm, keep_trace=False):
+    def spy(problem, warm):
         solves.append((problem, warm.copy()))
-        return solve(problem, warm, keep_trace)
+        return solve(problem, warm)
 
     noise = noise_for_level(level)
     cfg = ExperimentConfig(model=default_model_spec(tag), steps=steps, noise=noise)
@@ -964,15 +987,15 @@ def test_step_ladder_matches_sequential_line_search(np_rng):
         U, iterations, converged, traces, accepted = sequential_solve(problem, warm)
         deepest = max([deepest] + [h for halvings in accepted for h in halvings])
         wrapped = TrappedProblem.wrap(problem, B)
-        got_U, _, got_converged, got_iterations, _ = _solve_batch(wrapped, warm)
+        got_U, got_converged, got_iterations, _ = _solve_batch(wrapped, warm)
         assert np.array_equal(got_U, U)
         assert np.array_equal(got_converged, converged)
         assert got_iterations == iterations.max()
         calls = wrapped.state["calls"]
         repeated += sum(len(ids) > len(set(ids)) for ids in calls)
         for i in range(B):
-            one = _solve_batch(problem.rows(np.array([i])), warm[i : i + 1], True)
-            plan, _, one_converged, one_iterations, trace = one
+            one = _solve_batch(problem.rows(np.array([i])), warm[i : i + 1])
+            plan, one_converged, one_iterations, trace = one
             assert np.array_equal(plan[0], U[i])
             assert (one_converged[0], one_iterations) == (converged[i], iterations[i])
             assert trace == traces[i]
@@ -980,6 +1003,23 @@ def test_step_ladder_matches_sequential_line_search(np_rng):
     # some line searches took several calls
     assert repeated > 0
     assert deepest > PROBE_WINDOW_CAP
+
+
+def test_step_ladder_matches_sequential_search_at_the_iteration_cap(np_rng):
+    capped, cases = 0, ladder_cases(np_rng)
+    with mock.patch.object(mpc, "MAX_ITER", 3), mock.patch.dict(globals(), MAX_ITER=3):
+        for problem, warm in cases:
+            U, iterations, converged, traces, accepted = sequential_solve(problem, warm)
+            got_U, got_converged, got_iterations, trace = _solve_batch(problem, warm)
+            assert np.array_equal(got_U, U)
+            assert np.array_equal(got_converged, converged)
+            assert got_iterations == iterations.max() <= 3
+            assert trace == traces[0]
+            # rows whose third line search succeeded and still did not converge
+            capped += sum(
+                len(accepted[i]) == 3 and not converged[i] for i in range(len(warm))
+            )
+    assert capped > 0
 
 
 def test_step_ladder_ignores_non_finite_probes_past_the_accepted_step(np_rng):
@@ -992,7 +1032,7 @@ def test_step_ladder_ignores_non_finite_probes_past_the_accepted_step(np_rng):
             i: [range(h + 1, LAST_HALVING + 1) for h in accepted[i]] for i in range(B)
         }
         wrapped = TrappedProblem.wrap(problem, B, traps)
-        got_U, _, got_converged, got_iterations, _ = _solve_batch(wrapped, warm)
+        got_U, got_converged, got_iterations, _ = _solve_batch(wrapped, warm)
         assert np.array_equal(got_U, U)
         assert np.array_equal(got_converged, converged)
         assert got_iterations == iterations.max()
@@ -1073,7 +1113,7 @@ def test_distributed_agent_index_validated(tag):
         with pytest.raises(IndexError):
             mpc_objective_gradient(tag, cfg, u, PARAMS, LIMITS, agent=agent)
     # the last agent by its valid index still solves
-    assert np.isfinite(solve_mpc(tag, cfg, PARAMS, LIMITS, agent=cfg.n - 1)).all()
+    assert np.isfinite(solve_mpc(tag, cfg, PARAMS, LIMITS, agent=cfg.n - 1).accel).all()
 
 
 def test_unknown_tag_rejected():
