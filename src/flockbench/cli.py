@@ -131,15 +131,16 @@ def _get_int(settings, key) -> int:
 
 
 def _box(settings, lo_key, hi_key, dimension) -> tuple:
-    lows = [float(v) for v in settings[lo_key].split(",")]
-    highs = [float(v) for v in settings[hi_key].split(",")]
-    if len(lows) == 1:
-        lows = lows * dimension
-    if len(highs) == 1:
-        highs = highs * dimension
-    if len(lows) != dimension or len(highs) != dimension:
-        raise CliError(f"{lo_key}/{hi_key} must have 1 or {dimension} entries")
-    return tuple(zip(lows, highs))
+    bounds = []
+    for key in (lo_key, hi_key):
+        try:
+            values = [float(v) for v in settings[key].split(",")]
+        except ValueError as err:
+            raise CliError(f"config key {key} is not a number: {settings[key]!r}") from err
+        if len(values) not in (1, dimension):
+            raise CliError(f"{lo_key}/{hi_key} must have 1 or {dimension} entries")
+        bounds.append(values * dimension if len(values) == 1 else values)
+    return tuple(zip(*bounds))
 
 
 def _read_section(settings, prefix, params):
@@ -233,7 +234,7 @@ def _cmd_simulate(args) -> int:
     settings = resolve_settings(args)
     cfg = build_experiment(settings, settings["model"])
     _prepare_out(args.out, settings)
-    record = simulate(cfg, seed=_get_int(settings, "seed"))
+    record = simulate(cfg, seed=cfg.base_seed)
     write_steps_csv(os.path.join(args.out, "steps.csv"), {cfg.model.tag: [record]})
     write_final_state_csv(os.path.join(args.out, "final_state.csv"), record.final)
     print(f"simulated {cfg.model.tag}: {cfg.steps} steps, n={cfg.n} -> {args.out}")

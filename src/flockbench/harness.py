@@ -22,10 +22,11 @@ comparison's runs exactly.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,13 +156,11 @@ class ModelSpec:
             )
 
 
-def default_model_spec(tag: str, r: float = 8.4) -> ModelSpec:
-    """The benchmark defaults for a tag, at interaction radius r."""
+def default_model_spec(tag: str) -> ModelSpec:
+    """The benchmark defaults for a tag."""
     if tag not in MODELS:
         raise ValueError(f"unknown model tag {tag!r}")
-    params = MODELS[tag].params
-    has_r = any(f.name == "r" for f in fields(params))
-    return ModelSpec(tag, params(r=r) if has_r else params())
+    return ModelSpec(tag, MODELS[tag].params())
 
 
 @dataclass(frozen=True)
@@ -180,10 +179,12 @@ class ExperimentConfig:
     init_velocity_box: tuple = ((0.0, 2.0), (0.0, 2.0))
 
     def __post_init__(self):
-        if self.n < 1 or self.steps < 1 or self.runs < 1:
+        if min(map(operator.index, (self.n, self.steps, self.runs))) < 1:
             raise ValueError("n, steps and runs must all be at least 1")
         if not self.r > 0:
             raise ValueError("interaction radius must be positive")
+        if len(self.init_position_box) < 1:
+            raise ValueError("the initial boxes need at least one dimension")
         if len(self.init_position_box) != len(self.init_velocity_box):
             raise ValueError("position and velocity boxes must share a dimension")
         for box in (self.init_position_box, self.init_velocity_box):

@@ -26,19 +26,19 @@ Edge sums follow the ordered-pair convention (each unordered neighbor pair
 contributes twice) for the centralized edge-set costs.
 
 Every solve runs the same projected-gradient loop, `_solve_batch`, over a
-batch of independent plans that converge and stop row by row, and evaluates
-only the rows still in play.  `solve_mpc` returns one `SolveResult` (plan,
-accepted-objective trace, iterations, converged); the distributed batch
-returns every agent's plan.  A centralized solve is a batch of one plan of
-shape (T, n, m) covering all agents; a distributed step is a batch of n
-single-agent plans of shape (T, m), and a standalone distributed solve is a
-batch of one, bit-identical to its row in the full batch.  Each row takes
-Armijo backtracking steps, accepting the first of the steps 1, 1/2, 1/4, ...
-that passes; the probes are evaluated a few at a time, in one objective
-call per batch, and those past the accepted step are discarded.  The row
-projects every per-step acceleration onto the a_max ball after each update,
-and stops on a projected-gradient tolerance of 1e-6, when its step falls
-below 2**-40 (a stall), or after 200 iterations.
+batch of independent plans that converge and stop row by row; it keeps one
+state per batch row and evaluates only the rows still in play.  `solve_mpc`
+returns one `SolveResult` (plan, accepted-objective trace, iterations,
+converged); the distributed batch returns every agent's plan.  A centralized
+solve is a batch of one plan of shape (T, n, m) covering all agents; a
+distributed step is a batch of n single-agent plans of shape (T, m), and a
+standalone distributed solve is a batch of one, bit-identical to its row in
+the full batch.  Each row takes Armijo backtracking steps, accepting the
+first of the steps 1, 1/2, 1/4, ... that passes; the probes are evaluated a
+few at a time, in one objective call per batch, and those past the accepted
+step are discarded.  The row projects every per-step acceleration onto the
+a_max ball after each update, and stops on a projected-gradient tolerance of
+1e-6, when its step falls below 2**-40 (a stall), or after 200 iterations.
 
 Each point is rolled out once: a problem's `evaluate` returns the objective
 with the rollout it computed, and the gradient at an accepted point reuses
@@ -55,6 +55,7 @@ an independent oracle in the tests.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,8 +111,9 @@ class MpcParams:
 
     d is the lattice scale (read by the lattice models) and omega the
     separation weight (read by the declarative-flocking models).  Every
-    field is a required number: None fails with a TypeError, and NaN or a
-    value out of range with a ValueError.
+    field is a required number and horizon an integer (numpy integers
+    included): None or a non-integer horizon fails with a TypeError, and
+    NaN or a value out of range with a ValueError.
     """
 
     horizon: int = 3
@@ -121,7 +123,7 @@ class MpcParams:
     omega: float = 50.0
 
     def __post_init__(self):
-        if not self.horizon >= 1:
+        if not operator.index(self.horizon) >= 1:
             raise ValueError("horizon must be at least 1")
         if not self.lam > 0:
             raise ValueError("control penalty lam must be positive")
@@ -679,11 +681,12 @@ def _solve_batch(problem, warm):
     a step (the most any row took), and row 0's objective at the start and
     after each of its accepted steps.
 
-    Only rows still in play are evaluated: each gradient on the live rows
-    (neither converged nor stalled), each line-search probe on the live rows
-    still searching, through the sub-problem `problem.rows` returns.  Rows
-    never interact, so every row computes exactly what a batch of it alone
-    would.
+    Each row's state is one row of (B, ...) arrays and every index is a
+    batch row; only the sets of rows in play narrow.  Each gradient runs on
+    the live rows (neither converged nor stalled), each line-search probe on
+    the live rows still searching, through the sub-problem `problem.rows`
+    builds for those batch rows.  Rows never interact, so every row computes
+    exactly what a batch of it alone would.
 
     A row's line search tries the steps 1, 1/2, 1/4, ... and accepts the
     first that passes the Armijo test.  Each objective call evaluates the
@@ -716,55 +719,51 @@ def _solve_batch(problem, warm):
         )
         trace = [float(J[0])]
         converged = np.zeros(B, dtype=bool)
+        G = np.empty_like(U)
+        next_h = np.zeros(B, dtype=np.int64)
         window = np.ones(B, dtype=np.int64)
+        # the probe that ended a row's line search non-finite: its halving,
+        # objective and plan
+        fail_h = np.full(B, LAST_HALVING + 1)
+        J_fail, U_fail = np.empty_like(J), np.empty_like(U)
         iterations = 0
         for _ in range(MAX_ITER):
             U_live = U[live]
-            G = live_problem.gradient(U_live, XS[live], WS[live])
-            _check_finite("non-finite MPC gradient", live, "gradient", G, U_live)
-            cand = clamp_norm(U_live - G, a_max)
+            grad = live_problem.gradient(U_live, XS[live], WS[live])
+            _check_finite("non-finite MPC gradient", live, "gradient", grad, U_live)
+            cand = clamp_norm(U_live - grad, a_max)
             done = np.sqrt(((U_live - cand) ** 2).sum(axis=row_axes)) <= GRAD_TOL
             converged[live[done]] = True
             if done.all():
                 break
             iterations += 1
+            G[live] = grad
             if done.any():
-                going = np.flatnonzero(~done)
-                live, live_problem = live[going], live_problem.rows(going)
-                U_live, G = U_live[going], G[going]
+                live = live[~done]
+                live_problem = problem.rows(live)
             accepted = np.zeros(B, dtype=bool)
-            # line-search probes gone non-finite before their row's first
-            # pass: halvings, batch rows, objectives and plans
-            failed = []
-            # the rows still searching: their batch rows, the halving of
-            # their next probe, start points, directions, objectives and
-            # sub-problem
-            ids, next_h, U_from, G_from, J_from, probe_problem = (
-                live, np.zeros(live.size, dtype=np.int64), U_live, G, J[live],
-                live_problem,
-            )
+            next_h[live] = 0
+            failed = False
+            ids, probe_problem = live, live_problem
             while ids.size:
-                # each row's next w probes, at the halvings next_h ...
-                # next_h + w - 1
-                w = np.minimum(window[ids], LAST_HALVING + 1 - next_h)
-                # with one probe per row, the rows need no gather and the
-                # sub-problem no rebuild
+                # each row's next w probes, at the halvings h ... h + w - 1
+                h = next_h[ids]
+                w = np.minimum(window[ids], LAST_HALVING + 1 - h)
+                # with one probe per row, the sub-problem needs no rebuild
                 single = w.sum() == ids.size
                 if single:
-                    halvings, U_base, G_base, J_base, batch = (
-                        next_h, U_from, G_from, J_from, probe_problem
-                    )
+                    rows, halvings, batch = ids, h, probe_problem
                 else:
                     first = np.cumsum(w) - w  # each row's first probe
-                    rep = np.repeat(np.arange(ids.size), w)
-                    halvings = np.arange(rep.size) + np.repeat(next_h - first, w)
-                    U_base, G_base, J_base = U_from[rep], G_from[rep], J_from[rep]
-                    batch = probe_problem.rows(rep)
+                    rows = np.repeat(ids, w)
+                    halvings = np.arange(rows.size) + np.repeat(h - first, w)
+                    batch = problem.rows(rows)
                 step = _STEPS[halvings]
-                U_try = clamp_norm(U_base - step.reshape(per_row) * G_base, a_max)
+                U_base = U[rows]
+                U_try = clamp_norm(U_base - step.reshape(per_row) * G[rows], a_max)
                 J_try, xs_try, ws_try = batch.evaluate(U_try)
                 delta = ((U_base - U_try) ** 2).sum(axis=row_axes)
-                ok = J_try <= J_base - (ARMIJO_C / step) * delta
+                ok = J_try <= J[rows] - (ARMIJO_C / step) * delta
                 # where a probe-by-probe search ends: at each row's first
                 # probe that passes or is non-finite (at, ended), and whether
                 # it passed
@@ -782,51 +781,43 @@ def _solve_batch(problem, warm):
                 if not all_finite:
                     fail = ended & ~passed
                     if fail.any():
-                        bad = at[fail]
-                        failed.append(
-                            (halvings[bad], ids[fail], J_try[bad], U_try[bad])
-                        )
+                        bad, lost = at[fail], ids[fail]
+                        fail_h[lost] = halvings[bad]
+                        J_fail[lost], U_fail[lost] = J_try[bad], U_try[bad]
+                        failed = True
                 if passed.any():
-                    at, rows = at[passed], ids[passed]
-                    U[rows] = U_try[at]
-                    J[rows] = J_try[at]
-                    XS[rows], WS[rows] = xs_try[at], ws_try[at]
-                    accepted[rows] = True
-                    window[rows] = np.minimum(halvings[at] + 1, PROBE_WINDOW_CAP)
-                next_h = next_h + w
-                searching = ~ended & (next_h <= LAST_HALVING)
+                    at, won = at[passed], ids[passed]
+                    U[won] = U_try[at]
+                    J[won] = J_try[at]
+                    XS[won], WS[won] = xs_try[at], ws_try[at]
+                    accepted[won] = True
+                    window[won] = np.minimum(halvings[at] + 1, PROBE_WINDOW_CAP)
+                next_h[ids] = h + w
+                searching = ~ended & (h + w <= LAST_HALVING)
                 if not searching.all():
-                    kept = np.flatnonzero(searching)
-                    ids, next_h, U_from, G_from, J_from = (
-                        ids[kept],
-                        next_h[kept],
-                        U_from[kept],
-                        G_from[kept],
-                        J_from[kept],
-                    )
+                    ids = ids[searching]
                     if ids.size:
-                        probe_problem = probe_problem.rows(kept)
+                        probe_problem = problem.rows(ids)
             if failed:
                 # a probe-by-probe search stops at the first failing probe
                 # and names every row that fails there
-                halvings, rows, values, plans = map(np.concatenate, zip(*failed))
-                named = np.flatnonzero(halvings == halvings.min())
-                named = named[np.argsort(rows[named])]
+                named = np.flatnonzero(fail_h == fail_h.min())
                 _check_finite(
                     "non-finite MPC objective during line search",
-                    rows[named],
+                    named,
                     "objective",
-                    values[named],
-                    plans[named],
+                    J_fail[named],
+                    U_fail[named],
                 )
             if accepted[0]:
                 trace.append(float(J[0]))
             # rows whose line search stalled make no further progress
-            going = np.flatnonzero(accepted[live])
-            if not going.size:
+            going = accepted[live]
+            if not going.any():
                 break
-            if going.size < live.size:
-                live, live_problem = live[going], live_problem.rows(going)
+            if not going.all():
+                live = live[going]
+                live_problem = problem.rows(live)
         return U, converged, iterations, trace
 
 

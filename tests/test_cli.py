@@ -183,6 +183,33 @@ def test_nan_setting_fails(tmp_path, capsys, key):
     assert capsys.readouterr().err.startswith("error: ValueError: ")
 
 
+@pytest.mark.parametrize("dimension", ["0", "-1"])
+def test_nonpositive_dimension_fails(tmp_path, capsys, dimension):
+    out = tmp_path / "x"
+    code = run_cli(
+        ["simulate", "--model", "reynolds", "--out", str(out)]
+        + ["--set", f"dimension={dimension}"]
+        + FAST_OVERRIDES
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["init.position_min", "init.velocity_max"])
+def test_non_numeric_box_bound_fails(tmp_path, capsys, key):
+    code = run_cli(
+        ["simulate", "--model", "reynolds", "--out", str(tmp_path / "x")]
+        + ["--set", f"{key}=abc"]
+        + FAST_OVERRIDES
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: config: config key {key} is not a number: 'abc'\n"
+    )
+
+
 def test_noise_sweep_outputs(tmp_path):
     out = tmp_path / "sweep"
     code = run_cli(

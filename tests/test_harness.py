@@ -51,6 +51,9 @@ def test_model_spec_validates_tag_and_params():
         MpcParams(d=None)
     with pytest.raises(TypeError):
         MpcParams(omega=None)
+    with pytest.raises(TypeError):
+        MpcParams(horizon=2.5)
+    assert MpcParams(horizon=np.int64(2)).horizon == 2
 
 
 def _nan_cases():
@@ -82,6 +85,12 @@ def test_experiment_config_validation():
         small_cfg(init_position_box=((5.0, -5.0), (0.0, 1.0)))
     with pytest.raises(ValueError):
         small_cfg(init_velocity_box=((0.0, 1.0),))
+    with pytest.raises(ValueError):
+        small_cfg(init_position_box=(), init_velocity_box=())
+    for key in ("n", "steps", "runs"):
+        with pytest.raises(TypeError):
+            small_cfg(**{key: 2.5})
+    assert small_cfg(n=np.int64(3), steps=np.int32(2)).n == 3
 
 
 # --------------------------------------------------------------------------

@@ -1056,13 +1056,22 @@ def test_step_ladder_raises_where_sequential_search_does(np_rng):
         }
         outcomes = []
         for solve in (sequential_solve, _solve_batch):
+            wrapped = TrappedProblem.wrap(problem, B, traps)
             try:
-                solve(TrappedProblem.wrap(problem, B, traps), warm)
+                solve(wrapped, warm)
                 outcomes.append(None)
             except SolverError as err:
-                outcomes.append((str(err), err.diagnostics["agents"].tolist()))
+                diagnostics = err.diagnostics
+                outcomes.append((str(err), diagnostics["agents"].tolist()))
         assert outcomes[0] == outcomes[1]
         if outcomes[1] is not None:
+            # the batch solver reports each named row's trapped probe
+            agents = diagnostics["agents"].tolist()
+            assert not np.isfinite(diagnostics["objective"]).any()
+            assert len(diagnostics["objective"]) == len(agents)
+            for k, i in enumerate(agents):
+                [plan] = wrapped.state["plans"][i]
+                assert np.array_equal(diagnostics["controls"][k], plan)
             raised += 1
             # rows trapped at a later halving than the first are not named
             several += len(outcomes[1][1]) < len(traps)
