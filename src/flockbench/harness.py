@@ -277,12 +277,13 @@ def run_batch(cfg: ExperimentConfig, seeds, workers: int = 1) -> list:
     """Run one seeded simulation per seed, optionally across processes.
 
     Results come back ordered by run index, so output files are identical
-    for any worker count.
+    for any worker count.  The pool starts no more processes than there
+    are runs.
     """
     tasks = [(cfg, seed, run_id) for run_id, seed in enumerate(seeds)]
     if workers <= 1 or len(tasks) <= 1:
         return [_simulate_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(_simulate_task, tasks))
 
 

@@ -34,11 +34,16 @@ solve is a batch of one plan of shape (T, n, m) covering all agents; a
 distributed step is a batch of n single-agent plans of shape (T, m), and a
 standalone distributed solve is a batch of one, bit-identical to its row in
 the full batch.  Each row takes Armijo backtracking steps, accepting the
-first of the steps 1, 1/2, 1/4, ... that passes; the probes are evaluated a
-few at a time, in one objective call per batch, and those past the accepted
-step are discarded.  The row projects every per-step acceleration onto the
-a_max ball after each update, and stops on a projected-gradient tolerance of
-1e-6, when its step falls below 2**-40 (a stall), or after 200 iterations.
+first of the steps a, a/2, a/4, ... that passes.  The scale a is 1 in the
+first line search of every solve, warm-started or not, and after that the
+row's Barzilai-Borwein step s.s / s.y from its last accepted move s and the
+gradient change y along it (Barzilai & Borwein 1988), clipped to
+[2**-10, 2**10], or 2**10 where s.y <= 0.  The probes are evaluated a few at
+a time, in one objective call per batch, and those past the accepted step
+are discarded.  The row projects every per-step acceleration onto the a_max
+ball after each update, and stops on a projected-gradient tolerance of 1e-6
+(at unit step), when its step falls below a * 2**-40 (a stall), or after
+200 iterations.
 
 Each point is rolled out once: a problem's `evaluate` returns the objective
 with the rollout it computed, and the gradient at an accepted point reuses
@@ -96,12 +101,17 @@ MPC_TAGS = CENTRALIZED_MPC_TAGS + DISTRIBUTED_MPC_TAGS
 GRAD_TOL = 1e-6
 MAX_ITER = 200
 ARMIJO_C = 1e-4
-LAST_HALVING = 40  # the smallest line-search step is 2**-LAST_HALVING
+LAST_HALVING = 40  # a line search probes its scale times 2**-h, h <= LAST_HALVING
 # Most line-search probes one row evaluates in one objective call.  A row's
 # window is the probe count of its previous line search, up to this cap:
 # longer windows waste probes past the accepted step and grow the batch.
 PROBE_WINDOW_CAP = 6
 _STEPS = np.ldexp(1.0, -np.arange(LAST_HALVING + 1))  # 2**-h, h halvings
+# Safeguards of the Barzilai-Borwein step scale: a row's line search starts
+# at a scale clipped to [BB_SCALE_MIN, BB_SCALE_MAX], and at BB_SCALE_MAX
+# where its last move met no positive curvature.
+BB_SCALE_MIN = 2.0**-10
+BB_SCALE_MAX = 2.0**10
 
 
 @dataclass(frozen=True)
@@ -553,7 +563,8 @@ class _BatchProblem:
     limits: MotionLimits
     x0: np.ndarray  # (B, m) own positions
     v0: np.ndarray  # (B, m) own velocities
-    src: np.ndarray  # (E,) batch row of each neighbor edge
+    src: np.ndarray  # (E,) batch row of each neighbor edge, ascending
+    bounds: np.ndarray  # (B + 1,) row k's edges are bounds[k]:bounds[k + 1]
     nbr_pos: np.ndarray  # (E, T, m) neighbor positions at steps 1..T
     edge_counts: np.ndarray  # (E, 1) neighbor count of each edge's row
 
@@ -584,24 +595,32 @@ class _BatchProblem:
 
     def rows(self, idx):
         """The sub-batch of the batch rows idx, in that order; a row may
-        repeat.  src is ascending, so each row's edges are one slice of it,
-        and a row keeps them in their order: its sums accumulate as in the
-        full batch and its values are bit-identical."""
+        repeat.  Each row's edges are one slice of src, and a row keeps them
+        in their order: its sums accumulate as in the full batch and its
+        values are bit-identical."""
         idx = np.asarray(idx)
-        bounds = np.searchsorted(self.src, np.arange(self.size + 1))
-        start = bounds[idx]
-        counts = bounds[idx + 1] - start
+        start = self.bounds[idx]
+        counts = self.bounds[idx + 1] - start
+        bounds = _edge_bounds(counts)
         src = np.repeat(np.arange(idx.size), counts)
-        offset = np.repeat(start - (np.cumsum(counts) - counts), counts)
-        edges = np.arange(src.size) + offset
+        edges = np.arange(src.size) + np.repeat(start - bounds[:-1], counts)
         return replace(
             self,
             x0=self.x0[idx],
             v0=self.v0[idx],
             src=src,
+            bounds=bounds,
             nbr_pos=self.nbr_pos[edges],
             edge_counts=self.edge_counts[edges],
         )
+
+
+def _edge_bounds(counts):
+    """Where each row's edges start, then the edge count: the bounds of a
+    batch whose rows have the given edge counts, in row order."""
+    bounds = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
 
 
 def _build_batch_problem(
@@ -646,6 +665,7 @@ def _build_batch_problem(
         x0=x0,
         v0=v0,
         src=src,
+        bounds=_edge_bounds(counts),
         nbr_pos=nbr_pos,
         edge_counts=counts[src][:, None].astype(np.float64),
     )
@@ -688,9 +708,14 @@ def _solve_batch(problem, warm):
     builds for those batch rows.  Rows never interact, so every row computes
     exactly what a batch of it alone would.
 
-    A row's line search tries the steps 1, 1/2, 1/4, ... and accepts the
-    first that passes the Armijo test.  Each objective call evaluates the
-    next w of them for every searching row at once (rows repeated in the
+    A row's line search tries the steps a, a/2, a/4, ... down to
+    a * 2**-LAST_HALVING and accepts the first that passes the Armijo test;
+    if none does, the row stalls.  The scale a is 1 in a row's first line
+    search.  In each later one it is the Barzilai-Borwein step s.s / s.y of
+    the row's last accepted move s = U_k - U_{k-1} and its gradient change
+    y = g_k - g_{k-1}, clipped to [BB_SCALE_MIN, BB_SCALE_MAX], or
+    BB_SCALE_MAX where s.y <= 0.  Each objective call evaluates the next w
+    of a row's steps for every searching row at once (rows repeated in the
     sub-problem), w being the row's probe count in its previous line search
     up to PROBE_WINDOW_CAP; the probes past the accepted one are discarded,
     so the accepted step is the one a probe-by-probe search accepts.
@@ -719,7 +744,10 @@ def _solve_batch(problem, warm):
         )
         trace = [float(J[0])]
         converged = np.zeros(B, dtype=bool)
-        G = np.empty_like(U)
+        # each live row's gradient, the point it was taken at, and the scale
+        # of the row's next line search
+        G, U_prev = np.empty_like(U), np.empty_like(U)
+        scale = np.ones(B)
         next_h = np.zeros(B, dtype=np.int64)
         window = np.ones(B, dtype=np.int64)
         # the probe that ended a row's line search non-finite: its halving,
@@ -736,8 +764,17 @@ def _solve_batch(problem, warm):
             converged[live[done]] = True
             if done.all():
                 break
+            if iterations:
+                # every live row accepted a move in the previous iteration:
+                # the Barzilai-Borwein scale s.s / s.y of that move
+                s = U_live - U_prev[live]
+                y = grad - G[live]
+                ss, sy = (s * s).sum(axis=row_axes), (s * y).sum(axis=row_axes)
+                scale[live] = np.where(
+                    sy > 0, np.clip(ss / sy, BB_SCALE_MIN, BB_SCALE_MAX), BB_SCALE_MAX
+                )
             iterations += 1
-            G[live] = grad
+            G[live], U_prev[live] = grad, U_live
             if done.any():
                 live = live[~done]
                 live_problem = problem.rows(live)
@@ -758,7 +795,7 @@ def _solve_batch(problem, warm):
                     rows = np.repeat(ids, w)
                     halvings = np.arange(rows.size) + np.repeat(h - first, w)
                     batch = problem.rows(rows)
-                step = _STEPS[halvings]
+                step = scale[rows] * _STEPS[halvings]
                 U_base = U[rows]
                 U_try = clamp_norm(U_base - step.reshape(per_row) * G[rows], a_max)
                 J_try, xs_try, ws_try = batch.evaluate(U_try)

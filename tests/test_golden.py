@@ -33,24 +33,24 @@ GOLDEN_STEPS = {
     "reynolds@3": "335cda4d2cfdedac7489653084c0cda75a5288a858030a02a408320a62c74491",
     "olfati_saber@0": "2d990c79cad36617aecaeb73f3e82409fde3bee14a21923fb1e0fce1f749b0ba",
     "olfati_saber@3": "8c37d263f67942ff7c00a02e34cee9e7b23a6e154b5180c44323086fb915811b",
-    "lattice_centralized@0": "d8a0484748e77f30d88c1bbd11424a85e58c542fc823a88a26d3157258a738de",
-    "lattice_centralized@3": "cda2df88684ffd38e3baa1ad049cfa736e25bb18e0328520d16078f2de5acc09",
-    "lattice_distributed@0": "9d893338bdc9cbcf00be720b31e5c58796ea060262cc24370785e78583b1bdb2",
-    "lattice_distributed@3": "1b3b22de8cd88a3b5fc33455286387fcbfe34fba3b60cab42fb684970cebc39c",
-    "df_centralized@0": "40a9e35a68da198f4ac95e284b84fda4364b5584de65f77301d131d7d70a9115",
-    "df_centralized@3": "79f7e7c4510684723ad6e00dd29bdf09442d9e2e594ea82867fe807a49420c00",
-    "df_distributed@0": "209e9caca3982d49eb99736f1af995c26d04ea8721f1147bb8b6fe8923383669",
-    "df_distributed@3": "913674122154d8791b6325ee244a18ca1d3053a77729cecc14e50fb0b685b44a",
+    "lattice_centralized@0": "aa1e38bf90e2d80944e196c1e48086f592ecc554e3eaff4e56b78296582f6e92",
+    "lattice_centralized@3": "2c13e40c4a3daac2e3b3e59838f863a1601f803780e387425f50a28e7a5a791a",
+    "lattice_distributed@0": "09ce0f1831073bf391a1c32dda2c1240a613b5fc0838c615021f60afa7128aa9",
+    "lattice_distributed@3": "3544d8d9034ea337bd05b76c2cc2f5fa101c77c2a5e7059d4e674294f106201d",
+    "df_centralized@0": "85b20f54df7b34cbeca825db0c2d8b760795f4d6608852df3740c4ea93282dac",
+    "df_centralized@3": "aa5d2abc735df24f36fe623c2b23458c49f3008bf9e8994d05ed6096b2a85ac8",
+    "df_distributed@0": "247e85ad2a9a1de3455604e4d42f4a2e19fa894d32391c434417bc39d2d0b8f4",
+    "df_distributed@3": "704bfd9830f6c39a0848a5cc648760ec27ec046265c815cb48ffe00c64ebd335",
 }
 
 # Runs at the paper's flock size, where solves reach long line searches and
 # stalls that the n = 8 runs above seldom do: the centralized models
 # noiseless, the distributed ones under noise.
 GOLDEN_STEPS_N30 = {
-    "lattice_centralized@0": "33e12f03bb3534eb00e0f4d57b26f59b163ff02e0637cae996efdec41cc01a71",
-    "df_centralized@0": "205cdc42002a1f6e6b115f725142e1a482759b25d8a50854faaf9a7fec98f8f5",
-    "lattice_distributed@10": "372a8fd20f0f3a32c789e04cede819e9ceb756e56a63143fc1f43a3616b92745",
-    "df_distributed@10": "538565bcf79ba11f15392cfec9f9c53daee77a0f5e11c1bf30b59abacd743150",
+    "lattice_centralized@0": "4fc5adaf494f55389cb6531c1135a74b8cf846bcdba6a646eda92399e2c75816",
+    "df_centralized@0": "e2fef867454f7807ec5db4a4f8b5c3d3dbbfe24011a8f3622e98c9fd5cbf8889",
+    "lattice_distributed@10": "01b2d3e276a5257fbfab6c80ad0b6da40b85166881d2cd5faf5ef9275327403a",
+    "df_distributed@10": "6b6c0ce2b103fb13e4c7e6f076a586c7eea1422d1726280c6baedd9420c9a949",
 }
 
 GOLDEN_EFFECTIVE_CONFIG = (
@@ -59,7 +59,7 @@ GOLDEN_EFFECTIVE_CONFIG = (
 
 # final_state.csv of a short `simulate` (FINAL_STATE_RUN)
 GOLDEN_FINAL_STATE = (
-    "54ea399d23d098a35f9a71f2c3eff30a8031136baa6c3304062767856e4b2fec"
+    "1336b9dc8e9c424ac7502afde3eb3ca6745b8b7ad8ddf156d1dedcc112dd85db"
 )
 FINAL_STATE_RUN = {"model": "df_centralized", "seed": 11, "n": 6, "steps": 5}
 

@@ -205,6 +205,33 @@ def test_run_batch_parallel_matches_serial():
         assert a.metrics == b.metrics
 
 
+@pytest.mark.parametrize("workers,runs,started", [(64, 3, 3), (2, 3, 2), (3, 3, 3)])
+def test_run_batch_starts_no_more_workers_than_runs(monkeypatch, workers, runs, started):
+    # a stand-in pool records the worker count asked for and maps in this
+    # process, so the test starts no processes
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    cfg = small_cfg("reynolds", steps=2)
+    seeds = [mix_seed(cfg.base_seed, j) for j in range(runs)]
+    records = run_batch(cfg, seeds, workers=workers)
+    assert asked == [started]
+    assert [r.run_id for r in records] == list(range(runs))
+
+
 # --------------------------------------------------------------------------
 # experiments
 # --------------------------------------------------------------------------

@@ -835,15 +835,27 @@ def test_solver_rolls_out_once_per_evaluation():
             mock.patch.object(_CentralizedProblem, "gradient", checked_gradient):
         simulate(cfg, mix_seed(1, 0))
     assert (cfg.n, cfg.steps) == (30, 100)
-    assert counts == {"rollouts": 5977, "evaluations": 5977, "in_gradient": 0}
+    assert counts == {"rollouts": 5032, "evaluations": 5032, "in_gradient": 0}
+
+
+def bb_scale(s, y):
+    """One row's line-search scale after its move s changed its gradient by
+    y: the Barzilai-Borwein step s.s / s.y clipped to [2**-10, 2**10], and
+    2**10 when s.y <= 0."""
+    sy = float((s * y).sum())
+    if sy <= 0.0:
+        return 2.0**10
+    return min(max(float((s * s).sum()) / sy, 2.0**-10), 2.0**10)
 
 
 class TrappedProblem:
     """Passes evaluations on to a problem, except that its objective is NaN
     at chosen line-search probes: traps[i][k] holds the halvings h whose
-    probe (step 2**-h) is trapped in batch row i's k-th line search, counted
-    by the row's gradient evaluations.  Logs the rows of each objective call
-    and counts the trapped probes it was handed."""
+    probe (step scale * 2**-h) is trapped in batch row i's k-th line search,
+    counted by the row's gradient evaluations; the scale is 1 at a row's
+    first gradient and `bb_scale` of its last move after that.  Logs the
+    rows of each objective call and counts the trapped probes it was
+    handed."""
 
     def __init__(self, problem, ids, traps, state):
         self.problem, self.ids, self.traps, self.state = problem, ids, traps, state
@@ -851,7 +863,7 @@ class TrappedProblem:
 
     @classmethod
     def wrap(cls, problem, size, traps=None):
-        state = {"grads": {}, "plans": {}, "calls": [], "trapped": 0}
+        state = {"grads": {}, "last": {}, "plans": {}, "calls": [], "trapped": 0}
         return cls(problem, np.arange(size), traps or {}, state)
 
     def rows(self, idx):
@@ -862,10 +874,16 @@ class TrappedProblem:
         for i, u, g in zip(self.ids.tolist(), U, G):
             k = self.state["grads"].get(i, 0)
             self.state["grads"][i] = k + 1
+            scale = 1.0
+            if k:
+                u_prev, g_prev = self.state["last"][i]
+                scale = bb_scale(u - u_prev, g - g_prev)
+            self.state["last"][i] = (u.copy(), g)
             trapped = self.traps.get(i, [])
             halvings = trapped[k] if k < len(trapped) else ()
             self.state["plans"][i] = [
-                clamp_norm(u - 2.0**-h * g, self.limits.a_max) for h in halvings
+                clamp_norm(u - scale * 2.0**-h * g, self.limits.a_max)
+                for h in halvings
             ]
         return G
 
@@ -882,12 +900,14 @@ class TrappedProblem:
 
 def sequential_solve(problem, warm):
     """Reference solver: projected gradient descent whose line search probes
-    the steps 1, 1/2, ..., 2**-LAST_HALVING one at a time, each row
+    the steps a, a/2, ..., a * 2**-LAST_HALVING one at a time, each row
     evaluated alone through problem.rows and every row searching in
-    lockstep, raising on the first probe that is non-finite.  Returns the
-    plans, and per row its iterations, converged flag, accepted-objective
-    trace and the halvings of its accepted steps.  The gradient at a point
-    takes the rollout the point's evaluation returned."""
+    lockstep, raising on the first probe that is non-finite.  A row's scale
+    a is 1 in its first line search and `bb_scale` of its last accepted
+    move after that.  Returns the plans, and per row its iterations,
+    converged flag, accepted-objective trace and the halvings of its
+    accepted steps.  The gradient at a point takes the rollout the point's
+    evaluation returned."""
     B, a_max = warm.shape[0], problem.limits.a_max
     alone = [problem.rows(np.array([i])) for i in range(B)]
     U = clamp_norm(warm, a_max)
@@ -900,6 +920,7 @@ def sequential_solve(problem, warm):
     accepted = [[] for _ in range(B)]
     iterations = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
+    scales, last = np.ones(B), {}
     live = list(range(B))
     for _ in range(MAX_ITER):
         G = {i: alone[i].gradient(U[i : i + 1], *rollouts[i])[0] for i in live}
@@ -910,10 +931,15 @@ def sequential_solve(problem, warm):
         if not live:
             break
         iterations[live] += 1
+        for i in live:
+            if i in last:
+                u_prev, g_prev = last[i]
+                scales[i] = bb_scale(U[i] - u_prev, G[i] - g_prev)
+            last[i] = (U[i].copy(), G[i])
         searching, going = list(live), []
         for h in range(LAST_HALVING + 1):
-            step = 2.0**-h
-            tried = {i: clamp_norm(U[i] - step * G[i], a_max) for i in searching}
+            step = {i: scales[i] * 2.0**-h for i in searching}
+            tried = {i: clamp_norm(U[i] - step[i] * G[i], a_max) for i in searching}
             evaluated = {i: alone[i].evaluate(tried[i][None]) for i in searching}
             values = {i: evaluated[i][0][0] for i in searching}
             bad = [i for i in searching if not np.isfinite(values[i])]
@@ -924,7 +950,7 @@ def sequential_solve(problem, warm):
                 )
             for i in searching:
                 delta = ((U[i] - tried[i]) ** 2).sum()
-                if values[i] <= J[i] - (ARMIJO_C / step) * delta:
+                if values[i] <= J[i] - (ARMIJO_C / step[i]) * delta:
                     U[i], J[i] = tried[i], values[i]
                     rollouts[i] = evaluated[i][1:]
                     traces[i].append(float(values[i]))
@@ -939,9 +965,10 @@ def sequential_solve(problem, warm):
     return U, iterations, converged, traces, accepted
 
 
-def closed_loop_solve(tag, steps, level=0):
-    """The problem and warm start of the last MPC solve of a closed-loop run
-    of `steps` steps at n = 30."""
+def closed_loop_solves(tag, steps, level=0):
+    """The problem and warm start of every MPC solve of a closed-loop run of
+    `steps` steps at n = 30, in order: the first starts from zeros, and each
+    later one from the plan of the solve before it."""
     solve, solves = mpc._solve_batch, []
 
     def spy(problem, warm):
@@ -952,7 +979,7 @@ def closed_loop_solve(tag, steps, level=0):
     cfg = ExperimentConfig(model=default_model_spec(tag), steps=steps, noise=noise)
     with mock.patch.object(mpc, "_solve_batch", spy):
         simulate(cfg, mix_seed(1, 0))
-    return solves[-1]
+    return solves
 
 
 def ladder_cases(np_rng):
@@ -974,9 +1001,9 @@ def ladder_cases(np_rng):
             views = sense_local_all(cfg, noise_for_level(3), stream)
             problem = _build_batch_problem(tag, *views, range(n), PARAMS, LIMITS)
             cases.append((problem, np_rng.uniform(-0.5, 0.5, (n, 3, 2))))
-    cases.append(closed_loop_solve("df_centralized", 6))
-    cases.append(closed_loop_solve("lattice_centralized", 6))
-    cases.append(closed_loop_solve("df_distributed", 7, level=10))
+    cases.append(closed_loop_solves("df_centralized", 6)[-1])
+    cases.append(closed_loop_solves("lattice_centralized", 6)[-1])
+    cases.append(closed_loop_solves("df_distributed", 7, level=10)[-1])
     return cases
 
 
@@ -1076,6 +1103,124 @@ def test_step_ladder_raises_where_sequential_search_does(np_rng):
             # rows trapped at a later halving than the first are not named
             several += len(outcomes[1][1]) < len(traps)
     assert raised > 0 and several > 0
+
+
+def line_search_starts(log):
+    """Per batch row of a CountingProblem log, each line search as the point
+    it starts from and its first probe: a gradient call hands the row's
+    point, and the row's first plan in the next objective call is the probe
+    at halving 0."""
+    starts, point = {}, {}
+    for kind, ids, plans in log:
+        if kind == "gradient":
+            point.update(zip(ids, plans))
+            continue
+        for i, plan in zip(ids, plans):
+            if i in point:
+                starts.setdefault(i, []).append((point.pop(i), plan))
+    return starts
+
+
+def gradient_at(problem, i, u):
+    """Batch row i's gradient at the plan u, its row evaluated alone."""
+    row, U = problem.rows(np.array([i])), u[None]
+    _, xs, ws = row.evaluate(U)
+    return row.gradient(U, xs, ws)[0]
+
+
+@pytest.mark.parametrize("tag", MPC_TAGS)
+def test_first_line_search_of_every_solve_probes_step_one(tag):
+    # the solves of a closed loop, in order: the first cold, the later ones
+    # warm-started; each solve's first search starts at step 1, later ones
+    # at the row's own Barzilai-Borwein scale
+    first, later = 0, 0
+    for problem, warm in closed_loop_solves(tag, 4, level=3):
+        log = []
+        counting = CountingProblem(problem, np.arange(len(warm)), log)
+        _solve_batch(counting, warm)
+        starts = line_search_starts(log)
+        assert starts
+        for i, searches in starts.items():
+            for k, (u, probe) in enumerate(searches):
+                unit = clamp_norm(u - gradient_at(problem, i, u), LIMITS.a_max)
+                if k == 0:
+                    assert np.array_equal(probe, unit)
+                    first += 1
+                else:
+                    later += not np.array_equal(probe, unit)
+    assert first > 0 and later > 0
+
+
+class QuadraticProblem:
+    """Batch rows with the objective sum(c * U**2) / 2 and no rollout: row
+    k's curvature c[k] has the plan's shape, so the Barzilai-Borwein scale of
+    a move s is s.s / (c s).s."""
+
+    def __init__(self, c):
+        self.c = np.asarray(c, dtype=float)
+        self.limits = LIMITS
+
+    def rows(self, idx):
+        return QuadraticProblem(self.c[idx])
+
+    def evaluate(self, U):
+        J = 0.5 * (self.c * U * U).reshape(len(U), -1).sum(axis=1)
+        return J, U, U
+
+    def gradient(self, U, xs, ws):
+        return self.c * U
+
+
+def second_line_searches(c, warm):
+    """Solve the quadratic rows c from warm.  Per row, in row order: its
+    first accepted move s, the gradient change y along it, and the point u,
+    gradient g and first probe of its second line search."""
+    log = []
+    problem = QuadraticProblem(c)
+    _solve_batch(CountingProblem(problem, np.arange(len(c)), log), warm)
+    out = []
+    for i, searches in sorted(line_search_starts(log).items()):
+        (u0, _), (u1, probe) = searches[:2]
+        g0, g1 = problem.c[i] * u0, problem.c[i] * u1
+        out.append((u1 - u0, g1 - g0, u1, g1, probe))
+    return out
+
+
+def probe_at(u, g, scale):
+    return clamp_norm(u - scale * g, LIMITS.a_max)
+
+
+def test_line_search_without_positive_curvature_starts_at_the_largest_scale():
+    # concave rows: the first move meets s.y < 0, and the second search
+    # starts at the scale 2**10
+    c = np.full((2, 3, 2), -2.0)
+    c[1, :, 0] = -0.5
+    rows = second_line_searches(c, np.full((2, 3, 2), 0.05))
+    assert len(rows) == 2
+    for s, y, u, g, probe in rows:
+        assert (s * y).sum() < 0
+        assert np.array_equal(probe, probe_at(u, g, 2.0**10))
+        raw = (s * s).sum() / (s * y).sum()
+        assert not np.array_equal(probe, probe_at(u, g, abs(raw)))
+
+
+def test_line_search_scale_is_clipped_at_both_ends():
+    # a quadratic row's Barzilai-Borwein scale is 1/c: the flat rows ask for
+    # more than 2**10 and take 2**10, the steep one asks for less than
+    # 2**-10 and takes 2**-10, and the anisotropic row's lies in between
+    c = np.empty((4, 3, 2))
+    c[0], c[1], c[2] = 2.0**-12, 1 / 3000, 3000.0
+    c[3] = [[0.5, 2.0], [1.0, 1.5], [0.7, 0.9]]
+    rows = second_line_searches(c, np.full((4, 3, 2), 0.1))
+    assert len(rows) == 4
+    raw = [(s * s).sum() / (s * y).sum() for s, y, *_ in rows]
+    assert raw[0] > raw[1] > 2.0**10 and raw[2] < 2.0**-10
+    assert 2.0**-10 < raw[3] < 2.0**10
+    clipped = [2.0**10, 2.0**10, 2.0**-10, raw[3]]
+    for (_, _, u, g, probe), scale, wanted in zip(rows, raw, clipped):
+        assert np.array_equal(probe, probe_at(u, g, wanted))
+        if scale != wanted:
+            assert not np.array_equal(probe, probe_at(u, g, scale))
 
 
 def test_distributed_solver_error_names_failing_agents():
