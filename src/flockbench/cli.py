@@ -197,13 +197,16 @@ def _resolve_models(settings, models_arg: str) -> list:
 
 def _parse_levels(text: str) -> list:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        levels = list(range(int(lo), int(hi) + 1))
-    else:
-        levels = [int(part) for part in text.split(",") if part.strip()]
-    if not levels or any(level < 0 for level in levels):
-        raise CliError(f"invalid noise levels {text!r}")
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            levels = list(range(int(lo), int(hi) + 1))
+        else:
+            levels = [int(part) for part in text.split(",") if part.strip()]
+        if not levels or any(level < 0 for level in levels):
+            raise ValueError("no levels, or a negative one")
+    except ValueError as err:
+        raise CliError(f"invalid noise levels {text!r}") from err
     if len(set(levels)) != len(levels):
         raise CliError(f"noise levels listed more than once: {text!r}")
     return levels

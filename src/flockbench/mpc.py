@@ -26,32 +26,32 @@ Edge sums follow the ordered-pair convention (each unordered neighbor pair
 contributes twice) for the centralized edge-set costs.
 
 Every solve runs the same projected-gradient loop, `_solve_batch`, over a
-batch of independent plans that converge and stop row by row; it keeps one
-state per batch row and evaluates only the rows still in play.  `solve_mpc`
-returns one `SolveResult` (plan, accepted-objective trace, iterations,
-converged); the distributed batch returns every agent's plan.  A centralized
-solve is a batch of one plan of shape (T, n, m) covering all agents; a
-distributed step is a batch of n single-agent plans of shape (T, m), and a
-standalone distributed solve is a batch of one, bit-identical to its row in
-the full batch.  Each row takes Armijo backtracking steps, accepting the
-first of the steps a, a/2, a/4, ... that passes.  The scale a is 1 in the
-first line search of every solve, warm-started or not, and after that the
-row's Barzilai-Borwein step s.s / s.y from its last accepted move s and the
-gradient change y along it (Barzilai & Borwein 1988), clipped to
-[2**-10, 2**10], or 2**10 where s.y <= 0.  The probes are evaluated a few at
-a time, in one objective call per batch, and those past the accepted step
-are discarded.  The row projects every per-step acceleration onto the a_max
-ball after each update, and stops on a projected-gradient tolerance of 1e-6
-(at unit step), when its step falls below a * 2**-40 (a stall), or after
-200 iterations.
+problem of independent rows that converge and stop row by row; it keeps one
+state per row and evaluates only the rows still in play.  Both problem types
+hold R rows, each from its own initial state, and a row alone has the same
+bits as in any batch: a centralized row plans every agent, (T, n, m), from
+one measurement, and a distributed row one agent, (T, m), from its own view.
+`solve_mpc` solves one row and returns one `SolveResult` (plan,
+accepted-objective trace, iterations, converged); a distributed step solves
+n rows and returns every agent's plan.  Each row takes Armijo backtracking
+steps, accepting the first of the steps a, a/2, a/4, ... that passes.  The
+scale a is 1 in the first line search of every solve, warm-started or not,
+and after that the row's Barzilai-Borwein step s.s / s.y from its last
+accepted move s and the gradient change y along it (Barzilai & Borwein
+1988), clipped to [2**-10, 2**10], or 2**10 where s.y <= 0.  The probes are
+evaluated a few at a time, in one objective call per batch, and those past
+the accepted step are discarded.  The row projects every per-step
+acceleration onto the a_max ball after each update, and stops on a
+projected-gradient tolerance of 1e-6 (at unit step), when its step falls
+below a * 2**-40 (a stall), or after 200 iterations.
 
 Each point is rolled out once: a problem's `evaluate` returns the objective
 with the rollout it computed, and the gradient at an accepted point reuses
 the rollout of the probe that accepted it.  The predicted step-1 positions
 x0 + dt * v0 do not depend on the controls, so a centralized problem prices
-that stage once, on construction, and each objective call evaluates its
-plans' steps 2..T in one array pass over the pairs i < j; no gradient takes
-a step-1 stage gradient.  Results are feasible local minimizers; global
+that stage of all its rows once, when it is built, and each objective call
+evaluates its rows' steps 2..T in one array pass over the pairs i < j; no
+gradient takes a step-1 stage gradient.  Results are feasible local minimizers; global
 optimality is not claimed.  Gradients are analytic (backpropagated through
 the rollout, including the velocity clamp); finite differences are used as
 an independent oracle in the tests.
@@ -166,9 +166,10 @@ class SolveResult:
 class SolverError(RuntimeError):
     """Raised when the solver hits a non-finite objective or gradient.
 
-    `diagnostics["agents"]` holds the failing batch rows (for a distributed
-    step, the agent indices), and the objective or gradient and controls
-    arrays hold those rows' values in the same order.
+    `diagnostics["agents"]` holds the failing batch rows: the agent indices
+    of a distributed step, the rows of a centralized batch (row 0 of a
+    single solve).  The objective or gradient and controls arrays hold those
+    rows' values in the same order.
     """
 
     def __init__(self, message, diagnostics=None):
@@ -486,112 +487,108 @@ def _backprop_controls(gx, W, U, limits, lam):
 
 
 # --------------------------------------------------------------------------
-# Problems: evaluate(U) -> (objective (B,), xs, ws) and
-# gradient(U, xs, ws) -> U.shape, given the rollout evaluate returned for U
+# Problems of R independent rows: evaluate(U) -> (objective (R,), xs, ws),
+# gradient(U, xs, ws) -> U.shape given the rollout evaluate returned for U,
+# and rows(idx) -> the sub-problem of the rows idx, repeats included
 # --------------------------------------------------------------------------
 
 
 @dataclass
-class _CentralizedProblem:
-    """Plans for every agent from one initial state: U of shape (K, T, n, m)
-    holds K plans, and each is evaluated as if alone.  The neighbor edge
-    set is re-evaluated at every predicted step.
-
-    The predicted step-1 configuration x0 + dt * v0 is the same for every
-    plan, so its stage cost is computed once, on construction.
-    """
+class _Problem:
+    """R independent rows, each one plan U[k] from the initial state x0[k],
+    v0[k]: the subclass's stage costs at the predicted steps 1..T plus lam
+    times the squared norm of the plan.  Rows never interact, so a row has
+    the same bits alone as in any batch, repeats included."""
 
     tag: str
     params: MpcParams
     limits: MotionLimits
-    x0: np.ndarray  # (1, n, m) positions
-    v0: np.ndarray  # (1, n, m) velocities
-    first_stage: np.ndarray = field(init=False)  # (1,) stage cost at step 1
-
-    def __post_init__(self):
-        p = self.params
-        # as inside _solve_batch: a non-finite cost raises SolverError
-        # there, without numpy warnings
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            self.first_stage = _centralized_stage_values(
-                self.tag, self.x0 + self.limits.dt * self.v0, p.r, p.d, p.omega
-            )
-
-    def _later(self, xs):
-        """The predicted configurations at steps 2..T, one stack."""
-        return xs[:, 1:].reshape(-1, *xs.shape[2:])
+    x0: np.ndarray
+    v0: np.ndarray
 
     def evaluate(self, U):
-        """Objective of each plan, shape (K,), and the rollout: the K * (T-1)
-        configurations past step 1 go through one stage pass."""
-        K, T = U.shape[:2]
-        p = self.params
+        """Objective of each row, shape (R,), and the rollout."""
         xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
-        stages = _centralized_stage_values(
-            self.tag, self._later(xs), p.r, p.d, p.omega
-        ).reshape(K, T - 1)
-        stage = self.first_stage
-        for t in range(T - 1):
-            stage = stage + stages[:, t]
-        return stage + p.lam * (U * U).reshape(K, -1).sum(axis=1), xs, ws
+        penalty = (U * U).reshape(len(U), -1).sum(axis=1)
+        return self._stage_sum(xs) + self.params.lam * penalty, xs, ws
 
     def gradient(self, U, xs, ws):
-        p = self.params
-        gx = _centralized_stage_gradient(
-            self.tag, self._later(xs), p.r, p.d, p.omega
-        ).reshape(U.shape[0], U.shape[1] - 1, *U.shape[2:])
-        return _backprop_controls(gx, ws, U, self.limits, p.lam)
-
-    def rows(self, idx):
-        """The problem itself: a centralized solve is a batch of one, and
-        its repeated row is a stack of plans `evaluate` already takes."""
-        return self
+        """Analytic gradient of each row's objective, shape U.shape: step 1
+        does not depend on U, so only steps 2..T take stage gradients."""
+        gx = self._stage_gradient(xs[:, 1:])
+        return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
 
 
 @dataclass
-class _BatchProblem:
-    """B independent single-agent problems; the solver evaluates only the
-    rows still in play, through `rows`.
+class _CentralizedProblem(_Problem):
+    """Rows that each plan every agent, U of shape (R, T, n, m), from their
+    own measurement x0[k], v0[k] of shape (n, m).  The neighbor edge set is
+    re-evaluated at every predicted step.  The step-1 configurations
+    x0 + dt * v0 do not depend on U and are priced once, at build time."""
 
-    Each row solves one agent against its frozen, constant-velocity
-    neighbors; rows never interact, so a batch of one is bit-identical to
-    that row inside any larger batch.
-    """
+    first_stage: np.ndarray  # (R,) stage cost at step 1
 
-    tag: str
-    params: MpcParams
-    limits: MotionLimits
-    x0: np.ndarray  # (B, m) own positions
-    v0: np.ndarray  # (B, m) own velocities
+    def _stage_sum(self, xs):
+        """Each row's stage costs summed over steps 1..T: the R * (T-1)
+        configurations past step 1 go through one stage pass."""
+        p, later = self.params, xs[:, 1:]
+        stages = _centralized_stage_values(
+            self.tag, later.reshape(-1, *later.shape[2:]), p.r, p.d, p.omega
+        ).reshape(later.shape[:2])
+        stage = self.first_stage
+        for column in stages.T:
+            stage = stage + column
+        return stage
+
+    def _stage_gradient(self, later):
+        p = self.params
+        return _centralized_stage_gradient(
+            self.tag, later.reshape(-1, *later.shape[2:]), p.r, p.d, p.omega
+        ).reshape(later.shape)
+
+    def rows(self, idx):
+        """The sub-problem of the rows idx, in that order; a row may repeat."""
+        return replace(
+            self, x0=self.x0[idx], v0=self.v0[idx], first_stage=self.first_stage[idx]
+        )
+
+
+def _build_centralized_problem(tag, pos, vel, params, limits):
+    """Assemble a centralized problem from stacked noisy measurements: row k
+    plans every agent from pos[k] and vel[k], (n, m) each.  Step 1 of every
+    row is priced here, in one stage pass."""
+    # as in _solve_batch: a non-finite cost raises SolverError, unwarned
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        first_stage = _centralized_stage_values(
+            tag, pos + limits.dt * vel, params.r, params.d, params.omega
+        )
+    return _CentralizedProblem(tag, params, limits, pos, vel, first_stage)
+
+
+@dataclass
+class _BatchProblem(_Problem):
+    """Rows that each plan one agent, U of shape (B, T, m), from its own
+    position x0[k] and velocity v0[k], (m,) each, against its frozen,
+    constant-velocity neighbors."""
+
     src: np.ndarray  # (E,) batch row of each neighbor edge, ascending
     bounds: np.ndarray  # (B + 1,) row k's edges are bounds[k]:bounds[k + 1]
     nbr_pos: np.ndarray  # (E, T, m) neighbor positions at steps 1..T
     edge_counts: np.ndarray  # (E, 1) neighbor count of each edge's row
 
-    @property
-    def size(self) -> int:
-        return self.x0.shape[0]
-
-    def evaluate(self, U):
-        """Per-row objective values, shape (B,), and the rollout."""
-        xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
+    def _stage_sum(self, xs):
         dist = np.sqrt(sq_norm(xs[self.src] - self.nbr_pos))  # (E, T)
         cost = _edge_stage_cost(self.tag, dist, self.edge_counts, self.params)
-        out = self.params.lam * (U * U).sum(axis=(1, 2)) + np.bincount(
-            self.src, weights=cost.sum(axis=1), minlength=self.size
-        )
-        return out, xs, ws
+        return np.bincount(self.src, weights=cost.sum(axis=1), minlength=len(xs))
 
-    def gradient(self, U, xs, ws):
-        """Per-row analytic gradient, shape (B, T, m), from the edge terms
-        at steps 2..T."""
-        diff = xs[self.src, 1:] - self.nbr_pos[:, 1:]  # (E, T-1, m)
+    def _stage_gradient(self, later):
+        diff = later[self.src] - self.nbr_pos[:, 1:]  # (E, T-1, m)
         dist = np.sqrt(sq_norm(diff))
         dcost = _edge_stage_dcost(self.tag, dist, self.edge_counts, self.params)
         dist_f = np.maximum(dist, EPS_DIST)
-        gx = np.zeros_like(U[:, 1:])
+        gx = np.zeros_like(later)
         np.add.at(gx, self.src, (dcost / dist_f)[:, :, None] * diff)
-        return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
+        return gx
 
     def rows(self, idx):
         """The sub-batch of the batch rows idx, in that order; a row may
@@ -693,8 +690,10 @@ def _check_finite(message, rows, name, values, controls):
 
 
 def _solve_batch(problem, warm):
-    """Run projected gradient descent on the B rows of warm (B, T, ...) with
-    a per-row Armijo line search; rows converge and stop independently.
+    """Run projected gradient descent on the B rows of `problem` from the
+    plans warm (B, T, ...), with a per-row Armijo line search; rows converge
+    and stop independently.  A row plans one agent in a distributed problem
+    and every agent in a centralized one.
 
     Returns (U, converged, iterations, trace): the final plans, each row's
     converged flag, the number of iterations in which some row searched for
@@ -804,9 +803,7 @@ def _solve_batch(problem, warm):
                 # where a probe-by-probe search ends: at each row's first
                 # probe that passes or is non-finite (at, ended), and whether
                 # it passed
-                finite = np.isfinite(J_try)
-                all_finite = finite.all()
-                stop = ok if all_finite else ok | ~finite
+                stop = ok | ~np.isfinite(J_try)
                 if single:
                     at, ended, passed = np.arange(ids.size), stop, ok
                 else:
@@ -815,13 +812,12 @@ def _solve_batch(problem, warm):
                     )
                     ended = at < ok.size
                     passed = np.append(ok, False)[at]
-                if not all_finite:
-                    fail = ended & ~passed
-                    if fail.any():
-                        bad, lost = at[fail], ids[fail]
-                        fail_h[lost] = halvings[bad]
-                        J_fail[lost], U_fail[lost] = J_try[bad], U_try[bad]
-                        failed = True
+                fail = ended & ~passed
+                if fail.any():
+                    bad, lost = at[fail], ids[fail]
+                    fail_h[lost] = halvings[bad]
+                    J_fail[lost], U_fail[lost] = J_try[bad], U_try[bad]
+                    failed = True
                 if passed.any():
                     at, won = at[passed], ids[passed]
                     U[won] = U_try[at]
@@ -867,8 +863,8 @@ def _single_problem(tag, view, params, limits, agent, neighbor_set=None):
     """One solve as a batch of one row: every agent's plan for a
     centralized tag, `agent`'s own plan for a distributed one."""
     if tag in CENTRALIZED_MPC_TAGS:
-        return _CentralizedProblem(
-            tag, params, limits, view.positions[None], view.velocities[None]
+        return _build_centralized_problem(
+            tag, view.positions[None], view.velocities[None], params, limits
         )
     if agent is None:
         raise ValueError(f"{tag} needs the agent index")

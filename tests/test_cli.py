@@ -164,12 +164,15 @@ def test_duplicate_models_rejected(tmp_path, capsys, command):
 
 def test_duplicate_levels_rejected(tmp_path, capsys):
     out = tmp_path / "dup"
-    code = run_cli(
-        ["noise-sweep", "--models", "reynolds", "--levels", "3,1,3", "--out", str(out)]
-    )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: config: ")
-    assert not out.exists()
+    # repeated levels, and level lists that are not integers
+    for levels in ("3,1,3", "1..x", "1..3,5", "a"):
+        code = run_cli(
+            ["noise-sweep", "--models", "reynolds", "--levels", levels]
+            + ["--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: config: ")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["noise.sigma_x", "r", "mpc.d"])

@@ -43,6 +43,7 @@ from flockbench.mpc import (
     MPC_TAGS,
     PROBE_WINDOW_CAP,
     _build_batch_problem,
+    _build_centralized_problem,
     _CentralizedProblem,
     _single_problem,
     _solve_batch,
@@ -543,16 +544,21 @@ def test_batched_solve_matches_per_agent_exactly(np_rng):
                 assert np.array_equal(single.accel, batch_accels[i])
 
 
-@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+@pytest.mark.parametrize("tag", MPC_TAGS)
 def test_batch_rows_match_full_batch(tag, np_rng):
     cfg = random_config(np_rng, n=8, span=6.0, v_span=3.0)
     pos = cfg.positions.copy()
     pos[6], pos[7] = (-60.0, 60.0), (60.0, 60.0)  # out of everyone's range
     flock = config(pos, cfg.velocities)
     views = sense_local_all(flock, noise_for_level(3), RandomStream(5))
-    full = _build_batch_problem(tag, *views, range(8), PARAMS, LIMITS)
-    assert not np.isin([6, 7], full.src).any()
-    U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
+    if tag in CENTRALIZED_MPC_TAGS:
+        # eight rows, each planning every agent from its own noisy view
+        full = _build_centralized_problem(tag, *views, PARAMS, LIMITS)
+        U = np_rng.uniform(-0.5, 0.5, (8, 3, 8, 2))
+    else:
+        full = _build_batch_problem(tag, *views, range(8), PARAMS, LIMITS)
+        assert not np.isin([6, 7], full.src).any()
+        U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
     J, XS, WS = full.evaluate(U)
     G = full.gradient(U, XS, WS)
     for idx in ([3], range(8), [0, 4, 7], [6, 7], [5, 5, 0, 6, 2, 2, 2]):
@@ -562,7 +568,8 @@ def test_batch_rows_match_full_batch(tag, np_rng):
         assert np.array_equal(J_sub, J[idx])
         assert np.array_equal(xs, XS[idx]) and np.array_equal(ws, WS[idx])
         assert np.array_equal(sub.gradient(U[idx], xs, ws), G[idx])
-    assert full.rows(np.array([6, 7])).src.size == 0
+    if tag in DISTRIBUTED_MPC_TAGS:
+        assert full.rows(np.array([6, 7])).src.size == 0
 
 
 class CountingProblem:
@@ -700,9 +707,8 @@ def test_stacked_centralized_objective_matches_single_plans(
         pos[-1] = (80.0, 80.0)
     view = config(pos, vel)
     params = MpcParams(horizon=T)
-    problem = _CentralizedProblem(
-        tag, params, LIMITS, view.positions[None], view.velocities[None]
-    )
+    one = _single_problem(tag, view, params, LIMITS, None)
+    problem = one.rows(np.zeros(6, dtype=int))  # six plans of the one row
     U = np_rng.uniform(-1.0, 1.0, (6, T, n, 2))
     U[0] = 0.0
     J, xs, _ = problem.evaluate(U)
@@ -723,9 +729,9 @@ def test_stacked_centralized_objective_matches_single_plans(
         assert np.array_equal(alone, grads[s : s + 1])
         assert np.array_equal(one_stage_gradient(tag, x, params), grads[s])
     # the step-1 stage, computed once per problem, is every plan's step 1
-    assert np.array_equal(np.broadcast_to(problem.first_stage, (6,)), stages[::T])
+    assert np.array_equal(problem.first_stage, stages[::T])
     for k, plan in enumerate(U):
-        assert np.array_equal(problem.evaluate(U[k : k + 1])[0], J[k : k + 1])
+        assert np.array_equal(one.evaluate(U[k : k + 1])[0], J[k : k + 1])
         trajectory = rollout_centralized(view, plan, LIMITS)
         assert mpc_objective(tag, trajectory, plan, params) == J[k]
         for cfg in trajectory[1:]:
@@ -750,13 +756,11 @@ def assert_clamp_active(ws):
 def test_centralized_gradient_reuses_probe_rollout(tag, np_rng):
     # agents moving close to the speed limit, so the plans drive the clamp
     view = fast_config(np_rng, 12)
-    problem = _CentralizedProblem(
-        tag, PARAMS, LIMITS, view.positions[None], view.velocities[None]
-    )
+    problem = _single_problem(tag, view, PARAMS, LIMITS, None)
     # a line-search call: several probes of the one row at once
     U = np_rng.uniform(-1.0, 1.0, (5, 3, 12, 2))
     U = clamp_norm(U, LIMITS.a_max)
-    _, xs, ws = problem.evaluate(U)
+    _, xs, ws = problem.rows(np.zeros(5, dtype=int)).evaluate(U)
     assert_clamp_active(ws)
     for k in range(len(U)):
         plan = U[k : k + 1]
@@ -985,15 +989,25 @@ def closed_loop_solves(tag, steps, level=0):
 def ladder_cases(np_rng):
     """Random centralized and noisy distributed problems with warm starts,
     and closed-loop solves at n = 30 whose line searches run long: the df
-    centralized one halves its step dozens of times and stalls."""
+    centralized one halves its step dozens of times and stalls.  Each
+    centralized tag also gets one problem of four rows: three distinct
+    views and a repeat of one."""
     cases = []
     for tag in CENTRALIZED_MPC_TAGS:
         for n in (5, 10):
             view = random_config(np_rng, n=n, span=6.0, v_span=3.0)
-            problem = _CentralizedProblem(
-                tag, PARAMS, LIMITS, view.positions[None], view.velocities[None]
-            )
+            problem = _single_problem(tag, view, PARAMS, LIMITS, None)
             cases.append((problem, np_rng.uniform(-0.5, 0.5, (1, 3, n, 2))))
+        views = [random_config(np_rng, n=8, span=6.0, v_span=3.0) for _ in range(3)]
+        views.append(views[1])
+        problem = _build_centralized_problem(
+            tag,
+            np.stack([view.positions for view in views]),
+            np.stack([view.velocities for view in views]),
+            PARAMS,
+            LIMITS,
+        )
+        cases.append((problem, np_rng.uniform(-0.5, 0.5, (4, 3, 8, 2))))
     stream = RandomStream(7)
     for tag in DISTRIBUTED_MPC_TAGS:
         for n in (6, 12):
