@@ -29,6 +29,7 @@ from .harness import (
 from .mpc import SolverError
 from .output import (
     COMPARISON_SUMMARY_FIELDS,
+    METRIC_COLUMNS,
     NOISE_SUMMARY_FIELDS,
     emit_plots,
     read_summary_csv,
@@ -249,7 +250,7 @@ def _cmd_compare(args) -> int:
     models = _resolve_models(settings, args.models)
     cfg = build_experiment(settings, models[0].tag)
     _prepare_out(args.out, _echo_models(settings, models))
-    records = run_comparison(cfg, models, runs=cfg.runs, workers=_workers(settings))
+    records = run_comparison(cfg, models, workers=_workers(settings))
     write_steps_csv(os.path.join(args.out, "steps.csv"), records)
     summary = aggregate_steps(records)
     write_summary_csv(
@@ -269,9 +270,7 @@ def _cmd_noise_sweep(args) -> int:
     levels = _parse_levels(args.levels)
     cfg = build_experiment(settings, models[0].tag)
     _prepare_out(args.out, _echo_models(settings, models))
-    records = run_noise_sweep(
-        cfg, models, levels, runs=cfg.runs, workers=_workers(settings)
-    )
+    records = run_noise_sweep(cfg, models, levels, workers=_workers(settings))
     for level in levels:
         at_level = {
             tag: recs for (tag, lv), recs in records.items() if lv == level
@@ -296,6 +295,11 @@ def _cmd_plot(args) -> int:
     if not rows:
         raise CliError(f"summary file {args.summary} has no data rows")
     x_key = "level" if "level" in fields else "step"
+    missing = [c for c in ("model", x_key, *METRIC_COLUMNS) if c not in fields]
+    if missing:
+        raise CliError(
+            f"{args.summary} is not a summary file; missing {', '.join(missing)}"
+        )
     os.makedirs(args.out, exist_ok=True)
     paths = emit_plots(rows, args.out, x_key=x_key)
     print(f"wrote {len(paths)} charts -> {args.out}")

@@ -292,22 +292,18 @@ def run_batch(cfg: ExperimentConfig, seeds, workers: int = 1) -> list:
 # --------------------------------------------------------------------------
 
 
-def run_comparison(
-    cfg: ExperimentConfig, models, runs: int | None = None, workers: int = 1
-) -> dict:
-    """Run every model over the same paired run seeds.
+def run_comparison(cfg: ExperimentConfig, models, workers: int = 1) -> dict:
+    """Run every model over the same paired run seeds, cfg.runs each.
 
     Returns {tag: [RunRecord, ...]}; run j of each model starts from the
     identical sampled initial configuration because the seed only depends
     on (base_seed, j).
     """
-    runs = cfg.runs if runs is None else runs
-    seeds = [mix_seed(cfg.base_seed, j) for j in range(runs)]
-    out = {}
-    for spec in models:
-        model_cfg = replace(cfg, model=spec, runs=runs)
-        out[spec.tag] = run_batch(model_cfg, seeds, workers)
-    return out
+    seeds = [mix_seed(cfg.base_seed, j) for j in range(cfg.runs)]
+    return {
+        spec.tag: run_batch(replace(cfg, model=spec), seeds, workers)
+        for spec in models
+    }
 
 
 def noise_for_level(level: int) -> NoiseSpec:
@@ -322,29 +318,22 @@ def noise_for_level(level: int) -> NoiseSpec:
 LEVEL_SEED_STRIDE = 1_000_000
 
 
-def run_noise_sweep(
-    cfg: ExperimentConfig,
-    models,
-    levels,
-    runs: int | None = None,
-    workers: int = 1,
-) -> dict:
-    """Run every model at every noise level.
+def run_noise_sweep(cfg: ExperimentConfig, models, levels, workers: int = 1) -> dict:
+    """Run every model at every noise level, cfg.runs each.
 
     Returns {(tag, level): [RunRecord, ...]}.  Run j at level L uses
     ``mix_seed(base_seed, L * LEVEL_SEED_STRIDE + j)``: models are paired per
     level, and a level-0 sweep reproduces the noiseless comparison runs.
     """
-    runs = cfg.runs if runs is None else runs
-    if runs > LEVEL_SEED_STRIDE:
+    if cfg.runs > LEVEL_SEED_STRIDE:
         raise ValueError(f"at most {LEVEL_SEED_STRIDE} runs per noise level")
     out = {}
     for level in levels:
         seeds = [
             mix_seed(cfg.base_seed, level * LEVEL_SEED_STRIDE + j)
-            for j in range(runs)
+            for j in range(cfg.runs)
         ]
-        noisy_cfg = replace(cfg, noise=noise_for_level(level), runs=runs)
+        noisy_cfg = replace(cfg, noise=noise_for_level(level))
         for spec in models:
             model_cfg = replace(noisy_cfg, model=spec)
             out[(spec.tag, level)] = run_batch(model_cfg, seeds, workers)
@@ -358,7 +347,8 @@ def run_noise_sweep(
 
 def _metric_means(metrics) -> dict:
     """Means of the four metrics over runs; diameters of all-isolated
-    configurations are left out of their mean and counted instead."""
+    configurations are left out of their mean and counted instead.  The
+    keys, in order, are the summary columns `output` writes."""
     diameters = [m.max_diameter for m in metrics if m.max_diameter is not None]
     return {
         "mean_num_components": float(np.mean([m.num_components for m in metrics])),

@@ -3,21 +3,26 @@ Flocking performance measures, computed per configuration.
 
 A sub-flock is a connected component of the proximity net.  Four measures
 are reported per step: number of components (fragmentation), maximum
-component diameter (cohesion; None when all agents are isolated), velocity
-convergence (mean squared deviation from the component-mean velocity,
-averaged over components) and irregularity (mean per-component sample std
-dev of nearest-neighbor distances; 0 when no component has two members).
+component diameter (cohesion; None when all agents are isolated, 0 for a
+component of coincident agents), velocity convergence (mean squared
+deviation from the component-mean velocity, averaged over components) and
+irregularity (mean per-component sample std dev of nearest-neighbor
+distances; 0 when no component has two members).
 
 `evaluate_metrics` computes one distance matrix per configuration, labels
 the components from its ``< r`` test by array min-label propagation, and
 slices the diameters and nearest-neighbor distances out of that matrix.
 `connected_components` uses the same labeller, and the public per-measure
 functions take a configuration and a component list.
+
+`MetricsRecord` is the one statement of the measures: its fields, in order,
+are the metric columns of every result file, and each field's metadata
+carries its chart title.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,16 +40,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    num_components: int
-    max_diameter: float | None
-    velocity_convergence: float
-    irregularity: float
+    num_components: int = field(metadata={"title": "number of components"})
+    max_diameter: float | None = field(metadata={"title": "max component diameter"})
+    velocity_convergence: float = field(metadata={"title": "velocity convergence"})
+    irregularity: float = field(metadata={"title": "irregularity"})
 
     def __post_init__(self):
         if self.num_components < 1:
             raise ValueError("num_components must be at least 1")
-        if self.max_diameter is not None and self.max_diameter <= 0:
-            raise ValueError("max_diameter must be positive or None")
+        if self.max_diameter is not None and self.max_diameter < 0:
+            raise ValueError("max_diameter must be nonnegative or None")
         if self.velocity_convergence < 0 or self.irregularity < 0:
             raise ValueError("velocity_convergence and irregularity are nonnegative")
 

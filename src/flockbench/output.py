@@ -1,6 +1,9 @@
 """
 Result persistence: CSV files and static SVG trend charts.
 
+Every result file is a table of the four per-step metrics; their columns
+and chart titles come from the fields of `metrics.MetricsRecord`, in order.
+
 Floats are rendered with 17 significant digits so reruns can be compared
 byte-for-byte; a missing diameter (all agents isolated) is an empty CSV
 field, never a sentinel number.  The SVG charts are generated directly as
@@ -10,7 +13,11 @@ strings, so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import operator
 import os
+
+from .metrics import MetricsRecord
 
 __all__ = [
     "STEP_FIELDS",
@@ -26,45 +33,26 @@ __all__ = [
     "emit_plots",
 ]
 
-STEP_FIELDS = (
-    "model",
-    "run_id",
-    "step",
-    "num_components",
-    "max_diameter",
-    "velocity_convergence",
-    "irregularity",
-)
+_METRICS = dataclasses.fields(MetricsRecord)
+_metric_values = operator.attrgetter(*(f.name for f in _METRICS))
 
-COMPARISON_SUMMARY_FIELDS = (
-    "model",
-    "step",
-    "mean_num_components",
-    "mean_max_diameter",
-    "max_diameter_none_count",
-    "mean_velocity_convergence",
-    "mean_irregularity",
-)
-
-NOISE_SUMMARY_FIELDS = (
-    "model",
-    "level",
-    "sigma_x",
-    "sigma_v",
-    "mean_num_components",
-    "mean_max_diameter",
-    "max_diameter_none_count",
-    "mean_velocity_convergence",
-    "mean_irregularity",
-)
+STEP_FIELDS = ("model", "run_id", "step", *(f.name for f in _METRICS))
 
 # metric column -> chart title
-METRIC_COLUMNS = {
-    "mean_num_components": "number of components",
-    "mean_max_diameter": "max component diameter",
-    "mean_velocity_convergence": "velocity convergence",
-    "mean_irregularity": "irregularity",
-}
+METRIC_COLUMNS = {f"mean_{f.name}": f.metadata["title"] for f in _METRICS}
+
+# the keys harness._metric_means fills, in order: each metric's mean, and
+# after the diameter's the count of all-isolated configurations left out
+_SUMMARY_COLUMNS = tuple(
+    column
+    for mean in METRIC_COLUMNS
+    for column in (mean, "max_diameter_none_count")
+    if column == mean or mean == "mean_max_diameter"
+)
+
+COMPARISON_SUMMARY_FIELDS = ("model", "step", *_SUMMARY_COLUMNS)
+
+NOISE_SUMMARY_FIELDS = ("model", "level", "sigma_x", "sigma_v", *_SUMMARY_COLUMNS)
 
 
 def format_value(value) -> str:
@@ -79,31 +67,22 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _write_rows(path, fields, rows):
+def _write_rows(path, header, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(fields)
+        writer.writerow(header)
         for row in rows:
-            writer.writerow([format_value(row[name]) for name in fields])
+            writer.writerow([format_value(value) for value in row])
 
 
 def write_steps_csv(path, records_by_model) -> None:
     """Per-step metrics, one row per (model, run, step)."""
-    rows = []
-    for tag, records in records_by_model.items():
-        for rec in records:
-            for step, metric in enumerate(rec.metrics):
-                rows.append(
-                    {
-                        "model": tag,
-                        "run_id": rec.run_id,
-                        "step": step,
-                        "num_components": metric.num_components,
-                        "max_diameter": metric.max_diameter,
-                        "velocity_convergence": metric.velocity_convergence,
-                        "irregularity": metric.irregularity,
-                    }
-                )
+    rows = (
+        (tag, rec.run_id, step, *_metric_values(metric))
+        for tag, records in records_by_model.items()
+        for rec in records
+        for step, metric in enumerate(rec.metrics)
+    )
     _write_rows(path, STEP_FIELDS, rows)
 
 
@@ -111,16 +90,13 @@ def write_final_state_csv(path, config) -> None:
     """One row per agent: its index, then its position and velocity
     components."""
     m = config.dimension
-    fields = ["agent"] + [f"x{k}" for k in range(m)] + [f"v{k}" for k in range(m)]
-    rows = [
-        dict(zip(fields, [i, *config.positions[i], *config.velocities[i]]))
-        for i in range(config.n)
-    ]
-    _write_rows(path, fields, rows)
+    header = ["agent"] + [f"x{k}" for k in range(m)] + [f"v{k}" for k in range(m)]
+    rows = ((i, *config.positions[i], *config.velocities[i]) for i in range(config.n))
+    _write_rows(path, header, rows)
 
 
 def write_summary_csv(path, rows, fields) -> None:
-    _write_rows(path, fields, rows)
+    _write_rows(path, fields, ([row[name] for name in fields] for row in rows))
 
 
 def read_summary_csv(path):
@@ -306,10 +282,8 @@ def emit_plots(summary_rows, out_dir, x_key: str = "step") -> list:
             ]
             pts.sort(key=lambda p: p[0])
             series.append((model, pts))
-        svg = render_line_chart(
-            series, title=title, x_label=x_key, y_label=title
-        )
-        path = os.path.join(out_dir, f"{column[5:] if column.startswith('mean_') else column}.svg")
+        svg = render_line_chart(series, title=title, x_label=x_key, y_label=title)
+        path = os.path.join(out_dir, f"{column.removeprefix('mean_')}.svg")
         with open(path, "w") as handle:
             handle.write(svg)
         paths.append(path)

@@ -67,7 +67,7 @@ def comparison():
         "df_distributed",
     )]
     cfg = ExperimentConfig(model=models[0], n=30, steps=100, runs=20, base_seed=BASE_SEED)
-    return run_comparison(cfg, models, runs=20, workers=WORKERS)
+    return run_comparison(cfg, models, workers=WORKERS)
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +80,7 @@ def noise_sweep():
         "df_distributed",
     )]
     cfg = ExperimentConfig(model=models[0], n=30, steps=100, runs=20, base_seed=BASE_SEED)
-    return run_noise_sweep(cfg, models, levels=range(1, 11), runs=20, workers=WORKERS)
+    return run_noise_sweep(cfg, models, levels=range(1, 11), workers=WORKERS)
 
 
 def final_means(records):

@@ -123,6 +123,32 @@ def test_compare_and_plot(tmp_path):
     assert (replot / "irregularity.svg").exists()
 
 
+def test_plot_rejects_a_file_that_is_not_a_summary(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    run_cli(["simulate", "--model", "reynolds", "--out", str(sim)] + FAST_OVERRIDES)
+    capsys.readouterr()
+    out = tmp_path / "charts"
+    code = run_cli(["plot", "--summary", str(sim / "steps.csv"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert "mean_num_components" in err
+    assert not out.exists()
+
+
+def test_simulate_coincident_agents(tmp_path):
+    # a zero-width box puts every agent at the origin: one component whose
+    # diameter is 0
+    out = tmp_path / "sim"
+    box = ["position_min=0", "position_max=0", "velocity_min=0", "velocity_max=0"]
+    args = ["simulate", "--model", "reynolds", "--set", "n=3", "--set", "steps=2"]
+    for item in box:
+        args += ["--set", f"init.{item}"]
+    assert run_cli(args + ["--out", str(out)]) == 0
+    rows = (out / "steps.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3:5] for row in rows] == [["1", "0"], ["1", "0"]]
+
+
 @pytest.mark.parametrize("command", [["compare"], ["noise-sweep", "--levels", "0"]])
 def test_multi_model_commands_echo_models_run(tmp_path, command):
     out = tmp_path / "multi"

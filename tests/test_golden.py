@@ -1,7 +1,8 @@
 """Golden outputs: exact bytes that a refactor must leave unchanged.
 
 The digests below pin the result files of short seeded runs of every model,
-the configuration echo of a default `simulate`, the final state of a short
+the summaries and charts of a short `compare` and `noise-sweep`, the
+configuration echo of a default `simulate`, the final state of a short
 `simulate`, and the head of the noise stream.  They hold on the x86-64 host they were generated on (Python 3.11,
 numpy 2.4); `RandomStream.normals` goes through numpy's `log`/`cos`/`sin`,
 whose vectorized rounding may differ on other CPUs, so a mismatch there is a
@@ -63,6 +64,33 @@ GOLDEN_FINAL_STATE = (
 )
 FINAL_STATE_RUN = {"model": "df_centralized", "seed": 11, "n": 6, "steps": 5}
 
+# The summary CSV and every chart of SUMMARY_RUNS, keyed "command/file".
+GOLDEN_SUMMARIES = {
+    "compare/summary.csv": "35ad65d8df75d5a2ee1a10f9d0526e20c6b165ff7c1b76a7b97bd42c5aaf5b15",
+    "compare/irregularity.svg": "7138ef40084f901e33a154684def958e41d8e746ce0124d89232e70c04c790be",
+    "compare/max_diameter.svg": "b226745cb339c23c5fe3d2074273426ba4c47ae4376695fc85e1faaaee058413",
+    "compare/num_components.svg": "5b707c89356396700f0c75555351bfb1f0c98f0f62e700e53248e6a0a9631dd6",
+    "compare/velocity_convergence.svg": "e59c898f6a5d58a4d3cdc7be093275074a4bd9b29f5608c9b8f650d69a245464",
+    "noise-sweep/noise_summary.csv": "cf6a94e625ab6213baadadcc585aa0ecc640efe935f8c5f1c44f5aca6ab94132",
+    "noise-sweep/irregularity.svg": "d438f4c8d5d04bb18fbde62dedadbe60309f0bf174af7ded0fc20e939dc6556f",
+    "noise-sweep/max_diameter.svg": "0df7489a9090a0d58d2343622955aab8da29c66d9111dfd8fb1baaee1195adf3",
+    "noise-sweep/num_components.svg": "071404d60aeda4ce3985aed4261f3df1be06a1d714cd98318e980ae4b43fd0a9",
+    "noise-sweep/velocity_convergence.svg": "32a4956712cbe4dd3bd53d9a27f20a3ae899ea68daa00c4391ae4c80c5d10678",
+}
+
+# Two rule models at a radius where some steps leave every agent isolated,
+# so the empty mean diameter, a nonzero none count and the chart gaps are
+# pinned too.
+SUMMARY_ARGS = [
+    "--models", "reynolds,olfati_saber", "--runs", "2", "--seed", "1",
+    "--workers", "1", "--set", "n=6", "--set", "steps=8", "--set", "r=3",
+    "--set", "olfati.d=2",
+]
+SUMMARY_RUNS = {
+    "compare": ([], "summary.csv"),
+    "noise-sweep": (["--levels", "0,3"], "noise_summary.csv"),
+}
+
 GOLDEN_NORMALS = [
     "0x1.1a0e7968905f6p+0",
     "-0x1.6af3c51f13955p-2",
@@ -113,6 +141,16 @@ def final_state_path(tmp_path):
     return out / "final_state.csv"
 
 
+def summary_digests(command, tmp_path) -> dict:
+    """sha256 of the summary CSV and of each chart that `command` writes
+    for SUMMARY_RUNS."""
+    extra, summary = SUMMARY_RUNS[command]
+    out = tmp_path / command
+    assert main([command, *extra, *SUMMARY_ARGS, "--out", str(out)]) == 0
+    paths = [out / summary, *sorted(out.glob("*.svg"))]
+    return {f"{command}/{path.name}": _sha256(path) for path in paths}
+
+
 def normals_hex() -> list:
     return [float(z).hex() for z in RandomStream(1).normals(16)]
 
@@ -128,6 +166,16 @@ def test_steps_csv_matches_golden_n30(key, tmp_path):
     tag, level = key.split("@")
     digest = steps_digest(tag, int(level), tmp_path, n=30, steps=15)
     assert digest == GOLDEN_STEPS_N30[key]
+
+
+@pytest.mark.parametrize("command", sorted(SUMMARY_RUNS))
+def test_summary_and_charts_match_golden(command, tmp_path):
+    expected = {
+        key: digest
+        for key, digest in GOLDEN_SUMMARIES.items()
+        if key.startswith(f"{command}/")
+    }
+    assert summary_digests(command, tmp_path) == expected
 
 
 def test_effective_config_matches_golden(tmp_path):
@@ -174,9 +222,13 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(io.StringIO()):
             config_digest = effective_config_digest(tmp_path)
             final_state_digest = _sha256(final_state_path(tmp_path))
+            summaries = {}
+            for command in SUMMARY_RUNS:
+                summaries.update(summary_digests(command, tmp_path))
         golden = {
             "steps": steps,
             "steps_n30": steps_n30,
+            "summaries": summaries,
             "effective_config": config_digest,
             "final_state": final_state_digest,
             "normals": normals_hex(),

@@ -238,21 +238,21 @@ def test_run_batch_starts_no_more_workers_than_runs(monkeypatch, workers, runs, 
 
 
 def test_comparison_single_run_equals_simulate():
-    cfg = small_cfg("reynolds", steps=5)
-    records = run_comparison(cfg, [cfg.model], runs=1)
+    cfg = small_cfg("reynolds", steps=5, runs=1)
+    records = run_comparison(cfg, [cfg.model])
     direct = simulate(cfg, seed=mix_seed(cfg.base_seed, 0))
     assert records["reynolds"][0].metrics == direct.metrics
 
 
 def test_comparison_pairs_initial_conditions():
-    cfg = small_cfg("reynolds", steps=2)
+    cfg = small_cfg("reynolds", steps=2, runs=2)
     models = [default_model_spec("reynolds"), default_model_spec("olfati_saber")]
     # run seed j is model independent, so the sampled start must be too
     seed0 = mix_seed(cfg.base_seed, 0)
     start_a = sample_initial_config(cfg, RandomStream(seed0))
     start_b = sample_initial_config(cfg, RandomStream(seed0))
     assert start_a == start_b
-    records = run_comparison(cfg, models, runs=2)
+    records = run_comparison(cfg, models)
     assert set(records) == {"reynolds", "olfati_saber"}
     assert all(len(v) == 2 for v in records.values())
 
@@ -261,9 +261,9 @@ def test_comparison_frozen_dynamics_models_agree():
     # with a negligible acceleration budget no controller can act, so every
     # model's metric trajectory coincides up to float dust
     limits = MotionLimits(v_max=8.0, a_max=1e-12, dt=0.3)
-    cfg = small_cfg("reynolds", steps=6, limits=limits)
+    cfg = small_cfg("reynolds", steps=6, limits=limits, runs=1)
     models = [default_model_spec(t) for t in ("reynolds", "df_distributed")]
-    records = run_comparison(cfg, models, runs=1)
+    records = run_comparison(cfg, models)
     for ma, mb in zip(records["reynolds"][0].metrics, records["df_distributed"][0].metrics):
         assert ma.num_components == mb.num_components
         assert ma.velocity_convergence == pytest.approx(
@@ -282,15 +282,15 @@ def test_noise_sweep_levels_and_pairing():
     assert level3.sigma_v == pytest.approx(0.3)
     with pytest.raises(ValueError):
         noise_for_level(-1)
-    cfg = small_cfg("reynolds", steps=3)
-    records = run_noise_sweep(cfg, [cfg.model], levels=[0, 2], runs=2)
+    cfg = small_cfg("reynolds", steps=3, runs=2)
+    records = run_noise_sweep(cfg, [cfg.model], levels=[0, 2])
     assert set(records) == {("reynolds", 0), ("reynolds", 2)}
 
 
 def test_sweep_level_zero_matches_noiseless_comparison():
-    cfg = small_cfg("reynolds", steps=4)
-    swept = run_noise_sweep(cfg, [cfg.model], levels=[0], runs=2)[("reynolds", 0)]
-    compared = run_comparison(cfg, [cfg.model], runs=2)["reynolds"]
+    cfg = small_cfg("reynolds", steps=4, runs=2)
+    swept = run_noise_sweep(cfg, [cfg.model], levels=[0])[("reynolds", 0)]
+    compared = run_comparison(cfg, [cfg.model])["reynolds"]
     for a, b in zip(swept, compared):
         assert a.metrics == b.metrics
         assert a.final == b.final
@@ -302,8 +302,10 @@ def test_sweep_level_zero_matches_noiseless_comparison():
 
 
 def test_aggregate_steps_excludes_none_diameters():
-    cfg = small_cfg("reynolds", steps=3, n=2, init_position_box=((-60.0, 60.0),) * 2)
-    records = run_comparison(cfg, [cfg.model], runs=6)
+    cfg = small_cfg(
+        "reynolds", steps=3, n=2, runs=6, init_position_box=((-60.0, 60.0),) * 2
+    )
+    records = run_comparison(cfg, [cfg.model])
     rows = aggregate_steps(records)
     assert len(rows) == 3
     for row in rows:
@@ -314,8 +316,8 @@ def test_aggregate_steps_excludes_none_diameters():
 
 
 def test_aggregate_finals_reports_noise_parameters():
-    cfg = small_cfg("reynolds", steps=2)
-    records = run_noise_sweep(cfg, [cfg.model], levels=[1, 4], runs=2)
+    cfg = small_cfg("reynolds", steps=2, runs=2)
+    records = run_noise_sweep(cfg, [cfg.model], levels=[1, 4])
     rows = aggregate_finals(records)
     levels = {row["level"]: row for row in rows}
     assert levels[1]["sigma_x"] == pytest.approx(0.2)

@@ -279,3 +279,11 @@ def test_metrics_record_validation():
         MetricsRecord(0, None, 0.0, 0.0)
     with pytest.raises(ValueError):
         MetricsRecord(1, None, -1.0, 0.0)
+    assert MetricsRecord(1, 0.0, 0.0, 0.0).max_diameter == 0.0
+    with pytest.raises(ValueError):
+        MetricsRecord(1, -1.0, 0.0, 0.0)
+
+
+def test_coincident_agents_have_zero_diameter():
+    rec = evaluate_metrics(config([[1.0, 2.0], [1.0, 2.0]]), 8.4)
+    assert rec == MetricsRecord(1, 0.0, 0.0, 0.0)

@@ -3,9 +3,15 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from flockbench import ExperimentConfig, default_model_spec, mix_seed
-from flockbench.harness import aggregate_steps, run_batch
+from flockbench.harness import (
+    aggregate_finals,
+    aggregate_steps,
+    run_batch,
+    run_noise_sweep,
+)
 from flockbench.output import (
     COMPARISON_SUMMARY_FIELDS,
+    NOISE_SUMMARY_FIELDS,
     emit_plots,
     format_value,
     read_summary_csv,
@@ -94,6 +100,16 @@ def test_summary_roundtrip(tmp_path):
     assert parsed[0]["mean_num_components"] == pytest.approx(
         rows[0]["mean_num_components"]
     )
+
+
+def test_summary_rows_fill_the_summary_columns_in_order():
+    rows = aggregate_steps(tiny_records(runs=2, steps=2))
+    assert [tuple(row) for row in rows] == [COMPARISON_SUMMARY_FIELDS] * 2
+    cfg = ExperimentConfig(
+        model=default_model_spec("reynolds"), n=3, steps=2, runs=2, base_seed=5
+    )
+    rows = aggregate_finals(run_noise_sweep(cfg, [cfg.model], [0, 1]))
+    assert [tuple(row) for row in rows] == [NOISE_SUMMARY_FIELDS] * 2
 
 
 # --------------------------------------------------------------------------
