@@ -25,7 +25,6 @@ from __future__ import annotations
 import operator
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -271,6 +270,16 @@ def simulate(
 def _simulate_task(args):
     cfg, seed, run_id = args
     return simulate(cfg, seed, run_id)
+
+
+def ProcessPoolExecutor(max_workers):
+    """A `concurrent.futures.ProcessPoolExecutor` of max_workers processes,
+    imported on first use: that import (multiprocessing, sockets, logging)
+    takes about 40 ms, which every process would otherwise pay at start,
+    serial runs included."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
 
 
 def run_batch(cfg: ExperimentConfig, seeds, workers: int = 1) -> list:

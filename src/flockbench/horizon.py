@@ -1,0 +1,293 @@
+"""
+Batched prediction over the MPC horizon, and the walls of the centralized
+cost.
+
+Arrays are (B, T, ...): one row per independent problem, then the
+predicted steps 1..T.  `_rollout_arrays` predicts the positions and
+pre-clamp velocities under a control plan; the adjoint pass
+`_backprop_controls` (gradients) and the tangent pass `_forward_controls`
+(directional derivatives) differentiate that rollout through the velocity
+clamp, whose Jacobian at each predicted step `_clamp_jacobians` computes
+once for both.
+
+A centralized MPC cost counts its edge terms only inside the interaction
+radius r, so it jumps up wherever a predicted pair enters r.
+`_wall_search` treats r as a wall (gradient projection onto the active
+face, Calamai & More 1987): a pair just beyond r, and a control saturated
+at a_max, are held, and the search direction is the negative gradient
+projected exactly onto the cone of directions that pull no such pair in and
+push no such control out (`_wall_projection`, by Lawson and Hanson's
+non-negative least squares, `_nnls`).  The tangent pass gives the other
+pairs' distance rates along that direction, and from them the step at which
+the first would enter r.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .core import clamp_norm, sq_norm
+
+
+def _rollout_arrays(x0, v0, U, limits):
+    """Positions and pre-clamp velocities at steps 1..T under controls U,
+    from the (B, ...) initial states x0, v0.
+
+    The step-1 positions x0 + dt * v0 do not depend on U.  A problem's
+    `evaluate` returns this rollout with the objective, and the gradient at
+    an accepted point takes the rollout of the probe that accepted it.
+    """
+    dt, v_max = limits.dt, limits.v_max
+    x, v = x0, v0
+    xs = np.empty_like(U)
+    ws = np.empty_like(U)
+    for t in range(U.shape[1]):
+        x = x + dt * v
+        w = v + dt * U[:, t]
+        v = clamp_norm(w, v_max)
+        xs[:, t] = x
+        ws[:, t] = w
+    return xs, ws
+
+
+def _clamp_jacobians(W, v_max):
+    """Per predicted step t, the norm clamp's Jacobian at the pre-clamp
+    velocities W[:, t], as `_clamp_apply` takes it: None where no velocity
+    of the step is clamped, else the mask of the clamped velocities and
+    their squared norms and v_max / norm (1 where unclamped), each
+    (B, ..., 1)."""
+    norms = np.sqrt(sq_norm(W, keepdims=True))
+    over = norms > v_max
+    clamped = over.reshape(len(W), W.shape[1], -1).any(axis=(0, 2))
+    safe = np.where(over, norms, 1.0)
+    sq, scale = safe * safe, v_max / safe
+    return [
+        (over[:, t], sq[:, t], scale[:, t]) if clamped[t] else None
+        for t in range(W.shape[1])
+    ]
+
+
+def _clamp_apply(jacobian, w, p):
+    """Apply the (symmetric) Jacobian of the norm clamp at pre-clamp
+    velocities w, from `_clamp_jacobians`, to p, rowwise over the last
+    axis."""
+    if jacobian is None:
+        return p
+    over, sq, scale = jacobian
+    radial = (w * p).sum(axis=-1, keepdims=True) / sq
+    return np.where(over, scale * (p - w * radial), p)
+
+
+def _backprop_controls(gx, W, U, limits, lam, jacobians=None):
+    """Adjoint pass: gradient of the objective w.r.t. the controls U.
+
+    gx[:, t] is the stage gradient at predicted step t+2; W[:, t] is the
+    pre-clamp velocity that produced step t+1's velocity, and `jacobians`
+    its `_clamp_jacobians`, computed here when not given.  Step 1's
+    positions do not depend on U, so its stage gradient never reaches the
+    controls and is not taken: with T = 1 the gradient is the control
+    penalty's alone.
+    """
+    dt = limits.dt
+    if jacobians is None:
+        jacobians = _clamp_jacobians(W, limits.v_max)
+    gu = np.empty_like(U)
+    px = np.zeros_like(U[:, 0])
+    pv = np.zeros_like(px)
+    for t in range(U.shape[1] - 1, 0, -1):
+        px = px + gx[:, t - 1]
+        q = _clamp_apply(jacobians[t], W[:, t], pv)
+        gu[:, t] = dt * q + 2.0 * lam * U[:, t]
+        pv = dt * px + q
+    gu[:, 0] = dt * _clamp_apply(jacobians[0], W[:, 0], pv) + 2.0 * lam * U[:, 0]
+    return gu
+
+
+def _forward_controls(D, W, limits, jacobians=None):
+    """Tangent pass, the mirror of `_backprop_controls`: the derivative of
+    the positions at predicted steps 2..T along the control direction D,
+    shape (B, T-1, ...).  W and `jacobians` are as `_backprop_controls`
+    takes them; the clamp's Jacobian is symmetric."""
+    dt = limits.dt
+    if jacobians is None:
+        jacobians = _clamp_jacobians(W, limits.v_max)
+    xd = np.empty_like(D[:, 1:])
+    x = v = np.zeros_like(D[:, 0])
+    for t in range(D.shape[1] - 1):
+        v = _clamp_apply(jacobians[t], W[:, t], v + dt * D[:, t])
+        x = x + dt * v
+        xd[:, t] = x
+    return xd
+
+
+def _active_solve(K, b, on):
+    """The multipliers of the active set `on` alone: K_on lam = b_on."""
+    idx = np.flatnonzero(on)
+    sub = K[idx[:, None], idx]
+    try:
+        return np.linalg.solve(sub, b[idx])
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(sub, b[idx], rcond=None)[0]
+
+
+def _nnls(K, b, tol):
+    """The lam >= 0 minimizing lam.K.lam / 2 - b.lam by Lawson and Hanson's
+    active-set method, for the Gram matrix K = A A^T of constraint rows A
+    and b = A g: g - A^T lam is then the projection of g onto the cone
+    A x <= 0, exact up to rounding.  A constraint whose multiplier gradient
+    b - K lam is at most tol stays inactive.
+
+    The search starts from the constraints g violates (b > tol) where their
+    own multipliers are all positive, as they are where those constraints
+    hold g at a minimum, and from no constraint otherwise.
+    """
+    on = b > tol
+    lam = np.zeros(b.size)
+    lam[on] = _active_solve(K, b, on)
+    if not (lam[on] > 0).all():
+        on[:], lam[:] = False, 0.0
+    for _ in range(3 * b.size):
+        w = np.where(on, -np.inf, b - K @ lam)
+        p = np.argmax(w)
+        if not w[p] > tol:
+            break
+        on[p] = True
+        for _ in range(b.size):
+            z = np.zeros(b.size)
+            z[on] = _active_solve(K, b, on)
+            if (z[on] > 0).all():
+                lam = z
+                break
+            # move towards z until the first multiplier reaches 0; drop it
+            ratio = np.full(b.size, np.inf)
+            neg = on & (z <= 0)
+            ratio[neg] = lam[neg] / (lam[neg] - z[neg])
+            j = np.argmin(ratio)
+            lam = lam + ratio[j] * (z - lam)
+            lam[j] = 0.0
+            on &= lam > 0
+            lam[~on] = 0.0
+    return lam
+
+
+def _wall_projection(g, P, u, pairs, saturated):
+    """One centralized row's projected gradient: the projection of its
+    gradient g, (T, n, m), onto the cone where the direction -g pulls no
+    wall pair inside r and pushes no saturated control (saturated: (T, n))
+    past a_max.  pairs holds the unit distance gradients of the row's wall
+    pairs, one per row, flattened like g, and P is g with every saturated
+    control projected on its own.
+
+    Each constraint is a row of A, with A x <= 0 on the projected gradient
+    x: a wall pair's unit distance gradient, or minus a saturated control's
+    unit vector in its slot.  The control rows are orthonormal, so P holds
+    at every saturated control no wall pair's distance depends on; the
+    other saturated controls and the wall pairs go through `_nnls`.
+    """
+    T, n, m = u.shape
+    slots = np.flatnonzero(saturated)
+    coupled = (pairs.reshape(len(pairs), T * n, m)[:, slots] != 0).any(axis=(0, 2))
+    slots = slots[coupled]
+    unit = u.reshape(T * n, m)[slots]
+    controls = np.zeros((slots.size, T * n, m))
+    controls[np.arange(slots.size), slots] = -unit / np.sqrt(sq_norm(unit, keepdims=True))
+    A = np.concatenate([controls.reshape(slots.size, g.size), pairs])
+    flat = g.reshape(-1)
+    lam = _nnls(A @ A.T, A @ flat, 1e-10 * np.sqrt(flat @ flat))
+    P = P.reshape(T * n, m).copy()
+    P[slots] = g.reshape(T * n, m)[slots]
+    return P.reshape(g.shape) - (lam @ A).reshape(g.shape)
+
+
+def _wall_search(gx, U, W, pairs, r, lam, limits, gap, fraction):
+    """(G, P, cap) of centralized rows with the plans U, (R, T, n, m), from
+    their stage gradients gx at steps 2..T, the rollout's pre-clamp
+    velocities W, and the pair arrays of their R * (T-1) configurations at
+    steps 2..T.
+
+    G is the gradient.  A row moves along -P: -G where that pulls no wall
+    pair (one beyond r by at most `gap`) inside r and pushes no saturated
+    control (|u| = a_max) outward, and otherwise -G projected onto the cone
+    that does neither (`_wall_projection`).  Its cap is `fraction` times the
+    smallest first-order step (dist - r) / -rate along -P of a pair beyond
+    the walls whose distance falls, and inf where there is none.  P is G
+    itself where no row is projected.
+
+    Only pairs within reach of r count.  Two feasible plans differ by at
+    most 2 a_max per control, and the velocity clamp does not stretch
+    differences, so no line-search probe moves a predicted agent by more
+    than dt**2 a_max T (T-1), nor a pair's distance by more than twice that.
+    """
+    R, T, n, m = U.shape
+    diff, dist = pairs
+    reach = 2.0 * limits.dt**2 * limits.a_max * T * (T - 1)
+    # the pairs i < j within reach: configuration, i, j and distance
+    near = np.flatnonzero((dist >= r) & (dist <= r + reach))
+    near_stage, pair = np.divmod(near, n * n)
+    near_i, near_j = np.divmod(pair, n)
+    upper = near_i < near_j
+    near = near[upper]
+    near_stage, near_i, near_j = near_stage[upper], near_i[upper], near_j[upper]
+    near_dist = dist.ravel()[near]
+    wall = near_dist - r <= gap
+    if wall.any():
+        # each wall pair's distance gradient rides through the adjoint pass
+        # as one more row, with zero controls for a zero control penalty
+        stage, i, j = near_stage[wall], near_i[wall], near_j[wall]
+        row, t = np.divmod(stage, T - 1)
+        e = diff[:, stage, i, j].T / near_dist[wall][:, None]
+        gd = np.zeros((stage.size, T - 1, n, m))
+        k = np.arange(stage.size)
+        gd[k, t, i], gd[k, t, j] = e, -e
+        stacked = np.concatenate([W, W[row]])
+        jacobians = _clamp_jacobians(stacked, limits.v_max)
+        G = _backprop_controls(
+            np.concatenate([gx, gd]),
+            stacked,
+            np.concatenate([U, np.zeros(gd.shape[:1] + U.shape[1:])]),
+            limits,
+            lam,
+            jacobians,
+        )
+        G, walls = G[:R], G[R:].reshape(stage.size, -1)
+        jacobians = [
+            None if jac is None else tuple(f[:R] for f in jac) for jac in jacobians
+        ]
+        norms = np.sqrt((walls * walls).sum(axis=1))
+        row, walls = row[norms > 0], walls[norms > 0] / norms[norms > 0, None]
+    else:
+        jacobians = _clamp_jacobians(W, limits.v_max)
+        G = _backprop_controls(gx, W, U, limits, lam, jacobians)
+        row, walls = np.zeros(0, dtype=np.intp), np.zeros((0, G[0].size))
+    # clamp_norm leaves a projected control within rounding of a_max
+    sq = sq_norm(U)
+    saturated = sq >= (limits.a_max * (1.0 - 1e-9)) ** 2
+    radial = (U * G).sum(axis=-1)
+    pushed = saturated & (radial < 0)
+    P = G
+    if pushed.any():
+        # each saturated control alone: drop the outward radial part
+        outward = np.divide(radial, sq, out=np.zeros_like(sq), where=pushed)
+        P = G - outward[..., None] * U
+    if row.size:
+        # rows whose wall pairs -G pulls in, or whose controls it pushes out,
+        # project onto every constraint of the row at once
+        blocked = np.zeros(R, dtype=bool)
+        blocked[row] = pushed.reshape(R, -1).any(axis=1)[row]
+        blocked[row[(walls * G.reshape(R, -1)[row]).sum(axis=1) > 0]] = True
+        if P is G and blocked.any():
+            P = G.copy()
+        for k in np.flatnonzero(blocked):
+            P[k] = _wall_projection(G[k], P[k], U[k], walls[row == k], saturated[k])
+    cap = np.full(R, np.inf)
+    if not wall.all():
+        stage, i, j = near_stage[~wall], near_i[~wall], near_j[~wall]
+        d = near_dist[~wall]
+        xd = _forward_controls(-P, W, limits, jacobians).reshape(-1, n, m)
+        # the distance times its rate, over the distance times its excess:
+        # minus one over the step at which the pair would enter r
+        rate = (diff[:, stage, i, j].T * (xd[stage, i] - xd[stage, j])).sum(axis=1)
+        inverse = np.zeros(R)
+        np.minimum.at(inverse, stage // (T - 1), rate / ((d - r) * d))
+        np.divide(-fraction, inverse, out=cap, where=inverse < 0)
+    return G, P, cap

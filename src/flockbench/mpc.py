@@ -33,17 +33,32 @@ bits as in any batch: a centralized row plans every agent, (T, n, m), from
 one measurement, and a distributed row one agent, (T, m), from its own view.
 `solve_mpc` solves one row and returns one `SolveResult` (plan,
 accepted-objective trace, iterations, converged); a distributed step solves
-n rows and returns every agent's plan.  Each row takes Armijo backtracking
-steps, accepting the first of the steps a, a/2, a/4, ... that passes.  The
-scale a is 1 in the first line search of every solve, warm-started or not,
-and after that the row's Barzilai-Borwein step s.s / s.y from its last
-accepted move s and the gradient change y along it (Barzilai & Borwein
-1988), clipped to [2**-10, 2**10], or 2**10 where s.y <= 0.  The probes are
-evaluated a few at a time, in one objective call per batch, and those past
-the accepted step are discarded.  The row projects every per-step
-acceleration onto the a_max ball after each update, and stops on a
-projected-gradient tolerance of 1e-6 (at unit step), when its step falls
-below a * 2**-40 (a stall), or after 200 iterations.
+n rows and returns every agent's plan.  Each row moves along minus its
+projected gradient P and takes Armijo backtracking steps, accepting the
+first of the steps a, a/2, a/4, ... that passes.  The scale a is 1 in the
+first line search of every solve, warm-started or not, and after that the
+row's Barzilai-Borwein step s.s / s.y from its last accepted move s and the
+change y in P along it (Barzilai & Borwein 1988), clipped to
+[2**-10, 2**10], or 2**10 where s.y <= 0; a centralized row's a is also at
+most its step cap.  The probes are evaluated a few at a time, in one
+objective call per batch, and those past the accepted step are discarded.
+The row projects every per-step acceleration onto the a_max ball after each
+update, and stops on a projected-gradient tolerance of 1e-6 (|U - clamp(U -
+P)| at unit step), when its step falls below a * 2**-40 (a stall), or after
+200 iterations.
+
+A distributed row's P is its gradient.  A centralized cost counts its edge
+terms only inside r, so it jumps up wherever a predicted pair enters r, and
+a centralized row treats r as a wall (gradient projection onto the active
+face, Calamai & More 1987).  A pair beyond r by at most WALL_GAP at a
+predicted step 2..T is held there, and so is a control saturated at a_max:
+P is the gradient projected, exactly, onto the cone of directions that pull
+no such pair inside r and push no such control outward.  The pair
+distances' rates along -P come from a tangent pass through the rollout, the
+mirror of the adjoint pass, and the row's step cap is CROSS_FRACTION times
+the first-order step at which the first other pair would enter r.  A
+minimum at a wall then passes the tolerance test, where the gradient alone
+would keep every line search short of the wall.
 
 Each point is rolled out once: a problem's `evaluate` returns the objective
 with the rollout it computed, and the gradient at an accepted point reuses
@@ -74,6 +89,7 @@ from .core import (
     clamp_norm,
     sq_norm,
 )
+from .horizon import _backprop_controls, _rollout_arrays, _wall_search
 
 __all__ = [
     "MpcParams",
@@ -101,6 +117,14 @@ MPC_TAGS = CENTRALIZED_MPC_TAGS + DISTRIBUTED_MPC_TAGS
 GRAD_TOL = 1e-6
 MAX_ITER = 200
 ARMIJO_C = 1e-4
+# A centralized pair beyond r by at most WALL_GAP at a predicted step 2..T
+# sits at a wall: entering r would raise the cost by a jump, so the search
+# direction may not pull it in.  A narrower gap lets pairs creep up to the
+# wall in more, shorter steps.
+WALL_GAP = 1e-3
+# A centralized line search starts at most at CROSS_FRACTION times the
+# first-order step at which the first pair beyond the walls enters r.
+CROSS_FRACTION = 0.9
 LAST_HALVING = 40  # a line search probes its scale times 2**-h, h <= LAST_HALVING
 # Most line-search probes one row evaluates in one objective call.  A row's
 # window is the probe count of its previous line search, up to this cap:
@@ -150,7 +174,10 @@ class SolveResult:
     """Outcome of one MPC solve: the accepted control plan, the objective
     at the start and after each accepted step, the number of iterations
     that searched for a step, and whether the projected-gradient test
-    passed (a row that stops without it either stalled or hit MAX_ITER)."""
+    passed (a row that stops without it either stalled or hit MAX_ITER).
+    A centralized solve's test projects the gradient off the walls of its
+    cost, so a plan that holds a pair just beyond r passes it where the
+    gradient pulls that pair in."""
 
     controls: np.ndarray
     objectives: list = field(default_factory=list)
@@ -298,18 +325,29 @@ def _centralized_stage_values(tag, x, r, d, omega):
     return (2.0 / (n * (n - 1))) * (dist * dist).sum(axis=1) + omega * edge_sums
 
 
-def _centralized_stage_gradient(tag, x, r, d, omega):
+def _pair_arrays(x):
+    """The differences x_i - x_j of every configuration in the stack x of
+    shape (S, n, m), component first, (m, S, n, n), and the distances,
+    (S, n, n), summed over the components in order as `sq_norm` sums."""
+    # broadcasting contiguous components is several times faster than
+    # broadcasting the (S, n, m) stack itself
+    xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    diff = xt[..., :, None] - xt[..., None, :]
+    return diff, np.sqrt(sum(c * c for c in diff))
+
+
+def _centralized_stage_gradient(tag, x, r, d, omega, pairs=None):
     """Gradient of the centralized stage cost of every configuration in the
     stack x of shape (S, n, m) with respect to its positions, treating each
-    configuration's edge set as constant.
+    configuration's edge set as constant.  `pairs` is `_pair_arrays(x)`,
+    computed here when not given.
 
     One pass over the (S, n, n) pair arrays; each stage's coefficient row
     sums and matrix product are the ones it would get alone, so a stage's
     gradient has the same bits in any stack.
     """
     n = x.shape[1]
-    diff = x[:, :, None, :] - x[:, None, :, :]
-    dist = np.sqrt(sq_norm(diff))
+    dist = (_pair_arrays(x) if pairs is None else pairs)[1]
     mask = dist < r
     mask[:, np.arange(n), np.arange(n)] = False
     dist_f = np.maximum(dist, EPS_DIST)
@@ -425,71 +463,11 @@ def _edge_stage_dcost(tag, dist, edge_counts, params):
 
 
 # --------------------------------------------------------------------------
-# Batched rollout and backpropagation.  Arrays are (B, T, ...): one row per
-# independent problem, then the predicted steps 1..T.
-# --------------------------------------------------------------------------
-
-
-def _rollout_arrays(x0, v0, U, limits):
-    """Positions and pre-clamp velocities at steps 1..T under controls U,
-    from the (B, ...) initial states x0, v0.
-
-    The step-1 positions x0 + dt * v0 do not depend on U.  A problem's
-    `evaluate` returns this rollout with the objective, and the gradient at
-    an accepted point takes the rollout of the probe that accepted it.
-    """
-    dt, v_max = limits.dt, limits.v_max
-    x, v = x0, v0
-    xs = np.empty_like(U)
-    ws = np.empty_like(U)
-    for t in range(U.shape[1]):
-        x = x + dt * v
-        w = v + dt * U[:, t]
-        v = clamp_norm(w, v_max)
-        xs[:, t] = x
-        ws[:, t] = w
-    return xs, ws
-
-
-def _clamp_backprop(w, p, v_max):
-    """Apply the (symmetric) Jacobian of the norm clamp at pre-clamp
-    velocities w to the adjoint p, rowwise over the last axis."""
-    norms = np.sqrt(sq_norm(w, keepdims=True))
-    over = norms > v_max
-    if not over.any():
-        return p
-    safe = np.where(over, norms, 1.0)
-    radial = (w * p).sum(axis=-1, keepdims=True) / (safe * safe)
-    clamped = (v_max / safe) * (p - w * radial)
-    return np.where(over, clamped, p)
-
-
-def _backprop_controls(gx, W, U, limits, lam):
-    """Adjoint pass: gradient of the objective w.r.t. the controls U.
-
-    gx[:, t] is the stage gradient at predicted step t+2; W[:, t] is the
-    pre-clamp velocity that produced step t+1's velocity.  Step 1's
-    positions do not depend on U, so its stage gradient never reaches the
-    controls and is not taken: with T = 1 the gradient is the control
-    penalty's alone.
-    """
-    dt, v_max = limits.dt, limits.v_max
-    gu = np.empty_like(U)
-    px = np.zeros_like(U[:, 0])
-    pv = np.zeros_like(px)
-    for t in range(U.shape[1] - 1, 0, -1):
-        px = px + gx[:, t - 1]
-        q = _clamp_backprop(W[:, t], pv, v_max)
-        gu[:, t] = dt * q + 2.0 * lam * U[:, t]
-        pv = dt * px + q
-    gu[:, 0] = dt * _clamp_backprop(W[:, 0], pv, v_max) + 2.0 * lam * U[:, 0]
-    return gu
-
-
-# --------------------------------------------------------------------------
 # Problems of R independent rows: evaluate(U) -> (objective (R,), xs, ws),
 # gradient(U, xs, ws) -> U.shape given the rollout evaluate returned for U,
-# and rows(idx) -> the sub-problem of the rows idx, repeats included
+# search_direction(U, xs, ws) -> (gradient, projected gradient, step cap (R,))
+# from that rollout, and rows(idx) -> the sub-problem of the rows idx,
+# repeats included
 # --------------------------------------------------------------------------
 
 
@@ -518,6 +496,13 @@ class _Problem:
         gx = self._stage_gradient(xs[:, 1:])
         return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
 
+    def search_direction(self, U, xs, ws):
+        """(G, P, cap): the gradient, the projected gradient whose negative
+        a row's line search follows, and each row's largest first step.
+        Here P is G and no row's step is capped."""
+        G = self.gradient(U, xs, ws)
+        return G, G, np.full(len(U), np.inf)
+
 
 @dataclass
 class _CentralizedProblem(_Problem):
@@ -540,11 +525,28 @@ class _CentralizedProblem(_Problem):
             stage = stage + column
         return stage
 
-    def _stage_gradient(self, later):
+    def _stage_gradient(self, later, pairs=None):
         p = self.params
         return _centralized_stage_gradient(
-            self.tag, later.reshape(-1, *later.shape[2:]), p.r, p.d, p.omega
+            self.tag, later.reshape(-1, *later.shape[2:]), p.r, p.d, p.omega, pairs
         ).reshape(later.shape)
+
+    def search_direction(self, U, xs, ws):
+        """(G, P, cap) with the walls seen: P is G projected so that no pair
+        just beyond r is pulled in and no saturated control pushed out, and
+        cap stops short of the first pair beyond the walls that would enter
+        r (`_wall_search`).  The stage gradient and the walls share one set
+        of pair arrays.  With one predicted step or one agent there are no
+        walls: P is G and no step is capped."""
+        T, n = U.shape[1:3]
+        if T < 2 or n < 2:
+            return super().search_direction(U, xs, ws)
+        p, later = self.params, xs[:, 1:]
+        pairs = _pair_arrays(later.reshape(-1, *later.shape[2:]))
+        gx = self._stage_gradient(later, pairs)
+        return _wall_search(
+            gx, U, ws, pairs, p.r, p.lam, self.limits, WALL_GAP, CROSS_FRACTION
+        )
 
     def rows(self, idx):
         """The sub-problem of the rows idx, in that order; a row may repeat."""
@@ -701,27 +703,34 @@ def _solve_batch(problem, warm):
     after each of its accepted steps.
 
     Each row's state is one row of (B, ...) arrays and every index is a
-    batch row; only the sets of rows in play narrow.  Each gradient runs on
-    the live rows (neither converged nor stalled), each line-search probe on
-    the live rows still searching, through the sub-problem `problem.rows`
-    builds for those batch rows.  Rows never interact, so every row computes
-    exactly what a batch of it alone would.
+    batch row; only the sets of rows in play narrow.  Each search direction
+    runs on the live rows (neither converged nor stalled), each line-search
+    probe on the live rows still searching, through the sub-problem
+    `problem.rows` builds for those batch rows.  Rows never interact, so
+    every row computes exactly what a batch of it alone would.
 
-    A row's line search tries the steps a, a/2, a/4, ... down to
-    a * 2**-LAST_HALVING and accepts the first that passes the Armijo test;
-    if none does, the row stalls.  The scale a is 1 in a row's first line
-    search.  In each later one it is the Barzilai-Borwein step s.s / s.y of
-    the row's last accepted move s = U_k - U_{k-1} and its gradient change
-    y = g_k - g_{k-1}, clipped to [BB_SCALE_MIN, BB_SCALE_MAX], or
-    BB_SCALE_MAX where s.y <= 0.  Each objective call evaluates the next w
+    `problem.search_direction` gives each live row's gradient g, its
+    projected gradient p and its step cap: p is g and the cap inf for a
+    distributed row, and for a centralized row p is g projected off the
+    walls (`_wall_search`).  A row has converged when its unit step
+    |U - clamp(U - p)| is at most GRAD_TOL, so a minimum at a wall counts.
+    Otherwise its line search tries the steps a, a/2, a/4, ... along -p,
+    down to a * 2**-LAST_HALVING, and accepts the first that passes the
+    Armijo test; if none does, the row stalls.  The scale a is the smaller
+    of the row's cap and 1 in a row's first line search.  In each later
+    one the cap bounds the Barzilai-Borwein step s.s / s.y of the row's last
+    accepted move s = U_k - U_{k-1} and the change y = p_k - p_{k-1} in its
+    projected gradient, clipped to [BB_SCALE_MIN, BB_SCALE_MAX], or
+    BB_SCALE_MAX where s.y <= 0; where no wall holds the row, y is its
+    gradient change.  Each objective call evaluates the next w
     of a row's steps for every searching row at once (rows repeated in the
     sub-problem), w being the row's probe count in its previous line search
     up to PROBE_WINDOW_CAP; the probes past the accepted one are discarded,
     so the accepted step is the one a probe-by-probe search accepts.
 
     `evaluate` returns each probe's rollout with its objective, and the
-    solver keeps the rollout of every row's current point: the gradient
-    there reuses it, so each accepted point is rolled out once.
+    solver keeps the rollout of every row's current point: the search
+    direction there reuses it, so each accepted point is rolled out once.
 
     Overflow and invalid operations are not warned about: a non-finite
     objective or gradient in a row still being solved raises SolverError.
@@ -743,8 +752,8 @@ def _solve_batch(problem, warm):
         )
         trace = [float(J[0])]
         converged = np.zeros(B, dtype=bool)
-        # each live row's gradient, the point it was taken at, and the scale
-        # of the row's next line search
+        # each live row's projected gradient, the point it was taken at, and
+        # the first step of the row's next line search
         G, U_prev = np.empty_like(U), np.empty_like(U)
         scale = np.ones(B)
         next_h = np.zeros(B, dtype=np.int64)
@@ -756,24 +765,28 @@ def _solve_batch(problem, warm):
         iterations = 0
         for _ in range(MAX_ITER):
             U_live = U[live]
-            grad = live_problem.gradient(U_live, XS[live], WS[live])
+            grad, proj, cap = live_problem.search_direction(
+                U_live, XS[live], WS[live]
+            )
             _check_finite("non-finite MPC gradient", live, "gradient", grad, U_live)
-            cand = clamp_norm(U_live - grad, a_max)
+            cand = clamp_norm(U_live - proj, a_max)
             done = np.sqrt(((U_live - cand) ** 2).sum(axis=row_axes)) <= GRAD_TOL
             converged[live[done]] = True
             if done.all():
                 break
             if iterations:
                 # every live row accepted a move in the previous iteration:
-                # the Barzilai-Borwein scale s.s / s.y of that move
+                # the Barzilai-Borwein scale s.s / s.y of that move, y being
+                # the change in the projected gradient
                 s = U_live - U_prev[live]
-                y = grad - G[live]
+                y = proj - G[live]
                 ss, sy = (s * s).sum(axis=row_axes), (s * y).sum(axis=row_axes)
                 scale[live] = np.where(
                     sy > 0, np.clip(ss / sy, BB_SCALE_MIN, BB_SCALE_MAX), BB_SCALE_MAX
                 )
+            scale[live] = np.minimum(scale[live], cap)
             iterations += 1
-            G[live], U_prev[live] = grad, U_live
+            G[live], U_prev[live] = proj, U_live
             if done.any():
                 live = live[~done]
                 live_problem = problem.rows(live)

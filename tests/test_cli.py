@@ -3,6 +3,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
@@ -147,6 +148,24 @@ def test_simulate_coincident_agents(tmp_path):
     assert run_cli(args + ["--out", str(out)]) == 0
     rows = (out / "steps.csv").read_text().splitlines()[1:]
     assert [row.split(",")[3:5] for row in rows] == [["1", "0"], ["1", "0"]]
+
+
+def test_package_needs_numpy_alone():
+    # scipy may be installed, but flockbench must not load it: its import
+    # alone would add about a second to every process start
+    code = (
+        "import sys, flockbench, flockbench.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'pandas'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
 
 
 @pytest.mark.parametrize("command", [["compare"], ["noise-sweep", "--levels", "0"]])

@@ -34,12 +34,12 @@ GOLDEN_STEPS = {
     "reynolds@3": "335cda4d2cfdedac7489653084c0cda75a5288a858030a02a408320a62c74491",
     "olfati_saber@0": "2d990c79cad36617aecaeb73f3e82409fde3bee14a21923fb1e0fce1f749b0ba",
     "olfati_saber@3": "8c37d263f67942ff7c00a02e34cee9e7b23a6e154b5180c44323086fb915811b",
-    "lattice_centralized@0": "aa1e38bf90e2d80944e196c1e48086f592ecc554e3eaff4e56b78296582f6e92",
-    "lattice_centralized@3": "2c13e40c4a3daac2e3b3e59838f863a1601f803780e387425f50a28e7a5a791a",
+    "lattice_centralized@0": "ebffe6520512d3017207c002d5e58bd98d76e8cf9d019bfec16fc8a25ccd33ca",
+    "lattice_centralized@3": "8e7c0503951a3b4d00a01832d8f65e0a39b4621f165280d87499e5c21f2bbbda",
     "lattice_distributed@0": "09ce0f1831073bf391a1c32dda2c1240a613b5fc0838c615021f60afa7128aa9",
     "lattice_distributed@3": "3544d8d9034ea337bd05b76c2cc2f5fa101c77c2a5e7059d4e674294f106201d",
-    "df_centralized@0": "85b20f54df7b34cbeca825db0c2d8b760795f4d6608852df3740c4ea93282dac",
-    "df_centralized@3": "aa5d2abc735df24f36fe623c2b23458c49f3008bf9e8994d05ed6096b2a85ac8",
+    "df_centralized@0": "e0a56c3ed3ba4dd7ee0ac536805ded589baa8541901655edea3a5176b5b77a97",
+    "df_centralized@3": "ae8ab179fe46866b98d58404eccdd996c84707f29a8651f737b1af0e49565120",
     "df_distributed@0": "247e85ad2a9a1de3455604e4d42f4a2e19fa894d32391c434417bc39d2d0b8f4",
     "df_distributed@3": "704bfd9830f6c39a0848a5cc648760ec27ec046265c815cb48ffe00c64ebd335",
 }
@@ -48,8 +48,8 @@ GOLDEN_STEPS = {
 # stalls that the n = 8 runs above seldom do: the centralized models
 # noiseless, the distributed ones under noise.
 GOLDEN_STEPS_N30 = {
-    "lattice_centralized@0": "4fc5adaf494f55389cb6531c1135a74b8cf846bcdba6a646eda92399e2c75816",
-    "df_centralized@0": "e2fef867454f7807ec5db4a4f8b5c3d3dbbfe24011a8f3622e98c9fd5cbf8889",
+    "lattice_centralized@0": "a1d292f023bb98e11c0b75816af82675b27483fd7c985148e65fb94fec81caac",
+    "df_centralized@0": "26f2660807274d00972f0cac5fe81188b79ea18a2e29908a2f3a68da7944065c",
     "lattice_distributed@10": "01b2d3e276a5257fbfab6c80ad0b6da40b85166881d2cd5faf5ef9275327403a",
     "df_distributed@10": "6b6c0ce2b103fb13e4c7e6f076a586c7eea1422d1726280c6baedd9420c9a949",
 }
@@ -60,7 +60,7 @@ GOLDEN_EFFECTIVE_CONFIG = (
 
 # final_state.csv of a short `simulate` (FINAL_STATE_RUN)
 GOLDEN_FINAL_STATE = (
-    "1336b9dc8e9c424ac7502afde3eb3ca6745b8b7ad8ddf156d1dedcc112dd85db"
+    "ecc6ebf7522b1da137813e7470dfa07343b6a075507e77c78600b57041e6152a"
 )
 FINAL_STATE_RUN = {"model": "df_centralized", "seed": 11, "n": 6, "steps": 5}
 

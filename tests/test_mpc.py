@@ -31,7 +31,7 @@ from flockbench import (
     solve_mpc_distributed_all,
     step_dynamics,
 )
-from flockbench import mpc
+from flockbench import horizon, mpc
 from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm
 from flockbench.mpc import (
     ARMIJO_C,
@@ -587,9 +587,9 @@ class CountingProblem:
         self.log.append(("evaluate", self.ids.tolist(), U.copy()))
         return self.problem.evaluate(U)
 
-    def gradient(self, U, xs, ws):
+    def search_direction(self, U, xs, ws):
         self.log.append(("gradient", self.ids.tolist(), U.copy()))
-        return self.problem.gradient(U, xs, ws)
+        return self.problem.search_direction(U, xs, ws)
 
 
 def test_solver_evaluates_only_rows_in_play(np_rng):
@@ -812,12 +812,135 @@ def test_one_step_horizon_gradient_is_control_penalty(tag, np_rng):
     assert np.allclose(U, 0.0, atol=1e-5)
 
 
+@pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
+def test_forward_controls_match_finite_differences_of_the_rollout(tag, np_rng):
+    # agents near the speed limit, so the plans drive the velocity clamp
+    view = fast_config(np_rng, 8)
+    problem = _single_problem(tag, view, PARAMS, LIMITS, None).rows(np.zeros(4, int))
+    x0, v0 = problem.x0, problem.v0
+    U = clamp_norm(np_rng.uniform(-1.0, 1.0, (4, 3, 8, 2)), LIMITS.a_max)
+    D = np_rng.uniform(-1.0, 1.0, U.shape)
+    xs, ws = mpc._rollout_arrays(x0, v0, U, LIMITS)
+    assert_clamp_active(ws)
+    xd = horizon._forward_controls(D, ws, LIMITS)
+    h = 1e-6
+    ahead, _ = mpc._rollout_arrays(x0, v0, U + h * D, LIMITS)
+    behind, _ = mpc._rollout_arrays(x0, v0, U - h * D, LIMITS)
+    assert xd.shape == xs[:, 1:].shape
+    assert np.allclose(xd, (ahead - behind)[:, 1:] / (2 * h), rtol=1e-6, atol=1e-8)
+    # the tangent pass mirrors the adjoint pass: <backprop(gx), D> = <gx, xd>
+    gx = np_rng.normal(size=xd.shape)
+    gu = horizon._backprop_controls(gx, ws, U, LIMITS, 0.0)
+    assert (gu * D).sum() == pytest.approx((gx * xd).sum(), rel=1e-12)
+
+
+class PlainDirection:
+    """A problem whose line searches follow minus the gradient with no step
+    cap, as they would with no walls."""
+
+    def __init__(self, problem):
+        self.problem, self.limits = problem, problem.limits
+
+    def rows(self, idx):
+        return PlainDirection(self.problem.rows(idx))
+
+    def evaluate(self, U):
+        return self.problem.evaluate(U)
+
+    def search_direction(self, U, xs, ws):
+        G = self.problem.gradient(U, xs, ws)
+        return G, G, np.full(len(U), np.inf)
+
+
+def test_pair_just_beyond_r_converges_at_the_wall():
+    # agents 0 and 1 at rest r + 1e-4 apart: cohesion pulls them together,
+    # and their separation term would jump in inside r.  Without the walls
+    # the line search creeps towards r and stalls; with them the pair is
+    # held just beyond r and the solve converges there, lower
+    r = PARAMS.r
+    view = config([[0.0, 0.0], [r + 1e-4, 0.0], [r / 2, 4.0]])
+    problem = _single_problem("df_centralized", view, PARAMS, LIMITS, None)
+    U, converged, iterations, trace = _solve_batch(problem, np.zeros((1, 3, 3, 2)))
+    assert converged[0] and iterations <= 5
+    _, xs, _ = problem.evaluate(U)
+    excess = np.sqrt(((xs[0, :, 0] - xs[0, :, 1]) ** 2).sum(axis=-1)) - r
+    assert ((excess >= 0) & (excess <= mpc.WALL_GAP)).all()
+    plain = PlainDirection(problem)
+    _, plain_converged, plain_iterations, plain_trace = _solve_batch(
+        plain, np.zeros((1, 3, 3, 2))
+    )
+    assert not plain_converged[0] and plain_iterations > iterations
+    assert trace[-1] < plain_trace[-1]
+
+
+@pytest.mark.parametrize("excess", [5e-4, 5e-3])
+def test_wall_gap_separates_walls_from_capping_pairs(excess):
+    # two agents at rest r + excess apart, pulled together by cohesion:
+    # within WALL_GAP of r the pair is a wall and the direction may not pull
+    # it in; beyond it the direction does, and the line search's first step
+    # is CROSS_FRACTION times the first-order step at which it enters r
+    r = PARAMS.r
+    view = config([[0.0, 0.0], [r + excess, 0.0]])
+    problem = _single_problem("df_centralized", view, PARAMS, LIMITS, None)
+    U = np.zeros((1, 3, 2, 2))
+    _, xs, ws = problem.evaluate(U)
+    G, P, cap = problem.search_direction(U, xs, ws)
+    assert np.array_equal(G, problem.gradient(U, xs, ws))
+
+    def distances(plan):
+        _, xs, _ = problem.evaluate(plan)
+        return np.sqrt(((xs[0, 1:, 0] - xs[0, 1:, 1]) ** 2).sum(axis=-1))
+
+    h = 1e-6
+    rate = (distances(U - h * P) - distances(U + h * P)) / (2 * h)
+    if excess < mpc.WALL_GAP:
+        assert not np.array_equal(P, G)
+        assert np.allclose(rate, 0.0, atol=1e-9) and np.abs(P).max() < 1e-12
+        assert cap[0] == np.inf
+    else:
+        assert P is G
+        assert (rate < 0).all()
+        crossing = (distances(U) - r) / -rate
+        assert cap[0] == pytest.approx(mpc.CROSS_FRACTION * crossing.min(), rel=1e-6)
+
+
+@pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
+@pytest.mark.parametrize("steps, n", [(1, 6), (3, 1)])
+def test_one_step_or_one_agent_gives_no_walls_and_no_cap(tag, steps, n, np_rng):
+    view = random_config(np_rng, n=n, span=5.0, v_span=7.9)
+    params = MpcParams(horizon=steps)
+    problem = _single_problem(tag, view, params, LIMITS, None)
+    # plans with saturated controls, which a penalty-only gradient pulls in
+    U = clamp_norm(np_rng.uniform(-2.0, 2.0, (1, steps, n, 2)), LIMITS.a_max)
+    _, xs, ws = problem.evaluate(U)
+    G, P, cap = problem.search_direction(U, xs, ws)
+    assert P is G and np.array_equal(G, problem.gradient(U, xs, ws))
+    assert cap.tolist() == [np.inf]
+
+
+def test_wall_projection_is_exact(np_rng):
+    # the projection of g onto the cone A x <= 0 meets its optimality
+    # conditions to rounding: x = g - A^T lam, lam >= 0, A x <= 0 and
+    # lam . A x = 0, also with repeated and parallel constraint rows
+    for k in range(40):
+        A = np_rng.normal(size=(1 + k % 6, 12))
+        if k % 3 == 0:
+            A = np.concatenate([A, 2.0 * A[:1], A[:1]])
+        g = np_rng.normal(size=12)
+        lam = horizon._nnls(A @ A.T, A @ g, 1e-12)
+        x = g - lam @ A
+        assert (lam >= 0).all()
+        assert (A @ x <= 1e-12).all()
+        assert abs(lam @ (A @ x)) <= 1e-12
+
+
 def test_solver_rolls_out_once_per_evaluation():
     # every rollout inside the solver comes from an evaluation; a gradient
     # takes the rollout of the evaluation that accepted its point
     counts = {"rollouts": 0, "evaluations": 0, "in_gradient": 0}
     rollout = mpc._rollout_arrays
-    evaluate, gradient = _CentralizedProblem.evaluate, _CentralizedProblem.gradient
+    evaluate = _CentralizedProblem.evaluate
+    search_direction = _CentralizedProblem.search_direction
 
     def counting_rollout(*args):
         counts["rollouts"] += 1
@@ -827,24 +950,26 @@ def test_solver_rolls_out_once_per_evaluation():
         counts["evaluations"] += 1
         return evaluate(self, U)
 
-    def checked_gradient(self, U, xs, ws):
+    def checked_search_direction(self, U, xs, ws):
         before = counts["rollouts"]
-        G = gradient(self, U, xs, ws)
+        found = search_direction(self, U, xs, ws)
         counts["in_gradient"] += counts["rollouts"] - before
-        return G
+        return found
 
     cfg = ExperimentConfig(model=default_model_spec("df_centralized"))
     with mock.patch.object(mpc, "_rollout_arrays", counting_rollout), \
             mock.patch.object(_CentralizedProblem, "evaluate", counting_evaluate), \
-            mock.patch.object(_CentralizedProblem, "gradient", checked_gradient):
+            mock.patch.object(
+                _CentralizedProblem, "search_direction", checked_search_direction
+            ):
         simulate(cfg, mix_seed(1, 0))
     assert (cfg.n, cfg.steps) == (30, 100)
-    assert counts == {"rollouts": 5032, "evaluations": 5032, "in_gradient": 0}
+    assert counts == {"rollouts": 1043, "evaluations": 1043, "in_gradient": 0}
 
 
 def bb_scale(s, y):
-    """One row's line-search scale after its move s changed its gradient by
-    y: the Barzilai-Borwein step s.s / s.y clipped to [2**-10, 2**10], and
+    """One row's Barzilai-Borwein scale after its move s changed its
+    projected gradient by y: s.s / s.y clipped to [2**-10, 2**10], and
     2**10 when s.y <= 0."""
     sy = float((s * y).sum())
     if sy <= 0.0:
@@ -852,14 +977,23 @@ def bb_scale(s, y):
     return min(max(float((s * s).sum()) / sy, 2.0**-10), 2.0**10)
 
 
+def first_scale(last, u, p, cap):
+    """The first step of a row's line search from the plan u with the
+    projected gradient p and step cap `cap`: 1, or `bb_scale` of the move
+    from last = (plan, projected gradient) of its previous search, and at
+    most the cap."""
+    scale = 1.0 if last is None else bb_scale(u - last[0], p - last[1])
+    return min(scale, float(cap))
+
+
 class TrappedProblem:
     """Passes evaluations on to a problem, except that its objective is NaN
     at chosen line-search probes: traps[i][k] holds the halvings h whose
-    probe (step scale * 2**-h) is trapped in batch row i's k-th line search,
-    counted by the row's gradient evaluations; the scale is 1 at a row's
-    first gradient and `bb_scale` of its last move after that.  Logs the
-    rows of each objective call and counts the trapped probes it was
-    handed."""
+    probe (step scale * 2**-h along minus the projected gradient P) is
+    trapped in batch row i's k-th line search, counted by the row's
+    gradient evaluations; the scale is `first_scale` of the row's search.
+    Logs the rows of each objective call and counts the trapped probes it
+    was handed."""
 
     def __init__(self, problem, ids, traps, state):
         self.problem, self.ids, self.traps, self.state = problem, ids, traps, state
@@ -873,23 +1007,20 @@ class TrappedProblem:
     def rows(self, idx):
         return TrappedProblem(self.problem.rows(idx), self.ids[idx], self.traps, self.state)
 
-    def gradient(self, U, xs, ws):
-        G = self.problem.gradient(U, xs, ws)
-        for i, u, g in zip(self.ids.tolist(), U, G):
+    def search_direction(self, U, xs, ws):
+        G, P, cap = self.problem.search_direction(U, xs, ws)
+        for i, u, p, c in zip(self.ids.tolist(), U, P, cap):
             k = self.state["grads"].get(i, 0)
             self.state["grads"][i] = k + 1
-            scale = 1.0
-            if k:
-                u_prev, g_prev = self.state["last"][i]
-                scale = bb_scale(u - u_prev, g - g_prev)
-            self.state["last"][i] = (u.copy(), g)
+            scale = first_scale(self.state["last"].get(i), u, p, c)
+            self.state["last"][i] = (u.copy(), p)
             trapped = self.traps.get(i, [])
             halvings = trapped[k] if k < len(trapped) else ()
             self.state["plans"][i] = [
-                clamp_norm(u - scale * 2.0**-h * g, self.limits.a_max)
+                clamp_norm(u - scale * 2.0**-h * p, self.limits.a_max)
                 for h in halvings
             ]
-        return G
+        return G, P, cap
 
     def evaluate(self, U):
         J, xs, ws = self.problem.evaluate(U)
@@ -904,14 +1035,15 @@ class TrappedProblem:
 
 def sequential_solve(problem, warm):
     """Reference solver: projected gradient descent whose line search probes
-    the steps a, a/2, ..., a * 2**-LAST_HALVING one at a time, each row
-    evaluated alone through problem.rows and every row searching in
-    lockstep, raising on the first probe that is non-finite.  A row's scale
-    a is 1 in its first line search and `bb_scale` of its last accepted
-    move after that.  Returns the plans, and per row its iterations,
-    converged flag, accepted-objective trace and the halvings of its
-    accepted steps.  The gradient at a point takes the rollout the point's
-    evaluation returned."""
+    the steps a, a/2, ..., a * 2**-LAST_HALVING along minus the projected
+    gradient P one at a time, each row evaluated alone through problem.rows
+    and every row searching in lockstep, raising on the first probe that is
+    non-finite.  A row's first step a is `first_scale`: 1 or the
+    Barzilai-Borwein scale of its last accepted move, at most the row's
+    cap.  Returns the plans, and per row its iterations, converged flag,
+    accepted-objective trace and the halvings of its accepted steps.  The
+    search direction at a point takes the rollout the point's evaluation
+    returned."""
     B, a_max = warm.shape[0], problem.limits.a_max
     alone = [problem.rows(np.array([i])) for i in range(B)]
     U = clamp_norm(warm, a_max)
@@ -927,7 +1059,8 @@ def sequential_solve(problem, warm):
     scales, last = np.ones(B), {}
     live = list(range(B))
     for _ in range(MAX_ITER):
-        G = {i: alone[i].gradient(U[i : i + 1], *rollouts[i])[0] for i in live}
+        found = {i: alone[i].search_direction(U[i : i + 1], *rollouts[i]) for i in live}
+        G = {i: found[i][1][0] for i in live}
         for i in live:
             step = np.sqrt(((U[i] - clamp_norm(U[i] - G[i], a_max)) ** 2).sum())
             converged[i] = step <= GRAD_TOL
@@ -936,9 +1069,7 @@ def sequential_solve(problem, warm):
             break
         iterations[live] += 1
         for i in live:
-            if i in last:
-                u_prev, g_prev = last[i]
-                scales[i] = bb_scale(U[i] - u_prev, G[i] - g_prev)
+            scales[i] = first_scale(last.get(i), U[i], G[i], found[i][2][0])
             last[i] = (U[i].copy(), G[i])
         searching, going = list(live), []
         for h in range(LAST_HALVING + 1):
@@ -1142,12 +1273,23 @@ def gradient_at(problem, i, u):
     return row.gradient(U, xs, ws)[0]
 
 
+def direction_at(problem, i, u):
+    """Batch row i's projected gradient and step cap at the plan u, its row
+    evaluated alone."""
+    row, U = problem.rows(np.array([i])), u[None]
+    _, xs, ws = row.evaluate(U)
+    _, P, cap = row.search_direction(U, xs, ws)
+    return P[0], float(cap[0])
+
+
 @pytest.mark.parametrize("tag", MPC_TAGS)
 def test_first_line_search_of_every_solve_probes_step_one(tag):
     # the solves of a closed loop, in order: the first cold, the later ones
     # warm-started; each solve's first search starts at step 1, later ones
-    # at the row's own Barzilai-Borwein scale
-    first, later = 0, 0
+    # at the row's own Barzilai-Borwein scale.  A distributed row steps
+    # along minus its gradient; a centralized row along minus its projected
+    # gradient, and its first step is at most its cap
+    first, later, capped = 0, 0, 0
     for problem, warm in closed_loop_solves(tag, 4, level=3):
         log = []
         counting = CountingProblem(problem, np.arange(len(warm)), log)
@@ -1156,13 +1298,20 @@ def test_first_line_search_of_every_solve_probes_step_one(tag):
         assert starts
         for i, searches in starts.items():
             for k, (u, probe) in enumerate(searches):
-                unit = clamp_norm(u - gradient_at(problem, i, u), LIMITS.a_max)
+                if tag in DISTRIBUTED_MPC_TAGS:
+                    g, cap = gradient_at(problem, i, u), np.inf
+                else:
+                    g, cap = direction_at(problem, i, u)
+                unit = clamp_norm(u - min(1.0, cap) * g, LIMITS.a_max)
                 if k == 0:
                     assert np.array_equal(probe, unit)
                     first += 1
+                    capped += cap < 1.0
                 else:
                     later += not np.array_equal(probe, unit)
     assert first > 0 and later > 0
+    if tag in CENTRALIZED_MPC_TAGS:
+        assert capped > 0
 
 
 class QuadraticProblem:
@@ -1181,8 +1330,9 @@ class QuadraticProblem:
         J = 0.5 * (self.c * U * U).reshape(len(U), -1).sum(axis=1)
         return J, U, U
 
-    def gradient(self, U, xs, ws):
-        return self.c * U
+    def search_direction(self, U, xs, ws):
+        G = self.c * U
+        return G, G, np.full(len(U), np.inf)
 
 
 def second_line_searches(c, warm):
@@ -1235,6 +1385,43 @@ def test_line_search_scale_is_clipped_at_both_ends():
         assert np.array_equal(probe, probe_at(u, g, wanted))
         if scale != wanted:
             assert not np.array_equal(probe, probe_at(u, g, scale))
+
+
+class HeldQuadratic(QuadraticProblem):
+    """Quadratic rows whose component [0, 0] is held from the second search
+    direction on: there the projected gradient has it zeroed."""
+
+    def __init__(self, c, calls=None):
+        super().__init__(c)
+        self.calls = {} if calls is None else calls
+
+    def rows(self, idx):
+        return HeldQuadratic(self.c[idx], self.calls)
+
+    def search_direction(self, U, xs, ws):
+        G = self.c * U
+        P = G.copy()
+        if self.calls.setdefault("n", 0):
+            P[:, 0, 0] = 0.0
+        self.calls["n"] += 1
+        return G, P, np.full(len(U), np.inf)
+
+
+def test_line_search_scale_comes_from_the_projected_gradient_change():
+    # once a component is held its gradient change no longer counts: the
+    # second search's scale is the Barzilai-Borwein step of the change in
+    # the projected gradient, not in the gradient
+    c = np.array([[[8.0, 1.0], [1.5, 2.0], [1.0, 0.7]]])
+    problem = HeldQuadratic(c)
+    log = []
+    _solve_batch(CountingProblem(problem, np.arange(1), log), np.full((1, 3, 2), 0.1))
+    (u0, _), (u1, probe) = line_search_starts(log)[0][:2]
+    g0, g1 = c[0] * u0, c[0] * u1
+    p1 = g1.copy()
+    p1[0, 0] = 0.0
+    held = bb_scale(u1 - u0, p1 - g0)
+    assert held != bb_scale(u1 - u0, g1 - g0)
+    assert np.array_equal(probe, probe_at(u1, p1, held))
 
 
 def test_distributed_solver_error_names_failing_agents():
