@@ -19,7 +19,8 @@ projected exactly onto the cone of directions that pull no such pair in and
 push no such control out (`_wall_projection`, by Lawson and Hanson's
 non-negative least squares, `_nnls`).  The tangent pass gives the other
 pairs' distance rates along that direction, and from them the step at which
-the first would enter r.
+the first would enter r.  The walls read the pairs i < j in the one layout
+the stage cost and its gradient read, `mpc._pairs`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ from __future__ import annotations
 import numpy as np
 
 from .core import clamp_norm, sq_norm
+
+# A centralized pair beyond r by at most WALL_GAP at a predicted step 2..T
+# sits at a wall: entering r would raise the cost by a jump, so the search
+# direction may not pull it in.  A narrower gap lets pairs creep up to the
+# wall in more, shorter steps.
+WALL_GAP = 1e-3
+# A centralized line search starts at most at CROSS_FRACTION times the
+# first-order step at which the first pair beyond the walls enters r.
+CROSS_FRACTION = 0.9
 
 
 def _rollout_arrays(x0, v0, U, limits):
@@ -199,19 +209,20 @@ def _wall_projection(g, P, u, pairs, saturated):
     return P.reshape(g.shape) - (lam @ A).reshape(g.shape)
 
 
-def _wall_search(gx, U, W, pairs, r, lam, limits, gap, fraction):
+def _wall_search(gx, U, W, pairs, r, lam, limits):
     """(G, P, cap) of centralized rows with the plans U, (R, T, n, m), from
     their stage gradients gx at steps 2..T, the rollout's pre-clamp
-    velocities W, and the pair arrays of their R * (T-1) configurations at
-    steps 2..T.
+    velocities W, and `mpc._pairs` of their R * (T-1) configurations at
+    steps 2..T (agents iu, ju, differences and distances of the pairs i < j).
 
     G is the gradient.  A row moves along -P: -G where that pulls no wall
-    pair (one beyond r by at most `gap`) inside r and pushes no saturated
-    control (|u| = a_max) outward, and otherwise -G projected onto the cone
-    that does neither (`_wall_projection`).  Its cap is `fraction` times the
-    smallest first-order step (dist - r) / -rate along -P of a pair beyond
-    the walls whose distance falls, and inf where there is none.  P is G
-    itself where no row is projected.
+    pair (one beyond r by at most `WALL_GAP`) inside r and pushes no
+    saturated control (|u| = a_max) outward, and otherwise -G projected onto
+    the cone that does neither (`_wall_projection`).  Its cap is
+    `CROSS_FRACTION` times the smallest first-order step (dist - r) / -rate
+    along -P of a pair beyond the walls whose distance falls, and inf where
+    there is none.  P is G itself where no row is projected, as with one
+    predicted step or one agent, where there is no pair.
 
     Only pairs within reach of r count.  Two feasible plans differ by at
     most 2 a_max per control, and the velocity clamp does not stretch
@@ -219,46 +230,37 @@ def _wall_search(gx, U, W, pairs, r, lam, limits, gap, fraction):
     than dt**2 a_max T (T-1), nor a pair's distance by more than twice that.
     """
     R, T, n, m = U.shape
-    diff, dist = pairs
+    iu, ju, diff, dist = pairs
     reach = 2.0 * limits.dt**2 * limits.a_max * T * (T - 1)
-    # the pairs i < j within reach: configuration, i, j and distance
-    near = np.flatnonzero((dist >= r) & (dist <= r + reach))
-    near_stage, pair = np.divmod(near, n * n)
-    near_i, near_j = np.divmod(pair, n)
-    upper = near_i < near_j
-    near = near[upper]
-    near_stage, near_i, near_j = near_stage[upper], near_i[upper], near_j[upper]
-    near_dist = dist.ravel()[near]
-    wall = near_dist - r <= gap
-    if wall.any():
-        # each wall pair's distance gradient rides through the adjoint pass
-        # as one more row, with zero controls for a zero control penalty
-        stage, i, j = near_stage[wall], near_i[wall], near_j[wall]
-        row, t = np.divmod(stage, T - 1)
-        e = diff[:, stage, i, j].T / near_dist[wall][:, None]
-        gd = np.zeros((stage.size, T - 1, n, m))
-        k = np.arange(stage.size)
-        gd[k, t, i], gd[k, t, j] = e, -e
-        stacked = np.concatenate([W, W[row]])
-        jacobians = _clamp_jacobians(stacked, limits.v_max)
-        G = _backprop_controls(
-            np.concatenate([gx, gd]),
-            stacked,
-            np.concatenate([U, np.zeros(gd.shape[:1] + U.shape[1:])]),
-            limits,
-            lam,
-            jacobians,
-        )
-        G, walls = G[:R], G[R:].reshape(stage.size, -1)
-        jacobians = [
-            None if jac is None else tuple(f[:R] for f in jac) for jac in jacobians
-        ]
-        norms = np.sqrt((walls * walls).sum(axis=1))
-        row, walls = row[norms > 0], walls[norms > 0] / norms[norms > 0, None]
-    else:
-        jacobians = _clamp_jacobians(W, limits.v_max)
-        G = _backprop_controls(gx, W, U, limits, lam, jacobians)
-        row, walls = np.zeros(0, dtype=np.intp), np.zeros((0, G[0].size))
+    # the pairs within reach: configuration, pair and distance
+    near_stage, near_pair = np.nonzero((dist >= r) & (dist <= r + reach))
+    near_dist = dist[near_stage, near_pair]
+    wall = near_dist - r <= WALL_GAP
+    # each wall pair's distance gradient rides through the adjoint pass as
+    # one more row, with zero controls for a zero control penalty
+    stage, pair = near_stage[wall], near_pair[wall]
+    row, t = np.divmod(stage, T - 1)
+    e = diff[stage, pair] / near_dist[wall][:, None]
+    gd = np.zeros((stage.size, T - 1, n, m))
+    k = np.arange(stage.size)
+    gd[k, t, iu[pair]], gd[k, t, ju[pair]] = e, -e
+    stacked = np.concatenate([W, W[row]])
+    jacobians = _clamp_jacobians(stacked, limits.v_max)
+    G = _backprop_controls(
+        np.concatenate([gx, gd]),
+        stacked,
+        np.concatenate([U, np.zeros(gd.shape[:1] + U.shape[1:])]),
+        limits,
+        lam,
+        jacobians,
+    )
+    G, walls = G[:R], G[R:].reshape(stage.size, U[0].size)
+    jacobians = [
+        None if jac is None else tuple(f[:R] for f in jac) for jac in jacobians
+    ]
+    norms = np.sqrt((walls * walls).sum(axis=1))
+    keep = norms > 0
+    row, walls = row[keep], walls[keep] / norms[keep, None]
     # clamp_norm leaves a projected control within rounding of a_max
     sq = sq_norm(U)
     saturated = sq >= (limits.a_max * (1.0 - 1e-9)) ** 2
@@ -281,13 +283,14 @@ def _wall_search(gx, U, W, pairs, r, lam, limits, gap, fraction):
             P[k] = _wall_projection(G[k], P[k], U[k], walls[row == k], saturated[k])
     cap = np.full(R, np.inf)
     if not wall.all():
-        stage, i, j = near_stage[~wall], near_i[~wall], near_j[~wall]
+        stage, pair = near_stage[~wall], near_pair[~wall]
         d = near_dist[~wall]
         xd = _forward_controls(-P, W, limits, jacobians).reshape(-1, n, m)
         # the distance times its rate, over the distance times its excess:
         # minus one over the step at which the pair would enter r
-        rate = (diff[:, stage, i, j].T * (xd[stage, i] - xd[stage, j])).sum(axis=1)
+        xd_ij = xd[stage, iu[pair]] - xd[stage, ju[pair]]
+        rate = (diff[stage, pair] * xd_ij).sum(axis=1)
         inverse = np.zeros(R)
         np.minimum.at(inverse, stage // (T - 1), rate / ((d - r) * d))
-        np.divide(-fraction, inverse, out=cap, where=inverse < 0)
+        np.divide(-CROSS_FRACTION, inverse, out=cap, where=inverse < 0)
     return G, P, cap

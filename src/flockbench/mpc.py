@@ -66,10 +66,12 @@ the rollout of the probe that accepted it.  The predicted step-1 positions
 x0 + dt * v0 do not depend on the controls, so a centralized problem prices
 that stage of all its rows once, when it is built, and each objective call
 evaluates its rows' steps 2..T in one array pass over the pairs i < j; no
-gradient takes a step-1 stage gradient.  Results are feasible local minimizers; global
-optimality is not claimed.  Gradients are analytic (backpropagated through
-the rollout, including the velocity clamp); finite differences are used as
-an independent oracle in the tests.
+gradient takes a step-1 stage gradient.  One function, `_pairs`, lays out
+every centralized pair array, the pairs i < j row-major, for the stage
+values, the stage gradient and the walls alike.  Results are feasible local
+minimizers; global optimality is not claimed.  Gradients are analytic
+(backpropagated through the rollout, including the velocity clamp); finite
+differences are used as an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ from .core import (
     clamp_norm,
     sq_norm,
 )
-from .horizon import _backprop_controls, _rollout_arrays, _wall_search
+from .horizon import CROSS_FRACTION, WALL_GAP, _backprop_controls, _rollout_arrays
+from .horizon import _wall_search
 
 __all__ = [
     "MpcParams",
@@ -117,14 +120,6 @@ MPC_TAGS = CENTRALIZED_MPC_TAGS + DISTRIBUTED_MPC_TAGS
 GRAD_TOL = 1e-6
 MAX_ITER = 200
 ARMIJO_C = 1e-4
-# A centralized pair beyond r by at most WALL_GAP at a predicted step 2..T
-# sits at a wall: entering r would raise the cost by a jump, so the search
-# direction may not pull it in.  A narrower gap lets pairs creep up to the
-# wall in more, shorter steps.
-WALL_GAP = 1e-3
-# A centralized line search starts at most at CROSS_FRACTION times the
-# first-order step at which the first pair beyond the walls enters r.
-CROSS_FRACTION = 0.9
 LAST_HALVING = 40  # a line search probes its scale times 2**-h, h <= LAST_HALVING
 # Most line-search probes one row evaluates in one objective call.  A row's
 # window is the probe count of its previous line search, up to this cap:
@@ -291,24 +286,35 @@ def _pair_layout(n: int):
     return iu, ju, ordered
 
 
+def _pairs(x):
+    """The pairs i < j of every configuration in the stack x of shape
+    (S, n, m), in `_pair_layout` order: their agents iu and ju, their
+    differences x_i - x_j, (S, P, m), and their distances, (S, P), with
+    `sq_norm`'s bits.  The stage values, the stage gradient and the walls
+    all read these arrays."""
+    iu, ju, _ = _pair_layout(x.shape[1])
+    # np.take, unlike x[:, iu], returns C-contiguous arrays, so each row of
+    # the distances sums pairwise as a lone 1-D array does
+    diff = np.take(x, iu, axis=1) - np.take(x, ju, axis=1)
+    return iu, ju, diff, np.sqrt(sq_norm(diff))
+
+
 def _centralized_stage_values(tag, x, r, d, omega):
     """Centralized stage cost of every configuration in the stack x of
     shape (S, n, m), as an (S,) array.
 
     Edge sums run over the ordered neighbor pairs of each configuration;
-    the df cost is 0 for fewer than two agents.  Distances are computed
-    once per pair i < j and gathered for the ordered pairs.  Each stage's
-    edge terms are summed on their own as one row-major 1-D slice, and its
-    cohesion as one contiguous row, so a stage's value has the same bits in
-    any stack.
+    the df cost is 0 for fewer than two agents.  The distances of the
+    pairs i < j come from `_pairs` and are gathered for the ordered pairs.
+    Each stage's edge terms are summed on their own as one row-major 1-D
+    slice, and its cohesion as one contiguous row, so a stage's value has
+    the same bits in any stack.
     """
     S, n = x.shape[:2]
     if tag == "df_centralized" and n < 2:
         return np.zeros(S)
-    iu, ju, ordered = _pair_layout(n)
-    # np.take, unlike x[:, iu], returns C-contiguous arrays, so each row of
-    # dist sums pairwise as a lone 1-D array does
-    dist = np.sqrt(sq_norm(np.take(x, iu, axis=1) - np.take(x, ju, axis=1)))
+    dist = _pairs(x)[3]
+    ordered = _pair_layout(n)[2]
     every = np.take(dist, ordered, axis=1)
     edges = np.flatnonzero(every < r)
     near = np.take(every, edges)  # the stages' edge distances, row-major
@@ -325,43 +331,35 @@ def _centralized_stage_values(tag, x, r, d, omega):
     return (2.0 / (n * (n - 1))) * (dist * dist).sum(axis=1) + omega * edge_sums
 
 
-def _pair_arrays(x):
-    """The differences x_i - x_j of every configuration in the stack x of
-    shape (S, n, m), component first, (m, S, n, n), and the distances,
-    (S, n, n), summed over the components in order as `sq_norm` sums."""
-    # broadcasting contiguous components is several times faster than
-    # broadcasting the (S, n, m) stack itself
-    xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    diff = xt[..., :, None] - xt[..., None, :]
-    return diff, np.sqrt(sum(c * c for c in diff))
-
-
 def _centralized_stage_gradient(tag, x, r, d, omega, pairs=None):
     """Gradient of the centralized stage cost of every configuration in the
     stack x of shape (S, n, m) with respect to its positions, treating each
-    configuration's edge set as constant.  `pairs` is `_pair_arrays(x)`,
-    computed here when not given.
+    configuration's edge set as constant.  `pairs` is `_pairs(x)`, computed
+    here when not given.
 
-    One pass over the (S, n, n) pair arrays; each stage's coefficient row
-    sums and matrix product are the ones it would get alone, so a stage's
+    Each pair i < j's coefficient is computed once and written at (i, j)
+    and (j, i) of one (S, n, n) matrix; each stage's coefficient row sums
+    and matrix product are the ones it would get alone, so a stage's
     gradient has the same bits in any stack.
     """
-    n = x.shape[1]
-    dist = (_pair_arrays(x) if pairs is None else pairs)[1]
-    mask = dist < r
-    mask[:, np.arange(n), np.arange(n)] = False
-    dist_f = np.maximum(dist, EPS_DIST)
-    active = mask & (dist >= EPS_DIST)
-    if tag == "lattice_centralized":
-        coef = np.where(active, 4.0 * (dist_f - d) / dist_f, 0.0)
-        return coef.sum(axis=-1)[..., None] * x - coef @ x
-    if n < 2:
+    S, n = x.shape[:2]
+    if tag == "df_centralized" and n < 2:
         return np.zeros_like(x)
+    iu, ju, _, dist = _pairs(x) if pairs is None else pairs
+    dist_f = np.maximum(dist, EPS_DIST)
+    active = (dist < r) & (dist >= EPS_DIST)
+    if tag == "lattice_centralized":
+        pair_coef = np.where(active, 4.0 * (dist_f - d) / dist_f, 0.0)
+    else:
+        sq_f = dist_f * dist_f
+        pair_coef = np.where(active, -4.0 * omega / (sq_f * sq_f), 0.0)
+    coef = np.zeros((S, n, n))
+    coef[:, iu, ju] = coef[:, ju, iu] = pair_coef
+    edges = coef.sum(axis=-1)[..., None] * x - coef @ x
+    if tag == "lattice_centralized":
+        return edges
     c_n = 2.0 / (n * (n - 1))
-    grad = 2.0 * c_n * (n * x - x.sum(axis=1, keepdims=True))
-    sq_f = dist_f * dist_f
-    coef = np.where(active, -4.0 * omega / (sq_f * sq_f), 0.0)
-    return grad + (coef.sum(axis=-1)[..., None] * x - coef @ x)
+    return 2.0 * c_n * (n * x - x.sum(axis=1, keepdims=True)) + edges
 
 
 def lattice_deviation_centralized(
@@ -535,18 +533,12 @@ class _CentralizedProblem(_Problem):
         """(G, P, cap) with the walls seen: P is G projected so that no pair
         just beyond r is pulled in and no saturated control pushed out, and
         cap stops short of the first pair beyond the walls that would enter
-        r (`_wall_search`).  The stage gradient and the walls share one set
-        of pair arrays.  With one predicted step or one agent there are no
-        walls: P is G and no step is capped."""
-        T, n = U.shape[1:3]
-        if T < 2 or n < 2:
-            return super().search_direction(U, xs, ws)
+        r (`_wall_search`).  The stage gradient and the walls read one
+        `_pairs` pass over the pairs i < j of steps 2..T."""
         p, later = self.params, xs[:, 1:]
-        pairs = _pair_arrays(later.reshape(-1, *later.shape[2:]))
+        pairs = _pairs(later.reshape(-1, *later.shape[2:]))
         gx = self._stage_gradient(later, pairs)
-        return _wall_search(
-            gx, U, ws, pairs, p.r, p.lam, self.limits, WALL_GAP, CROSS_FRACTION
-        )
+        return _wall_search(gx, U, ws, pairs, p.r, p.lam, self.limits)
 
     def rows(self, idx):
         """The sub-problem of the rows idx, in that order; a row may repeat."""

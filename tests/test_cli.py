@@ -10,10 +10,12 @@ import pytest
 from flockbench.cli import (
     DEFAULTS,
     CliError,
+    build_experiment,
     build_model_spec,
     main,
     parse_config_file,
 )
+from flockbench.harness import MODEL_TAGS, ExperimentConfig, default_model_spec
 
 FAST_OVERRIDES = [
     "--set", "n=4",
@@ -335,6 +337,16 @@ def test_readme_config_block_lists_defaults():
             assert key not in listed, f"{key} listed twice"
             listed[key] = value
     assert listed == DEFAULTS
+
+
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+def test_cli_defaults_build_the_dataclass_defaults(tag):
+    # with the README block above, this ties the three places a default is
+    # written: the CLI's DEFAULTS strings must parse back to the dataclass
+    # defaults exactly (a default that "%g" would round fails here)
+    assert build_experiment(DEFAULTS, tag) == ExperimentConfig(
+        model=default_model_spec(tag)
+    )
 
 
 def test_model_spec_reads_section_keys():

@@ -904,6 +904,40 @@ def test_wall_gap_separates_walls_from_capping_pairs(excess):
         assert cap[0] == pytest.approx(mpc.CROSS_FRACTION * crossing.min(), rel=1e-6)
 
 
+def test_walls_and_caps_in_several_rows_match_each_row_alone():
+    # three rows of three agents under the zero plan, each agent moving at
+    # its own constant velocity; the pairs i < j of all rows' steps 2..3
+    # are one stack, whose (stage, pair) entries map back to (row, step,
+    # i, j).  Row 0 has a wall pair at step 2 (inside r at step 3), row 1 a
+    # wall pair at step 3 and a capping pair at step 2, row 2 a capping
+    # pair alone; the third agent of every row is far from the others
+    r, gap, dt = PARAMS.r, 5e-4, LIMITS.dt
+    pos = np.array([
+        [[0.0, 0.0], [r + gap + 2 * dt, 0.0], [0.0, 40.0]],
+        [[0.0, -40.0], [0.0, 0.0], [r + gap + 3 * dt, 0.0]],
+        [[0.0, 0.0], [0.0, 40.0], [r + 10 * gap, 0.0]],
+    ])
+    vel = np.zeros_like(pos)
+    vel[0, 1] = vel[1, 2] = (-1.0, 0.0)
+    problem = _build_centralized_problem("df_centralized", pos, vel, PARAMS, LIMITS)
+    U = np.zeros((3, 3, 3, 2))
+    _, xs, ws = problem.evaluate(U)
+    excess = np.sqrt(((xs[:, 1:, 0] - xs[:, 1:, 1]) ** 2).sum(axis=-1)) - r
+    assert 0 < excess[0, 0] <= mpc.WALL_GAP and excess[0, 1] < 0
+    excess = np.sqrt(((xs[:, 1:, 1] - xs[:, 1:, 2]) ** 2).sum(axis=-1)) - r
+    assert mpc.WALL_GAP < excess[1, 0] and 0 < excess[1, 1] <= mpc.WALL_GAP
+    G, P, cap = problem.search_direction(U, xs, ws)
+    for k in range(3):
+        alone = problem.rows([k]).search_direction(
+            U[k : k + 1], xs[k : k + 1], ws[k : k + 1]
+        )
+        for stacked, one in zip((G, P, cap), alone):
+            assert np.array_equal(stacked[k : k + 1], one)
+    assert not np.array_equal(P[0], G[0]) and not np.array_equal(P[1], G[1])
+    assert np.array_equal(P[2], G[2])
+    assert cap[0] == np.inf and np.isfinite(cap[1:]).all()
+
+
 @pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
 @pytest.mark.parametrize("steps, n", [(1, 6), (3, 1)])
 def test_one_step_or_one_agent_gives_no_walls_and_no_cap(tag, steps, n, np_rng):
