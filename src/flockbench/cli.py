@@ -46,19 +46,21 @@ _SECTIONS = {
     **{model.prefix: model.params for model in MODELS.values()},
 }
 
+# ExperimentConfig's field defaults; each initial box gives one min and one
+# max key, its first dimension's range
+_EXPERIMENT = {f.name: f.default for f in fields(ExperimentConfig)}
+
 DEFAULTS = {
     "model": "df_distributed",
-    "dimension": "2",
-    "n": "30",
-    "steps": "100",
-    "runs": "20",
-    "seed": "1",
-    "r": "8.4",
     "workers": "0",
-    "init.position_min": "-15",
-    "init.position_max": "15",
-    "init.velocity_min": "0",
-    "init.velocity_max": "2",
+    "dimension": str(len(_EXPERIMENT["init_position_box"])),
+    "seed": f"{_EXPERIMENT['base_seed']:g}",
+    **{key: f"{_EXPERIMENT[key]:g}" for key in ("n", "steps", "runs", "r")},
+    **{
+        f"init.{box}_{end}": f"{_EXPERIMENT[f'init_{box}_box'][0][k]:g}"
+        for box in ("position", "velocity")
+        for k, end in enumerate(("min", "max"))
+    },
     **{
         f"{prefix}.{f.name}": f"{f.default:g}"
         for prefix, params in _SECTIONS.items()

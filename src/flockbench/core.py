@@ -280,6 +280,7 @@ def neighbors(config: FlockConfiguration, i: int, r: float) -> set:
     close = np.nonzero(dist < r)[0]
     return {int(j) for j in close if j != i}
 
+
 def proximity_net(config: FlockConfiguration, r: float) -> ProximityNet:
     """Build the proximity net: edge {i, j} iff ||x_i - x_j|| < r (strict)."""
     if not r > 0:

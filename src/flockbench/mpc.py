@@ -3,27 +3,27 @@ Receding-horizon (MPC) flocking controllers.
 
 Four models share one machinery: a finite-horizon double-integrator rollout,
 a per-configuration stage cost, and one projected-gradient-descent loop over
-the horizon's accelerations.
+the horizon's accelerations.  A stage cost weights a sum of edge terms
+phi(dist) over neighbor edges, dist floored at EPS_DIST, and may add a
+cohesion term.  Each family is stated once, as a `_PairCost` that both its
+centralized and its distributed kernels read, with the slope
+weight * phi'(dist) / dist, 0 below EPS_DIST, for the gradients:
 
-  - lattice_centralized / lattice_distributed: stage cost penalizes the
-    squared deviation of every neighbor distance from the lattice scale d.
-  - df_centralized / df_distributed ("declarative flocking"): stage cost is
-    mean squared pairwise distance (cohesion) plus an omega-weighted sum of
-    inverse squared neighbor distances (separation); no target geometry.
-
-`MpcParams` always carries both d and omega; each model reads the one its
-cost uses.
+  - lattice_centralized / lattice_distributed: phi = (dist - d)^2, weight 1,
+    slope 2 (dist - d) / dist; no cohesion.
+  - df_centralized / df_distributed ("declarative flocking"): phi =
+    1 / dist^2 (separation), weight omega, slope -2 omega / (dist^2)^2, plus
+    the mean squared distance (cohesion); no target geometry.
 
 Centralized models optimize all agents' accelerations against one shared
 noisy measurement, recomputing the neighbor edge set at every predicted
-step.  Distributed models optimize a single agent against its own noisy
-view, freezing its neighbor set at the current step and extrapolating
-neighbors at constant sensed velocity.  A batch of distributed problems
-takes the views stacked as (B, n, m) arrays and its edges from one (B, n)
-neighbor mask.
-
-Edge sums follow the ordered-pair convention (each unordered neighbor pair
-contributes twice) for the centralized edge-set costs.
+step; their edge sums run over ordered pairs, so a pair inside r counts
+twice and its gradient coefficient is twice the slope.  Distributed models
+optimize a single agent against its own noisy view, freezing its neighbor
+set at the current step and extrapolating neighbors at constant sensed
+velocity; a row's cohesion is the mean over its N neighbors, with
+coefficient 2 / N.  A batch of distributed problems takes the views stacked
+as (B, n, m) arrays and its edges from one (B, n) neighbor mask.
 
 Every solve runs the same projected-gradient loop, `_solve_batch`, over a
 problem of independent rows that converge and stop row by row; it keeps one
@@ -79,12 +79,12 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
     EPS_DIST,
-    EPS_DIST_SQ,
     FlockConfiguration,
     MotionLimits,
     check_stacked_views,
@@ -299,67 +299,111 @@ def _pairs(x):
     return iu, ju, diff, np.sqrt(sq_norm(diff))
 
 
-def _centralized_stage_values(tag, x, r, d, omega):
-    """Centralized stage cost of every configuration in the stack x of
-    shape (S, n, m), as an (S,) array.
+class _PairCost(NamedTuple):
+    """One MPC family's cost of an edge at distance dist, floored at
+    EPS_DIST: the term phi, the weight of the edge sum, the slope
+    weight * phi' / dist, and whether a cohesion term (squared distances)
+    is added to the weighted edge sum.  `phi` and `rate` (the slope) take
+    the floored distance."""
 
-    Edge sums run over the ordered neighbor pairs of each configuration;
-    the df cost is 0 for fewer than two agents.  The distances of the
+    phi: Callable
+    weight: float
+    rate: Callable
+    cohesion: bool
+
+    def term(self, dist):
+        return self.phi(np.maximum(dist, EPS_DIST))
+
+    def slope(self, dist):
+        """The slope, 0 below EPS_DIST, where the floor holds the term."""
+        return np.where(dist < EPS_DIST, 0.0, self.rate(np.maximum(dist, EPS_DIST)))
+
+
+def _lattice(d):
+    """Lattice: (dist - d)^2, weight 1, slope 2 (dist - d) / dist; no
+    cohesion."""
+    return _PairCost(lambda f: (f - d) ** 2, 1.0, lambda f: 2.0 * (f - d) / f, False)
+
+
+def _declarative(omega):
+    """Declarative flocking: 1 / dist^2, weight omega, slope
+    -2 omega / (dist^2)^2; cohesion."""
+    return _PairCost(
+        lambda f: 1.0 / (f * f), omega, lambda f: -2.0 * omega / ((f * f) * (f * f)),
+        True,
+    )
+
+
+def _pair_cost(tag, params):
+    """The pair cost of tag's family, with params' d or omega."""
+    if tag in ("lattice_centralized", "lattice_distributed"):
+        return _lattice(params.d)
+    return _declarative(params.omega)
+
+
+def _centralized_stage_values(cost, x, r):
+    """Centralized stage cost of every configuration in the stack x of
+    shape (S, n, m), as an (S,) array: `cost`'s weighted sum over the
+    ordered neighbor pairs, plus the mean squared distance over all pairs
+    with cohesion (then 0 for fewer than two agents).  The distances of the
     pairs i < j come from `_pairs` and are gathered for the ordered pairs.
     Each stage's edge terms are summed on their own as one row-major 1-D
     slice, and its cohesion as one contiguous row, so a stage's value has
-    the same bits in any stack.
-    """
+    the same bits in any stack."""
     S, n = x.shape[:2]
-    if tag == "df_centralized" and n < 2:
+    if cost.cohesion and n < 2:
         return np.zeros(S)
     dist = _pairs(x)[3]
     ordered = _pair_layout(n)[2]
     every = np.take(dist, ordered, axis=1)
     edges = np.flatnonzero(every < r)
-    near = np.take(every, edges)  # the stages' edge distances, row-major
-    if tag == "lattice_centralized":
-        terms = (np.maximum(near, EPS_DIST) - d) ** 2
-    else:
-        terms = 1.0 / np.maximum(near * near, EPS_DIST_SQ)
+    terms = cost.term(np.take(every, edges))  # the stages' edges, row-major
     ends = np.searchsorted(edges, np.arange(S + 1) * ordered.size)
-    edge_sums = np.array(
+    edge_sums = cost.weight * np.array(
         [np.add.reduce(terms[a:b]) for a, b in zip(ends[:-1], ends[1:])]
     )
-    if tag == "lattice_centralized":
+    if not cost.cohesion:
         return edge_sums
-    return (2.0 / (n * (n - 1))) * (dist * dist).sum(axis=1) + omega * edge_sums
+    return (2.0 / (n * (n - 1))) * (dist * dist).sum(axis=1) + edge_sums
 
 
-def _centralized_stage_gradient(tag, x, r, d, omega, pairs=None):
+def _centralized_stage_gradient(cost, x, r, pairs=None):
     """Gradient of the centralized stage cost of every configuration in the
     stack x of shape (S, n, m) with respect to its positions, treating each
     configuration's edge set as constant.  `pairs` is `_pairs(x)`, computed
-    here when not given.
-
-    Each pair i < j's coefficient is computed once and written at (i, j)
-    and (j, i) of one (S, n, n) matrix; each stage's coefficient row sums
-    and matrix product are the ones it would get alone, so a stage's
-    gradient has the same bits in any stack.
-    """
+    here when not given.  A pair i < j inside r is two ordered edges, so its
+    coefficient is twice the slope; it is computed once and written at
+    (i, j) and (j, i) of one (S, n, n) matrix.  Each stage's coefficient row
+    sums and matrix product are the ones it would get alone, so a stage's
+    gradient has the same bits in any stack."""
     S, n = x.shape[:2]
-    if tag == "df_centralized" and n < 2:
+    if cost.cohesion and n < 2:
         return np.zeros_like(x)
     iu, ju, _, dist = _pairs(x) if pairs is None else pairs
-    dist_f = np.maximum(dist, EPS_DIST)
-    active = (dist < r) & (dist >= EPS_DIST)
-    if tag == "lattice_centralized":
-        pair_coef = np.where(active, 4.0 * (dist_f - d) / dist_f, 0.0)
-    else:
-        sq_f = dist_f * dist_f
-        pair_coef = np.where(active, -4.0 * omega / (sq_f * sq_f), 0.0)
     coef = np.zeros((S, n, n))
+    pair_coef = np.where(dist < r, 2.0 * cost.slope(dist), 0.0)
     coef[:, iu, ju] = coef[:, ju, iu] = pair_coef
     edges = coef.sum(axis=-1)[..., None] * x - coef @ x
-    if tag == "lattice_centralized":
+    if not cost.cohesion:
         return edges
     c_n = 2.0 / (n * (n - 1))
     return 2.0 * c_n * (n * x - x.sum(axis=1, keepdims=True)) + edges
+
+
+def _stage_cost(cost, config, r, agent=None, neighbor_set=None) -> float:
+    """One configuration's stage cost: the centralized one, or with an agent
+    its own over its frozen neighbor set, 0 when that set is empty (the
+    weighted edge sum, plus the mean squared neighbor distance where the
+    family has cohesion)."""
+    if agent is None:
+        return float(_centralized_stage_values(cost, config.positions[None], r)[0])
+    idx = sorted(neighbor_set)
+    if not idx:
+        return 0.0
+    diff = config.positions[idx] - config.positions[agent]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    value = cost.weight * cost.term(dist).sum()
+    return float((dist * dist).mean() + value if cost.cohesion else value)
 
 
 def lattice_deviation_centralized(
@@ -367,20 +411,14 @@ def lattice_deviation_centralized(
 ) -> float:
     """Total squared deviation of neighbor distances from the scale d,
     summed over ordered pairs (each unordered pair counts twice)."""
-    stack = config.positions[None]
-    return float(_centralized_stage_values("lattice_centralized", stack, r, d, None)[0])
+    return _stage_cost(_lattice(d), config, r)
 
 
 def lattice_deviation_distributed(
     i: int, config: FlockConfiguration, neighbor_set, d: float
 ) -> float:
     """Squared deviation of agent i's frozen-neighborhood distances from d."""
-    idx = sorted(neighbor_set)
-    if not idx:
-        return 0.0
-    diff = config.positions[idx] - config.positions[i]
-    dist = np.maximum(np.sqrt((diff * diff).sum(axis=-1)), EPS_DIST)
-    return float(((dist - d) ** 2).sum())
+    return _stage_cost(_lattice(d), config, None, i, neighbor_set)
 
 
 def cost_df_centralized(config: FlockConfiguration, r: float, omega: float) -> float:
@@ -389,8 +427,7 @@ def cost_df_centralized(config: FlockConfiguration, r: float, omega: float) -> f
 
     Defined as 0 for fewer than two agents (no pairs).
     """
-    stack = config.positions[None]
-    return float(_centralized_stage_values("df_centralized", stack, r, None, omega)[0])
+    return _stage_cost(_declarative(omega), config, r)
 
 
 def cost_df_distributed(
@@ -399,25 +436,7 @@ def cost_df_distributed(
     """Per-agent declarative-flocking cost over the frozen neighbor set:
     mean squared neighbor distance plus omega-weighted inverse squared
     distances.  0 when the neighbor set is empty."""
-    idx = sorted(neighbor_set)
-    if not idx:
-        return 0.0
-    diff = config.positions[idx] - config.positions[i]
-    sq = (diff * diff).sum(axis=-1)
-    sq_f = np.maximum(sq, EPS_DIST_SQ)
-    return float(sq.mean() + omega * (1.0 / sq_f).sum())
-
-
-def _stage_cost(tag, config, params, agent=None, neighbor_set=None) -> float:
-    if tag == "lattice_centralized":
-        return lattice_deviation_centralized(config, params.r, params.d)
-    if tag == "df_centralized":
-        return cost_df_centralized(config, params.r, params.omega)
-    if agent is None or neighbor_set is None:
-        raise ValueError(f"{tag} needs agent index and frozen neighbor set")
-    if tag == "lattice_distributed":
-        return lattice_deviation_distributed(agent, config, neighbor_set, params.d)
-    return cost_df_distributed(agent, config, neighbor_set, params.omega)
+    return _stage_cost(_declarative(omega), config, None, i, neighbor_set)
 
 
 def mpc_objective(
@@ -431,33 +450,16 @@ def mpc_objective(
     """Full horizon objective: stage costs over predicted steps 1..T plus
     lam times the squared norm of the control sequence."""
     _check_tag(tag)
+    if tag in CENTRALIZED_MPC_TAGS:
+        agent = None
+    elif agent is None or neighbor_set is None:
+        raise ValueError(f"{tag} needs agent index and frozen neighbor set")
+    cost = _pair_cost(tag, params)
     u = np.asarray(controls, dtype=np.float64)
     stage = sum(
-        _stage_cost(tag, cfg, params, agent, neighbor_set) for cfg in trajectory[1:]
+        _stage_cost(cost, cfg, params.r, agent, neighbor_set) for cfg in trajectory[1:]
     )
     return stage + params.lam * float((u * u).sum())
-
-
-def _edge_stage_cost(tag, dist, edge_counts, params):
-    """Per-edge stage cost of batched distributed problems; dist has one
-    row per edge.  df_distributed: (1/|N|) dist^2 + omega / dist^2."""
-    if tag == "lattice_distributed":
-        return (np.maximum(dist, EPS_DIST) - params.d) ** 2
-    sq = dist * dist
-    return (1.0 / edge_counts) * sq + params.omega / np.maximum(sq, EPS_DIST_SQ)
-
-
-def _edge_stage_dcost(tag, dist, edge_counts, params):
-    """Per-edge d(stage cost)/d(dist), 0 where an EPS floor holds the cost
-    constant."""
-    dist_f = np.maximum(dist, EPS_DIST)
-    if tag == "lattice_distributed":
-        return np.where(dist >= EPS_DIST, 2.0 * (dist_f - params.d), 0.0)
-    sq = dist * dist
-    sq_f = np.maximum(sq, EPS_DIST_SQ)
-    return 2.0 * (1.0 / edge_counts) * dist + np.where(
-        sq >= EPS_DIST_SQ, -2.0 * params.omega / (sq_f * dist_f), 0.0
-    )
 
 
 # --------------------------------------------------------------------------
@@ -476,7 +478,7 @@ class _Problem:
     times the squared norm of the plan.  Rows never interact, so a row has
     the same bits alone as in any batch, repeats included."""
 
-    tag: str
+    cost: _PairCost
     params: MpcParams
     limits: MotionLimits
     x0: np.ndarray
@@ -516,7 +518,7 @@ class _CentralizedProblem(_Problem):
         configurations past step 1 go through one stage pass."""
         p, later = self.params, xs[:, 1:]
         stages = _centralized_stage_values(
-            self.tag, later.reshape(-1, *later.shape[2:]), p.r, p.d, p.omega
+            self.cost, later.reshape(-1, *later.shape[2:]), p.r
         ).reshape(later.shape[:2])
         stage = self.first_stage
         for column in stages.T:
@@ -524,9 +526,8 @@ class _CentralizedProblem(_Problem):
         return stage
 
     def _stage_gradient(self, later, pairs=None):
-        p = self.params
         return _centralized_stage_gradient(
-            self.tag, later.reshape(-1, *later.shape[2:]), p.r, p.d, p.omega, pairs
+            self.cost, later.reshape(-1, *later.shape[2:]), self.params.r, pairs
         ).reshape(later.shape)
 
     def search_direction(self, U, xs, ws):
@@ -551,12 +552,11 @@ def _build_centralized_problem(tag, pos, vel, params, limits):
     """Assemble a centralized problem from stacked noisy measurements: row k
     plans every agent from pos[k] and vel[k], (n, m) each.  Step 1 of every
     row is priced here, in one stage pass."""
+    cost = _pair_cost(tag, params)
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        first_stage = _centralized_stage_values(
-            tag, pos + limits.dt * vel, params.r, params.d, params.omega
-        )
-    return _CentralizedProblem(tag, params, limits, pos, vel, first_stage)
+        first_stage = _centralized_stage_values(cost, pos + limits.dt * vel, params.r)
+    return _CentralizedProblem(cost, params, limits, pos, vel, first_stage)
 
 
 @dataclass
@@ -572,16 +572,18 @@ class _BatchProblem(_Problem):
 
     def _stage_sum(self, xs):
         dist = np.sqrt(sq_norm(xs[self.src] - self.nbr_pos))  # (E, T)
-        cost = _edge_stage_cost(self.tag, dist, self.edge_counts, self.params)
+        cost = self.cost.weight * self.cost.term(dist)
+        if self.cost.cohesion:
+            cost = (1.0 / self.edge_counts) * (dist * dist) + cost
         return np.bincount(self.src, weights=cost.sum(axis=1), minlength=len(xs))
 
     def _stage_gradient(self, later):
         diff = later[self.src] - self.nbr_pos[:, 1:]  # (E, T-1, m)
-        dist = np.sqrt(sq_norm(diff))
-        dcost = _edge_stage_dcost(self.tag, dist, self.edge_counts, self.params)
-        dist_f = np.maximum(dist, EPS_DIST)
+        coef = self.cost.slope(np.sqrt(sq_norm(diff)))
+        if self.cost.cohesion:
+            coef = 2.0 / self.edge_counts + coef
         gx = np.zeros_like(later)
-        np.add.at(gx, self.src, (dcost / dist_f)[:, :, None] * diff)
+        np.add.at(gx, self.src, coef[:, :, None] * diff)
         return gx
 
     def rows(self, idx):
@@ -650,15 +652,8 @@ def _build_batch_problem(
         nbr_pos[:, t] = p
     counts = np.bincount(src, minlength=agents.size)
     return _BatchProblem(
-        tag=tag,
-        params=params,
-        limits=limits,
-        x0=x0,
-        v0=v0,
-        src=src,
-        bounds=_edge_bounds(counts),
-        nbr_pos=nbr_pos,
-        edge_counts=counts[src][:, None].astype(np.float64),
+        _pair_cost(tag, params), params, limits, x0, v0, src, _edge_bounds(counts),
+        nbr_pos, counts[src][:, None].astype(np.float64)
     )
 
 

@@ -40,8 +40,8 @@ GOLDEN_STEPS = {
     "lattice_distributed@3": "3544d8d9034ea337bd05b76c2cc2f5fa101c77c2a5e7059d4e674294f106201d",
     "df_centralized@0": "e0a56c3ed3ba4dd7ee0ac536805ded589baa8541901655edea3a5176b5b77a97",
     "df_centralized@3": "ae8ab179fe46866b98d58404eccdd996c84707f29a8651f737b1af0e49565120",
-    "df_distributed@0": "247e85ad2a9a1de3455604e4d42f4a2e19fa894d32391c434417bc39d2d0b8f4",
-    "df_distributed@3": "704bfd9830f6c39a0848a5cc648760ec27ec046265c815cb48ffe00c64ebd335",
+    "df_distributed@0": "51e0c166718834f6bc8f64b9ca333ddd7d895d605ce47de73bea5bab2cfeb310",
+    "df_distributed@3": "da026cdc76f69932da0d8ecfe10b63b1730d93dd2ccc6d862049c70d7f07ffe1",
 }
 
 # Runs at the paper's flock size, where solves reach long line searches and
@@ -51,7 +51,7 @@ GOLDEN_STEPS_N30 = {
     "lattice_centralized@0": "a1d292f023bb98e11c0b75816af82675b27483fd7c985148e65fb94fec81caac",
     "df_centralized@0": "26f2660807274d00972f0cac5fe81188b79ea18a2e29908a2f3a68da7944065c",
     "lattice_distributed@10": "01b2d3e276a5257fbfab6c80ad0b6da40b85166881d2cd5faf5ef9275327403a",
-    "df_distributed@10": "6b6c0ce2b103fb13e4c7e6f076a586c7eea1422d1726280c6baedd9420c9a949",
+    "df_distributed@10": "a6bc7e91607ffb6d55dc8ae5e13e618fbfe90d6b8a18d7164a8d17f6b392058b",
 }
 
 GOLDEN_EFFECTIVE_CONFIG = (

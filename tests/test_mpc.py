@@ -455,6 +455,51 @@ def test_gradient_includes_velocity_clamp(np_rng):
     assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 
+def test_distributed_df_cohesion_is_not_floored():
+    # a neighbor inside EPS_DIST floors only the separation term: its
+    # cohesion pull is still 2/N (x_i - x_j), not scaled by d / EPS_DIST
+    params = MpcParams(horizon=2)
+    pos = np.array([[[0.0, 0.0], [5e-7, 0.0], [3.0, 0.0]]])
+    problem = _build_batch_problem(
+        "df_distributed", pos, np.zeros_like(pos), [0], params, LIMITS
+    )
+    xs, _ = mpc._rollout_arrays(problem.x0, problem.v0, np.zeros((1, 2, 2)), LIMITS)
+    gx = problem._stage_gradient(xs[:, 1:])
+    cohesion = (2.0 / 2) * ((0.0 - 5e-7) + (0.0 - 3.0))
+    separation = -2.0 * params.omega / 3.0**4 * (0.0 - 3.0)
+    assert gx[0, 0, 0] == pytest.approx(cohesion + separation, rel=1e-12)
+    assert gx[0, 0, 1] == 0.0
+
+
+@pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
+def test_family_slope_is_the_edge_derivative_read_by_both_kernels(tag):
+    cost = mpc._pair_cost(tag, PARAMS)
+    below = np.array([0.0, EPS_DIST / 4, EPS_DIST * 0.999])
+    assert np.array_equal(cost.slope(below), np.zeros(3))
+    # interior points of a grid from EPS_DIST to r; the floor and r are
+    # kinks of the edge cost
+    grid = np.geomspace(EPS_DIST, PARAMS.r, 41)[1:-1]
+    h = 1e-3 * grid
+    up, down = (cost.weight * cost.term(grid + side * h) for side in (1, -1))
+    derivative = (up - down) / (2 * h)
+    assert cost.slope(grid) == pytest.approx(derivative / grid, rel=1e-5, abs=1e-9)
+    # the same distances through both kernels: agent 0 at the origin and
+    # one neighbor at (d, 0), so a distributed row has N = 1 and cohesion
+    # pulls with 2 / N, and the centralized pair with 2 c_n (0 - d) = -2 d
+    pos = np.zeros((grid.size, 2, 2))
+    pos[:, 1, 0] = grid
+    central = mpc._centralized_stage_gradient(cost, pos, PARAMS.r)
+    rows = _build_batch_problem(
+        tag.replace("centralized", "distributed"), pos, np.zeros_like(pos),
+        np.zeros(grid.size, dtype=int), MpcParams(horizon=2), LIMITS,
+    )
+    edge = rows._stage_gradient(np.zeros((grid.size, 1, 2)))
+    slope, pull = cost.slope(grid), 2.0 if cost.cohesion else 0.0
+    assert np.array_equal(edge[:, 0, 0], (pull + slope) * -grid)
+    # a pair is two ordered edges: its coefficient is exactly twice the slope
+    assert np.array_equal(central[:, 0, 0], -pull * grid - (2.0 * slope) * grid)
+
+
 # --------------------------------------------------------------------------
 # solver
 # --------------------------------------------------------------------------
@@ -718,14 +763,14 @@ def test_stacked_centralized_objective_matches_single_plans(
     )
     args = (params.d,) if tag == "lattice_centralized" else (params.omega,)
     stack = xs.reshape(-1, n, 2)
-    stage_args = (params.r, params.d, params.omega)
-    stages = mpc._centralized_stage_values(tag, stack, *stage_args)
-    grads = mpc._centralized_stage_gradient(tag, stack, *stage_args)
+    cost = mpc._pair_cost(tag, params)
+    stages = mpc._centralized_stage_values(cost, stack, params.r)
+    grads = mpc._centralized_stage_gradient(cost, stack, params.r)
     assert grads.shape == stack.shape
     for s, x in enumerate(stack):
-        alone = mpc._centralized_stage_values(tag, x[None], *stage_args)
+        alone = mpc._centralized_stage_values(cost, x[None], params.r)
         assert np.array_equal(alone, stages[s : s + 1])
-        alone = mpc._centralized_stage_gradient(tag, x[None], *stage_args)
+        alone = mpc._centralized_stage_gradient(cost, x[None], params.r)
         assert np.array_equal(alone, grads[s : s + 1])
         assert np.array_equal(one_stage_gradient(tag, x, params), grads[s])
     # the step-1 stage, computed once per problem, is every plan's step 1
