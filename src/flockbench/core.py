@@ -180,6 +180,10 @@ class RandomStream:
     numpy's ``log``/``cos``/``sin``, whose vectorized kernels may round
     differently on another CPU or numpy build; ``tests/test_golden.py`` pins
     the first normals of seed 1 where it was generated.
+
+    ``skip_normals(k)`` moves the stream to where ``normals(k)`` leaves it,
+    by ``PCG64.advance`` over the same ``2 * ceil(k / 2)`` draws, without
+    computing any normal; zero-noise sensing uses it.
     """
 
     def __init__(self, seed: int):
@@ -202,6 +206,12 @@ class RandomStream:
         z[0::2] = radius * np.cos(angle)
         z[1::2] = radius * np.sin(angle)
         return z[:count]
+
+    def skip_normals(self, count: int) -> None:
+        """Advance the stream exactly as `normals(count)` would, drawing
+        nothing.  Only 64-bit raw draws are ever taken, so the 32-bit
+        buffer that ``advance`` resets is never in use."""
+        self._bits.advance(2 * ((count + 1) // 2))
 
 
 # --------------------------------------------------------------------------
@@ -337,11 +347,13 @@ def sense_global(
     perturbation and every velocity component a Gaussian(0, sigma_v) one,
     freshly sampled per call.  The stream is advanced by exactly 2*n*m
     samples regardless of the noise level, so runs with different sigmas
-    stay step-aligned.
+    stay step-aligned; at zero noise it is advanced by that count without
+    computing the normals, and the configuration itself is returned.
     """
-    z = _noise_draw(config, rng)
     if noise.is_zero:
+        rng.skip_normals(2 * config.n * config.dimension)
         return config
+    z = _noise_draw(config, rng)
     pos = config.positions
     vel = config.velocities
     if noise.sigma_x > 0:
@@ -358,7 +370,9 @@ def sense_local(
 
     Each observing agent gets independent draws; the stream consumption
     (2*n*m samples) and ordering match sense_global, with agent i's own row
-    left exact.
+    left exact.  Unlike sense_global and sense_local_all, it draws the
+    normals even at zero noise: it is the reference those skips are tested
+    against.
     """
     if not 0 <= i < config.n:
         raise IndexError(f"agent index {i} out of range for n={config.n}")
@@ -396,9 +410,15 @@ def sense_local_all(config: FlockConfiguration, noise: NoiseSpec, rng: RandomStr
     One draw of n * 2*n*m normals is the concatenation of the n per-call
     blocks of successive ``sense_local`` calls for i = 0..n-1, so the
     views and the stream afterwards are exactly theirs.  Unperturbed
-    components are read-only broadcasts of the true state.
+    components are read-only broadcasts of the true state; at zero noise
+    the stream is advanced by the same count without computing the
+    normals.
     """
     n, m = config.n, config.dimension
+    if noise.is_zero:
+        rng.skip_normals(n * 2 * n * m)
+        exact = np.broadcast_to(config.positions, (n, n, m))
+        return exact, np.broadcast_to(config.velocities, (n, n, m))
     z = rng.normals(n * 2 * n * m).reshape(n, n, 2, m)
     own = np.arange(n)
 

@@ -9,11 +9,19 @@ deviation from the component-mean velocity, averaged over components) and
 irregularity (mean per-component sample std dev of nearest-neighbor
 distances; 0 when no component has two members).
 
-`evaluate_metrics` computes one distance matrix per configuration, labels
-the components from its ``< r`` test by array min-label propagation, and
-slices the diameters and nearest-neighbor distances out of that matrix.
-`connected_components` uses the same labeller, and the public per-measure
-functions take a configuration and a component list.
+`evaluate_metrics` computes one distance matrix per configuration and
+labels the components from its ``< r`` test by array min-label propagation.
+It then makes one pass over the components: each component with two or
+more members gathers its distance block from that matrix once, and its
+diameter and nearest-neighbor distances both come from that block.
+`connected_components` uses the same labeller.  The public per-measure
+functions take a configuration and a component list and run the same
+per-component pass.
+
+The closed loop evaluates these measures on the true state, never on a
+sensed view, so sensing noise reaches them only through the controls.  At
+zero noise the sensing computes no normals at all: it advances the random
+stream by the noisy call's count (see ``core.sense_global``).
 
 `MetricsRecord` is the one statement of the measures: its fields, in order,
 are the metric columns of every result file, and each field's metadata
@@ -96,13 +104,42 @@ def _groups(components) -> list:
     return [np.array(sorted(comp)) for comp in components if len(comp) >= 2]
 
 
-def _max_diameter(dist: np.ndarray, groups: list) -> float | None:
-    best = None
-    for idx in groups:
-        diam = float(dist[idx[:, None], idx].max())
-        if best is None or diam > best:
-            best = diam
-    return best
+def _component_measures(dist: np.ndarray, vel: np.ndarray, idx: np.ndarray):
+    """Diameter, mean squared deviation from the mean velocity, and sample
+    std dev of the nearest-neighbor distances of one component.
+
+    The component's distance block is gathered once and serves both the
+    diameter and the nearest neighbors.  The means and the std dev are
+    numpy's own operations in numpy's order (sum / k, then the square root
+    of the sum of squared deviations / (k - 1)), so they equal
+    ``mean(axis=0)`` and ``std(ddof=1)`` bit for bit.
+    """
+    k = len(idx)
+    block = dist[idx[:, None], idx]
+    diameter = float(block.max())
+    v = vel[idx]
+    dev = v - v.sum(axis=0) / k
+    spread = float((dev * dev).sum()) / k
+    np.fill_diagonal(block, np.inf)
+    nearest = block.min(axis=1)
+    dev = nearest - nearest.sum() / k
+    return diameter, spread, float(np.sqrt((dev * dev).sum() / (k - 1)))
+
+
+def _measures(dist: np.ndarray, vel: np.ndarray, groups: list, num_components: int):
+    """Max diameter, velocity convergence and irregularity, from one pass
+    over the components with two or more members."""
+    if not groups:
+        return None, 0.0, 0.0
+    diameters, spreads, stds = zip(
+        *(_component_measures(dist, vel, idx) for idx in groups)
+    )
+    return max(diameters), sum(spreads) / num_components, sum(stds) / len(stds)
+
+
+def _measures_of(config: FlockConfiguration, components: list):
+    dist = pairwise_distances(config.positions)
+    return _measures(dist, config.velocities, _groups(components), len(components))
 
 
 def max_component_diameter(
@@ -113,45 +150,20 @@ def max_component_diameter(
     None when every component is a singleton (the diameter's max runs over
     an empty set in that case).
     """
-    dist = pairwise_distances(config.positions)
-    return _max_diameter(dist, _groups(components))
-
-
-def _velocity_convergence(vel: np.ndarray, groups: list, num_components: int) -> float:
-    total = 0.0
-    for idx in groups:
-        v = vel[idx]
-        dev = v - v.mean(axis=0)
-        total += float((dev * dev).sum()) / len(idx)
-    return total / num_components
+    return _measures_of(config, components)[0]
 
 
 def velocity_convergence(config: FlockConfiguration, components: list) -> float:
     """Average over components of the mean squared deviation from the
     component's mean velocity.  Singletons contribute zero."""
-    return _velocity_convergence(
-        config.velocities, _groups(components), len(components)
-    )
-
-
-def _irregularity(dist: np.ndarray, groups: list) -> float:
-    stds = []
-    for idx in groups:
-        sub = dist[idx[:, None], idx]
-        np.fill_diagonal(sub, np.inf)
-        nearest = sub.min(axis=1)
-        stds.append(float(nearest.std(ddof=1)))
-    if not stds:
-        return 0.0
-    return sum(stds) / len(stds)
+    return _measures_of(config, components)[1]
 
 
 def irregularity(config: FlockConfiguration, components: list) -> float:
     """Mean over non-singleton components of the sample standard deviation
     of each member's nearest-neighbor distance (nearest within the same
     component).  0 when all agents are isolated."""
-    dist = pairwise_distances(config.positions)
-    return _irregularity(dist, _groups(components))
+    return _measures_of(config, components)[2]
 
 
 def evaluate_metrics(config: FlockConfiguration, r: float) -> MetricsRecord:
@@ -164,10 +176,5 @@ def evaluate_metrics(config: FlockConfiguration, r: float) -> MetricsRecord:
     num_components = int(np.count_nonzero(sizes))
     groups = [np.flatnonzero(labels == root) for root in np.flatnonzero(sizes > 1)]
     return MetricsRecord(
-        num_components=num_components,
-        max_diameter=_max_diameter(dist, groups),
-        velocity_convergence=_velocity_convergence(
-            config.velocities, groups, num_components
-        ),
-        irregularity=_irregularity(dist, groups),
+        num_components, *_measures(dist, config.velocities, groups, num_components)
     )

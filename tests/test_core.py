@@ -292,6 +292,15 @@ def test_sense_local_all_matches_successive_calls(np_rng, sigmas):
         assert np.array_equal(once.normals(7), each.normals(7))
 
 
+def test_sense_global_zero_noise_advances_like_a_noisy_call(np_rng):
+    for seed in range(10):
+        cfg = random_config(np_rng, n=int(np_rng.integers(1, 13)), dim=1 + seed % 3)
+        exact, noisy = RandomStream(seed), RandomStream(seed)
+        assert sense_global(cfg, NoiseSpec(0, 0), exact) is cfg
+        sense_global(cfg, NoiseSpec(0.2, 0.1), noisy)
+        assert np.array_equal(exact.normals(7), noisy.normals(7))
+
+
 def test_sense_local_all_rejects_non_finite_views(np_rng):
     # as sense_local does, through the FlockConfiguration it builds
     cfg = random_config(np_rng, n=6)
@@ -319,6 +328,16 @@ def test_random_stream_zero_count_draws_nothing():
         assert empty.dtype == np.float64 and empty.shape == (0,)
         # nothing was consumed: the next draw is a fresh stream's first
         assert np.array_equal(stream.normals(4), RandomStream(5).normals(4))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 3600])
+def test_skip_normals_leaves_the_stream_where_normals_does(count):
+    for seed in (1, 20261017):
+        drawn, skipped = RandomStream(seed), RandomStream(seed)
+        drawn.normals(count)
+        skipped.skip_normals(count)
+        assert np.array_equal(skipped.normals(5), drawn.normals(5))
+        assert np.array_equal(skipped.uniforms(3), drawn.uniforms(3))
 
 
 def test_random_stream_uniforms_in_half_open_interval():

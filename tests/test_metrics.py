@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flockbench import (
     FlockConfiguration,
@@ -10,6 +12,7 @@ from flockbench import (
     proximity_net,
     velocity_convergence,
 )
+from flockbench.core import pairwise_distances
 from flockbench.metrics import MetricsRecord
 from conftest import hexagonal_patch, random_config
 
@@ -123,6 +126,79 @@ def test_component_labels_match_bfs(np_rng):
             velocity_convergence=velocity_convergence(cfg, comps),
             irregularity=irregularity(cfg, comps),
         )
+
+
+def _two_gather_record(cfg, r):
+    # each measure on its own gather of the component's distance block,
+    # through numpy's mean(axis=0) and std(ddof=1)
+    comps = _bfs_components(cfg, r)
+    dist = pairwise_distances(cfg.positions)
+    diameter, convergence, stds = None, 0.0, []
+    for idx in (np.array(sorted(c)) for c in comps if len(c) >= 2):
+        diam = float(dist[idx[:, None], idx].max())
+        diameter = diam if diameter is None else max(diameter, diam)
+        v = cfg.velocities[idx]
+        dev = v - v.mean(axis=0)
+        convergence += float((dev * dev).sum()) / len(idx)
+        sub = dist[idx[:, None], idx]
+        np.fill_diagonal(sub, np.inf)
+        stds.append(float(sub.min(axis=1).std(ddof=1)))
+    return MetricsRecord(
+        num_components=len(comps),
+        max_diameter=diameter,
+        velocity_convergence=convergence / len(comps),
+        irregularity=sum(stds) / len(stds) if stds else 0.0,
+    )
+
+
+def _assert_matches_two_gathers(cfg, r):
+    expected = _two_gather_record(cfg, r)
+    assert evaluate_metrics(cfg, r) == expected
+    comps = components_of(cfg, r)
+    assert max_component_diameter(cfg, comps) == expected.max_diameter
+    assert velocity_convergence(cfg, comps) == expected.velocity_convergence
+    assert irregularity(cfg, comps) == expected.irregularity
+
+
+@st.composite
+def _grid_flocks(draw):
+    # agents on an integer grid share cells (coincident agents); the
+    # spacing runs from one blob holding every agent to all isolated
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=n * m, max_size=n * m))
+    spacing = draw(st.sampled_from([0.0, 1.5, 4.0, 9.0, 100.0]))
+    pos = np.array(cells, dtype=float).reshape(n, m) * spacing
+    if draw(st.booleans()):
+        pos += np.array(draw(st.lists(
+            st.floats(-0.5, 0.5), min_size=n * m, max_size=n * m
+        ))).reshape(n, m)
+    vel = np.array(draw(st.lists(
+        st.floats(-8.0, 8.0), min_size=n * m, max_size=n * m
+    ))).reshape(n, m)
+    return FlockConfiguration(pos, vel), draw(st.sampled_from([2.0, 8.4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_flocks())
+def test_component_pass_matches_two_gathers(flock):
+    _assert_matches_two_gathers(*flock)
+
+
+@pytest.mark.parametrize(
+    "pos, sizes",
+    [
+        ([[0, 0]], [1]),  # n = 1
+        ([[0, 0], [100, 0], [200, 0]], [1, 1, 1]),  # every agent isolated
+        ([[1, 2], [1, 2], [1, 2]], [3]),  # coincident agents
+        ([[0, 0], [0, 0], [50, 0], [53, 1], [100, 0]], [2, 2, 1]),  # singletons
+        ([[0, 0], [3, 0], [7, 0], [9, 4], [2, 6]], [5]),  # one component
+    ],
+)
+def test_component_pass_matches_two_gathers_on_named_cases(np_rng, pos, sizes):
+    cfg = config(pos, np_rng.uniform(-5, 5, (len(pos), 2)))
+    assert [len(c) for c in components_of(cfg)] == sizes
+    _assert_matches_two_gathers(cfg, 8.4)
 
 
 # --------------------------------------------------------------------------
