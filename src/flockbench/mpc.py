@@ -40,9 +40,9 @@ first line search of every solve, warm-started or not, and after that the
 row's Barzilai-Borwein step s.s / s.y from its last accepted move s and the
 change y in P along it (Barzilai & Borwein 1988), clipped to
 [2**-10, 2**10], or 2**10 where s.y <= 0; a centralized row's a is also at
-most its step cap.  The probes are evaluated a few at a time, in one
-objective call per batch, and those past the accepted step are discarded.
-The row projects every per-step acceleration onto the a_max ball after each
+most its step cap.  The rows still searching probe the same halving in
+lockstep, one probe per row in one objective call per halving.  The row
+projects every per-step acceleration onto the a_max ball after each
 update, and stops on a projected-gradient tolerance of 1e-6 (|U - clamp(U -
 P)| at unit step), when its step falls below a * 2**-40 (a stall), or after
 200 iterations.
@@ -121,11 +121,6 @@ GRAD_TOL = 1e-6
 MAX_ITER = 200
 ARMIJO_C = 1e-4
 LAST_HALVING = 40  # a line search probes its scale times 2**-h, h <= LAST_HALVING
-# Most line-search probes one row evaluates in one objective call.  A row's
-# window is the probe count of its previous line search, up to this cap:
-# longer windows waste probes past the accepted step and grow the batch.
-PROBE_WINDOW_CAP = 6
-_STEPS = np.ldexp(1.0, -np.arange(LAST_HALVING + 1))  # 2**-h, h halvings
 # Safeguards of the Barzilai-Borwein step scale: a row's line search starts
 # at a scale clipped to [BB_SCALE_MIN, BB_SCALE_MAX], and at BB_SCALE_MAX
 # where its last move met no positive curvature.
@@ -204,6 +199,20 @@ def _check_tag(tag: str):
         raise ValueError(f"unknown MPC model tag {tag!r}; expected one of {MPC_TAGS}")
 
 
+def _check_neighbor_set(agent, neighbor_set, n) -> list:
+    """agent's frozen neighbor set among n agents, sorted: IndexError for an
+    agent index outside 0..n-1, TypeError for a neighbor that is not an
+    integer, ValueError for one outside 0..n-1 or the agent itself (no index
+    wraps around)."""
+    if not 0 <= agent < n:
+        raise IndexError(f"agent index {agent} out of range for n={n}")
+    idx = sorted(map(operator.index, neighbor_set))
+    for j in idx:
+        if not 0 <= j < n or j == agent:
+            raise ValueError(f"invalid neighbor index {j} for agent {agent}")
+    return idx
+
+
 # --------------------------------------------------------------------------
 # Prediction rollouts
 # --------------------------------------------------------------------------
@@ -245,11 +254,7 @@ def rollout_distributed(
     advances at its sensed velocity.  `neighbor_set` is the set frozen at
     the current step; it only gates the stage cost, not the prediction.
     """
-    if not 0 <= i < view.n:
-        raise IndexError(f"agent index {i} out of range for n={view.n}")
-    for j in neighbor_set:
-        if not 0 <= j < view.n or j == i:
-            raise ValueError(f"invalid neighbor index {j} for agent {i}")
+    _check_neighbor_set(i, neighbor_set, view.n)
     u = np.asarray(controls, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != view.dimension:
         raise ValueError(
@@ -397,7 +402,7 @@ def _stage_cost(cost, config, r, agent=None, neighbor_set=None) -> float:
     family has cohesion)."""
     if agent is None:
         return float(_centralized_stage_values(cost, config.positions[None], r)[0])
-    idx = sorted(neighbor_set)
+    idx = _check_neighbor_set(agent, neighbor_set, config.n)
     if not idx:
         return 0.0
     diff = config.positions[idx] - config.positions[agent]
@@ -637,9 +642,7 @@ def _build_batch_problem(
     mask = np.sqrt(sq_norm(diff)) < params.r
     for k, given in enumerate(neighbor_sets or ()):
         if given is not None:
-            idx = np.asarray(sorted(given), dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= n or agents[k] in idx):
-                raise ValueError(f"invalid neighbor set for agent {agents[k]}")
+            idx = _check_neighbor_set(agents[k], given, n)
             mask[k] = False
             mask[k, idx] = True
     mask[rows, agents] = False
@@ -709,20 +712,18 @@ def _solve_batch(problem, warm):
     accepted move s = U_k - U_{k-1} and the change y = p_k - p_{k-1} in its
     projected gradient, clipped to [BB_SCALE_MIN, BB_SCALE_MAX], or
     BB_SCALE_MAX where s.y <= 0; where no wall holds the row, y is its
-    gradient change.  Each objective call evaluates the next w
-    of a row's steps for every searching row at once (rows repeated in the
-    sub-problem), w being the row's probe count in its previous line search
-    up to PROBE_WINDOW_CAP; the probes past the accepted one are discarded,
-    so the accepted step is the one a probe-by-probe search accepts.
+    gradient change.  The searching rows probe in lockstep: at the h-th
+    halving one objective call evaluates each row still searching once, at
+    its own a * 2**-h, and the rows that pass leave the search.
 
     `evaluate` returns each probe's rollout with its objective, and the
     solver keeps the rollout of every row's current point: the search
     direction there reuses it, so each accepted point is rolled out once.
 
     Overflow and invalid operations are not warned about: a non-finite
-    objective or gradient in a row still being solved raises SolverError.
-    A non-finite probe raises only if a probe-by-probe search reaches it,
-    and then names the rows that search would name.
+    objective or gradient in a row still being solved raises SolverError,
+    and so does a non-finite probe, which fails the Armijo test.  The error
+    names every row whose probe is non-finite in that objective call.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         B = warm.shape[0]
@@ -743,12 +744,6 @@ def _solve_batch(problem, warm):
         # the first step of the row's next line search
         G, U_prev = np.empty_like(U), np.empty_like(U)
         scale = np.ones(B)
-        next_h = np.zeros(B, dtype=np.int64)
-        window = np.ones(B, dtype=np.int64)
-        # the probe that ended a row's line search non-finite: its halving,
-        # objective and plan
-        fail_h = np.full(B, LAST_HALVING + 1)
-        J_fail, U_fail = np.empty_like(J), np.empty_like(U)
         iterations = 0
         for _ in range(MAX_ITER):
             U_live = U[live]
@@ -778,70 +773,32 @@ def _solve_batch(problem, warm):
                 live = live[~done]
                 live_problem = problem.rows(live)
             accepted = np.zeros(B, dtype=bool)
-            next_h[live] = 0
-            failed = False
             ids, probe_problem = live, live_problem
-            while ids.size:
-                # each row's next w probes, at the halvings h ... h + w - 1
-                h = next_h[ids]
-                w = np.minimum(window[ids], LAST_HALVING + 1 - h)
-                # with one probe per row, the sub-problem needs no rebuild
-                single = w.sum() == ids.size
-                if single:
-                    rows, halvings, batch = ids, h, probe_problem
-                else:
-                    first = np.cumsum(w) - w  # each row's first probe
-                    rows = np.repeat(ids, w)
-                    halvings = np.arange(rows.size) + np.repeat(h - first, w)
-                    batch = problem.rows(rows)
-                step = scale[rows] * _STEPS[halvings]
-                U_base = U[rows]
-                U_try = clamp_norm(U_base - step.reshape(per_row) * G[rows], a_max)
-                J_try, xs_try, ws_try = batch.evaluate(U_try)
+            for h in range(LAST_HALVING + 1):
+                # every searching row's probe at halving h, in one call
+                step = scale[ids] * 2.0**-h
+                U_base = U[ids]
+                U_try = clamp_norm(U_base - step.reshape(per_row) * G[ids], a_max)
+                J_try, xs_try, ws_try = probe_problem.evaluate(U_try)
                 delta = ((U_base - U_try) ** 2).sum(axis=row_axes)
-                ok = J_try <= J[rows] - (ARMIJO_C / step) * delta
-                # where a probe-by-probe search ends: at each row's first
-                # probe that passes or is non-finite (at, ended), and whether
-                # it passed
-                stop = ok | ~np.isfinite(J_try)
-                if single:
-                    at, ended, passed = np.arange(ids.size), stop, ok
-                else:
-                    at = np.minimum.reduceat(
-                        np.where(stop, np.arange(ok.size), ok.size), first
-                    )
-                    ended = at < ok.size
-                    passed = np.append(ok, False)[at]
-                fail = ended & ~passed
-                if fail.any():
-                    bad, lost = at[fail], ids[fail]
-                    fail_h[lost] = halvings[bad]
-                    J_fail[lost], U_fail[lost] = J_try[bad], U_try[bad]
-                    failed = True
-                if passed.any():
-                    at, won = at[passed], ids[passed]
-                    U[won] = U_try[at]
-                    J[won] = J_try[at]
-                    XS[won], WS[won] = xs_try[at], ws_try[at]
-                    accepted[won] = True
-                    window[won] = np.minimum(halvings[at] + 1, PROBE_WINDOW_CAP)
-                next_h[ids] = h + w
-                searching = ~ended & (h + w <= LAST_HALVING)
-                if not searching.all():
-                    ids = ids[searching]
-                    if ids.size:
-                        probe_problem = problem.rows(ids)
-            if failed:
-                # a probe-by-probe search stops at the first failing probe
-                # and names every row that fails there
-                named = np.flatnonzero(fail_h == fail_h.min())
+                ok = J_try <= J[ids] - (ARMIJO_C / step) * delta
+                fail = ~ok
                 _check_finite(
                     "non-finite MPC objective during line search",
-                    named,
+                    ids[fail],
                     "objective",
-                    J_fail[named],
-                    U_fail[named],
+                    J_try[fail],
+                    U_try[fail],
                 )
+                won = ids[ok]
+                U[won], J[won] = U_try[ok], J_try[ok]
+                XS[won], WS[won] = xs_try[ok], ws_try[ok]
+                accepted[won] = True
+                if ok.all():
+                    break
+                if ok.any():
+                    ids = ids[fail]
+                    probe_problem = problem.rows(ids)
             if accepted[0]:
                 trace.append(float(J[0]))
             # rows whose line search stalled make no further progress

@@ -152,11 +152,21 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _escape(text: str) -> str:
+    """text as XML character data: &, < and > escaped, as
+    `xml.sax.saxutils.escape` does.  That module is not imported because it
+    pulls in `urllib.request` and `ssl`, megabytes of memory for three
+    replacements."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_line_chart(series, title, x_label, y_label) -> str:
     """Build one SVG line chart.
 
     `series` is a list of (name, points) with points = [(x, y-or-None)];
-    None values break the polyline.  Output is a plain SVG string.
+    None values break the polyline.  Output is a plain SVG string; the
+    title, axis labels and series names are XML-escaped, so any text gives
+    a well-formed document.
     """
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts if y is not None]
@@ -180,7 +190,7 @@ def render_line_chart(series, title, x_label, y_label) -> str:
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_LEFT + plot_w / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
     ]
     axis_style = 'stroke="#333" stroke-width="1"'
     parts.append(
@@ -214,12 +224,13 @@ def render_line_chart(series, title, x_label, y_label) -> str:
     parts.append(
         f'<text x="{_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{x_label}</text>"
+        f"{_escape(x_label)}</text>"
     )
     parts.append(
         f'<text x="16" y="{_TOP + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_TOP + plot_h / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 16 {_TOP + plot_h / 2:.1f})">'
+        f"{_escape(y_label)}</text>"
     )
 
     for k, (name, pts) in enumerate(series):
@@ -253,7 +264,7 @@ def render_line_chart(series, title, x_label, y_label) -> str:
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11" class="legend">{name}</text>'
+            f'font-size="11" class="legend">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

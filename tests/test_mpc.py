@@ -41,7 +41,6 @@ from flockbench.mpc import (
     LAST_HALVING,
     MAX_ITER,
     MPC_TAGS,
-    PROBE_WINDOW_CAP,
     _build_batch_problem,
     _build_centralized_problem,
     _CentralizedProblem,
@@ -216,6 +215,41 @@ def test_frozen_neighbor_still_costed_outside_radius():
         for t in (1, 2, 3)
     )
     assert value == pytest.approx(expected)
+
+
+TRIO = config([[0, 0], [3, 0], [5, 1]])
+# the public functions that take an agent and its frozen neighbor set
+PER_AGENT = {
+    "rollout_distributed": lambda i, ns: rollout_distributed(
+        i, TRIO, np.zeros((3, 2)), ns, LIMITS
+    ),
+    "lattice_deviation_distributed": lambda i, ns: lattice_deviation_distributed(
+        i, TRIO, ns, 7.0
+    ),
+    "cost_df_distributed": lambda i, ns: cost_df_distributed(i, TRIO, ns, 50.0),
+    "mpc_objective": lambda i, ns: mpc_objective(
+        "df_distributed", [TRIO] * 4, np.zeros((3, 2)), PARAMS, i, ns
+    ),
+    "mpc_objective_gradient": lambda i, ns: mpc_objective_gradient(
+        "lattice_distributed", TRIO, np.zeros((3, 2)), PARAMS, LIMITS, i, ns
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PER_AGENT)
+def test_per_agent_functions_check_the_neighbor_set(name):
+    call = PER_AGENT[name]
+    call(0, {1, 2})
+    call(2, set())
+    # no index wraps around, and no agent is its own neighbor
+    for bad in ({-1}, {0, 1}, {3}, {1, -3}):
+        with pytest.raises(ValueError, match="invalid neighbor index"):
+            call(0, bad)
+    with pytest.raises(TypeError):
+        call(0, {1.0})
+    for agent in (-1, 3):
+        with pytest.raises(IndexError):
+            call(agent, {1})
 
 
 # --------------------------------------------------------------------------
@@ -673,10 +707,10 @@ def test_solver_evaluates_only_rows_in_play(np_rng):
         probes = log[start + 1 : end]
         if not probes:
             continue
-        # the probes of iteration k hold the rows with a k-th line search
-        # (a row repeats once per probe of its window), and a row leaves
-        # them for good once it is accepted or stalls
-        assert sorted(set(probes[0][1])) == [i for i in range(n) if iterations[i] > k]
+        # the probes of iteration k hold the rows with a k-th line search,
+        # each once per call, and a row leaves them for good once it is
+        # accepted or stalls
+        assert probes[0][1] == [i for i in range(n) if iterations[i] > k]
         for before, after in zip(probes, probes[1:]):
             assert set(after[1]) <= set(before[1])
         if end == len(log):
@@ -802,7 +836,7 @@ def test_centralized_gradient_reuses_probe_rollout(tag, np_rng):
     # agents moving close to the speed limit, so the plans drive the clamp
     view = fast_config(np_rng, 12)
     problem = _single_problem(tag, view, PARAMS, LIMITS, None)
-    # a line-search call: several probes of the one row at once
+    # several plans of the one row in one call, the row repeated
     U = np_rng.uniform(-1.0, 1.0, (5, 3, 12, 2))
     U = clamp_norm(U, LIMITS.a_max)
     _, xs, ws = problem.rows(np.zeros(5, dtype=int)).evaluate(U)
@@ -824,7 +858,7 @@ def test_distributed_gradient_reuses_probe_rollout(tag, np_rng):
     cfg = fast_config(np_rng, n)
     pos, vel = sense_local_all(cfg, noise_for_level(3), RandomStream(9))
     full = _build_batch_problem(tag, pos, vel, range(n), PARAMS, LIMITS)
-    # a line-search call: rows repeated once per probe
+    # several plans of some rows in one call, those rows repeated
     rep = np.array([0, 0, 0, 3, 4, 4, 7, 9, 9, 9, 9])
     # plans that mostly speed each agent up along its sensed heading
     own = vel[rep, rep]
@@ -1043,7 +1077,7 @@ def test_solver_rolls_out_once_per_evaluation():
             ):
         simulate(cfg, mix_seed(1, 0))
     assert (cfg.n, cfg.steps) == (30, 100)
-    assert counts == {"rollouts": 1043, "evaluations": 1043, "in_gradient": 0}
+    assert counts == {"rollouts": 1046, "evaluations": 1046, "in_gradient": 0}
 
 
 def bb_scale(s, y):
@@ -1231,8 +1265,22 @@ def ladder_cases(np_rng):
     return cases
 
 
+def lockstep_rounds(iterations, accepted):
+    """The objective calls of `sequential_solve`'s line searches run in
+    lockstep: in its k-th, one per halving down to the deepest step a row
+    accepts, or all LAST_HALVING + 1 where a row stalls."""
+    return sum(
+        max(
+            accepted[i][k] + 1 if len(accepted[i]) > k else LAST_HALVING + 1
+            for i in range(len(accepted))
+            if iterations[i] > k
+        )
+        for k in range(iterations.max())
+    )
+
+
 def test_step_ladder_matches_sequential_line_search(np_rng):
-    repeated, deepest = 0, 0
+    deepest = 0
     for problem, warm in ladder_cases(np_rng):
         B = len(warm)
         U, iterations, converged, traces, accepted = sequential_solve(problem, warm)
@@ -1243,17 +1291,18 @@ def test_step_ladder_matches_sequential_line_search(np_rng):
         assert np.array_equal(got_converged, converged)
         assert got_iterations == iterations.max()
         calls = wrapped.state["calls"]
-        repeated += sum(len(ids) > len(set(ids)) for ids in calls)
+        # one probe per searching row per call, and one call per lockstep
+        # round after the initial evaluation
+        assert all(len(ids) == len(set(ids)) for ids in calls)
+        assert len(calls) == 1 + lockstep_rounds(iterations, accepted)
         for i in range(B):
             one = _solve_batch(problem.rows(np.array([i])), warm[i : i + 1])
             plan, one_converged, one_iterations, trace = one
             assert np.array_equal(plan[0], U[i])
             assert (one_converged[0], one_iterations) == (converged[i], iterations[i])
             assert trace == traces[i]
-    # the ladder did evaluate several probes of one row in one call, and
-    # some line searches took several calls
-    assert repeated > 0
-    assert deepest > PROBE_WINDOW_CAP
+    # some line searches halved their step more than six times
+    assert deepest > 6
 
 
 def test_step_ladder_matches_sequential_search_at_the_iteration_cap(np_rng):
@@ -1288,7 +1337,8 @@ def test_step_ladder_ignores_non_finite_probes_past_the_accepted_step(np_rng):
         assert np.array_equal(got_converged, converged)
         assert got_iterations == iterations.max()
         trapped += wrapped.state["trapped"]
-    assert trapped > 0
+    # a row leaves the lockstep search at the step it accepts
+    assert trapped == 0
 
 
 def test_step_ladder_raises_where_sequential_search_does(np_rng):

@@ -1,3 +1,5 @@
+import xml.dom.minidom
+import xml.sax.saxutils
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -181,6 +183,26 @@ def test_emit_plots_writes_one_file_per_metric(tmp_path):
         "velocity_convergence.svg",
         "irregularity.svg",
     }
+
+
+def test_chart_text_with_markup_characters_parses(tmp_path):
+    # model names come from a user CSV in `flockbench plot`
+    name = "a&b<c>"
+    svg = render_line_chart(
+        [(name, [(0, 1.0), (1, 2.0)])], title="t<1>", x_label="x&", y_label='"y"'
+    )
+    texts = [
+        node.firstChild.data
+        for node in xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+    ]
+    assert {name, "t<1>", "x&", '"y"'} <= set(texts)
+    assert f'class="legend">{xml.sax.saxutils.escape(name)}</text>' in svg
+    rows = aggregate_steps(tiny_records(runs=1, steps=3))
+    for row in rows:
+        row["model"] = name
+    for path in emit_plots(rows, tmp_path, x_key="step"):
+        legend = xml.dom.minidom.parse(str(path)).getElementsByTagName("text")[-1]
+        assert legend.firstChild.data == name
 
 
 def test_emit_plots_rejects_empty_summary(tmp_path):
