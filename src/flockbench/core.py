@@ -220,31 +220,31 @@ class RandomStream:
 
 
 def sq_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """Squared Euclidean norm over the last axis, as the left fold
-    ``v[..., 0]**2 + v[..., 1]**2 + ...`` over the components.
+    """Squared Euclidean norm over the last axis: the squares w = v * v in
+    one pass, then the left fold ``w[..., 0] + w[..., 1] + ...`` over the
+    components.
 
     numpy sums fewer than eight terms in order, so for the short axes used
     here (m = 1-4 are tested) this equals ``(v * v).sum(axis=-1)`` bit for
     bit, whatever the memory layout, at a fraction of the cost of a
     reduction over a length-m axis.
     """
-    v = np.asarray(v)
-    out = v[..., 0] * v[..., 0]
-    for k in range(1, v.shape[-1]):
-        out = out + v[..., k] * v[..., k]
+    w = np.asarray(v) * v
+    out = w[..., 0]
+    for k in range(1, w.shape[-1]):
+        out = out + w[..., k]
     return out[..., None] if keepdims else out
 
 
 def clamp_norm(vectors: np.ndarray, max_norm: float) -> np.ndarray:
     """Radially project each vector along the last axis of (..., m)
-    `vectors` onto the max_norm ball."""
+    `vectors` onto the ball of a positive max_norm; a vector inside it, or
+    with a NaN norm (np.fmax ignores a NaN), is scaled by exactly 1."""
     v = np.asarray(vectors, dtype=np.float64)
     norms = np.sqrt(sq_norm(v, keepdims=True))
-    over = norms > max_norm
-    if not over.any():
+    if not (norms > max_norm).any():
         return v.copy()
-    scale = np.where(over, max_norm / np.where(over, norms, 1.0), 1.0)
-    return v * scale
+    return v * (max_norm / np.fmax(norms, max_norm))
 
 
 def step_dynamics(

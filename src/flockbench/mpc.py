@@ -63,15 +63,15 @@ would keep every line search short of the wall.
 Each point is rolled out once: a problem's `evaluate` returns the objective
 with the rollout it computed, and the gradient at an accepted point reuses
 the rollout of the probe that accepted it.  The predicted step-1 positions
-x0 + dt * v0 do not depend on the controls, so a centralized problem prices
-that stage of all its rows once, when it is built, and each objective call
-evaluates its rows' steps 2..T in one array pass over the pairs i < j; no
-gradient takes a step-1 stage gradient.  One function, `_pairs`, lays out
-every centralized pair array, the pairs i < j row-major, for the stage
-values, the stage gradient and the walls alike.  Results are feasible local
-minimizers; global optimality is not claimed.  Gradients are analytic
-(backpropagated through the rollout, including the velocity clamp); finite
-differences are used as an independent oracle in the tests.
+x0 + dt * v0 do not depend on the controls, so both problem types price
+step 1 once, when they are built: a centralized problem each row's stage,
+a distributed batch each edge's cost.  An objective call prices steps
+2..T alone, and no gradient takes a step-1 stage gradient.  One function,
+`_pairs`, lays out every centralized pair array, the pairs i < j row-major,
+for the stage values, the stage gradient and the walls alike.  Results are
+feasible local minimizers; global optimality is not claimed.  Gradients are
+analytic (backpropagated through the rollout, including the velocity
+clamp); finite differences are used as an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -574,12 +574,13 @@ class _BatchProblem(_Problem):
     bounds: np.ndarray  # (B + 1,) row k's edges are bounds[k]:bounds[k + 1]
     nbr_pos: np.ndarray  # (E, T, m) neighbor positions at steps 1..T
     edge_counts: np.ndarray  # (E, 1) neighbor count of each edge's row
+    first: np.ndarray  # (E, 1) cost of each edge at step 1, priced at build
 
     def _stage_sum(self, xs):
-        dist = np.sqrt(sq_norm(xs[self.src] - self.nbr_pos))  # (E, T)
-        cost = self.cost.weight * self.cost.term(dist)
-        if self.cost.cohesion:
-            cost = (1.0 / self.edge_counts) * (dist * dist) + cost
+        """Each edge's steps 1..T summed in order, then each row's edges."""
+        diff = xs[self.src, 1:] - self.nbr_pos[:, 1:]
+        later = _edge_costs(self.cost, self.edge_counts, diff)
+        cost = np.concatenate((self.first, later), axis=1)
         return np.bincount(self.src, weights=cost.sum(axis=1), minlength=len(xs))
 
     def _stage_gradient(self, later):
@@ -587,9 +588,11 @@ class _BatchProblem(_Problem):
         coef = self.cost.slope(np.sqrt(sq_norm(diff)))
         if self.cost.cohesion:
             coef = 2.0 / self.edge_counts + coef
-        gx = np.zeros_like(later)
-        np.add.at(gx, self.src, coef[:, :, None] * diff)
-        return gx
+        # one bin per entry of gx, which adds its edges in ascending order
+        width = later.shape[1] * later.shape[2]
+        slots = (self.src[:, None] * width + np.arange(width)).ravel()
+        gx = np.bincount(slots, (coef[:, :, None] * diff).ravel(), later.size)
+        return gx.reshape(later.shape).astype(np.float64, copy=False)  # int64 if E = 0
 
     def rows(self, idx):
         """The sub-batch of the batch rows idx, in that order; a row may
@@ -603,14 +606,19 @@ class _BatchProblem(_Problem):
         src = np.repeat(np.arange(idx.size), counts)
         edges = np.arange(src.size) + np.repeat(start - bounds[:-1], counts)
         return replace(
-            self,
-            x0=self.x0[idx],
-            v0=self.v0[idx],
-            src=src,
-            bounds=bounds,
-            nbr_pos=self.nbr_pos[edges],
-            edge_counts=self.edge_counts[edges],
+            self, x0=self.x0[idx], v0=self.v0[idx], src=src, bounds=bounds,
+            nbr_pos=self.nbr_pos[edges], edge_counts=self.edge_counts[edges],
+            first=self.first[edges],
         )
+
+
+def _edge_costs(cost, edge_counts, diff):
+    """Each edge's cost at each of its steps: diff (E, S, m) -> (E, S)."""
+    dist = np.sqrt(sq_norm(diff))
+    edge = cost.weight * cost.term(dist)
+    if cost.cohesion:
+        edge = (1.0 / edge_counts) * (dist * dist) + edge
+    return edge
 
 
 def _edge_bounds(counts):
@@ -654,9 +662,14 @@ def _build_batch_problem(
         p = p + limits.dt * v
         nbr_pos[:, t] = p
     counts = np.bincount(src, minlength=agents.size)
+    cost, edge_counts = _pair_cost(tag, params), counts[src][:, None].astype(np.float64)
+    # as in _solve_batch: a non-finite cost raises SolverError, unwarned
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        step1 = (x0 + limits.dt * v0)[src, None] - nbr_pos[:, :1]
+        first = _edge_costs(cost, edge_counts, step1)
     return _BatchProblem(
-        _pair_cost(tag, params), params, limits, x0, v0, src, _edge_bounds(counts),
-        nbr_pos, counts[src][:, None].astype(np.float64)
+        cost, params, limits, x0, v0, src, _edge_bounds(counts), nbr_pos, edge_counts,
+        first,
     )
 
 
@@ -692,12 +705,17 @@ def _solve_batch(problem, warm):
     a step (the most any row took), and row 0's objective at the start and
     after each of its accepted steps.
 
-    Each row's state is one row of (B, ...) arrays and every index is a
-    batch row; only the sets of rows in play narrow.  Each search direction
-    runs on the live rows (neither converged nor stalled), each line-search
-    probe on the live rows still searching, through the sub-problem
-    `problem.rows` builds for those batch rows.  Rows never interact, so
-    every row computes exactly what a batch of it alone would.
+    The live rows (neither converged nor stalled) keep their state compacted,
+    one row per live row: plan, objective, projected gradient, previous point
+    and the rollout `evaluate` returned with the plan, which the search
+    direction reuses, so each accepted point is rolled out once.  A row's
+    plan is written out when it converges or stalls.  Each search direction
+    runs on the live rows, each line-search probe on those still searching,
+    through the sub-problem `problem.rows` builds for their batch rows.
+    The first probes' plans, objectives and rollouts become the live rows'
+    next state as they are; a row that passes a later probe overwrites its
+    own row.  Rows never interact, so every row computes exactly what a
+    batch of it alone would.
 
     `problem.search_direction` gives each live row's gradient g, its
     projected gradient p and its step cap: p is g and the cap inf for a
@@ -716,99 +734,98 @@ def _solve_batch(problem, warm):
     halving one objective call evaluates each row still searching once, at
     its own a * 2**-h, and the rows that pass leave the search.
 
-    `evaluate` returns each probe's rollout with its objective, and the
-    solver keeps the rollout of every row's current point: the search
-    direction there reuses it, so each accepted point is rolled out once.
-
     Overflow and invalid operations are not warned about: a non-finite
     objective or gradient in a row still being solved raises SolverError,
     and so does a non-finite probe, which fails the Armijo test.  The error
     names every row whose probe is non-finite in that objective call.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        B = warm.shape[0]
         row_axes = tuple(range(1, warm.ndim))
         per_row = (-1,) + (1,) * (warm.ndim - 1)
         a_max = problem.limits.a_max
+        # the live rows' state, row k of each array being batch row live[k]:
+        # the plan, its objective and the rollout it came from, kept for the
+        # search direction there
         U = clamp_norm(warm, a_max)
-        live, live_problem = np.arange(B), problem
-        # each row's objective and the rollout it came from, kept for the
-        # gradient at the row's current point
+        live, live_problem = np.arange(len(U)), problem
         J, XS, WS = problem.evaluate(U)
         _check_finite(
             "non-finite MPC objective at the initial point", live, "objective", J, U
         )
         trace = [float(J[0])]
-        converged = np.zeros(B, dtype=bool)
-        # each live row's projected gradient, the point it was taken at, and
-        # the first step of the row's next line search
-        G, U_prev = np.empty_like(U), np.empty_like(U)
-        scale = np.ones(B)
+        plans = np.empty_like(U)  # a row's plan, written when it leaves
+        converged = np.zeros(len(U), dtype=bool)
+        U_prev = P_prev = U  # where each live row's last move started, once it has one
         iterations = 0
         for _ in range(MAX_ITER):
-            U_live = U[live]
-            grad, proj, cap = live_problem.search_direction(
-                U_live, XS[live], WS[live]
-            )
-            _check_finite("non-finite MPC gradient", live, "gradient", grad, U_live)
-            cand = clamp_norm(U_live - proj, a_max)
-            done = np.sqrt(((U_live - cand) ** 2).sum(axis=row_axes)) <= GRAD_TOL
-            converged[live[done]] = True
-            if done.all():
-                break
+            grad, proj, cap = live_problem.search_direction(U, XS, WS)
+            _check_finite("non-finite MPC gradient", live, "gradient", grad, U)
+            cand = clamp_norm(U - proj, a_max)
+            done = np.sqrt(((U - cand) ** 2).sum(axis=row_axes)) <= GRAD_TOL
+            if done.any():
+                converged[live[done]] = True
+                if done.all():
+                    break
+                plans[live[done]] = U[done]
+                live, U, J, XS, WS, proj, cap, U_prev, P_prev = (
+                    a[~done] for a in (live, U, J, XS, WS, proj, cap, U_prev, P_prev)
+                )
+                live_problem = problem.rows(live)
+            scale = 1.0
             if iterations:
                 # every live row accepted a move in the previous iteration:
                 # the Barzilai-Borwein scale s.s / s.y of that move, y being
                 # the change in the projected gradient
-                s = U_live - U_prev[live]
-                y = proj - G[live]
+                s, y = U - U_prev, proj - P_prev
                 ss, sy = (s * s).sum(axis=row_axes), (s * y).sum(axis=row_axes)
-                scale[live] = np.where(
+                scale = np.where(
                     sy > 0, np.clip(ss / sy, BB_SCALE_MIN, BB_SCALE_MAX), BB_SCALE_MAX
                 )
-            scale[live] = np.minimum(scale[live], cap)
+            scale = np.minimum(scale, cap)
             iterations += 1
-            G[live], U_prev[live] = proj, U_live
-            if done.any():
-                live = live[~done]
-                live_problem = problem.rows(live)
-            accepted = np.zeros(B, dtype=bool)
-            ids, probe_problem = live, live_problem
+            U_prev, P_prev = U, proj
+            # the searching rows' places in the live state, and their state
+            ids, probe_problem = np.arange(len(live)), live_problem
+            base = U, proj, scale, J
             for h in range(LAST_HALVING + 1):
                 # every searching row's probe at halving h, in one call
-                step = scale[ids] * 2.0**-h
-                U_base = U[ids]
-                U_try = clamp_norm(U_base - step.reshape(per_row) * G[ids], a_max)
+                U_base, P_base, scale_base, J_base = base
+                step = scale_base * 2.0**-h
+                U_try = clamp_norm(U_base - step.reshape(per_row) * P_base, a_max)
                 J_try, xs_try, ws_try = probe_problem.evaluate(U_try)
                 delta = ((U_base - U_try) ** 2).sum(axis=row_axes)
-                ok = J_try <= J[ids] - (ARMIJO_C / step) * delta
-                fail = ~ok
-                _check_finite(
-                    "non-finite MPC objective during line search",
-                    ids[fail],
-                    "objective",
-                    J_try[fail],
-                    U_try[fail],
-                )
-                won = ids[ok]
-                U[won], J[won] = U_try[ok], J_try[ok]
-                XS[won], WS[won] = xs_try[ok], ws_try[ok]
-                accepted[won] = True
+                ok = J_try <= J_base - (ARMIJO_C / step) * delta
+                tried = (U_try, J_try, xs_try, ws_try)
+                if h == 0:
+                    # the live rows' next state, row for row, is the first
+                    # probe's; a row that passes a later probe takes that one
+                    moved, accepted = tried, ok
+                else:
+                    for a, b in zip(moved, tried):
+                        a[ids[ok]] = b[ok]
+                    accepted[ids] = ok
                 if ok.all():
                     break
+                fail = ~ok
+                _check_finite("non-finite MPC objective during line search",
+                              live[ids[fail]], "objective", J_try[fail], U_try[fail])
                 if ok.any():
-                    ids = ids[fail]
-                    probe_problem = problem.rows(ids)
-            if accepted[0]:
-                trace.append(float(J[0]))
+                    ids, base = ids[fail], tuple(a[fail] for a in base)
+                    probe_problem = problem.rows(live[ids])
             # rows whose line search stalled make no further progress
-            going = accepted[live]
-            if not going.any():
+            if not accepted.any():
                 break
-            if not going.all():
-                live = live[going]
+            U, J, XS, WS = moved
+            if live[0] == 0 and accepted[0]:
+                trace.append(float(J[0]))
+            if not accepted.all():
+                plans[live[~accepted]] = U_prev[~accepted]
+                live, U, J, XS, WS, U_prev, P_prev = (
+                    a[accepted] for a in (live, U, J, XS, WS, U_prev, P_prev)
+                )
                 live_problem = problem.rows(live)
-        return U, converged, iterations, trace
+        plans[live] = U
+        return plans, converged, iterations, trace
 
 
 # --------------------------------------------------------------------------

@@ -106,6 +106,9 @@ def read_summary_csv(path):
         fields = tuple(reader.fieldnames or ())
         rows = []
         for raw in reader:
+            if None in raw or None in raw.values():
+                raise ValueError(f"{path}: line {reader.line_num} does not have "
+                                 f"the header's {len(fields)} fields")
             row = {}
             for key, value in raw.items():
                 if value == "":

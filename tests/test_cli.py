@@ -139,6 +139,21 @@ def test_plot_rejects_a_file_that_is_not_a_summary(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", ["x,1,2,3,4,5", "x,1,2,3,4,5,6,7"])
+def test_plot_rejects_a_ragged_summary_row(tmp_path, capsys, row):
+    # a data row with fewer or more fields than the header's seven
+    summary = tmp_path / "short.csv"
+    summary.write_text("model,step,a,b,c,d,e\n" + row + "\n")
+    out = tmp_path / "charts"
+    code = run_cli(["plot", "--summary", str(summary), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: ValueError: {summary}: line 2 does not have the header's 7 fields\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_coincident_agents(tmp_path):
     # a zero-width box puts every agent at the origin: one component whose
     # diameter is 0

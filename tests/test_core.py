@@ -17,7 +17,7 @@ from flockbench import (
     sense_local_all,
     step_dynamics,
 )
-from flockbench.core import sq_norm
+from flockbench.core import clamp_norm, sq_norm
 from conftest import random_config
 
 LIMITS = MotionLimits(v_max=8.0, a_max=1.0, dt=0.3)
@@ -381,6 +381,14 @@ def test_configuration_is_immutable(np_rng):
 
 
 
+def left_fold_of_products(v):
+    """The squared norm as the left fold of the products v[..., k]**2."""
+    out = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        out = out + v[..., k] * v[..., k]
+    return out
+
+
 @pytest.mark.parametrize("keepdims", [False, True])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_sq_norm_matches_sum_of_squares(m, keepdims, np_rng):
@@ -388,6 +396,7 @@ def test_sq_norm_matches_sum_of_squares(m, keepdims, np_rng):
     scale = 10.0 ** np_rng.integers(-8, 8, size=(6, 7, 1))
     base = np_rng.normal(size=(6, 7, m)) * scale
     strided = np.moveaxis(np_rng.normal(size=(m, 6, 7)), 0, -1)
+    flock = FlockConfiguration(base[0], base[1])
     views = (
         base,  # contiguous
         base.transpose(1, 0, 2),  # transposed
@@ -396,9 +405,60 @@ def test_sq_norm_matches_sum_of_squares(m, keepdims, np_rng):
         base[:, [5, 0, 3, 3]],  # fancy-indexed with a leading slice
         base[[4, 1], 2:],
         base[::2, ::-1],
+        np.broadcast_to(base[0], (4, 7, m)),  # read-only, zero leading stride
+        # the read-only broadcasts sense_local_all hands the controllers
+        *sense_local_all(flock, NoiseSpec(), RandomStream(1)),
     )
+    assert not views[-1].flags.writeable
     for v in views:
         expected = (v * v).sum(axis=-1, keepdims=keepdims)
         got = sq_norm(v, keepdims=keepdims)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+        # the products' left fold, as sq_norm summed before it squared once
+        fold = left_fold_of_products(v)
+        assert np.array_equal(got, fold[..., None] if keepdims else fold)
+
+
+def same_bits(a, b):
+    """Equal values, signed zeros and NaN included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def nested_where_clamp(v, max_norm):
+    """The radial clamp as two nested np.where calls."""
+    norms = np.sqrt(sq_norm(v, keepdims=True))
+    over = norms > max_norm
+    if not over.any():
+        return v.copy()
+    return v * np.where(over, max_norm / np.where(over, norms, 1.0), 1.0)
+
+
+def test_clamp_norm_matches_the_nested_where_formula(np_rng):
+    vectors = np_rng.normal(size=(50, 3, 2)) * 10.0 ** np_rng.integers(
+        -3, 3, size=(50, 3, 1)
+    )
+    edges = np.array(
+        [
+            [3.0, 4.0],  # norm exactly max_norm
+            [-4.0, 3.0],
+            [0.0, -5.0],
+            [-0.0, 2.0],  # signed zeros inside and outside the ball
+            [-0.0, -0.0],
+            [-0.0, 7.0],
+            [np.inf, 1.0],  # an infinite component
+            [np.nan, 1.0],  # a NaN row passes through unchanged
+            [30.0, 40.0],
+        ]
+    )
+    for v, max_norm in ((vectors, 1.5), (vectors, 1e3), (edges, 5.0)):
+        with np.errstate(invalid="ignore"):  # inf * 0 in the infinite row
+            got = clamp_norm(v, max_norm)
+            assert same_bits(got, nested_where_clamp(v, max_norm))
+    assert same_bits(got[:5], edges[:5]) and same_bits(got[7], edges[7])
+    assert same_bits(got[5], np.array([-0.0, 5.0]))
+    assert np.array_equal(got[-1], [3.0, 4.0])
+    inside = edges[:5]
+    kept = clamp_norm(inside, 5.0)
+    assert kept is not inside and same_bits(kept, inside)
+

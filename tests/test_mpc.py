@@ -651,6 +651,63 @@ def test_batch_rows_match_full_batch(tag, np_rng):
         assert full.rows(np.array([6, 7])).src.size == 0
 
 
+def isolated_views(np_rng, n=8):
+    """Noisy views of n agents, the last one beyond everyone's range."""
+    cfg = random_config(np_rng, n=n, span=6.0, v_span=3.0)
+    pos = cfg.positions.copy()
+    pos[-1] = (60.0, 60.0)
+    flock = config(pos, cfg.velocities)
+    return sense_local_all(flock, noise_for_level(3), RandomStream(5))
+
+
+def edge_diffs(problem, xs):
+    """Each edge's agent-neighbor differences at steps 1..T of the rollout."""
+    return xs[problem.src] - problem.nbr_pos
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 5])
+@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+def test_batch_objective_prices_step_one_at_build(tag, horizon, np_rng):
+    # the reference prices every step 1..T from the rollout, then sums each
+    # edge's steps in order and each row's edges
+    params = MpcParams(horizon=horizon)
+    full = _build_batch_problem(tag, *isolated_views(np_rng), range(8), params, LIMITS)
+    cost = full.cost
+    U = np_rng.uniform(-0.5, 0.5, (8, horizon, 2))
+    for idx in (range(8), [7], [5, 5, 0, 7, 2, 2]):
+        idx = np.asarray(idx)
+        sub = full.rows(idx)
+        J, xs, _ = sub.evaluate(U[idx])
+        diff = edge_diffs(sub, xs)
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        edge = cost.weight * cost.term(dist)
+        if cost.cohesion:
+            edge = (1.0 / sub.edge_counts) * (dist * dist) + edge
+        stage = np.bincount(sub.src, weights=edge.sum(axis=1), minlength=idx.size)
+        penalty = (U[idx] * U[idx]).reshape(idx.size, -1).sum(axis=1)
+        assert np.array_equal(J, stage + params.lam * penalty)
+        # the isolated row has no edges: its objective is its penalty alone
+        assert np.array_equal(J[idx == 7], params.lam * penalty[idx == 7])
+
+
+@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+def test_batch_stage_gradient_matches_add_at(tag, np_rng):
+    full = _build_batch_problem(tag, *isolated_views(np_rng), range(8), PARAMS, LIMITS)
+    U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
+    for idx in (range(8), [7], [5, 5, 0, 7, 2, 2]):
+        idx = np.asarray(idx)
+        sub = full.rows(idx)
+        _, xs, _ = sub.evaluate(U[idx])
+        diff = edge_diffs(sub, xs)[:, 1:]
+        coef = sub.cost.slope(np.sqrt((diff * diff).sum(axis=-1)))
+        if sub.cost.cohesion:
+            coef = 2.0 / sub.edge_counts + coef
+        expected = np.zeros_like(xs[:, 1:])
+        np.add.at(expected, sub.src, coef[:, :, None] * diff)
+        got = sub._stage_gradient(xs[:, 1:])
+        assert got.dtype == expected.dtype and same_bits(got, expected)
+
+
 class CountingProblem:
     """Passes every evaluation on to a batch problem and logs the batch rows
     and the controls it was handed; its sub-batches log to the same list."""
@@ -671,9 +728,11 @@ class CountingProblem:
         return self.problem.search_direction(U, xs, ws)
 
 
-def test_solver_evaluates_only_rows_in_play(np_rng):
-    # agents 0 and 1 sit at the df equilibrium spacing and agent 5 alone, so
-    # all three converge at the first check; the close trio 2-4 does not
+def staggered_batch(np_rng):
+    """A df_distributed batch of six agents that all see the truth, with
+    their positions, velocities and warm starts: agents 0 and 1 sit at the
+    df equilibrium spacing and agent 5 alone, so all three converge at the
+    first check; the close trio 2-4 does not."""
     s_star = 50.0**0.25
     pos = np.array([[0, 0], [s_star, 0], [30, 0], [31.5, 0.5], [31, -1], [-30, 20]])
     vel = np.array([[0, 0], [0, 0], [1, 0], [-1, 0.5], [0, -1], [0, 0]], dtype=float)
@@ -682,6 +741,12 @@ def test_solver_evaluates_only_rows_in_play(np_rng):
     warm[2:5] = np_rng.uniform(-0.5, 0.5, (3, 3, 2))
     views = np.stack([pos] * n), np.stack([vel] * n)
     problem = _build_batch_problem("df_distributed", *views, range(n), PARAMS, LIMITS)
+    return problem, warm, pos, vel
+
+
+def test_solver_evaluates_only_rows_in_play(np_rng):
+    problem, warm, pos, vel = staggered_batch(np_rng)
+    n = len(pos)
     log = []
     U, _, _, _ = _solve_batch(CountingProblem(problem, np.arange(n), log), warm)
     view = config(pos, vel)
@@ -1565,6 +1630,27 @@ def test_distributed_solver_error_names_failing_agents():
     diagnostics = info.value.diagnostics
     assert diagnostics["agents"].tolist() == [0, 1]
     assert diagnostics["gradient"].shape == diagnostics["controls"].shape == (2, 3, 2)
+
+
+def test_solver_error_names_batch_rows_after_rows_have_left(np_rng):
+    # agents 0, 1 and 5 converge at the first check and 3 and 4 after
+    # seven iterations, and each leaves the live state; a NaN probe of agent
+    # 4 in its third line search or of agent 2 in its tenth must be named by
+    # its batch row, not by its place among the live rows
+    problem, warm, _, _ = staggered_batch(np_rng)
+    n = len(warm)
+    _, iterations, _, _, accepted = sequential_solve(problem, warm)
+    assert iterations.tolist() == [0, 0, 12, 7, 7, 0]
+    assert accepted[2][9] > 0  # that search reaches a later halving
+    for i, k, h in ((4, 2, 0), (2, 9, 0), (2, 9, accepted[2][9])):
+        wrapped = TrappedProblem.wrap(problem, n, {i: [()] * k + [(h,)]})
+        with pytest.raises(SolverError, match="during line search") as info:
+            _solve_batch(wrapped, warm)
+        diagnostics = info.value.diagnostics
+        assert diagnostics["agents"].tolist() == [i]
+        assert np.isnan(diagnostics["objective"]).all()
+        [plan] = wrapped.state["plans"][i]
+        assert same_bits(diagnostics["controls"], plan[None])
 
 
 def test_centralized_non_finite_first_stage_raises_without_warnings():
