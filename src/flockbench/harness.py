@@ -333,9 +333,15 @@ def run_noise_sweep(cfg: ExperimentConfig, models, levels, workers: int = 1) -> 
     Returns {(tag, level): [RunRecord, ...]}.  Run j at level L uses
     ``mix_seed(base_seed, L * LEVEL_SEED_STRIDE + j)``: models are paired per
     level, and a level-0 sweep reproduces the noiseless comparison runs.
+    Every level is checked before the first run: a TypeError for a level
+    that is not an integer, a ValueError for a negative one.
     """
     if cfg.runs > LEVEL_SEED_STRIDE:
         raise ValueError(f"at most {LEVEL_SEED_STRIDE} runs per noise level")
+    levels = list(levels)
+    for level in levels:
+        if operator.index(level) < 0:
+            raise ValueError(f"noise level must be nonnegative, got {level}")
     out = {}
     for level in levels:
         seeds = [

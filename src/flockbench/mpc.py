@@ -31,6 +31,9 @@ state per row and evaluates only the rows still in play.  Both problem types
 hold R rows, each from its own initial state, and a row alone has the same
 bits as in any batch: a centralized row plans every agent, (T, n, m), from
 one measurement, and a distributed row one agent, (T, m), from its own view.
+A problem's `rows(keep)` is the sub-problem of the rows a boolean mask
+keeps, in their order; as rows leave, the solver narrows the problem it
+holds with the mask it applies to its row state.
 `solve_mpc` solves one row and returns one `SolveResult` (plan,
 accepted-objective trace, iterations, converged); a distributed step solves
 n rows and returns every agent's plan.  Each row moves along minus its
@@ -471,8 +474,8 @@ def mpc_objective(
 # Problems of R independent rows: evaluate(U) -> (objective (R,), xs, ws),
 # gradient(U, xs, ws) -> U.shape given the rollout evaluate returned for U,
 # search_direction(U, xs, ws) -> (gradient, projected gradient, step cap (R,))
-# from that rollout, and rows(idx) -> the sub-problem of the rows idx,
-# repeats included
+# from that rollout, and rows(keep) -> the sub-problem of the rows where the
+# boolean mask keep (R,) is set, in their order
 # --------------------------------------------------------------------------
 
 
@@ -481,7 +484,7 @@ class _Problem:
     """R independent rows, each one plan U[k] from the initial state x0[k],
     v0[k]: the subclass's stage costs at the predicted steps 1..T plus lam
     times the squared norm of the plan.  Rows never interact, so a row has
-    the same bits alone as in any batch, repeats included."""
+    the same bits alone as in any batch."""
 
     cost: _PairCost
     params: MpcParams
@@ -546,10 +549,11 @@ class _CentralizedProblem(_Problem):
         gx = self._stage_gradient(later, pairs)
         return _wall_search(gx, U, ws, pairs, p.r, p.lam, self.limits)
 
-    def rows(self, idx):
-        """The sub-problem of the rows idx, in that order; a row may repeat."""
+    def rows(self, keep):
+        """The sub-problem of the rows where the boolean mask keep is set, in
+        their order."""
         return replace(
-            self, x0=self.x0[idx], v0=self.v0[idx], first_stage=self.first_stage[idx]
+            self, x0=self.x0[keep], v0=self.v0[keep], first_stage=self.first_stage[keep]
         )
 
 
@@ -571,7 +575,6 @@ class _BatchProblem(_Problem):
     constant-velocity neighbors."""
 
     src: np.ndarray  # (E,) batch row of each neighbor edge, ascending
-    bounds: np.ndarray  # (B + 1,) row k's edges are bounds[k]:bounds[k + 1]
     nbr_pos: np.ndarray  # (E, T, m) neighbor positions at steps 1..T
     edge_counts: np.ndarray  # (E, 1) neighbor count of each edge's row
     first: np.ndarray  # (E, 1) cost of each edge at step 1, priced at build
@@ -594,19 +597,15 @@ class _BatchProblem(_Problem):
         gx = np.bincount(slots, (coef[:, :, None] * diff).ravel(), later.size)
         return gx.reshape(later.shape).astype(np.float64, copy=False)  # int64 if E = 0
 
-    def rows(self, idx):
-        """The sub-batch of the batch rows idx, in that order; a row may
-        repeat.  Each row's edges are one slice of src, and a row keeps them
-        in their order: its sums accumulate as in the full batch and its
-        values are bit-identical."""
-        idx = np.asarray(idx)
-        start = self.bounds[idx]
-        counts = self.bounds[idx + 1] - start
-        bounds = _edge_bounds(counts)
-        src = np.repeat(np.arange(idx.size), counts)
-        edges = np.arange(src.size) + np.repeat(start - bounds[:-1], counts)
+    def rows(self, keep):
+        """The sub-batch of the rows where the boolean mask keep is set, in
+        their order.  A kept row keeps its edges in their order, renumbered
+        to its place among the kept rows: its sums accumulate as in this
+        batch and its values are bit-identical."""
+        edges = keep[self.src]
         return replace(
-            self, x0=self.x0[idx], v0=self.v0[idx], src=src, bounds=bounds,
+            self, x0=self.x0[keep], v0=self.v0[keep],
+            src=(np.cumsum(keep) - 1)[self.src[edges]],
             nbr_pos=self.nbr_pos[edges], edge_counts=self.edge_counts[edges],
             first=self.first[edges],
         )
@@ -619,14 +618,6 @@ def _edge_costs(cost, edge_counts, diff):
     if cost.cohesion:
         edge = (1.0 / edge_counts) * (dist * dist) + edge
     return edge
-
-
-def _edge_bounds(counts):
-    """Where each row's edges start, then the edge count: the bounds of a
-    batch whose rows have the given edge counts, in row order."""
-    bounds = np.zeros(counts.size + 1, dtype=np.intp)
-    np.cumsum(counts, out=bounds[1:])
-    return bounds
 
 
 def _build_batch_problem(
@@ -661,16 +652,13 @@ def _build_batch_problem(
     for t in range(params.horizon):
         p = p + limits.dt * v
         nbr_pos[:, t] = p
-    counts = np.bincount(src, minlength=agents.size)
+    counts = np.bincount(src)
     cost, edge_counts = _pair_cost(tag, params), counts[src][:, None].astype(np.float64)
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step1 = (x0 + limits.dt * v0)[src, None] - nbr_pos[:, :1]
         first = _edge_costs(cost, edge_counts, step1)
-    return _BatchProblem(
-        cost, params, limits, x0, v0, src, _edge_bounds(counts), nbr_pos, edge_counts,
-        first,
-    )
+    return _BatchProblem(cost, params, limits, x0, v0, src, nbr_pos, edge_counts, first)
 
 
 # --------------------------------------------------------------------------
@@ -708,14 +696,14 @@ def _solve_batch(problem, warm):
     The live rows (neither converged nor stalled) keep their state compacted,
     one row per live row: plan, objective, projected gradient, previous point
     and the rollout `evaluate` returned with the plan, which the search
-    direction reuses, so each accepted point is rolled out once.  A row's
-    plan is written out when it converges or stalls.  Each search direction
-    runs on the live rows, each line-search probe on those still searching,
-    through the sub-problem `problem.rows` builds for their batch rows.
-    The first probes' plans, objectives and rollouts become the live rows'
-    next state as they are; a row that passes a later probe overwrites its
-    own row.  Rows never interact, so every row computes exactly what a
-    batch of it alone would.
+    direction reuses, so each accepted point is rolled out once.  Live row
+    k's plan is written out to batch row live[k] when it converges or
+    stalls.  Each search direction runs on the live rows, each line-search
+    probe on those still searching, through a problem the solver narrows
+    with `rows` and the mask it applies to its state.  The first probes'
+    plans, objectives and rollouts become the live rows' next state as they
+    are; a row that passes a later probe overwrites its own row.  Rows never
+    interact, so every row computes exactly what a batch of it alone would.
 
     `problem.search_direction` gives each live row's gradient g, its
     projected gradient p and its step cap: p is g and the cap inf for a
@@ -770,7 +758,7 @@ def _solve_batch(problem, warm):
                 live, U, J, XS, WS, proj, cap, U_prev, P_prev = (
                     a[~done] for a in (live, U, J, XS, WS, proj, cap, U_prev, P_prev)
                 )
-                live_problem = problem.rows(live)
+                live_problem = live_problem.rows(~done)
             scale = 1.0
             if iterations:
                 # every live row accepted a move in the previous iteration:
@@ -811,7 +799,7 @@ def _solve_batch(problem, warm):
                               live[ids[fail]], "objective", J_try[fail], U_try[fail])
                 if ok.any():
                     ids, base = ids[fail], tuple(a[fail] for a in base)
-                    probe_problem = problem.rows(live[ids])
+                    probe_problem = probe_problem.rows(fail)
             # rows whose line search stalled make no further progress
             if not accepted.any():
                 break
@@ -823,7 +811,7 @@ def _solve_batch(problem, warm):
                 live, U, J, XS, WS, U_prev, P_prev = (
                     a[accepted] for a in (live, U, J, XS, WS, U_prev, P_prev)
                 )
-                live_problem = problem.rows(live)
+                live_problem = live_problem.rows(accepted)
         plans[live] = U
         return plans, converged, iterations, trace
 

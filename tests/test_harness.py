@@ -3,6 +3,7 @@ import importlib
 import pathlib
 import warnings
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,6 +286,15 @@ def test_noise_sweep_levels_and_pairing():
     cfg = small_cfg("reynolds", steps=3, runs=2)
     records = run_noise_sweep(cfg, [cfg.model], levels=[0, 2])
     assert set(records) == {("reynolds", 0), ("reynolds", 2)}
+
+
+@pytest.mark.parametrize("levels, error", [([1, 2.5], TypeError), ([1, -1], ValueError)])
+def test_noise_sweep_checks_every_level_before_the_first_run(levels, error):
+    cfg = small_cfg("reynolds", steps=2, runs=2)
+    with mock.patch.object(harness, "simulate") as spy:
+        with pytest.raises(error):
+            run_noise_sweep(cfg, [cfg.model], levels)
+    spy.assert_not_called()
 
 
 def test_sweep_level_zero_matches_noiseless_comparison():

@@ -642,13 +642,28 @@ def test_batch_rows_match_full_batch(tag, np_rng):
     G = full.gradient(U, XS, WS)
     for idx in ([3], range(8), [0, 4, 7], [6, 7], [5, 5, 0, 6, 2, 2, 2]):
         idx = np.asarray(idx)
-        sub = full.rows(idx)
-        J_sub, xs, ws = sub.evaluate(U[idx])
-        assert np.array_equal(J_sub, J[idx])
-        assert np.array_equal(xs, XS[idx]) and np.array_equal(ws, WS[idx])
-        assert np.array_equal(sub.gradient(U[idx], xs, ws), G[idx])
+        for sub in sub_problems(tag, full, views, idx, PARAMS):
+            J_sub, xs, ws = sub.evaluate(U[idx])
+            assert np.array_equal(J_sub, J[idx])
+            assert np.array_equal(xs, XS[idx]) and np.array_equal(ws, WS[idx])
+            assert np.array_equal(sub.gradient(U[idx], xs, ws), G[idx])
     if tag in DISTRIBUTED_MPC_TAGS:
-        assert full.rows(np.array([6, 7])).src.size == 0
+        assert full.rows(np.arange(8) >= 6).src.size == 0
+
+
+def sub_problems(tag, full, views, idx, params):
+    """The rows idx of `full`, a problem built from the stacked views with
+    one row per view: built anew from the rows' own views, any order and
+    repeats included, and, where idx is ascending without repeats, also
+    cut from `full` by a mask."""
+    pos, vel = views[0][idx], views[1][idx]
+    if tag in CENTRALIZED_MPC_TAGS:
+        subs = [_build_centralized_problem(tag, pos, vel, params, LIMITS)]
+    else:
+        subs = [_build_batch_problem(tag, pos, vel, idx, params, LIMITS)]
+    if (np.diff(idx) > 0).all():
+        subs.append(full.rows(np.isin(np.arange(len(full.x0)), idx)))
+    return subs
 
 
 def isolated_views(np_rng, n=8):
@@ -658,6 +673,45 @@ def isolated_views(np_rng, n=8):
     pos[-1] = (60.0, 60.0)
     flock = config(pos, cfg.velocities)
     return sense_local_all(flock, noise_for_level(3), RandomStream(5))
+
+
+@pytest.mark.parametrize("tag", MPC_TAGS)
+def test_narrowing_twice_matches_narrowing_once(tag, np_rng):
+    # the solver narrows a narrowed problem: p.rows(a).rows(b) must be
+    # p.rows(c), c keeping the rows that b keeps of those a keeps
+    views = isolated_views(np_rng)  # row 7's agent sees no one
+    if tag in CENTRALIZED_MPC_TAGS:
+        full = _build_centralized_problem(tag, *views, PARAMS, LIMITS)
+        U = np_rng.uniform(-0.5, 0.5, (8, 3, 8, 2))
+    else:
+        full = _build_batch_problem(tag, *views, range(8), PARAMS, LIMITS)
+        assert (full.src != 7).all() and np.isin(range(7), full.src).all()
+        U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
+    J, XS, WS = full.evaluate(U)
+    masks = [(np.arange(8) % 2 == 1, np.array([True, False, True, True]))]
+    masks.append((np.arange(8) >= 5, np.array([False, True, True])))
+    masks.append((np.ones(8, dtype=bool), np.arange(8) != 3))
+    while len(masks) < 12:
+        a = np_rng.random(8) < 0.6
+        b = np_rng.random(a.sum()) < 0.6
+        if b.any():
+            masks.append((a, b))
+    for a, b in masks:
+        c = a.copy()
+        c[a] = b
+        twice, once = full.rows(a).rows(b), full.rows(c)
+        J_twice, xs, ws = twice.evaluate(U[c])
+        J_once, xs_once, ws_once = once.evaluate(U[c])
+        assert np.array_equal(J_twice, J_once) and np.array_equal(J_once, J[c])
+        assert np.array_equal(xs, xs_once) and np.array_equal(ws, ws_once)
+        assert np.array_equal(xs, XS[c]) and np.array_equal(ws, WS[c])
+        found = twice.search_direction(U[c], xs, ws)
+        for got, expected in zip(found, once.search_direction(U[c], xs, ws)):
+            assert np.array_equal(got, expected)
+    if tag in DISTRIBUTED_MPC_TAGS:
+        # a mask that keeps only edge-free rows keeps no edge
+        assert full.rows(np.arange(8) == 7).src.size == 0
+        assert full.rows(np.arange(8) >= 5).rows(np.arange(3) == 2).src.size == 0
 
 
 def edge_diffs(problem, xs):
@@ -671,41 +725,43 @@ def test_batch_objective_prices_step_one_at_build(tag, horizon, np_rng):
     # the reference prices every step 1..T from the rollout, then sums each
     # edge's steps in order and each row's edges
     params = MpcParams(horizon=horizon)
-    full = _build_batch_problem(tag, *isolated_views(np_rng), range(8), params, LIMITS)
+    views = isolated_views(np_rng)
+    full = _build_batch_problem(tag, *views, range(8), params, LIMITS)
     cost = full.cost
     U = np_rng.uniform(-0.5, 0.5, (8, horizon, 2))
     for idx in (range(8), [7], [5, 5, 0, 7, 2, 2]):
         idx = np.asarray(idx)
-        sub = full.rows(idx)
-        J, xs, _ = sub.evaluate(U[idx])
-        diff = edge_diffs(sub, xs)
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        edge = cost.weight * cost.term(dist)
-        if cost.cohesion:
-            edge = (1.0 / sub.edge_counts) * (dist * dist) + edge
-        stage = np.bincount(sub.src, weights=edge.sum(axis=1), minlength=idx.size)
-        penalty = (U[idx] * U[idx]).reshape(idx.size, -1).sum(axis=1)
-        assert np.array_equal(J, stage + params.lam * penalty)
-        # the isolated row has no edges: its objective is its penalty alone
-        assert np.array_equal(J[idx == 7], params.lam * penalty[idx == 7])
+        for sub in sub_problems(tag, full, views, idx, params):
+            J, xs, _ = sub.evaluate(U[idx])
+            diff = edge_diffs(sub, xs)
+            dist = np.sqrt((diff * diff).sum(axis=-1))
+            edge = cost.weight * cost.term(dist)
+            if cost.cohesion:
+                edge = (1.0 / sub.edge_counts) * (dist * dist) + edge
+            stage = np.bincount(sub.src, weights=edge.sum(axis=1), minlength=idx.size)
+            penalty = (U[idx] * U[idx]).reshape(idx.size, -1).sum(axis=1)
+            assert np.array_equal(J, stage + params.lam * penalty)
+            # the isolated row has no edges: its objective is its penalty alone
+            assert np.array_equal(J[idx == 7], params.lam * penalty[idx == 7])
 
 
 @pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
 def test_batch_stage_gradient_matches_add_at(tag, np_rng):
-    full = _build_batch_problem(tag, *isolated_views(np_rng), range(8), PARAMS, LIMITS)
+    views = isolated_views(np_rng)
+    full = _build_batch_problem(tag, *views, range(8), PARAMS, LIMITS)
     U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
     for idx in (range(8), [7], [5, 5, 0, 7, 2, 2]):
         idx = np.asarray(idx)
-        sub = full.rows(idx)
-        _, xs, _ = sub.evaluate(U[idx])
-        diff = edge_diffs(sub, xs)[:, 1:]
-        coef = sub.cost.slope(np.sqrt((diff * diff).sum(axis=-1)))
-        if sub.cost.cohesion:
-            coef = 2.0 / sub.edge_counts + coef
-        expected = np.zeros_like(xs[:, 1:])
-        np.add.at(expected, sub.src, coef[:, :, None] * diff)
-        got = sub._stage_gradient(xs[:, 1:])
-        assert got.dtype == expected.dtype and same_bits(got, expected)
+        for sub in sub_problems(tag, full, views, idx, PARAMS):
+            _, xs, _ = sub.evaluate(U[idx])
+            diff = edge_diffs(sub, xs)[:, 1:]
+            coef = sub.cost.slope(np.sqrt((diff * diff).sum(axis=-1)))
+            if sub.cost.cohesion:
+                coef = 2.0 / sub.edge_counts + coef
+            expected = np.zeros_like(xs[:, 1:])
+            np.add.at(expected, sub.src, coef[:, :, None] * diff)
+            got = sub._stage_gradient(xs[:, 1:])
+            assert got.dtype == expected.dtype and same_bits(got, expected)
 
 
 class CountingProblem:
@@ -716,8 +772,8 @@ class CountingProblem:
         self.problem, self.ids, self.log = problem, ids, log
         self.limits = problem.limits
 
-    def rows(self, idx):
-        return CountingProblem(self.problem.rows(idx), self.ids[idx], self.log)
+    def rows(self, keep):
+        return CountingProblem(self.problem.rows(keep), self.ids[keep], self.log)
 
     def evaluate(self, U):
         self.log.append(("evaluate", self.ids.tolist(), U.copy()))
@@ -852,7 +908,8 @@ def test_stacked_centralized_objective_matches_single_plans(
     view = config(pos, vel)
     params = MpcParams(horizon=T)
     one = _single_problem(tag, view, params, LIMITS, None)
-    problem = one.rows(np.zeros(6, dtype=int))  # six plans of the one row
+    # six plans of the one row
+    problem = _build_centralized_problem(tag, *repeated(view, 6), params, LIMITS)
     U = np_rng.uniform(-1.0, 1.0, (6, T, n, 2))
     U[0] = 0.0
     J, xs, _ = problem.evaluate(U)
@@ -884,6 +941,11 @@ def test_stacked_centralized_objective_matches_single_plans(
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def repeated(view, k):
+    """k copies of the view's positions and of its velocities, stacked."""
+    return np.stack([view.positions] * k), np.stack([view.velocities] * k)
+
+
 def fast_config(np_rng, n):
     """n agents close together, moving just under the speed limit."""
     heading = np_rng.uniform(0.0, 2.0 * np.pi, n)
@@ -904,7 +966,8 @@ def test_centralized_gradient_reuses_probe_rollout(tag, np_rng):
     # several plans of the one row in one call, the row repeated
     U = np_rng.uniform(-1.0, 1.0, (5, 3, 12, 2))
     U = clamp_norm(U, LIMITS.a_max)
-    _, xs, ws = problem.rows(np.zeros(5, dtype=int)).evaluate(U)
+    several = _build_centralized_problem(tag, *repeated(view, 5), PARAMS, LIMITS)
+    _, xs, ws = several.evaluate(U)
     assert_clamp_active(ws)
     for k in range(len(U)):
         plan = U[k : k + 1]
@@ -930,10 +993,11 @@ def test_distributed_gradient_reuses_probe_rollout(tag, np_rng):
     ahead = own / np.sqrt((own * own).sum(axis=-1, keepdims=True))
     U = ahead[:, None, :] + np_rng.uniform(-0.5, 0.5, (rep.size, 3, 2))
     U = clamp_norm(U, LIMITS.a_max)
-    _, xs, ws = full.rows(rep).evaluate(U)
+    several = _build_batch_problem(tag, pos[rep], vel[rep], rep, PARAMS, LIMITS)
+    _, xs, ws = several.evaluate(U)
     assert_clamp_active(ws)
     for k, i in enumerate(rep):
-        row, plan = full.rows(np.array([i])), U[k : k + 1]
+        row, plan = full.rows(np.arange(n) == i), U[k : k + 1]
         reused = row.gradient(plan, xs[k : k + 1], ws[k : k + 1])
         fresh = row.gradient(plan, *mpc._rollout_arrays(row.x0, row.v0, plan, LIMITS))
         assert np.array_equal(reused, fresh)
@@ -960,7 +1024,7 @@ def test_one_step_horizon_gradient_is_control_penalty(tag, np_rng):
 def test_forward_controls_match_finite_differences_of_the_rollout(tag, np_rng):
     # agents near the speed limit, so the plans drive the velocity clamp
     view = fast_config(np_rng, 8)
-    problem = _single_problem(tag, view, PARAMS, LIMITS, None).rows(np.zeros(4, int))
+    problem = _build_centralized_problem(tag, *repeated(view, 4), PARAMS, LIMITS)
     x0, v0 = problem.x0, problem.v0
     U = clamp_norm(np_rng.uniform(-1.0, 1.0, (4, 3, 8, 2)), LIMITS.a_max)
     D = np_rng.uniform(-1.0, 1.0, U.shape)
@@ -985,8 +1049,8 @@ class PlainDirection:
     def __init__(self, problem):
         self.problem, self.limits = problem, problem.limits
 
-    def rows(self, idx):
-        return PlainDirection(self.problem.rows(idx))
+    def rows(self, keep):
+        return PlainDirection(self.problem.rows(keep))
 
     def evaluate(self, U):
         return self.problem.evaluate(U)
@@ -1072,7 +1136,7 @@ def test_walls_and_caps_in_several_rows_match_each_row_alone():
     assert mpc.WALL_GAP < excess[1, 0] and 0 < excess[1, 1] <= mpc.WALL_GAP
     G, P, cap = problem.search_direction(U, xs, ws)
     for k in range(3):
-        alone = problem.rows([k]).search_direction(
+        alone = problem.rows(np.arange(3) == k).search_direction(
             U[k : k + 1], xs[k : k + 1], ws[k : k + 1]
         )
         for stacked, one in zip((G, P, cap), alone):
@@ -1182,8 +1246,8 @@ class TrappedProblem:
         state = {"grads": {}, "last": {}, "plans": {}, "calls": [], "trapped": 0}
         return cls(problem, np.arange(size), traps or {}, state)
 
-    def rows(self, idx):
-        return TrappedProblem(self.problem.rows(idx), self.ids[idx], self.traps, self.state)
+    def rows(self, keep):
+        return TrappedProblem(self.problem.rows(keep), self.ids[keep], self.traps, self.state)
 
     def search_direction(self, U, xs, ws):
         G, P, cap = self.problem.search_direction(U, xs, ws)
@@ -1223,7 +1287,7 @@ def sequential_solve(problem, warm):
     search direction at a point takes the rollout the point's evaluation
     returned."""
     B, a_max = warm.shape[0], problem.limits.a_max
-    alone = [problem.rows(np.array([i])) for i in range(B)]
+    alone = [problem.rows(np.arange(B) == i) for i in range(B)]
     U = clamp_norm(warm, a_max)
     J, rollouts = [], []
     for i in range(B):
@@ -1361,7 +1425,7 @@ def test_step_ladder_matches_sequential_line_search(np_rng):
         assert all(len(ids) == len(set(ids)) for ids in calls)
         assert len(calls) == 1 + lockstep_rounds(iterations, accepted)
         for i in range(B):
-            one = _solve_batch(problem.rows(np.array([i])), warm[i : i + 1])
+            one = _solve_batch(problem.rows(np.arange(B) == i), warm[i : i + 1])
             plan, one_converged, one_iterations, trace = one
             assert np.array_equal(plan[0], U[i])
             assert (one_converged[0], one_iterations) == (converged[i], iterations[i])
@@ -1462,7 +1526,7 @@ def line_search_starts(log):
 
 def gradient_at(problem, i, u):
     """Batch row i's gradient at the plan u, its row evaluated alone."""
-    row, U = problem.rows(np.array([i])), u[None]
+    row, U = problem.rows(np.arange(len(problem.x0)) == i), u[None]
     _, xs, ws = row.evaluate(U)
     return row.gradient(U, xs, ws)[0]
 
@@ -1470,7 +1534,7 @@ def gradient_at(problem, i, u):
 def direction_at(problem, i, u):
     """Batch row i's projected gradient and step cap at the plan u, its row
     evaluated alone."""
-    row, U = problem.rows(np.array([i])), u[None]
+    row, U = problem.rows(np.arange(len(problem.x0)) == i), u[None]
     _, xs, ws = row.evaluate(U)
     _, P, cap = row.search_direction(U, xs, ws)
     return P[0], float(cap[0])
@@ -1517,8 +1581,8 @@ class QuadraticProblem:
         self.c = np.asarray(c, dtype=float)
         self.limits = LIMITS
 
-    def rows(self, idx):
-        return QuadraticProblem(self.c[idx])
+    def rows(self, keep):
+        return QuadraticProblem(self.c[keep])
 
     def evaluate(self, U):
         J = 0.5 * (self.c * U * U).reshape(len(U), -1).sum(axis=1)
@@ -1589,8 +1653,8 @@ class HeldQuadratic(QuadraticProblem):
         super().__init__(c)
         self.calls = {} if calls is None else calls
 
-    def rows(self, idx):
-        return HeldQuadratic(self.c[idx], self.calls)
+    def rows(self, keep):
+        return HeldQuadratic(self.c[keep], self.calls)
 
     def search_direction(self, U, xs, ws):
         G = self.c * U
