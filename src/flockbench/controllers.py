@@ -3,17 +3,17 @@ Non-MPC flocking controllers.
 
 Both controllers map one agent's (possibly noisy) view of the configuration
 to an acceleration command.  The view is expected to carry the agent's own
-row exactly (see ``core.sense_local``); neighborhoods are computed from the
-view's positions.  Outputs are raw commands: the simulation loop clamps them
-to the acceleration bound when stepping the dynamics.
+row exactly (see ``core.sense_local``); neighborhoods are ``core.neighbors``
+of the view.  Outputs are raw commands: the simulation loop clamps them to
+the acceleration bound when stepping the dynamics.
 
 The closed loop steers every agent in one array pass: ``reynolds_accel_all``
-and ``olfati_saber_accel_all`` take all n views stacked as (n, n, m) arrays
-(row i is agent i's view, as ``core.sense_local_all`` returns them) and
-reduce over per-rule (n, n) neighbor masks.  Each masked sum runs over the
-neighbors in ascending index order, as the per-agent ``x[mask]`` sums do, so
-the array passes equal the per-agent functions bit for bit; those stay as
-the readable definitions and as the tests' oracles.
+and ``olfati_saber_accel_all`` read all n views (row i is agent i's view, as
+``core.sense_local_all`` returns them) as one ``core.StackedViews`` and
+reduce over its per-rule neighbor masks, ``mask(radius)``.  Each masked sum
+runs over the neighbors in ascending index order, as the per-agent sums do,
+so the array passes equal the per-agent functions bit for bit; those stay
+as the readable definitions and as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_DIST_SQ, FlockConfiguration, check_stacked_views, sq_norm
+from .core import EPS_DIST_SQ, FlockConfiguration, StackedViews, neighbors
 
 __all__ = [
     "ReynoldsParams",
@@ -90,37 +90,9 @@ class OlfatiSaberParams:
             raise ValueError("c_alignment must be nonnegative")
 
 
-def _neighbor_mask(view: FlockConfiguration, i: int, radius: float) -> np.ndarray:
-    diff = view.positions - view.positions[i]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    mask = dist < radius
-    mask[i] = False
-    return mask
-
-
-class _StackedViews:
-    """All n views stacked as (n, n, m) arrays, row i being agent i's view,
-    with each agent's own state and its offsets to everyone it sees."""
-
-    def __init__(self, positions, velocities):
-        pos, vel = check_stacked_views(positions, velocities)
-        own = np.arange(pos.shape[0])
-        self.positions, self.velocities = pos, vel
-        self.own_pos, self.own_vel = pos[own, own], vel[own, own]
-        self.diff = pos - self.own_pos[:, None]  # x_j - x_i in view i
-        self.sq = sq_norm(self.diff)
-        self.dist = np.sqrt(self.sq)
-
-    def mask(self, radius):
-        """(n, n) neighbor mask of the strict < radius test, self excluded."""
-        mask = self.dist < radius
-        np.fill_diagonal(mask, False)
-        return mask
-
-
 def _masked_sum(mask, x):
     """Sum over j of x[i, j] where mask[i, j], in ascending j: the order of
-    the per-agent ``x[mask].sum(axis=0)``."""
+    the per-agent sums over the sorted neighbors."""
     return np.where(mask[..., None], x, 0.0).sum(axis=1)
 
 
@@ -134,10 +106,10 @@ def reynolds_alignment(
     i: int, view: FlockConfiguration, params: ReynoldsParams
 ) -> np.ndarray:
     """Steer toward the mean velocity of the alignment neighborhood."""
-    mask = _neighbor_mask(view, i, params.r_al)
-    if not mask.any():
+    nbrs = sorted(neighbors(view, i, params.r_al))
+    if not nbrs:
         return np.zeros(view.dimension)
-    mean_vel = view.velocities[mask].mean(axis=0)
+    mean_vel = view.velocities[nbrs].mean(axis=0)
     return params.w_al * (mean_vel - view.velocities[i])
 
 
@@ -145,10 +117,10 @@ def reynolds_cohesion(
     i: int, view: FlockConfiguration, params: ReynoldsParams
 ) -> np.ndarray:
     """Steer toward the centroid of the cohesion neighborhood."""
-    mask = _neighbor_mask(view, i, params.r_c)
-    if not mask.any():
+    nbrs = sorted(neighbors(view, i, params.r_c))
+    if not nbrs:
         return np.zeros(view.dimension)
-    centroid = view.positions[mask].mean(axis=0)
+    centroid = view.positions[nbrs].mean(axis=0)
     return params.w_c * (centroid - view.positions[i])
 
 
@@ -160,10 +132,10 @@ def reynolds_separation(
     The squared distance is floored to keep the force finite if a sensed
     neighbor coincides with the agent.
     """
-    mask = _neighbor_mask(view, i, params.r_s)
-    if not mask.any():
+    nbrs = sorted(neighbors(view, i, params.r_s))
+    if not nbrs:
         return np.zeros(view.dimension)
-    away = view.positions[i] - view.positions[mask]
+    away = view.positions[i] - view.positions[nbrs]
     sq = np.maximum((away * away).sum(axis=-1), EPS_DIST_SQ)
     return params.w_s * (away / sq[:, None]).mean(axis=0)
 
@@ -182,7 +154,7 @@ def reynolds_accel(
 def reynolds_accel_all(positions, velocities, params: ReynoldsParams) -> np.ndarray:
     """``reynolds_accel`` of every agent from its stacked (n, n, m) view,
     shape (n, m); row i equals ``reynolds_accel(i, view_i, params)``."""
-    views = _StackedViews(positions, velocities)
+    views = StackedViews(positions, velocities)
     mean_vel, has_al = _masked_mean(views.mask(params.r_al), views.velocities)
     centroid, has_c = _masked_mean(views.mask(params.r_c), views.positions)
     # x_i - x_j as the per-agent rule computes it; -diff would flip the
@@ -246,11 +218,11 @@ def olfati_saber_accel(
     direction ``(x_j - x_i) / sqrt(1 + eps |x_j - x_i|^2)``, plus
     ``c_alignment * bump(sigma_dist / sigma_r) * (v_j - v_i)``.
     """
-    mask = _neighbor_mask(view, i, params.r)
-    if not mask.any():
+    nbrs = sorted(neighbors(view, i, params.r))
+    if not nbrs:
         return np.zeros(view.dimension)
     eps = params.epsilon
-    rel = view.positions[mask] - view.positions[i]
+    rel = view.positions[nbrs] - view.positions[i]
     dist = np.sqrt((rel * rel).sum(axis=-1))
     dist_sig = sigma_norm(dist, eps)
     r_sig = sigma_norm(params.r, eps)
@@ -260,7 +232,7 @@ def olfati_saber_accel(
     force = (action_function(dist_sig, params)[:, None] * n_ij).sum(axis=0)
 
     adjacency = bump(dist_sig / r_sig, params.h)
-    rel_vel = view.velocities[mask] - view.velocities[i]
+    rel_vel = view.velocities[nbrs] - view.velocities[i]
     consensus = params.c_alignment * (adjacency[:, None] * rel_vel).sum(axis=0)
     return force + consensus
 
@@ -270,7 +242,7 @@ def olfati_saber_accel_all(
 ) -> np.ndarray:
     """``olfati_saber_accel`` of every agent from its stacked (n, n, m)
     view, shape (n, m); row i equals ``olfati_saber_accel(i, view_i, params)``."""
-    views = _StackedViews(positions, velocities)
+    views = StackedViews(positions, velocities)
     mask = views.mask(params.r)
     eps = params.epsilon
     dist = views.dist

@@ -390,17 +390,41 @@ def sense_local(
     return FlockConfiguration(pos, vel)
 
 
-def check_stacked_views(positions, velocities):
-    """Stacked per-observer views as float64 arrays, checked to be matching
-    (n, n, m) arrays; row i is observer i's view of all n agents."""
-    pos = np.asarray(positions, dtype=np.float64)
-    vel = np.asarray(velocities, dtype=np.float64)
-    if pos.ndim != 3 or pos.shape[0] != pos.shape[1] or vel.shape != pos.shape:
-        raise ValueError(
-            f"views must be matching (n, n, m) arrays, got {pos.shape}"
-            f" and {vel.shape}"
-        )
-    return pos, vel
+class StackedViews:
+    """Observers' views stacked as (B, n, m) arrays, row k being observer
+    agents[k]'s view of all n agents ((n, n, m) and agent i's for agents
+    None), with each observer's own state own_pos/own_vel, (B, m), and its
+    offsets diff = x_j - x_i, their squares sq and distances dist."""
+
+    def __init__(self, positions, velocities, agents=None):
+        pos = np.asarray(positions, dtype=np.float64)
+        vel = np.asarray(velocities, dtype=np.float64)
+        own = None if agents is None else np.asarray(agents, dtype=np.int64)
+        rows = pos.shape[1:2] if own is None else own.shape
+        if pos.ndim != 3 or vel.shape != pos.shape or pos.shape[:1] != rows:
+            raise ValueError(
+                f"views must be matching {'(n, n, m)' if own is None else '(B, n, m)'}"
+                f" arrays, got {pos.shape} and {vel.shape}"
+            )
+        n = pos.shape[1]
+        if own is None:
+            own = np.arange(n)
+        elif ((own < 0) | (own >= n)).any():
+            bad = own[(own < 0) | (own >= n)][0]
+            raise IndexError(f"agent index {bad} out of range for n={n}")
+        self.positions, self.velocities, self.agents = pos, vel, own
+        self._rows = np.arange(own.size)
+        self.own_pos, self.own_vel = pos[self._rows, own], vel[self._rows, own]
+        self.diff = pos - self.own_pos[:, None]
+        self.sq = sq_norm(self.diff)
+        self.dist = np.sqrt(self.sq)
+
+    def mask(self, radius):
+        """(B, n) neighbor mask: the strict < radius test, with every
+        observer's own cell cleared."""
+        mask = self.dist < radius
+        mask[self._rows, self.agents] = False
+        return mask
 
 
 def sense_local_all(config: FlockConfiguration, noise: NoiseSpec, rng: RandomStream):

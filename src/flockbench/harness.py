@@ -164,7 +164,8 @@ def default_model_spec(tag: str) -> ModelSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs; see `default_model_spec` for models."""
+    """Everything one run needs; see `default_model_spec` for models.  A
+    model whose parameters hold a radius r must run at the metrics' r."""
 
     model: ModelSpec
     n: int = 30
@@ -182,6 +183,8 @@ class ExperimentConfig:
             raise ValueError("n, steps and runs must all be at least 1")
         if not self.r > 0:
             raise ValueError("interaction radius must be positive")
+        if getattr(self.model.params, "r", self.r) != self.r:
+            raise ValueError(f"model {self.model.tag!r} runs at a radius other than r")
         if len(self.init_position_box) < 1:
             raise ValueError("the initial boxes need at least one dimension")
         if len(self.init_position_box) != len(self.init_velocity_box):
@@ -301,13 +304,21 @@ def run_batch(cfg: ExperimentConfig, seeds, workers: int = 1) -> list:
 # --------------------------------------------------------------------------
 
 
+def _check_unique(what, values):
+    """ValueError for a repeated value, whose runs would share a result key."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"repeated {what} in {values}")
+
+
 def run_comparison(cfg: ExperimentConfig, models, workers: int = 1) -> dict:
     """Run every model over the same paired run seeds, cfg.runs each.
 
     Returns {tag: [RunRecord, ...]}; run j of each model starts from the
     identical sampled initial configuration because the seed only depends
-    on (base_seed, j).
+    on (base_seed, j).  A repeated tag is a ValueError before the first run.
     """
+    models = list(models)
+    _check_unique("model tag", [spec.tag for spec in models])
     seeds = [mix_seed(cfg.base_seed, j) for j in range(cfg.runs)]
     return {
         spec.tag: run_batch(replace(cfg, model=spec), seeds, workers)
@@ -334,14 +345,17 @@ def run_noise_sweep(cfg: ExperimentConfig, models, levels, workers: int = 1) -> 
     ``mix_seed(base_seed, L * LEVEL_SEED_STRIDE + j)``: models are paired per
     level, and a level-0 sweep reproduces the noiseless comparison runs.
     Every level is checked before the first run: a TypeError for a level
-    that is not an integer, a ValueError for a negative one.
+    that is not an integer, a ValueError for a negative or repeated one; a
+    repeated tag is a ValueError too.
     """
     if cfg.runs > LEVEL_SEED_STRIDE:
         raise ValueError(f"at most {LEVEL_SEED_STRIDE} runs per noise level")
-    levels = list(levels)
+    levels, models = list(levels), list(models)
     for level in levels:
         if operator.index(level) < 0:
             raise ValueError(f"noise level must be nonnegative, got {level}")
+    _check_unique("noise level", levels)
+    _check_unique("model tag", [spec.tag for spec in models])
     out = {}
     for level in levels:
         seeds = [

@@ -22,8 +22,8 @@ twice and its gradient coefficient is twice the slope.  Distributed models
 optimize a single agent against its own noisy view, freezing its neighbor
 set at the current step and extrapolating neighbors at constant sensed
 velocity; a row's cohesion is the mean over its N neighbors, with
-coefficient 2 / N.  A batch of distributed problems takes the views stacked
-as (B, n, m) arrays and its edges from one (B, n) neighbor mask.
+coefficient 2 / N.  A batch of distributed problems reads the views as one
+`core.StackedViews`, (B, n, m), and its edges from its mask(r).
 
 Every solve runs the same projected-gradient loop, `_solve_batch`, over a
 problem of independent rows that converge and stop row by row; it keeps one
@@ -90,7 +90,7 @@ from .core import (
     EPS_DIST,
     FlockConfiguration,
     MotionLimits,
-    check_stacked_views,
+    StackedViews,
     clamp_norm,
     sq_norm,
 )
@@ -625,26 +625,20 @@ def _build_batch_problem(
 ):
     """Assemble a batch problem from per-agent noisy views.
 
-    pos[k] and vel[k], (n, m) each, are the view of agents[k].  Row k of one
-    (B, n) neighbor mask holds agents[k]'s frozen neighbor set: the strict
-    < r test on its own view, unless neighbor_sets[k] gives the set.  The
-    edges are the mask's nonzero entries in row-major order.
+    pos[k] and vel[k], (n, m) each, are the view of agents[k], read as one
+    ``core.StackedViews`` (agents None: every agent's).  Row k of its (B, n)
+    ``mask(r)`` holds agents[k]'s frozen neighbor set, unless
+    neighbor_sets[k] gives the set.  The edges are the mask's nonzero
+    entries in row-major order.
     """
-    agents = np.asarray(agents, dtype=np.int64)
-    rows = np.arange(agents.size)
-    n = pos.shape[1]
-    bad = agents[(agents < 0) | (agents >= n)]
-    if bad.size:
-        raise IndexError(f"agent index {bad[0]} out of range for n={n}")
-    x0, v0 = pos[rows, agents], vel[rows, agents]
-    diff = pos - x0[:, None]
-    mask = np.sqrt(sq_norm(diff)) < params.r
+    views = StackedViews(pos, vel, agents)
+    pos, vel, x0, v0 = views.positions, views.velocities, views.own_pos, views.own_vel
+    mask = views.mask(params.r)
     for k, given in enumerate(neighbor_sets or ()):
         if given is not None:
-            idx = _check_neighbor_set(agents[k], given, n)
+            idx = _check_neighbor_set(views.agents[k], given, pos.shape[1])
             mask[k] = False
             mask[k, idx] = True
-    mask[rows, agents] = False
     src, nbr = np.nonzero(mask)
     # iterated constant-velocity extrapolation, matching the rollout
     nbr_pos = np.empty((src.size, params.horizon, pos.shape[2]))
@@ -918,9 +912,8 @@ def solve_mpc_distributed_all(
     """
     if tag not in DISTRIBUTED_MPC_TAGS:
         raise ValueError(f"{tag!r} is not a distributed MPC model")
-    pos, vel = check_stacked_views(positions, velocities)
-    n = pos.shape[0]
-    warm = _warm_start(warm_start, (n, params.horizon, pos.shape[2]))
-    problem = _build_batch_problem(tag, pos, vel, range(n), params, limits)
+    problem = _build_batch_problem(tag, positions, velocities, None, params, limits)
+    n, m = problem.x0.shape
+    warm = _warm_start(warm_start, (n, params.horizon, m))
     U, _, _, _ = _solve_batch(problem, warm)
     return U[:, 0].copy(), U

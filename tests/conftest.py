@@ -1,7 +1,22 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
 from flockbench import FlockConfiguration
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env():
+    """The environment for a child Python process: this one's, with the
+    checkout's src directory first on PYTHONPATH, so that `python -m
+    flockbench` imports the package under test from a plain checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
 
 # Row spacing chosen so 3.5**2 + HEX_DY**2 == 49.0 holds exactly in float64;
 # every neighbor distance in the patch below then computes to exactly 7.0.

@@ -37,7 +37,7 @@ from flockbench import (
 )
 from flockbench.harness import run_comparison, run_noise_sweep
 from flockbench.mpc import CENTRALIZED_MPC_TAGS, MPC_TAGS
-from conftest import hexagonal_patch
+from conftest import child_env, hexagonal_patch
 
 LIMITS = MotionLimits()
 PARAMS = MpcParams()
@@ -275,7 +275,7 @@ def test_criterion_5_cli_determinism(tmp_path):
             "--out",
             str(out),
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         csvs.append(
             (

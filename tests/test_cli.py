@@ -1,4 +1,3 @@
-import os
 import pathlib
 import re
 import subprocess
@@ -16,6 +15,7 @@ from flockbench.cli import (
     parse_config_file,
 )
 from flockbench.harness import MODEL_TAGS, ExperimentConfig, default_model_spec
+from conftest import child_env
 
 FAST_OVERRIDES = [
     "--set", "n=4",
@@ -78,6 +78,18 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    # a config line or --set without '=', and an unknown model tag
+    no_equals = tmp_path / "no_equals.cfg"
+    no_equals.write_text("n 5\n")
+    for args in (
+        ["simulate", "--model", "reynolds", "--config", str(no_equals)],
+        ["simulate", "--model", "reynolds", "--set", "n5"],
+        ["compare", "--models", "boids"],
+    ):
+        assert run_cli(args + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_config_file_fails(tmp_path, capsys):
@@ -175,7 +187,7 @@ def test_package_needs_numpy_alone():
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'pandas'}))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ)
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -207,7 +219,7 @@ def test_solver_error_is_one_line(tmp_path):
         + FAST_OVERRIDES,
         capture_output=True,
         text=True,
-        env=dict(os.environ),
+        env=child_env(),
     )
     assert proc.returncode == 1
     assert proc.stderr == "error: SolverError: non-finite MPC gradient\n"
@@ -305,7 +317,7 @@ def test_noise_sweep_outputs(tmp_path):
 
 def test_cli_determinism_across_processes(tmp_path):
     # same seeds, separate processes, different worker counts: identical CSVs
-    env = dict(os.environ)
+    env = child_env()
     outputs = []
     for name, workers in (("one", "1"), ("two", "2")):
         out = tmp_path / name

@@ -17,7 +17,7 @@ from flockbench import (
     sense_local_all,
     step_dynamics,
 )
-from flockbench.core import clamp_norm, sq_norm
+from flockbench.core import StackedViews, clamp_norm, sq_norm
 from conftest import random_config
 
 LIMITS = MotionLimits(v_max=8.0, a_max=1.0, dt=0.3)
@@ -307,6 +307,28 @@ def test_sense_local_all_rejects_non_finite_views(np_rng):
     for noise in (NoiseSpec(1e308, 0), NoiseSpec(0, 1e308)):
         with pytest.raises(ValueError), np.errstate(over="ignore"):
             sense_local_all(cfg, noise, RandomStream(1))
+
+
+def test_stacked_views_mask_is_each_observers_neighbors(np_rng):
+    cfg = random_config(np_rng, n=7)
+    pos, vel = sense_local_all(cfg, NoiseSpec(0.5, 0.2), RandomStream(3))
+    agents = [4, 0, 4, 6]  # any observers, repeated or out of order
+    for rows, views in ((range(7), StackedViews(pos, vel)),
+                        (agents, StackedViews(pos[agents], vel[agents], agents))):
+        mask = views.mask(8.4)
+        for k, i in enumerate(rows):
+            view = FlockConfiguration(views.positions[k], views.velocities[k])
+            assert np.flatnonzero(mask[k]).tolist() == sorted(neighbors(view, i, 8.4))
+            assert np.array_equal(views.own_pos[k], view.positions[i])
+    # the stack must match its observers, and every observer be an agent
+    for bad in ([0, 1], [0, 1, 2, 3, 4]):
+        with pytest.raises(ValueError, match=r"\(B, n, m\)"):
+            StackedViews(pos[:4], vel[:4], bad)
+    with pytest.raises(ValueError, match=r"\(n, n, m\)"):
+        StackedViews(pos[:4], vel[:4])
+    for bad in ([0, 1, 2, 7], [-1, 0, 1, 2]):
+        with pytest.raises(IndexError, match="out of range for n=7"):
+            StackedViews(pos[:4], vel[:4], bad)
 
 
 # --------------------------------------------------------------------------

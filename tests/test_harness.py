@@ -2,7 +2,7 @@ import ast
 import importlib
 import pathlib
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -54,7 +54,11 @@ def test_model_spec_validates_tag_and_params():
         MpcParams(omega=None)
     with pytest.raises(TypeError):
         MpcParams(horizon=2.5)
+    with pytest.raises(ValueError):
+        MpcParams(horizon=0)
     assert MpcParams(horizon=np.int64(2)).horizon == 2
+    with pytest.raises(ValueError):
+        default_model_spec("boids")
 
 
 def _nan_cases():
@@ -92,6 +96,13 @@ def test_experiment_config_validation():
         with pytest.raises(TypeError):
             small_cfg(**{key: 2.5})
     assert small_cfg(n=np.int64(3), steps=np.int32(2)).n == 3
+    # a model with its own interaction radius runs at the experiment's r
+    for tag in ("df_distributed", "olfati_saber"):
+        with pytest.raises(ValueError, match="radius other than r"):
+            small_cfg(tag, r=7.5)
+        spec = default_model_spec(tag)
+        small_cfg(model=replace(spec, params=replace(spec.params, r=7.5)), r=7.5)
+    assert small_cfg("reynolds", r=7.5).r == 7.5
 
 
 # --------------------------------------------------------------------------
@@ -288,12 +299,19 @@ def test_noise_sweep_levels_and_pairing():
     assert set(records) == {("reynolds", 0), ("reynolds", 2)}
 
 
-@pytest.mark.parametrize("levels, error", [([1, 2.5], TypeError), ([1, -1], ValueError)])
+@pytest.mark.parametrize(
+    "levels, error", [([1, 2.5], TypeError), ([1, -1], ValueError), ([1, 1], ValueError)]
+)
 def test_noise_sweep_checks_every_level_before_the_first_run(levels, error):
+    # a repeated level or tag would share one result key and drop runs
     cfg = small_cfg("reynolds", steps=2, runs=2)
     with mock.patch.object(harness, "simulate") as spy:
         with pytest.raises(error):
             run_noise_sweep(cfg, [cfg.model], levels)
+        with pytest.raises(ValueError):
+            run_noise_sweep(cfg, [cfg.model] * 2, [1])
+        with pytest.raises(ValueError):
+            run_comparison(cfg, [cfg.model] * 2)
     spy.assert_not_called()
 
 

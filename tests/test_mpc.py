@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -134,6 +135,9 @@ def test_rollout_shape_validation():
     init = config([[0, 0], [1, 0]])
     with pytest.raises(ValueError):
         rollout_centralized(init, np.zeros((3, 1, 2)), LIMITS)
+    # a centralized (T, n, m) plan is not one agent's (T, m) plan
+    with pytest.raises(ValueError):
+        rollout_distributed(0, init, np.zeros((3, 2, 2)), {1}, LIMITS)
 
 
 def test_rollout_distributed_constant_velocity_neighbors():
@@ -846,6 +850,47 @@ def test_solver_evaluates_only_rows_in_play(np_rng):
             assert hits.index(True) == len(hits) - 1
 
 
+class UphillRow(CountingProblem):
+    """A CountingProblem whose batch row `uphill` follows plus its gradient
+    (P = -G), so that every probe of its line searches climbs."""
+
+    def __init__(self, problem, ids, log, uphill):
+        super().__init__(problem, ids, log)
+        self.uphill = uphill
+
+    def rows(self, keep):
+        return UphillRow(self.problem.rows(keep), self.ids[keep], self.log, self.uphill)
+
+    def search_direction(self, U, xs, ws):
+        G, P, cap = super().search_direction(U, xs, ws)
+        climbs = (self.ids == self.uphill).reshape(-1, 1, 1)
+        return G, np.where(climbs, -P, P), cap
+
+
+def test_row_that_stalls_while_others_accept_keeps_its_plan(np_rng):
+    # row 2 of the staggered batch climbs, so its first line search stalls
+    # in the iteration in which rows 3 and 4 accept their first steps
+    problem, warm, pos, vel = staggered_batch(np_rng)
+    n, log = len(pos), []
+    U, converged, _, _ = _solve_batch(UphillRow(problem, np.arange(n), log, 2), warm)
+    assert not converged[2]
+    assert np.array_equal(U[2], clamp_norm(warm[2], LIMITS.a_max))
+    view = config(pos, vel)
+    for i in (0, 1, 3, 4, 5):
+        alone = solve_mpc(
+            "df_distributed", view, PARAMS, LIMITS, warm_start=warm[i], agent=i
+        )
+        assert np.array_equal(U[i], alone.controls)
+        assert converged[i] == alone.converged
+    starts = [k for k, entry in enumerate(log) if entry[0] == "gradient"]
+    probes = log[starts[0] + 1 : starts[1]]
+    # every halving of iteration 1 probed row 2, and rows 3 and 4 went on
+    assert probes[0][1] == [2, 3, 4]
+    assert len(probes) == LAST_HALVING + 1
+    assert all(2 in ids for _, ids, _ in probes)
+    assert log[starts[1]][1] == [3, 4]
+
+
 # --------------------------------------------------------------------------
 # stacked centralized stages and the batched line search
 # --------------------------------------------------------------------------
@@ -1174,6 +1219,47 @@ def test_wall_projection_is_exact(np_rng):
         assert (lam >= 0).all()
         assert (A @ x <= 1e-12).all()
         assert abs(lam @ (A @ x)) <= 1e-12
+
+
+def brute_force_nnls(K, b):
+    """The lam >= 0 minimizing lam.K.lam / 2 - b.lam for a positive
+    definite K, by trying every active set: the best nonnegative solution
+    of K_S lam_S = b_S over all subsets S."""
+    best, best_value = None, np.inf
+    for size in range(b.size + 1):
+        for S in map(list, itertools.combinations(range(b.size), size)):
+            lam = np.zeros(b.size)
+            if S:
+                lam[S] = np.linalg.solve(K[np.ix_(S, S)], b[S])
+            value = lam @ K @ lam / 2 - b @ lam
+            if (lam >= 0).all() and value < best_value:
+                best, best_value = lam, value
+    return best
+
+
+def test_nnls_matches_every_active_set_also_where_it_drops_one():
+    # cones of 2-4 full-rank constraints in R^4; where a solve on the active
+    # set gives a multiplier <= 0, _nnls moves towards it and drops the
+    # first multiplier that reaches 0
+    rng = np.random.default_rng(20261019)
+    solved, dropped = [], 0
+    real = horizon._active_solve
+
+    def spy(K, b, on):
+        solved.append(real(K, b, on))
+        return solved[-1]
+
+    for _ in range(400):
+        A = rng.normal(size=(int(rng.integers(2, 5)), 4))
+        K, b = A @ A.T, A @ rng.normal(size=4)
+        solved.clear()
+        with mock.patch.object(horizon, "_active_solve", spy):
+            lam = horizon._nnls(K, b, 1e-12)
+        # the first solve is the starting guess; a later one with a
+        # multiplier <= 0 takes the drop step
+        dropped += any((z <= 0).any() for z in solved[1:])
+        assert np.allclose(lam, brute_force_nnls(K, b), rtol=1e-9, atol=1e-12)
+    assert dropped > 0
 
 
 def test_solver_rolls_out_once_per_evaluation():
@@ -1735,6 +1821,9 @@ def test_distributed_batch_rejects_unstacked_views():
             solve_mpc_distributed_all(
                 "df_distributed", positions, velocities, PARAMS, LIMITS
             )
+    # and a centralized tag
+    with pytest.raises(ValueError):
+        solve_mpc_distributed_all("df_centralized", views, views, PARAMS, LIMITS)
 
 
 @pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
@@ -1748,6 +1837,9 @@ def test_distributed_agent_index_validated(tag):
             mpc_objective_gradient(tag, cfg, u, PARAMS, LIMITS, agent=agent)
     # the last agent by its valid index still solves
     assert np.isfinite(solve_mpc(tag, cfg, PARAMS, LIMITS, agent=cfg.n - 1).accel).all()
+    # and a distributed solve needs an agent
+    with pytest.raises(ValueError):
+        solve_mpc(tag, cfg, PARAMS, LIMITS)
 
 
 def test_unknown_tag_rejected():

@@ -48,6 +48,8 @@ def test_format_value():
     third = format_value(1.0 / 3.0)
     assert third == "0.33333333333333331"  # 17 significant digits round-trips
     assert float(third) == 1.0 / 3.0
+    with pytest.raises(TypeError):
+        format_value(True)
 
 
 def test_empty_records_write_header_only(tmp_path):
@@ -81,6 +83,14 @@ def test_none_diameter_serialized_empty(tmp_path):
     write_steps_csv(path, records)
     row = path.read_text().splitlines()[1].split(",")
     assert row[4] == ""
+    # the summary's diameter reads back as None, and its chart still renders
+    summary = tmp_path / "summary.csv"
+    write_summary_csv(summary, aggregate_steps(records), COMPARISON_SUMMARY_FIELDS)
+    _, parsed = read_summary_csv(summary)
+    assert [row["mean_max_diameter"] for row in parsed] == [None]
+    charts = emit_plots(parsed, tmp_path, x_key="step")
+    assert str(tmp_path / "max_diameter.svg") in map(str, charts)
+    ET.parse(tmp_path / "max_diameter.svg")
 
 
 def test_csv_byte_identical_rerun(tmp_path):
