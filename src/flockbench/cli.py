@@ -99,13 +99,8 @@ def resolve_settings(args) -> dict:
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
         settings.update(file_settings)
-    for key, flag in (
-        ("model", "model"),
-        ("seed", "seed"),
-        ("runs", "runs"),
-        ("workers", "workers"),
-    ):
-        value = getattr(args, flag, None)
+    for key in ("model", "seed", "runs", "workers"):
+        value = getattr(args, key, None)
         if value is not None:
             settings[key] = str(value)
     for item in getattr(args, "set", None) or []:

@@ -13,6 +13,7 @@ workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,6 +282,7 @@ def pairwise_distances(positions: np.ndarray) -> np.ndarray:
 
 def neighbors(config: FlockConfiguration, i: int, r: float) -> set:
     """Indices of agents strictly closer than r to agent i."""
+    i = operator.index(i)
     if not 0 <= i < config.n:
         raise IndexError(f"agent index {i} out of range for n={config.n}")
     if not r > 0:
@@ -374,6 +376,7 @@ def sense_local(
     normals even at zero noise: it is the reference those skips are tested
     against.
     """
+    i = operator.index(i)
     if not 0 <= i < config.n:
         raise IndexError(f"agent index {i} out of range for n={config.n}")
     z = _noise_draw(config, rng)
@@ -394,12 +397,17 @@ class StackedViews:
     """Observers' views stacked as (B, n, m) arrays, row k being observer
     agents[k]'s view of all n agents ((n, n, m) and agent i's for agents
     None), with each observer's own state own_pos/own_vel, (B, m), and its
-    offsets diff = x_j - x_i, their squares sq and distances dist."""
+    offsets diff = x_j - x_i, their squares sq and distances dist.  Observers
+    must be integers: any other dtype is a TypeError, not truncated."""
 
     def __init__(self, positions, velocities, agents=None):
         pos = np.asarray(positions, dtype=np.float64)
         vel = np.asarray(velocities, dtype=np.float64)
-        own = None if agents is None else np.asarray(agents, dtype=np.int64)
+        own = None if agents is None else np.asarray(agents)
+        if own is not None:
+            if own.size and own.dtype.kind not in "iu":
+                raise TypeError(f"agent indices must be integers, got {own.dtype}")
+            own = own.astype(np.int64)
         rows = pos.shape[1:2] if own is None else own.shape
         if pos.ndim != 3 or vel.shape != pos.shape or pos.shape[:1] != rows:
             raise ValueError(

@@ -216,13 +216,14 @@ def _wall_search(gx, U, W, pairs, r, lam, limits):
     steps 2..T (agents iu, ju, differences and distances of the pairs i < j).
 
     G is the gradient.  A row moves along -P: -G where that pulls no wall
-    pair (one beyond r by at most `WALL_GAP`) inside r and pushes no
+    pair (one beyond r by at most WALL_GAP = 1e-3) inside r and pushes no
     saturated control (|u| = a_max) outward, and otherwise -G projected onto
     the cone that does neither (`_wall_projection`).  Its cap is
-    `CROSS_FRACTION` times the smallest first-order step (dist - r) / -rate
-    along -P of a pair beyond the walls whose distance falls, and inf where
-    there is none.  P is G itself where no row is projected, as with one
-    predicted step or one agent, where there is no pair.
+    CROSS_FRACTION = 0.9 times the smallest first-order step
+    (dist - r) / -rate along -P of a pair beyond the walls whose distance
+    falls, and inf where there is none.  P is G itself where no row is
+    projected, as with one predicted step or one agent, where there is no
+    pair.
 
     Only pairs within reach of r count.  Two feasible plans differ by at
     most 2 a_max per control, and the velocity clamp does not stretch
@@ -236,8 +237,10 @@ def _wall_search(gx, U, W, pairs, r, lam, limits):
     near_stage, near_pair = np.nonzero((dist >= r) & (dist <= r + reach))
     near_dist = dist[near_stage, near_pair]
     wall = near_dist - r <= WALL_GAP
-    # each wall pair's distance gradient rides through the adjoint pass as
-    # one more row, with zero controls for a zero control penalty
+    # each wall pair's distance gradient rides through the gradient's adjoint
+    # pass as one more row, with zero controls for a zero control penalty:
+    # one pass instead of two.  A separate wall pass gave the same bits but
+    # took more CPU time on centralized runs (2-core shared Xeon VM).
     stage, pair = near_stage[wall], near_pair[wall]
     row, t = np.divmod(stage, T - 1)
     e = diff[stage, pair] / near_dist[wall][:, None]

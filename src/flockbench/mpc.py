@@ -25,56 +25,32 @@ velocity; a row's cohesion is the mean over its N neighbors, with
 coefficient 2 / N.  A batch of distributed problems reads the views as one
 `core.StackedViews`, (B, n, m), and its edges from its mask(r).
 
-Every solve runs the same projected-gradient loop, `_solve_batch`, over a
-problem of independent rows that converge and stop row by row; it keeps one
-state per row and evaluates only the rows still in play.  Both problem types
-hold R rows, each from its own initial state, and a row alone has the same
-bits as in any batch: a centralized row plans every agent, (T, n, m), from
-one measurement, and a distributed row one agent, (T, m), from its own view.
-A problem's `rows(keep)` is the sub-problem of the rows a boolean mask
-keeps, in their order; as rows leave, the solver narrows the problem it
-holds with the mask it applies to its row state.
-`solve_mpc` solves one row and returns one `SolveResult` (plan,
-accepted-objective trace, iterations, converged); a distributed step solves
-n rows and returns every agent's plan.  Each row moves along minus its
-projected gradient P and takes Armijo backtracking steps, accepting the
-first of the steps a, a/2, a/4, ... that passes.  The scale a is 1 in the
-first line search of every solve, warm-started or not, and after that the
-row's Barzilai-Borwein step s.s / s.y from its last accepted move s and the
-change y in P along it (Barzilai & Borwein 1988), clipped to
-[2**-10, 2**10], or 2**10 where s.y <= 0; a centralized row's a is also at
-most its step cap.  The rows still searching probe the same halving in
-lockstep, one probe per row in one objective call per halving.  The row
-projects every per-step acceleration onto the a_max ball after each
-update, and stops on a projected-gradient tolerance of 1e-6 (|U - clamp(U -
-P)| at unit step), when its step falls below a * 2**-40 (a stall), or after
-200 iterations.
+Both problem types hold R independent rows, each from its own initial
+state, and a row alone has the same bits as in any batch: a centralized row
+plans every agent, (T, n, m), from one measurement, and a distributed row
+one agent, (T, m), from its own view.  A problem's `rows(keep)` is the
+sub-problem of the rows a boolean mask keeps, in their order.  `solve_mpc`
+solves one row and returns one `SolveResult` (plan, accepted-objective
+trace, iterations, converged); `solve_mpc_distributed_all` solves a step's
+n rows and returns every agent's plan.
 
-A distributed row's P is its gradient.  A centralized cost counts its edge
-terms only inside r, so it jumps up wherever a predicted pair enters r, and
-a centralized row treats r as a wall (gradient projection onto the active
-face, Calamai & More 1987).  A pair beyond r by at most WALL_GAP at a
-predicted step 2..T is held there, and so is a control saturated at a_max:
-P is the gradient projected, exactly, onto the cone of directions that pull
-no such pair inside r and push no such control outward.  The pair
-distances' rates along -P come from a tangent pass through the rollout, the
-mirror of the adjoint pass, and the row's step cap is CROSS_FRACTION times
-the first-order step at which the first other pair would enter r.  A
-minimum at a wall then passes the tolerance test, where the gradient alone
-would keep every line search short of the wall.
+Every solve runs one projected-gradient loop, `_solve_batch`, whose
+docstring states its contract: the line search and its step scale, the
+lockstep probes and the stopping rules.  A distributed row follows its
+gradient.  A centralized cost counts its edge terms only inside r, so it
+jumps up wherever a predicted pair enters r, and a centralized row treats r
+as a wall; `horizon._wall_search` states its search direction and step cap.
 
-Each point is rolled out once: a problem's `evaluate` returns the objective
-with the rollout it computed, and the gradient at an accepted point reuses
-the rollout of the probe that accepted it.  The predicted step-1 positions
-x0 + dt * v0 do not depend on the controls, so both problem types price
-step 1 once, when they are built: a centralized problem each row's stage,
-a distributed batch each edge's cost.  An objective call prices steps
-2..T alone, and no gradient takes a step-1 stage gradient.  One function,
-`_pairs`, lays out every centralized pair array, the pairs i < j row-major,
-for the stage values, the stage gradient and the walls alike.  Results are
-feasible local minimizers; global optimality is not claimed.  Gradients are
-analytic (backpropagated through the rollout, including the velocity
-clamp); finite differences are used as an independent oracle in the tests.
+The predicted step-1 positions x0 + dt * v0 do not depend on the controls,
+so both problem types price step 1 once, when they are built: a centralized
+problem each row's stage, a distributed batch each edge's cost.  An
+objective call prices steps 2..T alone, and no gradient takes a step-1
+stage gradient.  One function, `_pairs`, lays out every centralized pair
+array, the pairs i < j row-major, for the stage values, the stage gradient
+and the walls alike.  Results are feasible local minimizers; global
+optimality is not claimed.  Gradients are analytic (backpropagated through
+the rollout, including the velocity clamp); finite differences are used as
+an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -203,10 +179,11 @@ def _check_tag(tag: str):
 
 
 def _check_neighbor_set(agent, neighbor_set, n) -> list:
-    """agent's frozen neighbor set among n agents, sorted: IndexError for an
-    agent index outside 0..n-1, TypeError for a neighbor that is not an
-    integer, ValueError for one outside 0..n-1 or the agent itself (no index
-    wraps around)."""
+    """agent's frozen neighbor set among n agents, sorted: TypeError for an
+    agent or a neighbor that is not an integer, IndexError for an agent
+    index outside 0..n-1, ValueError for a neighbor outside 0..n-1 or the
+    agent itself (no index wraps around)."""
+    agent = operator.index(agent)
     if not 0 <= agent < n:
         raise IndexError(f"agent index {agent} out of range for n={n}")
     idx = sorted(map(operator.index, neighbor_set))
@@ -702,19 +679,23 @@ def _solve_batch(problem, warm):
     `problem.search_direction` gives each live row's gradient g, its
     projected gradient p and its step cap: p is g and the cap inf for a
     distributed row, and for a centralized row p is g projected off the
-    walls (`_wall_search`).  A row has converged when its unit step
-    |U - clamp(U - p)| is at most GRAD_TOL, so a minimum at a wall counts.
-    Otherwise its line search tries the steps a, a/2, a/4, ... along -p,
-    down to a * 2**-LAST_HALVING, and accepts the first that passes the
-    Armijo test; if none does, the row stalls.  The scale a is the smaller
-    of the row's cap and 1 in a row's first line search.  In each later
-    one the cap bounds the Barzilai-Borwein step s.s / s.y of the row's last
-    accepted move s = U_k - U_{k-1} and the change y = p_k - p_{k-1} in its
-    projected gradient, clipped to [BB_SCALE_MIN, BB_SCALE_MAX], or
-    BB_SCALE_MAX where s.y <= 0; where no wall holds the row, y is its
-    gradient change.  The searching rows probe in lockstep: at the h-th
-    halving one objective call evaluates each row still searching once, at
-    its own a * 2**-h, and the rows that pass leave the search.
+    walls (`horizon._wall_search`).  A row has converged when its unit step
+    |U - clamp(U - p)| is at most GRAD_TOL = 1e-6, so a minimum at a wall
+    counts.  Otherwise its line search tries the steps a, a/2, a/4, ...
+    along -p, down to a * 2**-LAST_HALVING = a * 2**-40, and accepts the
+    first that passes the Armijo test, so every accepted step lowers the
+    objective; if none does, the row stalls.  A row still live after
+    MAX_ITER = 200 iterations stops unconverged.  The scale a is the
+    smaller of the row's cap and 1 in a row's first line search of every
+    solve, warm-started or not.  In each later one the cap bounds the
+    Barzilai-Borwein step s.s / s.y (Barzilai & Borwein 1988) of the row's
+    last accepted move s = U_k - U_{k-1} and the change y = p_k - p_{k-1}
+    in its projected gradient, clipped to [BB_SCALE_MIN, BB_SCALE_MAX] =
+    [2**-10, 2**10], or BB_SCALE_MAX where s.y <= 0; where no wall holds the
+    row, y is its gradient change.  The searching rows probe in lockstep: at
+    the h-th halving one objective call evaluates each row still searching
+    once, at its own a * 2**-h, and the rows that pass leave the search, so
+    no probe past a row's accepted step is evaluated.
 
     Overflow and invalid operations are not warned about: a non-finite
     objective or gradient in a row still being solved raises SolverError,

@@ -163,6 +163,22 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _line(x1, y1, x2, y2, stroke) -> str:
+    """One `<line>`; `stroke` is its stroke attributes."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {stroke}/>'
+
+
+def _text(x, y, size, text, anchor="middle", extra="") -> str:
+    """One sans-serif `<text>` holding `text`, escaped.  `anchor=None` drops
+    `text-anchor`; `extra` holds the attributes after the font size."""
+    anchor = "" if anchor is None else f' text-anchor="{anchor}"'
+    extra = extra and f" {extra}"
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{_escape(text)}</text>'
+    )
+
+
 def render_line_chart(series, title, x_label, y_label) -> str:
     """Build one SVG line chart.
 
@@ -181,63 +197,40 @@ def render_line_chart(series, title, x_label, y_label) -> str:
     y_lo, y_hi, y_ticks = _ticks(min(ys), max(ys))
     plot_w = _WIDTH - _LEFT - _RIGHT
     plot_h = _HEIGHT - _TOP - _BOTTOM
+    bottom = _TOP + plot_h
+    mid_x = f"{_LEFT + plot_w / 2:.1f}"
+    mid_y = f"{_TOP + plot_h / 2:.1f}"
 
     def px(x):
         return _LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y):
-        return _TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return bottom - (y - y_lo) / (y_hi - y_lo) * plot_h
 
+    axis_style = 'stroke="#333" stroke-width="1"'
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_LEFT + plot_w / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
+        _text(mid_x, 20, 14, title),
+        _line(_LEFT, bottom, _LEFT + plot_w, bottom, axis_style),
+        _line(_LEFT, _TOP, _LEFT, bottom, axis_style),
     ]
-    axis_style = 'stroke="#333" stroke-width="1"'
-    parts.append(
-        f'<line x1="{_LEFT}" y1="{_TOP + plot_h}" x2="{_LEFT + plot_w}" '
-        f'y2="{_TOP + plot_h}" {axis_style}/>'
-    )
-    parts.append(
-        f'<line x1="{_LEFT}" y1="{_TOP}" x2="{_LEFT}" y2="{_TOP + plot_h}" '
-        f"{axis_style}/>"
-    )
     for tx in x_ticks:
-        x = px(tx)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{_TOP + plot_h}" x2="{x:.2f}" '
-            f'y2="{_TOP + plot_h + 5}" {axis_style}/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{_TOP + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(tx)}</text>'
-        )
+        x = f"{px(tx):.2f}"
+        parts.append(_line(x, bottom, x, bottom + 5, axis_style))
+        parts.append(_text(x, bottom + 18, 11, _fmt_tick(tx)))
     for ty in y_ticks:
         y = py(ty)
-        parts.append(
-            f'<line x1="{_LEFT - 5}" y1="{y:.2f}" x2="{_LEFT}" y2="{y:.2f}" '
-            f"{axis_style}/>"
-        )
-        parts.append(
-            f'<text x="{_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(ty)}</text>'
-        )
+        parts.append(_line(_LEFT - 5, f"{y:.2f}", _LEFT, f"{y:.2f}", axis_style))
+        parts.append(_text(_LEFT - 8, f"{y + 4:.2f}", 11, _fmt_tick(ty), "end"))
+    parts.append(_text(mid_x, _HEIGHT - 10, 12, x_label))
     parts.append(
-        f'<text x="{_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{_escape(x_label)}</text>"
-    )
-    parts.append(
-        f'<text x="16" y="{_TOP + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_TOP + plot_h / 2:.1f})">'
-        f"{_escape(y_label)}</text>"
+        _text(16, mid_y, 12, y_label, extra=f'transform="rotate(-90 16 {mid_y})"')
     )
 
     for k, (name, pts) in enumerate(series):
-        color = _PALETTE[k % len(_PALETTE)]
+        stroke = f'stroke="{_PALETTE[k % len(_PALETTE)]}" stroke-width="1.5"'
         segment = []
         segments = []
         for x, y in pts:
@@ -255,20 +248,11 @@ def render_line_chart(series, title, x_label, y_label) -> str:
             segments.append([(x0 - 3, y0), (x0 + 3, y0)])
         for seg in segments:
             coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{coords}"/>'
-            )
+            parts.append(f'<polyline fill="none" {stroke} points="{coords}"/>')
         ly = _TOP + 14 + 18 * k
         lx = _LEFT + plot_w + 14
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11" class="legend">{_escape(name)}</text>'
-        )
+        parts.append(_line(lx, ly - 4, lx + 22, ly - 4, stroke))
+        parts.append(_text(lx + 28, ly, 11, name, None, 'class="legend"'))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -281,10 +265,7 @@ def emit_plots(summary_rows, out_dir, x_key: str = "step") -> list:
     """
     if not summary_rows:
         raise ValueError("cannot plot an empty summary")
-    models = []
-    for row in summary_rows:
-        if row["model"] not in models:
-            models.append(row["model"])
+    models = dict.fromkeys(row["model"] for row in summary_rows)
     paths = []
     for column, title in METRIC_COLUMNS.items():
         series = []

@@ -124,6 +124,10 @@ def test_neighbors_single_agent_empty():
 def test_neighbors_index_out_of_range():
     with pytest.raises(IndexError):
         neighbors(config([[0, 0]]), 1, 8.4)
+    # an index that is not an integer is rejected, not truncated
+    for i in (0.0, 1.5, "0"):
+        with pytest.raises(TypeError):
+            neighbors(config([[0, 0], [1, 0]]), i, 8.4)
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
@@ -272,8 +276,15 @@ def test_sense_local_observers_draw_independently(np_rng):
 
 def test_sense_local_index_check(np_rng):
     cfg = random_config(np_rng, n=3)
+    stream = RandomStream(0)
     with pytest.raises(IndexError):
-        sense_local(cfg, 3, NoiseSpec(0, 0), RandomStream(0))
+        sense_local(cfg, 3, NoiseSpec(0, 0), stream)
+    # an index that is not an integer is rejected before anything is drawn
+    for i in (1.5, 1.0, "1"):
+        for noise in (NoiseSpec(0, 0), NoiseSpec(0.4, 0.3)):
+            with pytest.raises(TypeError):
+                sense_local(cfg, i, noise, stream)
+    assert np.array_equal(stream.normals(7), RandomStream(0).normals(7))
 
 
 @pytest.mark.parametrize("sigmas", [(0, 0), (0.4, 0), (0, 0.3), (0.4, 0.3)])
@@ -328,6 +339,11 @@ def test_stacked_views_mask_is_each_observers_neighbors(np_rng):
         StackedViews(pos[:4], vel[:4])
     for bad in ([0, 1, 2, 7], [-1, 0, 1, 2]):
         with pytest.raises(IndexError, match="out of range for n=7"):
+            StackedViews(pos[:4], vel[:4], bad)
+    # observers that are not integers are rejected, not cast
+    for bad in ([0.0, 1.0, 2.0, 3.0], [0, 1, 2, 3.5], ["0", "1", "2", "3"],
+                [True, False, True, False], np.array([2.9, 0, 1, 2])):
+        with pytest.raises(TypeError, match="must be integers"):
             StackedViews(pos[:4], vel[:4], bad)
 
 

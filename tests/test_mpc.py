@@ -1835,6 +1835,23 @@ def test_distributed_agent_index_validated(tag):
             solve_mpc(tag, cfg, PARAMS, LIMITS, agent=agent)
         with pytest.raises(IndexError):
             mpc_objective_gradient(tag, cfg, u, PARAMS, LIMITS, agent=agent)
+    # an agent that is not an integer is rejected, not truncated to agent 1
+    for agent in (1.7, 1.0, "1", np.float64(1.9)):
+        with pytest.raises(TypeError):
+            solve_mpc(tag, cfg, PARAMS, LIMITS, agent=agent)
+        with pytest.raises(TypeError):
+            mpc_objective_gradient(
+                tag, cfg, u, PARAMS, LIMITS, agent=agent, neighbor_set={0}
+            )
+        with pytest.raises(TypeError):
+            mpc_objective(tag, [cfg, cfg], u[:1], PARAMS, agent=agent, neighbor_set={0})
+        with pytest.raises(TypeError):
+            rollout_distributed(agent, cfg, u, {0}, LIMITS)
+    # a numpy integer is an index like any other
+    assert np.array_equal(
+        solve_mpc(tag, cfg, PARAMS, LIMITS, agent=np.int64(1)).controls,
+        solve_mpc(tag, cfg, PARAMS, LIMITS, agent=1).controls,
+    )
     # the last agent by its valid index still solves
     assert np.isfinite(solve_mpc(tag, cfg, PARAMS, LIMITS, agent=cfg.n - 1).accel).all()
     # and a distributed solve needs an agent

@@ -1,3 +1,4 @@
+import hashlib
 import xml.dom.minidom
 import xml.sax.saxutils
 import xml.etree.ElementTree as ET
@@ -178,6 +179,60 @@ def test_chart_deterministic_bytes():
     one = render_line_chart(series, title="t", x_label="x", y_label="y")
     two = render_line_chart(series, title="t", x_label="x", y_label="y")
     assert one == two
+
+
+# chart branches the golden charts do not reach: (series, title, x label,
+# y label, polylines drawn, sha256 of the SVG)
+EDGE_CHARTS = {
+    # the series' one point is drawn as a 6-px dash
+    "lone_point": (
+        [("lone", [(0, None), (1, 2.0)]), ("ramp", [(0, 0.0), (2, 4.0)])],
+        "t", "x", "y", 2,
+        "38317827565f1402d64c216efaba70fd94fc6f6e4239130e8d4b96384d8fe970",
+    ),
+    # a lone point after a drawn segment is not drawn
+    "lone_point_after_segment": (
+        [("m", [(0, 1.0), (1, 2.0), (2, None), (3, 3.0)])],
+        "t", "x", "y", 1,
+        "4a2592730f7663b23a5c70ba08a57c223bba17a8e4eb45038d3aff40128504ad",
+    ),
+    # constant series: the y range is padded by 1 at 0, by 10 % elsewhere
+    "constant_zero": (
+        [("zero", [(0, 0.0), (1, 0.0), (2, 0.0)])],
+        "t", "x", "y", 1,
+        "a59437849ab286904d42093bee5a707e92c8e16a2d01f7e56a0a70aeb35c6cf3",
+    ),
+    "constant_negative": (
+        [("c", [(0, -4.0), (5, -4.0)])],
+        "t", "x", "y", 1,
+        "58ac33f7064a91aef77d06453f8b038be29f276d53682d0e489e6eccfa3b51a8",
+    ),
+    "negative_x": (
+        [("m", [(-10.5, 1.0), (-3, -2.0), (0, 0.5)])],
+        "t", "x", "y", 1,
+        "bef9be9028d16bd91244d26147c364e2a031bff15c1ebf143772777005ca3e83",
+    ),
+    # ten series: colours and legend rows wrap after the palette's eight
+    "palette_wraps": (
+        [(f"m{k}", [(0, float(k)), (1, k + 0.5)]) for k in range(10)],
+        "t", "x", "y", 10,
+        "82fa7e25b4a6b2771408e766899d2d164e1a52e0fa4b6669c8bfeb3e8a2b0f0c",
+    ),
+    "markup": (
+        [("a&b<c>", [(0, 1.0), (1, 2.0)]), ('"q"', [(0, 2.0), (1, 1.0)])],
+        "t<1> & 'u'", "x&", "<y>", 2,
+        "2136c224883195e0a89eb97556f6b56e33ceb1469fc33d500612c8b7dd8198b6",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CHARTS)
+def test_chart_edge_case_bytes(case):
+    series, title, x_label, y_label, drawn, digest = EDGE_CHARTS[case]
+    svg = render_line_chart(series, title=title, x_label=x_label, y_label=y_label)
+    root = ET.fromstring(svg)
+    assert len(list(root.iter("{http://www.w3.org/2000/svg}polyline"))) == drawn
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_emit_plots_writes_one_file_per_metric(tmp_path):
