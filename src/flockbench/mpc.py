@@ -70,8 +70,7 @@ from .core import (
     clamp_norm,
     sq_norm,
 )
-from .horizon import CROSS_FRACTION, WALL_GAP, _backprop_controls, _rollout_arrays
-from .horizon import _wall_search
+from .horizon import _backprop_controls, _rollout_arrays, _wall_search
 
 __all__ = [
     "MpcParams",

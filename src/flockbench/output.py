@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import operator
 import os
 
@@ -100,7 +101,9 @@ def write_summary_csv(path, rows, fields) -> None:
 
 
 def read_summary_csv(path):
-    """Read a summary CSV back; numeric fields parsed, empty fields -> None."""
+    """Read a summary CSV back; numeric fields parsed, empty fields -> None.
+
+    An empty key field (model, run_id, step or level) raises `ValueError`."""
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         fields = tuple(reader.fieldnames or ())
@@ -112,6 +115,9 @@ def read_summary_csv(path):
             row = {}
             for key, value in raw.items():
                 if value == "":
+                    if key in ("model", "run_id", "step", "level"):
+                        raise ValueError(f"{path}: line {reader.line_num} has "
+                                         f"an empty {key!r} field")
                     row[key] = None
                 elif key in ("model",):
                     row[key] = value
@@ -182,10 +188,11 @@ def _text(x, y, size, text, anchor="middle", extra="") -> str:
 def render_line_chart(series, title, x_label, y_label) -> str:
     """Build one SVG line chart.
 
-    `series` is a list of (name, points) with points = [(x, y-or-None)];
-    None values break the polyline.  Output is a plain SVG string; the
-    title, axis labels and series names are XML-escaped, so any text gives
-    a well-formed document.
+    `series` is a list of (name, points) with points = [(x, y-or-None)].
+    Each run of points between None values is one polyline, and a run of
+    one point, with no drawn neighbour, is a short horizontal dash.  Output
+    is a plain SVG string; the title, axis labels and series names are
+    XML-escaped, so any text gives a well-formed document.
     """
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts if y is not None]
@@ -231,22 +238,13 @@ def render_line_chart(series, title, x_label, y_label) -> str:
 
     for k, (name, pts) in enumerate(series):
         stroke = f'stroke="{_PALETTE[k % len(_PALETTE)]}" stroke-width="1.5"'
-        segment = []
-        segments = []
-        for x, y in pts:
-            if y is None:
-                if len(segment) >= 2:
-                    segments.append(segment)
-                segment = []
-            else:
-                segment.append((px(x), py(y)))
-        if len(segment) >= 2:
-            segments.append(segment)
-        elif len(segment) == 1 and not segments:
-            # lone point: draw a short horizontal dash so the series shows
-            x0, y0 = segment[0]
-            segments.append([(x0 - 3, y0), (x0 + 3, y0)])
-        for seg in segments:
+        for gap, run in itertools.groupby(pts, key=lambda p: p[1] is None):
+            if gap:
+                continue
+            seg = [(px(x), py(y)) for x, y in run]
+            if len(seg) == 1:
+                x0, y0 = seg[0]
+                seg = [(x0 - 3, y0), (x0 + 3, y0)]
             coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
             parts.append(f'<polyline fill="none" {stroke} points="{coords}"/>')
         ly = _TOP + 14 + 18 * k
@@ -261,7 +259,8 @@ def emit_plots(summary_rows, out_dir, x_key: str = "step") -> list:
     """One SVG per metric from summary rows; series keyed by model.
 
     Returns the written paths.  Rows missing a metric (e.g. diameter when
-    every component is a singleton) leave a gap in that series.
+    every component is a singleton) break the line of that series; a point
+    left with no drawn neighbour is drawn as a short dash.
     """
     if not summary_rows:
         raise ValueError("cannot plot an empty summary")

@@ -15,6 +15,7 @@ from flockbench.cli import (
     parse_config_file,
 )
 from flockbench.harness import MODEL_TAGS, ExperimentConfig, default_model_spec
+from flockbench.output import COMPARISON_SUMMARY_FIELDS, NOISE_SUMMARY_FIELDS
 from conftest import child_env
 
 FAST_OVERRIDES = [
@@ -163,6 +164,26 @@ def test_plot_rejects_a_ragged_summary_row(tmp_path, capsys, row):
     assert err == (
         f"error: ValueError: {summary}: line 2 does not have the header's 7 fields\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "header, rows, key",
+    [
+        (COMPARISON_SUMMARY_FIELDS, ["m,0,1,2,0,3,4", ",1,1,2,0,3,4"], "model"),
+        (COMPARISON_SUMMARY_FIELDS, ["m,0,1,2,0,3,4", "m,,1,2,0,3,4"], "step"),
+        (NOISE_SUMMARY_FIELDS, ["m,0,0,0,1,2,0,3,4", "m,,0,0,1,2,0,3,4"], "level"),
+    ],
+)
+def test_plot_rejects_an_empty_key_field(tmp_path, capsys, header, rows, key):
+    # an empty key would otherwise reach the chart code as None
+    summary = tmp_path / "summary.csv"
+    summary.write_text("\n".join([",".join(header), *rows]) + "\n")
+    out = tmp_path / "charts"
+    code = run_cli(["plot", "--summary", str(summary), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ValueError: {summary}: line 3 has an empty {key!r} field\n"
     assert not out.exists()
 
 

@@ -1117,7 +1117,7 @@ def test_pair_just_beyond_r_converges_at_the_wall():
     assert converged[0] and iterations <= 5
     _, xs, _ = problem.evaluate(U)
     excess = np.sqrt(((xs[0, :, 0] - xs[0, :, 1]) ** 2).sum(axis=-1)) - r
-    assert ((excess >= 0) & (excess <= mpc.WALL_GAP)).all()
+    assert ((excess >= 0) & (excess <= horizon.WALL_GAP)).all()
     plain = PlainDirection(problem)
     _, plain_converged, plain_iterations, plain_trace = _solve_batch(
         plain, np.zeros((1, 3, 3, 2))
@@ -1146,7 +1146,7 @@ def test_wall_gap_separates_walls_from_capping_pairs(excess):
 
     h = 1e-6
     rate = (distances(U - h * P) - distances(U + h * P)) / (2 * h)
-    if excess < mpc.WALL_GAP:
+    if excess < horizon.WALL_GAP:
         assert not np.array_equal(P, G)
         assert np.allclose(rate, 0.0, atol=1e-9) and np.abs(P).max() < 1e-12
         assert cap[0] == np.inf
@@ -1154,7 +1154,7 @@ def test_wall_gap_separates_walls_from_capping_pairs(excess):
         assert P is G
         assert (rate < 0).all()
         crossing = (distances(U) - r) / -rate
-        assert cap[0] == pytest.approx(mpc.CROSS_FRACTION * crossing.min(), rel=1e-6)
+        assert cap[0] == pytest.approx(horizon.CROSS_FRACTION * crossing.min(), rel=1e-6)
 
 
 def test_walls_and_caps_in_several_rows_match_each_row_alone():
@@ -1176,9 +1176,9 @@ def test_walls_and_caps_in_several_rows_match_each_row_alone():
     U = np.zeros((3, 3, 3, 2))
     _, xs, ws = problem.evaluate(U)
     excess = np.sqrt(((xs[:, 1:, 0] - xs[:, 1:, 1]) ** 2).sum(axis=-1)) - r
-    assert 0 < excess[0, 0] <= mpc.WALL_GAP and excess[0, 1] < 0
+    assert 0 < excess[0, 0] <= horizon.WALL_GAP and excess[0, 1] < 0
     excess = np.sqrt(((xs[:, 1:, 1] - xs[:, 1:, 2]) ** 2).sum(axis=-1)) - r
-    assert mpc.WALL_GAP < excess[1, 0] and 0 < excess[1, 1] <= mpc.WALL_GAP
+    assert horizon.WALL_GAP < excess[1, 0] and 0 < excess[1, 1] <= horizon.WALL_GAP
     G, P, cap = problem.search_direction(U, xs, ws)
     for k in range(3):
         alone = problem.rows(np.arange(3) == k).search_direction(

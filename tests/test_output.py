@@ -1,9 +1,12 @@
 import hashlib
+import itertools
 import xml.dom.minidom
 import xml.sax.saxutils
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flockbench import ExperimentConfig, default_model_spec, mix_seed
 from flockbench.harness import (
@@ -174,6 +177,70 @@ def test_chart_gaps_break_polyline():
     assert len(series_lines) == 2
 
 
+_maybe_y = st.one_of(st.none(), st.floats(-100, 100, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.lists(st.tuples(st.integers(1, 5), _maybe_y), min_size=1, max_size=9),
+        min_size=1,
+        max_size=8,
+    ),
+    start=st.integers(-10, 10),
+)
+def test_chart_draws_each_run_of_a_series(steps, start):
+    # x increases along each series; None values cut it into runs
+    series = []
+    for k, pts in enumerate(steps):
+        xs = itertools.accumulate((dx for dx, _ in pts), initial=start)
+        series.append((f"s{k}", [(x, y) for x, (_, y) in zip(xs, pts)]))
+    root = ET.fromstring(render_line_chart(series, "t", "x", "y"))
+    ns = "{http://www.w3.org/2000/svg}"
+    x_axis, y_axis, *lines = root.iter(f"{ns}line")
+    colours = [el.get("stroke") for el in lines if el.get("stroke-width") == "1.5"]
+    assert len(set(colours)) == len(series)
+
+    def span(values):
+        lo, hi = min(values), max(values)
+        if lo == hi:
+            pad = 1.0 if lo == 0 else abs(lo) * 0.1
+            lo, hi = lo - pad, hi + pad
+        return lo, hi
+
+    x_lo, x_hi = span([x for _, pts in series for x, _ in pts])
+    ys = [y for _, pts in series for _, y in pts if y is not None]
+    y_lo, y_hi = span(ys or [0.0])
+    left, right = float(x_axis.get("x1")), float(x_axis.get("x2"))
+    top, bottom = float(y_axis.get("y1")), float(y_axis.get("y2"))
+
+    def pixel(x, y):
+        return (
+            left + (x - x_lo) / (x_hi - x_lo) * (right - left),
+            bottom - (y - y_lo) / (y_hi - y_lo) * (bottom - top),
+        )
+
+    polylines = list(root.iter(f"{ns}polyline"))
+    for (_, pts), colour in zip(series, colours):
+        runs = [
+            list(run)
+            for gap, run in itertools.groupby(pts, key=lambda p: p[1] is None)
+            if not gap
+        ]
+        drawn = [
+            [float(v) for xy in el.get("points").split() for v in xy.split(",")]
+            for el in polylines
+            if el.get("stroke") == colour
+        ]
+        assert len(drawn) == len(runs)
+        for run, coords in zip(runs, drawn):
+            want = [pixel(x, y) for x, y in run]
+            if len(run) == 1:
+                (x0, y0), = want
+                want = [(x0 - 3, y0), (x0 + 3, y0)]
+            assert coords == pytest.approx([v for xy in want for v in xy], abs=0.011)
+
+
 def test_chart_deterministic_bytes():
     series = [("a", [(0, 1.0), (1, 2.0)]), ("b", [(0, 2.0), (1, 1.0)])]
     one = render_line_chart(series, title="t", x_label="x", y_label="y")
@@ -190,11 +257,24 @@ EDGE_CHARTS = {
         "t", "x", "y", 2,
         "38317827565f1402d64c216efaba70fd94fc6f6e4239130e8d4b96384d8fe970",
     ),
-    # a lone point after a drawn segment is not drawn
+    # a lone point after a drawn segment is a dash too
     "lone_point_after_segment": (
         [("m", [(0, 1.0), (1, 2.0), (2, None), (3, 3.0)])],
-        "t", "x", "y", 1,
-        "4a2592730f7663b23a5c70ba08a57c223bba17a8e4eb45038d3aff40128504ad",
+        "t", "x", "y", 2,
+        "27eb34afc1f6d3753ef806c010e2bf9c63e0f609e065daced64509d9621026d9",
+    ),
+    # a lone point before a gap: the same bytes as "lone_point", as the
+    # trailing gap moves no axis
+    "lone_point_before_gap": (
+        [("lone", [(0, None), (1, 2.0), (2, None)]), ("ramp", [(0, 0.0), (2, 4.0)])],
+        "t", "x", "y", 2,
+        "38317827565f1402d64c216efaba70fd94fc6f6e4239130e8d4b96384d8fe970",
+    ),
+    "lone_point_between_gaps": (
+        [("m", [(0, 1.0), (1, 2.0), (2, None), (3, 3.0), (4, None), (5, 0.5),
+                (6, 1.0)])],
+        "t", "x", "y", 3,
+        "810f15d525b2a230ee07982e18266927c521749f0aa5cd35763cd9234e920e62",
     ),
     # constant series: the y range is padded by 1 at 0, by 10 % elsewhere
     "constant_zero": (
