@@ -330,14 +330,10 @@ def is_quasi_alpha_lattice(
 # --------------------------------------------------------------------------
 
 
-def _noise_draw(config: FlockConfiguration, rng: RandomStream) -> np.ndarray:
-    """Draw the per-call noise block in the documented order.
-
-    2*n*m standard normals, consumed agent-ascending, position block before
-    velocity block, component-ascending; reshaped to (n, 2, m).
-    """
-    n, m = config.n, config.dimension
-    return rng.normals(2 * n * m).reshape(n, 2, m)
+def _noisy(true, sigma, z):
+    """The sensing noise rule: ``true + sigma * z`` for sigma > 0, else
+    `true` itself, exact."""
+    return true + sigma * z if sigma > 0 else true
 
 
 def sense_global(
@@ -347,22 +343,22 @@ def sense_global(
 
     Every position component gets an independent Gaussian(0, sigma_x)
     perturbation and every velocity component a Gaussian(0, sigma_v) one,
-    freshly sampled per call.  The stream is advanced by exactly 2*n*m
-    samples regardless of the noise level, so runs with different sigmas
-    stay step-aligned; at zero noise it is advanced by that count without
-    computing the normals, and the configuration itself is returned.
+    freshly sampled per call.  Each call draws 2*n*m standard normals,
+    consumed agent-ascending, position block before velocity block,
+    component-ascending, whatever the noise level, so runs with different
+    sigmas stay step-aligned; at zero noise the stream is advanced by that
+    count without computing the normals, and the configuration itself is
+    returned.
     """
+    n, m = config.n, config.dimension
     if noise.is_zero:
-        rng.skip_normals(2 * config.n * config.dimension)
+        rng.skip_normals(2 * n * m)
         return config
-    z = _noise_draw(config, rng)
-    pos = config.positions
-    vel = config.velocities
-    if noise.sigma_x > 0:
-        pos = pos + noise.sigma_x * z[:, 0, :]
-    if noise.sigma_v > 0:
-        vel = vel + noise.sigma_v * z[:, 1, :]
-    return FlockConfiguration(pos, vel)
+    z = rng.normals(2 * n * m).reshape(n, 2, m)
+    return FlockConfiguration(
+        _noisy(config.positions, noise.sigma_x, z[:, 0]),
+        _noisy(config.velocities, noise.sigma_v, z[:, 1]),
+    )
 
 
 def sense_local(
@@ -377,19 +373,13 @@ def sense_local(
     against.
     """
     i = operator.index(i)
-    if not 0 <= i < config.n:
-        raise IndexError(f"agent index {i} out of range for n={config.n}")
-    z = _noise_draw(config, rng)
-    if noise.is_zero:
-        return config
-    pos = config.positions.copy()
-    vel = config.velocities.copy()
-    if noise.sigma_x > 0:
-        pos += noise.sigma_x * z[:, 0, :]
-    if noise.sigma_v > 0:
-        vel += noise.sigma_v * z[:, 1, :]
-    pos[i] = config.positions[i]
-    vel[i] = config.velocities[i]
+    n, m = config.n, config.dimension
+    if not 0 <= i < n:
+        raise IndexError(f"agent index {i} out of range for n={n}")
+    z = rng.normals(2 * n * m).reshape(n, 2, m)
+    pos = np.array(_noisy(config.positions, noise.sigma_x, z[:, 0]))
+    vel = np.array(_noisy(config.velocities, noise.sigma_v, z[:, 1]))
+    pos[i], vel[i] = config.positions[i], config.velocities[i]
     return FlockConfiguration(pos, vel)
 
 
@@ -455,9 +445,9 @@ def sense_local_all(config: FlockConfiguration, noise: NoiseSpec, rng: RandomStr
     own = np.arange(n)
 
     def views(true, sigma, block):
-        if not sigma > 0:
+        out = _noisy(true, sigma, block)
+        if out is true:
             return np.broadcast_to(true, (n, n, m))
-        out = true + sigma * block
         if not np.isfinite(out).all():
             raise ValueError("positions/velocities must be finite")
         out[own, own] = true

@@ -315,15 +315,14 @@ def run_comparison(cfg: ExperimentConfig, models, workers: int = 1) -> dict:
 
     Returns {tag: [RunRecord, ...]}; run j of each model starts from the
     identical sampled initial configuration because the seed only depends
-    on (base_seed, j).  A repeated tag is a ValueError before the first run.
+    on (base_seed, j).  A repeated tag, or a model that does not fit cfg, is
+    a ValueError before the first run.
     """
     models = list(models)
     _check_unique("model tag", [spec.tag for spec in models])
+    cells = {spec.tag: replace(cfg, model=spec) for spec in models}
     seeds = [mix_seed(cfg.base_seed, j) for j in range(cfg.runs)]
-    return {
-        spec.tag: run_batch(replace(cfg, model=spec), seeds, workers)
-        for spec in models
-    }
+    return {tag: run_batch(cell, seeds, workers) for tag, cell in cells.items()}
 
 
 def noise_for_level(level: int) -> NoiseSpec:
@@ -346,7 +345,7 @@ def run_noise_sweep(cfg: ExperimentConfig, models, levels, workers: int = 1) -> 
     level, and a level-0 sweep reproduces the noiseless comparison runs.
     Every level is checked before the first run: a TypeError for a level
     that is not an integer, a ValueError for a negative or repeated one; a
-    repeated tag is a ValueError too.
+    repeated tag, or a model that does not fit cfg, is a ValueError too.
     """
     if cfg.runs > LEVEL_SEED_STRIDE:
         raise ValueError(f"at most {LEVEL_SEED_STRIDE} runs per noise level")
@@ -356,17 +355,16 @@ def run_noise_sweep(cfg: ExperimentConfig, models, levels, workers: int = 1) -> 
             raise ValueError(f"noise level must be nonnegative, got {level}")
     _check_unique("noise level", levels)
     _check_unique("model tag", [spec.tag for spec in models])
-    out = {}
-    for level in levels:
-        seeds = [
-            mix_seed(cfg.base_seed, level * LEVEL_SEED_STRIDE + j)
-            for j in range(cfg.runs)
-        ]
-        noisy_cfg = replace(cfg, noise=noise_for_level(level))
-        for spec in models:
-            model_cfg = replace(noisy_cfg, model=spec)
-            out[(spec.tag, level)] = run_batch(model_cfg, seeds, workers)
-    return out
+    cells = {
+        (spec.tag, level): replace(cfg, noise=noise_for_level(level), model=spec)
+        for level in levels
+        for spec in models
+    }
+    seeds = {
+        level: [mix_seed(cfg.base_seed, level * LEVEL_SEED_STRIDE + j) for j in range(cfg.runs)]
+        for level in levels
+    }
+    return {key: run_batch(cell, seeds[key[1]], workers) for key, cell in cells.items()}
 
 
 # --------------------------------------------------------------------------

@@ -103,7 +103,8 @@ def write_summary_csv(path, rows, fields) -> None:
 def read_summary_csv(path):
     """Read a summary CSV back; numeric fields parsed, empty fields -> None.
 
-    An empty key field (model, run_id, step or level) raises `ValueError`."""
+    An empty key field (model, run_id, step or level), or a value that does
+    not parse, raises `ValueError` naming its line and column."""
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         fields = tuple(reader.fieldnames or ())
@@ -121,10 +122,14 @@ def read_summary_csv(path):
                     row[key] = None
                 elif key in ("model",):
                     row[key] = value
-                elif key in ("step", "level", "run_id", "max_diameter_none_count"):
-                    row[key] = int(value)
                 else:
-                    row[key] = float(value)
+                    counts = ("step", "level", "run_id", "max_diameter_none_count")
+                    parse = int if key in counts else float
+                    try:
+                        row[key] = parse(value)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {reader.line_num}, "
+                                         f"column {key!r}: {exc}") from None
             rows.append(row)
     return fields, rows
 
@@ -150,7 +155,7 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 64, 190, 36, 48
 
 def _ticks(lo, hi, count=5):
     if lo == hi:
-        pad = 1.0 if lo == 0 else abs(lo) * 0.1
+        pad = abs(lo) * 0.1 or 1.0
         lo, hi = lo - pad, hi + pad
     span = hi - lo
     step = span / (count - 1)

@@ -187,6 +187,26 @@ def test_plot_rejects_an_empty_key_field(tmp_path, capsys, header, rows, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "row, key, reason",
+    [
+        ("m,1,abc,2,0,3,4", "mean_num_components",
+         "could not convert string to float: 'abc'"),
+        ("m,1.5,1,2,0,3,4", "step", "invalid literal for int() with base 10: '1.5'"),
+    ],
+)
+def test_plot_rejects_a_value_that_does_not_parse(tmp_path, capsys, row, key, reason):
+    summary = tmp_path / "summary.csv"
+    rows = ["m,0,1,2,0,3,4", row]
+    summary.write_text("\n".join([",".join(COMPARISON_SUMMARY_FIELDS), *rows]) + "\n")
+    out = tmp_path / "charts"
+    code = run_cli(["plot", "--summary", str(summary), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ValueError: {summary}: line 3, column {key!r}: {reason}\n"
+    assert not out.exists()
+
+
 def test_simulate_coincident_agents(tmp_path):
     # a zero-width box puts every agent at the origin: one component whose
     # diameter is 0

@@ -1,6 +1,3 @@
-import ast
-import importlib
-import pathlib
 import warnings
 from dataclasses import fields, replace
 from unittest import mock
@@ -312,6 +309,12 @@ def test_noise_sweep_checks_every_level_before_the_first_run(levels, error):
             run_noise_sweep(cfg, [cfg.model] * 2, [1])
         with pytest.raises(ValueError):
             run_comparison(cfg, [cfg.model] * 2)
+        # a model that runs at a radius other than cfg.r, after one that fits
+        misfit = [cfg.model, ModelSpec("df_centralized", MpcParams(r=5.0))]
+        with pytest.raises(ValueError, match="radius"):
+            run_noise_sweep(cfg, misfit, [1])
+        with pytest.raises(ValueError, match="radius"):
+            run_comparison(cfg, misfit)
     spy.assert_not_called()
 
 
@@ -384,19 +387,3 @@ def test_closed_loop_raises_no_warnings(tag, level):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         simulate(cfg, seed=5)
-
-
-def test_benchmark_tracer_names_resolve():
-    # perfbench/tracing.py wraps these names by (module, attribute); it is
-    # read here, not imported, because the suite does not collect perfbench/
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    tree = ast.parse(path.read_text())
-    (entry_points,) = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(getattr(target, "id", None) == "ENTRY_POINTS" for target in node.targets)
-    ]
-    assert entry_points
-    for module, attr, _, _ in entry_points:
-        assert callable(getattr(importlib.import_module(f"flockbench.{module}"), attr))

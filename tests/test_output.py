@@ -5,7 +5,7 @@ import xml.sax.saxutils
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flockbench import ExperimentConfig, default_model_spec, mix_seed
@@ -189,6 +189,8 @@ _maybe_y = st.one_of(st.none(), st.floats(-100, 100, allow_nan=False))
     ),
     start=st.integers(-10, 10),
 )
+# a constant subnormal y: 10 % of it underflows to 0, so the pad is 1
+@example(steps=[[(1, 5e-324)]], start=0)
 def test_chart_draws_each_run_of_a_series(steps, start):
     # x increases along each series; None values cut it into runs
     series = []
@@ -204,7 +206,7 @@ def test_chart_draws_each_run_of_a_series(steps, start):
     def span(values):
         lo, hi = min(values), max(values)
         if lo == hi:
-            pad = 1.0 if lo == 0 else abs(lo) * 0.1
+            pad = abs(lo) * 0.1 or 1.0
             lo, hi = lo - pad, hi + pad
         return lo, hi
 
@@ -276,7 +278,7 @@ EDGE_CHARTS = {
         "t", "x", "y", 3,
         "810f15d525b2a230ee07982e18266927c521749f0aa5cd35763cd9234e920e62",
     ),
-    # constant series: the y range is padded by 1 at 0, by 10 % elsewhere
+    # constant series: the y range is padded by 10 %, or by 1 where that is 0
     "constant_zero": (
         [("zero", [(0, 0.0), (1, 0.0), (2, 0.0)])],
         "t", "x", "y", 1,
@@ -286,6 +288,12 @@ EDGE_CHARTS = {
         [("c", [(0, -4.0), (5, -4.0)])],
         "t", "x", "y", 1,
         "58ac33f7064a91aef77d06453f8b038be29f276d53682d0e489e6eccfa3b51a8",
+    ),
+    # 10 % of a subnormal underflows to 0: padded by 1, as at 0
+    "constant_subnormal": (
+        [("s0", [(0, 5e-324)])],
+        "t", "x", "y", 1,
+        "bc4cef7fdc7485b29628298f16ea9f7da6b0bbbf33c92cf9b1c73ac809a2c962",
     ),
     "negative_x": (
         [("m", [(-10.5, 1.0), (-3, -2.0), (0, 0.5)])],
