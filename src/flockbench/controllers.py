@@ -9,11 +9,13 @@ the acceleration bound when stepping the dynamics.
 
 The closed loop steers every agent in one array pass: ``reynolds_accel_all``
 and ``olfati_saber_accel_all`` read all n views (row i is agent i's view, as
-``core.sense_local_all`` returns them) as one ``core.StackedViews`` and
-reduce over its per-rule neighbor masks, ``mask(radius)``.  Each masked sum
-runs over the neighbors in ascending index order, as the per-agent sums do,
-so the array passes equal the per-agent functions bit for bit; those stay
-as the readable definitions and as the tests' oracles.
+``core.sense_local_all`` returns them) as one ``core.StackedViews``, whose
+arrays are component-major, (m, n, n), so their inner loops run over the n
+observers.  Every neighbor sum is its ``neighbor_sum`` over a per-rule mask,
+``mask(radius)``: a sequential reduce over j, never the innermost axis, that
+adds the neighbors in ascending index order, as the per-agent sums do for
+m >= 2.  So the array passes equal the per-agent functions bit for bit;
+those stay as the readable definitions and as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -90,18 +92,6 @@ class OlfatiSaberParams:
             raise ValueError("c_alignment must be nonnegative")
 
 
-def _masked_sum(mask, x):
-    """Sum over j of x[i, j] where mask[i, j], in ascending j: the order of
-    the per-agent sums over the sorted neighbors."""
-    return np.where(mask[..., None], x, 0.0).sum(axis=1)
-
-
-def _masked_mean(mask, x):
-    """Per-row mean of the masked x[i, j] and whether row i has any."""
-    count = mask.sum(axis=1)
-    return _masked_sum(mask, x) / np.maximum(count, 1)[:, None], (count > 0)[:, None]
-
-
 def reynolds_alignment(
     i: int, view: FlockConfiguration, params: ReynoldsParams
 ) -> np.ndarray:
@@ -155,17 +145,22 @@ def reynolds_accel_all(positions, velocities, params: ReynoldsParams) -> np.ndar
     """``reynolds_accel`` of every agent from its stacked (n, n, m) view,
     shape (n, m); row i equals ``reynolds_accel(i, view_i, params)``."""
     views = StackedViews(positions, velocities)
-    mean_vel, has_al = _masked_mean(views.mask(params.r_al), views.velocities)
-    centroid, has_c = _masked_mean(views.mask(params.r_c), views.positions)
+
+    def mean(radius, x):
+        mask = views.mask(radius)
+        count = mask.sum(axis=1)
+        return views.neighbor_sum(mask, x) / np.maximum(count, 1), count > 0
+
+    mean_vel, has_al = mean(params.r_al, views.v)
+    centroid, has_c = mean(params.r_c, views.x)
     # x_i - x_j as the per-agent rule computes it; -diff would flip the
     # sign of exact zeros
-    away = views.own_pos[:, None] - views.positions
-    push = away / np.maximum(views.sq, EPS_DIST_SQ)[..., None]
-    mean_push, has_s = _masked_mean(views.mask(params.r_s), push)
-    alignment = np.where(has_al, params.w_al * (mean_vel - views.own_vel), 0.0)
-    cohesion = np.where(has_c, params.w_c * (centroid - views.own_pos), 0.0)
+    away = views.own_x - views.x
+    mean_push, has_s = mean(params.r_s, away / np.maximum(views.sq, EPS_DIST_SQ))
+    alignment = np.where(has_al, params.w_al * (mean_vel - views.own_v), 0.0)
+    cohesion = np.where(has_c, params.w_c * (centroid - views.own_x), 0.0)
     separation = np.where(has_s, params.w_s * mean_push, 0.0)
-    return alignment + cohesion + separation
+    return views.by_observer(alignment + cohesion + separation)
 
 
 # --------------------------------------------------------------------------
@@ -247,10 +242,13 @@ def olfati_saber_accel_all(
     eps = params.epsilon
     dist = views.dist
     dist_sig = sigma_norm(dist, eps)
-    r_sig = sigma_norm(params.r, eps)
-    n_ij = views.diff / np.sqrt(1.0 + eps * dist * dist)[..., None]
-    force = _masked_sum(mask, action_function(dist_sig, params)[..., None] * n_ij)
-    adjacency = bump(dist_sig / r_sig, params.h)
-    rel_vel = views.velocities - views.own_vel[:, None]
-    consensus = params.c_alignment * _masked_sum(mask, adjacency[..., None] * rel_vel)
-    return np.where(mask.any(axis=1)[:, None], force + consensus, 0.0)
+    adjacency = bump(dist_sig / sigma_norm(params.r, eps), params.h)
+    # action_function(dist_sig, params), its bump being the adjacency
+    action = adjacency * _uneven_sigmoid(
+        dist_sig - sigma_norm(params.d, eps), params.a, params.b
+    )
+    n_ij = views.diff / np.sqrt(1.0 + eps * dist * dist)
+    force = views.neighbor_sum(mask, action * n_ij)
+    rel_vel = views.v - views.own_v
+    consensus = params.c_alignment * views.neighbor_sum(mask, adjacency * rel_vel)
+    return views.by_observer(np.where(mask.any(axis=1), force + consensus, 0.0))

@@ -274,10 +274,19 @@ def step_dynamics(
 # --------------------------------------------------------------------------
 
 
+def _fold_squares(diff: np.ndarray) -> np.ndarray:
+    """sq_norm of component-major offsets diff, (m, ...), in its order."""
+    sq = diff[0] * diff[0]
+    for d in diff[1:]:
+        sq = sq + d * d
+    return sq
+
+
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    """Dense (n, n) Euclidean distance matrix."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt(sq_norm(diff))
+    """Dense (n, n) Euclidean distance matrix, sqrt(sq_norm(x_i - x_j)),
+    from component-major (m, n, n) differences."""
+    x = np.ascontiguousarray(np.transpose(positions))
+    return np.sqrt(_fold_squares(x[:, :, None] - x[:, None, :]))
 
 
 def neighbors(config: FlockConfiguration, i: int, r: float) -> set:
@@ -384,11 +393,15 @@ def sense_local(
 
 
 class StackedViews:
-    """Observers' views stacked as (B, n, m) arrays, row k being observer
-    agents[k]'s view of all n agents ((n, n, m) and agent i's for agents
-    None), with each observer's own state own_pos/own_vel, (B, m), and its
-    offsets diff = x_j - x_i, their squares sq and distances dist.  Observers
-    must be integers: any other dtype is a TypeError, not truncated."""
+    """Observers' (B, n, m) views, row k being observer agents[k]'s view of
+    all n agents ((n, n, m) and agent i's for agents None), copied once into
+    C-ordered component-major (m, n, B) arrays x and v, with each observer's
+    own state own_x/own_v (m, 1, B), offsets diff = x_j - x_i (m, n, B),
+    squares sq and distances dist (n, B).  Every pass over them runs inner
+    loops B long, over the observers, not m = 2 long, and `neighbor_sum`
+    reduces over j, never the innermost axis, in order.  positions,
+    velocities, own_pos, own_vel and mask(radius) are (B, ...) transposed
+    views.  Observers must be integers: any other dtype is a TypeError."""
 
     def __init__(self, positions, velocities, agents=None):
         pos = np.asarray(positions, dtype=np.float64)
@@ -410,19 +423,35 @@ class StackedViews:
         elif ((own < 0) | (own >= n)).any():
             bad = own[(own < 0) | (own >= n)][0]
             raise IndexError(f"agent index {bad} out of range for n={n}")
-        self.positions, self.velocities, self.agents = pos, vel, own
-        self._rows = np.arange(own.size)
-        self.own_pos, self.own_vel = pos[self._rows, own], vel[self._rows, own]
-        self.diff = pos - self.own_pos[:, None]
-        self.sq = sq_norm(self.diff)
+        self.agents, self._rows = own, np.arange(own.size)
+        self.x = np.ascontiguousarray(pos.transpose(2, 1, 0))
+        self.v = np.ascontiguousarray(vel.transpose(2, 1, 0))
+        self.own_x = self.x[:, own, self._rows][:, None]
+        self.own_v = self.v[:, own, self._rows][:, None]
+        self.diff = self.x - self.own_x
+        self.sq = _fold_squares(self.diff)
         self.dist = np.sqrt(self.sq)
+        self.positions, self.velocities = self.x.T, self.v.T
+        self.own_pos, self.own_vel = self.own_x[:, 0].T, self.own_v[:, 0].T
 
     def mask(self, radius):
         """(B, n) neighbor mask: the strict < radius test, with every
-        observer's own cell cleared."""
+        observer's own cell cleared; a view of an (n, B) array."""
         mask = self.dist < radius
-        mask[self._rows, self.agents] = False
-        return mask
+        mask[self.agents, self._rows] = False
+        return mask.T
+
+    def neighbor_sum(self, mask, x):
+        """Each observer's sum of x, (m, n, B) and built from this stack,
+        over the agents its (B, n) mask holds, as (m, 1, B): a sequential
+        reduce over j ascending, the per-agent sums' order.  That needs
+        B > 1 or n = 1, as in every stack of all n observers: numpy drops a
+        unit B axis, which would make j innermost and its sum pairwise."""
+        return np.where(mask.T, x, 0.0).sum(axis=1, keepdims=True)
+
+    def by_observer(self, a):
+        """Per-observer vectors a, (m, 1, B), as a C-ordered (B, m) array."""
+        return np.ascontiguousarray(a[:, 0].T)
 
 
 def sense_local_all(config: FlockConfiguration, noise: NoiseSpec, rng: RandomStream):

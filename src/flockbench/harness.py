@@ -9,8 +9,10 @@ evaluate the four metrics on the true state.  Noise only ever corrupts what
 controllers see.  The per-agent views come from one array pass,
 ``sense_local_all``, as (n, n, m) arrays that the rule controllers
 (``reynolds_accel_all``, ``olfati_saber_accel_all``) and the distributed MPC
-batch take whole; the per-agent ``sense_local``, ``reynolds_accel`` and
-``olfati_saber_accel`` are the oracles the tests hold them to.
+batch take whole, each copying them once into a component-major
+``core.StackedViews`` whose inner loops run over the n observers; the
+per-agent ``sense_local``, ``reynolds_accel`` and ``olfati_saber_accel`` are
+the oracles the tests hold them to.
 
 Reproducibility: run j of an experiment uses the seed
 ``mix_seed(base_seed, j)``; noise-sweep run j at level L uses

@@ -22,8 +22,8 @@ twice and its gradient coefficient is twice the slope.  Distributed models
 optimize a single agent against its own noisy view, freezing its neighbor
 set at the current step and extrapolating neighbors at constant sensed
 velocity; a row's cohesion is the mean over its N neighbors, with
-coefficient 2 / N.  A batch of distributed problems reads the views as one
-`core.StackedViews`, (B, n, m), and its edges from its mask(r).
+coefficient 2 / N.  A batch of distributed problems reads the views through
+one `core.StackedViews`, at (B, n, m), and its edges from its mask(r).
 
 Both problem types hold R independent rows, each from its own initial
 state, and a row alone has the same bits as in any batch: a centralized row
@@ -885,10 +885,10 @@ def solve_mpc_distributed_all(
     snapshot and return the stacked first-step accelerations (n, m) plus
     the full control plans (n, T, m).
 
-    positions[i] and velocities[i] are agent i's noisy view: (n, n, m)
-    arrays, as ``core.sense_local_all`` returns them.  The per-agent
-    problems are independent; batching them changes nothing but the amount
-    of Python overhead.
+    positions[i] and velocities[i] are agent i's noisy view, (n, n, m) as
+    ``core.sense_local_all`` returns them; `StackedViews` copies them
+    component-major and the builder reads its transposed (B, ...) views.
+    The per-agent problems are independent; batching saves Python overhead.
     """
     if tag not in DISTRIBUTED_MPC_TAGS:
         raise ValueError(f"{tag!r} is not a distributed MPC model")

@@ -154,11 +154,13 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 64, 190, 36, 48
 
 
 def _ticks(lo, hi, count=5):
-    if lo == hi:
-        pad = abs(lo) * 0.1 or 1.0
+    # a range whose step is 0 (constant, or a few subnormals wide) is padded
+    # by 10 % of |lo| on each side, then by 1 if the step is still 0
+    for pad in (abs(lo) * 0.1, 1.0):
+        if (hi - lo) / (count - 1) != 0:
+            break
         lo, hi = lo - pad, hi + pad
-    span = hi - lo
-    step = span / (count - 1)
+    step = (hi - lo) / (count - 1)
     return lo, hi, [lo + k * step for k in range(count)]
 
 

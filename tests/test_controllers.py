@@ -15,6 +15,7 @@ from flockbench import (
     reynolds_cohesion,
     reynolds_separation,
     sense_local,
+    sense_local_all,
 )
 from flockbench.controllers import action_function, bump, sigma_norm
 from conftest import hexagonal_patch, random_config
@@ -258,6 +259,17 @@ def _oracle_views(np_rng):
             yield [sense_local(cfg, i, noise, rng) for i in range(cfg.n)]
 
 
+# memory layouts of a stacked (n, n, m) view; the array passes copy it
+# component-major, and must give the same bits from each
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "fortran": np.asfortranarray,  # component-major, as the passes store it
+    # observer and agent axes swapped in memory
+    "transposed": lambda a: np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1),
+}
+
+
+@pytest.mark.parametrize("layout", [*LAYOUTS, "broadcast"])
 @pytest.mark.parametrize(
     "law, law_all, params",
     [
@@ -267,12 +279,25 @@ def _oracle_views(np_rng):
         (olfati_saber_accel, olfati_saber_accel_all, OlfatiSaberParams(r=12.0, d=2.0)),
     ],
 )
-def test_array_pass_matches_per_agent_controller(np_rng, law, law_all, params):
+def test_array_pass_matches_per_agent_controller(np_rng, law, law_all, params, layout):
+    checked = 0
     for views in _oracle_views(np_rng):
-        positions = np.stack([view.positions for view in views])
-        velocities = np.stack([view.velocities for view in views])
+        if layout == "broadcast":
+            # the read-only broadcasts sense_local_all returns at zero
+            # noise, for the stacks whose views are all the true state
+            if any(view is not views[0] for view in views):
+                continue
+            positions, velocities = sense_local_all(views[0], NoiseSpec(), RandomStream(1))
+            assert not positions.flags.writeable
+        else:
+            positions = LAYOUTS[layout](np.stack([view.positions for view in views]))
+            velocities = LAYOUTS[layout](np.stack([view.velocities for view in views]))
         expected = np.stack([law(i, view, params) for i, view in enumerate(views)])
-        assert np.array_equal(law_all(positions, velocities, params), expected)
+        got = law_all(positions, velocities, params)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+        checked += 1
+    assert checked >= 30
 
 
 @pytest.mark.parametrize("law_all", [reynolds_accel_all, olfati_saber_accel_all])

@@ -17,7 +17,7 @@ from flockbench import (
     sense_local_all,
     step_dynamics,
 )
-from flockbench.core import StackedViews, clamp_norm, sq_norm
+from flockbench.core import StackedViews, clamp_norm, pairwise_distances, sq_norm
 from conftest import random_config
 
 LIMITS = MotionLimits(v_max=8.0, a_max=1.0, dt=0.3)
@@ -456,6 +456,38 @@ def test_sq_norm_matches_sum_of_squares(m, keepdims, np_rng):
         # the products' left fold, as sq_norm summed before it squared once
         fold = left_fold_of_products(v)
         assert np.array_equal(got, fold[..., None] if keepdims else fold)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pairwise_distances_matches_per_pair_norm(m, np_rng):
+    # magnitudes spread over 16 decades so that rounding differs by order
+    pos = np_rng.normal(size=(9, m)) * 10.0 ** np_rng.integers(-8, 8, size=(9, m))
+    pos[3] = pos[5]  # coincident agents
+    for x in (pos, np.asfortranarray(pos), np.repeat(pos, 2, axis=0)[::2]):
+        # the per-pair norm core.neighbors takes, whose x_j - x_i squares
+        # to the same bits as x_i - x_j
+        expected = [[np.sqrt((d * d).sum()) for d in x[i] - x] for i in range(9)]
+        assert np.array_equal(pairwise_distances(x), expected)
+        cfg = FlockConfiguration(x, x)
+        for i, r in ((0, 1e-3), (3, 1.0), (5, 1e4)):
+            assert neighbors(cfg, i, r) == set(np.flatnonzero(pairwise_distances(x)[i] < r)) - {i}
+
+
+@pytest.mark.parametrize("n, observers", [(1, [0]), (40, [3, 3]), (30, range(30))])
+def test_neighbor_sum_runs_over_each_observers_neighbors_in_order(n, observers, np_rng):
+    observers = list(observers)
+    B = len(observers)
+    views = StackedViews(np_rng.normal(size=(B, n, 2)), np.zeros((B, n, 2)), observers)
+    x = views.diff * views.dist  # some (m, n, B) array built from the stack
+    mask = np_rng.random((B, n)) < 0.7
+    got = views.neighbor_sum(mask, x)
+    assert got.shape == (2, 1, B)
+    for k in range(B):
+        terms = [x[:, j, k] for j in range(n) if mask[k, j]]
+        fold = terms[0] if terms else np.zeros(2)
+        for term in terms[1:]:
+            fold = fold + term
+        assert np.array_equal(got[:, 0, k], fold)
 
 
 def same_bits(a, b):

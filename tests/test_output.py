@@ -295,6 +295,20 @@ EDGE_CHARTS = {
         "t", "x", "y", 1,
         "bc4cef7fdc7485b29628298f16ea9f7da6b0bbbf33c92cf9b1c73ac809a2c962",
     ),
+    # 10 % of 5e-323 is one subnormal, which leaves the step 0: padded by 1
+    # as well, the same bytes as "constant_subnormal"
+    "constant_subnormal_padded_twice": (
+        [("s0", [(0, 5e-323)])],
+        "t", "x", "y", 1,
+        "bc4cef7fdc7485b29628298f16ea9f7da6b0bbbf33c92cf9b1c73ac809a2c962",
+    ),
+    # a span of one subnormal: its step underflows to 0, so it is padded as
+    # a constant range is, not drawn as five ticks at one pixel
+    "subnormal_span": (
+        [("a", [(0, 5e-324), (1, 1e-323)])],
+        "t", "x", "y", 1,
+        "dfa1392f36a207c4ad98349ab73a6e593dce80aa180dd0c634560e57c0d528c2",
+    ),
     "negative_x": (
         [("m", [(-10.5, 1.0), (-3, -2.0), (0, 0.5)])],
         "t", "x", "y", 1,
