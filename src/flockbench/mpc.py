@@ -17,13 +17,14 @@ weight * phi'(dist) / dist, 0 below EPS_DIST, for the gradients:
 
 Centralized models optimize all agents' accelerations against one shared
 noisy measurement, recomputing the neighbor edge set at every predicted
-step; their edge sums run over ordered pairs, so a pair inside r counts
-twice and its gradient coefficient is twice the slope.  Distributed models
-optimize a single agent against its own noisy view, freezing its neighbor
-set at the current step and extrapolating neighbors at constant sensed
-velocity; a row's cohesion is the mean over its N neighbors, with
-coefficient 2 / N.  A batch of distributed problems reads the views through
-one `core.StackedViews`, at (B, n, m), and its edges from its mask(r).
+step; their edge sums run over ordered pairs, so each pair i < j inside r
+is priced once and doubled, in the stage value as in its gradient
+coefficient.  Distributed models optimize a single agent against its own
+noisy view, freezing its neighbor set at the current step and extrapolating
+neighbors at constant sensed velocity; a row's cohesion is the mean over
+its N neighbors, with coefficient 2 / N.  A batch of distributed problems
+reads the views through one `core.StackedViews`, at (B, n, m), and its
+edges from its mask(r).
 
 Both problem types hold R independent rows, each from its own initial
 state, and a row alone has the same bits as in any batch: a centralized row
@@ -256,18 +257,13 @@ def rollout_distributed(
 
 @functools.lru_cache(maxsize=16)
 def _pair_layout(n: int):
-    """Read-only index arrays for n agents: the pairs i < j in row-major
-    order, and for each ordered pair (i, j), i != j, in row-major order, the
-    position of {i, j} in that list.  Cached because rebuilding pair indices
-    for every stage evaluation took about a quarter of a profiled
-    centralized run."""
+    """Read-only agent indices iu, ju of the pairs i < j of n agents, in
+    row-major order; cached, as `np.triu_indices(30, 1)` takes 26 us, three
+    times the gather it feeds in `_pairs` (2-core VM, numpy 2.4.6)."""
     iu, ju = np.triu_indices(n, k=1)
-    pair_of = np.zeros((n, n), dtype=np.intp)
-    pair_of[iu, ju] = pair_of[ju, iu] = np.arange(iu.size)
-    ordered = pair_of[~np.eye(n, dtype=bool)]
-    for index in (iu, ju, ordered):
+    for index in (iu, ju):
         index.flags.writeable = False
-    return iu, ju, ordered
+    return iu, ju
 
 
 def _pairs(x):
@@ -275,8 +271,8 @@ def _pairs(x):
     (S, n, m), in `_pair_layout` order: their agents iu and ju, their
     differences x_i - x_j, (S, P, m), and their distances, (S, P), with
     `sq_norm`'s bits.  The stage values, the stage gradient and the walls
-    all read these arrays."""
-    iu, ju, _ = _pair_layout(x.shape[1])
+    all read these arrays; none of them lists a pair twice."""
+    iu, ju = _pair_layout(x.shape[1])
     # np.take, unlike x[:, iu], returns C-contiguous arrays, so each row of
     # the distances sums pairwise as a lone 1-D array does
     diff = np.take(x, iu, axis=1) - np.take(x, ju, axis=1)
@@ -328,24 +324,18 @@ def _pair_cost(tag, params):
 def _centralized_stage_values(cost, x, r):
     """Centralized stage cost of every configuration in the stack x of
     shape (S, n, m), as an (S,) array: `cost`'s weighted sum over the
-    ordered neighbor pairs, plus the mean squared distance over all pairs
-    with cohesion (then 0 for fewer than two agents).  The distances of the
-    pairs i < j come from `_pairs` and are gathered for the ordered pairs.
-    Each stage's edge terms are summed on their own as one row-major 1-D
-    slice, and its cohesion as one contiguous row, so a stage's value has
-    the same bits in any stack."""
+    ordered neighbor pairs, each pair i < j of `_pairs` inside r priced once
+    and doubled, plus the mean squared distance over all pairs with
+    cohesion (then 0 for fewer than two agents).  Each stage's edge terms
+    and its cohesion are summed as one contiguous row, so a stage's value
+    has the same bits in any stack."""
     S, n = x.shape[:2]
     if cost.cohesion and n < 2:
         return np.zeros(S)
     dist = _pairs(x)[3]
-    ordered = _pair_layout(n)[2]
-    every = np.take(dist, ordered, axis=1)
-    edges = np.flatnonzero(every < r)
-    terms = cost.term(np.take(every, edges))  # the stages' edges, row-major
-    ends = np.searchsorted(edges, np.arange(S + 1) * ordered.size)
-    edge_sums = cost.weight * np.array(
-        [np.add.reduce(terms[a:b]) for a, b in zip(ends[:-1], ends[1:])]
-    )
+    terms = np.where(dist < r, cost.term(dist), 0.0)
+    # weight last: 2 * weight can overflow where the weighted sum does not
+    edge_sums = cost.weight * (2.0 * terms.sum(axis=1))
     if not cost.cohesion:
         return edge_sums
     return (2.0 / (n * (n - 1))) * (dist * dist).sum(axis=1) + edge_sums

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import itertools
+import math
 import operator
 import os
 
@@ -104,7 +105,8 @@ def read_summary_csv(path):
     """Read a summary CSV back; numeric fields parsed, empty fields -> None.
 
     An empty key field (model, run_id, step or level), or a value that does
-    not parse, raises `ValueError` naming its line and column."""
+    not parse or is not finite, raises `ValueError` naming its line and
+    column."""
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         fields = tuple(reader.fieldnames or ())
@@ -127,6 +129,8 @@ def read_summary_csv(path):
                     parse = int if key in counts else float
                     try:
                         row[key] = parse(value)
+                        if not math.isfinite(row[key]):
+                            raise ValueError(f"{value!r} is not finite")
                     except ValueError as exc:
                         raise ValueError(f"{path}: line {reader.line_num}, "
                                          f"column {key!r}: {exc}") from None

@@ -193,6 +193,10 @@ def test_plot_rejects_an_empty_key_field(tmp_path, capsys, header, rows, key):
         ("m,1,abc,2,0,3,4", "mean_num_components",
          "could not convert string to float: 'abc'"),
         ("m,1.5,1,2,0,3,4", "step", "invalid literal for int() with base 10: '1.5'"),
+        # non-finite values parse as floats, but no chart can place them
+        ("m,1,inf,2,0,3,4", "mean_num_components", "'inf' is not finite"),
+        ("m,1,1,-Infinity,0,3,4", "mean_max_diameter", "'-Infinity' is not finite"),
+        ("m,1,1,2,0,nan,4", "mean_velocity_convergence", "'nan' is not finite"),
     ],
 )
 def test_plot_rejects_a_value_that_does_not_parse(tmp_path, capsys, row, key, reason):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -240,12 +242,12 @@ def test_param_validation():
 # --------------------------------------------------------------------------
 
 
-def _oracle_views(np_rng):
+def _oracle_views(np_rng, m):
     """Stacked (n, n, m) views and the per-agent views they hold."""
     noise = NoiseSpec(0.5, 0.3)
-    yield [view_of([[1.0, 2.0]], [[0.5, -0.5]])]  # n = 1
+    yield [view_of([[1.0, 2.0][:m]], [[0.5, -0.5][:m]])]  # n = 1
     for seed in range(60):
-        cfg = random_config(np_rng, n=int(np_rng.integers(2, 16)), span=12.0)
+        cfg = random_config(np_rng, n=int(np_rng.integers(2, 16)), span=12.0, dim=m)
         pos = np.array(cfg.positions)
         if seed % 3 == 0:
             pos[1] = pos[0]  # coincident agents: the EPS_DIST_SQ floor
@@ -281,7 +283,10 @@ LAYOUTS = {
 )
 def test_array_pass_matches_per_agent_controller(np_rng, law, law_all, params, layout):
     checked = 0
-    for views in _oracle_views(np_rng):
+    # in one dimension a neighbor block of eight or more is where numpy's
+    # own axis-0 sum would go pairwise
+    stacks = itertools.chain(_oracle_views(np_rng, 2), _oracle_views(np_rng, 1))
+    for views in stacks:
         if layout == "broadcast":
             # the read-only broadcasts sense_local_all returns at zero
             # noise, for the stacks whose views are all the true state
@@ -297,7 +302,7 @@ def test_array_pass_matches_per_agent_controller(np_rng, law, law_all, params, l
         assert got.flags.c_contiguous
         assert np.array_equal(got, expected)
         checked += 1
-    assert checked >= 30
+    assert checked >= 60
 
 
 @pytest.mark.parametrize("law_all", [reynolds_accel_all, olfati_saber_accel_all])

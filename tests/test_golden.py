@@ -9,12 +9,15 @@ whose vectorized rounding may differ on other CPUs, so a mismatch there is a
 platform difference before it is a regression.
 
 Regenerate (only for an intended change of output bytes, recorded in
-CHANGES.md) with ``PYTHONPATH=src python tests/test_golden.py``.
+CHANGES.md) with ``PYTHONPATH=src python tests/test_golden.py``.  It prints
+the fresh digests as JSON, then one line on stderr for each pinned entry
+whose fresh digest differs, such as ``changed: steps_n30/df_centralized@0``.
 """
 
 import csv
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -49,7 +52,7 @@ GOLDEN_STEPS = {
 # noiseless, the distributed ones under noise.
 GOLDEN_STEPS_N30 = {
     "lattice_centralized@0": "a1d292f023bb98e11c0b75816af82675b27483fd7c985148e65fb94fec81caac",
-    "df_centralized@0": "26f2660807274d00972f0cac5fe81188b79ea18a2e29908a2f3a68da7944065c",
+    "df_centralized@0": "e9591377a293ef8432ef801a1ef990bf757ba314e48dd8627938ac2f1162d40d",
     "lattice_distributed@10": "01b2d3e276a5257fbfab6c80ad0b6da40b85166881d2cd5faf5ef9275327403a",
     "df_distributed@10": "a6bc7e91607ffb6d55dc8ae5e13e618fbfe90d6b8a18d7164a8d17f6b392058b",
 }
@@ -109,6 +112,33 @@ GOLDEN_NORMALS = [
     "-0x1.7abc65b60a50dp+0",
     "0x1.c7ae0bddcb8c8p-2",
 ]
+
+
+# The pinned values by the keys of the regenerated JSON.
+PINNED = {
+    "steps": GOLDEN_STEPS,
+    "steps_n30": GOLDEN_STEPS_N30,
+    "summaries": GOLDEN_SUMMARIES,
+    "effective_config": GOLDEN_EFFECTIVE_CONFIG,
+    "final_state": GOLDEN_FINAL_STATE,
+    "normals": GOLDEN_NORMALS,
+}
+
+
+def changed_entries(fresh) -> list:
+    """The pinned entries whose value in `fresh` (the regenerated JSON)
+    differs, as "steps_n30/df_centralized@0" for a keyed entry and
+    "final_state" for a single one; a key on one side only differs too."""
+    changed = []
+    for name, pinned in PINNED.items():
+        value = fresh.get(name)
+        if isinstance(pinned, dict) and isinstance(value, dict):
+            for key in dict.fromkeys([*pinned, *value]):
+                if value.get(key) != pinned.get(key):
+                    changed.append(f"{name}/{key}")
+        elif value != pinned:
+            changed.append(name)
+    return changed
 
 
 def _sha256(path) -> str:
@@ -203,6 +233,23 @@ def test_random_stream_normals_match_golden():
     assert normals_hex() == GOLDEN_NORMALS
 
 
+def test_changed_entries_names_each_differing_pin():
+    fresh = json.loads(json.dumps(PINNED))
+    assert changed_entries(fresh) == []
+    fresh["steps_n30"]["df_centralized@0"] = "0" * 64
+    fresh["summaries"]["compare/extra.svg"] = "0" * 64
+    del fresh["steps"]["reynolds@0"]
+    fresh["final_state"] = "0" * 64
+    fresh["normals"] = fresh["normals"][:-1]
+    assert changed_entries(fresh) == [
+        "steps/reynolds@0",
+        "steps_n30/df_centralized@0",
+        "summaries/compare/extra.svg",
+        "final_state",
+        "normals",
+    ]
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -234,3 +281,5 @@ if __name__ == "__main__":
             "normals": normals_hex(),
         }
     print(json.dumps(golden, indent=4))
+    for entry in changed_entries(golden):
+        print(f"changed: {entry}", file=sys.stderr)

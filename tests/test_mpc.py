@@ -33,7 +33,7 @@ from flockbench import (
     step_dynamics,
 )
 from flockbench import horizon, mpc
-from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm
+from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm, sq_norm
 from flockbench.mpc import (
     ARMIJO_C,
     CENTRALIZED_MPC_TAGS,
@@ -536,6 +536,37 @@ def test_family_slope_is_the_edge_derivative_read_by_both_kernels(tag):
     assert np.array_equal(edge[:, 0, 0], (pull + slope) * -grid)
     # a pair is two ordered edges: its coefficient is exactly twice the slope
     assert np.array_equal(central[:, 0, 0], -pull * grid - (2.0 * slope) * grid)
+
+
+@pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_stage_value_prices_each_pair_once_doubled(tag, n, np_rng):
+    # the value reads the pairs i < j as the gradient does: weight times
+    # twice the sum of their terms inside r, in pair order with a 0 where a
+    # pair is out of r, plus the cohesion over the same pairs
+    cost, r = mpc._pair_cost(tag, PARAMS), PARAMS.r
+    x = np_rng.uniform(-r, r, (6, n, 2))
+    # agents 0 and 1 exactly r apart (out of r), agents 0 and 2 coincident
+    x[:, 0], x[:, 1], x[:, 2] = (0.0, 1.5), (r, 1.5), (0.0, 1.5)
+    pairs = list(itertools.combinations(range(n), 2))
+    values = mpc._centralized_stage_values(cost, x, r)
+    for stage, value in zip(x, values):
+        dist = np.array([math.sqrt(sq_norm(stage[i] - stage[j])) for i, j in pairs])
+        assert (dist[0], dist[1]) == (r, 0.0)
+        terms = np.array([cost.term(d) if d < r else 0.0 for d in dist])
+        expected = cost.weight * (2.0 * terms.sum())
+        if cost.cohesion:
+            expected = (2.0 / (n * (n - 1))) * (dist * dist).sum() + expected
+        assert value == expected
+        # the definition over the ordered pairs, each pair counted twice
+        ordered = [
+            cost.term(d) for i in range(n) for j in range(n)
+            if i != j and (d := math.sqrt(sq_norm(stage[i] - stage[j]))) < r
+        ]
+        definition = cost.weight * math.fsum(ordered)
+        if cost.cohesion:
+            definition += math.fsum(dist * dist) * 2.0 / (n * (n - 1))
+        assert value == pytest.approx(definition, rel=1e-13)
 
 
 # --------------------------------------------------------------------------
@@ -1292,7 +1323,7 @@ def test_solver_rolls_out_once_per_evaluation():
             ):
         simulate(cfg, mix_seed(1, 0))
     assert (cfg.n, cfg.steps) == (30, 100)
-    assert counts == {"rollouts": 1046, "evaluations": 1046, "in_gradient": 0}
+    assert counts == {"rollouts": 1047, "evaluations": 1047, "in_gradient": 0}
 
 
 def bb_scale(s, y):

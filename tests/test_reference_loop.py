@@ -78,6 +78,14 @@ def reference_run(cfg, seed):
     return records, config
 
 
+def assert_simulate_matches_reference_loop(cfg, seed):
+    records, final = reference_run(cfg, seed)
+    run = simulate(cfg, seed)
+    assert run.metrics == records
+    assert np.array_equal(run.final.positions, final.positions)
+    assert np.array_equal(run.final.velocities, final.velocities)
+
+
 @pytest.mark.parametrize("seed", [1, 7, 20261017])
 @pytest.mark.parametrize("n", [1, 2, 7])
 @pytest.mark.parametrize("level", [0, 3])
@@ -86,8 +94,23 @@ def test_simulate_matches_reference_loop(tag, level, n, seed):
     cfg = ExperimentConfig(
         model=default_model_spec(tag), n=n, steps=12, noise=noise_for_level(level), runs=1
     )
-    records, final = reference_run(cfg, seed)
-    run = simulate(cfg, seed)
-    assert run.metrics == records
-    assert np.array_equal(run.final.positions, final.positions)
-    assert np.array_equal(run.final.velocities, final.velocities)
+    assert_simulate_matches_reference_loop(cfg, seed)
+
+
+# every model at n = 2 and 7, and the rule models at n = 20, where a
+# neighbor sum has enough terms that numpy would sum a lone m = 1 column
+# pairwise rather than in order
+DIMENSION_CASES = [(tag, n) for tag in MODEL_TAGS for n in (2, 7)]
+DIMENSION_CASES += [(tag, 20) for tag in RULES]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("level", [0, 3])
+@pytest.mark.parametrize("tag, n", DIMENSION_CASES)
+def test_simulate_matches_reference_loop_in_one_and_three_dimensions(tag, n, level, m):
+    cfg = ExperimentConfig(
+        model=default_model_spec(tag), n=n, steps=12, noise=noise_for_level(level),
+        runs=1, init_position_box=((-15.0, 15.0),) * m,
+        init_velocity_box=((0.0, 2.0),) * m,
+    )
+    assert_simulate_matches_reference_loop(cfg, 1)
