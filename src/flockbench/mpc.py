@@ -15,6 +15,10 @@ weight * phi'(dist) / dist, 0 below EPS_DIST, for the gradients:
     1 / dist^2 (separation), weight omega, slope -2 omega / (dist^2)^2, plus
     the mean squared distance (cohesion); no target geometry.
 
+Each public entry point resolves its tag once, through `_pair_cost`, the one
+family lookup, which rejects an unknown tag; the problem builders take the
+`_PairCost` it returns, and no builder reads a tag.
+
 Centralized models optimize all agents' accelerations against one shared
 noisy measurement, recomputing the neighbor edge set at every predicted
 step; their edge sums run over ordered pairs, so each pair i < j inside r
@@ -162,8 +166,9 @@ class SolveResult:
 class SolverError(RuntimeError):
     """Raised when the solver hits a non-finite objective or gradient.
 
-    `diagnostics["agents"]` holds the failing batch rows: the agent indices
-    of a distributed step, the rows of a centralized batch (row 0 of a
+    `diagnostics["agents"]` names the failing batch rows: by the agent each
+    row plans in a distributed solve (the agent indices of a step, the one
+    `agent` of a single solve) and by row in a centralized batch (row 0 of a
     single solve).  The objective or gradient and controls arrays hold those
     rows' values in the same order.
     """
@@ -171,11 +176,6 @@ class SolverError(RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-def _check_tag(tag: str):
-    if tag not in MPC_TAGS:
-        raise ValueError(f"unknown MPC model tag {tag!r}; expected one of {MPC_TAGS}")
 
 
 def _check_neighbor_set(agent, neighbor_set, n) -> list:
@@ -315,10 +315,13 @@ def _declarative(omega):
 
 
 def _pair_cost(tag, params):
-    """The pair cost of tag's family, with params' d or omega."""
+    """The pair cost of tag's family, with params' d or omega: the one place
+    a tag names its family, and a ValueError for an unknown tag."""
     if tag in ("lattice_centralized", "lattice_distributed"):
         return _lattice(params.d)
-    return _declarative(params.omega)
+    if tag in ("df_centralized", "df_distributed"):
+        return _declarative(params.omega)
+    raise ValueError(f"unknown MPC model tag {tag!r}; expected one of {MPC_TAGS}")
 
 
 def _centralized_stage_values(cost, x, r):
@@ -422,14 +425,19 @@ def mpc_objective(
     neighbor_set=None,
 ) -> float:
     """Full horizon objective: stage costs over predicted steps 1..T plus
-    lam times the squared norm of the control sequence."""
-    _check_tag(tag)
+    lam times the squared norm of the control sequence.  The trajectory
+    holds the T+1 configurations of a T-step plan, the initial one first."""
+    cost = _pair_cost(tag, params)
     if tag in CENTRALIZED_MPC_TAGS:
         agent = None
     elif agent is None or neighbor_set is None:
         raise ValueError(f"{tag} needs agent index and frozen neighbor set")
-    cost = _pair_cost(tag, params)
     u = np.asarray(controls, dtype=np.float64)
+    if len(trajectory) != len(u) + 1:
+        raise ValueError(
+            f"a {len(u)}-step plan needs {len(u) + 1} configurations,"
+            f" got {len(trajectory)}"
+        )
     stage = sum(
         _stage_cost(cost, cfg, params.r, agent, neighbor_set) for cfg in trajectory[1:]
     )
@@ -523,11 +531,10 @@ class _CentralizedProblem(_Problem):
         )
 
 
-def _build_centralized_problem(tag, pos, vel, params, limits):
-    """Assemble a centralized problem from stacked noisy measurements: row k
-    plans every agent from pos[k] and vel[k], (n, m) each.  Step 1 of every
-    row is priced here, in one stage pass."""
-    cost = _pair_cost(tag, params)
+def _build_centralized_problem(cost, pos, vel, params, limits):
+    """Assemble a centralized problem of the pair cost `cost` from stacked
+    noisy measurements: row k plans every agent from pos[k] and vel[k],
+    (n, m) each.  Step 1 of every row is priced here, in one stage pass."""
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         first_stage = _centralized_stage_values(cost, pos + limits.dt * vel, params.r)
@@ -586,25 +593,23 @@ def _edge_costs(cost, edge_counts, diff):
     return edge
 
 
-def _build_batch_problem(
-    tag, pos, vel, agents, params, limits, neighbor_sets=None
-):
-    """Assemble a batch problem from per-agent noisy views.
+def _build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=None):
+    """Assemble a batch problem of the pair cost `cost` from per-agent noisy
+    views.
 
     pos[k] and vel[k], (n, m) each, are the view of agents[k], read as one
     ``core.StackedViews`` (agents None: every agent's).  Row k of its (B, n)
-    ``mask(r)`` holds agents[k]'s frozen neighbor set, unless
-    neighbor_sets[k] gives the set.  The edges are the mask's nonzero
-    entries in row-major order.
+    ``mask(r)`` holds agents[k]'s frozen neighbor set; a given neighbor_set
+    replaces row 0's.  The edges are the mask's nonzero entries in
+    row-major order.
     """
     views = StackedViews(pos, vel, agents)
     pos, vel, x0, v0 = views.positions, views.velocities, views.own_pos, views.own_vel
     mask = views.mask(params.r)
-    for k, given in enumerate(neighbor_sets or ()):
-        if given is not None:
-            idx = _check_neighbor_set(views.agents[k], given, pos.shape[1])
-            mask[k] = False
-            mask[k, idx] = True
+    if neighbor_set is not None:
+        idx = _check_neighbor_set(views.agents[0], neighbor_set, pos.shape[1])
+        mask[0] = False
+        mask[0, idx] = True
     src, nbr = np.nonzero(mask)
     # iterated constant-velocity extrapolation, matching the rollout
     nbr_pos = np.empty((src.size, params.horizon, pos.shape[2]))
@@ -612,8 +617,7 @@ def _build_batch_problem(
     for t in range(params.horizon):
         p = p + limits.dt * v
         nbr_pos[:, t] = p
-    counts = np.bincount(src)
-    cost, edge_counts = _pair_cost(tag, params), counts[src][:, None].astype(np.float64)
+    edge_counts = np.bincount(src)[src][:, None].astype(np.float64)
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step1 = (x0 + limits.dt * v0)[src, None] - nbr_pos[:, :1]
@@ -786,23 +790,16 @@ def _solve_batch(problem, warm):
 
 
 def _single_problem(tag, view, params, limits, agent, neighbor_set=None):
-    """One solve as a batch of one row: every agent's plan for a
-    centralized tag, `agent`'s own plan for a distributed one."""
+    """One solve as a batch of one row of the tag's pair cost: every agent's
+    plan for a centralized tag, `agent`'s own plan for a distributed one,
+    over neighbor_set where given and its frozen set at the view otherwise."""
+    cost = _pair_cost(tag, params)
+    pos, vel = view.positions[None], view.velocities[None]
     if tag in CENTRALIZED_MPC_TAGS:
-        return _build_centralized_problem(
-            tag, view.positions[None], view.velocities[None], params, limits
-        )
+        return _build_centralized_problem(cost, pos, vel, params, limits)
     if agent is None:
         raise ValueError(f"{tag} needs the agent index")
-    return _build_batch_problem(
-        tag,
-        view.positions[None],
-        view.velocities[None],
-        [agent],
-        params,
-        limits,
-        neighbor_sets=[neighbor_set],
-    )
+    return _build_batch_problem(cost, pos, vel, [agent], params, limits, neighbor_set)
 
 
 def mpc_objective_gradient(
@@ -815,23 +812,25 @@ def mpc_objective_gradient(
     neighbor_set=None,
 ) -> np.ndarray:
     """Analytic gradient of the horizon objective with respect to the
-    controls, at the given initial view.  Shape matches `controls`."""
-    _check_tag(tag)
-    U = np.asarray(controls, dtype=np.float64)[None]
+    controls, at the given initial view.  `controls` is a plan of the shape
+    `solve_mpc` returns for the same tag, and so is the gradient."""
     problem = _single_problem(tag, initial_view, params, limits, agent, neighbor_set)
+    U = _plan(controls, problem, "controls")[None]
     xs, ws = _rollout_arrays(problem.x0, problem.v0, U, limits)
     return problem.gradient(U, xs, ws)[0]
 
 
-def _warm_start(warm_start, shape):
-    """The given warm start as a float64 array of the given shape, or zeros
-    when absent."""
-    if warm_start is None:
+def _plan(plan, problem, name, rows=()):
+    """`plan` as a float64 array of shape rows + (T, ...), the shape of a
+    plan of `problem` at its horizon T, or zeros when `plan` is None: a
+    ValueError naming `name` for any other shape."""
+    shape = rows + (problem.params.horizon,) + problem.x0.shape[1:]
+    if plan is None:
         return np.zeros(shape)
-    warm = np.asarray(warm_start, dtype=np.float64)
-    if warm.shape != shape:
-        raise ValueError(f"warm start must have shape {shape}, got {warm.shape}")
-    return warm
+    u = np.asarray(plan, dtype=np.float64)
+    if u.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {u.shape}")
+    return u
 
 
 def solve_mpc(
@@ -851,16 +850,15 @@ def solve_mpc(
     sequence of that shape (projected onto the feasible set on entry);
     zeros are used when absent.
     """
-    _check_tag(tag)
     problem = _single_problem(tag, initial_view, params, limits, agent)
-    warm = _warm_start(warm_start, (params.horizon,) + problem.x0.shape[1:])
-    U, converged, iterations, trace = _solve_batch(problem, warm[None])
-    return SolveResult(
-        controls=U[0],
-        objectives=trace,
-        iterations=iterations,
-        converged=bool(converged[0]),
-    )
+    warm = _plan(warm_start, problem, "warm start")
+    try:
+        U, converged, iterations, trace = _solve_batch(problem, warm[None])
+    except SolverError as err:
+        if tag in DISTRIBUTED_MPC_TAGS:  # its one row plans `agent`
+            err.diagnostics["agents"] = np.array([agent])
+        raise
+    return SolveResult(U[0], trace, iterations, bool(converged[0]))
 
 
 def solve_mpc_distributed_all(
@@ -882,8 +880,9 @@ def solve_mpc_distributed_all(
     """
     if tag not in DISTRIBUTED_MPC_TAGS:
         raise ValueError(f"{tag!r} is not a distributed MPC model")
-    problem = _build_batch_problem(tag, positions, velocities, None, params, limits)
-    n, m = problem.x0.shape
-    warm = _warm_start(warm_start, (n, params.horizon, m))
+    problem = _build_batch_problem(
+        _pair_cost(tag, params), positions, velocities, None, params, limits
+    )
+    warm = _plan(warm_start, problem, "warm start", problem.x0.shape[:1])
     U, _, _, _ = _solve_batch(problem, warm)
     return U[:, 0].copy(), U

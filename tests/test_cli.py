@@ -70,6 +70,26 @@ def test_config_file_and_overrides(tmp_path):
     assert len(lines) == 1 + 4
 
 
+def test_config_precedence(tmp_path, capsys):
+    # defaults < config file < dedicated flags < --set, key by key
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("model = df_centralized\nseed = 5\nn = 4\nsteps = 9\n")
+    out = tmp_path / "sim"
+    code = run_cli(
+        [
+            "simulate", "--model", "reynolds", "--config", str(cfg), "--seed", "3",
+            "--set", "model=olfati_saber", "--set", "steps=2", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.startswith("simulated olfati_saber: 2 steps, n=4")
+    echoed = dict(
+        line.split(" = ", 1)
+        for line in (out / "effective_config.txt").read_text().splitlines()
+    )
+    assert echoed == dict(DEFAULTS, model="olfati_saber", seed="3", n="4", steps="2")
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")

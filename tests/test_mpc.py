@@ -499,7 +499,8 @@ def test_distributed_df_cohesion_is_not_floored():
     params = MpcParams(horizon=2)
     pos = np.array([[[0.0, 0.0], [5e-7, 0.0], [3.0, 0.0]]])
     problem = _build_batch_problem(
-        "df_distributed", pos, np.zeros_like(pos), [0], params, LIMITS
+        mpc._pair_cost("df_distributed", params), pos, np.zeros_like(pos), [0], params,
+        LIMITS,
     )
     xs, _ = mpc._rollout_arrays(problem.x0, problem.v0, np.zeros((1, 2, 2)), LIMITS)
     gx = problem._stage_gradient(xs[:, 1:])
@@ -527,9 +528,10 @@ def test_family_slope_is_the_edge_derivative_read_by_both_kernels(tag):
     pos = np.zeros((grid.size, 2, 2))
     pos[:, 1, 0] = grid
     central = mpc._centralized_stage_gradient(cost, pos, PARAMS.r)
+    params = MpcParams(horizon=2)
     rows = _build_batch_problem(
-        tag.replace("centralized", "distributed"), pos, np.zeros_like(pos),
-        np.zeros(grid.size, dtype=int), MpcParams(horizon=2), LIMITS,
+        mpc._pair_cost(tag.replace("centralized", "distributed"), params), pos,
+        np.zeros_like(pos), np.zeros(grid.size, dtype=int), params, LIMITS,
     )
     edge = rows._stage_gradient(np.zeros((grid.size, 1, 2)))
     slope, pull = cost.slope(grid), 2.0 if cost.cohesion else 0.0
@@ -628,6 +630,30 @@ def test_solver_warm_start_validation():
         )
 
 
+def test_gradient_checks_the_plan_shape():
+    # the plan shape solve_mpc checks its warm start against: (T, m) for a
+    # distributed tag and (T, n, m) for a centralized one, T the horizon
+    cfg = config([[0, 0], [5, 0], [0.5, 0]])
+    for T in (2, 5):
+        with pytest.raises(ValueError, match=r"controls must have shape \(3, 2\)"):
+            mpc_objective_gradient(
+                "df_distributed", cfg, np.zeros((T, 2)), PARAMS, LIMITS,
+                agent=0, neighbor_set={1},
+            )
+    with pytest.raises(ValueError, match=r"controls must have shape \(3, 3, 2\)"):
+        mpc_objective_gradient("df_centralized", cfg, np.zeros((3, 2)), PARAMS, LIMITS)
+
+
+def test_objective_needs_one_more_configuration_than_plan_steps():
+    cfg = config([[0, 0], [5, 0], [0.5, 0]])
+    u = np.zeros((3, 3, 2))
+    trajectory = rollout_centralized(cfg, u, LIMITS)
+    assert np.isfinite(mpc_objective("df_centralized", trajectory, u, PARAMS))
+    for steps in (1, 2, 4):
+        with pytest.raises(ValueError, match="configurations, got 4"):
+            mpc_objective("df_centralized", trajectory, np.zeros((steps, 3, 2)), PARAMS)
+
+
 def test_batched_solve_matches_per_agent_exactly(np_rng):
     # noiseless views first, then a distinct noisy view per observer, so a
     # row built from another agent's view cannot match its standalone solve
@@ -667,10 +693,14 @@ def test_batch_rows_match_full_batch(tag, np_rng):
     views = sense_local_all(flock, noise_for_level(3), RandomStream(5))
     if tag in CENTRALIZED_MPC_TAGS:
         # eight rows, each planning every agent from its own noisy view
-        full = _build_centralized_problem(tag, *views, PARAMS, LIMITS)
+        full = _build_centralized_problem(
+            mpc._pair_cost(tag, PARAMS), *views, PARAMS, LIMITS
+        )
         U = np_rng.uniform(-0.5, 0.5, (8, 3, 8, 2))
     else:
-        full = _build_batch_problem(tag, *views, range(8), PARAMS, LIMITS)
+        full = _build_batch_problem(
+            mpc._pair_cost(tag, PARAMS), *views, range(8), PARAMS, LIMITS
+        )
         assert not np.isin([6, 7], full.src).any()
         U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
     J, XS, WS = full.evaluate(U)
@@ -691,11 +721,11 @@ def sub_problems(tag, full, views, idx, params):
     one row per view: built anew from the rows' own views, any order and
     repeats included, and, where idx is ascending without repeats, also
     cut from `full` by a mask."""
-    pos, vel = views[0][idx], views[1][idx]
+    pos, vel, cost = views[0][idx], views[1][idx], mpc._pair_cost(tag, params)
     if tag in CENTRALIZED_MPC_TAGS:
-        subs = [_build_centralized_problem(tag, pos, vel, params, LIMITS)]
+        subs = [_build_centralized_problem(cost, pos, vel, params, LIMITS)]
     else:
-        subs = [_build_batch_problem(tag, pos, vel, idx, params, LIMITS)]
+        subs = [_build_batch_problem(cost, pos, vel, idx, params, LIMITS)]
     if (np.diff(idx) > 0).all():
         subs.append(full.rows(np.isin(np.arange(len(full.x0)), idx)))
     return subs
@@ -716,10 +746,14 @@ def test_narrowing_twice_matches_narrowing_once(tag, np_rng):
     # p.rows(c), c keeping the rows that b keeps of those a keeps
     views = isolated_views(np_rng)  # row 7's agent sees no one
     if tag in CENTRALIZED_MPC_TAGS:
-        full = _build_centralized_problem(tag, *views, PARAMS, LIMITS)
+        full = _build_centralized_problem(
+            mpc._pair_cost(tag, PARAMS), *views, PARAMS, LIMITS
+        )
         U = np_rng.uniform(-0.5, 0.5, (8, 3, 8, 2))
     else:
-        full = _build_batch_problem(tag, *views, range(8), PARAMS, LIMITS)
+        full = _build_batch_problem(
+            mpc._pair_cost(tag, PARAMS), *views, range(8), PARAMS, LIMITS
+        )
         assert (full.src != 7).all() and np.isin(range(7), full.src).all()
         U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
     J, XS, WS = full.evaluate(U)
@@ -761,7 +795,9 @@ def test_batch_objective_prices_step_one_at_build(tag, horizon, np_rng):
     # edge's steps in order and each row's edges
     params = MpcParams(horizon=horizon)
     views = isolated_views(np_rng)
-    full = _build_batch_problem(tag, *views, range(8), params, LIMITS)
+    full = _build_batch_problem(
+        mpc._pair_cost(tag, params), *views, range(8), params, LIMITS
+    )
     cost = full.cost
     U = np_rng.uniform(-0.5, 0.5, (8, horizon, 2))
     for idx in (range(8), [7], [5, 5, 0, 7, 2, 2]):
@@ -783,7 +819,9 @@ def test_batch_objective_prices_step_one_at_build(tag, horizon, np_rng):
 @pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
 def test_batch_stage_gradient_matches_add_at(tag, np_rng):
     views = isolated_views(np_rng)
-    full = _build_batch_problem(tag, *views, range(8), PARAMS, LIMITS)
+    full = _build_batch_problem(
+        mpc._pair_cost(tag, PARAMS), *views, range(8), PARAMS, LIMITS
+    )
     U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
     for idx in (range(8), [7], [5, 5, 0, 7, 2, 2]):
         idx = np.asarray(idx)
@@ -831,7 +869,9 @@ def staggered_batch(np_rng):
     warm = np.zeros((n, 3, 2))
     warm[2:5] = np_rng.uniform(-0.5, 0.5, (3, 3, 2))
     views = np.stack([pos] * n), np.stack([vel] * n)
-    problem = _build_batch_problem("df_distributed", *views, range(n), PARAMS, LIMITS)
+    problem = _build_batch_problem(
+        mpc._pair_cost("df_distributed", PARAMS), *views, range(n), PARAMS, LIMITS
+    )
     return problem, warm, pos, vel
 
 
@@ -985,7 +1025,9 @@ def test_stacked_centralized_objective_matches_single_plans(
     params = MpcParams(horizon=T)
     one = _single_problem(tag, view, params, LIMITS, None)
     # six plans of the one row
-    problem = _build_centralized_problem(tag, *repeated(view, 6), params, LIMITS)
+    problem = _build_centralized_problem(
+        mpc._pair_cost(tag, params), *repeated(view, 6), params, LIMITS
+    )
     U = np_rng.uniform(-1.0, 1.0, (6, T, n, 2))
     U[0] = 0.0
     J, xs, _ = problem.evaluate(U)
@@ -1042,7 +1084,9 @@ def test_centralized_gradient_reuses_probe_rollout(tag, np_rng):
     # several plans of the one row in one call, the row repeated
     U = np_rng.uniform(-1.0, 1.0, (5, 3, 12, 2))
     U = clamp_norm(U, LIMITS.a_max)
-    several = _build_centralized_problem(tag, *repeated(view, 5), PARAMS, LIMITS)
+    several = _build_centralized_problem(
+        mpc._pair_cost(tag, PARAMS), *repeated(view, 5), PARAMS, LIMITS
+    )
     _, xs, ws = several.evaluate(U)
     assert_clamp_active(ws)
     for k in range(len(U)):
@@ -1061,7 +1105,9 @@ def test_distributed_gradient_reuses_probe_rollout(tag, np_rng):
     n = 10
     cfg = fast_config(np_rng, n)
     pos, vel = sense_local_all(cfg, noise_for_level(3), RandomStream(9))
-    full = _build_batch_problem(tag, pos, vel, range(n), PARAMS, LIMITS)
+    full = _build_batch_problem(
+        mpc._pair_cost(tag, PARAMS), pos, vel, range(n), PARAMS, LIMITS
+    )
     # several plans of some rows in one call, those rows repeated
     rep = np.array([0, 0, 0, 3, 4, 4, 7, 9, 9, 9, 9])
     # plans that mostly speed each agent up along its sensed heading
@@ -1069,7 +1115,9 @@ def test_distributed_gradient_reuses_probe_rollout(tag, np_rng):
     ahead = own / np.sqrt((own * own).sum(axis=-1, keepdims=True))
     U = ahead[:, None, :] + np_rng.uniform(-0.5, 0.5, (rep.size, 3, 2))
     U = clamp_norm(U, LIMITS.a_max)
-    several = _build_batch_problem(tag, pos[rep], vel[rep], rep, PARAMS, LIMITS)
+    several = _build_batch_problem(
+        mpc._pair_cost(tag, PARAMS), pos[rep], vel[rep], rep, PARAMS, LIMITS
+    )
     _, xs, ws = several.evaluate(U)
     assert_clamp_active(ws)
     for k, i in enumerate(rep):
@@ -1100,7 +1148,9 @@ def test_one_step_horizon_gradient_is_control_penalty(tag, np_rng):
 def test_forward_controls_match_finite_differences_of_the_rollout(tag, np_rng):
     # agents near the speed limit, so the plans drive the velocity clamp
     view = fast_config(np_rng, 8)
-    problem = _build_centralized_problem(tag, *repeated(view, 4), PARAMS, LIMITS)
+    problem = _build_centralized_problem(
+        mpc._pair_cost(tag, PARAMS), *repeated(view, 4), PARAMS, LIMITS
+    )
     x0, v0 = problem.x0, problem.v0
     U = clamp_norm(np_rng.uniform(-1.0, 1.0, (4, 3, 8, 2)), LIMITS.a_max)
     D = np_rng.uniform(-1.0, 1.0, U.shape)
@@ -1203,7 +1253,9 @@ def test_walls_and_caps_in_several_rows_match_each_row_alone():
     ])
     vel = np.zeros_like(pos)
     vel[0, 1] = vel[1, 2] = (-1.0, 0.0)
-    problem = _build_centralized_problem("df_centralized", pos, vel, PARAMS, LIMITS)
+    problem = _build_centralized_problem(
+        mpc._pair_cost("df_centralized", PARAMS), pos, vel, PARAMS, LIMITS
+    )
     U = np.zeros((3, 3, 3, 2))
     _, xs, ws = problem.evaluate(U)
     excess = np.sqrt(((xs[:, 1:, 0] - xs[:, 1:, 1]) ** 2).sum(axis=-1)) - r
@@ -1491,7 +1543,7 @@ def ladder_cases(np_rng):
         views = [random_config(np_rng, n=8, span=6.0, v_span=3.0) for _ in range(3)]
         views.append(views[1])
         problem = _build_centralized_problem(
-            tag,
+            mpc._pair_cost(tag, PARAMS),
             np.stack([view.positions for view in views]),
             np.stack([view.velocities for view in views]),
             PARAMS,
@@ -1503,7 +1555,9 @@ def ladder_cases(np_rng):
         for n in (6, 12):
             cfg = random_config(np_rng, n=n, span=8.0, v_span=3.0)
             views = sense_local_all(cfg, noise_for_level(3), stream)
-            problem = _build_batch_problem(tag, *views, range(n), PARAMS, LIMITS)
+            problem = _build_batch_problem(
+                mpc._pair_cost(tag, PARAMS), *views, range(n), PARAMS, LIMITS
+            )
             cases.append((problem, np_rng.uniform(-0.5, 0.5, (n, 3, 2))))
     cases.append(closed_loop_solves("df_centralized", 6)[-1])
     cases.append(closed_loop_solves("lattice_centralized", 6)[-1])
@@ -1813,6 +1867,15 @@ def test_distributed_solver_error_names_failing_agents():
     assert diagnostics["gradient"].shape == diagnostics["controls"].shape == (2, 3, 2)
 
 
+def test_single_distributed_solver_error_names_its_agent():
+    # agent 2 sits 0.5 from agent 0, so its step-1 separation cost overflows
+    # at omega = 1e308; its solve is row 0 of a batch, named by its agent
+    view = config([[0, 0], [5, 0], [0.5, 0]])
+    with pytest.raises(SolverError, match="at the initial point") as info:
+        solve_mpc("df_distributed", view, MpcParams(omega=1e308), LIMITS, agent=2)
+    assert info.value.diagnostics["agents"].tolist() == [2]
+
+
 def test_solver_error_names_batch_rows_after_rows_have_left(np_rng):
     # agents 0, 1 and 5 converge at the first check and 3 and 4 after
     # seven iterations, and each leaves the live state; a NaN probe of agent
@@ -1892,5 +1955,15 @@ def test_distributed_agent_index_validated(tag):
 
 def test_unknown_tag_rejected():
     cfg = config([[0, 0]])
-    with pytest.raises(ValueError):
-        solve_mpc("boids", cfg, PARAMS, LIMITS)
+    u = np.zeros((3, 1, 2))
+    calls = (
+        lambda: solve_mpc("boids", cfg, PARAMS, LIMITS),
+        lambda: mpc_objective("boids", [cfg] * 4, u, PARAMS),
+        lambda: mpc_objective_gradient("boids", cfg, u, PARAMS, LIMITS),
+        lambda: solve_mpc_distributed_all(
+            "boids", cfg.positions[None], cfg.velocities[None], PARAMS, LIMITS
+        ),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="'boids'"):
+            call()
