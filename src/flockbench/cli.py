@@ -266,6 +266,11 @@ def _cmd_noise_sweep(args) -> int:
     models = _resolve_models(settings, args.models)
     levels = _parse_levels(args.levels)
     cfg = build_experiment(settings, models[0].tag)
+    fixed = [f"noise.{f.name}" for f in fields(NoiseSpec) if getattr(cfg.noise, f.name)]
+    if fixed:
+        raise CliError(
+            f"noise-sweep sets each level's noise; {', '.join(fixed)} must be 0"
+        )
     _prepare_out(args.out, _echo_models(settings, models))
     records = run_noise_sweep(cfg, models, levels, workers=_workers(settings))
     for level in levels:
@@ -297,7 +302,6 @@ def _cmd_plot(args) -> int:
         raise CliError(
             f"{args.summary} is not a summary file; missing {', '.join(missing)}"
         )
-    os.makedirs(args.out, exist_ok=True)
     paths = emit_plots(rows, args.out, x_key=x_key)
     print(f"wrote {len(paths)} charts -> {args.out}")
     return 0

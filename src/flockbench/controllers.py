@@ -14,19 +14,18 @@ arrays are component-major, (m, n, n), so their inner loops run over the n
 observers.  Every neighbor sum is its ``neighbor_sum`` over a per-rule mask,
 ``mask(radius)``: a sequential reduce over j, never the innermost axis, that
 adds the neighbors in ascending index order, as the per-agent functions'
-`_sum_in_order` does in every dimension.  So the array passes equal the
+``core.fold`` does in every dimension.  So the array passes equal the
 per-agent functions bit for bit; those stay as the readable definitions and
 as the tests' oracles.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_DIST_SQ, FlockConfiguration, StackedViews, neighbors
+from .core import EPS_DIST_SQ, FlockConfiguration, StackedViews, fold, neighbors
 
 __all__ = [
     "ReynoldsParams",
@@ -94,13 +93,6 @@ class OlfatiSaberParams:
             raise ValueError("c_alignment must be nonnegative")
 
 
-def _sum_in_order(block) -> np.ndarray:
-    """The sum of the rows of a (k, m) neighbor block, a left fold in index
-    order.  numpy's axis-0 sum adds in that order for m >= 2, but sums the
-    lone column of a (k, 1) block pairwise once k reaches about eight."""
-    return functools.reduce(np.add, block)
-
-
 def reynolds_alignment(
     i: int, view: FlockConfiguration, params: ReynoldsParams
 ) -> np.ndarray:
@@ -108,7 +100,7 @@ def reynolds_alignment(
     nbrs = sorted(neighbors(view, i, params.r_al))
     if not nbrs:
         return np.zeros(view.dimension)
-    mean_vel = _sum_in_order(view.velocities[nbrs]) / len(nbrs)
+    mean_vel = fold(view.velocities[nbrs]) / len(nbrs)
     return params.w_al * (mean_vel - view.velocities[i])
 
 
@@ -119,7 +111,7 @@ def reynolds_cohesion(
     nbrs = sorted(neighbors(view, i, params.r_c))
     if not nbrs:
         return np.zeros(view.dimension)
-    centroid = _sum_in_order(view.positions[nbrs]) / len(nbrs)
+    centroid = fold(view.positions[nbrs]) / len(nbrs)
     return params.w_c * (centroid - view.positions[i])
 
 
@@ -136,7 +128,7 @@ def reynolds_separation(
         return np.zeros(view.dimension)
     away = view.positions[i] - view.positions[nbrs]
     sq = np.maximum((away * away).sum(axis=-1), EPS_DIST_SQ)
-    return params.w_s * (_sum_in_order(away / sq[:, None]) / len(nbrs))
+    return params.w_s * (fold(away / sq[:, None]) / len(nbrs))
 
 
 def reynolds_accel(
@@ -233,11 +225,11 @@ def olfati_saber_accel(
 
     # smoothed unit vectors (gradient of the sigma-norm), finite at overlap
     n_ij = rel / np.sqrt(1.0 + eps * dist * dist)[:, None]
-    force = _sum_in_order(action_function(dist_sig, params)[:, None] * n_ij)
+    force = fold(action_function(dist_sig, params)[:, None] * n_ij)
 
     adjacency = bump(dist_sig / r_sig, params.h)
     rel_vel = view.velocities[nbrs] - view.velocities[i]
-    consensus = params.c_alignment * _sum_in_order(adjacency[:, None] * rel_vel)
+    consensus = params.c_alignment * fold(adjacency[:, None] * rel_vel)
     return force + consensus
 
 

@@ -13,6 +13,7 @@ workers.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ __all__ = [
     "ProximityNet",
     "RandomStream",
     "mix_seed",
+    "fold",
     "sq_norm",
     "clamp_norm",
     "pairwise_distances",
@@ -220,20 +222,25 @@ class RandomStream:
 # --------------------------------------------------------------------------
 
 
+def fold(terms):
+    """The left fold ``(t0 + t1) + t2 + ...`` of the arrays `terms`: the
+    in-order sum behind every pinned sum (a batch row against the row
+    alone, an array pass against its per-agent oracle).  numpy's reductions
+    add in index order only below eight terms, and pairwise from there on,
+    so a sum of unbounded length, or one that must match another sum's
+    order whatever the layout, folds here."""
+    return functools.reduce(np.add, terms)
+
+
 def sq_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Squared Euclidean norm over the last axis: the squares w = v * v in
-    one pass, then the left fold ``w[..., 0] + w[..., 1] + ...`` over the
-    components.
-
-    numpy sums fewer than eight terms in order, so for the short axes used
-    here (m = 1-4 are tested) this equals ``(v * v).sum(axis=-1)`` bit for
-    bit, whatever the memory layout, at a fraction of the cost of a
+    one pass, then their `fold` over the components.  For the short axes
+    used here (m = 1-4 are tested) this equals ``(v * v).sum(axis=-1)`` bit
+    for bit, whatever the memory layout, at a fraction of the cost of a
     reduction over a length-m axis.
     """
     w = np.asarray(v) * v
-    out = w[..., 0]
-    for k in range(1, w.shape[-1]):
-        out = out + w[..., k]
+    out = fold(w[..., k] for k in range(w.shape[-1]))
     return out[..., None] if keepdims else out
 
 
@@ -274,19 +281,11 @@ def step_dynamics(
 # --------------------------------------------------------------------------
 
 
-def _fold_squares(diff: np.ndarray) -> np.ndarray:
-    """sq_norm of component-major offsets diff, (m, ...), in its order."""
-    sq = diff[0] * diff[0]
-    for d in diff[1:]:
-        sq = sq + d * d
-    return sq
-
-
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Dense (n, n) Euclidean distance matrix, sqrt(sq_norm(x_i - x_j)),
-    from component-major (m, n, n) differences."""
+    from component-major (m, n, n) differences folded as sq_norm folds."""
     x = np.ascontiguousarray(np.transpose(positions))
-    return np.sqrt(_fold_squares(x[:, :, None] - x[:, None, :]))
+    return np.sqrt(fold(d * d for d in x[:, :, None] - x[:, None, :]))
 
 
 def neighbors(config: FlockConfiguration, i: int, r: float) -> set:
@@ -397,11 +396,12 @@ class StackedViews:
     all n agents ((n, n, m) and agent i's for agents None), copied once into
     C-ordered component-major (m, n, B) arrays x and v, with each observer's
     own state own_x/own_v (m, 1, B), offsets diff = x_j - x_i (m, n, B),
-    squares sq and distances dist (n, B).  Every pass over them runs inner
-    loops B long, over the observers, not m = 2 long, and `neighbor_sum`
-    reduces over j, never the innermost axis, in order.  positions,
-    velocities, own_pos, own_vel and mask(radius) are (B, ...) transposed
-    views.  Observers must be integers: any other dtype is a TypeError."""
+    squares sq (the `fold` of diff's components, sq_norm's order) and
+    distances dist (n, B).  Every pass over them runs inner loops B long,
+    over the observers, not m = 2 long, and `neighbor_sum` reduces over j,
+    never the innermost axis, in order.  Only mask(radius) is (B, n), a
+    transposed view; `by_observer` gives a per-observer result as (B, m).
+    Observers must be integers: any other dtype is a TypeError."""
 
     def __init__(self, positions, velocities, agents=None):
         pos = np.asarray(positions, dtype=np.float64)
@@ -429,10 +429,8 @@ class StackedViews:
         self.own_x = self.x[:, own, self._rows][:, None]
         self.own_v = self.v[:, own, self._rows][:, None]
         self.diff = self.x - self.own_x
-        self.sq = _fold_squares(self.diff)
+        self.sq = fold(d * d for d in self.diff)
         self.dist = np.sqrt(self.sq)
-        self.positions, self.velocities = self.x.T, self.v.T
-        self.own_pos, self.own_vel = self.own_x[:, 0].T, self.own_v[:, 0].T
 
     def mask(self, radius):
         """(B, n) neighbor mask: the strict < radius test, with every

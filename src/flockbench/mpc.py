@@ -73,6 +73,7 @@ from .core import (
     MotionLimits,
     StackedViews,
     clamp_norm,
+    fold,
     sq_norm,
 )
 from .horizon import _backprop_controls, _rollout_arrays, _wall_search
@@ -426,7 +427,9 @@ def mpc_objective(
 ) -> float:
     """Full horizon objective: stage costs over predicted steps 1..T plus
     lam times the squared norm of the control sequence.  The trajectory
-    holds the T+1 configurations of a T-step plan, the initial one first."""
+    holds the T+1 configurations of a T-step plan, the initial one first,
+    and the plan has the shape `solve_mpc` returns for the tag: (T, n, m)
+    centralized, (T, m) distributed, n and m those of trajectory[0]."""
     cost = _pair_cost(tag, params)
     if tag in CENTRALIZED_MPC_TAGS:
         agent = None
@@ -438,6 +441,10 @@ def mpc_objective(
             f"a {len(u)}-step plan needs {len(u) + 1} configurations,"
             f" got {len(trajectory)}"
         )
+    n, m = trajectory[0].positions.shape
+    shape = (len(u), n, m) if agent is None else (len(u), m)
+    if u.shape != shape:
+        raise ValueError(f"controls must have shape {shape}, got {u.shape}")
     stage = sum(
         _stage_cost(cost, cfg, params.r, agent, neighbor_set) for cfg in trajectory[1:]
     )
@@ -496,16 +503,13 @@ class _CentralizedProblem(_Problem):
     first_stage: np.ndarray  # (R,) stage cost at step 1
 
     def _stage_sum(self, xs):
-        """Each row's stage costs summed over steps 1..T: the R * (T-1)
+        """Each row's stage costs, `fold`ed over steps 1..T: the R * (T-1)
         configurations past step 1 go through one stage pass."""
         p, later = self.params, xs[:, 1:]
         stages = _centralized_stage_values(
             self.cost, later.reshape(-1, *later.shape[2:]), p.r
         ).reshape(later.shape[:2])
-        stage = self.first_stage
-        for column in stages.T:
-            stage = stage + column
-        return stage
+        return fold((self.first_stage, *stages.T))
 
     def _stage_gradient(self, later, pairs=None):
         return _centralized_stage_gradient(
@@ -550,14 +554,14 @@ class _BatchProblem(_Problem):
     src: np.ndarray  # (E,) batch row of each neighbor edge, ascending
     nbr_pos: np.ndarray  # (E, T, m) neighbor positions at steps 1..T
     edge_counts: np.ndarray  # (E, 1) neighbor count of each edge's row
-    first: np.ndarray  # (E, 1) cost of each edge at step 1, priced at build
+    first: np.ndarray  # (E,) cost of each edge at step 1, priced at build
 
     def _stage_sum(self, xs):
-        """Each edge's steps 1..T summed in order, then each row's edges."""
+        """Each edge's steps 1..T `fold`ed, then each row's edges."""
         diff = xs[self.src, 1:] - self.nbr_pos[:, 1:]
         later = _edge_costs(self.cost, self.edge_counts, diff)
-        cost = np.concatenate((self.first, later), axis=1)
-        return np.bincount(self.src, weights=cost.sum(axis=1), minlength=len(xs))
+        cost = fold((self.first, *later.T))
+        return np.bincount(self.src, weights=cost, minlength=len(xs))
 
     def _stage_gradient(self, later):
         diff = later[self.src] - self.nbr_pos[:, 1:]  # (E, T-1, m)
@@ -604,16 +608,16 @@ def _build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=No
     row-major order.
     """
     views = StackedViews(pos, vel, agents)
-    pos, vel, x0, v0 = views.positions, views.velocities, views.own_pos, views.own_vel
     mask = views.mask(params.r)
     if neighbor_set is not None:
-        idx = _check_neighbor_set(views.agents[0], neighbor_set, pos.shape[1])
+        idx = _check_neighbor_set(views.agents[0], neighbor_set, mask.shape[1])
         mask[0] = False
         mask[0, idx] = True
     src, nbr = np.nonzero(mask)
+    x0, v0 = views.by_observer(views.own_x), views.by_observer(views.own_v)
     # iterated constant-velocity extrapolation, matching the rollout
-    nbr_pos = np.empty((src.size, params.horizon, pos.shape[2]))
-    p, v = pos[src, nbr], vel[src, nbr]
+    nbr_pos = np.empty((src.size, params.horizon, len(views.x)))
+    p, v = views.x[:, nbr, src].T, views.v[:, nbr, src].T
     for t in range(params.horizon):
         p = p + limits.dt * v
         nbr_pos[:, t] = p
@@ -621,7 +625,7 @@ def _build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=No
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step1 = (x0 + limits.dt * v0)[src, None] - nbr_pos[:, :1]
-        first = _edge_costs(cost, edge_counts, step1)
+        first = _edge_costs(cost, edge_counts, step1)[:, 0]
     return _BatchProblem(cost, params, limits, x0, v0, src, nbr_pos, edge_counts, first)
 
 
@@ -875,7 +879,7 @@ def solve_mpc_distributed_all(
 
     positions[i] and velocities[i] are agent i's noisy view, (n, n, m) as
     ``core.sense_local_all`` returns them; `StackedViews` copies them
-    component-major and the builder reads its transposed (B, ...) views.
+    component-major once, and the builder gathers from those copies.
     The per-agent problems are independent; batching saves Python overhead.
     """
     if tag not in DISTRIBUTED_MPC_TAGS:

@@ -131,7 +131,7 @@ def read_summary_csv(path):
                         row[key] = parse(value)
                         if not math.isfinite(row[key]):
                             raise ValueError(f"{value!r} is not finite")
-                    except ValueError as exc:
+                    except (ValueError, OverflowError) as exc:
                         raise ValueError(f"{path}: line {reader.line_num}, "
                                          f"column {key!r}: {exc}") from None
             rows.append(row)
@@ -164,6 +164,8 @@ def _ticks(lo, hi, count=5):
         if (hi - lo) / (count - 1) != 0:
             break
         lo, hi = lo - pad, hi + pad
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"axis span {lo:.4g} to {hi:.4g} is not finite")
     step = (hi - lo) / (count - 1)
     return lo, hi, [lo + k * step for k in range(count)]
 
@@ -203,7 +205,8 @@ def render_line_chart(series, title, x_label, y_label) -> str:
     Each run of points between None values is one polyline, and a run of
     one point, with no drawn neighbour, is a short horizontal dash.  Output
     is a plain SVG string; the title, axis labels and series names are
-    XML-escaped, so any text gives a well-formed document.
+    XML-escaped, so any text gives a well-formed document.  An axis whose
+    span overflows (e.g. -1e308 to 1e308) is a ValueError.
     """
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts if y is not None]
@@ -271,12 +274,15 @@ def emit_plots(summary_rows, out_dir, x_key: str = "step") -> list:
 
     Returns the written paths.  Rows missing a metric (e.g. diameter when
     every component is a singleton) break the line of that series; a point
-    left with no drawn neighbour is drawn as a short dash.
+    left with no drawn neighbour is drawn as a short dash.  Every chart is
+    rendered before out_dir is made and any file written, so a chart that
+    cannot be drawn is a ValueError naming its column, and nothing is
+    written.
     """
     if not summary_rows:
         raise ValueError("cannot plot an empty summary")
     models = dict.fromkeys(row["model"] for row in summary_rows)
-    paths = []
+    charts = {}
     for column, title in METRIC_COLUMNS.items():
         series = []
         for model in models:
@@ -287,9 +293,13 @@ def emit_plots(summary_rows, out_dir, x_key: str = "step") -> list:
             ]
             pts.sort(key=lambda p: p[0])
             series.append((model, pts))
-        svg = render_line_chart(series, title=title, x_label=x_key, y_label=title)
-        path = os.path.join(out_dir, f"{column.removeprefix('mean_')}.svg")
+        try:
+            svg = render_line_chart(series, title=title, x_label=x_key, y_label=title)
+        except ValueError as err:
+            raise ValueError(f"column {column!r}: {err}") from None
+        charts[os.path.join(out_dir, f"{column.removeprefix('mean_')}.svg")] = svg
+    os.makedirs(out_dir, exist_ok=True)
+    for path, svg in charts.items():
         with open(path, "w") as handle:
             handle.write(svg)
-        paths.append(path)
-    return paths
+    return list(charts)

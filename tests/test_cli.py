@@ -213,6 +213,8 @@ def test_plot_rejects_an_empty_key_field(tmp_path, capsys, header, rows, key):
         ("m,1,abc,2,0,3,4", "mean_num_components",
          "could not convert string to float: 'abc'"),
         ("m,1.5,1,2,0,3,4", "step", "invalid literal for int() with base 10: '1.5'"),
+        # an integer beyond the float range, which no axis can place
+        ("m,1" + "0" * 400 + ",1,2,0,3,4", "step", "int too large to convert to float"),
         # non-finite values parse as floats, but no chart can place them
         ("m,1,inf,2,0,3,4", "mean_num_components", "'inf' is not finite"),
         ("m,1,1,-Infinity,0,3,4", "mean_max_diameter", "'-Infinity' is not finite"),
@@ -228,6 +230,21 @@ def test_plot_rejects_a_value_that_does_not_parse(tmp_path, capsys, row, key, re
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error: ValueError: {summary}: line 3, column {key!r}: {reason}\n"
+    assert not out.exists()
+
+
+def test_plot_rejects_a_chart_whose_span_overflows(tmp_path, capsys):
+    # every value is finite, but the velocity convergence axis spans
+    # 2e308, which no tick arithmetic can place
+    summary = tmp_path / "summary.csv"
+    rows = ["m,0,1,2,0,-1e308,4", "m,1,1,2,0,1e308,4"]
+    summary.write_text("\n".join([",".join(COMPARISON_SUMMARY_FIELDS), *rows]) + "\n")
+    out = tmp_path / "charts"
+    code = run_cli(["plot", "--summary", str(summary), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: column 'mean_velocity_convergence': ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -298,6 +315,20 @@ def test_duplicate_models_rejected(tmp_path, capsys, command):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error: config: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["noise.sigma_x", "noise.sigma_v"])
+def test_noise_sweep_rejects_a_fixed_noise(tmp_path, capsys, key):
+    # each level sets the noise, so a configured one would be ignored
+    out = tmp_path / "sweep"
+    code = run_cli(
+        ["noise-sweep", "--models", "reynolds", "--levels", "0", "--set", f"{key}=5"]
+        + ["--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config: noise-sweep sets each level's noise; {key} must be 0\n"
     assert not out.exists()
 
 

@@ -327,10 +327,14 @@ def test_stacked_views_mask_is_each_observers_neighbors(np_rng):
     for rows, views in ((range(7), StackedViews(pos, vel)),
                         (agents, StackedViews(pos[agents], vel[agents], agents))):
         mask = views.mask(8.4)
+        own_x, own_v = views.by_observer(views.own_x), views.by_observer(views.own_v)
         for k, i in enumerate(rows):
-            view = FlockConfiguration(views.positions[k], views.velocities[k])
+            # observer k's view, read back from the component-major copies
+            view = FlockConfiguration(views.x[:, :, k].T, views.v[:, :, k].T)
+            assert view == FlockConfiguration(pos[i], vel[i])
             assert np.flatnonzero(mask[k]).tolist() == sorted(neighbors(view, i, 8.4))
-            assert np.array_equal(views.own_pos[k], view.positions[i])
+            assert np.array_equal(own_x[k], view.positions[i])
+            assert np.array_equal(own_v[k], view.velocities[i])
     # the stack must match its observers, and every observer be an agent
     for bad in ([0, 1], [0, 1, 2, 3, 4]):
         with pytest.raises(ValueError, match=r"\(B, n, m\)"):

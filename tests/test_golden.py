@@ -1,11 +1,12 @@
 """Golden outputs: exact bytes that a refactor must leave unchanged.
 
-The digests below pin the result files of short seeded runs of every model,
-the summaries and charts of a short `compare` and `noise-sweep`, the
-configuration echo of a default `simulate`, the final state of a short
-`simulate`, and the head of the noise stream.  They hold on the x86-64 host they were generated on (Python 3.11,
-numpy 2.4); `RandomStream.normals` goes through numpy's `log`/`cos`/`sin`,
-whose vectorized rounding may differ on other CPUs, so a mismatch there is a
+The digests below pin the result files of short seeded runs of every model
+(two MPC models also at horizon 9), the summaries and charts of a short
+`compare` and `noise-sweep`, the configuration echo of a default `simulate`,
+the final state of a short `simulate`, and the head of the noise stream.
+They hold on the x86-64 host they were generated on (Python 3.11, numpy
+2.4); `RandomStream.normals` goes through numpy's `log`/`cos`/`sin`, whose
+vectorized rounding may differ on other CPUs, so a mismatch there is a
 platform difference before it is a regression.
 
 Regenerate (only for an intended change of output bytes, recorded in
@@ -24,6 +25,8 @@ import pytest
 
 from flockbench import (
     ExperimentConfig,
+    ModelSpec,
+    MpcParams,
     RandomStream,
     default_model_spec,
     run_noise_sweep,
@@ -55,6 +58,13 @@ GOLDEN_STEPS_N30 = {
     "df_centralized@0": "e9591377a293ef8432ef801a1ef990bf757ba314e48dd8627938ac2f1162d40d",
     "lattice_distributed@10": "01b2d3e276a5257fbfab6c80ad0b6da40b85166881d2cd5faf5ef9275327403a",
     "df_distributed@10": "a6bc7e91607ffb6d55dc8ae5e13e618fbfe90d6b8a18d7164a8d17f6b392058b",
+}
+
+# Runs at mpc.horizon = 9, where each row's (or edge's) stage costs are
+# more terms than numpy sums in order: the steps are folded in order.
+GOLDEN_STEPS_H9 = {
+    "df_distributed@3": "c22ee0cf00d9b339c15d6196a8f4ecc5b62923ce93abdfdf2cae111bac3dc8b3",
+    "df_centralized@0": "755c149e57c751fcdab23757a4400d053ae525fe0ddccbb13f804153fc181084",
 }
 
 GOLDEN_EFFECTIVE_CONFIG = (
@@ -118,6 +128,7 @@ GOLDEN_NORMALS = [
 PINNED = {
     "steps": GOLDEN_STEPS,
     "steps_n30": GOLDEN_STEPS_N30,
+    "steps_h9": GOLDEN_STEPS_H9,
     "summaries": GOLDEN_SUMMARIES,
     "effective_config": GOLDEN_EFFECTIVE_CONFIG,
     "final_state": GOLDEN_FINAL_STATE,
@@ -145,10 +156,13 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def steps_digest(tag, level, tmp_path, n=8, steps=10) -> str:
+def steps_digest(tag, level, tmp_path, n=8, steps=10, horizon=None) -> str:
     """sha256 of steps.csv for 2 runs of `tag` at n agents, `steps` steps,
-    noise `level`."""
-    cfg = ExperimentConfig(model=default_model_spec(tag), n=n, steps=steps, runs=2)
+    noise `level`, and the MPC `horizon` where given."""
+    model = default_model_spec(tag)
+    if horizon is not None:
+        model = ModelSpec(tag, MpcParams(horizon=horizon))
+    cfg = ExperimentConfig(model=model, n=n, steps=steps, runs=2)
     records = run_noise_sweep(cfg, [cfg.model], [level])
     path = tmp_path / f"steps_{tag}_{level}.csv"
     write_steps_csv(path, {tag: records[(tag, level)]})
@@ -196,6 +210,12 @@ def test_steps_csv_matches_golden_n30(key, tmp_path):
     tag, level = key.split("@")
     digest = steps_digest(tag, int(level), tmp_path, n=30, steps=15)
     assert digest == GOLDEN_STEPS_N30[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_STEPS_H9))
+def test_steps_csv_matches_golden_horizon_9(key, tmp_path):
+    tag, level = key.split("@")
+    assert steps_digest(tag, int(level), tmp_path, horizon=9) == GOLDEN_STEPS_H9[key]
 
 
 @pytest.mark.parametrize("command", sorted(SUMMARY_RUNS))
@@ -266,6 +286,10 @@ if __name__ == "__main__":
         for key in GOLDEN_STEPS_N30:
             tag, level = key.split("@")
             steps_n30[key] = steps_digest(tag, int(level), tmp_path, n=30, steps=15)
+        steps_h9 = {}
+        for key in GOLDEN_STEPS_H9:
+            tag, level = key.split("@")
+            steps_h9[key] = steps_digest(tag, int(level), tmp_path, horizon=9)
         with contextlib.redirect_stdout(io.StringIO()):
             config_digest = effective_config_digest(tmp_path)
             final_state_digest = _sha256(final_state_path(tmp_path))
@@ -275,6 +299,7 @@ if __name__ == "__main__":
         golden = {
             "steps": steps,
             "steps_n30": steps_n30,
+            "steps_h9": steps_h9,
             "summaries": summaries,
             "effective_config": config_digest,
             "final_state": final_state_digest,

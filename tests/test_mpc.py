@@ -33,7 +33,7 @@ from flockbench import (
     step_dynamics,
 )
 from flockbench import horizon, mpc
-from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm, sq_norm
+from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm, fold, sq_norm
 from flockbench.mpc import (
     ARMIJO_C,
     CENTRALIZED_MPC_TAGS,
@@ -644,6 +644,23 @@ def test_gradient_checks_the_plan_shape():
         mpc_objective_gradient("df_centralized", cfg, np.zeros((3, 2)), PARAMS, LIMITS)
 
 
+def test_objective_checks_the_plan_shape_against_the_tag():
+    # agent 0 with neighbors {1, 2}: a distributed plan is (T, m), a
+    # centralized one (T, n, m); neither is priced with the other's shape
+    cfg = config([[0, 0], [5, 0], [0.5, 0]])
+    own, every = np.full((3, 2), 0.5), np.full((3, 3, 2), 0.5)
+    trajectory = rollout_distributed(0, cfg, own, {1, 2}, LIMITS)
+    for tag in DISTRIBUTED_MPC_TAGS:
+        args = dict(agent=0, neighbor_set={1, 2})
+        assert np.isfinite(mpc_objective(tag, trajectory, own, PARAMS, **args))
+        with pytest.raises(ValueError, match=r"controls must have shape \(3, 2\)"):
+            mpc_objective(tag, trajectory, every, PARAMS, **args)
+    for tag in CENTRALIZED_MPC_TAGS:
+        assert np.isfinite(mpc_objective(tag, trajectory, every, PARAMS))
+        with pytest.raises(ValueError, match=r"controls must have shape \(3, 3, 2\)"):
+            mpc_objective(tag, trajectory, own, PARAMS)
+
+
 def test_objective_needs_one_more_configuration_than_plan_steps():
     cfg = config([[0, 0], [5, 0], [0.5, 0]])
     u = np.zeros((3, 3, 2))
@@ -814,6 +831,30 @@ def test_batch_objective_prices_step_one_at_build(tag, horizon, np_rng):
             assert np.array_equal(J, stage + params.lam * penalty)
             # the isolated row has no edges: its objective is its penalty alone
             assert np.array_equal(J[idx == 7], params.lam * penalty[idx == 7])
+
+
+@pytest.mark.parametrize("horizon", [8, 9])
+@pytest.mark.parametrize("tag", MPC_TAGS)
+def test_stage_sums_fold_the_steps_in_order(tag, horizon, np_rng):
+    # from eight steps on numpy's row sums go pairwise: each row's (or each
+    # edge's) steps 1..T must still be added in order, as core.fold does
+    params = MpcParams(horizon=horizon)
+    cost = mpc._pair_cost(tag, params)
+    for _ in range(4):
+        views = isolated_views(np_rng, n=12)
+        if tag in CENTRALIZED_MPC_TAGS:
+            problem = _build_centralized_problem(cost, *views, params, LIMITS)
+        else:
+            problem = _build_batch_problem(cost, *views, range(12), params, LIMITS)
+        U = np_rng.uniform(-0.5, 0.5, (12, horizon) + problem.x0.shape[1:])
+        _, xs, _ = problem.evaluate(U)
+        if tag in CENTRALIZED_MPC_TAGS:
+            stages = mpc._centralized_stage_values(cost, xs.reshape(-1, 12, 2), params.r)
+            expected = fold(stages.reshape(12, horizon).T)
+        else:
+            edges = mpc._edge_costs(cost, problem.edge_counts, edge_diffs(problem, xs))
+            expected = np.bincount(problem.src, weights=fold(edges.T), minlength=12)
+        assert np.array_equal(problem._stage_sum(xs), expected)
 
 
 @pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)

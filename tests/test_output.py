@@ -375,3 +375,25 @@ def test_chart_text_with_markup_characters_parses(tmp_path):
 def test_emit_plots_rejects_empty_summary(tmp_path):
     with pytest.raises(ValueError):
         emit_plots([], tmp_path)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "integer x"])
+def test_chart_rejects_an_axis_span_that_overflows(axis):
+    # both ends are finite, but hi - lo is inf: the ticks would be nan
+    ends = [(0, -1e308), (1, 1e308)]
+    if axis != "y":
+        ends = [(y, x) for x, y in ends]
+    if axis == "integer x":  # a summary's steps and levels are integers
+        ends = [(int(x), y) for x, y in ends]
+    with pytest.raises(ValueError, match="axis span -1e\\+308 to 1e\\+308 is not finite"):
+        render_line_chart([("a", ends)], title="t", x_label="x", y_label="y")
+
+
+def test_emit_plots_writes_nothing_when_a_chart_cannot_be_drawn(tmp_path):
+    rows = aggregate_steps(tiny_records(runs=1, steps=2))
+    rows[0]["mean_velocity_convergence"] = -1e308
+    rows[1]["mean_velocity_convergence"] = 1e308
+    out = tmp_path / "charts"
+    with pytest.raises(ValueError, match="^column 'mean_velocity_convergence': axis"):
+        emit_plots(rows, out, x_key="step")
+    assert not out.exists()
