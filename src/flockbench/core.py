@@ -234,13 +234,17 @@ def fold(terms):
 
 def sq_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Squared Euclidean norm over the last axis: the squares w = v * v in
-    one pass, then their `fold` over the components.  For the short axes
-    used here (m = 1-4 are tested) this equals ``(v * v).sum(axis=-1)`` bit
-    for bit, whatever the memory layout, at a fraction of the cost of a
-    reduction over a length-m axis.
+    one pass, then their left fold over the components, the order `fold`
+    adds in, written as a plain loop because the MPC horizon passes call
+    this on small arrays, where `fold`'s generator costs more than an add.
+    For the short axes used here (m = 1-4 are tested) this equals
+    ``(v * v).sum(axis=-1)`` bit for bit, whatever the memory layout, at a
+    fraction of the cost of a reduction over a length-m axis.
     """
     w = np.asarray(v) * v
-    out = fold(w[..., k] for k in range(w.shape[-1]))
+    out = w[..., 0]
+    for k in range(1, w.shape[-1]):
+        out = out + w[..., k]
     return out[..., None] if keepdims else out
 
 
@@ -250,7 +254,7 @@ def clamp_norm(vectors: np.ndarray, max_norm: float) -> np.ndarray:
     with a NaN norm (np.fmax ignores a NaN), is scaled by exactly 1."""
     v = np.asarray(vectors, dtype=np.float64)
     norms = np.sqrt(sq_norm(v, keepdims=True))
-    if not (norms > max_norm).any():
+    if not np.count_nonzero(norms > max_norm):
         return v.copy()
     return v * (max_norm / np.fmax(norms, max_norm))
 

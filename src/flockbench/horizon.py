@@ -10,6 +10,16 @@ pre-clamp velocities under a control plan; the adjoint pass
 clamp, whose Jacobian at each predicted step `_clamp_jacobians` computes
 once for both.
 
+Each of the three passes is a recurrence over the horizon that only the
+velocity clamp keeps from being a running sum.  Where no pre-clamp velocity
+of the batch exceeds v_max (the test `clamp_norm` makes; a NaN speed is not
+over), a pass runs as running sums over the horizon axis (`_accumulate`).
+`np.add.accumulate` adds in index order at any length, unlike numpy's
+reductions, so each sum is the one the per-step loop forms, from the same
+operands (IEEE addition commutes) and the same +0 start: the bits, signed
+zeros included, are the loop's, at a fixed number of numpy calls whatever
+T is.  Where some velocity clamps, the pass keeps its per-step loop.
+
 A centralized MPC cost counts its edge terms only inside the interaction
 radius r, so it jumps up wherever a predicted pair enters r.
 `_wall_search` treats r as a wall (gradient projection onto the active
@@ -39,6 +49,18 @@ WALL_GAP = 1e-3
 CROSS_FRACTION = 0.9
 
 
+def _accumulate(start, terms):
+    """Overwrite `terms`, (B, S, ...), with the states of the loop
+    ``s = start; s = s + terms[:, t]`` for t = 0..S-1, and return it: the
+    running sums, added in index order.  `start` broadcasts against
+    terms[:, 0]; a start of 0.0 gives the loop from zeros, which turns a
+    leading -0.0 into +0.0 as that loop does."""
+    if terms.shape[1]:
+        np.add(start, terms[:, 0], out=terms[:, 0])
+        np.add.accumulate(terms, axis=1, out=terms)
+    return terms
+
+
 def _rollout_arrays(x0, v0, U, limits):
     """Positions and pre-clamp velocities at steps 1..T under controls U,
     from the (B, ...) initial states x0, v0.
@@ -46,11 +68,19 @@ def _rollout_arrays(x0, v0, U, limits):
     The step-1 positions x0 + dt * v0 do not depend on U.  A problem's
     `evaluate` returns this rollout with the objective, and the gradient at
     an accepted point takes the rollout of the probe that accepted it.
+
+    Where no pre-clamp velocity is over v_max, every velocity is its
+    pre-clamp one, so the velocities are the running sums of v0 and
+    dt * U[:, t], and the positions those of x0, dt * v0 and dt * ws[:, t];
+    otherwise the rollout steps, clamping each step's velocities.
     """
     dt, v_max = limits.dt, limits.v_max
+    xs, ws = np.empty_like(U), _accumulate(v0, dt * U)
+    if not np.count_nonzero(np.sqrt(sq_norm(ws)) > v_max):
+        np.multiply(dt, v0, out=xs[:, 0])
+        np.multiply(dt, ws[:, :-1], out=xs[:, 1:])
+        return _accumulate(x0, xs), ws
     x, v = x0, v0
-    xs = np.empty_like(U)
-    ws = np.empty_like(U)
     for t in range(U.shape[1]):
         x = x + dt * v
         w = v + dt * U[:, t]
@@ -65,9 +95,12 @@ def _clamp_jacobians(W, v_max):
     velocities W[:, t], as `_clamp_apply` takes it: None where no velocity
     of the step is clamped, else the mask of the clamped velocities and
     their squared norms and v_max / norm (1 where unclamped), each
-    (B, ..., 1)."""
+    (B, ..., 1).  All None where no velocity is clamped at all, which the
+    passes test to take their running sums."""
     norms = np.sqrt(sq_norm(W, keepdims=True))
     over = norms > v_max
+    if not np.count_nonzero(over):
+        return [None] * W.shape[1]
     clamped = over.reshape(len(W), W.shape[1], -1).any(axis=(0, 2))
     safe = np.where(over, norms, 1.0)
     sq, scale = safe * safe, v_max / safe
@@ -97,10 +130,20 @@ def _backprop_controls(gx, W, U, limits, lam, jacobians=None):
     positions do not depend on U, so its stage gradient never reaches the
     controls and is not taken: with T = 1 the gradient is the control
     penalty's alone.
+
+    Where no step clamps, W is not read: the position adjoints are the
+    running sums of gx from the last step back, the velocity adjoints those
+    of dt times the position adjoints from a zero at step T.
     """
     dt = limits.dt
     if jacobians is None:
         jacobians = _clamp_jacobians(W, limits.v_max)
+    if not any(jacobians):
+        px = _accumulate(0.0, gx[:, ::-1].copy())
+        pv = np.zeros_like(U)
+        np.multiply(dt, px, out=pv[:, 1:])
+        np.add.accumulate(pv, axis=1, out=pv)
+        return dt * pv[:, ::-1] + 2.0 * lam * U
     gu = np.empty_like(U)
     px = np.zeros_like(U[:, 0])
     pv = np.zeros_like(px)
@@ -117,10 +160,15 @@ def _forward_controls(D, W, limits, jacobians=None):
     """Tangent pass, the mirror of `_backprop_controls`: the derivative of
     the positions at predicted steps 2..T along the control direction D,
     shape (B, T-1, ...).  W and `jacobians` are as `_backprop_controls`
-    takes them; the clamp's Jacobian is symmetric."""
+    takes them; the clamp's Jacobian is symmetric.  Where no step clamps,
+    the velocity tangents are the running sums of dt * D and the position
+    tangents those of dt times the velocity tangents, both from zeros."""
     dt = limits.dt
     if jacobians is None:
         jacobians = _clamp_jacobians(W, limits.v_max)
+    if not any(jacobians):
+        v = _accumulate(0.0, dt * D[:, :-1])
+        return _accumulate(0.0, dt * v)
     xd = np.empty_like(D[:, 1:])
     x = v = np.zeros_like(D[:, 0])
     for t in range(D.shape[1] - 1):
@@ -247,20 +295,22 @@ def _wall_search(gx, U, W, pairs, r, lam, limits):
     gd = np.zeros((stage.size, T - 1, n, m))
     k = np.arange(stage.size)
     gd[k, t, iu[pair]], gd[k, t, ju[pair]] = e, -e
-    stacked = np.concatenate([W, W[row]])
-    jacobians = _clamp_jacobians(stacked, limits.v_max)
+    # a wall row clamps where its own row does; where no row clamps, the
+    # stacked adjoint does not read the pre-clamp velocities
+    jacobians = _clamp_jacobians(W, limits.v_max)
+    stacked, stacked_jacobians = W, jacobians
+    if any(jacobians):
+        stacked = np.concatenate([W, W[row]])
+        stacked_jacobians = _clamp_jacobians(stacked, limits.v_max)
     G = _backprop_controls(
         np.concatenate([gx, gd]),
         stacked,
         np.concatenate([U, np.zeros(gd.shape[:1] + U.shape[1:])]),
         limits,
         lam,
-        jacobians,
+        stacked_jacobians,
     )
     G, walls = G[:R], G[R:].reshape(stage.size, U[0].size)
-    jacobians = [
-        None if jac is None else tuple(f[:R] for f in jac) for jac in jacobians
-    ]
     norms = np.sqrt((walls * walls).sum(axis=1))
     keep = norms > 0
     row, walls = row[keep], walls[keep] / norms[keep, None]

@@ -76,7 +76,7 @@ from .core import (
     fold,
     sq_norm,
 )
-from .horizon import _backprop_controls, _rollout_arrays, _wall_search
+from .horizon import _accumulate, _backprop_controls, _rollout_arrays, _wall_search
 
 __all__ = [
     "MpcParams",
@@ -615,12 +615,10 @@ def _build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=No
         mask[0, idx] = True
     src, nbr = np.nonzero(mask)
     x0, v0 = views.by_observer(views.own_x), views.by_observer(views.own_v)
-    # iterated constant-velocity extrapolation, matching the rollout
+    # constant-velocity extrapolation as the rollout's running sums
     nbr_pos = np.empty((src.size, params.horizon, len(views.x)))
-    p, v = views.x[:, nbr, src].T, views.v[:, nbr, src].T
-    for t in range(params.horizon):
-        p = p + limits.dt * v
-        nbr_pos[:, t] = p
+    nbr_pos[:] = (limits.dt * views.v[:, nbr, src].T)[:, None]
+    _accumulate(views.x[:, nbr, src].T, nbr_pos)
     edge_counts = np.bincount(src)[src][:, None].astype(np.float64)
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -1,7 +1,8 @@
 """Golden outputs: exact bytes that a refactor must leave unchanged.
 
 The digests below pin the result files of short seeded runs of every model
-(two MPC models also at horizon 9), the summaries and charts of a short
+(two MPC models also at horizon 9, and two at a speed limit their predicted
+rollouts reach), the summaries and charts of a short
 `compare` and `noise-sweep`, the configuration echo of a default `simulate`,
 the final state of a short `simulate`, and the head of the noise stream.
 They hold on the x86-64 host they were generated on (Python 3.11, numpy
@@ -26,6 +27,7 @@ import pytest
 from flockbench import (
     ExperimentConfig,
     ModelSpec,
+    MotionLimits,
     MpcParams,
     RandomStream,
     default_model_spec,
@@ -65,6 +67,15 @@ GOLDEN_STEPS_N30 = {
 GOLDEN_STEPS_H9 = {
     "df_distributed@3": "c22ee0cf00d9b339c15d6196a8f4ecc5b62923ce93abdfdf2cae111bac3dc8b3",
     "df_centralized@0": "755c149e57c751fcdab23757a4400d053ae525fe0ddccbb13f804153fc181084",
+}
+
+# Runs at limits.v_max = 2.0, below the initial speeds of up to 2.83: most
+# predicted rollouts clamp a velocity, so the horizon passes take their
+# per-step path, which the runs above never reach.
+VCLAMP_LIMITS = MotionLimits(v_max=2.0)
+GOLDEN_STEPS_VCLAMP = {
+    "lattice_centralized@0": "f462fc559374f7aeaa29f65f29098e516f88bd6815958330d3f383d7b2f60281",
+    "df_distributed@0": "54ad21c5c73afa43188110284cc9a64950ffbce9bb8a5755ecef630adecb0c1d",
 }
 
 GOLDEN_EFFECTIVE_CONFIG = (
@@ -129,6 +140,7 @@ PINNED = {
     "steps": GOLDEN_STEPS,
     "steps_n30": GOLDEN_STEPS_N30,
     "steps_h9": GOLDEN_STEPS_H9,
+    "steps_vclamp": GOLDEN_STEPS_VCLAMP,
     "summaries": GOLDEN_SUMMARIES,
     "effective_config": GOLDEN_EFFECTIVE_CONFIG,
     "final_state": GOLDEN_FINAL_STATE,
@@ -156,13 +168,15 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def steps_digest(tag, level, tmp_path, n=8, steps=10, horizon=None) -> str:
+def steps_digest(
+    tag, level, tmp_path, n=8, steps=10, horizon=None, limits=MotionLimits()
+) -> str:
     """sha256 of steps.csv for 2 runs of `tag` at n agents, `steps` steps,
-    noise `level`, and the MPC `horizon` where given."""
+    noise `level`, motion `limits`, and the MPC `horizon` where given."""
     model = default_model_spec(tag)
     if horizon is not None:
         model = ModelSpec(tag, MpcParams(horizon=horizon))
-    cfg = ExperimentConfig(model=model, n=n, steps=steps, runs=2)
+    cfg = ExperimentConfig(model=model, n=n, steps=steps, runs=2, limits=limits)
     records = run_noise_sweep(cfg, [cfg.model], [level])
     path = tmp_path / f"steps_{tag}_{level}.csv"
     write_steps_csv(path, {tag: records[(tag, level)]})
@@ -216,6 +230,13 @@ def test_steps_csv_matches_golden_n30(key, tmp_path):
 def test_steps_csv_matches_golden_horizon_9(key, tmp_path):
     tag, level = key.split("@")
     assert steps_digest(tag, int(level), tmp_path, horizon=9) == GOLDEN_STEPS_H9[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_STEPS_VCLAMP))
+def test_steps_csv_matches_golden_clamped_velocities(key, tmp_path):
+    tag, level = key.split("@")
+    digest = steps_digest(tag, int(level), tmp_path, limits=VCLAMP_LIMITS)
+    assert digest == GOLDEN_STEPS_VCLAMP[key]
 
 
 @pytest.mark.parametrize("command", sorted(SUMMARY_RUNS))
@@ -290,6 +311,12 @@ if __name__ == "__main__":
         for key in GOLDEN_STEPS_H9:
             tag, level = key.split("@")
             steps_h9[key] = steps_digest(tag, int(level), tmp_path, horizon=9)
+        steps_vclamp = {}
+        for key in GOLDEN_STEPS_VCLAMP:
+            tag, level = key.split("@")
+            steps_vclamp[key] = steps_digest(
+                tag, int(level), tmp_path, limits=VCLAMP_LIMITS
+            )
         with contextlib.redirect_stdout(io.StringIO()):
             config_digest = effective_config_digest(tmp_path)
             final_state_digest = _sha256(final_state_path(tmp_path))
@@ -300,6 +327,7 @@ if __name__ == "__main__":
             "steps": steps,
             "steps_n30": steps_n30,
             "steps_h9": steps_h9,
+            "steps_vclamp": steps_vclamp,
             "summaries": summaries,
             "effective_config": config_digest,
             "final_state": final_state_digest,

@@ -168,27 +168,61 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def rollout_loop(x0, v0, U, limits):
+    """The rollout stepped one predicted step at a time, clamping every
+    step's velocities: the reference for `_rollout_arrays`."""
+    x, v = x0, v0
+    xs, ws = np.empty_like(U), np.empty_like(U)
+    for t in range(U.shape[1]):
+        x = x + limits.dt * v
+        w = v + limits.dt * U[:, t]
+        v = clamp_norm(w, limits.v_max)
+        xs[:, t], ws[:, t] = x, w
+    return xs, ws
+
+
+class RolloutPaths:
+    """Counts the `_rollout_arrays` calls that step (and so call
+    `clamp_norm`) and those that take the running sums."""
+
+    def __init__(self):
+        self.stepped = self.summed = 0
+
+    def __call__(self, *args):
+        with mock.patch.object(horizon, "clamp_norm", wraps=clamp_norm) as clamp:
+            out = mpc._rollout_arrays(*args)
+        if clamp.called:
+            self.stepped += 1
+        else:
+            self.summed += 1
+        return out
+
+
 def test_rollout_oracles_match_rollout_arrays(np_rng):
-    # plans beyond the speed limit drive the velocity clamp; signed zeros in
-    # the states and plans must come out as the solver's rollout has them
-    clamped = 0
-    for _ in range(50):
-        n, T = int(np_rng.integers(1, 6)), int(np_rng.integers(1, 5))
+    # plans beyond the speed limit drive the velocity clamp, plans inside it
+    # take the running sums; signed zeros in the states and plans must come
+    # out as the solver's rollout has them
+    rollout = RolloutPaths()
+    for case in range(80):
+        n, T = int(np_rng.integers(1, 6)), 1 + case % 4
         pos = np_rng.uniform(-5.0, 5.0, (n, 2))
-        vel = np_rng.uniform(-7.9, 7.9, (n, 2))
-        U = np_rng.uniform(-4.0, 4.0, (T, n, 2)) / LIMITS.dt
+        if case % 8 < 4:
+            vel = np_rng.uniform(-7.9, 7.9, (n, 2))
+            U = np_rng.uniform(-4.0, 4.0, (T, n, 2)) / LIMITS.dt
+        else:
+            vel = np_rng.uniform(-4.0, 4.0, (n, 2))
+            U = np_rng.uniform(-0.2, 0.2, (T, n, 2)) / LIMITS.dt
         for array in (pos, vel, U):
             array[np_rng.random(array.shape) < 0.2] = -0.0
         view = config(pos, vel)
-        xs, ws = mpc._rollout_arrays(pos[None], vel[None], U[None], LIMITS)
+        xs, ws = rollout(pos[None], vel[None], U[None], LIMITS)
         vs = clamp_norm(ws, LIMITS.v_max)
-        clamped += np.count_nonzero(np.linalg.norm(ws, axis=-1) > LIMITS.v_max)
         for t, cfg in enumerate(rollout_centralized(view, U, LIMITS)[1:]):
             assert same_bits(cfg.positions, xs[0, t])
             assert same_bits(cfg.velocities, vs[0, t])
         # agent i follows the solver's rollout and everyone else coasts
         i = int(np_rng.integers(n))
-        xs, ws = mpc._rollout_arrays(pos[i][None], vel[i][None], U[None, :, i], LIMITS)
+        xs, ws = rollout(pos[i][None], vel[i][None], U[None, :, i], LIMITS)
         vs = clamp_norm(ws, LIMITS.v_max)
         coasting = pos.copy()
         traj = rollout_distributed(i, view, U[:, i], set(), LIMITS)
@@ -199,7 +233,122 @@ def test_rollout_oracles_match_rollout_arrays(np_rng):
             expected_pos[i], expected_vel[i] = xs[0, t], vs[0, t]
             assert same_bits(cfg.positions, expected_pos)
             assert same_bits(cfg.velocities, expected_vel)
-    assert clamped > 0
+    assert rollout.stepped > 0 and rollout.summed > 0
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 8])
+def test_rollout_clamping_one_row_at_its_last_step_matches_each_row_alone(T, np_rng):
+    # three rows; only row 1 clamps, and only at its last step, so the batch
+    # steps while rows 0 and 2 alone take the running sums
+    x0 = np_rng.uniform(-5.0, 5.0, (3, 2))
+    v0 = np_rng.uniform(-2.0, 2.0, (3, 2))
+    U = np_rng.uniform(-0.5, 0.5, (3, T, 2))
+    for array in (x0, v0, U):
+        array[np_rng.random(array.shape) < 0.2] = -0.0
+    v0[1], U[1] = (7.9, -0.0), -0.0
+    U[1, -1] = (1.0 / LIMITS.dt, -0.0)
+    rollout = RolloutPaths()
+    xs, ws = rollout(x0, v0, U, LIMITS)
+    assert (rollout.stepped, rollout.summed) == (1, 0)
+    over = np.sqrt(sq_norm(ws)) > LIMITS.v_max
+    assert over.sum() == 1 and over[1, -1]
+    ref_xs, ref_ws = rollout_loop(x0, v0, U, LIMITS)
+    assert same_bits(xs, ref_xs) and same_bits(ws, ref_ws)
+    for k in range(3):
+        row_xs, row_ws = rollout(x0[k : k + 1], v0[k : k + 1], U[k : k + 1], LIMITS)
+        assert same_bits(row_xs, xs[k : k + 1]) and same_bits(row_ws, ws[k : k + 1])
+    assert (rollout.stepped, rollout.summed) == (2, 2)
+    assert xs.flags.c_contiguous and ws.flags.c_contiguous
+
+
+def test_rollout_takes_a_nan_speed_as_unclamped_and_an_inf_speed_as_clamped():
+    # clamp_norm leaves a NaN-norm velocity as it is and clamps an inf one:
+    # the running sums run with a NaN row and not with an inf row
+    x0 = np.array([[0.0, 1.0], [-0.0, 2.0]])
+    U = np.full((2, 3, 2), 0.5)
+    for bad, path in ((np.nan, "summed"), (np.inf, "stepped")):
+        v0 = np.array([[1.0, -0.0], [bad, 0.0]])
+        rollout = RolloutPaths()
+        with np.errstate(invalid="ignore"):
+            xs, ws = rollout(x0, v0, U, LIMITS)
+            ref = rollout_loop(x0, v0, U, LIMITS)
+        assert getattr(rollout, path) == 1
+        assert same_bits(xs, ref[0]) and same_bits(ws, ref[1])
+
+
+def backprop_loop(gx, W, U, limits, lam):
+    """The adjoint pass stepped from the last predicted step back, each step
+    through the clamp's Jacobian: the reference for `_backprop_controls`."""
+    dt, jacobians = limits.dt, horizon._clamp_jacobians(W, limits.v_max)
+    gu = np.empty_like(U)
+    px = np.zeros_like(U[:, 0])
+    pv = np.zeros_like(px)
+    for t in range(U.shape[1] - 1, 0, -1):
+        px = px + gx[:, t - 1]
+        q = horizon._clamp_apply(jacobians[t], W[:, t], pv)
+        gu[:, t] = dt * q + 2.0 * lam * U[:, t]
+        pv = dt * px + q
+    q = horizon._clamp_apply(jacobians[0], W[:, 0], pv)
+    gu[:, 0] = dt * q + 2.0 * lam * U[:, 0]
+    return gu
+
+
+def forward_loop(D, W, limits):
+    """The tangent pass stepped forward through the clamp's Jacobian: the
+    reference for `_forward_controls`."""
+    dt, jacobians = limits.dt, horizon._clamp_jacobians(W, limits.v_max)
+    xd = np.empty_like(D[:, 1:])
+    x = v = np.zeros_like(D[:, 0])
+    for t in range(D.shape[1] - 1):
+        v = horizon._clamp_apply(jacobians[t], W[:, t], v + dt * D[:, t])
+        x = x + dt * v
+        xd[:, t] = x
+    return xd
+
+
+@pytest.mark.parametrize("clamped", [False, True])
+@pytest.mark.parametrize("rows", [(4, 5), (6,)], ids=["centralized", "distributed"])
+@pytest.mark.parametrize("T", [1, 2, 3, 8])
+def test_horizon_passes_match_their_step_loops(T, rows, clamped, np_rng):
+    # the centralized (R, T, n, m) and distributed (B, T, m) shapes, with
+    # and without clamped pre-clamp velocities, signed zeros everywhere
+    shape = (rows[0], T, *rows[1:], 2)
+    speed = 9.0 if clamped else 5.0
+    W = np_rng.uniform(-speed, speed, shape)
+    U = np_rng.uniform(-1.0, 1.0, shape)
+    D = np_rng.uniform(-1.0, 1.0, shape)
+    gx = np_rng.normal(size=(rows[0], T - 1, *rows[1:], 2))
+    for array in (W, U, D, gx):
+        array[np_rng.random(array.shape) < 0.25] = -0.0
+    # a row of zeros in every step, so that a sum starts at -0.0 + -0.0
+    U[0], D[0], gx[0] = -0.0, -0.0, -0.0
+    jacobians = horizon._clamp_jacobians(W, LIMITS.v_max)
+    assert any(jacobians) == clamped
+    for lam in (0.0, 0.7):
+        gu = horizon._backprop_controls(gx, W, U, LIMITS, lam)
+        assert same_bits(gu, backprop_loop(gx, W, U, LIMITS, lam))
+        assert gu.flags.c_contiguous
+        gu = horizon._backprop_controls(gx, W, U, LIMITS, lam, jacobians)
+        assert same_bits(gu, backprop_loop(gx, W, U, LIMITS, lam))
+    xd = horizon._forward_controls(D, W, LIMITS)
+    assert same_bits(xd, forward_loop(D, W, LIMITS))
+    assert xd.flags.c_contiguous
+    assert same_bits(horizon._forward_controls(D, W, LIMITS, jacobians), xd)
+
+
+@pytest.mark.parametrize(
+    "speed, clamps",
+    [(5.0, False), (LIMITS.v_max, False), (np.nan, False), (np.inf, True), (8.5, True)],
+)
+def test_clamp_jacobians_are_all_none_exactly_where_no_speed_is_over(speed, clamps):
+    # one velocity of step 1 has the given speed; the others are inside the
+    # limit.  A NaN speed is not over it, as in clamp_norm, an inf one is
+    W = np.full((3, 3, 2), 0.5)
+    W[1, 1] = (speed, 0.0)
+    jacobians = horizon._clamp_jacobians(W, LIMITS.v_max)
+    assert len(jacobians) == 3
+    assert [jac is not None for jac in jacobians] == [False, clamps, False]
+    assert (np.count_nonzero(np.sqrt(sq_norm(W)) > LIMITS.v_max) > 0) == clamps
 
 
 def test_frozen_neighbor_still_costed_outside_radius():
