@@ -50,6 +50,7 @@ from .metrics import (
     MetricsRecord,
     connected_components,
     evaluate_metrics,
+    evaluate_metrics_block,
     irregularity,
     max_component_diameter,
     velocity_convergence,

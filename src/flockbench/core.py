@@ -286,10 +286,15 @@ def step_dynamics(
 
 
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    """Dense (n, n) Euclidean distance matrix, sqrt(sq_norm(x_i - x_j)),
-    from component-major (m, n, n) differences folded as sq_norm folds."""
-    x = np.ascontiguousarray(np.transpose(positions))
-    return np.sqrt(fold(d * d for d in x[:, :, None] - x[:, None, :]))
+    """Dense (..., n, n) Euclidean distance matrices, sqrt(sq_norm(x_i -
+    x_j)), of (..., n, m) positions: the squared differences of each
+    component in turn, folded as sq_norm folds, so a stack's slices are
+    the matrices of its configurations, bit for bit, and no temporary is
+    larger than the result."""
+    x = np.ascontiguousarray(np.moveaxis(positions, -1, 0))
+    diffs = (c[..., :, None] - c[..., None, :] for c in x)
+    dist = fold(np.multiply(d, d, out=d) for d in diffs)
+    return np.sqrt(dist, out=dist)
 
 
 def neighbors(config: FlockConfiguration, i: int, r: float) -> set:

@@ -5,14 +5,15 @@ the two benchmark experiments (model comparison and noise sweep).
 Simulation loop, per step: sample sensing noise (one shared view for
 centralized MPC models, one view per agent for everything else), compute
 accelerations with the chosen model, advance the true noiseless state, and
-evaluate the four metrics on the true state.  Noise only ever corrupts what
-controllers see.  The per-agent views come from one array pass,
-``sense_local_all``, as (n, n, m) arrays that the rule controllers
-(``reynolds_accel_all``, ``olfati_saber_accel_all``) and the distributed MPC
-batch take whole, each copying them once into a component-major
-``core.StackedViews`` whose inner loops run over the n observers; the
-per-agent ``sense_local``, ``reynolds_accel`` and ``olfati_saber_accel`` are
-the oracles the tests hold them to.
+keep it for the four metrics, which are evaluated a block of kept states at
+a time.  Noise only ever corrupts what controllers see.  The per-agent
+views come from one array pass, ``sense_local_all``, as (n, n, m) arrays
+that the rule controllers (``reynolds_accel_all``,
+``olfati_saber_accel_all``) and the distributed MPC batch take whole, each
+copying them once into a component-major ``core.StackedViews`` whose inner
+loops run over the n observers; the per-agent ``sense_local``,
+``reynolds_accel`` and ``olfati_saber_accel`` are the oracles the tests
+hold them to.
 
 Reproducibility: run j of an experiment uses the seed
 ``mix_seed(base_seed, j)``; noise-sweep run j at level L uses
@@ -47,12 +48,13 @@ from .core import (
     sense_local_all,
     step_dynamics,
 )
-from .metrics import evaluate_metrics
+from .metrics import evaluate_metrics_block
 from .mpc import MpcParams, SolverError, solve_mpc, solve_mpc_distributed_all
 
 # Not called by the loop; kept bound because tracing tools wrap these names.
 from .controllers import olfati_saber_accel, reynolds_accel
 from .core import sense_local
+from .metrics import evaluate_metrics
 
 __all__ = [
     "MODELS",
@@ -231,6 +233,12 @@ def sample_initial_config(cfg: ExperimentConfig, rng: RandomStream) -> FlockConf
 # --------------------------------------------------------------------------
 
 
+# simulate measures max(1, METRIC_BLOCK_ENTRIES // n**2) steps at a time, so
+# a block's distance matrices hold at most this many entries (9 steps at
+# n = 30, one step at n >= 91)
+METRIC_BLOCK_ENTRIES = 2**13
+
+
 def simulate(
     cfg: ExperimentConfig,
     seed: int,
@@ -240,7 +248,9 @@ def simulate(
     """Run the closed loop for cfg.steps steps from a seeded initial state.
 
     `initial` replaces the box-sampled starting configuration (the noise
-    stream still comes from the seed); it must have cfg.n agents.
+    stream still comes from the seed); it must have cfg.n agents.  The
+    measures never feed back into the loop, so each step's true state is
+    kept and measured in blocks by `evaluate_metrics_block`.
     """
     rng = RandomStream(seed)
     if initial is None:
@@ -253,6 +263,8 @@ def simulate(
             )
         config = initial
     step_model = MODELS[cfg.model.tag].step
+    block = min(cfg.steps, max(1, METRIC_BLOCK_ENTRIES // cfg.n**2))
+    kept = np.empty((2, block, cfg.n, cfg.dimension))  # positions, velocities
     warm = None
     records = []
     started = time.perf_counter()
@@ -263,7 +275,10 @@ def simulate(
             err.diagnostics.update(run_id=run_id, step=step, model=cfg.model.tag)
             raise
         config = step_dynamics(config, accel, cfg.limits)
-        records.append(evaluate_metrics(config, cfg.r))
+        slot = step % block
+        kept[:, slot] = config.positions, config.velocities
+        if slot == block - 1 or step == cfg.steps - 1:
+            records += evaluate_metrics_block(*kept[:, : slot + 1], cfg.r)
     return RunRecord(
         run_id=run_id,
         metrics=records,

@@ -9,14 +9,14 @@ deviation from the component-mean velocity, averaged over components) and
 irregularity (mean per-component sample std dev of nearest-neighbor
 distances; 0 when no component has two members).
 
-`evaluate_metrics` computes one distance matrix per configuration and
-labels the components from its ``< r`` test by array min-label propagation.
-It then makes one pass over the components: each component with two or
-more members gathers its distance block from that matrix once, and its
-diameter and nearest-neighbor distances both come from that block.
+`evaluate_metrics_block` measures S stacked configurations at once, and
+`evaluate_metrics` is that pass on a stack of one.  It takes all S distance
+matrices in one pass, labels the components of all S nets from their
+``< r`` tests by one stacked min-label propagation, and measures all the
+components of one size together, each from its gathered distance block.
 `connected_components` uses the same labeller.  The public per-measure
-functions take a configuration and a component list and run the same
-per-component pass.
+functions, the tests' oracles, take a configuration and a component list
+and measure one component at a time.
 
 The closed loop evaluates these measures on the true state, never on a
 sensed view, so sensing noise reaches them only through the controls.  At
@@ -30,6 +30,8 @@ carries its chart title.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,41 +45,49 @@ __all__ = [
     "velocity_convergence",
     "irregularity",
     "evaluate_metrics",
+    "evaluate_metrics_block",
 ]
 
 
 @dataclass(frozen=True)
 class MetricsRecord:
+    """One configuration's four measures.  A negative or non-finite measure
+    is a ValueError, and a component count that is not an integer a
+    TypeError."""
+
     num_components: int = field(metadata={"title": "number of components"})
     max_diameter: float | None = field(metadata={"title": "max component diameter"})
     velocity_convergence: float = field(metadata={"title": "velocity convergence"})
     irregularity: float = field(metadata={"title": "irregularity"})
 
     def __post_init__(self):
-        if self.num_components < 1:
+        if operator.index(self.num_components) < 1:
             raise ValueError("num_components must be at least 1")
-        if self.max_diameter is not None and self.max_diameter < 0:
-            raise ValueError("max_diameter must be nonnegative or None")
-        if self.velocity_convergence < 0 or self.irregularity < 0:
-            raise ValueError("velocity_convergence and irregularity are nonnegative")
+        if self.max_diameter is not None and not 0 <= self.max_diameter < math.inf:
+            raise ValueError("max_diameter must be finite and nonnegative, or None")
+        vc, irr = self.velocity_convergence, self.irregularity
+        if not (0 <= vc < math.inf and 0 <= irr < math.inf):
+            raise ValueError("velocity_convergence and irregularity must be finite, >= 0")
 
 
 def _component_labels(adjacency: np.ndarray) -> np.ndarray:
-    """Label every agent with the smallest member of its connected component.
+    """Label every agent of S stacked nets with the smallest member of its
+    connected component, as a flat index ``step * n + agent``.
 
-    `adjacency` is a symmetric (n, n) boolean matrix whose diagonal is set.
-    Each round gives every agent the smallest label among its neighbors and
-    then the label of that label (pointer jumping); labels only shrink and
-    always name a member of the component, so at the fixed point each
-    component carries its smallest member, and the roots are the agents
-    with ``labels == arange(n)``.
+    `adjacency` is an (S, n, n) stack of symmetric boolean matrices whose
+    diagonals are set.  Each round gives every agent the smallest label
+    among its neighbors and then the label of that label (pointer
+    jumping); labels only shrink and always name a member of the
+    component, so each net reaches its one fixed point, where every
+    component carries its smallest member (its root), and stays there
+    while the other nets finish.
     """
-    n = adjacency.shape[0]
-    labels = np.arange(n)
+    size = adjacency.shape[0] * adjacency.shape[1]
+    labels = np.arange(size).reshape(adjacency.shape[:2])
     while True:
-        spread = np.where(adjacency, labels, n).min(axis=1)
-        spread = spread[spread]
-        if np.array_equal(spread, labels):
+        spread = np.where(adjacency, labels[:, None, :], size).min(axis=2)
+        spread = spread.ravel()[spread]
+        if (spread == labels).all():
             return labels
         labels = spread
 
@@ -90,7 +100,7 @@ def connected_components(net: ProximityNet) -> list:
     adjacency = np.eye(net.n, dtype=bool)
     for i, j in net.edges:
         adjacency[i, j] = adjacency[j, i] = True
-    labels = _component_labels(adjacency)
+    labels = _component_labels(adjacency[None])[0]
     roots = np.flatnonzero(labels == np.arange(net.n))
     return [set(np.flatnonzero(labels == root).tolist()) for root in roots]
 
@@ -98,10 +108,6 @@ def connected_components(net: ProximityNet) -> list:
 # The measures below take the components with two or more members, each as
 # ascending indices, in the order of their smallest members: a singleton
 # adds only to the component count.
-
-
-def _groups(components) -> list:
-    return [np.array(sorted(comp)) for comp in components if len(comp) >= 2]
 
 
 def _component_measures(dist: np.ndarray, vel: np.ndarray, idx: np.ndarray):
@@ -126,20 +132,22 @@ def _component_measures(dist: np.ndarray, vel: np.ndarray, idx: np.ndarray):
     return diameter, spread, float(np.sqrt((dev * dev).sum() / (k - 1)))
 
 
-def _measures(dist: np.ndarray, vel: np.ndarray, groups: list, num_components: int):
-    """Max diameter, velocity convergence and irregularity, from one pass
-    over the components with two or more members."""
-    if not groups:
+def _combine(values: list, num_components: int):
+    """Max diameter, velocity convergence and irregularity of one step, from
+    the (diameter, spread, std dev) of its components with two or more
+    members, in the order of their smallest members: Python's in-order
+    `max` and `sum`, where numpy would sum eight or more pairwise."""
+    if not values:
         return None, 0.0, 0.0
-    diameters, spreads, stds = zip(
-        *(_component_measures(dist, vel, idx) for idx in groups)
-    )
+    diameters, spreads, stds = zip(*values)
     return max(diameters), sum(spreads) / num_components, sum(stds) / len(stds)
 
 
 def _measures_of(config: FlockConfiguration, components: list):
     dist = pairwise_distances(config.positions)
-    return _measures(dist, config.velocities, _groups(components), len(components))
+    groups = (np.array(sorted(comp)) for comp in components if len(comp) >= 2)
+    values = [_component_measures(dist, config.velocities, idx) for idx in groups]
+    return _combine(values, len(components))
 
 
 def max_component_diameter(
@@ -168,13 +176,52 @@ def irregularity(config: FlockConfiguration, components: list) -> float:
 
 def evaluate_metrics(config: FlockConfiguration, r: float) -> MetricsRecord:
     """All four measures of one configuration at interaction radius r."""
+    return evaluate_metrics_block(config.positions[None], config.velocities[None], r)[0]
+
+
+def evaluate_metrics_block(
+    positions: np.ndarray, velocities: np.ndarray, r: float
+) -> list:
+    """`evaluate_metrics` of each slice of S stacked (S, n, m) configurations.
+
+    One `pairwise_distances` and one stacked labelling serve all S steps.
+    Then the (step, component) groups of each size k >= 2 are gathered as
+    (C, k, ...) arrays and measured at once, as `_component_measures`
+    measures one: each sum runs along a contiguous last axis, so it adds in
+    the lone group's order.  `_combine` then takes each step's groups.
+    """
     if not r > 0:
         raise ValueError("interaction radius must be positive")
-    dist = pairwise_distances(config.positions)
+    if positions.ndim != 3 or velocities.shape != positions.shape:
+        raise ValueError("positions and velocities must be two (S, n, m) stacks")
+    steps, n, m = positions.shape
+    dist = pairwise_distances(positions)
     labels = _component_labels(dist < r)
-    sizes = np.bincount(labels)  # nonzero at the roots, labels == arange(n)
-    num_components = int(np.count_nonzero(sizes))
-    groups = [np.flatnonzero(labels == root) for root in np.flatnonzero(sizes > 1)]
-    return MetricsRecord(
-        num_components, *_measures(dist, config.velocities, groups, num_components)
-    )
+    sizes = np.bincount(labels.ravel(), minlength=steps * n)
+    roots = np.flatnonzero(sizes)  # step * n + root: by step, then by root
+    counts = sizes[roots]
+    values = np.empty((len(roots), 3))  # a singleton's row stays unused
+    for k in (np.flatnonzero(np.bincount(counts)[2:]) + 2).tolist():
+        rows = np.flatnonzero(counts == k)
+        root = roots[rows]
+        # each group's members, ascending: its step's agents labelled root
+        members = np.nonzero(labels[root // n] == root[:, None])[1].reshape(-1, k)
+        agents = (root - root % n)[:, None] + members  # (C, k) flat indices
+        block = dist.reshape(-1, n)[agents[:, :, None], members[:, None, :]]
+        diameter = block.max(axis=(1, 2))
+        v = velocities.reshape(-1, m)[agents]
+        dev = v - v.sum(axis=1, keepdims=True) / k
+        spread = (dev * dev).reshape(len(rows), -1).sum(axis=1) / k
+        block.reshape(len(rows), -1)[:, :: k + 1] = np.inf  # the diagonals
+        nearest = block.min(axis=2)
+        dev = nearest - nearest.sum(axis=1, keepdims=True) / k
+        std = np.sqrt((dev * dev).sum(axis=1) / (k - 1))
+        values[rows] = np.stack([diameter, spread, std], axis=1)
+    grouped = counts > 1
+    values = values[grouped].tolist()
+    ends = np.cumsum(np.bincount(roots[grouped] // n, minlength=steps)).tolist()
+    num_components = np.bincount(roots // n, minlength=steps).tolist()
+    return [
+        MetricsRecord(count, *_combine(values[lo:hi], count))
+        for count, lo, hi in zip(num_components, [0, *ends], ends)
+    ]

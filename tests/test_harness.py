@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 from unittest import mock
@@ -27,6 +29,7 @@ from flockbench import (
 )
 from flockbench import harness
 from flockbench.harness import aggregate_finals, aggregate_steps, run_batch
+from conftest import child_env
 
 
 def small_cfg(tag="reynolds", **kwargs):
@@ -366,6 +369,7 @@ def test_aggregate_finals_reports_noise_parameters():
 )
 def test_simulate_calls_layers_through_harness_names(tag, names, monkeypatch):
     # wrapping a layer entry point in the harness module reaches the loop
+    names += ("step_dynamics", "evaluate_metrics_block")
     calls = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(harness, name)
@@ -377,6 +381,55 @@ def test_simulate_calls_layers_through_harness_names(tag, names, monkeypatch):
         monkeypatch.setattr(harness, name, counted)
     simulate(small_cfg(tag, steps=3), seed=1)
     assert all(count > 0 for count in calls.values()), calls
+
+
+@pytest.mark.parametrize("tag", ["olfati_saber", "lattice_distributed"])
+def test_metric_blocks_do_not_change_a_run(tag, monkeypatch):
+    # blocks of one step, of 7 (a partial last block) and longer than the run
+    cfg = small_cfg(tag, n=8, steps=20, noise=noise_for_level(3))
+    whole = simulate(cfg, seed=3)
+    for block in (1, 7, 100):
+        monkeypatch.setattr(harness, "METRIC_BLOCK_ENTRIES", block * cfg.n**2)
+        run = simulate(cfg, seed=3)
+        assert run.metrics == whole.metrics
+        assert np.array_equal(run.final.positions, whole.final.positions)
+        assert np.array_equal(run.final.velocities, whole.final.velocities)
+
+
+def test_metric_blocks_are_counted_in_steps(monkeypatch):
+    sizes = []
+    original = harness.evaluate_metrics_block
+
+    def counted(positions, velocities, r):
+        sizes.append(len(positions))
+        return original(positions, velocities, r)
+
+    monkeypatch.setattr(harness, "evaluate_metrics_block", counted)
+    monkeypatch.setattr(harness, "METRIC_BLOCK_ENTRIES", 7 * 8**2)
+    simulate(small_cfg(n=8, steps=20), seed=1)
+    assert sizes == [7, 7, 6]
+    sizes.clear()
+    simulate(small_cfg(n=30, steps=20), seed=1)  # blocks of one step at n = 30
+    assert sizes == [1] * 20
+
+
+def test_simulate_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, a megabyte of peak memory
+    code = (
+        "import sys\n"
+        "from flockbench import MODEL_TAGS, ExperimentConfig, default_model_spec\n"
+        "from flockbench import noise_for_level, simulate\n"
+        "for tag in MODEL_TAGS:\n"
+        "    cfg = ExperimentConfig(model=default_model_spec(tag), n=6, steps=3,\n"
+        "                           noise=noise_for_level(3))\n"
+        "    simulate(cfg, 1)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("level", [0, 3])

@@ -7,13 +7,14 @@ from flockbench import (
     FlockConfiguration,
     connected_components,
     evaluate_metrics,
+    evaluate_metrics_block,
     irregularity,
     max_component_diameter,
     proximity_net,
     velocity_convergence,
 )
 from flockbench.core import pairwise_distances
-from flockbench.metrics import MetricsRecord
+from flockbench.metrics import MetricsRecord, _component_measures
 from conftest import hexagonal_patch, random_config
 
 
@@ -360,6 +361,130 @@ def test_metrics_record_validation():
         MetricsRecord(1, -1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        (1, float("nan"), 0.0, 0.0),
+        (1, float("inf"), 0.0, 0.0),
+        (1, None, float("nan"), 0.0),
+        (1, None, float("inf"), 0.0),
+        (1, None, 0.0, float("nan")),
+        (1, None, 0.0, float("inf")),
+        (1, float("nan"), float("nan"), float("inf")),
+    ],
+)
+def test_metrics_record_rejects_a_non_finite_measure(values):
+    with pytest.raises(ValueError):
+        MetricsRecord(*values)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, "2"])
+def test_metrics_record_rejects_a_count_that_is_not_an_integer(count):
+    with pytest.raises(TypeError):
+        MetricsRecord(count, None, 0.0, 0.0)
+    assert MetricsRecord(np.int64(2), None, 0.0, 0.0).num_components == 2
+
+
 def test_coincident_agents_have_zero_diameter():
     rec = evaluate_metrics(config([[1.0, 2.0], [1.0, 2.0]]), 8.4)
     assert rec == MetricsRecord(1, 0.0, 0.0, 0.0)
+
+
+# --------------------------------------------------------------------------
+# the block pass
+# --------------------------------------------------------------------------
+
+
+def _clusters(rng, sizes, m, jitter=2.0):
+    """Far-apart clusters of the given sizes, each one component at r = 8.4
+    (jitter 0 makes every cluster coincident), agents shuffled so that the
+    members of a component are not adjacent indices."""
+    pos = rng.uniform(-jitter, jitter, (sum(sizes), m))
+    pos[:, 0] += np.repeat(np.arange(len(sizes)) * 100.0, sizes)
+    return pos[rng.permutation(len(pos))]
+
+
+def _cluster_sizes(rng, n):
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, 7)), n - sum(sizes)))
+    return sizes
+
+
+def _step_positions(rng, n, m, kind):
+    if kind == "uniform":
+        return rng.uniform(-15.0, 15.0, (n, m))
+    if kind == "isolated":
+        return _clusters(rng, [1] * n, m)
+    return _clusters(rng, _cluster_sizes(rng, n), m, jitter=0.0 if kind == "coincident" else 2.0)
+
+
+def _per_measure_record(cfg, r):
+    comps = components_of(cfg, r)
+    return MetricsRecord(
+        len(comps),
+        max_component_diameter(cfg, comps),
+        velocity_convergence(cfg, comps),
+        irregularity(cfg, comps),
+    )
+
+
+def _assert_block_matches_slices(positions, velocities, r=8.4):
+    records = evaluate_metrics_block(positions, velocities, r)
+    assert len(records) == len(positions)
+    for pos, vel, record in zip(positions, velocities, records):
+        cfg = FlockConfiguration(pos, vel)
+        assert record == evaluate_metrics(cfg, r)
+        assert record == _per_measure_record(cfg, r)
+    return records
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_block_pass_equals_evaluate_metrics_slice_by_slice(np_rng, m):
+    kinds = ["uniform", "clusters", "coincident", "isolated"]
+    seen = []
+    for n in (1, 2, 7, 30, 45):
+        for _ in range(4):
+            steps = int(np_rng.integers(1, 10))
+            positions = np.stack([
+                _step_positions(np_rng, n, m, kinds[int(np_rng.integers(4))])
+                for _ in range(steps)
+            ])
+            velocities = np_rng.normal(0.0, 2.0, positions.shape)
+            seen += _assert_block_matches_slices(positions, velocities)
+    assert any(record.max_diameter is None for record in seen)  # all isolated
+    assert any(record.max_diameter == 0.0 for record in seen)  # coincident
+    assert any(record.num_components >= 8 for record in seen)
+
+
+def test_block_pass_sums_a_steps_components_in_order(np_rng):
+    # a step of a dozen far-apart pairs and triples: numpy would sum its
+    # twelve spreads or std devs pairwise, which rounds otherwise here
+    for _ in range(20):
+        sizes = [int(k) for k in np_rng.integers(2, 4, 12)]
+        pos = _clusters(np_rng, sizes, 2)
+        vel = np_rng.normal(0.0, 2.0, pos.shape)
+        comps = components_of(FlockConfiguration(pos, vel))
+        assert len(comps) == 12
+        dist = pairwise_distances(pos)
+        values = [_component_measures(dist, vel, np.array(sorted(c))) for c in comps]
+        _, spreads, stds = (list(column) for column in zip(*values))
+        if sum(spreads) != np.sum(spreads) and sum(stds) != np.sum(stds):
+            break
+    else:
+        pytest.fail("no draw where a pairwise sum rounds otherwise")
+    uniform = np_rng.uniform(-15.0, 15.0, pos.shape)
+    positions, velocities = np.stack([uniform, pos]), np.stack([vel, vel])
+    record = _assert_block_matches_slices(positions, velocities)[1]
+    assert record.velocity_convergence == sum(spreads) / 12
+    assert record.irregularity == sum(stds) / 12
+
+
+def test_block_pass_rejects_bad_input():
+    stack = np.zeros((2, 3, 2))
+    with pytest.raises(ValueError):
+        evaluate_metrics_block(stack, stack, 0.0)
+    with pytest.raises(ValueError):
+        evaluate_metrics_block(stack, stack[:, :2], 8.4)
+    with pytest.raises(ValueError):
+        evaluate_metrics_block(stack[0], stack[0], 8.4)

@@ -35,6 +35,7 @@ from flockbench import (
     step_dynamics,
     velocity_convergence,
 )
+from flockbench import harness
 from flockbench.harness import _shift_plan
 from flockbench.mpc import CENTRALIZED_MPC_TAGS
 
@@ -112,5 +113,17 @@ def test_simulate_matches_reference_loop_in_one_and_three_dimensions(tag, n, lev
         model=default_model_spec(tag), n=n, steps=12, noise=noise_for_level(level),
         runs=1, init_position_box=((-15.0, 15.0),) * m,
         init_velocity_box=((0.0, 2.0),) * m,
+    )
+    assert_simulate_matches_reference_loop(cfg, 1)
+
+
+# n = 30 for 40 steps: simulate measures in blocks of 9 steps (9 + 9 + 9 + 9
+# + 4), so these runs cross block boundaries and end in a partial block
+@pytest.mark.parametrize("tag, level", [("olfati_saber", 3), ("lattice_centralized", 0)])
+def test_simulate_matches_reference_loop_across_metric_blocks(tag, level):
+    block = harness.METRIC_BLOCK_ENTRIES // 30**2
+    assert 1 < block < 40 and 40 % block
+    cfg = ExperimentConfig(
+        model=default_model_spec(tag), n=30, steps=40, noise=noise_for_level(level), runs=1
     )
     assert_simulate_matches_reference_loop(cfg, 1)
