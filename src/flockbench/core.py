@@ -291,7 +291,7 @@ def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     component in turn, folded as sq_norm folds, so a stack's slices are
     the matrices of its configurations, bit for bit, and no temporary is
     larger than the result."""
-    x = np.ascontiguousarray(np.moveaxis(positions, -1, 0))
+    x = np.ascontiguousarray(np.moveaxis(positions, -1, 0), dtype=np.float64)
     diffs = (c[..., :, None] - c[..., None, :] for c in x)
     dist = fold(np.multiply(d, d, out=d) for d in diffs)
     return np.sqrt(dist, out=dist)
@@ -332,14 +332,11 @@ def is_quasi_alpha_lattice(
         raise ValueError("lattice scale d must be positive")
     if not delta >= 0:
         raise ValueError("tolerance delta must be nonnegative")
-    net = proximity_net(config, r)
-    pos = config.positions
-    for i, j in net.edges:
-        diff = pos[i] - pos[j]
-        dist = float(np.sqrt((diff * diff).sum()))
-        if abs(dist - d) > delta:
-            return False
-    return True
+    if not r > 0:
+        raise ValueError("interaction radius must be positive")
+    dist = pairwise_distances(config.positions)
+    np.fill_diagonal(dist, np.inf)  # an agent is not its own neighbor
+    return bool((np.abs(dist[dist < r] - d) <= delta).all())
 
 
 # --------------------------------------------------------------------------

@@ -235,7 +235,7 @@ def sample_initial_config(cfg: ExperimentConfig, rng: RandomStream) -> FlockConf
 
 # simulate measures max(1, METRIC_BLOCK_ENTRIES // n**2) steps at a time, so
 # a block's distance matrices hold at most this many entries (9 steps at
-# n = 30, one step at n >= 91)
+# n = 30, two at n = 64, one step from n = 65 on)
 METRIC_BLOCK_ENTRIES = 2**13
 
 
@@ -287,11 +287,6 @@ def simulate(
     )
 
 
-def _simulate_task(args):
-    cfg, seed, run_id = args
-    return simulate(cfg, seed, run_id)
-
-
 def ProcessPoolExecutor(max_workers):
     """A `concurrent.futures.ProcessPoolExecutor` of max_workers processes,
     imported on first use: that import (multiprocessing, sockets, logging)
@@ -309,11 +304,12 @@ def run_batch(cfg: ExperimentConfig, seeds, workers: int = 1) -> list:
     for any worker count.  The pool starts no more processes than there
     are runs.
     """
-    tasks = [(cfg, seed, run_id) for run_id, seed in enumerate(seeds)]
-    if workers <= 1 or len(tasks) <= 1:
-        return [_simulate_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_simulate_task, tasks))
+    seeds = list(seeds)
+    args = ([cfg] * len(seeds), seeds, range(len(seeds)))
+    if workers <= 1 or len(seeds) <= 1:
+        return list(map(simulate, *args))
+    with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
+        return list(pool.map(simulate, *args))
 
 
 # --------------------------------------------------------------------------

@@ -52,8 +52,8 @@ __all__ = [
 @dataclass(frozen=True)
 class MetricsRecord:
     """One configuration's four measures.  A negative or non-finite measure
-    is a ValueError, and a component count that is not an integer a
-    TypeError."""
+    is a ValueError, and a bool in any field, or a component count that is
+    not an integer, a TypeError."""
 
     num_components: int = field(metadata={"title": "number of components"})
     max_diameter: float | None = field(metadata={"title": "max component diameter"})
@@ -61,11 +61,14 @@ class MetricsRecord:
     irregularity: float = field(metadata={"title": "irregularity"})
 
     def __post_init__(self):
-        if operator.index(self.num_components) < 1:
-            raise ValueError("num_components must be at least 1")
-        if self.max_diameter is not None and not 0 <= self.max_diameter < math.inf:
-            raise ValueError("max_diameter must be finite and nonnegative, or None")
+        count, diameter = self.num_components, self.max_diameter
         vc, irr = self.velocity_convergence, self.irregularity
+        if not {bool, np.bool_}.isdisjoint(map(type, (count, diameter, vc, irr))):
+            raise TypeError("a measure cannot be a bool")
+        if operator.index(count) < 1:
+            raise ValueError("num_components must be at least 1")
+        if diameter is not None and not 0 <= diameter < math.inf:
+            raise ValueError("max_diameter must be finite and nonnegative, or None")
         if not (0 <= vc < math.inf and 0 <= irr < math.inf):
             raise ValueError("velocity_convergence and irregularity must be finite, >= 0")
 
@@ -115,21 +118,15 @@ def _component_measures(dist: np.ndarray, vel: np.ndarray, idx: np.ndarray):
     std dev of the nearest-neighbor distances of one component.
 
     The component's distance block is gathered once and serves both the
-    diameter and the nearest neighbors.  The means and the std dev are
-    numpy's own operations in numpy's order (sum / k, then the square root
-    of the sum of squared deviations / (k - 1)), so they equal
-    ``mean(axis=0)`` and ``std(ddof=1)`` bit for bit.
+    diameter and the nearest neighbors.
     """
-    k = len(idx)
     block = dist[idx[:, None], idx]
     diameter = float(block.max())
     v = vel[idx]
-    dev = v - v.sum(axis=0) / k
-    spread = float((dev * dev).sum()) / k
+    dev = v - v.mean(axis=0)
+    spread = float((dev * dev).sum()) / len(idx)
     np.fill_diagonal(block, np.inf)
-    nearest = block.min(axis=1)
-    dev = nearest - nearest.sum() / k
-    return diameter, spread, float(np.sqrt((dev * dev).sum() / (k - 1)))
+    return diameter, spread, float(block.min(axis=1).std(ddof=1))
 
 
 def _combine(values: list, num_components: int):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,7 @@ def test_proximity_net_collinear_chain():
     assert net.edges == frozenset({(0, 1), (1, 2)})
     assert net.has_edge(1, 0) and net.has_edge(2, 1)
     assert not net.has_edge(0, 2)
+    assert not any(net.has_edge(i, i) for i in range(3))
 
 
 def test_proximity_net_singleton_and_coincident():
@@ -422,6 +425,19 @@ def test_configuration_is_immutable(np_rng):
         cfg.positions[0, 0] = 1.0
 
 
+def test_configuration_pickles_to_an_equal_read_only_copy(np_rng):
+    # worker processes receive their initial states and return their final
+    # ones this way
+    cfg = random_config(np_rng)
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg
+    for a, b in ((copy.positions, cfg.positions), (copy.velocities, cfg.velocities)):
+        assert a.dtype == b.dtype and not a.flags.writeable
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(AttributeError):
+        copy.positions = cfg.positions
+
+
 
 def left_fold_of_products(v):
     """The squared norm as the left fold of the products v[..., k]**2."""
@@ -475,6 +491,12 @@ def test_pairwise_distances_matches_per_pair_norm(m, np_rng):
         cfg = FlockConfiguration(x, x)
         for i, r in ((0, 1e-3), (3, 1.0), (5, 1e4)):
             assert neighbors(cfg, i, r) == set(np.flatnonzero(pairwise_distances(x)[i] < r)) - {i}
+
+
+def test_pairwise_distances_of_integer_positions(np_rng):
+    ints = np_rng.integers(-20, 20, size=(3, 6, 2))
+    assert pairwise_distances(ints).tobytes() == pairwise_distances(ints.astype(float)).tobytes()
+    assert np.array_equal(pairwise_distances(np.array([[0, 0], [3, 4]])), [[0.0, 5.0], [5.0, 0.0]])
 
 
 @pytest.mark.parametrize("n, observers", [(1, [0]), (40, [3, 3]), (30, range(30))])

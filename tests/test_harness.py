@@ -233,8 +233,8 @@ def test_run_batch_starts_no_more_workers_than_runs(monkeypatch, workers, runs, 
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
     cfg = small_cfg("reynolds", steps=2)
@@ -321,6 +321,16 @@ def test_noise_sweep_checks_every_level_before_the_first_run(levels, error):
     spy.assert_not_called()
 
 
+def test_noise_sweep_rejects_more_runs_than_the_level_stride():
+    # run j of level L seeds index L * stride + j, so more runs would reuse
+    # the next level's seeds
+    cfg = small_cfg("reynolds", runs=harness.LEVEL_SEED_STRIDE + 1)
+    with mock.patch.object(harness, "simulate") as spy:
+        with pytest.raises(ValueError, match="runs per noise level"):
+            run_noise_sweep(cfg, [cfg.model], [0])
+    spy.assert_not_called()
+
+
 def test_sweep_level_zero_matches_noiseless_comparison():
     cfg = small_cfg("reynolds", steps=4, runs=2)
     swept = run_noise_sweep(cfg, [cfg.model], levels=[0])[("reynolds", 0)]
@@ -399,6 +409,7 @@ def test_metric_blocks_do_not_change_a_run(tag, monkeypatch):
 def test_metric_blocks_are_counted_in_steps(monkeypatch):
     sizes = []
     original = harness.evaluate_metrics_block
+    entries = harness.METRIC_BLOCK_ENTRIES
 
     def counted(positions, velocities, r):
         sizes.append(len(positions))
@@ -411,6 +422,12 @@ def test_metric_blocks_are_counted_in_steps(monkeypatch):
     sizes.clear()
     simulate(small_cfg(n=30, steps=20), seed=1)  # blocks of one step at n = 30
     assert sizes == [1] * 20
+    # the shipped constant: blocks of two steps at n = 64, of one from n = 65
+    monkeypatch.setattr(harness, "METRIC_BLOCK_ENTRIES", entries)
+    for n, expected in ((64, [2, 2, 1]), (65, [1, 1, 1, 1, 1])):
+        sizes.clear()
+        simulate(small_cfg(n=n, steps=5), seed=1)
+        assert sizes == expected
 
 
 def test_simulate_leaves_numpy_ma_unimported():

@@ -385,6 +385,16 @@ def test_metrics_record_rejects_a_count_that_is_not_an_integer(count):
     assert MetricsRecord(np.int64(2), None, 0.0, 0.0).num_components == 2
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize("field", range(4))
+def test_metrics_record_rejects_a_bool_in_any_field(field, flag):
+    # write_steps_csv would fail on it midway through a file, or write "True"
+    values = [1, 0.0, 0.0, 0.0]
+    values[field] = flag
+    with pytest.raises(TypeError):
+        MetricsRecord(*values)
+
+
 def test_coincident_agents_have_zero_diameter():
     rec = evaluate_metrics(config([[1.0, 2.0], [1.0, 2.0]]), 8.4)
     assert rec == MetricsRecord(1, 0.0, 0.0, 0.0)
@@ -478,6 +488,14 @@ def test_block_pass_sums_a_steps_components_in_order(np_rng):
     record = _assert_block_matches_slices(positions, velocities)[1]
     assert record.velocity_convergence == sum(spreads) / 12
     assert record.irregularity == sum(stds) / 12
+
+
+def test_block_pass_takes_integer_stacks(np_rng):
+    positions = np_rng.integers(-6, 6, size=(4, 9, 2))
+    velocities = np_rng.integers(-3, 3, size=(4, 9, 2))
+    records = evaluate_metrics_block(positions, velocities, 3.0)
+    assert records == evaluate_metrics_block(positions.astype(float), velocities.astype(float), 3.0)
+    assert records == _assert_block_matches_slices(positions, velocities, 3.0)
 
 
 def test_block_pass_rejects_bad_input():

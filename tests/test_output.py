@@ -177,6 +177,16 @@ def test_chart_gaps_break_polyline():
     assert len(series_lines) == 2
 
 
+def test_chart_of_series_without_y_values_draws_no_line():
+    # no y value at all: the y axis spans 0 padded by 1, as a zero series
+    svg = render_line_chart([("m", [(0, None), (1, None)])], "t", "x", "y")
+    root = ET.fromstring(svg)
+    ns = "{http://www.w3.org/2000/svg}"
+    assert not [el for el in root.iter(f"{ns}polyline") if el.get("fill") == "none"]
+    ticks = [el.text for el in root.iter(f"{ns}text") if el.get("text-anchor") == "end"]
+    assert ticks == ["-1", "-0.5", "0", "0.5", "1"]
+
+
 _maybe_y = st.one_of(st.none(), st.floats(-100, 100, allow_nan=False))
 
 
