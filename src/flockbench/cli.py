@@ -111,6 +111,10 @@ def resolve_settings(args) -> dict:
         if key not in DEFAULTS:
             raise CliError(f"unknown config key {key!r}")
         settings[key] = value.strip()
+    if _get_int(settings, "workers") < 0:
+        raise CliError(
+            f"workers must be 0 (one per CPU) or more, got {settings['workers']}"
+        )
     return settings
 
 
@@ -211,10 +215,7 @@ def _parse_levels(text: str) -> list:
 
 
 def _workers(settings) -> int:
-    workers = _get_int(settings, "workers")
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return workers
+    return _get_int(settings, "workers") or os.cpu_count() or 1
 
 
 def _prepare_out(out_dir: str, settings) -> None:
@@ -324,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a single config key (repeatable)",
         )
-        p.add_argument("--workers", type=int, help="parallel run workers (0 = auto)")
+        p.add_argument(
+            "--workers", type=int, help="parallel run workers (0 = one per CPU)"
+        )
         if with_models:
             p.add_argument(
                 "--models",

@@ -87,10 +87,11 @@ __all__ = [
 
 def _shift_plan(controls, axis_t):
     """Receding-horizon warm start: drop the applied step, zero-pad the end."""
-    shifted = np.roll(controls, -1, axis=axis_t)
-    index = [slice(None)] * controls.ndim
-    index[axis_t] = -1
-    shifted[tuple(index)] = 0.0
+    shifted = np.zeros_like(controls)
+    head = [slice(None)] * controls.ndim
+    tail = list(head)
+    head[axis_t], tail[axis_t] = slice(None, -1), slice(1, None)
+    shifted[tuple(head)] = controls[tuple(tail)]
     return shifted
 
 

@@ -4,11 +4,12 @@ cost.
 
 Arrays are (B, T, ...): one row per independent problem, then the
 predicted steps 1..T.  `_rollout_arrays` predicts the positions and
-pre-clamp velocities under a control plan; the adjoint pass
-`_backprop_controls` (gradients) and the tangent pass `_forward_controls`
-(directional derivatives) differentiate that rollout through the velocity
-clamp, whose Jacobian at each predicted step `_clamp_jacobians` computes
-once for both.
+pre-clamp velocities under a control plan, and flags the rows whose
+velocity clamps; the adjoint pass `_backprop_controls` (gradients) and the
+tangent pass `_forward_controls` (directional derivatives) differentiate
+that rollout through the velocity clamp, whose Jacobian at each predicted
+step `_clamp_jacobians` computes once for both, and only where a row's
+flag is set (`_row_jacobians`).
 
 Each of the three passes is a recurrence over the horizon that only the
 velocity clamp keeps from being a running sum.  Where no pre-clamp velocity
@@ -63,23 +64,28 @@ def _accumulate(start, terms):
 
 def _rollout_arrays(x0, v0, U, limits):
     """Positions and pre-clamp velocities at steps 1..T under controls U,
-    from the (B, ...) initial states x0, v0.
+    from the (B, ...) initial states x0, v0, and whether each row's
+    velocity clamps at some step, a (B,) flag.
 
     The step-1 positions x0 + dt * v0 do not depend on U.  A problem's
-    `evaluate` returns this rollout with the objective, and the gradient at
-    an accepted point takes the rollout of the probe that accepted it.
+    `evaluate` returns this rollout in its record, and the search direction
+    at an accepted point reads the record of the probe that accepted it.
 
     Where no pre-clamp velocity is over v_max, every velocity is its
     pre-clamp one, so the velocities are the running sums of v0 and
     dt * U[:, t], and the positions those of x0, dt * v0 and dt * ws[:, t];
-    otherwise the rollout steps, clamping each step's velocities.
+    otherwise the rollout steps, clamping each step's velocities.  A row's
+    running sums match its steps up to its first clamp, so the running sums'
+    speed test flags the rows whose steps clamp.
     """
     dt, v_max = limits.dt, limits.v_max
     xs, ws = np.empty_like(U), _accumulate(v0, dt * U)
-    if not np.count_nonzero(np.sqrt(sq_norm(ws)) > v_max):
+    over = np.sqrt(sq_norm(ws)) > v_max
+    if not np.count_nonzero(over):
         np.multiply(dt, v0, out=xs[:, 0])
         np.multiply(dt, ws[:, :-1], out=xs[:, 1:])
-        return _accumulate(x0, xs), ws
+        return _accumulate(x0, xs), ws, np.zeros(len(U), dtype=bool)
+    clamps = over.reshape(len(U), -1).any(axis=1)
     x, v = x0, v0
     for t in range(U.shape[1]):
         x = x + dt * v
@@ -87,7 +93,7 @@ def _rollout_arrays(x0, v0, U, limits):
         v = clamp_norm(w, v_max)
         xs[:, t] = x
         ws[:, t] = w
-    return xs, ws
+    return xs, ws, clamps
 
 
 def _clamp_jacobians(W, v_max):
@@ -108,6 +114,15 @@ def _clamp_jacobians(W, v_max):
         (over[:, t], sq[:, t], scale[:, t]) if clamped[t] else None
         for t in range(W.shape[1])
     ]
+
+
+def _row_jacobians(W, clamps, v_max):
+    """`_clamp_jacobians` of the pre-clamp velocities W whose rows'
+    `_rollout_arrays` clamp flags are `clamps`: all None, without a speed
+    test, where no row clamps."""
+    if clamps.any():
+        return _clamp_jacobians(W, v_max)
+    return [None] * W.shape[1]
 
 
 def _clamp_apply(jacobian, w, p):
@@ -257,11 +272,12 @@ def _wall_projection(g, P, u, pairs, saturated):
     return P.reshape(g.shape) - (lam @ A).reshape(g.shape)
 
 
-def _wall_search(gx, U, W, pairs, r, lam, limits):
+def _wall_search(gx, U, W, jacobians, pairs, r, lam, limits):
     """(G, P, cap) of centralized rows with the plans U, (R, T, n, m), from
     their stage gradients gx at steps 2..T, the rollout's pre-clamp
-    velocities W, and `mpc._pairs` of their R * (T-1) configurations at
-    steps 2..T (agents iu, ju, differences and distances of the pairs i < j).
+    velocities W and their `_clamp_jacobians`, and `mpc._pairs` of their
+    R * (T-1) configurations at steps 2..T (agents iu, ju, differences and
+    distances of the pairs i < j).
 
     G is the gradient.  A row moves along -P: -G where that pulls no wall
     pair (one beyond r by at most WALL_GAP = 1e-3) inside r and pushes no
@@ -285,35 +301,39 @@ def _wall_search(gx, U, W, pairs, r, lam, limits):
     near_stage, near_pair = np.nonzero((dist >= r) & (dist <= r + reach))
     near_dist = dist[near_stage, near_pair]
     wall = near_dist - r <= WALL_GAP
-    # each wall pair's distance gradient rides through the gradient's adjoint
-    # pass as one more row, with zero controls for a zero control penalty:
-    # one pass instead of two.  A separate wall pass gave the same bits but
-    # took more CPU time on centralized runs (2-core shared Xeon VM).
     stage, pair = near_stage[wall], near_pair[wall]
-    row, t = np.divmod(stage, T - 1)
-    e = diff[stage, pair] / near_dist[wall][:, None]
-    gd = np.zeros((stage.size, T - 1, n, m))
-    k = np.arange(stage.size)
-    gd[k, t, iu[pair]], gd[k, t, ju[pair]] = e, -e
-    # a wall row clamps where its own row does; where no row clamps, the
-    # stacked adjoint does not read the pre-clamp velocities
-    jacobians = _clamp_jacobians(W, limits.v_max)
-    stacked, stacked_jacobians = W, jacobians
-    if any(jacobians):
-        stacked = np.concatenate([W, W[row]])
-        stacked_jacobians = _clamp_jacobians(stacked, limits.v_max)
-    G = _backprop_controls(
-        np.concatenate([gx, gd]),
-        stacked,
-        np.concatenate([U, np.zeros(gd.shape[:1] + U.shape[1:])]),
-        limits,
-        lam,
-        stacked_jacobians,
-    )
-    G, walls = G[:R], G[R:].reshape(stage.size, U[0].size)
-    norms = np.sqrt((walls * walls).sum(axis=1))
-    keep = norms > 0
-    row, walls = row[keep], walls[keep] / norms[keep, None]
+    if not stage.size:
+        # no wall pair: the gradient's own adjoint pass
+        G, row = _backprop_controls(gx, W, U, limits, lam, jacobians), stage
+    else:
+        # each wall pair's distance gradient rides through the gradient's
+        # adjoint pass as one more row, with zero controls for a zero control
+        # penalty: one pass instead of two.  A separate wall pass gave the
+        # same bits but took more CPU time on centralized runs (2-core shared
+        # Xeon VM).
+        row, t = np.divmod(stage, T - 1)
+        e = diff[stage, pair] / near_dist[wall][:, None]
+        gd = np.zeros((stage.size, T - 1, n, m))
+        k = np.arange(stage.size)
+        gd[k, t, iu[pair]], gd[k, t, ju[pair]] = e, -e
+        # a wall row clamps where its own row does; where no row clamps, the
+        # stacked adjoint does not read the pre-clamp velocities
+        stacked, stacked_jacobians = W, jacobians
+        if any(jacobians):
+            stacked = np.concatenate([W, W[row]])
+            stacked_jacobians = _clamp_jacobians(stacked, limits.v_max)
+        G = _backprop_controls(
+            np.concatenate([gx, gd]),
+            stacked,
+            np.concatenate([U, np.zeros(gd.shape[:1] + U.shape[1:])]),
+            limits,
+            lam,
+            stacked_jacobians,
+        )
+        G, walls = G[:R], G[R:].reshape(stage.size, U[0].size)
+        norms = np.sqrt((walls * walls).sum(axis=1))
+        keep = norms > 0
+        row, walls = row[keep], walls[keep] / norms[keep, None]
     # clamp_norm leaves a projected control within rounding of a_max
     sq = sq_norm(U)
     saturated = sq >= (limits.a_max * (1.0 - 1e-9)) ** 2

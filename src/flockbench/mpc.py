@@ -50,6 +50,9 @@ The predicted step-1 positions x0 + dt * v0 do not depend on the controls,
 so both problem types price step 1 once, when they are built: a centralized
 problem each row's stage, a distributed batch each edge's cost.  An
 objective call prices steps 2..T alone, and no gradient takes a step-1
+stage gradient.  An objective call returns a record with its values: the
+rollout, which rows' velocities clamp, and what the search direction would
+otherwise compute again, a centralized row's pairs and a distributed row's
 stage gradient.  One function, `_pairs`, lays out every centralized pair
 array, the pairs i < j row-major, for the stage values, the stage gradient
 and the walls alike.  Results are feasible local minimizers; global
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -76,7 +79,13 @@ from .core import (
     fold,
     sq_norm,
 )
-from .horizon import _accumulate, _backprop_controls, _rollout_arrays, _wall_search
+from .horizon import (
+    _accumulate,
+    _backprop_controls,
+    _rollout_arrays,
+    _row_jacobians,
+    _wall_search,
+)
 
 __all__ = [
     "MpcParams",
@@ -259,12 +268,20 @@ def rollout_distributed(
 @functools.lru_cache(maxsize=16)
 def _pair_layout(n: int):
     """Read-only agent indices iu, ju of the pairs i < j of n agents, in
-    row-major order; cached, as `np.triu_indices(30, 1)` takes 26 us, three
-    times the gather it feeds in `_pairs` (2-core VM, numpy 2.4.6)."""
+    row-major order, and the flat indices iu * n + ju and ju * n + iu of
+    their places (i, j) and (j, i) in an n x n matrix; cached, as
+    `np.triu_indices(30, 1)` takes 26 us, three times the gather it feeds in
+    `_pairs` (2-core VM, numpy 2.4.6)."""
     iu, ju = np.triu_indices(n, k=1)
-    for index in (iu, ju):
+    layout = iu, ju, iu * n + ju, ju * n + iu
+    for index in layout:
         index.flags.writeable = False
-    return iu, ju
+    return layout
+
+
+def _stack(a):
+    """a with its first two axes merged: (R, S, ...) -> (R * S, ...)."""
+    return a.reshape(a.shape[0] * a.shape[1], *a.shape[2:])
 
 
 def _pairs(x):
@@ -273,7 +290,7 @@ def _pairs(x):
     differences x_i - x_j, (S, P, m), and their distances, (S, P), with
     `sq_norm`'s bits.  The stage values, the stage gradient and the walls
     all read these arrays; none of them lists a pair twice."""
-    iu, ju = _pair_layout(x.shape[1])
+    iu, ju = _pair_layout(x.shape[1])[:2]
     # np.take, unlike x[:, iu], returns C-contiguous arrays, so each row of
     # the distances sums pairwise as a lone 1-D array does
     diff = np.take(x, iu, axis=1) - np.take(x, ju, axis=1)
@@ -325,18 +342,19 @@ def _pair_cost(tag, params):
     raise ValueError(f"unknown MPC model tag {tag!r}; expected one of {MPC_TAGS}")
 
 
-def _centralized_stage_values(cost, x, r):
+def _centralized_stage_values(cost, x, r, pairs=None):
     """Centralized stage cost of every configuration in the stack x of
     shape (S, n, m), as an (S,) array: `cost`'s weighted sum over the
     ordered neighbor pairs, each pair i < j of `_pairs` inside r priced once
     and doubled, plus the mean squared distance over all pairs with
-    cohesion (then 0 for fewer than two agents).  Each stage's edge terms
-    and its cohesion are summed as one contiguous row, so a stage's value
-    has the same bits in any stack."""
+    cohesion (then 0 for fewer than two agents).  `pairs` is `_pairs(x)`,
+    computed here when not given.  Each stage's edge terms and its cohesion
+    are summed as one contiguous row, so a stage's value has the same bits
+    in any stack."""
     S, n = x.shape[:2]
     if cost.cohesion and n < 2:
         return np.zeros(S)
-    dist = _pairs(x)[3]
+    dist = (_pairs(x) if pairs is None else pairs)[3]
     terms = np.where(dist < r, cost.term(dist), 0.0)
     # weight last: 2 * weight can overflow where the weighted sum does not
     edge_sums = cost.weight * (2.0 * terms.sum(axis=1))
@@ -351,16 +369,18 @@ def _centralized_stage_gradient(cost, x, r, pairs=None):
     configuration's edge set as constant.  `pairs` is `_pairs(x)`, computed
     here when not given.  A pair i < j inside r is two ordered edges, so its
     coefficient is twice the slope; it is computed once and written at
-    (i, j) and (j, i) of one (S, n, n) matrix.  Each stage's coefficient row
-    sums and matrix product are the ones it would get alone, so a stage's
-    gradient has the same bits in any stack."""
+    (i, j) and (j, i) of one (S, n, n) matrix, through `_pair_layout`'s flat
+    indices.  Each stage's coefficient row sums and matrix product are the
+    ones it would get alone, so a stage's gradient has the same bits in any
+    stack."""
     S, n = x.shape[:2]
     if cost.cohesion and n < 2:
         return np.zeros_like(x)
-    iu, ju, _, dist = _pairs(x) if pairs is None else pairs
+    dist = (_pairs(x) if pairs is None else pairs)[3]
     coef = np.zeros((S, n, n))
     pair_coef = np.where(dist < r, 2.0 * cost.slope(dist), 0.0)
-    coef[:, iu, ju] = coef[:, ju, iu] = pair_coef
+    flat, (_, _, ij, ji) = coef.reshape(S, n * n), _pair_layout(n)
+    flat[:, ij] = flat[:, ji] = pair_coef
     edges = coef.sum(axis=-1)[..., None] * x - coef @ x
     if not cost.cohesion:
         return edges
@@ -452,11 +472,16 @@ def mpc_objective(
 
 
 # --------------------------------------------------------------------------
-# Problems of R independent rows: evaluate(U) -> (objective (R,), xs, ws),
-# gradient(U, xs, ws) -> U.shape given the rollout evaluate returned for U,
-# search_direction(U, xs, ws) -> (gradient, projected gradient, step cap (R,))
-# from that rollout, and rows(keep) -> the sub-problem of the rows where the
-# boolean mask keep (R,) is set, in their order
+# Problems of R independent rows.  evaluate(U) -> (objective (R,), record):
+# the record is a tuple of row-indexed arrays, the rollout `_rollout_arrays`
+# returns (positions xs, pre-clamp velocities ws, clamp flags) and the stage
+# pieces the objective computed on the way that the search direction reads
+# (a centralized problem's pairs, a distributed problem's stage gradient).
+# gradient(U, record) -> U.shape and search_direction(U, record) ->
+# (gradient, projected gradient, step cap (R,) or None for no cap) read the
+# record evaluate returned for U; rows(keep) -> the sub-problem of the rows
+# where the boolean mask keep (R,) is set, in their order.  The record's
+# rows narrow with the same masks.
 # --------------------------------------------------------------------------
 
 
@@ -474,23 +499,29 @@ class _Problem:
     v0: np.ndarray
 
     def evaluate(self, U):
-        """Objective of each row, shape (R,), and the rollout."""
-        xs, ws = _rollout_arrays(self.x0, self.v0, U, self.limits)
+        """Objective of each row, shape (R,), and its record: the rollout,
+        then the subclass's stage pieces."""
+        xs, ws, clamps = _rollout_arrays(self.x0, self.v0, U, self.limits)
         penalty = (U * U).reshape(len(U), -1).sum(axis=1)
-        return self._stage_sum(xs) + self.params.lam * penalty, xs, ws
+        stages, *pieces = self._stage_sum(xs)
+        return stages + self.params.lam * penalty, (xs, ws, clamps, *pieces)
 
-    def gradient(self, U, xs, ws):
-        """Analytic gradient of each row's objective, shape U.shape: step 1
-        does not depend on U, so only steps 2..T take stage gradients."""
-        gx = self._stage_gradient(xs[:, 1:])
-        return _backprop_controls(gx, ws, U, self.limits, self.params.lam)
+    def _adjoint(self, gx, U, record):
+        """Analytic gradient of each row's objective, shape U.shape, from
+        its stage gradients gx at steps 2..T and the record's rollout: step
+        1 does not depend on U, so it takes no stage gradient."""
+        _, ws, clamps = record[:3]
+        return _backprop_controls(
+            gx, ws, U, self.limits, self.params.lam,
+            _row_jacobians(ws, clamps, self.limits.v_max),
+        )
 
-    def search_direction(self, U, xs, ws):
+    def search_direction(self, U, record):
         """(G, P, cap): the gradient, the projected gradient whose negative
         a row's line search follows, and each row's largest first step.
-        Here P is G and no row's step is capped."""
-        G = self.gradient(U, xs, ws)
-        return G, G, np.full(len(U), np.inf)
+        Here P is G and no row's step is capped (cap None)."""
+        G = self.gradient(U, record)
+        return G, G, None
 
 
 @dataclass
@@ -498,40 +529,56 @@ class _CentralizedProblem(_Problem):
     """Rows that each plan every agent, U of shape (R, T, n, m), from their
     own measurement x0[k], v0[k] of shape (n, m).  The neighbor edge set is
     re-evaluated at every predicted step.  The step-1 configurations
-    x0 + dt * v0 do not depend on U and are priced once, at build time."""
+    x0 + dt * v0 do not depend on U and are priced once, at build time.  A
+    record carries the `_pairs` differences (R, T-1, P, m) and distances
+    (R, T-1, P) of steps 2..T."""
 
     first_stage: np.ndarray  # (R,) stage cost at step 1
 
     def _stage_sum(self, xs):
         """Each row's stage costs, `fold`ed over steps 1..T: the R * (T-1)
-        configurations past step 1 go through one stage pass."""
-        p, later = self.params, xs[:, 1:]
-        stages = _centralized_stage_values(
-            self.cost, later.reshape(-1, *later.shape[2:]), p.r
-        ).reshape(later.shape[:2])
-        return fold((self.first_stage, *stages.T))
+        configurations past step 1 go through one `_pairs` pass and one
+        stage pass.  Also the pairs' differences and distances, per row."""
+        later = xs[:, 1:]
+        x = _stack(later)
+        _, _, diff, dist = pairs = _pairs(x)
+        stages = _centralized_stage_values(self.cost, x, self.params.r, pairs)
+        stages = stages.reshape(later.shape[:2])
+        return (
+            fold((self.first_stage, *stages.T)),
+            diff.reshape(later.shape[:2] + diff.shape[1:]),
+            dist.reshape(later.shape[:2] + dist.shape[1:]),
+        )
 
-    def _stage_gradient(self, later, pairs=None):
-        return _centralized_stage_gradient(
-            self.cost, later.reshape(-1, *later.shape[2:]), self.params.r, pairs
-        ).reshape(later.shape)
+    def _stage_gradient(self, record):
+        """The stage gradient at steps 2..T, (R, T-1, n, m), and the
+        `_pairs` of those R * (T-1) configurations, read from the record."""
+        xs, _, _, diff, dist = record
+        later = xs[:, 1:]
+        pairs = (*_pair_layout(xs.shape[2])[:2], _stack(diff), _stack(dist))
+        gx = _centralized_stage_gradient(self.cost, _stack(later), self.params.r, pairs)
+        return gx.reshape(later.shape), pairs
 
-    def search_direction(self, U, xs, ws):
+    def gradient(self, U, record):
+        return self._adjoint(self._stage_gradient(record)[0], U, record)
+
+    def search_direction(self, U, record):
         """(G, P, cap) with the walls seen: P is G projected so that no pair
         just beyond r is pulled in and no saturated control pushed out, and
         cap stops short of the first pair beyond the walls that would enter
-        r (`_wall_search`).  The stage gradient and the walls read one
-        `_pairs` pass over the pairs i < j of steps 2..T."""
-        p, later = self.params, xs[:, 1:]
-        pairs = _pairs(later.reshape(-1, *later.shape[2:]))
-        gx = self._stage_gradient(later, pairs)
-        return _wall_search(gx, U, ws, pairs, p.r, p.lam, self.limits)
+        r (`_wall_search`).  The stage gradient and the walls read the
+        record's pairs i < j of steps 2..T."""
+        p, (_, ws, clamps) = self.params, record[:3]
+        gx, pairs = self._stage_gradient(record)
+        jacobians = _row_jacobians(ws, clamps, self.limits.v_max)
+        return _wall_search(gx, U, ws, jacobians, pairs, p.r, p.lam, self.limits)
 
     def rows(self, keep):
         """The sub-problem of the rows where the boolean mask keep is set, in
         their order."""
-        return replace(
-            self, x0=self.x0[keep], v0=self.v0[keep], first_stage=self.first_stage[keep]
+        return _CentralizedProblem(
+            self.cost, self.params, self.limits, self.x0[keep], self.v0[keep],
+            self.first_stage[keep],
         )
 
 
@@ -549,30 +596,42 @@ def _build_centralized_problem(cost, pos, vel, params, limits):
 class _BatchProblem(_Problem):
     """Rows that each plan one agent, U of shape (B, T, m), from its own
     position x0[k] and velocity v0[k], (m,) each, against its frozen,
-    constant-velocity neighbors."""
+    constant-velocity neighbors.  A record carries the stage gradient gx at
+    steps 2..T, (B, T-1, m), so a search direction runs only the adjoint
+    pass."""
 
     src: np.ndarray  # (E,) batch row of each neighbor edge, ascending
     nbr_pos: np.ndarray  # (E, T, m) neighbor positions at steps 1..T
     edge_counts: np.ndarray  # (E, 1) neighbor count of each edge's row
     first: np.ndarray  # (E,) cost of each edge at step 1, priced at build
 
-    def _stage_sum(self, xs):
-        """Each edge's steps 1..T `fold`ed, then each row's edges."""
-        diff = xs[self.src, 1:] - self.nbr_pos[:, 1:]
-        later = _edge_costs(self.cost, self.edge_counts, diff)
-        cost = fold((self.first, *later.T))
-        return np.bincount(self.src, weights=cost, minlength=len(xs))
+    @functools.cached_property
+    def _slots(self):
+        """One bincount bin per entry of gx, for each edge and entry of its
+        row: a bin adds its edges in ascending order."""
+        width = (self.params.horizon - 1) * self.x0.shape[1]
+        return (self.src[:, None] * width + np.arange(width)).ravel()
 
-    def _stage_gradient(self, later):
-        diff = later[self.src] - self.nbr_pos[:, 1:]  # (E, T-1, m)
-        coef = self.cost.slope(np.sqrt(sq_norm(diff)))
+    def _stage_sum(self, xs):
+        """Each edge's steps 1..T `fold`ed, then each row's edges; and the
+        stage gradient gx at steps 2..T from the same edge differences and
+        distances."""
+        diff = xs[self.src, 1:] - self.nbr_pos[:, 1:]  # (E, T-1, m)
+        dist = np.sqrt(sq_norm(diff))
+        cost = fold((self.first, *_edge_costs(self.cost, self.edge_counts, dist).T))
+        coef = self.cost.slope(dist)
         if self.cost.cohesion:
             coef = 2.0 / self.edge_counts + coef
-        # one bin per entry of gx, which adds its edges in ascending order
-        width = later.shape[1] * later.shape[2]
-        slots = (self.src[:, None] * width + np.arange(width)).ravel()
-        gx = np.bincount(slots, (coef[:, :, None] * diff).ravel(), later.size)
-        return gx.reshape(later.shape).astype(np.float64, copy=False)  # int64 if E = 0
+        shape = (len(xs),) + diff.shape[1:]
+        size = shape[0] * shape[1] * shape[2]
+        gx = np.bincount(self._slots, (coef[:, :, None] * diff).ravel(), size)
+        return (
+            np.bincount(self.src, weights=cost, minlength=len(xs)),
+            gx.reshape(shape).astype(np.float64, copy=False),  # int64 if E = 0
+        )
+
+    def gradient(self, U, record):
+        return self._adjoint(record[3], U, record)
 
     def rows(self, keep):
         """The sub-batch of the rows where the boolean mask keep is set, in
@@ -580,17 +639,15 @@ class _BatchProblem(_Problem):
         to its place among the kept rows: its sums accumulate as in this
         batch and its values are bit-identical."""
         edges = keep[self.src]
-        return replace(
-            self, x0=self.x0[keep], v0=self.v0[keep],
-            src=(np.cumsum(keep) - 1)[self.src[edges]],
-            nbr_pos=self.nbr_pos[edges], edge_counts=self.edge_counts[edges],
-            first=self.first[edges],
+        return _BatchProblem(
+            self.cost, self.params, self.limits, self.x0[keep], self.v0[keep],
+            (np.cumsum(keep) - 1)[self.src[edges]], self.nbr_pos[edges],
+            self.edge_counts[edges], self.first[edges],
         )
 
 
-def _edge_costs(cost, edge_counts, diff):
-    """Each edge's cost at each of its steps: diff (E, S, m) -> (E, S)."""
-    dist = np.sqrt(sq_norm(diff))
+def _edge_costs(cost, edge_counts, dist):
+    """Each edge's cost at each of its steps, from its distances (E, S)."""
     edge = cost.weight * cost.term(dist)
     if cost.cohesion:
         edge = (1.0 / edge_counts) * (dist * dist) + edge
@@ -623,7 +680,7 @@ def _build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=No
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step1 = (x0 + limits.dt * v0)[src, None] - nbr_pos[:, :1]
-        first = _edge_costs(cost, edge_counts, step1)[:, 0]
+        first = _edge_costs(cost, edge_counts, np.sqrt(sq_norm(step1)))[:, 0]
     return _BatchProblem(cost, params, limits, x0, v0, src, nbr_pos, edge_counts, first)
 
 
@@ -661,18 +718,19 @@ def _solve_batch(problem, warm):
 
     The live rows (neither converged nor stalled) keep their state compacted,
     one row per live row: plan, objective, projected gradient, previous point
-    and the rollout `evaluate` returned with the plan, which the search
-    direction reuses, so each accepted point is rolled out once.  Live row
-    k's plan is written out to batch row live[k] when it converges or
-    stalls.  Each search direction runs on the live rows, each line-search
-    probe on those still searching, through a problem the solver narrows
-    with `rows` and the mask it applies to its state.  The first probes'
-    plans, objectives and rollouts become the live rows' next state as they
-    are; a row that passes a later probe overwrites its own row.  Rows never
-    interact, so every row computes exactly what a batch of it alone would.
+    and the record `evaluate` returned with the plan (its rollout, clamp
+    flags and stage pieces), which the search direction reads, so each
+    accepted point is rolled out and priced once.  Live row k's plan is
+    written out to batch row live[k] when it converges or stalls.  Each
+    search direction runs on the live rows, each line-search probe on those
+    still searching, through a problem the solver narrows with `rows` and
+    the mask it applies to its state.  The first probes' plans, objectives
+    and records become the live rows' next state as they are; a row that
+    passes a later probe overwrites its own row.  Rows never interact, so
+    every row computes exactly what a batch of it alone would.
 
     `problem.search_direction` gives each live row's gradient g, its
-    projected gradient p and its step cap: p is g and the cap inf for a
+    projected gradient p and its step cap: p is g and no cap (None) for a
     distributed row, and for a centralized row p is g projected off the
     walls (`horizon._wall_search`).  A row has converged when its unit step
     |U - clamp(U - p)| is at most GRAD_TOL = 1e-6, so a minimum at a wall
@@ -702,11 +760,11 @@ def _solve_batch(problem, warm):
         per_row = (-1,) + (1,) * (warm.ndim - 1)
         a_max = problem.limits.a_max
         # the live rows' state, row k of each array being batch row live[k]:
-        # the plan, its objective and the rollout it came from, kept for the
+        # the plan, its objective and the record it came from, kept for the
         # search direction there
         U = clamp_norm(warm, a_max)
         live, live_problem = np.arange(len(U)), problem
-        J, XS, WS = problem.evaluate(U)
+        J, record = problem.evaluate(U)
         _check_finite(
             "non-finite MPC objective at the initial point", live, "objective", J, U
         )
@@ -716,7 +774,7 @@ def _solve_batch(problem, warm):
         U_prev = P_prev = U  # where each live row's last move started, once it has one
         iterations = 0
         for _ in range(MAX_ITER):
-            grad, proj, cap = live_problem.search_direction(U, XS, WS)
+            grad, proj, cap = live_problem.search_direction(U, record)
             _check_finite("non-finite MPC gradient", live, "gradient", grad, U)
             cand = clamp_norm(U - proj, a_max)
             done = np.sqrt(((U - cand) ** 2).sum(axis=row_axes)) <= GRAD_TOL
@@ -725,21 +783,25 @@ def _solve_batch(problem, warm):
                 if done.all():
                     break
                 plans[live[done]] = U[done]
-                live, U, J, XS, WS, proj, cap, U_prev, P_prev = (
-                    a[~done] for a in (live, U, J, XS, WS, proj, cap, U_prev, P_prev)
+                keep = ~done
+                live, U, J, proj, U_prev, P_prev = (
+                    a[keep] for a in (live, U, J, proj, U_prev, P_prev)
                 )
-                live_problem = live_problem.rows(~done)
-            scale = 1.0
+                if cap is not None:
+                    cap = cap[keep]
+                live_problem = live_problem.rows(keep)
             if iterations:
                 # every live row accepted a move in the previous iteration:
                 # the Barzilai-Borwein scale s.s / s.y of that move, y being
                 # the change in the projected gradient
                 s, y = U - U_prev, proj - P_prev
                 ss, sy = (s * s).sum(axis=row_axes), (s * y).sum(axis=row_axes)
-                scale = np.where(
-                    sy > 0, np.clip(ss / sy, BB_SCALE_MIN, BB_SCALE_MAX), BB_SCALE_MAX
-                )
-            scale = np.minimum(scale, cap)
+                bb = np.minimum(np.maximum(ss / sy, BB_SCALE_MIN), BB_SCALE_MAX)
+                scale = np.where(sy > 0, bb, BB_SCALE_MAX)
+            else:
+                scale = np.ones(len(U))
+            if cap is not None:
+                scale = np.minimum(scale, cap)
             iterations += 1
             U_prev, P_prev = U, proj
             # the searching rows' places in the live state, and their state
@@ -750,36 +812,41 @@ def _solve_batch(problem, warm):
                 U_base, P_base, scale_base, J_base = base
                 step = scale_base * 2.0**-h
                 U_try = clamp_norm(U_base - step.reshape(per_row) * P_base, a_max)
-                J_try, xs_try, ws_try = probe_problem.evaluate(U_try)
+                J_try, record_try = probe_problem.evaluate(U_try)
                 delta = ((U_base - U_try) ** 2).sum(axis=row_axes)
                 ok = J_try <= J_base - (ARMIJO_C / step) * delta
-                tried = (U_try, J_try, xs_try, ws_try)
+                tried = (U_try, J_try, *record_try)
                 if h == 0:
                     # the live rows' next state, row for row, is the first
                     # probe's; a row that passes a later probe takes that one
                     moved, accepted = tried, ok
                 else:
+                    at = ids[ok]
                     for a, b in zip(moved, tried):
-                        a[ids[ok]] = b[ok]
+                        a[at] = b[ok]
                     accepted[ids] = ok
                 if ok.all():
                     break
                 fail = ~ok
-                _check_finite("non-finite MPC objective during line search",
-                              live[ids[fail]], "objective", J_try[fail], U_try[fail])
+                if not np.isfinite(J_try).all():  # a non-finite probe fails
+                    _check_finite(
+                        "non-finite MPC objective during line search",
+                        live[ids[fail]], "objective", J_try[fail], U_try[fail],
+                    )
                 if ok.any():
                     ids, base = ids[fail], tuple(a[fail] for a in base)
                     probe_problem = probe_problem.rows(fail)
             # rows whose line search stalled make no further progress
             if not accepted.any():
                 break
-            U, J, XS, WS = moved
+            U, J, *record = moved
             if live[0] == 0 and accepted[0]:
                 trace.append(float(J[0]))
             if not accepted.all():
-                plans[live[~accepted]] = U_prev[~accepted]
-                live, U, J, XS, WS, U_prev, P_prev = (
-                    a[accepted] for a in (live, U, J, XS, WS, U_prev, P_prev)
+                stalled = ~accepted
+                plans[live[stalled]] = U_prev[stalled]
+                live, U, J, U_prev, P_prev, *record = (
+                    a[accepted] for a in (live, U, J, U_prev, P_prev, *record)
                 )
                 live_problem = live_problem.rows(accepted)
         plans[live] = U
@@ -818,8 +885,7 @@ def mpc_objective_gradient(
     `solve_mpc` returns for the same tag, and so is the gradient."""
     problem = _single_problem(tag, initial_view, params, limits, agent, neighbor_set)
     U = _plan(controls, problem, "controls")[None]
-    xs, ws = _rollout_arrays(problem.x0, problem.v0, U, limits)
-    return problem.gradient(U, xs, ws)[0]
+    return problem.gradient(U, problem.evaluate(U)[1])[0]
 
 
 def _plan(plan, problem, name, rows=()):

@@ -113,6 +113,22 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["compare", "noise-sweep", "simulate"])
+def test_negative_workers_fail_before_any_output(tmp_path, capsys, command):
+    # 0 asks for one worker per CPU; a negative count is an error, whether
+    # it comes from the flag, a --set override or a config file
+    cfg = tmp_path / "workers.cfg"
+    cfg.write_text("workers = -3\n")
+    args = [command] + (["--model", "reynolds"] if command == "simulate" else [])
+    for given in (["--workers", "-1"], ["--set", "workers=-3"], ["--config", str(cfg)]):
+        out = tmp_path / "x"
+        assert run_cli(args + given + FAST_OVERRIDES + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: workers must be 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     code = run_cli(
         [

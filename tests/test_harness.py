@@ -457,3 +457,22 @@ def test_closed_loop_raises_no_warnings(tag, level):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         simulate(cfg, seed=5)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3])
+@pytest.mark.parametrize("axis_t", [0, 1])
+def test_shift_plan_is_a_roll_with_a_zeroed_last_step(axis_t, T):
+    # a centralized plan is (T, n, m) and a distributed step's plans
+    # (n, T, m); signed zeros and the values of every step must come out as
+    # np.roll leaves them, with +0.0 in the last step
+    rng = np.random.default_rng(34 + T)
+    shape = (T, 4, 2) if axis_t == 0 else (4, T, 2)
+    plans = rng.normal(size=shape)
+    plans[rng.random(shape) < 0.3] = -0.0
+    expected = np.roll(plans, -1, axis=axis_t)
+    np.moveaxis(expected, axis_t, 0)[-1] = 0.0
+    shifted = harness._shift_plan(plans, axis_t)
+    assert shifted.dtype == plans.dtype and shifted.shape == plans.shape
+    assert shifted.tobytes() == expected.tobytes()
+    assert not np.signbit(np.moveaxis(shifted, axis_t, 0)[-1]).any()
+    assert not np.shares_memory(shifted, plans)

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import warnings
@@ -183,19 +184,24 @@ def rollout_loop(x0, v0, U, limits):
 
 class RolloutPaths:
     """Counts the `_rollout_arrays` calls that step (and so call
-    `clamp_norm`) and those that take the running sums."""
+    `clamp_norm`) and those that take the running sums, checks each row's
+    clamp flag against the speeds of the velocities it returns, and returns
+    the positions and velocities."""
 
     def __init__(self):
         self.stepped = self.summed = 0
 
     def __call__(self, *args):
         with mock.patch.object(horizon, "clamp_norm", wraps=clamp_norm) as clamp:
-            out = mpc._rollout_arrays(*args)
+            xs, ws, clamps = mpc._rollout_arrays(*args)
         if clamp.called:
             self.stepped += 1
         else:
             self.summed += 1
-        return out
+        # each row's flag: does its velocity clamp at some step
+        over = np.sqrt(sq_norm(ws)) > args[3].v_max
+        assert same_bits(clamps, over.reshape(len(ws), -1).any(axis=1))
+        return xs, ws
 
 
 def test_rollout_oracles_match_rollout_arrays(np_rng):
@@ -651,8 +657,7 @@ def test_distributed_df_cohesion_is_not_floored():
         mpc._pair_cost("df_distributed", params), pos, np.zeros_like(pos), [0], params,
         LIMITS,
     )
-    xs, _ = mpc._rollout_arrays(problem.x0, problem.v0, np.zeros((1, 2, 2)), LIMITS)
-    gx = problem._stage_gradient(xs[:, 1:])
+    gx = problem.evaluate(np.zeros((1, 2, 2)))[1][3]
     cohesion = (2.0 / 2) * ((0.0 - 5e-7) + (0.0 - 3.0))
     separation = -2.0 * params.omega / 3.0**4 * (0.0 - 3.0)
     assert gx[0, 0, 0] == pytest.approx(cohesion + separation, rel=1e-12)
@@ -682,7 +687,7 @@ def test_family_slope_is_the_edge_derivative_read_by_both_kernels(tag):
         mpc._pair_cost(tag.replace("centralized", "distributed"), params), pos,
         np.zeros_like(pos), np.zeros(grid.size, dtype=int), params, LIMITS,
     )
-    edge = rows._stage_gradient(np.zeros((grid.size, 1, 2)))
+    edge = rows._stage_sum(np.zeros((grid.size, 2, 2)))[1]
     slope, pull = cost.slope(grid), 2.0 if cost.cohesion else 0.0
     assert np.array_equal(edge[:, 0, 0], (pull + slope) * -grid)
     # a pair is two ordered edges: its coefficient is exactly twice the slope
@@ -869,17 +874,29 @@ def test_batch_rows_match_full_batch(tag, np_rng):
         )
         assert not np.isin([6, 7], full.src).any()
         U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
-    J, XS, WS = full.evaluate(U)
-    G = full.gradient(U, XS, WS)
+    J, record = full.evaluate(U)
+    G = full.gradient(U, record)
     for idx in ([3], range(8), [0, 4, 7], [6, 7], [5, 5, 0, 6, 2, 2, 2]):
         idx = np.asarray(idx)
         for sub in sub_problems(tag, full, views, idx, PARAMS):
-            J_sub, xs, ws = sub.evaluate(U[idx])
+            J_sub, sub_record = sub.evaluate(U[idx])
             assert np.array_equal(J_sub, J[idx])
-            assert np.array_equal(xs, XS[idx]) and np.array_equal(ws, WS[idx])
-            assert np.array_equal(sub.gradient(U[idx], xs, ws), G[idx])
+            assert_rows_of(sub_record, record, idx)
+            assert np.array_equal(sub.gradient(U[idx], sub_record), G[idx])
     if tag in DISTRIBUTED_MPC_TAGS:
         assert full.rows(np.arange(8) >= 6).src.size == 0
+
+
+def rows_of(record, idx):
+    """The rows idx of an evaluation record."""
+    return tuple(a[idx] for a in record)
+
+
+def assert_rows_of(record, full_record, idx):
+    """record holds, array for array, the rows idx of full_record."""
+    assert len(record) == len(full_record)
+    for got, expected in zip(record, rows_of(full_record, idx)):
+        assert got.dtype == expected.dtype and same_bits(got, expected)
 
 
 def sub_problems(tag, full, views, idx, params):
@@ -906,23 +923,35 @@ def isolated_views(np_rng, n=8):
     return sense_local_all(flock, noise_for_level(3), RandomStream(5))
 
 
+@pytest.mark.parametrize("v_max", [LIMITS.v_max, 2.5])
 @pytest.mark.parametrize("tag", MPC_TAGS)
-def test_narrowing_twice_matches_narrowing_once(tag, np_rng):
+def test_narrowing_twice_matches_narrowing_once(tag, v_max, np_rng):
     # the solver narrows a narrowed problem: p.rows(a).rows(b) must be
-    # p.rows(c), c keeping the rows that b keeps of those a keeps
-    views = isolated_views(np_rng)  # row 7's agent sees no one
+    # p.rows(c), c keeping the rows that b keeps of those a keeps.  At the
+    # small v_max the odd rows' rollouts clamp and the even rows', slowed
+    # down, do not, so the record's clamp flags narrow with the rows
+    limits = MotionLimits(v_max=v_max)
+    pos, vel = isolated_views(np_rng)  # row 7's agent sees no one
+    if v_max < LIMITS.v_max:
+        vel = vel.copy()
+        vel[::2] *= 0.2
     if tag in CENTRALIZED_MPC_TAGS:
         full = _build_centralized_problem(
-            mpc._pair_cost(tag, PARAMS), *views, PARAMS, LIMITS
+            mpc._pair_cost(tag, PARAMS), pos, vel, PARAMS, limits
         )
         U = np_rng.uniform(-0.5, 0.5, (8, 3, 8, 2))
     else:
         full = _build_batch_problem(
-            mpc._pair_cost(tag, PARAMS), *views, range(8), PARAMS, LIMITS
+            mpc._pair_cost(tag, PARAMS), pos, vel, range(8), PARAMS, limits
         )
         assert (full.src != 7).all() and np.isin(range(7), full.src).all()
         U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
-    J, XS, WS = full.evaluate(U)
+    J, record = full.evaluate(U)
+    clamps = record[2]
+    if v_max < LIMITS.v_max:
+        assert not clamps[::2].any() and clamps[1::2].sum() >= 2
+    else:
+        assert not clamps.any()
     masks = [(np.arange(8) % 2 == 1, np.array([True, False, True, True]))]
     masks.append((np.arange(8) >= 5, np.array([False, True, True])))
     masks.append((np.ones(8, dtype=bool), np.arange(8) != 3))
@@ -935,13 +964,13 @@ def test_narrowing_twice_matches_narrowing_once(tag, np_rng):
         c = a.copy()
         c[a] = b
         twice, once = full.rows(a).rows(b), full.rows(c)
-        J_twice, xs, ws = twice.evaluate(U[c])
-        J_once, xs_once, ws_once = once.evaluate(U[c])
+        J_twice, record_twice = twice.evaluate(U[c])
+        J_once, record_once = once.evaluate(U[c])
         assert np.array_equal(J_twice, J_once) and np.array_equal(J_once, J[c])
-        assert np.array_equal(xs, xs_once) and np.array_equal(ws, ws_once)
-        assert np.array_equal(xs, XS[c]) and np.array_equal(ws, WS[c])
-        found = twice.search_direction(U[c], xs, ws)
-        for got, expected in zip(found, once.search_direction(U[c], xs, ws)):
+        assert_rows_of(record_twice, record_once, slice(None))
+        assert_rows_of(record_twice, record, c)
+        found = twice.search_direction(U[c], record_twice)
+        for got, expected in zip(found, once.search_direction(U[c], record_twice)):
             assert np.array_equal(got, expected)
     if tag in DISTRIBUTED_MPC_TAGS:
         # a mask that keeps only edge-free rows keeps no edge
@@ -969,7 +998,7 @@ def test_batch_objective_prices_step_one_at_build(tag, horizon, np_rng):
     for idx in (range(8), [7], [5, 5, 0, 7, 2, 2]):
         idx = np.asarray(idx)
         for sub in sub_problems(tag, full, views, idx, params):
-            J, xs, _ = sub.evaluate(U[idx])
+            J, (xs, *_) = sub.evaluate(U[idx])
             diff = edge_diffs(sub, xs)
             dist = np.sqrt((diff * diff).sum(axis=-1))
             edge = cost.weight * cost.term(dist)
@@ -996,14 +1025,16 @@ def test_stage_sums_fold_the_steps_in_order(tag, horizon, np_rng):
         else:
             problem = _build_batch_problem(cost, *views, range(12), params, LIMITS)
         U = np_rng.uniform(-0.5, 0.5, (12, horizon) + problem.x0.shape[1:])
-        _, xs, _ = problem.evaluate(U)
+        _, (xs, *_) = problem.evaluate(U)
         if tag in CENTRALIZED_MPC_TAGS:
             stages = mpc._centralized_stage_values(cost, xs.reshape(-1, 12, 2), params.r)
             expected = fold(stages.reshape(12, horizon).T)
         else:
-            edges = mpc._edge_costs(cost, problem.edge_counts, edge_diffs(problem, xs))
+            diff = edge_diffs(problem, xs)
+            dist = np.sqrt(sq_norm(diff))
+            edges = mpc._edge_costs(cost, problem.edge_counts, dist)
             expected = np.bincount(problem.src, weights=fold(edges.T), minlength=12)
-        assert np.array_equal(problem._stage_sum(xs), expected)
+        assert np.array_equal(problem._stage_sum(xs)[0], expected)
 
 
 @pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
@@ -1016,14 +1047,13 @@ def test_batch_stage_gradient_matches_add_at(tag, np_rng):
     for idx in (range(8), [7], [5, 5, 0, 7, 2, 2]):
         idx = np.asarray(idx)
         for sub in sub_problems(tag, full, views, idx, PARAMS):
-            _, xs, _ = sub.evaluate(U[idx])
+            _, (xs, _, _, got) = sub.evaluate(U[idx])
             diff = edge_diffs(sub, xs)[:, 1:]
             coef = sub.cost.slope(np.sqrt((diff * diff).sum(axis=-1)))
             if sub.cost.cohesion:
                 coef = 2.0 / sub.edge_counts + coef
             expected = np.zeros_like(xs[:, 1:])
             np.add.at(expected, sub.src, coef[:, :, None] * diff)
-            got = sub._stage_gradient(xs[:, 1:])
             assert got.dtype == expected.dtype and same_bits(got, expected)
 
 
@@ -1042,9 +1072,9 @@ class CountingProblem:
         self.log.append(("evaluate", self.ids.tolist(), U.copy()))
         return self.problem.evaluate(U)
 
-    def search_direction(self, U, xs, ws):
+    def search_direction(self, U, record):
         self.log.append(("gradient", self.ids.tolist(), U.copy()))
-        return self.problem.search_direction(U, xs, ws)
+        return self.problem.search_direction(U, record)
 
 
 def staggered_batch(np_rng):
@@ -1122,9 +1152,9 @@ class UphillRow(CountingProblem):
     def rows(self, keep):
         return UphillRow(self.problem.rows(keep), self.ids[keep], self.log, self.uphill)
 
-    def search_direction(self, U, xs, ws):
-        G, P, cap = super().search_direction(U, xs, ws)
-        climbs = (self.ids == self.uphill).reshape(-1, 1, 1)
+    def search_direction(self, U, record):
+        G, P, cap = super().search_direction(U, record)
+        climbs = (self.ids == self.uphill).reshape((-1,) + (1,) * (P.ndim - 1))
         return G, np.where(climbs, -P, P), cap
 
 
@@ -1220,7 +1250,7 @@ def test_stacked_centralized_objective_matches_single_plans(
     )
     U = np_rng.uniform(-1.0, 1.0, (6, T, n, 2))
     U[0] = 0.0
-    J, xs, _ = problem.evaluate(U)
+    J, (xs, *_) = problem.evaluate(U)
     assert J.shape == (6,)
     public = lattice_deviation_centralized if tag == "lattice_centralized" else (
         cost_df_centralized
@@ -1277,14 +1307,12 @@ def test_centralized_gradient_reuses_probe_rollout(tag, np_rng):
     several = _build_centralized_problem(
         mpc._pair_cost(tag, PARAMS), *repeated(view, 5), PARAMS, LIMITS
     )
-    _, xs, ws = several.evaluate(U)
-    assert_clamp_active(ws)
+    _, record = several.evaluate(U)
+    assert_clamp_active(record[1])
     for k in range(len(U)):
         plan = U[k : k + 1]
-        reused = problem.gradient(plan, xs[k : k + 1], ws[k : k + 1])
-        fresh = problem.gradient(
-            plan, *mpc._rollout_arrays(problem.x0, problem.v0, plan, LIMITS)
-        )
+        reused = problem.gradient(plan, rows_of(record, slice(k, k + 1)))
+        fresh = problem.gradient(plan, problem.evaluate(plan)[1])
         assert np.array_equal(reused, fresh)
         public = mpc_objective_gradient(tag, view, U[k], PARAMS, LIMITS)
         assert np.array_equal(reused[0], public)
@@ -1308,12 +1336,12 @@ def test_distributed_gradient_reuses_probe_rollout(tag, np_rng):
     several = _build_batch_problem(
         mpc._pair_cost(tag, PARAMS), pos[rep], vel[rep], rep, PARAMS, LIMITS
     )
-    _, xs, ws = several.evaluate(U)
-    assert_clamp_active(ws)
+    _, record = several.evaluate(U)
+    assert_clamp_active(record[1])
     for k, i in enumerate(rep):
         row, plan = full.rows(np.arange(n) == i), U[k : k + 1]
-        reused = row.gradient(plan, xs[k : k + 1], ws[k : k + 1])
-        fresh = row.gradient(plan, *mpc._rollout_arrays(row.x0, row.v0, plan, LIMITS))
+        reused = row.gradient(plan, rows_of(record, slice(k, k + 1)))
+        fresh = row.gradient(plan, row.evaluate(plan)[1])
         assert np.array_equal(reused, fresh)
         view = FlockConfiguration(pos[i], vel[i])
         public = mpc_objective_gradient(tag, view, U[k], PARAMS, LIMITS, agent=i)
@@ -1344,12 +1372,13 @@ def test_forward_controls_match_finite_differences_of_the_rollout(tag, np_rng):
     x0, v0 = problem.x0, problem.v0
     U = clamp_norm(np_rng.uniform(-1.0, 1.0, (4, 3, 8, 2)), LIMITS.a_max)
     D = np_rng.uniform(-1.0, 1.0, U.shape)
-    xs, ws = mpc._rollout_arrays(x0, v0, U, LIMITS)
+    xs, ws, clamps = mpc._rollout_arrays(x0, v0, U, LIMITS)
     assert_clamp_active(ws)
+    assert clamps.all()
     xd = horizon._forward_controls(D, ws, LIMITS)
     h = 1e-6
-    ahead, _ = mpc._rollout_arrays(x0, v0, U + h * D, LIMITS)
-    behind, _ = mpc._rollout_arrays(x0, v0, U - h * D, LIMITS)
+    ahead = mpc._rollout_arrays(x0, v0, U + h * D, LIMITS)[0]
+    behind = mpc._rollout_arrays(x0, v0, U - h * D, LIMITS)[0]
     assert xd.shape == xs[:, 1:].shape
     assert np.allclose(xd, (ahead - behind)[:, 1:] / (2 * h), rtol=1e-6, atol=1e-8)
     # the tangent pass mirrors the adjoint pass: <backprop(gx), D> = <gx, xd>
@@ -1371,8 +1400,8 @@ class PlainDirection:
     def evaluate(self, U):
         return self.problem.evaluate(U)
 
-    def search_direction(self, U, xs, ws):
-        G = self.problem.gradient(U, xs, ws)
+    def search_direction(self, U, record):
+        G = self.problem.gradient(U, record)
         return G, G, np.full(len(U), np.inf)
 
 
@@ -1386,7 +1415,7 @@ def test_pair_just_beyond_r_converges_at_the_wall():
     problem = _single_problem("df_centralized", view, PARAMS, LIMITS, None)
     U, converged, iterations, trace = _solve_batch(problem, np.zeros((1, 3, 3, 2)))
     assert converged[0] and iterations <= 5
-    _, xs, _ = problem.evaluate(U)
+    _, (xs, *_) = problem.evaluate(U)
     excess = np.sqrt(((xs[0, :, 0] - xs[0, :, 1]) ** 2).sum(axis=-1)) - r
     assert ((excess >= 0) & (excess <= horizon.WALL_GAP)).all()
     plain = PlainDirection(problem)
@@ -1407,12 +1436,12 @@ def test_wall_gap_separates_walls_from_capping_pairs(excess):
     view = config([[0.0, 0.0], [r + excess, 0.0]])
     problem = _single_problem("df_centralized", view, PARAMS, LIMITS, None)
     U = np.zeros((1, 3, 2, 2))
-    _, xs, ws = problem.evaluate(U)
-    G, P, cap = problem.search_direction(U, xs, ws)
-    assert np.array_equal(G, problem.gradient(U, xs, ws))
+    _, record = problem.evaluate(U)
+    G, P, cap = problem.search_direction(U, record)
+    assert np.array_equal(G, problem.gradient(U, record))
 
     def distances(plan):
-        _, xs, _ = problem.evaluate(plan)
+        _, (xs, *_) = problem.evaluate(plan)
         return np.sqrt(((xs[0, 1:, 0] - xs[0, 1:, 1]) ** 2).sum(axis=-1))
 
     h = 1e-6
@@ -1428,13 +1457,17 @@ def test_wall_gap_separates_walls_from_capping_pairs(excess):
         assert cap[0] == pytest.approx(horizon.CROSS_FRACTION * crossing.min(), rel=1e-6)
 
 
-def test_walls_and_caps_in_several_rows_match_each_row_alone():
+@pytest.mark.parametrize("fast", [False, True])
+def test_walls_and_caps_in_several_rows_match_each_row_alone(fast):
     # three rows of three agents under the zero plan, each agent moving at
     # its own constant velocity; the pairs i < j of all rows' steps 2..3
     # are one stack, whose (stage, pair) entries map back to (row, step,
     # i, j).  Row 0 has a wall pair at step 2 (inside r at step 3), row 1 a
     # wall pair at step 3 and a capping pair at step 2, row 2 a capping
-    # pair alone; the third agent of every row is far from the others
+    # pair alone; the third agent of every row is far from the others.
+    # Where fast, the far agents of rows 0 and 2 move faster than v_max, so
+    # those rows' rollouts clamp, row 1's do not, and the batch takes the
+    # wall rows' clamp Jacobians while row 1 alone takes none
     r, gap, dt = PARAMS.r, 5e-4, LIMITS.dt
     pos = np.array([
         [[0.0, 0.0], [r + gap + 2 * dt, 0.0], [0.0, 40.0]],
@@ -1443,19 +1476,23 @@ def test_walls_and_caps_in_several_rows_match_each_row_alone():
     ])
     vel = np.zeros_like(pos)
     vel[0, 1] = vel[1, 2] = (-1.0, 0.0)
+    if fast:
+        vel[0, 2] = vel[2, 1] = (LIMITS.v_max + 0.5, 0.0)
     problem = _build_centralized_problem(
         mpc._pair_cost("df_centralized", PARAMS), pos, vel, PARAMS, LIMITS
     )
     U = np.zeros((3, 3, 3, 2))
-    _, xs, ws = problem.evaluate(U)
+    _, record = problem.evaluate(U)
+    xs = record[0]
+    assert record[2].tolist() == [fast, False, fast]
     excess = np.sqrt(((xs[:, 1:, 0] - xs[:, 1:, 1]) ** 2).sum(axis=-1)) - r
     assert 0 < excess[0, 0] <= horizon.WALL_GAP and excess[0, 1] < 0
     excess = np.sqrt(((xs[:, 1:, 1] - xs[:, 1:, 2]) ** 2).sum(axis=-1)) - r
     assert horizon.WALL_GAP < excess[1, 0] and 0 < excess[1, 1] <= horizon.WALL_GAP
-    G, P, cap = problem.search_direction(U, xs, ws)
+    G, P, cap = problem.search_direction(U, record)
     for k in range(3):
         alone = problem.rows(np.arange(3) == k).search_direction(
-            U[k : k + 1], xs[k : k + 1], ws[k : k + 1]
+            U[k : k + 1], rows_of(record, slice(k, k + 1))
         )
         for stacked, one in zip((G, P, cap), alone):
             assert np.array_equal(stacked[k : k + 1], one)
@@ -1472,9 +1509,9 @@ def test_one_step_or_one_agent_gives_no_walls_and_no_cap(tag, steps, n, np_rng):
     problem = _single_problem(tag, view, params, LIMITS, None)
     # plans with saturated controls, which a penalty-only gradient pulls in
     U = clamp_norm(np_rng.uniform(-2.0, 2.0, (1, steps, n, 2)), LIMITS.a_max)
-    _, xs, ws = problem.evaluate(U)
-    G, P, cap = problem.search_direction(U, xs, ws)
-    assert P is G and np.array_equal(G, problem.gradient(U, xs, ws))
+    _, record = problem.evaluate(U)
+    G, P, cap = problem.search_direction(U, record)
+    assert P is G and np.array_equal(G, problem.gradient(U, record))
     assert cap.tolist() == [np.inf]
 
 
@@ -1535,37 +1572,85 @@ def test_nnls_matches_every_active_set_also_where_it_drops_one():
     assert dropped > 0
 
 
-def test_solver_rolls_out_once_per_evaluation():
-    # every rollout inside the solver comes from an evaluation; a gradient
-    # takes the rollout of the evaluation that accepted its point
-    counts = {"rollouts": 0, "evaluations": 0, "in_gradient": 0}
-    rollout = mpc._rollout_arrays
-    evaluate = _CentralizedProblem.evaluate
-    search_direction = _CentralizedProblem.search_direction
+def run_counting(tag, spied):
+    """Simulate run 0 of `tag` at seed 1 with every (owner, name) function of
+    `spied` counted: per name, its calls in all and those made inside a
+    search direction, with the search directions counted as "search"."""
+    counts = {"search": 0}
+    searching = []
 
-    def counting_rollout(*args):
-        counts["rollouts"] += 1
-        return rollout(*args)
+    def spy(name, function):
+        counts[name] = counts[f"{name} in search"] = 0
 
-    def counting_evaluate(self, U):
-        counts["evaluations"] += 1
-        return evaluate(self, U)
+        def wrapper(*args):
+            counts[name] += 1
+            counts[f"{name} in search"] += bool(searching)
+            return function(*args)
 
-    def checked_search_direction(self, U, xs, ws):
-        before = counts["rollouts"]
-        found = search_direction(self, U, xs, ws)
-        counts["in_gradient"] += counts["rollouts"] - before
-        return found
+        return wrapper
 
-    cfg = ExperimentConfig(model=default_model_spec("df_centralized"))
-    with mock.patch.object(mpc, "_rollout_arrays", counting_rollout), \
-            mock.patch.object(_CentralizedProblem, "evaluate", counting_evaluate), \
-            mock.patch.object(
-                _CentralizedProblem, "search_direction", checked_search_direction
-            ):
+    problem_type = _CentralizedProblem if tag in CENTRALIZED_MPC_TAGS else (
+        mpc._BatchProblem
+    )
+    search_direction = problem_type.search_direction
+
+    def flagged_search_direction(self, U, record):
+        counts["search"] += 1
+        searching.append(True)
+        try:
+            return search_direction(self, U, record)
+        finally:
+            searching.pop()
+
+    patches = [
+        mock.patch.object(problem_type, "search_direction", flagged_search_direction)
+    ]
+    for owner, name in spied:
+        patches.append(mock.patch.object(owner, name, spy(name, getattr(owner, name))))
+    cfg = ExperimentConfig(model=default_model_spec(tag))
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
         simulate(cfg, mix_seed(1, 0))
     assert (cfg.n, cfg.steps) == (30, 100)
-    assert counts == {"rollouts": 1047, "evaluations": 1047, "in_gradient": 0}
+    return counts
+
+
+def test_solver_rolls_out_once_per_evaluation():
+    # every rollout inside the solver comes from an evaluation, and so do a
+    # centralized solve's pairs: a search direction reads the record of the
+    # evaluation that accepted its point.  No rollout of this run clamps, so
+    # no clamp Jacobian is taken, and each search direction takes one stage
+    # gradient
+    counts = run_counting("df_centralized", [
+        (mpc, "_rollout_arrays"), (_CentralizedProblem, "evaluate"), (mpc, "_pairs"),
+        (horizon, "_clamp_jacobians"), (mpc, "_centralized_stage_gradient"),
+    ])
+    assert counts["evaluate"] == counts["_rollout_arrays"] == 1047
+    # one pair pass per evaluation and one per problem build, at step 1
+    assert counts["_pairs"] == 1047 + 100
+    assert counts["_clamp_jacobians"] == 0
+    assert counts["_centralized_stage_gradient"] == counts["search"] > 0
+    for name in ("_rollout_arrays", "evaluate", "_pairs"):
+        assert counts[f"{name} in search"] == 0
+
+
+def test_distributed_search_direction_runs_only_the_adjoint_pass():
+    # a distributed record carries the stage gradient, computed with the
+    # stage costs from the same edge differences and distances: a search
+    # direction rolls out nothing and prices no edge
+    counts = run_counting("df_distributed", [
+        (mpc, "_rollout_arrays"), (mpc._BatchProblem, "evaluate"),
+        (mpc._BatchProblem, "_stage_sum"), (mpc, "_edge_costs"),
+        (mpc._PairCost, "slope"), (mpc, "_backprop_controls"),
+    ])
+    assert counts["evaluate"] == counts["_rollout_arrays"] == counts["_stage_sum"]
+    assert counts["_edge_costs"] == counts["evaluate"] + 100  # and step 1 at build
+    assert counts["slope"] == counts["evaluate"]
+    assert counts["_backprop_controls"] == counts["search"] > 0
+    for name in ("_rollout_arrays", "evaluate", "_stage_sum", "_edge_costs", "slope"):
+        assert counts[f"{name} in search"] == 0
+    assert not hasattr(mpc._BatchProblem, "_stage_gradient")
 
 
 def bb_scale(s, y):
@@ -1608,9 +1693,10 @@ class TrappedProblem:
     def rows(self, keep):
         return TrappedProblem(self.problem.rows(keep), self.ids[keep], self.traps, self.state)
 
-    def search_direction(self, U, xs, ws):
-        G, P, cap = self.problem.search_direction(U, xs, ws)
-        for i, u, p, c in zip(self.ids.tolist(), U, P, cap):
+    def search_direction(self, U, record):
+        G, P, cap = self.problem.search_direction(U, record)
+        caps = np.full(len(U), np.inf) if cap is None else cap
+        for i, u, p, c in zip(self.ids.tolist(), U, P, caps):
             k = self.state["grads"].get(i, 0)
             self.state["grads"][i] = k + 1
             scale = first_scale(self.state["last"].get(i), u, p, c)
@@ -1624,14 +1710,14 @@ class TrappedProblem:
         return G, P, cap
 
     def evaluate(self, U):
-        J, xs, ws = self.problem.evaluate(U)
+        J, record = self.problem.evaluate(U)
         J = J.copy()
         self.state["calls"].append(self.ids.tolist())
         for k, (i, u) in enumerate(zip(self.ids.tolist(), U)):
             if any(np.array_equal(u, p) for p in self.state["plans"].get(i, ())):
                 J[k] = np.nan
                 self.state["trapped"] += 1
-        return J, xs, ws
+        return J, record
 
 
 def sequential_solve(problem, warm):
@@ -1650,9 +1736,9 @@ def sequential_solve(problem, warm):
     U = clamp_norm(warm, a_max)
     J, rollouts = [], []
     for i in range(B):
-        value, xs, ws = alone[i].evaluate(U[i : i + 1])
+        value, record = alone[i].evaluate(U[i : i + 1])
         J.append(value[0])
-        rollouts.append((xs, ws))
+        rollouts.append(record)
     traces = [[float(j)] for j in J]
     accepted = [[] for _ in range(B)]
     iterations = np.zeros(B, dtype=int)
@@ -1660,7 +1746,7 @@ def sequential_solve(problem, warm):
     scales, last = np.ones(B), {}
     live = list(range(B))
     for _ in range(MAX_ITER):
-        found = {i: alone[i].search_direction(U[i : i + 1], *rollouts[i]) for i in live}
+        found = {i: alone[i].search_direction(U[i : i + 1], rollouts[i]) for i in live}
         G = {i: found[i][1][0] for i in live}
         for i in live:
             step = np.sqrt(((U[i] - clamp_norm(U[i] - G[i], a_max)) ** 2).sum())
@@ -1670,7 +1756,8 @@ def sequential_solve(problem, warm):
             break
         iterations[live] += 1
         for i in live:
-            scales[i] = first_scale(last.get(i), U[i], G[i], found[i][2][0])
+            cap = np.inf if found[i][2] is None else found[i][2][0]
+            scales[i] = first_scale(last.get(i), U[i], G[i], cap)
             last[i] = (U[i].copy(), G[i])
         searching, going = list(live), []
         for h in range(LAST_HALVING + 1):
@@ -1688,7 +1775,7 @@ def sequential_solve(problem, warm):
                 delta = ((U[i] - tried[i]) ** 2).sum()
                 if values[i] <= J[i] - (ARMIJO_C / step[i]) * delta:
                     U[i], J[i] = tried[i], values[i]
-                    rollouts[i] = evaluated[i][1:]
+                    rollouts[i] = evaluated[i][1]
                     traces[i].append(float(values[i]))
                     accepted[i].append(h)
                     going.append(i)
@@ -1795,6 +1882,72 @@ def test_step_ladder_matches_sequential_line_search(np_rng):
     assert deepest > 6
 
 
+def mixed_clamp_batch(tag, np_rng):
+    """A batch of two-agent rows at v_max = 2 and its warm starts: each
+    centralized row plans both agents of its own configuration, each
+    distributed row agent 0 against agent 1.  Row 0 sits at rest at its
+    family's equilibrium spacing and converges at the first check; rows 1
+    and 3 move faster than v_max, so every rollout of theirs clamps; row 2
+    moves slowly and its rollouts do not."""
+    limits = MotionLimits(v_max=2.0)
+    cost = mpc._pair_cost(tag, PARAMS)
+    if tag in CENTRALIZED_MPC_TAGS:
+        spacing = PARAMS.d if not cost.cohesion else (2.0 * PARAMS.omega) ** 0.25
+    else:
+        spacing = PARAMS.d if not cost.cohesion else PARAMS.omega**0.25
+    pos = np.array([
+        [[0.0, 0.0], [spacing, 0.0]],
+        [[0.0, 0.0], [4.0, 1.0]],
+        [[0.0, 0.0], [5.0, -1.0]],
+        [[1.0, 0.0], [3.0, 2.0]],
+    ])
+    vel = np.array([
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[2.3, 0.0], [-2.2, 0.5]],
+        [[0.3, 0.1], [-0.2, 0.0]],
+        [[0.0, -2.4], [1.5, 1.7]],
+    ])
+    warm = np_rng.uniform(-0.3, 0.3, (4, 3, 2, 2))
+    warm[0] = 0.0
+    if tag in CENTRALIZED_MPC_TAGS:
+        return _build_centralized_problem(cost, pos, vel, PARAMS, limits), warm
+    problem = _build_batch_problem(cost, pos, vel, [0] * 4, PARAMS, limits)
+    return problem, warm[:, :, 0]
+
+
+@pytest.mark.parametrize("tag", MPC_TAGS)
+def test_rows_that_clamp_solve_in_a_batch_as_alone(tag, np_rng):
+    # some rows' rollouts clamp and others' do not, and a row converges at
+    # once or stalls while the clamping rows stay live: the batch solve
+    # narrows the clamp flags with its rows and gives every row the bits it
+    # gets alone
+    problem, warm = mixed_clamp_batch(tag, np_rng)
+    _, record = problem.evaluate(clamp_norm(warm, LIMITS.a_max))
+    assert record[2].tolist() == [False, True, False, True]
+    U, iterations, converged, traces, _ = sequential_solve(problem, warm)
+    assert iterations[0] == 0 and converged[0]
+    assert min(iterations[1], iterations[3]) > 0
+    got_U, got_converged, got_iterations, trace = _solve_batch(problem, warm)
+    assert same_bits(got_U, U) and np.array_equal(got_converged, converged)
+    assert got_iterations == iterations.max() and trace == traces[0]
+    for i in range(4):
+        one = _solve_batch(problem.rows(np.arange(4) == i), warm[i : i + 1])
+        assert same_bits(one[0][0], U[i])
+        assert (one[1][0], one[2]) == (converged[i], iterations[i])
+    # row 2 climbs, so its first line search stalls while the clamping rows
+    # go on; with rows 2 and 3 alone, row 3 is then the one live row
+    for keep in (np.ones(4, dtype=bool), np.arange(4) >= 2):
+        ids = np.flatnonzero(keep)
+        uphill = UphillRow(problem.rows(keep), ids, [], 2)
+        got_U, got_converged, _, _ = _solve_batch(uphill, warm[keep])
+        for k, i in enumerate(ids):
+            if i == 2:
+                assert not got_converged[k]
+                assert same_bits(got_U[k], clamp_norm(warm[i], LIMITS.a_max))
+            else:
+                assert same_bits(got_U[k], U[i]) and got_converged[k] == converged[i]
+
+
 def test_step_ladder_matches_sequential_search_at_the_iteration_cap(np_rng):
     capped, cases = 0, ladder_cases(np_rng)
     with mock.patch.object(mpc, "MAX_ITER", 3), mock.patch.dict(globals(), MAX_ITER=3):
@@ -1888,16 +2041,14 @@ def line_search_starts(log):
 def gradient_at(problem, i, u):
     """Batch row i's gradient at the plan u, its row evaluated alone."""
     row, U = problem.rows(np.arange(len(problem.x0)) == i), u[None]
-    _, xs, ws = row.evaluate(U)
-    return row.gradient(U, xs, ws)[0]
+    return row.gradient(U, row.evaluate(U)[1])[0]
 
 
 def direction_at(problem, i, u):
     """Batch row i's projected gradient and step cap at the plan u, its row
     evaluated alone."""
     row, U = problem.rows(np.arange(len(problem.x0)) == i), u[None]
-    _, xs, ws = row.evaluate(U)
-    _, P, cap = row.search_direction(U, xs, ws)
+    _, P, cap = row.search_direction(U, row.evaluate(U)[1])
     return P[0], float(cap[0])
 
 
@@ -1934,7 +2085,8 @@ def test_first_line_search_of_every_solve_probes_step_one(tag):
 
 
 class QuadraticProblem:
-    """Batch rows with the objective sum(c * U**2) / 2 and no rollout: row
+    """Batch rows with the objective sum(c * U**2) / 2 and a record of the
+    plan alone: row
     k's curvature c[k] has the plan's shape, so the Barzilai-Borwein scale of
     a move s is s.s / (c s).s."""
 
@@ -1947,9 +2099,9 @@ class QuadraticProblem:
 
     def evaluate(self, U):
         J = 0.5 * (self.c * U * U).reshape(len(U), -1).sum(axis=1)
-        return J, U, U
+        return J, (U,)
 
-    def search_direction(self, U, xs, ws):
+    def search_direction(self, U, record):
         G = self.c * U
         return G, G, np.full(len(U), np.inf)
 
@@ -2017,7 +2169,7 @@ class HeldQuadratic(QuadraticProblem):
     def rows(self, keep):
         return HeldQuadratic(self.c[keep], self.calls)
 
-    def search_direction(self, U, xs, ws):
+    def search_direction(self, U, record):
         G = self.c * U
         P = G.copy()
         if self.calls.setdefault("n", 0):
