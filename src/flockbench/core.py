@@ -232,19 +232,27 @@ def fold(terms):
     return functools.reduce(np.add, terms)
 
 
-def sq_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """Squared Euclidean norm over the last axis: the squares w = v * v in
-    one pass, then their left fold over the components, the order `fold`
-    adds in, written as a plain loop because the MPC horizon passes call
-    this on small arrays, where `fold`'s generator costs more than an add.
-    For the short axes used here (m = 1-4 are tested) this equals
-    ``(v * v).sum(axis=-1)`` bit for bit, whatever the memory layout, at a
-    fraction of the cost of a reduction over a length-m axis.
-    """
-    w = np.asarray(v) * v
+def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis: the products w = a * b in one
+    pass, then their left fold over the components, the order `fold` adds
+    in, written as a plain loop because the MPC horizon passes call this on
+    small arrays, where `fold`'s generator costs more than an add.  For the
+    short axes used here (m = 1-4 are tested) this equals
+    ``(a * b).sum(axis=-1)`` bit for bit, whatever the memory layout, up to
+    the sign of a zero sum (the reduction starts from +0.0), at a fraction
+    of the cost of a reduction over a length-m axis."""
+    w = np.asarray(a) * b
     out = w[..., 0]
     for k in range(1, w.shape[-1]):
         out = out + w[..., k]
+    return out
+
+
+def sq_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Squared Euclidean norm over the last axis, the `inner` product of v
+    with itself: ``(v * v).sum(axis=-1)`` bit for bit, as a square is never
+    -0.0."""
+    out = inner(v, v)
     return out[..., None] if keepdims else out
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import clamp_norm, sq_norm
+from .core import clamp_norm, inner, sq_norm
 
 # A centralized pair beyond r by at most WALL_GAP at a predicted step 2..T
 # sits at a wall: entering r would raise the cost by a jump, so the search
@@ -120,7 +120,7 @@ def _row_jacobians(W, clamps, v_max):
     """`_clamp_jacobians` of the pre-clamp velocities W whose rows'
     `_rollout_arrays` clamp flags are `clamps`: all None, without a speed
     test, where no row clamps."""
-    if clamps.any():
+    if np.count_nonzero(clamps):
         return _clamp_jacobians(W, v_max)
     return [None] * W.shape[1]
 
@@ -154,8 +154,11 @@ def _backprop_controls(gx, W, U, limits, lam, jacobians=None):
     if jacobians is None:
         jacobians = _clamp_jacobians(W, limits.v_max)
     if not any(jacobians):
-        px = _accumulate(0.0, gx[:, ::-1].copy())
-        pv = np.zeros_like(U)
+        # the velocity adjoints start from +0.0, so none is -0.0, and adding
+        # either zero to one gives the same bits: the position adjoints need
+        # no +0.0 start of their own
+        px = np.add.accumulate(gx[:, ::-1], axis=1)
+        pv = np.zeros(U.shape)
         np.multiply(dt, px, out=pv[:, 1:])
         np.add.accumulate(pv, axis=1, out=pv)
         return dt * pv[:, ::-1] + 2.0 * lam * U
@@ -182,8 +185,11 @@ def _forward_controls(D, W, limits, jacobians=None):
     if jacobians is None:
         jacobians = _clamp_jacobians(W, limits.v_max)
     if not any(jacobians):
-        v = _accumulate(0.0, dt * D[:, :-1])
-        return _accumulate(0.0, dt * v)
+        # the position tangents start from +0.0, so none is -0.0, and adding
+        # either zero to one gives the same bits: the velocity tangents need
+        # no +0.0 start of their own
+        v = dt * D[:, :-1]
+        return _accumulate(0.0, dt * np.add.accumulate(v, axis=1, out=v))
     xd = np.empty_like(D[:, 1:])
     x = v = np.zeros_like(D[:, 0])
     for t in range(D.shape[1] - 1):
@@ -194,13 +200,17 @@ def _forward_controls(D, W, limits, jacobians=None):
 
 
 def _active_solve(K, b, on):
-    """The multipliers of the active set `on` alone: K_on lam = b_on."""
-    idx = np.flatnonzero(on)
-    sub = K[idx[:, None], idx]
+    """The multipliers of the active set `on` alone: K_on lam = b_on, from K
+    itself where every constraint is on."""
+    if np.count_nonzero(on) == on.size:
+        sub, rhs = K, b
+    else:
+        idx = np.flatnonzero(on)
+        sub, rhs = K[idx[:, None], idx], b[idx]
     try:
-        return np.linalg.solve(sub, b[idx])
+        return np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(sub, b[idx], rcond=None)[0]
+        return np.linalg.lstsq(sub, rhs, rcond=None)[0]
 
 
 def _nnls(K, b, tol):
@@ -215,10 +225,15 @@ def _nnls(K, b, tol):
     hold g at a minimum, and from no constraint otherwise.
     """
     on = b > tol
+    start = _active_solve(K, b, on)
+    held = np.count_nonzero(start > 0) == start.size
+    if held and np.count_nonzero(on) == on.size:
+        return start  # every constraint holds: the loop would stop at once
     lam = np.zeros(b.size)
-    lam[on] = _active_solve(K, b, on)
-    if not (lam[on] > 0).all():
-        on[:], lam[:] = False, 0.0
+    if held:
+        lam[on] = start
+    else:
+        on[:] = False
     for _ in range(3 * b.size):
         w = np.where(on, -np.inf, b - K @ lam)
         p = np.argmax(w)
@@ -258,17 +273,21 @@ def _wall_projection(g, P, u, pairs, saturated):
     other saturated controls and the wall pairs go through `_nnls`.
     """
     T, n, m = u.shape
-    slots = np.flatnonzero(saturated)
-    coupled = (pairs.reshape(len(pairs), T * n, m)[:, slots] != 0).any(axis=(0, 2))
-    slots = slots[coupled]
-    unit = u.reshape(T * n, m)[slots]
-    controls = np.zeros((slots.size, T * n, m))
-    controls[np.arange(slots.size), slots] = -unit / np.sqrt(sq_norm(unit, keepdims=True))
-    A = np.concatenate([controls.reshape(slots.size, g.size), pairs])
+    slots = saturated.ravel().nonzero()[0]
+    if slots.size:
+        # the saturated controls some wall pair's distance depends on
+        slots = slots[pairs.reshape(len(pairs), T * n, m).any(axis=(0, 2))[slots]]
+    A = pairs
+    if slots.size:
+        unit = u.reshape(T * n, m)[slots]
+        controls = np.zeros((slots.size, T * n, m))
+        norms = np.sqrt(sq_norm(unit, keepdims=True))
+        controls[np.arange(slots.size), slots] = -unit / norms
+        A = np.concatenate([controls.reshape(slots.size, g.size), pairs])
+        P = P.reshape(T * n, m).copy()
+        P[slots] = g.reshape(T * n, m)[slots]
     flat = g.reshape(-1)
     lam = _nnls(A @ A.T, A @ flat, 1e-10 * np.sqrt(flat @ flat))
-    P = P.reshape(T * n, m).copy()
-    P[slots] = g.reshape(T * n, m)[slots]
     return P.reshape(g.shape) - (lam @ A).reshape(g.shape)
 
 
@@ -298,7 +317,7 @@ def _wall_search(gx, U, W, jacobians, pairs, r, lam, limits):
     iu, ju, diff, dist = pairs
     reach = 2.0 * limits.dt**2 * limits.a_max * T * (T - 1)
     # the pairs within reach: configuration, pair and distance
-    near_stage, near_pair = np.nonzero((dist >= r) & (dist <= r + reach))
+    near_stage, near_pair = ((dist >= r) & (dist <= r + reach)).nonzero()
     near_dist = dist[near_stage, near_pair]
     wall = near_dist - r <= WALL_GAP
     stage, pair = near_stage[wall], near_pair[wall]
@@ -336,34 +355,37 @@ def _wall_search(gx, U, W, jacobians, pairs, r, lam, limits):
         row, walls = row[keep], walls[keep] / norms[keep, None]
     # clamp_norm leaves a projected control within rounding of a_max
     sq = sq_norm(U)
-    saturated = sq >= (limits.a_max * (1.0 - 1e-9)) ** 2
-    radial = (U * G).sum(axis=-1)
-    pushed = saturated & (radial < 0)
+    saturated = pushed = sq >= (limits.a_max * (1.0 - 1e-9)) ** 2
     P = G
-    if pushed.any():
-        # each saturated control alone: drop the outward radial part
-        outward = np.divide(radial, sq, out=np.zeros_like(sq), where=pushed)
-        P = G - outward[..., None] * U
+    if np.count_nonzero(saturated):
+        radial = inner(U, G)  # a zero radial part, of either sign, pushes nothing
+        pushed = saturated & (radial < 0)
+        if np.count_nonzero(pushed):
+            # each saturated control alone: drop the outward radial part
+            outward = np.divide(radial, sq, out=np.zeros_like(sq), where=pushed)
+            P = G - outward[..., None] * U
     if row.size:
         # rows whose wall pairs -G pulls in, or whose controls it pushes out,
         # project onto every constraint of the row at once
         blocked = np.zeros(R, dtype=bool)
-        blocked[row] = pushed.reshape(R, -1).any(axis=1)[row]
         blocked[row[(walls * G.reshape(R, -1)[row]).sum(axis=1) > 0]] = True
-        if P is G and blocked.any():
+        if P is not G:  # some control is pushed out: P is a new array
+            blocked[row] |= pushed.reshape(R, -1).any(axis=1)[row]
+        elif np.count_nonzero(blocked):
             P = G.copy()
-        for k in np.flatnonzero(blocked):
+        for k in np.nonzero(blocked)[0]:
             P[k] = _wall_projection(G[k], P[k], U[k], walls[row == k], saturated[k])
     cap = np.full(R, np.inf)
-    if not wall.all():
-        stage, pair = near_stage[~wall], near_pair[~wall]
-        d = near_dist[~wall]
-        xd = _forward_controls(-P, W, limits, jacobians).reshape(-1, n, m)
-        # the distance times its rate, over the distance times its excess:
-        # minus one over the step at which the pair would enter r
-        xd_ij = xd[stage, iu[pair]] - xd[stage, ju[pair]]
-        rate = (diff[stage, pair] * xd_ij).sum(axis=1)
+    if np.count_nonzero(wall) < wall.size:
+        beyond = ~wall
+        stage, pair, d = near_stage[beyond], near_pair[beyond], near_dist[beyond]
+        # the tangents along +P: the distance times its rate of growth, over
+        # the distance times its excess, is one over the step along -P at
+        # which the pair would enter r (a zero rate caps nothing, whatever
+        # its sign)
+        xd = _forward_controls(P, W, limits, jacobians).reshape(-1, n, m)
+        rate = inner(diff[stage, pair], xd[stage, iu[pair]] - xd[stage, ju[pair]])
         inverse = np.zeros(R)
-        np.minimum.at(inverse, stage // (T - 1), rate / ((d - r) * d))
-        np.divide(-CROSS_FRACTION, inverse, out=cap, where=inverse < 0)
+        np.maximum.at(inverse, stage // (T - 1), rate / ((d - r) * d))
+        np.divide(CROSS_FRACTION, inverse, out=cap, where=inverse > 0)
     return G, P, cap

@@ -268,12 +268,16 @@ def rollout_distributed(
 @functools.lru_cache(maxsize=16)
 def _pair_layout(n: int):
     """Read-only agent indices iu, ju of the pairs i < j of n agents, in
-    row-major order, and the flat indices iu * n + ju and ju * n + iu of
-    their places (i, j) and (j, i) in an n x n matrix; cached, as
+    row-major order, and, for each entry (i, j) of an n x n matrix in
+    row-major order, the index of the pair {i, j}, or the pair count P for
+    the diagonal: a row of P pair values with one zero appended gathers
+    through it into the symmetric matrix with a zero diagonal.  Cached, as
     `np.triu_indices(30, 1)` takes 26 us, three times the gather it feeds in
     `_pairs` (2-core VM, numpy 2.4.6)."""
     iu, ju = np.triu_indices(n, k=1)
-    layout = iu, ju, iu * n + ju, ju * n + iu
+    gather = np.full(n * n, iu.size)
+    gather[iu * n + ju] = gather[ju * n + iu] = np.arange(iu.size)
+    layout = iu, ju, gather
     for index in layout:
         index.flags.writeable = False
     return layout
@@ -291,9 +295,9 @@ def _pairs(x):
     `sq_norm`'s bits.  The stage values, the stage gradient and the walls
     all read these arrays; none of them lists a pair twice."""
     iu, ju = _pair_layout(x.shape[1])[:2]
-    # np.take, unlike x[:, iu], returns C-contiguous arrays, so each row of
-    # the distances sums pairwise as a lone 1-D array does
-    diff = np.take(x, iu, axis=1) - np.take(x, ju, axis=1)
+    # take, unlike x[:, iu], returns C-contiguous arrays, so each row of the
+    # distances sums pairwise as a lone 1-D array does
+    diff = x.take(iu, axis=1) - x.take(ju, axis=1)
     return iu, ju, diff, np.sqrt(sq_norm(diff))
 
 
@@ -368,19 +372,21 @@ def _centralized_stage_gradient(cost, x, r, pairs=None):
     stack x of shape (S, n, m) with respect to its positions, treating each
     configuration's edge set as constant.  `pairs` is `_pairs(x)`, computed
     here when not given.  A pair i < j inside r is two ordered edges, so its
-    coefficient is twice the slope; it is computed once and written at
-    (i, j) and (j, i) of one (S, n, n) matrix, through `_pair_layout`'s flat
-    indices.  Each stage's coefficient row sums and matrix product are the
-    ones it would get alone, so a stage's gradient has the same bits in any
-    stack."""
+    coefficient is twice the slope; it is computed once and gathered to
+    (i, j) and (j, i) of one (S, n, n) matrix through `_pair_layout`'s
+    matrix index.  Each stage's coefficient row sums and matrix product are
+    the ones it would get alone, so a stage's gradient has the same bits in
+    any stack."""
     S, n = x.shape[:2]
     if cost.cohesion and n < 2:
         return np.zeros_like(x)
     dist = (_pairs(x) if pairs is None else pairs)[3]
-    coef = np.zeros((S, n, n))
-    pair_coef = np.where(dist < r, 2.0 * cost.slope(dist), 0.0)
-    flat, (_, _, ij, ji) = coef.reshape(S, n * n), _pair_layout(n)
-    flat[:, ij] = flat[:, ji] = pair_coef
+    # twice each pair's slope where it is inside r, then one zero slot
+    padded = np.zeros((S, dist.shape[1] + 1))
+    padded[:, :-1] = np.where(dist < r, 2.0 * cost.slope(dist), 0.0)
+    # take, unlike padded[:, gather], returns a C-contiguous matrix, whose
+    # row sums add in the order of a lone stage's
+    coef = padded.take(_pair_layout(n)[2], axis=1).reshape(S, n, n)
     edges = coef.sum(axis=-1)[..., None] * x - coef @ x
     if not cost.cohesion:
         return edges
@@ -693,7 +699,7 @@ def _check_finite(message, rows, name, values, controls):
     """Raise SolverError if any row of values is non-finite; rows holds the
     batch row of each row of values and controls."""
     finite = np.isfinite(values)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         bad = ~finite.reshape(finite.shape[0], -1).all(axis=1)
         raise SolverError(
             message,
@@ -736,19 +742,22 @@ def _solve_batch(problem, warm):
     |U - clamp(U - p)| is at most GRAD_TOL = 1e-6, so a minimum at a wall
     counts.  Otherwise its line search tries the steps a, a/2, a/4, ...
     along -p, down to a * 2**-LAST_HALVING = a * 2**-40, and accepts the
-    first that passes the Armijo test, so every accepted step lowers the
-    objective; if none does, the row stalls.  A row still live after
-    MAX_ITER = 200 iterations stops unconverged.  The scale a is the
-    smaller of the row's cap and 1 in a row's first line search of every
-    solve, warm-started or not.  In each later one the cap bounds the
-    Barzilai-Borwein step s.s / s.y (Barzilai & Borwein 1988) of the row's
-    last accepted move s = U_k - U_{k-1} and the change y = p_k - p_{k-1}
-    in its projected gradient, clipped to [BB_SCALE_MIN, BB_SCALE_MAX] =
-    [2**-10, 2**10], or BB_SCALE_MAX where s.y <= 0; where no wall holds the
-    row, y is its gradient change.  The searching rows probe in lockstep: at
-    the h-th halving one objective call evaluates each row still searching
-    once, at its own a * 2**-h, and the rows that pass leave the search, so
-    no probe past a row's accepted step is evaluated.
+    first that passes the Armijo test, J_try <= J - (ARMIJO_C / step) times
+    the squared length of the move, so an accepted step never raises the
+    objective; where that decrease rounds away, an accepted step can leave
+    the objective as it was.  If no step passes, the row stalls.  A row
+    still live after MAX_ITER = 200 iterations stops unconverged.  The
+    scale a is the smaller of the row's cap and 1 in a row's first line
+    search of every solve, warm-started or not.  In each later one the cap
+    bounds the Barzilai-Borwein step s.s / s.y (Barzilai & Borwein 1988) of
+    the row's last accepted move s = U_k - U_{k-1} and the change
+    y = p_k - p_{k-1} in its projected gradient, clipped to
+    [BB_SCALE_MIN, BB_SCALE_MAX] = [2**-10, 2**10], or BB_SCALE_MAX where
+    s.y <= 0; where no wall holds the row, y is its gradient change.  The
+    searching rows probe in lockstep: at the h-th halving one objective
+    call evaluates each row still searching once, at its own a * 2**-h,
+    and the rows that pass leave the search, so no probe past a row's
+    accepted step is evaluated.
 
     Overflow and invalid operations are not warned about: a non-finite
     objective or gradient in a row still being solved raises SolverError,
@@ -778,7 +787,7 @@ def _solve_batch(problem, warm):
             _check_finite("non-finite MPC gradient", live, "gradient", grad, U)
             cand = clamp_norm(U - proj, a_max)
             done = np.sqrt(((U - cand) ** 2).sum(axis=row_axes)) <= GRAD_TOL
-            if done.any():
+            if np.count_nonzero(done):
                 converged[live[done]] = True
                 if done.all():
                     break
@@ -825,7 +834,7 @@ def _solve_batch(problem, warm):
                     for a, b in zip(moved, tried):
                         a[at] = b[ok]
                     accepted[ids] = ok
-                if ok.all():
+                if np.count_nonzero(ok) == len(ok):
                     break
                 fail = ~ok
                 if not np.isfinite(J_try).all():  # a non-finite probe fails
@@ -837,12 +846,12 @@ def _solve_batch(problem, warm):
                     ids, base = ids[fail], tuple(a[fail] for a in base)
                     probe_problem = probe_problem.rows(fail)
             # rows whose line search stalled make no further progress
-            if not accepted.any():
+            if not np.count_nonzero(accepted):
                 break
             U, J, *record = moved
             if live[0] == 0 and accepted[0]:
                 trace.append(float(J[0]))
-            if not accepted.all():
+            if np.count_nonzero(accepted) < len(accepted):
                 stalled = ~accepted
                 plans[live[stalled]] = U_prev[stalled]
                 live, U, J, U_prev, P_prev, *record = (

@@ -1,10 +1,18 @@
 import os
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from flockbench import FlockConfiguration
+from flockbench import (
+    ExperimentConfig,
+    FlockConfiguration,
+    default_model_spec,
+    mpc,
+    noise_for_level,
+    simulate,
+)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -44,3 +52,22 @@ def random_config(rng, n=None, span=20.0, v_span=5.0, dim=2) -> FlockConfigurati
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240817)
+
+
+def captured_solves(tag, seed, steps=100, level=0):
+    """The problem and warm start of every `mpc._solve_batch` call of one
+    closed-loop run of `tag` at n = 30, in order: the run simulated from the
+    run seed `seed` for `steps` steps at noise level `level`.  Each warm
+    start is a copy; a centralized run's first solve starts from zeros and
+    each later one from the plan of the solve before it."""
+    solve, solves = mpc._solve_batch, []
+
+    def spy(problem, warm):
+        solves.append((problem, warm.copy()))
+        return solve(problem, warm)
+
+    noise = noise_for_level(level)
+    cfg = ExperimentConfig(model=default_model_spec(tag), steps=steps, noise=noise)
+    with mock.patch.object(mpc, "_solve_batch", spy):
+        simulate(cfg, seed)
+    return solves

@@ -19,7 +19,7 @@ from flockbench import (
     sense_local_all,
     step_dynamics,
 )
-from flockbench.core import StackedViews, clamp_norm, pairwise_distances, sq_norm
+from flockbench.core import StackedViews, clamp_norm, inner, pairwise_distances, sq_norm
 from conftest import random_config
 
 LIMITS = MotionLimits(v_max=8.0, a_max=1.0, dt=0.3)
@@ -476,6 +476,33 @@ def test_sq_norm_matches_sum_of_squares(m, keepdims, np_rng):
         # the products' left fold, as sq_norm summed before it squared once
         fold = left_fold_of_products(v)
         assert np.array_equal(got, fold[..., None] if keepdims else fold)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_inner_is_the_left_fold_of_the_products(m, np_rng):
+    # magnitudes spread over 16 decades, signed zeros, and a row whose
+    # products are all -0.0: the fold's bits, and the reduction's values,
+    # which differ from them only in the sign of a zero sum
+    a = np_rng.normal(size=(6, 7, m)) * 10.0 ** np_rng.integers(-8, 8, size=(6, 7, 1))
+    b = np_rng.normal(size=(6, 7, m))
+    a[np_rng.random(a.shape) < 0.2] = -0.0
+    a[0], b[0] = -0.0, 1.0
+    for x, y in (
+        (a, b),
+        (a.transpose(1, 0, 2), b.transpose(1, 0, 2)),
+        (np.asfortranarray(a), b),
+        (np.moveaxis(np.moveaxis(a, -1, 0).copy(), 0, -1), b[:, ::-1]),
+        (a[:, [5, 0, 3, 3]], b[:, :4]),
+    ):
+        fold = x[..., 0] * y[..., 0]
+        for k in range(1, m):
+            fold = fold + x[..., k] * y[..., k]
+        got = inner(x, y)
+        assert got.tobytes() == fold.tobytes()
+        summed = (x * y).sum(axis=-1)
+        assert np.array_equal(got, summed)
+        assert (got[np.signbit(got) != np.signbit(summed)] == 0.0).all()
+    assert np.signbit(inner(a, b)[0]).all()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

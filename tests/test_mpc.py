@@ -49,7 +49,7 @@ from flockbench.mpc import (
     _single_problem,
     _solve_batch,
 )
-from conftest import hexagonal_patch, random_config
+from conftest import captured_solves, hexagonal_patch, random_config
 
 LIMITS = MotionLimits()
 PARAMS = MpcParams()  # horizon 3, lam 1, r 8.4, d 7, omega 50
@@ -772,6 +772,21 @@ def test_solver_monotone_descent(np_rng):
         values = np.asarray(result.objectives)
         assert len(values) >= 1
         assert (np.diff(values) <= 1e-12).all()
+
+
+def test_null_moves_keep_a_closed_loop_solve_from_converging():
+    # the df_centralized solve at step 0 of run 1 at seed 1: where the
+    # Armijo test's required decrease rounds away, it accepts a step that
+    # leaves the objective as it was, so the solve runs MAX_ITER iterations
+    # unconverged, its objective never rising and 114 of its accepted steps
+    # leaving it equal.  A line search that demands a strict decrease
+    # changes these counts, and this test with it
+    problem, warm = captured_solves("df_centralized", mix_seed(1, 1), steps=1)[0]
+    _, converged, iterations, trace = _solve_batch(problem, warm)
+    assert (iterations, converged.tolist(), len(trace)) == (MAX_ITER, [False], 201)
+    steps = list(zip(trace, trace[1:]))
+    assert all(after <= before for before, after in steps)
+    assert sum(after == before for before, after in steps) == 114
 
 
 def test_solver_warm_start_validation():
@@ -1788,23 +1803,6 @@ def sequential_solve(problem, warm):
     return U, iterations, converged, traces, accepted
 
 
-def closed_loop_solves(tag, steps, level=0):
-    """The problem and warm start of every MPC solve of a closed-loop run of
-    `steps` steps at n = 30, in order: the first starts from zeros, and each
-    later one from the plan of the solve before it."""
-    solve, solves = mpc._solve_batch, []
-
-    def spy(problem, warm):
-        solves.append((problem, warm.copy()))
-        return solve(problem, warm)
-
-    noise = noise_for_level(level)
-    cfg = ExperimentConfig(model=default_model_spec(tag), steps=steps, noise=noise)
-    with mock.patch.object(mpc, "_solve_batch", spy):
-        simulate(cfg, mix_seed(1, 0))
-    return solves
-
-
 def ladder_cases(np_rng):
     """Random centralized and noisy distributed problems with warm starts,
     and closed-loop solves at n = 30 whose line searches run long: the df
@@ -1836,9 +1834,9 @@ def ladder_cases(np_rng):
                 mpc._pair_cost(tag, PARAMS), *views, range(n), PARAMS, LIMITS
             )
             cases.append((problem, np_rng.uniform(-0.5, 0.5, (n, 3, 2))))
-    cases.append(closed_loop_solves("df_centralized", 6)[-1])
-    cases.append(closed_loop_solves("lattice_centralized", 6)[-1])
-    cases.append(closed_loop_solves("df_distributed", 7, level=10)[-1])
+    cases.append(captured_solves("df_centralized", mix_seed(1, 0), 6)[-1])
+    cases.append(captured_solves("lattice_centralized", mix_seed(1, 0), 6)[-1])
+    cases.append(captured_solves("df_distributed", mix_seed(1, 0), 7, level=10)[-1])
     return cases
 
 
@@ -2060,7 +2058,7 @@ def test_first_line_search_of_every_solve_probes_step_one(tag):
     # along minus its gradient; a centralized row along minus its projected
     # gradient, and its first step is at most its cap
     first, later, capped = 0, 0, 0
-    for problem, warm in closed_loop_solves(tag, 4, level=3):
+    for problem, warm in captured_solves(tag, mix_seed(1, 0), 4, level=3):
         log = []
         counting = CountingProblem(problem, np.arange(len(warm)), log)
         _solve_batch(counting, warm)
