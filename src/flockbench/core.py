@@ -259,11 +259,23 @@ def sq_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
 def clamp_norm(vectors: np.ndarray, max_norm: float) -> np.ndarray:
     """Radially project each vector along the last axis of (..., m)
     `vectors` onto the ball of a positive max_norm; a vector inside it, or
-    with a NaN norm (np.fmax ignores a NaN), is scaled by exactly 1."""
+    with a NaN norm (np.fmax ignores a NaN), is scaled by exactly 1.  The
+    result is a new array: where no vector is over max_norm it is a copy,
+    unless the float64 conversion already made one."""
     v = np.asarray(vectors, dtype=np.float64)
+    out = clamped(v, max_norm)
+    if out is v and (v is vectors or np.may_share_memory(v, vectors)):
+        return v.copy()
+    return out
+
+
+def clamped(v: np.ndarray, max_norm: float) -> np.ndarray:
+    """`clamp_norm` of a float64 array v that the caller owns, such as a
+    temporary, without the copy: v itself where no vector is over
+    max_norm."""
     norms = np.sqrt(sq_norm(v, keepdims=True))
     if not np.count_nonzero(norms > max_norm):
-        return v.copy()
+        return v
     return v * (max_norm / np.fmax(norms, max_norm))
 
 

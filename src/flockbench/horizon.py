@@ -82,9 +82,10 @@ def _rollout_arrays(x0, v0, U, limits):
     xs, ws = np.empty_like(U), _accumulate(v0, dt * U)
     over = np.sqrt(sq_norm(ws)) > v_max
     if not np.count_nonzero(over):
-        np.multiply(dt, v0, out=xs[:, 0])
+        xs[:, 0] = x0 + dt * v0
         np.multiply(dt, ws[:, :-1], out=xs[:, 1:])
-        return _accumulate(x0, xs), ws, np.zeros(len(U), dtype=bool)
+        np.add.accumulate(xs, axis=1, out=xs)
+        return xs, ws, np.zeros(len(U), dtype=bool)
     clamps = over.reshape(len(U), -1).any(axis=1)
     x, v = x0, v0
     for t in range(U.shape[1]):

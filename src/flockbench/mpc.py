@@ -64,6 +64,7 @@ an independent oracle in the tests.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -76,6 +77,7 @@ from .core import (
     MotionLimits,
     StackedViews,
     clamp_norm,
+    clamped,
     fold,
     sq_norm,
 )
@@ -130,7 +132,8 @@ class MpcParams:
     separation weight (read by the declarative-flocking models).  Every
     field is a required number and horizon an integer (numpy integers
     included): None or a non-integer horizon fails with a TypeError, and
-    NaN or a value out of range with a ValueError.
+    NaN or a value out of range with a ValueError.  lam, d and omega must
+    be finite, even where the model does not read them, and r may be inf.
     """
 
     horizon: int = 3
@@ -142,14 +145,14 @@ class MpcParams:
     def __post_init__(self):
         if not operator.index(self.horizon) >= 1:
             raise ValueError("horizon must be at least 1")
-        if not self.lam > 0:
-            raise ValueError("control penalty lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("control penalty lam must be positive and finite")
         if not self.r > 0:
             raise ValueError("interaction radius must be positive")
-        if not self.d > 0:
-            raise ValueError("lattice scale d must be positive")
-        if not self.omega > 0:
-            raise ValueError("separation weight omega must be positive")
+        if not 0 < self.d < math.inf:
+            raise ValueError("lattice scale d must be positive and finite")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("separation weight omega must be positive and finite")
 
 
 @dataclass
@@ -305,33 +308,53 @@ class _PairCost(NamedTuple):
     """One MPC family's cost of an edge at distance dist, floored at
     EPS_DIST: the term phi, the weight of the edge sum, the slope
     weight * phi' / dist, and whether a cohesion term (squared distances)
-    is added to the weighted edge sum.  `phi` and `rate` (the slope) take
-    the floored distance."""
+    is added to the weighted edge sum.  Term and slope share one value g of
+    the floored distance f, `base(f)`: `phi(g)` is the term and `rate(g, f)`
+    the slope.  `terms` gives both from one floor and one g, with the bits
+    `term` and `slope` give alone."""
 
+    base: Callable
     phi: Callable
     weight: float
     rate: Callable
     cohesion: bool
 
     def term(self, dist):
-        return self.phi(np.maximum(dist, EPS_DIST))
+        return self.phi(self.base(np.maximum(dist, EPS_DIST)))
 
     def slope(self, dist):
         """The slope, 0 below EPS_DIST, where the floor holds the term."""
-        return np.where(dist < EPS_DIST, 0.0, self.rate(np.maximum(dist, EPS_DIST)))
+        f = np.maximum(dist, EPS_DIST)
+        return _held(dist, self.rate(self.base(f), f))
+
+    def terms(self, dist):
+        """(term, slope) of each distance."""
+        f = np.maximum(dist, EPS_DIST)
+        g = self.base(f)
+        return self.phi(g), _held(dist, self.rate(g, f))
+
+
+def _held(dist, rate):
+    """The slopes `rate` of the distances dist, 0 below EPS_DIST."""
+    below = dist < EPS_DIST
+    if np.count_nonzero(below):
+        return np.where(below, 0.0, rate)
+    return rate
 
 
 def _lattice(d):
     """Lattice: (dist - d)^2, weight 1, slope 2 (dist - d) / dist; no
-    cohesion."""
-    return _PairCost(lambda f: (f - d) ** 2, 1.0, lambda f: 2.0 * (f - d) / f, False)
+    cohesion.  g is dist - d."""
+    return _PairCost(
+        lambda f: f - d, lambda g: g**2, 1.0, lambda g, f: 2.0 * g / f, False
+    )
 
 
 def _declarative(omega):
     """Declarative flocking: 1 / dist^2, weight omega, slope
-    -2 omega / (dist^2)^2; cohesion."""
+    -2 omega / (dist^2)^2; cohesion.  g is dist^2."""
     return _PairCost(
-        lambda f: 1.0 / (f * f), omega, lambda f: -2.0 * omega / ((f * f) * (f * f)),
+        lambda f: f * f, lambda g: 1.0 / g, omega, lambda g, f: -2.0 * omega / (g * g),
         True,
     )
 
@@ -508,7 +531,7 @@ class _Problem:
         """Objective of each row, shape (R,), and its record: the rollout,
         then the subclass's stage pieces."""
         xs, ws, clamps = _rollout_arrays(self.x0, self.v0, U, self.limits)
-        penalty = (U * U).reshape(len(U), -1).sum(axis=1)
+        penalty = np.add.reduce((U * U).reshape(len(U), -1), axis=1)
         stages, *pieces = self._stage_sum(xs)
         return stages + self.params.lam * penalty, (xs, ws, clamps, *pieces)
 
@@ -598,42 +621,57 @@ def _build_centralized_problem(cost, pos, vel, params, limits):
     return _CentralizedProblem(cost, params, limits, pos, vel, first_stage)
 
 
+@functools.lru_cache(maxsize=16)
+def _edge_offsets(horizon, m):
+    """Read-only (m, T-1, 1) offsets (t+1) * m + c: the entry of component c
+    at predicted step t+2 in a row's (T, m) plan."""
+    offsets = np.arange(m)[:, None, None] + m * np.arange(1, horizon)[:, None]
+    offsets.flags.writeable = False
+    return offsets
+
+
 @dataclass
 class _BatchProblem(_Problem):
     """Rows that each plan one agent, U of shape (B, T, m), from its own
     position x0[k] and velocity v0[k], (m,) each, against its frozen,
-    constant-velocity neighbors.  A record carries the stage gradient gx at
-    steps 2..T, (B, T-1, m), so a search direction runs only the adjoint
-    pass."""
+    constant-velocity neighbors.  Each neighbor edge is priced at step 1
+    when the batch is built.  An evaluation reads its neighbor's positions
+    at steps 2..T, stored component-major and contiguous, (m, T-1, E), so
+    that every edge array of a step is one contiguous row, and the 1 / N and
+    2 / N of its row's N neighbors, the cohesion's coefficients.  A record
+    carries the stage gradient gx at steps 2..T, (B, T-1, m), so a search
+    direction runs only the adjoint pass."""
 
     src: np.ndarray  # (E,) batch row of each neighbor edge, ascending
-    nbr_pos: np.ndarray  # (E, T, m) neighbor positions at steps 1..T
-    edge_counts: np.ndarray  # (E, 1) neighbor count of each edge's row
+    nbr_later: np.ndarray  # (m, T-1, E) neighbor positions at steps 2..T
+    inv_counts: np.ndarray  # (E,) 1 / N of each edge's row
+    two_inv_counts: np.ndarray  # (E,) 2 / N of each edge's row
     first: np.ndarray  # (E,) cost of each edge at step 1, priced at build
+    entries: np.ndarray = field(init=False, repr=False)  # (m, T-1, E), below
 
-    @functools.cached_property
-    def _slots(self):
-        """One bincount bin per entry of gx, for each edge and entry of its
-        row: a bin adds its edges in ascending order."""
-        width = (self.params.horizon - 1) * self.x0.shape[1]
-        return (self.src[:, None] * width + np.arange(width)).ravel()
+    def __post_init__(self):
+        # each edge's entries at steps 2..T of its row's (T, m) plan, in
+        # nbr_later's layout: one take gathers the agent's positions there,
+        # and one bincount adds each entry's edges, in ascending order, into
+        # the stage gradient
+        m, steps = self.nbr_later.shape[:2]
+        self.entries = self.src * ((steps + 1) * m) + _edge_offsets(steps + 1, m)
 
     def _stage_sum(self, xs):
         """Each edge's steps 1..T `fold`ed, then each row's edges; and the
         stage gradient gx at steps 2..T from the same edge differences and
-        distances."""
-        diff = xs[self.src, 1:] - self.nbr_pos[:, 1:]  # (E, T-1, m)
-        dist = np.sqrt(sq_norm(diff))
-        cost = fold((self.first, *_edge_costs(self.cost, self.edge_counts, dist).T))
-        coef = self.cost.slope(dist)
+        distances, each distance floored once for its term and slope."""
+        diff = xs.take(self.entries) - self.nbr_later  # (m, T-1, E)
+        dist = np.sqrt(fold(diff * diff))  # sq_norm's order, component-major
+        term, coef = self.cost.terms(dist)
+        cost = fold((self.first, *_edge_costs(self.cost, self.inv_counts, dist, term)))
         if self.cost.cohesion:
-            coef = 2.0 / self.edge_counts + coef
-        shape = (len(xs),) + diff.shape[1:]
-        size = shape[0] * shape[1] * shape[2]
-        gx = np.bincount(self._slots, (coef[:, :, None] * diff).ravel(), size)
+            coef = self.two_inv_counts + coef
+        # the gradient at steps 1..T, whose step 1 stays 0; gx is a view
+        gx = np.bincount(self.entries.ravel(), (coef * diff).ravel(), xs.size)
         return (
             np.bincount(self.src, weights=cost, minlength=len(xs)),
-            gx.reshape(shape).astype(np.float64, copy=False),  # int64 if E = 0
+            gx.reshape(xs.shape)[:, 1:].astype(np.float64, copy=False),  # int64 if E = 0
         )
 
     def gradient(self, U, record):
@@ -644,19 +682,22 @@ class _BatchProblem(_Problem):
         their order.  A kept row keeps its edges in their order, renumbered
         to its place among the kept rows: its sums accumulate as in this
         batch and its values are bit-identical."""
-        edges = keep[self.src]
+        kept = keep.nonzero()[0]
+        edges = keep.take(self.src).nonzero()[0]
         return _BatchProblem(
-            self.cost, self.params, self.limits, self.x0[keep], self.v0[keep],
-            (np.cumsum(keep) - 1)[self.src[edges]], self.nbr_pos[edges],
-            self.edge_counts[edges], self.first[edges],
+            self.cost, self.params, self.limits, self.x0.take(kept, axis=0),
+            self.v0.take(kept, axis=0), (keep.cumsum() - 1).take(self.src.take(edges)),
+            self.nbr_later.take(edges, axis=2), self.inv_counts.take(edges),
+            self.two_inv_counts.take(edges), self.first.take(edges),
         )
 
 
-def _edge_costs(cost, edge_counts, dist):
-    """Each edge's cost at each of its steps, from its distances (E, S)."""
-    edge = cost.weight * cost.term(dist)
+def _edge_costs(cost, inv_counts, dist, term):
+    """Each edge's cost at each of S steps, (S, E), from its distances and
+    their terms, (S, E), and its row's 1 / N, (E,)."""
+    edge = cost.weight * term
     if cost.cohesion:
-        edge = (1.0 / edge_counts) * (dist * dist) + edge
+        edge = inv_counts * (dist * dist) + edge
     return edge
 
 
@@ -676,18 +717,28 @@ def _build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=No
         idx = _check_neighbor_set(views.agents[0], neighbor_set, mask.shape[1])
         mask[0] = False
         mask[0, idx] = True
-    src, nbr = np.nonzero(mask)
+    src, nbr = mask.nonzero()
     x0, v0 = views.by_observer(views.own_x), views.by_observer(views.own_v)
-    # constant-velocity extrapolation as the rollout's running sums
-    nbr_pos = np.empty((src.size, params.horizon, len(views.x)))
-    nbr_pos[:] = (limits.dt * views.v[:, nbr, src].T)[:, None]
-    _accumulate(views.x[:, nbr, src].T, nbr_pos)
-    edge_counts = np.bincount(src)[src][:, None].astype(np.float64)
+    # each edge's entry (nbr, src) of the (m, n, B) views, flattened per
+    # component: one take per array, component-major
+    m, flat = len(views.x), nbr * mask.shape[0] + src
+    nbr_x = views.x.reshape(m, -1).take(flat, axis=1)
+    nbr_v = views.v.reshape(m, -1).take(flat, axis=1)
+    # constant-velocity extrapolation as the rollout's running sums, (m, T, E)
+    nbr_pos = np.empty((m, params.horizon, src.size))
+    nbr_pos[:] = (limits.dt * nbr_v)[:, None]
+    _accumulate(nbr_x, nbr_pos)
+    counts = np.bincount(src).take(src)
+    inv_counts, two_inv_counts = 1.0 / counts, 2.0 / counts
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        step1 = (x0 + limits.dt * v0)[src, None] - nbr_pos[:, :1]
-        first = _edge_costs(cost, edge_counts, np.sqrt(sq_norm(step1)))[:, 0]
-    return _BatchProblem(cost, params, limits, x0, v0, src, nbr_pos, edge_counts, first)
+        step1 = (x0 + limits.dt * v0).take(src, axis=0) - nbr_pos[:, 0].T
+        dist = np.sqrt(sq_norm(step1))
+        first = _edge_costs(cost, inv_counts, dist, cost.term(dist))
+    return _BatchProblem(
+        cost, params, limits, x0, v0, src, nbr_pos[:, 1:].copy(), inv_counts,
+        two_inv_counts, first,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -729,8 +780,8 @@ def _solve_batch(problem, warm):
     accepted point is rolled out and priced once.  Live row k's plan is
     written out to batch row live[k] when it converges or stalls.  Each
     search direction runs on the live rows, each line-search probe on those
-    still searching, through a problem the solver narrows with `rows` and
-    the mask it applies to its state.  The first probes' plans, objectives
+    still searching, through a problem the solver narrows with `rows`,
+    taking the same rows of its state.  The first probes' plans, objectives
     and records become the live rows' next state as they are; a row that
     passes a later probe overwrites its own row.  Rows never interact, so
     every row computes exactly what a batch of it alone would.
@@ -785,28 +836,36 @@ def _solve_batch(problem, warm):
         for _ in range(MAX_ITER):
             grad, proj, cap = live_problem.search_direction(U, record)
             _check_finite("non-finite MPC gradient", live, "gradient", grad, U)
-            cand = clamp_norm(U - proj, a_max)
-            done = np.sqrt(((U - cand) ** 2).sum(axis=row_axes)) <= GRAD_TOL
-            if np.count_nonzero(done):
-                converged[live[done]] = True
-                if done.all():
+            unit = U - clamped(U - proj, a_max)
+            done = np.sqrt(np.add.reduce(unit * unit, axis=row_axes)) <= GRAD_TOL
+            n_done = np.count_nonzero(done)
+            if n_done:
+                if n_done == len(done):
+                    converged[live] = True
                     break
-                plans[live[done]] = U[done]
+                gone = done.nonzero()[0]
+                at = live.take(gone)
+                converged[at] = True
+                plans[at] = U.take(gone, axis=0)
                 keep = ~done
+                idx = keep.nonzero()[0]
                 live, U, J, proj, U_prev, P_prev = (
-                    a[keep] for a in (live, U, J, proj, U_prev, P_prev)
+                    a.take(idx, axis=0) for a in (live, U, J, proj, U_prev, P_prev)
                 )
                 if cap is not None:
-                    cap = cap[keep]
+                    cap = cap.take(idx)
                 live_problem = live_problem.rows(keep)
             if iterations:
                 # every live row accepted a move in the previous iteration:
                 # the Barzilai-Borwein scale s.s / s.y of that move, y being
                 # the change in the projected gradient
                 s, y = U - U_prev, proj - P_prev
-                ss, sy = (s * s).sum(axis=row_axes), (s * y).sum(axis=row_axes)
-                bb = np.minimum(np.maximum(ss / sy, BB_SCALE_MIN), BB_SCALE_MAX)
-                scale = np.where(sy > 0, bb, BB_SCALE_MAX)
+                ss = np.add.reduce(s * s, axis=row_axes)
+                sy = np.add.reduce(s * y, axis=row_axes)
+                scale = np.minimum(np.maximum(ss / sy, BB_SCALE_MIN), BB_SCALE_MAX)
+                curved = sy > 0
+                if np.count_nonzero(curved) < len(curved):
+                    scale = np.where(curved, scale, BB_SCALE_MAX)
             else:
                 scale = np.ones(len(U))
             if cap is not None:
@@ -820,9 +879,10 @@ def _solve_batch(problem, warm):
                 # every searching row's probe at halving h, in one call
                 U_base, P_base, scale_base, J_base = base
                 step = scale_base * 2.0**-h
-                U_try = clamp_norm(U_base - step.reshape(per_row) * P_base, a_max)
+                U_try = clamped(U_base - step.reshape(per_row) * P_base, a_max)
                 J_try, record_try = probe_problem.evaluate(U_try)
-                delta = ((U_base - U_try) ** 2).sum(axis=row_axes)
+                move = U_base - U_try
+                delta = np.add.reduce(move * move, axis=row_axes)
                 ok = J_try <= J_base - (ARMIJO_C / step) * delta
                 tried = (U_try, J_try, *record_try)
                 if h == 0:
@@ -830,32 +890,38 @@ def _solve_batch(problem, warm):
                     # probe's; a row that passes a later probe takes that one
                     moved, accepted = tried, ok
                 else:
-                    at = ids[ok]
+                    passed = ok.nonzero()[0]
+                    at = ids.take(passed)
                     for a, b in zip(moved, tried):
-                        a[at] = b[ok]
+                        a[at] = b.take(passed, axis=0)
                     accepted[ids] = ok
-                if np.count_nonzero(ok) == len(ok):
+                n_ok = np.count_nonzero(ok)
+                if n_ok == len(ok):
                     break
                 fail = ~ok
-                if not np.isfinite(J_try).all():  # a non-finite probe fails
+                if np.count_nonzero(np.isfinite(J_try)) < len(J_try):
+                    # a non-finite probe fails
                     _check_finite(
                         "non-finite MPC objective during line search",
                         live[ids[fail]], "objective", J_try[fail], U_try[fail],
                     )
-                if ok.any():
-                    ids, base = ids[fail], tuple(a[fail] for a in base)
+                if n_ok:
+                    left = fail.nonzero()[0]
+                    ids, base = ids.take(left), tuple(a.take(left, axis=0) for a in base)
                     probe_problem = probe_problem.rows(fail)
             # rows whose line search stalled make no further progress
-            if not np.count_nonzero(accepted):
+            n_accepted = np.count_nonzero(accepted)
+            if not n_accepted:
                 break
             U, J, *record = moved
             if live[0] == 0 and accepted[0]:
                 trace.append(float(J[0]))
-            if np.count_nonzero(accepted) < len(accepted):
+            if n_accepted < len(accepted):
                 stalled = ~accepted
                 plans[live[stalled]] = U_prev[stalled]
+                idx = accepted.nonzero()[0]
                 live, U, J, U_prev, P_prev, *record = (
-                    a[accepted] for a in (live, U, J, U_prev, P_prev, *record)
+                    a.take(idx, axis=0) for a in (live, U, J, U_prev, P_prev, *record)
                 )
                 live_problem = live_problem.rows(accepted)
         plans[live] = U

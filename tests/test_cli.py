@@ -372,6 +372,23 @@ def test_nan_setting_fails(tmp_path, capsys, key):
     assert capsys.readouterr().err.startswith("error: ValueError: ")
 
 
+@pytest.mark.parametrize("key", ["mpc.lam", "mpc.omega", "mpc.d"])
+def test_infinite_mpc_weight_fails_before_any_output(tmp_path, capsys, key):
+    # mpc.lam=inf and mpc.omega=inf used to pass the config and die at step 0
+    # with a SolverError, after effective_config.txt was written; mpc.d=inf
+    # fails too, though df_centralized never reads d
+    out = tmp_path / "x"
+    code = run_cli(
+        ["simulate", "--model", "df_centralized", "--out", str(out)]
+        + ["--set", f"{key}=inf"]
+        + FAST_OVERRIDES
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and "finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dimension", ["0", "-1"])
 def test_nonpositive_dimension_fails(tmp_path, capsys, dimension):
     out = tmp_path / "x"

@@ -19,7 +19,14 @@ from flockbench import (
     sense_local_all,
     step_dynamics,
 )
-from flockbench.core import StackedViews, clamp_norm, inner, pairwise_distances, sq_norm
+from flockbench.core import (
+    StackedViews,
+    clamp_norm,
+    clamped,
+    inner,
+    pairwise_distances,
+    sq_norm,
+)
 from conftest import random_config
 
 LIMITS = MotionLimits(v_max=8.0, a_max=1.0, dt=0.3)
@@ -584,4 +591,35 @@ def test_clamp_norm_matches_the_nested_where_formula(np_rng):
     inside = edges[:5]
     kept = clamp_norm(inside, 5.0)
     assert kept is not inside and same_bits(kept, inside)
+
+
+@pytest.mark.parametrize("case", ["inside", "over", "nan", "view", "strided", "integers", "list"])
+def test_clamp_norm_never_returns_the_callers_array(case):
+    # the result is a new array: writing to it leaves the input as it was,
+    # whether or not a vector was scaled and whether or not the float64
+    # conversion made a copy
+    base = np.array([[3.0, 4.0], [-0.0, 1.0], [0.5, -0.5], [6.0, 8.0]])
+    inputs = {
+        "inside": base[:3].copy(),
+        "over": base.copy(),
+        "nan": np.array([[np.nan, 1.0], [0.0, 2.0]]),
+        "view": base[1:3],
+        "strided": base[::2, ::-1][:1],
+        "integers": np.array([[1, 2], [0, 3]]),
+        "list": [[1.0, 2.0], [0.0, 3.0]],
+    }
+    vectors = inputs[case]
+    before = np.array(vectors, dtype=np.float64)
+    snapshot = base.copy()
+    got = clamp_norm(vectors, 5.0)
+    assert got is not vectors and got.dtype == np.float64
+    assert not np.may_share_memory(got, base)
+    if isinstance(vectors, np.ndarray):
+        assert not np.may_share_memory(got, vectors)
+    expected = got.copy()
+    got[...] = 123.0
+    assert same_bits(np.array(vectors, dtype=np.float64), before)
+    assert same_bits(base, snapshot)
+    # and clamped, which may hand back its own float64 argument, agrees
+    assert same_bits(clamped(before.copy(), 5.0), expected)
 

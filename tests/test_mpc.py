@@ -576,6 +576,19 @@ def test_objective_linear_in_lambda(np_rng):
     assert doubled == pytest.approx(stage + 2.0 * float((u * u).sum()))
 
 
+@pytest.mark.parametrize("name", ["lam", "d", "omega"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_mpc_params_reject_a_nonfinite_or_nonpositive_weight(name, value):
+    # an infinite lam or omega used to pass here and fail at the first solve,
+    # with a non-finite objective; d is checked though the DF models never
+    # read it
+    label = {"lam": "control penalty", "d": "lattice scale", "omega": "separation weight"}
+    with pytest.raises(ValueError, match=f"^{label[name]} {name} must be positive and finite$"):
+        MpcParams(**{name: value})
+    assert getattr(MpcParams(**{name: 1e308}), name) == 1e308
+    assert MpcParams(r=math.inf).r == math.inf
+
+
 def test_objective_requires_model_parameter():
     for name in ("d", "omega"):
         with pytest.raises(TypeError):
@@ -993,9 +1006,39 @@ def test_narrowing_twice_matches_narrowing_once(tag, v_max, np_rng):
         assert full.rows(np.arange(8) >= 5).rows(np.arange(3) == 2).src.size == 0
 
 
-def edge_diffs(problem, xs):
-    """Each edge's agent-neighbor differences at steps 1..T of the rollout."""
-    return xs[problem.src] - problem.nbr_pos
+def edge_oracle(views, idx, horizon):
+    """The edges of a batch problem of the rows idx of the stacked views
+    (row k plans agent idx[k] from its own view), one agent at a time: each
+    edge's row k, row by row and each row's frozen neighbors ascending, its
+    neighbor's positions at steps 1..T, coasting at the sensed velocity one
+    step at a time, (E, T, m), and its row's neighbor count N, (E, 1)."""
+    src, positions = [], []
+    for k, agent in enumerate(idx):
+        view = config(views[0][agent], views[1][agent])
+        for j in sorted(neighbors(view, agent, PARAMS.r)):
+            p, steps = view.positions[j], []
+            for _ in range(horizon):
+                p = p + LIMITS.dt * view.velocities[j]
+                steps.append(p)
+            src.append(k)
+            positions.append(steps)
+    src = np.array(src, dtype=np.intp)
+    positions = np.array(positions).reshape(len(src), horizon, views[0].shape[-1])
+    return src, positions, np.bincount(src)[src][:, None].astype(np.float64)
+
+
+def edge_diffs(problem, xs, oracle):
+    """Each edge's agent-neighbor differences at steps 1..T of the rollout
+    xs, from the `edge_oracle` of the problem's rows, once the problem is
+    seen to hold the oracle's edges: their rows, their neighbors' positions
+    at steps 2..T (component-major, (m, T-1, E)) and their rows' 1 / N and
+    2 / N."""
+    src, positions, counts = oracle
+    assert np.array_equal(problem.src, src)
+    assert same_bits(problem.nbr_later, positions[:, 1:].transpose(2, 1, 0))
+    assert same_bits(problem.inv_counts, 1.0 / counts[:, 0])
+    assert same_bits(problem.two_inv_counts, 2.0 / counts[:, 0])
+    return xs[src] - positions
 
 
 @pytest.mark.parametrize("horizon", [1, 3, 5])
@@ -1012,13 +1055,14 @@ def test_batch_objective_prices_step_one_at_build(tag, horizon, np_rng):
     U = np_rng.uniform(-0.5, 0.5, (8, horizon, 2))
     for idx in (range(8), [7], [5, 5, 0, 7, 2, 2]):
         idx = np.asarray(idx)
+        oracle = edge_oracle(views, idx, horizon)
         for sub in sub_problems(tag, full, views, idx, params):
             J, (xs, *_) = sub.evaluate(U[idx])
-            diff = edge_diffs(sub, xs)
+            diff = edge_diffs(sub, xs, oracle)
             dist = np.sqrt((diff * diff).sum(axis=-1))
             edge = cost.weight * cost.term(dist)
             if cost.cohesion:
-                edge = (1.0 / sub.edge_counts) * (dist * dist) + edge
+                edge = (1.0 / oracle[2]) * (dist * dist) + edge
             stage = np.bincount(sub.src, weights=edge.sum(axis=1), minlength=idx.size)
             penalty = (U[idx] * U[idx]).reshape(idx.size, -1).sum(axis=1)
             assert np.array_equal(J, stage + params.lam * penalty)
@@ -1045,9 +1089,11 @@ def test_stage_sums_fold_the_steps_in_order(tag, horizon, np_rng):
             stages = mpc._centralized_stage_values(cost, xs.reshape(-1, 12, 2), params.r)
             expected = fold(stages.reshape(12, horizon).T)
         else:
-            diff = edge_diffs(problem, xs)
-            dist = np.sqrt(sq_norm(diff))
-            edges = mpc._edge_costs(cost, problem.edge_counts, dist)
+            oracle = edge_oracle(views, np.arange(12), horizon)
+            dist = np.sqrt(sq_norm(edge_diffs(problem, xs, oracle)))
+            edges = cost.weight * cost.term(dist)
+            if cost.cohesion:
+                edges = (1.0 / oracle[2]) * (dist * dist) + edges
             expected = np.bincount(problem.src, weights=fold(edges.T), minlength=12)
         assert np.array_equal(problem._stage_sum(xs)[0], expected)
 
@@ -1061,12 +1107,13 @@ def test_batch_stage_gradient_matches_add_at(tag, np_rng):
     U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
     for idx in (range(8), [7], [5, 5, 0, 7, 2, 2]):
         idx = np.asarray(idx)
+        oracle = edge_oracle(views, idx, PARAMS.horizon)
         for sub in sub_problems(tag, full, views, idx, PARAMS):
             _, (xs, _, _, got) = sub.evaluate(U[idx])
-            diff = edge_diffs(sub, xs)[:, 1:]
+            diff = edge_diffs(sub, xs, oracle)[:, 1:]
             coef = sub.cost.slope(np.sqrt((diff * diff).sum(axis=-1)))
             if sub.cost.cohesion:
-                coef = 2.0 / sub.edge_counts + coef
+                coef = 2.0 / oracle[2] + coef
             expected = np.zeros_like(xs[:, 1:])
             np.add.at(expected, sub.src, coef[:, :, None] * diff)
             assert got.dtype == expected.dtype and same_bits(got, expected)
@@ -1652,18 +1699,20 @@ def test_solver_rolls_out_once_per_evaluation():
 
 def test_distributed_search_direction_runs_only_the_adjoint_pass():
     # a distributed record carries the stage gradient, computed with the
-    # stage costs from the same edge differences and distances: a search
-    # direction rolls out nothing and prices no edge
+    # stage costs from the same edge differences and distances, each
+    # distance floored once for its term and slope: a search direction
+    # rolls out nothing and prices no edge
     counts = run_counting("df_distributed", [
         (mpc, "_rollout_arrays"), (mpc._BatchProblem, "evaluate"),
         (mpc._BatchProblem, "_stage_sum"), (mpc, "_edge_costs"),
-        (mpc._PairCost, "slope"), (mpc, "_backprop_controls"),
+        (mpc._PairCost, "terms"), (mpc._PairCost, "slope"),
+        (mpc, "_backprop_controls"),
     ])
     assert counts["evaluate"] == counts["_rollout_arrays"] == counts["_stage_sum"]
     assert counts["_edge_costs"] == counts["evaluate"] + 100  # and step 1 at build
-    assert counts["slope"] == counts["evaluate"]
+    assert counts["terms"] == counts["evaluate"] and counts["slope"] == 0
     assert counts["_backprop_controls"] == counts["search"] > 0
-    for name in ("_rollout_arrays", "evaluate", "_stage_sum", "_edge_costs", "slope"):
+    for name in ("_rollout_arrays", "evaluate", "_stage_sum", "_edge_costs", "terms"):
         assert counts[f"{name} in search"] == 0
     assert not hasattr(mpc._BatchProblem, "_stage_gradient")
 

@@ -1,22 +1,31 @@
-"""The centralized search direction against its earlier, plainer code.
+"""The MPC search directions and evaluations against their earlier, plainer
+code.
 
 Each `reference_*` function below is the earlier version of a function that
-was rewritten for speed: the stage gradient that scattered its pair
-coefficients into a zero matrix, the walls' non-negative least squares with
-no early exit, the projection that always stacked its control rows, and the
-wall search with the tangent pass along -P.  The rewrites must give the same
-bits, signed zeros included, on the inputs here and on the search
-directions of closed-loop runs of both centralized models.
+was rewritten for speed.  Centralized: the stage gradient that scattered its
+pair coefficients into a zero matrix, the walls' non-negative least squares
+with no early exit, the projection that always stacked its control rows, and
+the wall search with the tangent pass along -P.  Distributed: the batch
+problem that stored each edge's neighbor positions at steps 1..T edge-major
+with its row's neighbor count, gathered with two-axis fancy indexing, priced
+term and slope from two floors and narrowed by boolean masks, its builder,
+the rollout that stepped its start through `_accumulate`, and `clamp_norm`,
+which copied whatever it was given.  The rewrites must give the same bits,
+signed zeros included, on the inputs here, on the search directions of
+closed-loop runs of both centralized models and on every evaluation of
+closed-loop runs of both distributed models.
 """
 
 import functools
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from flockbench import MotionLimits, MpcParams, horizon, mix_seed, mpc
-from flockbench.core import EPS_DIST, sq_norm
+from flockbench import MotionLimits, MpcParams, harness, horizon, mix_seed, mpc
+from flockbench.core import EPS_DIST, StackedViews, clamp_norm, clamped, fold, sq_norm
 from flockbench.horizon import (
     CROSS_FRACTION,
     WALL_GAP,
@@ -24,7 +33,7 @@ from flockbench.horizon import (
     _clamp_apply,
     _clamp_jacobians,
 )
-from flockbench.mpc import CENTRALIZED_MPC_TAGS, _pairs
+from flockbench.mpc import CENTRALIZED_MPC_TAGS, DISTRIBUTED_MPC_TAGS, _pairs
 from conftest import captured_solves
 
 LIMITS = MotionLimits()
@@ -405,3 +414,333 @@ def test_wall_search_matches_the_earlier_search_on_closed_loop_runs(tag):
     assert len(solves) == 100
     assert seen["calls"] > 900
     assert all(count > 0 for count in seen.values()), seen
+
+
+# --------------------------------------------------------------------------
+# The distributed batch problem
+# --------------------------------------------------------------------------
+
+
+def reference_clamp_norm(vectors, max_norm):
+    v = np.asarray(vectors, dtype=np.float64)
+    norms = np.sqrt(sq_norm(v, keepdims=True))
+    if not np.count_nonzero(norms > max_norm):
+        return v.copy()
+    return v * (max_norm / np.fmax(norms, max_norm))
+
+
+class ReferencePairCost(NamedTuple):
+    phi: Callable
+    weight: float
+    rate: Callable
+    cohesion: bool
+
+    def term(self, dist):
+        return self.phi(np.maximum(dist, EPS_DIST))
+
+    def slope(self, dist):
+        return np.where(dist < EPS_DIST, 0.0, self.rate(np.maximum(dist, EPS_DIST)))
+
+
+def reference_pair_cost(tag, params):
+    if tag == "lattice_distributed":
+        d = params.d
+        return ReferencePairCost(
+            lambda f: (f - d) ** 2, 1.0, lambda f: 2.0 * (f - d) / f, False
+        )
+    omega = params.omega
+    return ReferencePairCost(
+        lambda f: 1.0 / (f * f), omega, lambda f: -2.0 * omega / ((f * f) * (f * f)),
+        True,
+    )
+
+
+def reference_rollout_arrays(x0, v0, U, limits):
+    dt, v_max = limits.dt, limits.v_max
+    xs, ws = np.empty_like(U), _accumulate(v0, dt * U)
+    over = np.sqrt(sq_norm(ws)) > v_max
+    if not np.count_nonzero(over):
+        np.multiply(dt, v0, out=xs[:, 0])
+        np.multiply(dt, ws[:, :-1], out=xs[:, 1:])
+        return _accumulate(x0, xs), ws, np.zeros(len(U), dtype=bool)
+    clamps = over.reshape(len(U), -1).any(axis=1)
+    x, v = x0, v0
+    for t in range(U.shape[1]):
+        x = x + dt * v
+        w = v + dt * U[:, t]
+        v = reference_clamp_norm(w, v_max)
+        xs[:, t] = x
+        ws[:, t] = w
+    return xs, ws, clamps
+
+
+def reference_edge_costs(cost, edge_counts, dist):
+    edge = cost.weight * cost.term(dist)
+    if cost.cohesion:
+        edge = (1.0 / edge_counts) * (dist * dist) + edge
+    return edge
+
+
+@dataclass
+class ReferenceBatch(mpc._Problem):
+    src: np.ndarray
+    nbr_pos: np.ndarray
+    edge_counts: np.ndarray
+    first: np.ndarray
+
+    def evaluate(self, U):
+        xs, ws, clamps = reference_rollout_arrays(self.x0, self.v0, U, self.limits)
+        penalty = (U * U).reshape(len(U), -1).sum(axis=1)
+        stages, *pieces = self._stage_sum(xs)
+        return stages + self.params.lam * penalty, (xs, ws, clamps, *pieces)
+
+    @functools.cached_property
+    def _slots(self):
+        width = (self.params.horizon - 1) * self.x0.shape[1]
+        return (self.src[:, None] * width + np.arange(width)).ravel()
+
+    def _stage_sum(self, xs):
+        diff = xs[self.src, 1:] - self.nbr_pos[:, 1:]
+        dist = np.sqrt(sq_norm(diff))
+        cost = fold((self.first, *reference_edge_costs(self.cost, self.edge_counts, dist).T))
+        coef = self.cost.slope(dist)
+        if self.cost.cohesion:
+            coef = 2.0 / self.edge_counts + coef
+        shape = (len(xs),) + diff.shape[1:]
+        size = shape[0] * shape[1] * shape[2]
+        gx = np.bincount(self._slots, (coef[:, :, None] * diff).ravel(), size)
+        return (
+            np.bincount(self.src, weights=cost, minlength=len(xs)),
+            gx.reshape(shape).astype(np.float64, copy=False),
+        )
+
+    def gradient(self, U, record):
+        return self._adjoint(record[3], U, record)
+
+    def rows(self, keep):
+        edges = keep[self.src]
+        return ReferenceBatch(
+            self.cost, self.params, self.limits, self.x0[keep], self.v0[keep],
+            (np.cumsum(keep) - 1)[self.src[edges]], self.nbr_pos[edges],
+            self.edge_counts[edges], self.first[edges],
+        )
+
+
+def reference_build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=None):
+    views = StackedViews(pos, vel, agents)
+    mask = views.mask(params.r)
+    if neighbor_set is not None:
+        idx = mpc._check_neighbor_set(views.agents[0], neighbor_set, mask.shape[1])
+        mask[0] = False
+        mask[0, idx] = True
+    src, nbr = np.nonzero(mask)
+    x0, v0 = views.by_observer(views.own_x), views.by_observer(views.own_v)
+    nbr_pos = np.empty((src.size, params.horizon, len(views.x)))
+    nbr_pos[:] = (limits.dt * views.v[:, nbr, src].T)[:, None]
+    _accumulate(views.x[:, nbr, src].T, nbr_pos)
+    edge_counts = np.bincount(src)[src][:, None].astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        step1 = (x0 + limits.dt * v0)[src, None] - nbr_pos[:, :1]
+        first = reference_edge_costs(cost, edge_counts, np.sqrt(sq_norm(step1)))[:, 0]
+    return ReferenceBatch(cost, params, limits, x0, v0, src, nbr_pos, edge_counts, first)
+
+
+class LoggedProblem:
+    """Passes every call on to a batch problem and logs, in call order, each
+    evaluation's plan, objective and record and each search direction's
+    gradient; its sub-problems log to the same list."""
+
+    def __init__(self, problem, log):
+        self.problem, self.log, self.limits = problem, log, problem.limits
+
+    def rows(self, keep):
+        return LoggedProblem(self.problem.rows(keep), self.log)
+
+    def evaluate(self, U):
+        J, record = self.problem.evaluate(U)
+        self.log.append((U, J, *record))
+        return J, record
+
+    def search_direction(self, U, record):
+        found = self.problem.search_direction(U, record)
+        self.log.append(found[:2])
+        return found
+
+
+def assert_same_log(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+
+
+def both_batches(tag, pos, vel, agents, params, limits, neighbor_set=None):
+    """The batch problem of the views and its reference, checked to hold the
+    same edges: rows, neighbor positions at steps 2..T (the reference holds
+    steps 1..T edge-major), neighbor counts and step-1 costs."""
+    args = pos, vel, agents, params, limits, neighbor_set
+    problem = mpc._build_batch_problem(mpc._pair_cost(tag, params), *args)
+    reference = reference_build_batch_problem(reference_pair_cost(tag, params), *args)
+    assert same_bits(problem.src, reference.src)
+    assert same_bits(problem.nbr_later, reference.nbr_pos[:, 1:].transpose(2, 1, 0))
+    assert same_bits(problem.inv_counts, 1.0 / reference.edge_counts[:, 0])
+    assert same_bits(problem.two_inv_counts, 2.0 / reference.edge_counts[:, 0])
+    assert same_bits(problem.first, reference.first)
+    for a, b in ((problem.x0, reference.x0), (problem.v0, reference.v0)):
+        assert same_bits(a, b)
+    return problem, reference
+
+
+def assert_batches_agree(problem, reference, U, masks=()):
+    """Evaluations, stage sums and gradients with the same bits at the
+    plans U, on the problems and on their sub-problems p.rows(a).rows(b)...
+    for each chain of masks."""
+    got, expected = problem.evaluate(U), reference.evaluate(U)
+    assert same_bits(got[0], expected[0])
+    assert_same_log([got[1]], [expected[1]])
+    xs = got[1][0]
+    assert_same_log([problem._stage_sum(xs)], [reference._stage_sum(xs)])
+    assert same_bits(problem.gradient(U, got[1]), reference.gradient(U, expected[1]))
+    for chain in masks:
+        sub, sub_reference, rows = problem, reference, np.arange(len(U))
+        for keep in chain:
+            sub, sub_reference, rows = sub.rows(keep), sub_reference.rows(keep), rows[keep]
+            assert same_bits(sub.src, sub_reference.src)
+            assert_batches_agree(sub, sub_reference, U[rows])
+
+
+def assert_solves_agree(problem, reference, warm):
+    """One solve of each, from the same warm start: the same plans, flags,
+    iterations and trace, through the same evaluations and gradients."""
+    logs = [], []
+    results = [
+        mpc._solve_batch(LoggedProblem(p, log), warm) for p, log in zip((problem, reference), logs)
+    ]
+    assert_same_log(*logs)
+    (U, converged, iterations, trace), expected = results
+    assert same_bits(U, expected[0]) and same_bits(converged, expected[1])
+    assert iterations == expected[2] and same_bits(np.array(trace), np.array(expected[3]))
+    return len(logs[0])
+
+
+@functools.lru_cache(maxsize=None)
+def captured_batches(tag, level):
+    """(builder arguments, warm start) of every solve of run 0 at seed 1 of
+    `tag` at noise level `level`, 100 steps at n = 30."""
+    builds, build = [], mpc._build_batch_problem
+
+    def spy(*args):
+        builds.append(tuple(np.array(a) if isinstance(a, np.ndarray) else a for a in args))
+        return build(*args)
+
+    seed = mix_seed(1, level * harness.LEVEL_SEED_STRIDE)
+    with mock.patch.object(mpc, "_build_batch_problem", spy):
+        solves = captured_solves(tag, seed, steps=100, level=level)
+    assert len(builds) == len(solves) == 100
+    return [(args, warm) for args, (_, warm) in zip(builds, solves)]
+
+
+@pytest.mark.parametrize("level", [0, 10])
+@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+def test_distributed_solves_match_the_earlier_batch_on_closed_loop_runs(tag, level):
+    # every evaluation and gradient of run 0's solves, the narrowed ones
+    # included, and every plan
+    rng = np.random.default_rng(level)
+    calls = 0
+    for k, ((cost, pos, vel, agents, params, limits), warm) in enumerate(
+        captured_batches(tag, level)
+    ):
+        problem, reference = both_batches(tag, pos, vel, agents, params, limits)
+        calls += assert_solves_agree(problem, reference, warm)
+        if k % 25 == 0:
+            U = clamp_norm(warm + rng.normal(scale=0.3, size=warm.shape), limits.a_max)
+            n = len(U)
+            masks = [(np.arange(n) % 3 > 0, np.arange(2 * n // 3) % 2 == 0)]
+            assert_batches_agree(problem, reference, U, masks)
+    assert calls > 1000
+
+
+def close_views(np_rng, n=8, m=2):
+    """Every agent's view of n agents, one row per observer, with signed
+    zeros, agents 0 and 1 coincident, agents 2 and 3 closer than EPS_DIST,
+    each pair at one velocity, and the last agent beyond everyone's range.
+    A pair stays that close over the horizon where its agent's row plans
+    zero controls."""
+    pos = np_rng.uniform(-4.0, 4.0, (n, n, m))
+    pos[np_rng.random(pos.shape) < 0.1] = -0.0
+    pos[:, 1] = pos[:, 0]
+    pos[:, 3] = pos[:, 2]
+    pos[:, 3, 0] += 0.25 * EPS_DIST
+    pos[:, -1] = 60.0
+    vel = np_rng.uniform(-1.5, 1.5, (n, n, m))
+    vel[np_rng.random(vel.shape) < 0.1] = -0.0
+    vel[:, 1], vel[:, 3] = vel[:, 0], vel[:, 2]
+    return pos, vel
+
+
+def nested_masks(np_rng, n):
+    """Chains of masks for `rows`: narrowing once, twice and three times,
+    down to a row with no edge."""
+    chains = [(np.arange(n) == n - 1,), (np.arange(n) % 2 == 0, np.array([True, False] * (n // 4)))]
+    for _ in range(4):
+        a = np_rng.random(n) < 0.7
+        b = np_rng.random(a.sum()) < 0.7
+        c = np_rng.random(b.sum()) < 0.7
+        if c.any():
+            chains.append((a, b, c))
+    return chains
+
+
+@pytest.mark.parametrize("v_max", [LIMITS.v_max, 2.0])
+@pytest.mark.parametrize("horizon", [1, 2, 3, 5, 9])
+@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+def test_distributed_batch_matches_the_earlier_batch(tag, horizon, v_max, np_rng):
+    # coincident agents and agents closer than EPS_DIST (the floored
+    # distances), an agent with no neighbor, one predicted step, and at
+    # v_max = 2 rollouts that clamp
+    params, limits = MpcParams(horizon=horizon), MotionLimits(v_max=v_max)
+    clamping = floored = 0
+    for _ in range(3):
+        pos, vel = close_views(np_rng)
+        problem, reference = both_batches(tag, pos, vel, None, params, limits)
+        assert np.count_nonzero(problem.src == 7) == 0
+        U = clamp_norm(np_rng.uniform(-1.5, 1.5, (8, horizon, 2)), limits.a_max)
+        U[np_rng.random(U.shape) < 0.1] = -0.0
+        U[:4] = 0.0  # agents 0-3 keep their close neighbors close
+        assert_batches_agree(problem, reference, U, nested_masks(np_rng, 8))
+        xs, _, clamps, _ = problem.evaluate(U)[1]
+        diff = xs.take(problem.entries) - problem.nbr_later
+        floored += np.count_nonzero(np.sqrt(fold(diff * diff)) < EPS_DIST)
+        clamping += np.count_nonzero(clamps)
+        assert_solves_agree(problem, reference, U)
+    assert (clamping > 0) == (v_max < LIMITS.v_max)
+    assert (floored > 0) == (horizon > 1)
+
+
+@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+def test_edge_free_batches_match_the_earlier_batch(tag, np_rng):
+    # a lone agent (n = 1) and a given empty neighbor set: no edge at all
+    params = MpcParams()
+    pos, vel = close_views(np_rng, n=4)
+    for pos, vel, agents, neighbor_set in (
+        (np.zeros((1, 1, 2)), np.ones((1, 1, 2)), None, None),
+        (pos[2:3], vel[2:3], [2], ()),
+    ):
+        problem, reference = both_batches(tag, pos, vel, agents, params, LIMITS, neighbor_set)
+        assert problem.src.size == 0 and problem.nbr_later.shape == (2, 2, 0)
+        U = np_rng.uniform(-0.5, 0.5, (len(problem.x0), 3, 2))
+        assert_batches_agree(problem, reference, U, [(np.arange(len(U)) == 0,)])
+        assert_solves_agree(problem, reference, U)
+
+
+def test_clamp_norm_matches_the_earlier_copying_clamp(np_rng):
+    # the same bits whether or not a vector is over the ball; clamped gives
+    # them too, for a float64 array of the caller's own
+    vectors = np_rng.normal(size=(40, 3, 2)) * 10.0 ** np_rng.integers(-3, 3, (40, 3, 1))
+    vectors[np_rng.random(vectors.shape) < 0.1] = -0.0
+    vectors[0, 0] = np.nan
+    for v, max_norm in ((vectors, 1.5), (vectors, 1e6), (vectors[:, :, ::-1], 2.0)):
+        expected = reference_clamp_norm(v, max_norm)
+        assert same_bits(clamp_norm(v, max_norm), expected)
+        assert same_bits(clamped(np.array(v), max_norm), expected)
+    for listed in ([[1, 2], [30, 40]], [[0.5, 0.5]]):
+        assert same_bits(clamp_norm(listed, 5.0), reference_clamp_norm(listed, 5.0))
