@@ -39,8 +39,9 @@ __all__ = [
     "sense_local_all",
 ]
 
-# Squared-distance floor used wherever an inverse distance appears, so that
-# coincident agents produce large-but-finite forces instead of NaN/inf.
+# Floors that keep coincident agents' forces and costs large but finite
+# instead of NaN/inf: EPS_DIST floors distances in the MPC pair costs, and
+# EPS_DIST_SQ squared distances in Reynolds separation.
 EPS_DIST = 1e-6
 EPS_DIST_SQ = EPS_DIST * EPS_DIST
 
@@ -427,7 +428,8 @@ class StackedViews:
     over the observers, not m = 2 long, and `neighbor_sum` reduces over j,
     never the innermost axis, in order.  Only mask(radius) is (B, n), a
     transposed view; `by_observer` gives a per-observer result as (B, m).
-    Observers must be integers: any other dtype is a TypeError."""
+    Observers must be integers: any other dtype is a TypeError.  Views of
+    no agent or no dimension are a ValueError, as in `FlockConfiguration`."""
 
     def __init__(self, positions, velocities, agents=None):
         pos = np.asarray(positions, dtype=np.float64)
@@ -444,6 +446,8 @@ class StackedViews:
                 f" arrays, got {pos.shape} and {vel.shape}"
             )
         n = pos.shape[1]
+        if not n or not pos.shape[2]:
+            raise ValueError("need at least one agent and one dimension")
         if own is None:
             own = np.arange(n)
         elif ((own < 0) | (own >= n)).any():

@@ -137,23 +137,20 @@ def _clamp_apply(jacobian, w, p):
     return np.where(over, scale * (p - w * radial), p)
 
 
-def _backprop_controls(gx, W, U, limits, lam, jacobians=None):
+def _backprop_controls(gx, W, U, limits, lam, jacobians):
     """Adjoint pass: gradient of the objective w.r.t. the controls U.
 
     gx[:, t] is the stage gradient at predicted step t+2; W[:, t] is the
     pre-clamp velocity that produced step t+1's velocity, and `jacobians`
-    its `_clamp_jacobians`, computed here when not given.  Step 1's
-    positions do not depend on U, so its stage gradient never reaches the
-    controls and is not taken: with T = 1 the gradient is the control
-    penalty's alone.
+    its `_clamp_jacobians` (or `_row_jacobians`).  Step 1's positions do
+    not depend on U, so its stage gradient never reaches the controls and
+    is not taken: with T = 1 the gradient is the control penalty's alone.
 
     Where no step clamps, W is not read: the position adjoints are the
     running sums of gx from the last step back, the velocity adjoints those
     of dt times the position adjoints from a zero at step T.
     """
     dt = limits.dt
-    if jacobians is None:
-        jacobians = _clamp_jacobians(W, limits.v_max)
     if not any(jacobians):
         # the velocity adjoints start from +0.0, so none is -0.0, and adding
         # either zero to one gives the same bits: the position adjoints need
@@ -175,7 +172,7 @@ def _backprop_controls(gx, W, U, limits, lam, jacobians=None):
     return gu
 
 
-def _forward_controls(D, W, limits, jacobians=None):
+def _forward_controls(D, W, limits, jacobians):
     """Tangent pass, the mirror of `_backprop_controls`: the derivative of
     the positions at predicted steps 2..T along the control direction D,
     shape (B, T-1, ...).  W and `jacobians` are as `_backprop_controls`
@@ -183,8 +180,6 @@ def _forward_controls(D, W, limits, jacobians=None):
     the velocity tangents are the running sums of dt * D and the position
     tangents those of dt times the velocity tangents, both from zeros."""
     dt = limits.dt
-    if jacobians is None:
-        jacobians = _clamp_jacobians(W, limits.v_max)
     if not any(jacobians):
         # the position tangents start from +0.0, so none is -0.0, and adding
         # either zero to one gives the same bits: the velocity tangents need

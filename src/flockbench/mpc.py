@@ -5,9 +5,10 @@ Four models share one machinery: a finite-horizon double-integrator rollout,
 a per-configuration stage cost, and one projected-gradient-descent loop over
 the horizon's accelerations.  A stage cost weights a sum of edge terms
 phi(dist) over neighbor edges, dist floored at EPS_DIST, and may add a
-cohesion term.  Each family is stated once, as a `_PairCost` that both its
-centralized and its distributed kernels read, with the slope
-weight * phi'(dist) / dist, 0 below EPS_DIST, for the gradients:
+cohesion term.  Each family is stated once, as a `_PairCost` whose one
+pricing method, `terms`, gives both its centralized and its distributed
+kernels each edge's term and the slope weight * phi'(dist) / dist, 0 below
+EPS_DIST, for the gradients:
 
   - lattice_centralized / lattice_distributed: phi = (dist - d)^2, weight 1,
     slope 2 (dist - d) / dist; no cohesion.
@@ -52,7 +53,8 @@ problem each row's stage, a distributed batch each edge's cost.  An
 objective call prices steps 2..T alone, and no gradient takes a step-1
 stage gradient.  An objective call returns a record with its values: the
 rollout, which rows' velocities clamp, and what the search direction would
-otherwise compute again, a centralized row's pairs and a distributed row's
+otherwise compute again, a centralized row's pairs with their gradient
+coefficients (twice the slope inside r, 0 outside) and a distributed row's
 stage gradient.  One function, `_pairs`, lays out every centralized pair
 array, the pairs i < j row-major, for the stage values, the stage gradient
 and the walls alike.  Results are feasible local minimizers; global
@@ -310,8 +312,8 @@ class _PairCost(NamedTuple):
     weight * phi' / dist, and whether a cohesion term (squared distances)
     is added to the weighted edge sum.  Term and slope share one value g of
     the floored distance f, `base(f)`: `phi(g)` is the term and `rate(g, f)`
-    the slope.  `terms` gives both from one floor and one g, with the bits
-    `term` and `slope` give alone."""
+    the slope.  `terms`, the one pricing method, gives both from one floor
+    and one g; a stage gradient reads the slopes its evaluation recorded."""
 
     base: Callable
     phi: Callable
@@ -319,27 +321,15 @@ class _PairCost(NamedTuple):
     rate: Callable
     cohesion: bool
 
-    def term(self, dist):
-        return self.phi(self.base(np.maximum(dist, EPS_DIST)))
-
-    def slope(self, dist):
-        """The slope, 0 below EPS_DIST, where the floor holds the term."""
-        f = np.maximum(dist, EPS_DIST)
-        return _held(dist, self.rate(self.base(f), f))
-
     def terms(self, dist):
-        """(term, slope) of each distance."""
+        """(term, slope) of each distance, the slope 0 below EPS_DIST, where
+        the floor holds the term."""
         f = np.maximum(dist, EPS_DIST)
         g = self.base(f)
-        return self.phi(g), _held(dist, self.rate(g, f))
-
-
-def _held(dist, rate):
-    """The slopes `rate` of the distances dist, 0 below EPS_DIST."""
-    below = dist < EPS_DIST
-    if np.count_nonzero(below):
-        return np.where(below, 0.0, rate)
-    return rate
+        slope, below = self.rate(g, f), dist < EPS_DIST
+        if np.count_nonzero(below):
+            slope = np.where(below, 0.0, slope)
+        return self.phi(g), slope
 
 
 def _lattice(d):
@@ -374,39 +364,38 @@ def _centralized_stage_values(cost, x, r, pairs=None):
     shape (S, n, m), as an (S,) array: `cost`'s weighted sum over the
     ordered neighbor pairs, each pair i < j of `_pairs` inside r priced once
     and doubled, plus the mean squared distance over all pairs with
-    cohesion (then 0 for fewer than two agents).  `pairs` is `_pairs(x)`,
-    computed here when not given.  Each stage's edge terms and its cohesion
-    are summed as one contiguous row, so a stage's value has the same bits
-    in any stack."""
-    S, n = x.shape[:2]
-    if cost.cohesion and n < 2:
-        return np.zeros(S)
+    cohesion (then 0 for fewer than two agents).  Beside it, each pair's
+    gradient coefficient, (S, P): a pair inside r is two ordered edges, so
+    twice its slope, and 0 out of r.  `pairs` is `_pairs(x)`, computed here
+    when not given.  Each stage's edge terms and its cohesion are summed as
+    one contiguous row, so a stage's value has the same bits in any stack."""
+    n = x.shape[1]
     dist = (_pairs(x) if pairs is None else pairs)[3]
-    terms = np.where(dist < r, cost.term(dist), 0.0)
+    term, slope = cost.terms(dist)
+    inside = dist < r
     # weight last: 2 * weight can overflow where the weighted sum does not
-    edge_sums = cost.weight * (2.0 * terms.sum(axis=1))
-    if not cost.cohesion:
-        return edge_sums
-    return (2.0 / (n * (n - 1))) * (dist * dist).sum(axis=1) + edge_sums
+    edge_sums = cost.weight * (2.0 * np.where(inside, term, 0.0).sum(axis=1))
+    coef = np.where(inside, 2.0 * slope, 0.0)
+    if not cost.cohesion or n < 2:
+        return edge_sums, coef
+    return (2.0 / (n * (n - 1))) * (dist * dist).sum(axis=1) + edge_sums, coef
 
 
-def _centralized_stage_gradient(cost, x, r, pairs=None):
+def _centralized_stage_gradient(cost, x, coef):
     """Gradient of the centralized stage cost of every configuration in the
     stack x of shape (S, n, m) with respect to its positions, treating each
-    configuration's edge set as constant.  `pairs` is `_pairs(x)`, computed
-    here when not given.  A pair i < j inside r is two ordered edges, so its
-    coefficient is twice the slope; it is computed once and gathered to
-    (i, j) and (j, i) of one (S, n, n) matrix through `_pair_layout`'s
-    matrix index.  Each stage's coefficient row sums and matrix product are
-    the ones it would get alone, so a stage's gradient has the same bits in
-    any stack."""
+    configuration's edge set as constant, from the pair coefficients coef,
+    (S, P), that `_centralized_stage_values` returns for x.  Each pair's
+    coefficient is gathered to (i, j) and (j, i) of one (S, n, n) matrix
+    through `_pair_layout`'s matrix index.  Each stage's coefficient row
+    sums and matrix product are the ones it would get alone, so a stage's
+    gradient has the same bits in any stack."""
     S, n = x.shape[:2]
     if cost.cohesion and n < 2:
         return np.zeros_like(x)
-    dist = (_pairs(x) if pairs is None else pairs)[3]
-    # twice each pair's slope where it is inside r, then one zero slot
-    padded = np.zeros((S, dist.shape[1] + 1))
-    padded[:, :-1] = np.where(dist < r, 2.0 * cost.slope(dist), 0.0)
+    # each pair's coefficient, then one zero slot
+    padded = np.zeros((S, coef.shape[1] + 1))
+    padded[:, :-1] = coef
     # take, unlike padded[:, gather], returns a C-contiguous matrix, whose
     # row sums add in the order of a lone stage's
     coef = padded.take(_pair_layout(n)[2], axis=1).reshape(S, n, n)
@@ -423,13 +412,13 @@ def _stage_cost(cost, config, r, agent=None, neighbor_set=None) -> float:
     weighted edge sum, plus the mean squared neighbor distance where the
     family has cohesion)."""
     if agent is None:
-        return float(_centralized_stage_values(cost, config.positions[None], r)[0])
+        return float(_centralized_stage_values(cost, config.positions[None], r)[0][0])
     idx = _check_neighbor_set(agent, neighbor_set, config.n)
     if not idx:
         return 0.0
     diff = config.positions[idx] - config.positions[agent]
     dist = np.sqrt((diff * diff).sum(axis=-1))
-    value = cost.weight * cost.term(dist).sum()
+    value = cost.weight * cost.terms(dist)[0].sum()
     return float((dist * dist).mean() + value if cost.cohesion else value)
 
 
@@ -505,7 +494,8 @@ def mpc_objective(
 # the record is a tuple of row-indexed arrays, the rollout `_rollout_arrays`
 # returns (positions xs, pre-clamp velocities ws, clamp flags) and the stage
 # pieces the objective computed on the way that the search direction reads
-# (a centralized problem's pairs, a distributed problem's stage gradient).
+# (a centralized problem's pairs and their gradient coefficients, a
+# distributed problem's stage gradient).
 # gradient(U, record) -> U.shape and search_direction(U, record) ->
 # (gradient, projected gradient, step cap (R,) or None for no cap) read the
 # record evaluate returned for U; rows(keep) -> the sub-problem of the rows
@@ -560,32 +550,32 @@ class _CentralizedProblem(_Problem):
     re-evaluated at every predicted step.  The step-1 configurations
     x0 + dt * v0 do not depend on U and are priced once, at build time.  A
     record carries the `_pairs` differences (R, T-1, P, m) and distances
-    (R, T-1, P) of steps 2..T."""
+    (R, T-1, P) of steps 2..T and the pairs' gradient coefficients
+    (R, T-1, P) that the stage pass returned with its values."""
 
     first_stage: np.ndarray  # (R,) stage cost at step 1
 
     def _stage_sum(self, xs):
         """Each row's stage costs, `fold`ed over steps 1..T: the R * (T-1)
         configurations past step 1 go through one `_pairs` pass and one
-        stage pass.  Also the pairs' differences and distances, per row."""
+        stage pass.  Also the pairs' differences, distances and gradient
+        coefficients, per row."""
         later = xs[:, 1:]
-        x = _stack(later)
+        x, steps = _stack(later), later.shape[:2]
         _, _, diff, dist = pairs = _pairs(x)
-        stages = _centralized_stage_values(self.cost, x, self.params.r, pairs)
-        stages = stages.reshape(later.shape[:2])
+        stages, coef = _centralized_stage_values(self.cost, x, self.params.r, pairs)
         return (
-            fold((self.first_stage, *stages.T)),
-            diff.reshape(later.shape[:2] + diff.shape[1:]),
-            dist.reshape(later.shape[:2] + dist.shape[1:]),
+            fold((self.first_stage, *stages.reshape(steps).T)),
+            *(a.reshape(steps + a.shape[1:]) for a in (diff, dist, coef)),
         )
 
     def _stage_gradient(self, record):
         """The stage gradient at steps 2..T, (R, T-1, n, m), and the
         `_pairs` of those R * (T-1) configurations, read from the record."""
-        xs, _, _, diff, dist = record
+        xs, _, _, diff, dist, coef = record
         later = xs[:, 1:]
         pairs = (*_pair_layout(xs.shape[2])[:2], _stack(diff), _stack(dist))
-        gx = _centralized_stage_gradient(self.cost, _stack(later), self.params.r, pairs)
+        gx = _centralized_stage_gradient(self.cost, _stack(later), _stack(coef))
         return gx.reshape(later.shape), pairs
 
     def gradient(self, U, record):
@@ -617,7 +607,7 @@ def _build_centralized_problem(cost, pos, vel, params, limits):
     (n, m) each.  Step 1 of every row is priced here, in one stage pass."""
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        first_stage = _centralized_stage_values(cost, pos + limits.dt * vel, params.r)
+        first_stage = _centralized_stage_values(cost, pos + limits.dt * vel, params.r)[0]
     return _CentralizedProblem(cost, params, limits, pos, vel, first_stage)
 
 
@@ -638,18 +628,20 @@ class _BatchProblem(_Problem):
     when the batch is built.  An evaluation reads its neighbor's positions
     at steps 2..T, stored component-major and contiguous, (m, T-1, E), so
     that every edge array of a step is one contiguous row, and the 1 / N and
-    2 / N of its row's N neighbors, the cohesion's coefficients.  A record
-    carries the stage gradient gx at steps 2..T, (B, T-1, m), so a search
-    direction runs only the adjoint pass."""
+    2 / N of its row's N neighbors, the cohesion's coefficients; 2 / N is
+    set from 1 / N and has the bits of 2.0 / N, as scaling by two is exact.
+    A record carries the stage gradient gx at steps 2..T, (B, T-1, m), so a
+    search direction runs only the adjoint pass."""
 
     src: np.ndarray  # (E,) batch row of each neighbor edge, ascending
     nbr_later: np.ndarray  # (m, T-1, E) neighbor positions at steps 2..T
     inv_counts: np.ndarray  # (E,) 1 / N of each edge's row
-    two_inv_counts: np.ndarray  # (E,) 2 / N of each edge's row
     first: np.ndarray  # (E,) cost of each edge at step 1, priced at build
+    two_inv_counts: np.ndarray = field(init=False, repr=False)  # (E,) 2 / N
     entries: np.ndarray = field(init=False, repr=False)  # (m, T-1, E), below
 
     def __post_init__(self):
+        self.two_inv_counts = 2.0 * self.inv_counts
         # each edge's entries at steps 2..T of its row's (T, m) plan, in
         # nbr_later's layout: one take gathers the agent's positions there,
         # and one bincount adds each entry's edges, in ascending order, into
@@ -688,7 +680,7 @@ class _BatchProblem(_Problem):
             self.cost, self.params, self.limits, self.x0.take(kept, axis=0),
             self.v0.take(kept, axis=0), (keep.cumsum() - 1).take(self.src.take(edges)),
             self.nbr_later.take(edges, axis=2), self.inv_counts.take(edges),
-            self.two_inv_counts.take(edges), self.first.take(edges),
+            self.first.take(edges),
         )
 
 
@@ -728,16 +720,14 @@ def _build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=No
     nbr_pos = np.empty((m, params.horizon, src.size))
     nbr_pos[:] = (limits.dt * nbr_v)[:, None]
     _accumulate(nbr_x, nbr_pos)
-    counts = np.bincount(src).take(src)
-    inv_counts, two_inv_counts = 1.0 / counts, 2.0 / counts
+    inv_counts = 1.0 / np.bincount(src).take(src)
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step1 = (x0 + limits.dt * v0).take(src, axis=0) - nbr_pos[:, 0].T
         dist = np.sqrt(sq_norm(step1))
-        first = _edge_costs(cost, inv_counts, dist, cost.term(dist))
+        first = _edge_costs(cost, inv_counts, dist, cost.terms(dist)[0])
     return _BatchProblem(
-        cost, params, limits, x0, v0, src, nbr_pos[:, 1:].copy(), inv_counts,
-        two_inv_counts, first,
+        cost, params, limits, x0, v0, src, nbr_pos[:, 1:].copy(), inv_counts, first
     )
 
 

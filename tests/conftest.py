@@ -49,6 +49,13 @@ def random_config(rng, n=None, span=20.0, v_span=5.0, dim=2) -> FlockConfigurati
     return FlockConfiguration(pos, vel)
 
 
+def same_bits(a, b):
+    """Equal shapes, dtypes and bytes: equal values, signed zeros and NaN
+    payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240817)

@@ -8,15 +8,21 @@ from hypothesis import strategies as st
 from flockbench import (
     FlockConfiguration,
     MotionLimits,
+    MpcParams,
     NoiseSpec,
+    OlfatiSaberParams,
     RandomStream,
+    ReynoldsParams,
     is_quasi_alpha_lattice,
     mix_seed,
     neighbors,
+    olfati_saber_accel_all,
     proximity_net,
+    reynolds_accel_all,
     sense_global,
     sense_local,
     sense_local_all,
+    solve_mpc_distributed_all,
     step_dynamics,
 )
 from flockbench.core import (
@@ -27,7 +33,7 @@ from flockbench.core import (
     pairwise_distances,
     sq_norm,
 )
-from conftest import random_config
+from conftest import random_config, same_bits
 
 LIMITS = MotionLimits(v_max=8.0, a_max=1.0, dt=0.3)
 
@@ -361,6 +367,24 @@ def test_stacked_views_mask_is_each_observers_neighbors(np_rng):
             StackedViews(pos[:4], vel[:4], bad)
 
 
+@pytest.mark.parametrize("shape", [(0, 0, 2), (3, 3, 0)], ids=["n=0", "m=0"])
+def test_views_of_no_agent_or_no_dimension_are_rejected(shape):
+    # as FlockConfiguration rejects such a configuration, at every entry
+    # point that reads a stack of views
+    views = np.zeros(shape), np.zeros(shape)
+    entry_points = [
+        lambda: StackedViews(*views),
+        lambda: reynolds_accel_all(*views, ReynoldsParams()),
+        lambda: olfati_saber_accel_all(*views, OlfatiSaberParams()),
+        lambda: solve_mpc_distributed_all(
+            "df_distributed", *views, MpcParams(), MotionLimits()
+        ),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="need at least one agent and one dimension"):
+            call()
+
+
 # --------------------------------------------------------------------------
 # RandomStream / seeding
 # --------------------------------------------------------------------------
@@ -548,11 +572,6 @@ def test_neighbor_sum_runs_over_each_observers_neighbors_in_order(n, observers, 
         for term in terms[1:]:
             fold = fold + term
         assert np.array_equal(got[:, 0, k], fold)
-
-
-def same_bits(a, b):
-    """Equal values, signed zeros and NaN included."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def nested_where_clamp(v, max_norm):

@@ -49,7 +49,7 @@ from flockbench.mpc import (
     _single_problem,
     _solve_batch,
 )
-from conftest import captured_solves, hexagonal_patch, random_config
+from conftest import captured_solves, hexagonal_patch, random_config, same_bits
 
 LIMITS = MotionLimits()
 PARAMS = MpcParams()  # horizon 3, lam 1, r 8.4, d 7, omega 50
@@ -162,11 +162,6 @@ def test_rollout_distributed_validates_neighbors():
         rollout_distributed(0, view, np.zeros((3, 2)), {0}, LIMITS)
     with pytest.raises(ValueError):
         rollout_distributed(0, view, np.zeros((3, 2)), {5}, LIMITS)
-
-
-def same_bits(a, b):
-    """Equal values, signed zeros included."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def rollout_loop(x0, v0, U, limits):
@@ -331,15 +326,12 @@ def test_horizon_passes_match_their_step_loops(T, rows, clamped, np_rng):
     jacobians = horizon._clamp_jacobians(W, LIMITS.v_max)
     assert any(jacobians) == clamped
     for lam in (0.0, 0.7):
-        gu = horizon._backprop_controls(gx, W, U, LIMITS, lam)
-        assert same_bits(gu, backprop_loop(gx, W, U, LIMITS, lam))
-        assert gu.flags.c_contiguous
         gu = horizon._backprop_controls(gx, W, U, LIMITS, lam, jacobians)
         assert same_bits(gu, backprop_loop(gx, W, U, LIMITS, lam))
-    xd = horizon._forward_controls(D, W, LIMITS)
+        assert gu.flags.c_contiguous
+    xd = horizon._forward_controls(D, W, LIMITS, jacobians)
     assert same_bits(xd, forward_loop(D, W, LIMITS))
     assert xd.flags.c_contiguous
-    assert same_bits(horizon._forward_controls(D, W, LIMITS, jacobians), xd)
 
 
 @pytest.mark.parametrize(
@@ -681,27 +673,29 @@ def test_distributed_df_cohesion_is_not_floored():
 def test_family_slope_is_the_edge_derivative_read_by_both_kernels(tag):
     cost = mpc._pair_cost(tag, PARAMS)
     below = np.array([0.0, EPS_DIST / 4, EPS_DIST * 0.999])
-    assert np.array_equal(cost.slope(below), np.zeros(3))
+    assert np.array_equal(cost.terms(below)[1], np.zeros(3))
     # interior points of a grid from EPS_DIST to r; the floor and r are
     # kinks of the edge cost
     grid = np.geomspace(EPS_DIST, PARAMS.r, 41)[1:-1]
     h = 1e-3 * grid
-    up, down = (cost.weight * cost.term(grid + side * h) for side in (1, -1))
+    up, down = (cost.weight * cost.terms(grid + side * h)[0] for side in (1, -1))
     derivative = (up - down) / (2 * h)
-    assert cost.slope(grid) == pytest.approx(derivative / grid, rel=1e-5, abs=1e-9)
+    slope = cost.terms(grid)[1]
+    assert slope == pytest.approx(derivative / grid, rel=1e-5, abs=1e-9)
     # the same distances through both kernels: agent 0 at the origin and
     # one neighbor at (d, 0), so a distributed row has N = 1 and cohesion
     # pulls with 2 / N, and the centralized pair with 2 c_n (0 - d) = -2 d
     pos = np.zeros((grid.size, 2, 2))
     pos[:, 1, 0] = grid
-    central = mpc._centralized_stage_gradient(cost, pos, PARAMS.r)
+    coef = mpc._centralized_stage_values(cost, pos, PARAMS.r)[1]
+    central = mpc._centralized_stage_gradient(cost, pos, coef)
     params = MpcParams(horizon=2)
     rows = _build_batch_problem(
         mpc._pair_cost(tag.replace("centralized", "distributed"), params), pos,
         np.zeros_like(pos), np.zeros(grid.size, dtype=int), params, LIMITS,
     )
     edge = rows._stage_sum(np.zeros((grid.size, 2, 2)))[1]
-    slope, pull = cost.slope(grid), 2.0 if cost.cohesion else 0.0
+    pull = 2.0 if cost.cohesion else 0.0
     assert np.array_equal(edge[:, 0, 0], (pull + slope) * -grid)
     # a pair is two ordered edges: its coefficient is exactly twice the slope
     assert np.array_equal(central[:, 0, 0], -pull * grid - (2.0 * slope) * grid)
@@ -718,18 +712,21 @@ def test_stage_value_prices_each_pair_once_doubled(tag, n, np_rng):
     # agents 0 and 1 exactly r apart (out of r), agents 0 and 2 coincident
     x[:, 0], x[:, 1], x[:, 2] = (0.0, 1.5), (r, 1.5), (0.0, 1.5)
     pairs = list(itertools.combinations(range(n), 2))
-    values = mpc._centralized_stage_values(cost, x, r)
-    for stage, value in zip(x, values):
+    values, coefs = mpc._centralized_stage_values(cost, x, r)
+    for stage, value, coef in zip(x, values, coefs):
         dist = np.array([math.sqrt(sq_norm(stage[i] - stage[j])) for i, j in pairs])
         assert (dist[0], dist[1]) == (r, 0.0)
-        terms = np.array([cost.term(d) if d < r else 0.0 for d in dist])
+        terms = np.array([cost.terms(d)[0] if d < r else 0.0 for d in dist])
+        # each pair's gradient coefficient: twice its slope inside r
+        slopes = [2.0 * cost.terms(d)[1] if d < r else 0.0 for d in dist]
+        assert same_bits(coef, np.array(slopes))
         expected = cost.weight * (2.0 * terms.sum())
         if cost.cohesion:
             expected = (2.0 / (n * (n - 1))) * (dist * dist).sum() + expected
         assert value == expected
         # the definition over the ordered pairs, each pair counted twice
         ordered = [
-            cost.term(d) for i in range(n) for j in range(n)
+            cost.terms(d)[0] for i in range(n) for j in range(n)
             if i != j and (d := math.sqrt(sq_norm(stage[i] - stage[j]))) < r
         ]
         definition = cost.weight * math.fsum(ordered)
@@ -1060,7 +1057,7 @@ def test_batch_objective_prices_step_one_at_build(tag, horizon, np_rng):
             J, (xs, *_) = sub.evaluate(U[idx])
             diff = edge_diffs(sub, xs, oracle)
             dist = np.sqrt((diff * diff).sum(axis=-1))
-            edge = cost.weight * cost.term(dist)
+            edge = cost.weight * cost.terms(dist)[0]
             if cost.cohesion:
                 edge = (1.0 / oracle[2]) * (dist * dist) + edge
             stage = np.bincount(sub.src, weights=edge.sum(axis=1), minlength=idx.size)
@@ -1086,12 +1083,12 @@ def test_stage_sums_fold_the_steps_in_order(tag, horizon, np_rng):
         U = np_rng.uniform(-0.5, 0.5, (12, horizon) + problem.x0.shape[1:])
         _, (xs, *_) = problem.evaluate(U)
         if tag in CENTRALIZED_MPC_TAGS:
-            stages = mpc._centralized_stage_values(cost, xs.reshape(-1, 12, 2), params.r)
+            stages = mpc._centralized_stage_values(cost, xs.reshape(-1, 12, 2), params.r)[0]
             expected = fold(stages.reshape(12, horizon).T)
         else:
             oracle = edge_oracle(views, np.arange(12), horizon)
             dist = np.sqrt(sq_norm(edge_diffs(problem, xs, oracle)))
-            edges = cost.weight * cost.term(dist)
+            edges = cost.weight * cost.terms(dist)[0]
             if cost.cohesion:
                 edges = (1.0 / oracle[2]) * (dist * dist) + edges
             expected = np.bincount(problem.src, weights=fold(edges.T), minlength=12)
@@ -1111,7 +1108,7 @@ def test_batch_stage_gradient_matches_add_at(tag, np_rng):
         for sub in sub_problems(tag, full, views, idx, PARAMS):
             _, (xs, _, _, got) = sub.evaluate(U[idx])
             diff = edge_diffs(sub, xs, oracle)[:, 1:]
-            coef = sub.cost.slope(np.sqrt((diff * diff).sum(axis=-1)))
+            coef = sub.cost.terms(np.sqrt((diff * diff).sum(axis=-1)))[1]
             if sub.cost.cohesion:
                 coef = 2.0 / oracle[2] + coef
             expected = np.zeros_like(xs[:, 1:])
@@ -1320,13 +1317,14 @@ def test_stacked_centralized_objective_matches_single_plans(
     args = (params.d,) if tag == "lattice_centralized" else (params.omega,)
     stack = xs.reshape(-1, n, 2)
     cost = mpc._pair_cost(tag, params)
-    stages = mpc._centralized_stage_values(cost, stack, params.r)
-    grads = mpc._centralized_stage_gradient(cost, stack, params.r)
+    stages, coef = mpc._centralized_stage_values(cost, stack, params.r)
+    grads = mpc._centralized_stage_gradient(cost, stack, coef)
     assert grads.shape == stack.shape
     for s, x in enumerate(stack):
-        alone = mpc._centralized_stage_values(cost, x[None], params.r)
+        alone, alone_coef = mpc._centralized_stage_values(cost, x[None], params.r)
         assert np.array_equal(alone, stages[s : s + 1])
-        alone = mpc._centralized_stage_gradient(cost, x[None], params.r)
+        assert same_bits(alone_coef, coef[s : s + 1])
+        alone = mpc._centralized_stage_gradient(cost, x[None], alone_coef)
         assert np.array_equal(alone, grads[s : s + 1])
         assert np.array_equal(one_stage_gradient(tag, x, params), grads[s])
     # the step-1 stage, computed once per problem, is every plan's step 1
@@ -1437,7 +1435,8 @@ def test_forward_controls_match_finite_differences_of_the_rollout(tag, np_rng):
     xs, ws, clamps = mpc._rollout_arrays(x0, v0, U, LIMITS)
     assert_clamp_active(ws)
     assert clamps.all()
-    xd = horizon._forward_controls(D, ws, LIMITS)
+    jacobians = horizon._row_jacobians(ws, clamps, LIMITS.v_max)
+    xd = horizon._forward_controls(D, ws, LIMITS, jacobians)
     h = 1e-6
     ahead = mpc._rollout_arrays(x0, v0, U + h * D, LIMITS)[0]
     behind = mpc._rollout_arrays(x0, v0, U - h * D, LIMITS)[0]
@@ -1445,7 +1444,7 @@ def test_forward_controls_match_finite_differences_of_the_rollout(tag, np_rng):
     assert np.allclose(xd, (ahead - behind)[:, 1:] / (2 * h), rtol=1e-6, atol=1e-8)
     # the tangent pass mirrors the adjoint pass: <backprop(gx), D> = <gx, xd>
     gx = np_rng.normal(size=xd.shape)
-    gu = horizon._backprop_controls(gx, ws, U, LIMITS, 0.0)
+    gu = horizon._backprop_controls(gx, ws, U, LIMITS, 0.0, jacobians)
     assert (gu * D).sum() == pytest.approx((gx * xd).sum(), rel=1e-12)
 
 
@@ -1705,16 +1704,41 @@ def test_distributed_search_direction_runs_only_the_adjoint_pass():
     counts = run_counting("df_distributed", [
         (mpc, "_rollout_arrays"), (mpc._BatchProblem, "evaluate"),
         (mpc._BatchProblem, "_stage_sum"), (mpc, "_edge_costs"),
-        (mpc._PairCost, "terms"), (mpc._PairCost, "slope"),
-        (mpc, "_backprop_controls"),
+        (mpc._PairCost, "terms"), (mpc, "_backprop_controls"),
     ])
     assert counts["evaluate"] == counts["_rollout_arrays"] == counts["_stage_sum"]
-    assert counts["_edge_costs"] == counts["evaluate"] + 100  # and step 1 at build
-    assert counts["terms"] == counts["evaluate"] and counts["slope"] == 0
+    # once per evaluation, and step 1 at build
+    assert counts["_edge_costs"] == counts["terms"] == counts["evaluate"] + 100
     assert counts["_backprop_controls"] == counts["search"] > 0
     for name in ("_rollout_arrays", "evaluate", "_stage_sum", "_edge_costs", "terms"):
         assert counts[f"{name} in search"] == 0
     assert not hasattr(mpc._BatchProblem, "_stage_gradient")
+
+
+@pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
+def test_centralized_search_direction_reads_the_recorded_coefficients(tag):
+    # a centralized record carries each pair's gradient coefficient, priced
+    # with its stage value from one floor: a search direction prices no
+    # pair, and reads twice the slope inside r and 0 out of r
+    terms, stage_sum, checked = mpc._PairCost.terms, _CentralizedProblem._stage_sum, []
+
+    def checking_stage_sum(self, xs):
+        out = stage_sum(self, xs)
+        dist, coef = out[2:]
+        slope = terms(self.cost, dist)[1]  # unspied
+        checked.append(same_bits(coef, np.where(dist < self.params.r, 2 * slope, 0)))
+        return out
+
+    with mock.patch.object(_CentralizedProblem, "_stage_sum", checking_stage_sum):
+        counts = run_counting(tag, [
+            (_CentralizedProblem, "evaluate"), (mpc._PairCost, "terms"),
+            (mpc, "_centralized_stage_gradient"),
+        ])
+    # once per evaluation, and step 1 at build
+    assert counts["terms"] == counts["evaluate"] + 100
+    assert counts["terms in search"] == 0
+    assert counts["_centralized_stage_gradient"] == counts["search"] > 0
+    assert len(checked) == counts["evaluate"] and all(checked)
 
 
 def bb_scale(s, y):

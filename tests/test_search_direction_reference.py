@@ -34,16 +34,10 @@ from flockbench.horizon import (
     _clamp_jacobians,
 )
 from flockbench.mpc import CENTRALIZED_MPC_TAGS, DISTRIBUTED_MPC_TAGS, _pairs
-from conftest import captured_solves
+from conftest import captured_solves, same_bits
 
 LIMITS = MotionLimits()
 PARAMS = MpcParams()  # horizon 3, lam 1, r 8.4, d 7, omega 50
-
-
-def same_bits(a, b):
-    """Equal values, signed zeros included."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @functools.lru_cache(maxsize=16)
@@ -52,13 +46,18 @@ def reference_pair_layout(n):
     return iu, ju, iu * n + ju, ju * n + iu
 
 
+def reference_slope(cost, dist):
+    f = np.maximum(dist, EPS_DIST)
+    return np.where(dist < EPS_DIST, 0.0, cost.rate(cost.base(f), f))
+
+
 def reference_stage_gradient(cost, x, r, pairs=None):
     S, n = x.shape[:2]
     if cost.cohesion and n < 2:
         return np.zeros_like(x)
     dist = (_pairs(x) if pairs is None else pairs)[3]
     coef = np.zeros((S, n, n))
-    pair_coef = np.where(dist < r, 2.0 * cost.slope(dist), 0.0)
+    pair_coef = np.where(dist < r, 2.0 * reference_slope(cost, dist), 0.0)
     flat, (_, _, ij, ji) = coef.reshape(S, n * n), reference_pair_layout(n)
     flat[:, ij] = flat[:, ji] = pair_coef
     edges = coef.sum(axis=-1)[..., None] * x - coef @ x
@@ -256,8 +255,11 @@ def test_stage_gradient_matches_the_scattered_matrix(tag, n, S, np_rng):
         below = (pairs[0] == 4) & (pairs[1] == 5)
         assert ((0.0 < dist[:, below]) & (dist[:, below] < EPS_DIST)).all()
     expected = reference_stage_gradient(cost, x, PARAMS.r)
-    assert same_bits(mpc._centralized_stage_gradient(cost, x, PARAMS.r), expected)
-    assert same_bits(mpc._centralized_stage_gradient(cost, x, PARAMS.r, pairs), expected)
+    for coef in (
+        mpc._centralized_stage_values(cost, x, PARAMS.r)[1],
+        mpc._centralized_stage_values(cost, x, PARAMS.r, pairs)[1],
+    ):
+        assert same_bits(mpc._centralized_stage_gradient(cost, x, coef), expected)
 
 
 def projection_case(np_rng, k, coupled, T=3, n=5, m=2):
