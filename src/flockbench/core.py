@@ -102,7 +102,8 @@ class FlockConfiguration:
 
 @dataclass(frozen=True)
 class MotionLimits:
-    """Velocity bound, acceleration bound and step length of the time grid."""
+    """Velocity bound, acceleration bound and step length of the time grid.
+    An infinite v_max or a_max means no bound; dt must be finite."""
 
     v_max: float = 8.0
     a_max: float = 1.0
@@ -111,6 +112,8 @@ class MotionLimits:
     def __post_init__(self):
         if not (self.v_max > 0 and self.a_max > 0 and self.dt > 0):
             raise ValueError("v_max, a_max and dt must all be positive")
+        if not self.dt < np.inf:
+            raise ValueError("time step dt must be finite")
 
 
 @dataclass(frozen=True)

@@ -340,9 +340,13 @@ def run_comparison(cfg: ExperimentConfig, models, workers: int = 1) -> dict:
 
 
 def noise_for_level(level: int) -> NoiseSpec:
-    """Benchmark noise schedule: level i has sigma_x = 0.2 i, sigma_v = 0.1 i."""
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
+    """Benchmark noise schedule: level i has sigma_x = 0.2 i, sigma_v = 0.1 i.
+    A bool or a non-integer level is a TypeError, a negative one a
+    ValueError."""
+    if isinstance(level, bool):
+        raise TypeError(f"noise level must be an integer, got {level!r}")
+    if operator.index(level) < 0:
+        raise ValueError(f"noise level must be nonnegative, got {level}")
     return NoiseSpec(sigma_x=0.2 * level, sigma_v=0.1 * level)
 
 
@@ -357,16 +361,16 @@ def run_noise_sweep(cfg: ExperimentConfig, models, levels, workers: int = 1) -> 
     Returns {(tag, level): [RunRecord, ...]}.  Run j at level L uses
     ``mix_seed(base_seed, L * LEVEL_SEED_STRIDE + j)``: models are paired per
     level, and a level-0 sweep reproduces the noiseless comparison runs.
-    Every level is checked before the first run: a TypeError for a level
-    that is not an integer, a ValueError for a negative or repeated one; a
-    repeated tag, or a model that does not fit cfg, is a ValueError too.
+    Every level is checked before the first run: a TypeError for a bool or
+    a level that is not an integer, a ValueError for a negative or repeated
+    one; a repeated tag, or a model that does not fit cfg, is a ValueError
+    too.
     """
     if cfg.runs > LEVEL_SEED_STRIDE:
         raise ValueError(f"at most {LEVEL_SEED_STRIDE} runs per noise level")
     levels, models = list(levels), list(models)
     for level in levels:
-        if operator.index(level) < 0:
-            raise ValueError(f"noise level must be nonnegative, got {level}")
+        noise_for_level(level)  # raises for a bad level
     _check_unique("noise level", levels)
     _check_unique("model tag", [spec.tag for spec in models])
     cells = {

@@ -7,19 +7,20 @@ predicted steps 1..T.  `_rollout_arrays` predicts the positions and
 pre-clamp velocities under a control plan, and flags the rows whose
 velocity clamps; the adjoint pass `_backprop_controls` (gradients) and the
 tangent pass `_forward_controls` (directional derivatives) differentiate
-that rollout through the velocity clamp, whose Jacobian at each predicted
-step `_clamp_jacobians` computes once for both, and only where a row's
-flag is set (`_row_jacobians`).
+that rollout through the velocity clamp where a row's flag is set, each step
+through the clamp's Jacobian at that step's pre-clamp velocities
+(`_clamp_apply`), as the rollout steps through `clamp_norm`.
 
 Each of the three passes is a recurrence over the horizon that only the
-velocity clamp keeps from being a running sum.  Where no pre-clamp velocity
-of the batch exceeds v_max (the test `clamp_norm` makes; a NaN speed is not
-over), a pass runs as running sums over the horizon axis (`_accumulate`).
-`np.add.accumulate` adds in index order at any length, unlike numpy's
-reductions, so each sum is the one the per-step loop forms, from the same
-operands (IEEE addition commutes) and the same +0 start: the bits, signed
-zeros included, are the loop's, at a fixed number of numpy calls whatever
-T is.  Where some velocity clamps, the pass keeps its per-step loop.
+velocity clamp keeps from being a running sum.  Where no row's flag is set
+(no pre-clamp velocity exceeds v_max by the test `clamp_norm` makes; a NaN
+speed is not over), a pass runs as running sums over the horizon axis
+(`_accumulate`).  `np.add.accumulate` adds in index order at any length,
+unlike numpy's reductions, so each sum is the one the per-step loop forms,
+from the same operands (IEEE addition commutes) and the same +0 start: the
+bits, signed zeros included, are the loop's, at a fixed number of numpy
+calls whatever T is.  Where some row clamps, the pass keeps its per-step
+loop.
 
 A centralized MPC cost counts its edge terms only inside the interaction
 radius r, so it jumps up wherever a predicted pair enters r.
@@ -76,7 +77,9 @@ def _rollout_arrays(x0, v0, U, limits):
     dt * U[:, t], and the positions those of x0, dt * v0 and dt * ws[:, t];
     otherwise the rollout steps, clamping each step's velocities.  A row's
     running sums match its steps up to its first clamp, so the running sums'
-    speed test flags the rows whose steps clamp.
+    speed test flags the rows whose steps clamp.  The passes differentiate
+    a batch with a flag set step by step, through `_clamp_apply` where this
+    loop calls `clamp_norm`.
     """
     dt, v_max = limits.dt, limits.v_max
     xs, ws = np.empty_like(U), _accumulate(v0, dt * U)
@@ -97,61 +100,36 @@ def _rollout_arrays(x0, v0, U, limits):
     return xs, ws, clamps
 
 
-def _clamp_jacobians(W, v_max):
-    """Per predicted step t, the norm clamp's Jacobian at the pre-clamp
-    velocities W[:, t], as `_clamp_apply` takes it: None where no velocity
-    of the step is clamped, else the mask of the clamped velocities and
-    their squared norms and v_max / norm (1 where unclamped), each
-    (B, ..., 1).  All None where no velocity is clamped at all, which the
-    passes test to take their running sums."""
-    norms = np.sqrt(sq_norm(W, keepdims=True))
+def _clamp_apply(w, p, v_max):
+    """Apply the (symmetric) Jacobian of the norm clamp at one step's
+    pre-clamp velocities w to p, rowwise over the last axis: p itself where
+    no velocity of w is over v_max (the test `clamp_norm` makes: a NaN speed
+    is not over, an inf one is)."""
+    norms = np.sqrt(sq_norm(w, keepdims=True))
     over = norms > v_max
     if not np.count_nonzero(over):
-        return [None] * W.shape[1]
-    clamped = over.reshape(len(W), W.shape[1], -1).any(axis=(0, 2))
-    safe = np.where(over, norms, 1.0)
-    sq, scale = safe * safe, v_max / safe
-    return [
-        (over[:, t], sq[:, t], scale[:, t]) if clamped[t] else None
-        for t in range(W.shape[1])
-    ]
-
-
-def _row_jacobians(W, clamps, v_max):
-    """`_clamp_jacobians` of the pre-clamp velocities W whose rows'
-    `_rollout_arrays` clamp flags are `clamps`: all None, without a speed
-    test, where no row clamps."""
-    if np.count_nonzero(clamps):
-        return _clamp_jacobians(W, v_max)
-    return [None] * W.shape[1]
-
-
-def _clamp_apply(jacobian, w, p):
-    """Apply the (symmetric) Jacobian of the norm clamp at pre-clamp
-    velocities w, from `_clamp_jacobians`, to p, rowwise over the last
-    axis."""
-    if jacobian is None:
         return p
-    over, sq, scale = jacobian
-    radial = (w * p).sum(axis=-1, keepdims=True) / sq
-    return np.where(over, scale * (p - w * radial), p)
+    safe = np.where(over, norms, 1.0)
+    radial = (w * p).sum(axis=-1, keepdims=True) / (safe * safe)
+    return np.where(over, v_max / safe * (p - w * radial), p)
 
 
-def _backprop_controls(gx, W, U, limits, lam, jacobians):
+def _backprop_controls(gx, W, U, limits, lam, clamps):
     """Adjoint pass: gradient of the objective w.r.t. the controls U.
 
     gx[:, t] is the stage gradient at predicted step t+2; W[:, t] is the
-    pre-clamp velocity that produced step t+1's velocity, and `jacobians`
-    its `_clamp_jacobians` (or `_row_jacobians`).  Step 1's positions do
-    not depend on U, so its stage gradient never reaches the controls and
-    is not taken: with T = 1 the gradient is the control penalty's alone.
+    pre-clamp velocity that produced step t+1's velocity, and `clamps` the
+    rollout's per-row clamp flags.  Step 1's positions do not depend on U,
+    so its stage gradient never reaches the controls and is not taken: with
+    T = 1 the gradient is the control penalty's alone.
 
-    Where no step clamps, W is not read: the position adjoints are the
+    Where no row clamps, W is not read: the position adjoints are the
     running sums of gx from the last step back, the velocity adjoints those
-    of dt times the position adjoints from a zero at step T.
+    of dt times the position adjoints from a zero at step T.  Otherwise the
+    pass steps back through `_clamp_apply` at each step's W[:, t].
     """
-    dt = limits.dt
-    if not any(jacobians):
+    dt, v_max = limits.dt, limits.v_max
+    if not np.count_nonzero(clamps):
         # the velocity adjoints start from +0.0, so none is -0.0, and adding
         # either zero to one gives the same bits: the position adjoints need
         # no +0.0 start of their own
@@ -165,22 +143,22 @@ def _backprop_controls(gx, W, U, limits, lam, jacobians):
     pv = np.zeros_like(px)
     for t in range(U.shape[1] - 1, 0, -1):
         px = px + gx[:, t - 1]
-        q = _clamp_apply(jacobians[t], W[:, t], pv)
+        q = _clamp_apply(W[:, t], pv, v_max)
         gu[:, t] = dt * q + 2.0 * lam * U[:, t]
         pv = dt * px + q
-    gu[:, 0] = dt * _clamp_apply(jacobians[0], W[:, 0], pv) + 2.0 * lam * U[:, 0]
+    gu[:, 0] = dt * _clamp_apply(W[:, 0], pv, v_max) + 2.0 * lam * U[:, 0]
     return gu
 
 
-def _forward_controls(D, W, limits, jacobians):
+def _forward_controls(D, W, limits, clamps):
     """Tangent pass, the mirror of `_backprop_controls`: the derivative of
     the positions at predicted steps 2..T along the control direction D,
-    shape (B, T-1, ...).  W and `jacobians` are as `_backprop_controls`
-    takes them; the clamp's Jacobian is symmetric.  Where no step clamps,
-    the velocity tangents are the running sums of dt * D and the position
+    shape (B, T-1, ...).  W and `clamps` are as `_backprop_controls` takes
+    them; the clamp's Jacobian is symmetric.  Where no row clamps, the
+    velocity tangents are the running sums of dt * D and the position
     tangents those of dt times the velocity tangents, both from zeros."""
-    dt = limits.dt
-    if not any(jacobians):
+    dt, v_max = limits.dt, limits.v_max
+    if not np.count_nonzero(clamps):
         # the position tangents start from +0.0, so none is -0.0, and adding
         # either zero to one gives the same bits: the velocity tangents need
         # no +0.0 start of their own
@@ -189,7 +167,7 @@ def _forward_controls(D, W, limits, jacobians):
     xd = np.empty_like(D[:, 1:])
     x = v = np.zeros_like(D[:, 0])
     for t in range(D.shape[1] - 1):
-        v = _clamp_apply(jacobians[t], W[:, t], v + dt * D[:, t])
+        v = _clamp_apply(W[:, t], v + dt * D[:, t], v_max)
         x = x + dt * v
         xd[:, t] = x
     return xd
@@ -287,10 +265,10 @@ def _wall_projection(g, P, u, pairs, saturated):
     return P.reshape(g.shape) - (lam @ A).reshape(g.shape)
 
 
-def _wall_search(gx, U, W, jacobians, pairs, r, lam, limits):
+def _wall_search(gx, U, W, clamps, pairs, r, lam, limits):
     """(G, P, cap) of centralized rows with the plans U, (R, T, n, m), from
     their stage gradients gx at steps 2..T, the rollout's pre-clamp
-    velocities W and their `_clamp_jacobians`, and `mpc._pairs` of their
+    velocities W and clamp flags, and `mpc._pairs` of their
     R * (T-1) configurations at steps 2..T (agents iu, ju, differences and
     distances of the pairs i < j).
 
@@ -319,7 +297,7 @@ def _wall_search(gx, U, W, jacobians, pairs, r, lam, limits):
     stage, pair = near_stage[wall], near_pair[wall]
     if not stage.size:
         # no wall pair: the gradient's own adjoint pass
-        G, row = _backprop_controls(gx, W, U, limits, lam, jacobians), stage
+        G, row = _backprop_controls(gx, W, U, limits, lam, clamps), stage
     else:
         # each wall pair's distance gradient rides through the gradient's
         # adjoint pass as one more row, with zero controls for a zero control
@@ -333,17 +311,14 @@ def _wall_search(gx, U, W, jacobians, pairs, r, lam, limits):
         gd[k, t, iu[pair]], gd[k, t, ju[pair]] = e, -e
         # a wall row clamps where its own row does; where no row clamps, the
         # stacked adjoint does not read the pre-clamp velocities
-        stacked, stacked_jacobians = W, jacobians
-        if any(jacobians):
-            stacked = np.concatenate([W, W[row]])
-            stacked_jacobians = _clamp_jacobians(stacked, limits.v_max)
+        stacked = np.concatenate([W, W[row]]) if np.count_nonzero(clamps) else W
         G = _backprop_controls(
             np.concatenate([gx, gd]),
             stacked,
             np.concatenate([U, np.zeros(gd.shape[:1] + U.shape[1:])]),
             limits,
             lam,
-            stacked_jacobians,
+            np.concatenate([clamps, clamps[row]]),
         )
         G, walls = G[:R], G[R:].reshape(stage.size, U[0].size)
         norms = np.sqrt((walls * walls).sum(axis=1))
@@ -379,7 +354,7 @@ def _wall_search(gx, U, W, jacobians, pairs, r, lam, limits):
         # the distance times its excess, is one over the step along -P at
         # which the pair would enter r (a zero rate caps nothing, whatever
         # its sign)
-        xd = _forward_controls(P, W, limits, jacobians).reshape(-1, n, m)
+        xd = _forward_controls(P, W, limits, clamps).reshape(-1, n, m)
         rate = inner(diff[stage, pair], xd[stage, iu[pair]] - xd[stage, ju[pair]])
         inverse = np.zeros(R)
         np.maximum.at(inverse, stage // (T - 1), rate / ((d - r) * d))

@@ -185,13 +185,19 @@ def evaluate_metrics_block(
     Then the (step, component) groups of each size k >= 2 are gathered as
     (C, k, ...) arrays and measured at once, as `_component_measures`
     measures one: each sum runs along a contiguous last axis, so it adds in
-    the lone group's order.  `_combine` then takes each step's groups.
+    the lone group's order.  `_combine` then takes each step's groups.  An
+    empty agent or dimension axis, or a non-finite entry, is a ValueError,
+    as in FlockConfiguration.
     """
     if not r > 0:
         raise ValueError("interaction radius must be positive")
     if positions.ndim != 3 or velocities.shape != positions.shape:
         raise ValueError("positions and velocities must be two (S, n, m) stacks")
     steps, n, m = positions.shape
+    if n < 1 or m < 1:
+        raise ValueError("need at least one agent and one dimension")
+    if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
+        raise ValueError("positions/velocities must be finite")
     dist = pairwise_distances(positions)
     labels = _component_labels(dist < r)
     sizes = np.bincount(labels.ravel(), minlength=steps * n)

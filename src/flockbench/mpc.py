@@ -87,7 +87,6 @@ from .horizon import (
     _accumulate,
     _backprop_controls,
     _rollout_arrays,
-    _row_jacobians,
     _wall_search,
 )
 
@@ -492,10 +491,11 @@ def mpc_objective(
 # --------------------------------------------------------------------------
 # Problems of R independent rows.  evaluate(U) -> (objective (R,), record):
 # the record is a tuple of row-indexed arrays, the rollout `_rollout_arrays`
-# returns (positions xs, pre-clamp velocities ws, clamp flags) and the stage
-# pieces the objective computed on the way that the search direction reads
-# (a centralized problem's pairs and their gradient coefficients, a
-# distributed problem's stage gradient).
+# returns (positions xs, pre-clamp velocities ws, clamp flags, by which the
+# horizon passes pick running sums or step loops) and the stage pieces the
+# objective computed on the way that the search direction reads (a
+# centralized problem's pairs and their gradient coefficients, a distributed
+# problem's stage gradient).
 # gradient(U, record) -> U.shape and search_direction(U, record) ->
 # (gradient, projected gradient, step cap (R,) or None for no cap) read the
 # record evaluate returned for U; rows(keep) -> the sub-problem of the rows
@@ -530,10 +530,7 @@ class _Problem:
         its stage gradients gx at steps 2..T and the record's rollout: step
         1 does not depend on U, so it takes no stage gradient."""
         _, ws, clamps = record[:3]
-        return _backprop_controls(
-            gx, ws, U, self.limits, self.params.lam,
-            _row_jacobians(ws, clamps, self.limits.v_max),
-        )
+        return _backprop_controls(gx, ws, U, self.limits, self.params.lam, clamps)
 
     def search_direction(self, U, record):
         """(G, P, cap): the gradient, the projected gradient whose negative
@@ -589,8 +586,7 @@ class _CentralizedProblem(_Problem):
         record's pairs i < j of steps 2..T."""
         p, (_, ws, clamps) = self.params, record[:3]
         gx, pairs = self._stage_gradient(record)
-        jacobians = _row_jacobians(ws, clamps, self.limits.v_max)
-        return _wall_search(gx, U, ws, jacobians, pairs, p.r, p.lam, self.limits)
+        return _wall_search(gx, U, ws, clamps, pairs, p.r, p.lam, self.limits)
 
     def rows(self, keep):
         """The sub-problem of the rows where the boolean mask keep is set, in

@@ -8,11 +8,13 @@ import pytest
 from flockbench import (
     ExperimentConfig,
     FlockConfiguration,
+    MotionLimits,
     default_model_spec,
     mpc,
     noise_for_level,
     simulate,
 )
+from flockbench.core import sq_norm
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -56,17 +58,46 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def reference_clamp_jacobians(W, v_max):
+    """The earlier per-step list of the norm clamp's Jacobians at the
+    pre-clamp velocities W, (B, T, ..., m): None at a step where no velocity
+    is over v_max, else the mask of the clamped velocities, their squared
+    norms and v_max / norm (1 where unclamped), each (B, ..., 1)."""
+    norms = np.sqrt(sq_norm(W, keepdims=True))
+    over = norms > v_max
+    if not np.count_nonzero(over):
+        return [None] * W.shape[1]
+    clamped = over.reshape(len(W), W.shape[1], -1).any(axis=(0, 2))
+    safe = np.where(over, norms, 1.0)
+    sq, scale = safe * safe, v_max / safe
+    return [
+        (over[:, t], sq[:, t], scale[:, t]) if clamped[t] else None
+        for t in range(W.shape[1])
+    ]
+
+
+def reference_clamp_apply(jacobian, w, p):
+    """One `reference_clamp_jacobians` entry applied to p at the pre-clamp
+    velocities w, rowwise over the last axis: the reference for the horizon
+    passes' step-local clamp derivative."""
+    if jacobian is None:
+        return p
+    over, sq, scale = jacobian
+    radial = (w * p).sum(axis=-1, keepdims=True) / sq
+    return np.where(over, scale * (p - w * radial), p)
+
+
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240817)
 
 
-def captured_solves(tag, seed, steps=100, level=0):
+def captured_solves(tag, seed, steps=100, level=0, limits=MotionLimits()):
     """The problem and warm start of every `mpc._solve_batch` call of one
     closed-loop run of `tag` at n = 30, in order: the run simulated from the
-    run seed `seed` for `steps` steps at noise level `level`.  Each warm
-    start is a copy; a centralized run's first solve starts from zeros and
-    each later one from the plan of the solve before it."""
+    run seed `seed` for `steps` steps at noise level `level` under `limits`.
+    Each warm start is a copy; a centralized run's first solve starts from
+    zeros and each later one from the plan of the solve before it."""
     solve, solves = mpc._solve_batch, []
 
     def spy(problem, warm):
@@ -74,7 +105,9 @@ def captured_solves(tag, seed, steps=100, level=0):
         return solve(problem, warm)
 
     noise = noise_for_level(level)
-    cfg = ExperimentConfig(model=default_model_spec(tag), steps=steps, noise=noise)
+    cfg = ExperimentConfig(
+        model=default_model_spec(tag), steps=steps, noise=noise, limits=limits
+    )
     with mock.patch.object(mpc, "_solve_batch", spy):
         simulate(cfg, seed)
     return solves

@@ -372,6 +372,21 @@ def test_nan_setting_fails(tmp_path, capsys, key):
     assert capsys.readouterr().err.startswith("error: ValueError: ")
 
 
+def test_infinite_time_step_fails_before_any_output(tmp_path, capsys):
+    # limits.dt=inf used to create the output directory, warn twice and fail
+    # on non-finite positions at step 1
+    out = tmp_path / "x"
+    code = run_cli(
+        ["simulate", "--model", "reynolds", "--out", str(out)]
+        + ["--set", "limits.dt=inf"]
+        + FAST_OVERRIDES
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: ValueError: time step dt must be finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["mpc.lam", "mpc.omega", "mpc.d"])
 def test_infinite_mpc_weight_fails_before_any_output(tmp_path, capsys, key):
     # mpc.lam=inf and mpc.omega=inf used to pass the config and die at step 0

@@ -105,6 +105,29 @@ def test_experiment_config_validation():
     assert small_cfg("reynolds", r=7.5).r == 7.5
 
 
+def test_motion_limits_reject_an_infinite_time_step():
+    # an infinite dt used to pass and make every position inf at step 1
+    for dt in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            MotionLimits(dt=dt)
+    assert MotionLimits(v_max=np.inf, a_max=np.inf).v_max == np.inf
+
+
+@pytest.mark.parametrize("bound", ["v_max", "a_max"])
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+def test_an_infinite_speed_or_acceleration_bound_means_no_bound(tag, bound):
+    # each model simulates warning-free, as under a bound no run reaches
+    records = []
+    for value in (np.inf, 1e6):
+        cfg = small_cfg(tag, steps=4, limits=replace(MotionLimits(), **{bound: value}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records.append(simulate(cfg, mix_seed(1, 0)))
+    unbounded, bounded = records
+    assert unbounded.metrics == bounded.metrics
+    assert unbounded.final == bounded.final
+
+
 # --------------------------------------------------------------------------
 # initial sampling
 # --------------------------------------------------------------------------
@@ -294,13 +317,24 @@ def test_noise_sweep_levels_and_pairing():
     assert level3.sigma_v == pytest.approx(0.3)
     with pytest.raises(ValueError):
         noise_for_level(-1)
+    # a bool is not a level, and 2.5 used to give sigma_x = 0.5
+    for level in (True, False, 2.5, np.float64(2.0)):
+        with pytest.raises(TypeError, match="integer"):
+            noise_for_level(level)
+    assert noise_for_level(np.int64(3)) == level3
     cfg = small_cfg("reynolds", steps=3, runs=2)
     records = run_noise_sweep(cfg, [cfg.model], levels=[0, 2])
     assert set(records) == {("reynolds", 0), ("reynolds", 2)}
 
 
 @pytest.mark.parametrize(
-    "levels, error", [([1, 2.5], TypeError), ([1, -1], ValueError), ([1, 1], ValueError)]
+    "levels, error",
+    [
+        ([1, 2.5], TypeError),
+        ([1, -1], ValueError),
+        ([1, 1], ValueError),
+        ([True, 2], TypeError),
+    ],
 )
 def test_noise_sweep_checks_every_level_before_the_first_run(levels, error):
     # a repeated level or tag would share one result key and drop runs

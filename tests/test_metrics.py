@@ -506,3 +506,34 @@ def test_block_pass_rejects_bad_input():
         evaluate_metrics_block(stack, stack[:, :2], 8.4)
     with pytest.raises(ValueError):
         evaluate_metrics_block(stack[0], stack[0], 8.4)
+
+
+def _bad_stacks():
+    # four singletons at r = 8.4, then one bad entry or an empty axis
+    line = np.zeros((2, 4, 2))
+    line[:, :, 0] = [0.0, 20.0, 40.0, 60.0]
+    inf_position = line.copy()
+    inf_position[1, 3, 0] = np.inf
+    nan_velocity = np.zeros_like(line)
+    nan_velocity[0, 1, 1] = np.nan
+    yield pytest.param(inf_position, np.zeros_like(line), id="inf_position")
+    yield pytest.param(line, nan_velocity, id="nan_velocity_among_singletons")
+    yield pytest.param(np.zeros((2, 3, 0)), np.zeros((2, 3, 0)), id="no_dimension")
+    yield pytest.param(np.zeros((2, 0, 2)), np.zeros((2, 0, 2)), id="no_agent")
+
+
+@pytest.mark.parametrize("positions, velocities", _bad_stacks())
+def test_block_pass_rejects_what_a_configuration_rejects(positions, velocities):
+    # these used to raise an IndexError, a TypeError or a numpy error, or to
+    # return a record with velocity_convergence 0.0; now each raises the
+    # ValueError of the first step's configuration that FlockConfiguration
+    # rejects
+    expected = []
+    for pos, vel in zip(positions, velocities):
+        try:
+            FlockConfiguration(pos, vel)
+        except ValueError as error:
+            expected.append(str(error))
+    with pytest.raises(ValueError) as raised:
+        evaluate_metrics_block(positions, velocities, 8.4)
+    assert str(raised.value) == expected[0]

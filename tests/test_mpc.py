@@ -49,7 +49,14 @@ from flockbench.mpc import (
     _single_problem,
     _solve_batch,
 )
-from conftest import captured_solves, hexagonal_patch, random_config, same_bits
+from conftest import (
+    captured_solves,
+    hexagonal_patch,
+    random_config,
+    reference_clamp_apply,
+    reference_clamp_jacobians,
+    same_bits,
+)
 
 LIMITS = MotionLimits()
 PARAMS = MpcParams()  # horizon 3, lam 1, r 8.4, d 7, omega 50
@@ -280,16 +287,16 @@ def test_rollout_takes_a_nan_speed_as_unclamped_and_an_inf_speed_as_clamped():
 def backprop_loop(gx, W, U, limits, lam):
     """The adjoint pass stepped from the last predicted step back, each step
     through the clamp's Jacobian: the reference for `_backprop_controls`."""
-    dt, jacobians = limits.dt, horizon._clamp_jacobians(W, limits.v_max)
+    dt, jacobians = limits.dt, reference_clamp_jacobians(W, limits.v_max)
     gu = np.empty_like(U)
     px = np.zeros_like(U[:, 0])
     pv = np.zeros_like(px)
     for t in range(U.shape[1] - 1, 0, -1):
         px = px + gx[:, t - 1]
-        q = horizon._clamp_apply(jacobians[t], W[:, t], pv)
+        q = reference_clamp_apply(jacobians[t], W[:, t], pv)
         gu[:, t] = dt * q + 2.0 * lam * U[:, t]
         pv = dt * px + q
-    q = horizon._clamp_apply(jacobians[0], W[:, 0], pv)
+    q = reference_clamp_apply(jacobians[0], W[:, 0], pv)
     gu[:, 0] = dt * q + 2.0 * lam * U[:, 0]
     return gu
 
@@ -297,11 +304,11 @@ def backprop_loop(gx, W, U, limits, lam):
 def forward_loop(D, W, limits):
     """The tangent pass stepped forward through the clamp's Jacobian: the
     reference for `_forward_controls`."""
-    dt, jacobians = limits.dt, horizon._clamp_jacobians(W, limits.v_max)
+    dt, jacobians = limits.dt, reference_clamp_jacobians(W, limits.v_max)
     xd = np.empty_like(D[:, 1:])
     x = v = np.zeros_like(D[:, 0])
     for t in range(D.shape[1] - 1):
-        v = horizon._clamp_apply(jacobians[t], W[:, t], v + dt * D[:, t])
+        v = reference_clamp_apply(jacobians[t], W[:, t], v + dt * D[:, t])
         x = x + dt * v
         xd[:, t] = x
     return xd
@@ -323,29 +330,37 @@ def test_horizon_passes_match_their_step_loops(T, rows, clamped, np_rng):
         array[np_rng.random(array.shape) < 0.25] = -0.0
     # a row of zeros in every step, so that a sum starts at -0.0 + -0.0
     U[0], D[0], gx[0] = -0.0, -0.0, -0.0
-    jacobians = horizon._clamp_jacobians(W, LIMITS.v_max)
-    assert any(jacobians) == clamped
-    for lam in (0.0, 0.7):
-        gu = horizon._backprop_controls(gx, W, U, LIMITS, lam, jacobians)
-        assert same_bits(gu, backprop_loop(gx, W, U, LIMITS, lam))
-        assert gu.flags.c_contiguous
-    xd = horizon._forward_controls(D, W, LIMITS, jacobians)
-    assert same_bits(xd, forward_loop(D, W, LIMITS))
-    assert xd.flags.c_contiguous
+    flags = (np.sqrt(sq_norm(W)) > LIMITS.v_max).reshape(len(W), -1).any(axis=1)
+    assert flags.any() == clamped
+    # the rows' own flags, and every flag set: the step loop, where nothing
+    # clamps, gives the running sums' bits
+    for clamps in (flags, np.ones(len(W), dtype=bool)):
+        for lam in (0.0, 0.7):
+            gu = horizon._backprop_controls(gx, W, U, LIMITS, lam, clamps)
+            assert same_bits(gu, backprop_loop(gx, W, U, LIMITS, lam))
+            assert gu.flags.c_contiguous
+        xd = horizon._forward_controls(D, W, LIMITS, clamps)
+        assert same_bits(xd, forward_loop(D, W, LIMITS))
+        assert xd.flags.c_contiguous
 
 
 @pytest.mark.parametrize(
     "speed, clamps",
     [(5.0, False), (LIMITS.v_max, False), (np.nan, False), (np.inf, True), (8.5, True)],
 )
-def test_clamp_jacobians_are_all_none_exactly_where_no_speed_is_over(speed, clamps):
+def test_clamp_apply_returns_p_itself_exactly_where_no_speed_is_over(speed, clamps, np_rng):
     # one velocity of step 1 has the given speed; the others are inside the
     # limit.  A NaN speed is not over it, as in clamp_norm, an inf one is
     W = np.full((3, 3, 2), 0.5)
     W[1, 1] = (speed, 0.0)
-    jacobians = horizon._clamp_jacobians(W, LIMITS.v_max)
-    assert len(jacobians) == 3
-    assert [jac is not None for jac in jacobians] == [False, clamps, False]
+    p = np_rng.normal(size=(3, 2))
+    jacobians = reference_clamp_jacobians(W, LIMITS.v_max)
+    for t in range(3):
+        with np.errstate(invalid="ignore"):
+            got = horizon._clamp_apply(W[:, t], p, LIMITS.v_max)
+            expected = reference_clamp_apply(jacobians[t], W[:, t], p)
+        assert (got is p) == (not (clamps and t == 1))
+        assert same_bits(got, expected)
     assert (np.count_nonzero(np.sqrt(sq_norm(W)) > LIMITS.v_max) > 0) == clamps
 
 
@@ -1435,8 +1450,7 @@ def test_forward_controls_match_finite_differences_of_the_rollout(tag, np_rng):
     xs, ws, clamps = mpc._rollout_arrays(x0, v0, U, LIMITS)
     assert_clamp_active(ws)
     assert clamps.all()
-    jacobians = horizon._row_jacobians(ws, clamps, LIMITS.v_max)
-    xd = horizon._forward_controls(D, ws, LIMITS, jacobians)
+    xd = horizon._forward_controls(D, ws, LIMITS, clamps)
     h = 1e-6
     ahead = mpc._rollout_arrays(x0, v0, U + h * D, LIMITS)[0]
     behind = mpc._rollout_arrays(x0, v0, U - h * D, LIMITS)[0]
@@ -1444,7 +1458,7 @@ def test_forward_controls_match_finite_differences_of_the_rollout(tag, np_rng):
     assert np.allclose(xd, (ahead - behind)[:, 1:] / (2 * h), rtol=1e-6, atol=1e-8)
     # the tangent pass mirrors the adjoint pass: <backprop(gx), D> = <gx, xd>
     gx = np_rng.normal(size=xd.shape)
-    gu = horizon._backprop_controls(gx, ws, U, LIMITS, 0.0, jacobians)
+    gu = horizon._backprop_controls(gx, ws, U, LIMITS, 0.0, clamps)
     assert (gu * D).sum() == pytest.approx((gx * xd).sum(), rel=1e-12)
 
 
@@ -1681,16 +1695,16 @@ def test_solver_rolls_out_once_per_evaluation():
     # every rollout inside the solver comes from an evaluation, and so do a
     # centralized solve's pairs: a search direction reads the record of the
     # evaluation that accepted its point.  No rollout of this run clamps, so
-    # no clamp Jacobian is taken, and each search direction takes one stage
+    # no clamp Jacobian is applied, and each search direction takes one stage
     # gradient
     counts = run_counting("df_centralized", [
         (mpc, "_rollout_arrays"), (_CentralizedProblem, "evaluate"), (mpc, "_pairs"),
-        (horizon, "_clamp_jacobians"), (mpc, "_centralized_stage_gradient"),
+        (horizon, "_clamp_apply"), (mpc, "_centralized_stage_gradient"),
     ])
     assert counts["evaluate"] == counts["_rollout_arrays"] == 1047
     # one pair pass per evaluation and one per problem build, at step 1
     assert counts["_pairs"] == 1047 + 100
-    assert counts["_clamp_jacobians"] == 0
+    assert counts["_clamp_apply"] == 0
     assert counts["_centralized_stage_gradient"] == counts["search"] > 0
     for name in ("_rollout_arrays", "evaluate", "_pairs"):
         assert counts[f"{name} in search"] == 0

@@ -5,15 +5,18 @@ Each `reference_*` function below is the earlier version of a function that
 was rewritten for speed.  Centralized: the stage gradient that scattered its
 pair coefficients into a zero matrix, the walls' non-negative least squares
 with no early exit, the projection that always stacked its control rows, and
-the wall search with the tangent pass along -P.  Distributed: the batch
-problem that stored each edge's neighbor positions at steps 1..T edge-major
-with its row's neighbor count, gathered with two-axis fancy indexing, priced
-term and slope from two floors and narrowed by boolean masks, its builder,
-the rollout that stepped its start through `_accumulate`, and `clamp_norm`,
-which copied whatever it was given.  The rewrites must give the same bits,
-signed zeros included, on the inputs here, on the search directions of
-closed-loop runs of both centralized models and on every evaluation of
-closed-loop runs of both distributed models.
+the wall search with the tangent pass along -P that differentiated the
+velocity clamp through a per-step list of Jacobians (`conftest`'s
+`reference_clamp_jacobians`), rebuilt for its stacked wall rows.
+Distributed: the batch problem that stored each edge's neighbor positions
+at steps 1..T edge-major with its row's neighbor count, gathered with
+two-axis fancy indexing, priced term and slope from two floors and narrowed
+by boolean masks, its builder, the rollout that stepped its start through
+`_accumulate`, and `clamp_norm`, which copied whatever it was given.  The
+rewrites must give the same bits, signed zeros included, on the inputs
+here, on the search directions of closed-loop runs of both centralized
+models, at the default v_max and at one that clamps, and on every
+evaluation of closed-loop runs of both distributed models.
 """
 
 import functools
@@ -26,15 +29,14 @@ import pytest
 
 from flockbench import MotionLimits, MpcParams, harness, horizon, mix_seed, mpc
 from flockbench.core import EPS_DIST, StackedViews, clamp_norm, clamped, fold, sq_norm
-from flockbench.horizon import (
-    CROSS_FRACTION,
-    WALL_GAP,
-    _accumulate,
-    _clamp_apply,
-    _clamp_jacobians,
-)
+from flockbench.horizon import CROSS_FRACTION, WALL_GAP, _accumulate
 from flockbench.mpc import CENTRALIZED_MPC_TAGS, DISTRIBUTED_MPC_TAGS, _pairs
-from conftest import captured_solves, same_bits
+from conftest import (
+    captured_solves,
+    reference_clamp_apply,
+    reference_clamp_jacobians,
+    same_bits,
+)
 
 LIMITS = MotionLimits()
 PARAMS = MpcParams()  # horizon 3, lam 1, r 8.4, d 7, omega 50
@@ -70,7 +72,7 @@ def reference_stage_gradient(cost, x, r, pairs=None):
 def reference_backprop_controls(gx, W, U, limits, lam, jacobians=None):
     dt = limits.dt
     if jacobians is None:
-        jacobians = _clamp_jacobians(W, limits.v_max)
+        jacobians = reference_clamp_jacobians(W, limits.v_max)
     if not any(jacobians):
         px = _accumulate(0.0, gx[:, ::-1].copy())
         pv = np.zeros_like(U)
@@ -82,24 +84,25 @@ def reference_backprop_controls(gx, W, U, limits, lam, jacobians=None):
     pv = np.zeros_like(px)
     for t in range(U.shape[1] - 1, 0, -1):
         px = px + gx[:, t - 1]
-        q = _clamp_apply(jacobians[t], W[:, t], pv)
+        q = reference_clamp_apply(jacobians[t], W[:, t], pv)
         gu[:, t] = dt * q + 2.0 * lam * U[:, t]
         pv = dt * px + q
-    gu[:, 0] = dt * _clamp_apply(jacobians[0], W[:, 0], pv) + 2.0 * lam * U[:, 0]
+    q = reference_clamp_apply(jacobians[0], W[:, 0], pv)
+    gu[:, 0] = dt * q + 2.0 * lam * U[:, 0]
     return gu
 
 
 def reference_forward_controls(D, W, limits, jacobians=None):
     dt = limits.dt
     if jacobians is None:
-        jacobians = _clamp_jacobians(W, limits.v_max)
+        jacobians = reference_clamp_jacobians(W, limits.v_max)
     if not any(jacobians):
         v = _accumulate(0.0, dt * D[:, :-1])
         return _accumulate(0.0, dt * v)
     xd = np.empty_like(D[:, 1:])
     x = v = np.zeros_like(D[:, 0])
     for t in range(D.shape[1] - 1):
-        v = _clamp_apply(jacobians[t], W[:, t], v + dt * D[:, t])
+        v = reference_clamp_apply(jacobians[t], W[:, t], v + dt * D[:, t])
         x = x + dt * v
         xd[:, t] = x
     return xd
@@ -159,8 +162,11 @@ def reference_wall_projection(g, P, u, pairs, saturated):
     return P.reshape(g.shape) - (lam @ A).reshape(g.shape)
 
 
-def reference_wall_search(gx, U, W, jacobians, pairs, r, lam, limits):
+def reference_wall_search(gx, U, W, clamps, pairs, r, lam, limits):
     R, T, n, m = U.shape
+    jacobians = [None] * T
+    if clamps.any():
+        jacobians = reference_clamp_jacobians(W, limits.v_max)
     iu, ju, diff, dist = pairs
     reach = 2.0 * limits.dt**2 * limits.a_max * T * (T - 1)
     near_stage, near_pair = np.nonzero((dist >= r) & (dist <= r + reach))
@@ -178,7 +184,7 @@ def reference_wall_search(gx, U, W, jacobians, pairs, r, lam, limits):
         stacked, stacked_jacobians = W, jacobians
         if any(jacobians):
             stacked = np.concatenate([W, W[row]])
-            stacked_jacobians = _clamp_jacobians(stacked, limits.v_max)
+            stacked_jacobians = reference_clamp_jacobians(stacked, limits.v_max)
         G = reference_backprop_controls(
             np.concatenate([gx, gd]),
             stacked,
@@ -361,7 +367,7 @@ def test_wall_search_projects_a_pushed_control_that_a_wall_holds():
     rng = np.random.default_rng(20261022)
     params, r = MpcParams(horizon=2), PARAMS.r
     pairs = _pairs(np.array([[[0.0, 0.0], [-(r + 0.4 * WALL_GAP), 0.0]]]))
-    W, jacobians = np.zeros((1, 2, 2, 2)), [None, None]
+    W, clamps = np.zeros((1, 2, 2, 2)), np.zeros(1, dtype=bool)
     joint = 0
     for _ in range(200):
         U = np.zeros((1, 2, 2, 2))
@@ -369,7 +375,7 @@ def test_wall_search_projects_a_pushed_control_that_a_wall_holds():
         U[0, 0, 0] = LIMITS.a_max * np.array([np.cos(angle), np.sin(angle)])
         U[0, 1] = rng.uniform(-0.5, 0.5, (2, 2))
         gx = rng.normal(scale=20.0, size=(1, 1, 2, 2))
-        args = gx, U, W, jacobians, pairs, r, params.lam, LIMITS
+        args = gx, U, W, clamps, pairs, r, params.lam, LIMITS
         got = horizon._wall_search(*args)
         for a, b in zip(got, reference_wall_search(*args)):
             assert same_bits(a, b)
@@ -396,9 +402,9 @@ def test_wall_search_matches_the_earlier_search_on_closed_loop_runs(tag):
         seen["coupled"] += bool((held & saturated.reshape(-1)).any())
         return real_projection(g, P, u, pairs, saturated)
 
-    def search_spy(gx, U, W, jacobians, pairs, r, lam, limits):
-        got = real_search(gx, U, W, jacobians, pairs, r, lam, limits)
-        expected = reference_wall_search(gx, U, W, jacobians, pairs, r, lam, limits)
+    def search_spy(gx, U, W, clamps, pairs, r, lam, limits):
+        got = real_search(gx, U, W, clamps, pairs, r, lam, limits)
+        expected = reference_wall_search(gx, U, W, clamps, pairs, r, lam, limits)
         for a, b in zip(got, expected):
             assert same_bits(a, b)
         dist = pairs[3]
@@ -415,6 +421,33 @@ def test_wall_search_matches_the_earlier_search_on_closed_loop_runs(tag):
         solves = captured_solves(tag, mix_seed(1, 0), steps=100)
     assert len(solves) == 100
     assert seen["calls"] > 900
+    assert all(count > 0 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
+def test_wall_search_matches_the_earlier_search_where_plans_clamp(tag):
+    # run 0 at seed 1 for 30 steps under v_max = 1.2: the predicted
+    # velocities clamp, and every search direction, rows that clamp with a
+    # wall pair among them, has the bits of the per-step Jacobian list's
+    real_search = horizon._wall_search
+    seen = {"calls": 0, "clamped": 0, "clamped with a wall": 0}
+
+    def search_spy(gx, U, W, clamps, pairs, r, lam, limits):
+        got = real_search(gx, U, W, clamps, pairs, r, lam, limits)
+        expected = reference_wall_search(gx, U, W, clamps, pairs, r, lam, limits)
+        for a, b in zip(got, expected):
+            assert same_bits(a, b)
+        dist = pairs[3].reshape(len(U), -1)
+        walls = ((dist >= r) & (dist - r <= WALL_GAP)).any(axis=1)
+        seen["calls"] += 1
+        seen["clamped"] += bool(clamps.any())
+        seen["clamped with a wall"] += bool((clamps & walls).any())
+        return got
+
+    limits = MotionLimits(v_max=1.2)
+    with mock.patch.object(mpc, "_wall_search", search_spy):
+        solves = captured_solves(tag, mix_seed(1, 0), steps=30, limits=limits)
+    assert len(solves) == 30
     assert all(count > 0 for count in seen.values()), seen
 
 
