@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_DIST_SQ, FlockConfiguration, StackedViews, fold, neighbors
+from .core import EPS_DIST_SQ, FlockConfiguration, StackedViews, _check_fields, fold, neighbors
 
 __all__ = [
     "ReynoldsParams",
@@ -45,7 +45,7 @@ class ReynoldsParams:
     """Per-rule interaction radii and weights for the rule-based controller.
 
     Separation uses a smaller radius than cohesion/alignment since it only
-    matters at close range.
+    matters at close range.  A radius may be infinite, a weight may not.
     """
 
     r_c: float = 9.0
@@ -56,10 +56,12 @@ class ReynoldsParams:
     w_al: float = 8.0
 
     def __post_init__(self):
+        _check_fields(self)
         if not all(x > 0 for x in (self.r_c, self.r_s, self.r_al)):
             raise ValueError("rule radii must be positive")
-        if not all(x >= 0 for x in (self.w_c, self.w_s, self.w_al)):
-            raise ValueError("rule weights must be nonnegative")
+        for name in ("w_c", "w_s", "w_al"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"rule weight {name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,8 @@ class OlfatiSaberParams:
     The pair potential is flat outside the interaction radius r and has its
     minimum at distance d.  epsilon shapes the smoothed norm, (a, b) the
     uneven sigmoid, h the bump-function plateau, and c_alignment weighs the
-    velocity-consensus term.
+    velocity-consensus term.  r may be infinite; epsilon, a, b and
+    c_alignment may not.
     """
 
     r: float = 8.4
@@ -81,16 +84,19 @@ class OlfatiSaberParams:
     c_alignment: float = 1.0
 
     def __post_init__(self):
+        _check_fields(self)
         if not 0 < self.a <= self.b:
             raise ValueError("sigmoid parameters must satisfy 0 < a <= b")
+        if not self.b < np.inf:
+            raise ValueError("sigmoid parameter b must be finite")
         if not 0 < self.h < 1:
             raise ValueError("bump threshold h must be in (0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0 < self.d < self.r:
             raise ValueError("need 0 < d < r")
-        if not self.c_alignment >= 0:
-            raise ValueError("c_alignment must be nonnegative")
+        if not 0 <= self.c_alignment < np.inf:
+            raise ValueError("c_alignment must be nonnegative and finite")
 
 
 def reynolds_alignment(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,6 +100,22 @@ class FlockConfiguration:
         return f"FlockConfiguration(n={self.n}, m={self.dimension})"
 
 
+def _check_fields(params, integers=()) -> None:
+    """The type rule of the parameter classes: no field of the dataclass
+    instance `params` is a bool, and each field named in `integers` is an
+    integer (numpy integers included); a TypeError naming the field
+    otherwise."""
+    for f in fields(params):
+        value, name = getattr(params, f.name), f"{type(params).__name__}.{f.name}"
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{name} must be a number, not a bool")
+        if f.name in integers:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MotionLimits:
     """Velocity bound, acceleration bound and step length of the time grid.
@@ -110,6 +126,7 @@ class MotionLimits:
     dt: float = 0.3
 
     def __post_init__(self):
+        _check_fields(self)
         if not (self.v_max > 0 and self.a_max > 0 and self.dt > 0):
             raise ValueError("v_max, a_max and dt must all be positive")
         if not self.dt < np.inf:
@@ -118,14 +135,17 @@ class MotionLimits:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Std devs of the additive Gaussian sensing noise (0 = exact sensing)."""
+    """Std devs of the additive Gaussian sensing noise (0 = exact sensing),
+    each nonnegative and finite."""
 
     sigma_x: float = 0.0
     sigma_v: float = 0.0
 
     def __post_init__(self):
-        if not (self.sigma_x >= 0 and self.sigma_v >= 0):
-            raise ValueError("noise std devs must be nonnegative")
+        _check_fields(self)
+        for name in ("sigma_x", "sigma_v"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"noise {name} must be nonnegative and finite")
 
     @property
     def is_zero(self) -> bool:

@@ -43,6 +43,7 @@ from .core import (
     MotionLimits,
     NoiseSpec,
     RandomStream,
+    _check_fields,
     mix_seed,
     sense_global,
     sense_local_all,
@@ -170,7 +171,9 @@ def default_model_spec(tag: str) -> ModelSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs; see `default_model_spec` for models.  A
-    model whose parameters hold a radius r must run at the metrics' r."""
+    model whose parameters hold a radius r must run at the metrics' r.  n,
+    steps, runs and base_seed are integers, and the initial boxes' bounds
+    finite."""
 
     model: ModelSpec
     n: int = 30
@@ -184,7 +187,8 @@ class ExperimentConfig:
     init_velocity_box: tuple = ((0.0, 2.0), (0.0, 2.0))
 
     def __post_init__(self):
-        if min(map(operator.index, (self.n, self.steps, self.runs))) < 1:
+        _check_fields(self, integers=("n", "steps", "runs", "base_seed"))
+        if min(self.n, self.steps, self.runs) < 1:
             raise ValueError("n, steps and runs must all be at least 1")
         if not self.r > 0:
             raise ValueError("interaction radius must be positive")
@@ -194,10 +198,12 @@ class ExperimentConfig:
             raise ValueError("the initial boxes need at least one dimension")
         if len(self.init_position_box) != len(self.init_velocity_box):
             raise ValueError("position and velocity boxes must share a dimension")
-        for box in (self.init_position_box, self.init_velocity_box):
-            for lo, hi in box:
-                if not lo <= hi:
-                    raise ValueError(f"box range ({lo}, {hi}) has min > max")
+        for name in ("init_position_box", "init_velocity_box"):
+            for lo, hi in getattr(self, name):
+                if not -np.inf < lo <= hi < np.inf:
+                    raise ValueError(
+                        f"{name} range ({lo}, {hi}) must be finite with min <= max"
+                    )
 
     @property
     def dimension(self) -> int:

@@ -78,6 +78,7 @@ from .core import (
     FlockConfiguration,
     MotionLimits,
     StackedViews,
+    _check_fields,
     clamp_norm,
     clamped,
     fold,
@@ -132,9 +133,9 @@ class MpcParams:
     d is the lattice scale (read by the lattice models) and omega the
     separation weight (read by the declarative-flocking models).  Every
     field is a required number and horizon an integer (numpy integers
-    included): None or a non-integer horizon fails with a TypeError, and
-    NaN or a value out of range with a ValueError.  lam, d and omega must
-    be finite, even where the model does not read them, and r may be inf.
+    included): None, a bool or a non-integer horizon is a TypeError, and
+    NaN or a value out of range a ValueError.  lam, d and omega must be
+    finite, even where the model does not read them, and r may be inf.
     """
 
     horizon: int = 3
@@ -144,7 +145,8 @@ class MpcParams:
     omega: float = 50.0
 
     def __post_init__(self):
-        if not operator.index(self.horizon) >= 1:
+        _check_fields(self, integers=("horizon",))
+        if not self.horizon >= 1:
             raise ValueError("horizon must be at least 1")
         if not 0 < self.lam < math.inf:
             raise ValueError("control penalty lam must be positive and finite")
@@ -496,11 +498,11 @@ def mpc_objective(
 # objective computed on the way that the search direction reads (a
 # centralized problem's pairs and their gradient coefficients, a distributed
 # problem's stage gradient).
-# gradient(U, record) -> U.shape and search_direction(U, record) ->
-# (gradient, projected gradient, step cap (R,) or None for no cap) read the
-# record evaluate returned for U; rows(keep) -> the sub-problem of the rows
-# where the boolean mask keep (R,) is set, in their order.  The record's
-# rows narrow with the same masks.
+# search_direction(U, record) -> (gradient, projected gradient, step cap (R,)
+# or None for no cap) reads the record evaluate returned for U, and is the
+# one place a problem forms its gradient; rows(keep) -> the sub-problem of
+# the rows where the boolean mask keep (R,) is set, in their order.  The
+# record's rows narrow with the same masks.
 # --------------------------------------------------------------------------
 
 
@@ -525,20 +527,6 @@ class _Problem:
         stages, *pieces = self._stage_sum(xs)
         return stages + self.params.lam * penalty, (xs, ws, clamps, *pieces)
 
-    def _adjoint(self, gx, U, record):
-        """Analytic gradient of each row's objective, shape U.shape, from
-        its stage gradients gx at steps 2..T and the record's rollout: step
-        1 does not depend on U, so it takes no stage gradient."""
-        _, ws, clamps = record[:3]
-        return _backprop_controls(gx, ws, U, self.limits, self.params.lam, clamps)
-
-    def search_direction(self, U, record):
-        """(G, P, cap): the gradient, the projected gradient whose negative
-        a row's line search follows, and each row's largest first step.
-        Here P is G and no row's step is capped (cap None)."""
-        G = self.gradient(U, record)
-        return G, G, None
-
 
 @dataclass
 class _CentralizedProblem(_Problem):
@@ -548,7 +536,8 @@ class _CentralizedProblem(_Problem):
     x0 + dt * v0 do not depend on U and are priced once, at build time.  A
     record carries the `_pairs` differences (R, T-1, P, m) and distances
     (R, T-1, P) of steps 2..T and the pairs' gradient coefficients
-    (R, T-1, P) that the stage pass returned with its values."""
+    (R, T-1, P) that the stage pass returned with its values: the search
+    direction forms the stage gradient and the walls from them alone."""
 
     first_stage: np.ndarray  # (R,) stage cost at step 1
 
@@ -566,27 +555,19 @@ class _CentralizedProblem(_Problem):
             *(a.reshape(steps + a.shape[1:]) for a in (diff, dist, coef)),
         )
 
-    def _stage_gradient(self, record):
-        """The stage gradient at steps 2..T, (R, T-1, n, m), and the
-        `_pairs` of those R * (T-1) configurations, read from the record."""
-        xs, _, _, diff, dist, coef = record
-        later = xs[:, 1:]
-        pairs = (*_pair_layout(xs.shape[2])[:2], _stack(diff), _stack(dist))
-        gx = _centralized_stage_gradient(self.cost, _stack(later), _stack(coef))
-        return gx.reshape(later.shape), pairs
-
-    def gradient(self, U, record):
-        return self._adjoint(self._stage_gradient(record)[0], U, record)
-
     def search_direction(self, U, record):
         """(G, P, cap) with the walls seen: P is G projected so that no pair
         just beyond r is pulled in and no saturated control pushed out, and
         cap stops short of the first pair beyond the walls that would enter
-        r (`_wall_search`).  The stage gradient and the walls read the
-        record's pairs i < j of steps 2..T."""
-        p, (_, ws, clamps) = self.params, record[:3]
-        gx, pairs = self._stage_gradient(record)
-        return _wall_search(gx, U, ws, clamps, pairs, p.r, p.lam, self.limits)
+        r (`_wall_search`).  The stage gradient at steps 2..T and the walls
+        read the record's pairs i < j of those R * (T-1) configurations."""
+        xs, ws, clamps, diff, dist, coef = record
+        later, p = xs[:, 1:], self.params
+        gx = _centralized_stage_gradient(self.cost, _stack(later), _stack(coef))
+        pairs = (*_pair_layout(xs.shape[2])[:2], _stack(diff), _stack(dist))
+        return _wall_search(
+            gx.reshape(later.shape), U, ws, clamps, pairs, p.r, p.lam, self.limits
+        )
 
     def rows(self, keep):
         """The sub-problem of the rows where the boolean mask keep is set, in
@@ -662,8 +643,12 @@ class _BatchProblem(_Problem):
             gx.reshape(xs.shape)[:, 1:].astype(np.float64, copy=False),  # int64 if E = 0
         )
 
-    def gradient(self, U, record):
-        return self._adjoint(record[3], U, record)
+    def search_direction(self, U, record):
+        """(G, G, None): the adjoint pass from the record's stage gradient
+        gives the gradient, which a distributed row follows uncapped."""
+        _, ws, clamps, gx = record
+        G = _backprop_controls(gx, ws, U, self.limits, self.params.lam, clamps)
+        return G, G, None
 
     def rows(self, keep):
         """The sub-batch of the rows where the boolean mask keep is set, in
@@ -946,7 +931,7 @@ def mpc_objective_gradient(
     `solve_mpc` returns for the same tag, and so is the gradient."""
     problem = _single_problem(tag, initial_view, params, limits, agent, neighbor_set)
     U = _plan(controls, problem, "controls")[None]
-    return problem.gradient(U, problem.evaluate(U)[1])[0]
+    return problem.search_direction(U, problem.evaluate(U)[1])[0][0]
 
 
 def _plan(plan, problem, name, rows=()):

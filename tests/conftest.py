@@ -14,7 +14,7 @@ from flockbench import (
     noise_for_level,
     simulate,
 )
-from flockbench.core import sq_norm
+from flockbench.core import clamp_norm, sq_norm
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -85,6 +85,52 @@ def reference_clamp_apply(jacobian, w, p):
     over, sq, scale = jacobian
     radial = (w * p).sum(axis=-1, keepdims=True) / sq
     return np.where(over, scale * (p - w * radial), p)
+
+
+def rollout_loop(x0, v0, U, limits):
+    """The rollout stepped one predicted step at a time, clamping every
+    step's velocities: the reference for `_rollout_arrays`.  Returns the
+    positions and pre-clamp velocities at steps 1..T and each row's clamp
+    flag, set where some step's pre-clamp speed is over v_max."""
+    x, v = x0, v0
+    xs, ws = np.empty_like(U), np.empty_like(U)
+    for t in range(U.shape[1]):
+        x = x + limits.dt * v
+        w = v + limits.dt * U[:, t]
+        v = clamp_norm(w, limits.v_max)
+        xs[:, t], ws[:, t] = x, w
+    over = np.sqrt(sq_norm(ws)) > limits.v_max
+    return xs, ws, over.reshape(len(U), -1).any(axis=1)
+
+
+def backprop_loop(gx, W, U, limits, lam):
+    """The adjoint pass stepped from the last predicted step back, each step
+    through the clamp's Jacobian: the reference for `_backprop_controls`."""
+    dt, jacobians = limits.dt, reference_clamp_jacobians(W, limits.v_max)
+    gu = np.empty_like(U)
+    px = np.zeros_like(U[:, 0])
+    pv = np.zeros_like(px)
+    for t in range(U.shape[1] - 1, 0, -1):
+        px = px + gx[:, t - 1]
+        q = reference_clamp_apply(jacobians[t], W[:, t], pv)
+        gu[:, t] = dt * q + 2.0 * lam * U[:, t]
+        pv = dt * px + q
+    q = reference_clamp_apply(jacobians[0], W[:, 0], pv)
+    gu[:, 0] = dt * q + 2.0 * lam * U[:, 0]
+    return gu
+
+
+def forward_loop(D, W, limits):
+    """The tangent pass stepped forward through the clamp's Jacobian: the
+    reference for `_forward_controls`."""
+    dt, jacobians = limits.dt, reference_clamp_jacobians(W, limits.v_max)
+    xd = np.empty_like(D[:, 1:])
+    x = v = np.zeros_like(D[:, 0])
+    for t in range(D.shape[1] - 1):
+        v = reference_clamp_apply(jacobians[t], W[:, t], v + dt * D[:, t])
+        x = x + dt * v
+        xd[:, t] = x
+    return xd
 
 
 @pytest.fixture

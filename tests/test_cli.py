@@ -404,6 +404,33 @@ def test_infinite_mpc_weight_fails_before_any_output(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "model, setting",
+    [
+        ("reynolds", "noise.sigma_x=inf"),
+        ("reynolds", "noise.sigma_v=inf"),
+        ("reynolds", "reynolds.w_c=inf"),
+        ("reynolds", "init.position_min=-inf"),
+        ("reynolds", "init.velocity_max=inf"),
+        ("olfati_saber", "olfati.epsilon=inf"),
+        ("olfati_saber", "olfati.b=inf"),
+        ("olfati_saber", "olfati.c_alignment=inf"),
+    ],
+)
+def test_infinite_setting_fails_before_any_output(tmp_path, capsys, model, setting):
+    # each used to write effective_config.txt and then fail on non-finite
+    # positions or velocities
+    out = tmp_path / "x"
+    code = run_cli(
+        ["simulate", "--model", model, "--out", str(out), "--set", setting]
+        + FAST_OVERRIDES
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and "finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dimension", ["0", "-1"])
 def test_nonpositive_dimension_fails(tmp_path, capsys, dimension):
     out = tmp_path / "x"

@@ -81,6 +81,64 @@ def test_parameters_reject_nan(make, kwargs):
         make(**kwargs)
 
 
+def _inf_cases():
+    inf = float("inf")
+    for cls, name in (
+        (NoiseSpec, "sigma_x"), (NoiseSpec, "sigma_v"),
+        (ReynoldsParams, "w_c"), (ReynoldsParams, "w_s"), (ReynoldsParams, "w_al"),
+        (OlfatiSaberParams, "epsilon"), (OlfatiSaberParams, "a"), (OlfatiSaberParams, "b"),
+        (OlfatiSaberParams, "c_alignment"),
+    ):
+        yield pytest.param(cls, {name: inf}, name, id=f"{cls.__name__}.{name}")
+    for name, box in (
+        ("init_position_box", ((-inf, 1.0), (0.0, 1.0))),
+        ("init_velocity_box", ((0.0, 1.0), (0.0, inf))),
+    ):
+        yield pytest.param(small_cfg, {name: box}, name, id=f"ExperimentConfig.{name}")
+
+
+@pytest.mark.parametrize("make, kwargs, name", _inf_cases())
+def test_parameters_reject_an_infinite_weight_or_bound(make, kwargs, name):
+    # each used to construct and fail in the run, on non-finite positions or
+    # velocities; the error names the field
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        make(**kwargs)
+
+
+def test_infinite_radii_still_construct():
+    inf = float("inf")
+    assert ReynoldsParams(r_c=inf, r_s=inf, r_al=inf).r_s == inf
+    assert OlfatiSaberParams(r=inf).r == inf
+    assert small_cfg(r=inf).r == inf
+
+
+def _bool_cases():
+    for cls in (MpcParams, ReynoldsParams, OlfatiSaberParams, NoiseSpec, MotionLimits):
+        for f in fields(cls):
+            for value in (True, np.False_):
+                yield pytest.param(
+                    cls, {f.name: value}, id=f"{cls.__name__}.{f.name}={value!r}"
+                )
+    for name in ("n", "steps", "runs", "base_seed", "r"):
+        yield pytest.param(small_cfg, {name: True}, id=f"ExperimentConfig.{name}")
+
+
+@pytest.mark.parametrize("make, kwargs", _bool_cases())
+def test_parameters_reject_a_bool(make, kwargs):
+    # MotionLimits(v_max=True) used to be a speed limit of 1, and
+    # MpcParams(horizon=True) a one-step horizon
+    [name] = kwargs
+    with pytest.raises(TypeError, match=rf"\.{name} must be a number, not a bool$"):
+        make(**kwargs)
+
+
+def test_experiment_config_rejects_a_seed_that_is_not_an_integer():
+    # base_seed=1.5 used to construct and fail in mix_seed at the first run
+    with pytest.raises(TypeError, match=r"^ExperimentConfig\.base_seed must be an integer"):
+        small_cfg(base_seed=1.5)
+    assert small_cfg(base_seed=np.int64(3)).base_seed == 3
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         small_cfg(n=0)

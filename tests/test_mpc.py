@@ -50,11 +50,14 @@ from flockbench.mpc import (
     _solve_batch,
 )
 from conftest import (
+    backprop_loop,
     captured_solves,
+    forward_loop,
     hexagonal_patch,
     random_config,
     reference_clamp_apply,
     reference_clamp_jacobians,
+    rollout_loop,
     same_bits,
 )
 
@@ -171,19 +174,6 @@ def test_rollout_distributed_validates_neighbors():
         rollout_distributed(0, view, np.zeros((3, 2)), {5}, LIMITS)
 
 
-def rollout_loop(x0, v0, U, limits):
-    """The rollout stepped one predicted step at a time, clamping every
-    step's velocities: the reference for `_rollout_arrays`."""
-    x, v = x0, v0
-    xs, ws = np.empty_like(U), np.empty_like(U)
-    for t in range(U.shape[1]):
-        x = x + limits.dt * v
-        w = v + limits.dt * U[:, t]
-        v = clamp_norm(w, limits.v_max)
-        xs[:, t], ws[:, t] = x, w
-    return xs, ws
-
-
 class RolloutPaths:
     """Counts the `_rollout_arrays` calls that step (and so call
     `clamp_norm`) and those that take the running sums, checks each row's
@@ -260,8 +250,9 @@ def test_rollout_clamping_one_row_at_its_last_step_matches_each_row_alone(T, np_
     assert (rollout.stepped, rollout.summed) == (1, 0)
     over = np.sqrt(sq_norm(ws)) > LIMITS.v_max
     assert over.sum() == 1 and over[1, -1]
-    ref_xs, ref_ws = rollout_loop(x0, v0, U, LIMITS)
+    ref_xs, ref_ws, ref_clamps = rollout_loop(x0, v0, U, LIMITS)
     assert same_bits(xs, ref_xs) and same_bits(ws, ref_ws)
+    assert same_bits(ref_clamps, np.array([False, True, False]))
     for k in range(3):
         row_xs, row_ws = rollout(x0[k : k + 1], v0[k : k + 1], U[k : k + 1], LIMITS)
         assert same_bits(row_xs, xs[k : k + 1]) and same_bits(row_ws, ws[k : k + 1])
@@ -282,36 +273,6 @@ def test_rollout_takes_a_nan_speed_as_unclamped_and_an_inf_speed_as_clamped():
             ref = rollout_loop(x0, v0, U, LIMITS)
         assert getattr(rollout, path) == 1
         assert same_bits(xs, ref[0]) and same_bits(ws, ref[1])
-
-
-def backprop_loop(gx, W, U, limits, lam):
-    """The adjoint pass stepped from the last predicted step back, each step
-    through the clamp's Jacobian: the reference for `_backprop_controls`."""
-    dt, jacobians = limits.dt, reference_clamp_jacobians(W, limits.v_max)
-    gu = np.empty_like(U)
-    px = np.zeros_like(U[:, 0])
-    pv = np.zeros_like(px)
-    for t in range(U.shape[1] - 1, 0, -1):
-        px = px + gx[:, t - 1]
-        q = reference_clamp_apply(jacobians[t], W[:, t], pv)
-        gu[:, t] = dt * q + 2.0 * lam * U[:, t]
-        pv = dt * px + q
-    q = reference_clamp_apply(jacobians[0], W[:, 0], pv)
-    gu[:, 0] = dt * q + 2.0 * lam * U[:, 0]
-    return gu
-
-
-def forward_loop(D, W, limits):
-    """The tangent pass stepped forward through the clamp's Jacobian: the
-    reference for `_forward_controls`."""
-    dt, jacobians = limits.dt, reference_clamp_jacobians(W, limits.v_max)
-    xd = np.empty_like(D[:, 1:])
-    x = v = np.zeros_like(D[:, 0])
-    for t in range(D.shape[1] - 1):
-        v = reference_clamp_apply(jacobians[t], W[:, t], v + dt * D[:, t])
-        x = x + dt * v
-        xd[:, t] = x
-    return xd
 
 
 @pytest.mark.parametrize("clamped", [False, True])
@@ -915,14 +876,14 @@ def test_batch_rows_match_full_batch(tag, np_rng):
         assert not np.isin([6, 7], full.src).any()
         U = np_rng.uniform(-0.5, 0.5, (8, 3, 2))
     J, record = full.evaluate(U)
-    G = full.gradient(U, record)
+    G = full.search_direction(U, record)[0]
     for idx in ([3], range(8), [0, 4, 7], [6, 7], [5, 5, 0, 6, 2, 2, 2]):
         idx = np.asarray(idx)
         for sub in sub_problems(tag, full, views, idx, PARAMS):
             J_sub, sub_record = sub.evaluate(U[idx])
             assert np.array_equal(J_sub, J[idx])
             assert_rows_of(sub_record, record, idx)
-            assert np.array_equal(sub.gradient(U[idx], sub_record), G[idx])
+            assert np.array_equal(sub.search_direction(U[idx], sub_record)[0], G[idx])
     if tag in DISTRIBUTED_MPC_TAGS:
         assert full.rows(np.arange(8) >= 6).src.size == 0
 
@@ -1386,8 +1347,8 @@ def test_centralized_gradient_reuses_probe_rollout(tag, np_rng):
     assert_clamp_active(record[1])
     for k in range(len(U)):
         plan = U[k : k + 1]
-        reused = problem.gradient(plan, rows_of(record, slice(k, k + 1)))
-        fresh = problem.gradient(plan, problem.evaluate(plan)[1])
+        reused = problem.search_direction(plan, rows_of(record, slice(k, k + 1)))[0]
+        fresh = problem.search_direction(plan, problem.evaluate(plan)[1])[0]
         assert np.array_equal(reused, fresh)
         public = mpc_objective_gradient(tag, view, U[k], PARAMS, LIMITS)
         assert np.array_equal(reused[0], public)
@@ -1415,8 +1376,8 @@ def test_distributed_gradient_reuses_probe_rollout(tag, np_rng):
     assert_clamp_active(record[1])
     for k, i in enumerate(rep):
         row, plan = full.rows(np.arange(n) == i), U[k : k + 1]
-        reused = row.gradient(plan, rows_of(record, slice(k, k + 1)))
-        fresh = row.gradient(plan, row.evaluate(plan)[1])
+        reused = row.search_direction(plan, rows_of(record, slice(k, k + 1)))[0]
+        fresh = row.search_direction(plan, row.evaluate(plan)[1])[0]
         assert np.array_equal(reused, fresh)
         view = FlockConfiguration(pos[i], vel[i])
         public = mpc_objective_gradient(tag, view, U[k], PARAMS, LIMITS, agent=i)
@@ -1435,6 +1396,65 @@ def test_one_step_horizon_gradient_is_control_penalty(tag, np_rng):
     assert np.array_equal(grad, 2.0 * params.lam * u)
     U, *_ = _solve_batch(_single_problem(tag, view, params, LIMITS, agent), u[None])
     assert np.allclose(U, 0.0, atol=1e-5)
+
+
+def adjoint_gradient(problem, U, record):
+    """The gradient of a problem's rows at the plans U by the step loop
+    `backprop_loop`, from the record of U: a distributed row's recorded
+    stage gradient, or a centralized row's stage gradient from its recorded
+    pair coefficients, with no wall seen."""
+    xs, ws = record[:2]
+    if isinstance(problem, _CentralizedProblem):
+        later, coef = xs[:, 1:], mpc._stack(record[5])
+        gx = mpc._centralized_stage_gradient(problem.cost, mpc._stack(later), coef)
+        gx = gx.reshape(later.shape)
+    else:
+        gx = record[3]
+    return backprop_loop(gx, ws, U, problem.limits, problem.params.lam)
+
+
+@pytest.mark.parametrize("tag", MPC_TAGS)
+def test_objective_gradient_is_the_plain_adjoint_where_walls_act(tag, np_rng):
+    # agents 0 and 1 end predicted step 2 at r + WALL_GAP / 2, a wall pair,
+    # and agent 0's first control is at a_max.  At v_max = 1.2 every
+    # centralized rollout clamps and the wall search stacks the wall row
+    # under the plan row, whose gradient keeps the plain adjoint pass's
+    # bits.  The distributed tags, which see no walls, run at the default
+    # limits; agent 0 plans its own column of the plan
+    centralized = tag in CENTRALIZED_MPC_TAGS
+    limits = MotionLimits(v_max=1.2) if centralized else LIMITS
+    r, gap, n = PARAMS.r, horizon.WALL_GAP, 5
+    for _ in range(10):
+        pos = np_rng.uniform(-4.0, 4.0, (n, 2))
+        vel = np_rng.uniform(-1.1, 1.1, (n, 2))
+        U = clamp_norm(np_rng.uniform(-1.0, 1.0, (PARAMS.horizon, n, 2)), limits.a_max)
+        # agent 0 at speed 1.1, its first control at a_max along its velocity
+        vel[0] *= 1.1 / np.sqrt(sq_norm(vel[0]))
+        U[0, 0] = limits.a_max / 1.1 * vel[0]
+        # a step's positions are the initial ones plus a drift that does not
+        # depend on them: agent 1 is placed from the step-2 drifts
+        drift = rollout_loop(np.zeros((1, n, 2)), vel[None], U[None], limits)[0][0, 1]
+        heading = np_rng.normal(size=2)
+        heading *= (r + gap / 2) / np.sqrt(sq_norm(heading))
+        pos[1] = pos[0] + drift[0] - drift[1] + heading
+        view = config(pos, vel)
+        agent, plan = (None, U) if centralized else (0, U[:, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            problem = _single_problem(tag, view, PARAMS, limits, agent)
+            _, record = problem.evaluate(plan[None])
+            with mock.patch.object(
+                horizon, "_backprop_controls", wraps=horizon._backprop_controls
+            ) as adjoint:
+                got = mpc_objective_gradient(tag, view, plan, PARAMS, limits, agent=agent)
+            expected = adjoint_gradient(problem, plan[None], record)[0]
+        assert same_bits(got, expected)
+        if centralized:
+            # pair (0, 1) at step 2 is a wall, the rollout clamps, and the
+            # adjoint pass ran on the plan row with the wall rows under it
+            assert 0 < record[4][0, 0, 0] - r <= gap
+            assert record[2].tolist() == [True]
+            assert len(adjoint.call_args.args[0]) > 1
 
 
 @pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
@@ -1476,7 +1496,7 @@ class PlainDirection:
         return self.problem.evaluate(U)
 
     def search_direction(self, U, record):
-        G = self.problem.gradient(U, record)
+        G = self.problem.search_direction(U, record)[0]
         return G, G, np.full(len(U), np.inf)
 
 
@@ -1513,7 +1533,7 @@ def test_wall_gap_separates_walls_from_capping_pairs(excess):
     U = np.zeros((1, 3, 2, 2))
     _, record = problem.evaluate(U)
     G, P, cap = problem.search_direction(U, record)
-    assert np.array_equal(G, problem.gradient(U, record))
+    assert same_bits(G, adjoint_gradient(problem, U, record))
 
     def distances(plan):
         _, (xs, *_) = problem.evaluate(plan)
@@ -1586,7 +1606,7 @@ def test_one_step_or_one_agent_gives_no_walls_and_no_cap(tag, steps, n, np_rng):
     U = clamp_norm(np_rng.uniform(-2.0, 2.0, (1, steps, n, 2)), LIMITS.a_max)
     _, record = problem.evaluate(U)
     G, P, cap = problem.search_direction(U, record)
-    assert P is G and np.array_equal(G, problem.gradient(U, record))
+    assert P is G and same_bits(G, adjoint_gradient(problem, U, record))
     assert cap.tolist() == [np.inf]
 
 
@@ -1726,7 +1746,10 @@ def test_distributed_search_direction_runs_only_the_adjoint_pass():
     assert counts["_backprop_controls"] == counts["search"] > 0
     for name in ("_rollout_arrays", "evaluate", "_stage_sum", "_edge_costs", "terms"):
         assert counts[f"{name} in search"] == 0
-    assert not hasattr(mpc._BatchProblem, "_stage_gradient")
+    # the search direction is a problem's one gradient path
+    for problem_type in (mpc._Problem, _CentralizedProblem, mpc._BatchProblem):
+        for name in ("gradient", "_adjoint", "_stage_gradient"):
+            assert not hasattr(problem_type, name)
 
 
 @pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
@@ -2126,7 +2149,7 @@ def line_search_starts(log):
 def gradient_at(problem, i, u):
     """Batch row i's gradient at the plan u, its row evaluated alone."""
     row, U = problem.rows(np.arange(len(problem.x0)) == i), u[None]
-    return row.gradient(U, row.evaluate(U)[1])[0]
+    return row.search_direction(U, row.evaluate(U)[1])[0][0]
 
 
 def direction_at(problem, i, u):

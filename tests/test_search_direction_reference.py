@@ -5,18 +5,18 @@ Each `reference_*` function below is the earlier version of a function that
 was rewritten for speed.  Centralized: the stage gradient that scattered its
 pair coefficients into a zero matrix, the walls' non-negative least squares
 with no early exit, the projection that always stacked its control rows, and
-the wall search with the tangent pass along -P that differentiated the
-velocity clamp through a per-step list of Jacobians (`conftest`'s
-`reference_clamp_jacobians`), rebuilt for its stacked wall rows.
-Distributed: the batch problem that stored each edge's neighbor positions
-at steps 1..T edge-major with its row's neighbor count, gathered with
-two-axis fancy indexing, priced term and slope from two floors and narrowed
-by boolean masks, its builder, the rollout that stepped its start through
-`_accumulate`, and `clamp_norm`, which copied whatever it was given.  The
-rewrites must give the same bits, signed zeros included, on the inputs
-here, on the search directions of closed-loop runs of both centralized
-models, at the default v_max and at one that clamps, and on every
-evaluation of closed-loop runs of both distributed models.
+the wall search with the tangent pass along -P.  Distributed: the batch
+problem that stored each edge's neighbor positions at steps 1..T edge-major
+with its row's neighbor count, gathered with two-axis fancy indexing,
+priced term and slope from two floors and narrowed by boolean masks, its
+builder, and `clamp_norm`, which copied whatever it was given.  The
+references roll out, and take their gradients and tangents, through
+`conftest`'s step loops `rollout_loop`, `backprop_loop` and `forward_loop`,
+which differentiate the velocity clamp through a per-step list of
+Jacobians.  The rewrites must give the same bits, signed zeros included, on
+the inputs here, on the search directions of closed-loop runs of both
+centralized models, at the default v_max and at one that clamps, and on
+every evaluation of closed-loop runs of both distributed models.
 """
 
 import functools
@@ -32,9 +32,10 @@ from flockbench.core import EPS_DIST, StackedViews, clamp_norm, clamped, fold, s
 from flockbench.horizon import CROSS_FRACTION, WALL_GAP, _accumulate
 from flockbench.mpc import CENTRALIZED_MPC_TAGS, DISTRIBUTED_MPC_TAGS, _pairs
 from conftest import (
+    backprop_loop,
     captured_solves,
-    reference_clamp_apply,
-    reference_clamp_jacobians,
+    forward_loop,
+    rollout_loop,
     same_bits,
 )
 
@@ -67,45 +68,6 @@ def reference_stage_gradient(cost, x, r, pairs=None):
         return edges
     c_n = 2.0 / (n * (n - 1))
     return 2.0 * c_n * (n * x - x.sum(axis=1, keepdims=True)) + edges
-
-
-def reference_backprop_controls(gx, W, U, limits, lam, jacobians=None):
-    dt = limits.dt
-    if jacobians is None:
-        jacobians = reference_clamp_jacobians(W, limits.v_max)
-    if not any(jacobians):
-        px = _accumulate(0.0, gx[:, ::-1].copy())
-        pv = np.zeros_like(U)
-        np.multiply(dt, px, out=pv[:, 1:])
-        np.add.accumulate(pv, axis=1, out=pv)
-        return dt * pv[:, ::-1] + 2.0 * lam * U
-    gu = np.empty_like(U)
-    px = np.zeros_like(U[:, 0])
-    pv = np.zeros_like(px)
-    for t in range(U.shape[1] - 1, 0, -1):
-        px = px + gx[:, t - 1]
-        q = reference_clamp_apply(jacobians[t], W[:, t], pv)
-        gu[:, t] = dt * q + 2.0 * lam * U[:, t]
-        pv = dt * px + q
-    q = reference_clamp_apply(jacobians[0], W[:, 0], pv)
-    gu[:, 0] = dt * q + 2.0 * lam * U[:, 0]
-    return gu
-
-
-def reference_forward_controls(D, W, limits, jacobians=None):
-    dt = limits.dt
-    if jacobians is None:
-        jacobians = reference_clamp_jacobians(W, limits.v_max)
-    if not any(jacobians):
-        v = _accumulate(0.0, dt * D[:, :-1])
-        return _accumulate(0.0, dt * v)
-    xd = np.empty_like(D[:, 1:])
-    x = v = np.zeros_like(D[:, 0])
-    for t in range(D.shape[1] - 1):
-        v = reference_clamp_apply(jacobians[t], W[:, t], v + dt * D[:, t])
-        x = x + dt * v
-        xd[:, t] = x
-    return xd
 
 
 def reference_active_solve(K, b, on):
@@ -164,9 +126,6 @@ def reference_wall_projection(g, P, u, pairs, saturated):
 
 def reference_wall_search(gx, U, W, clamps, pairs, r, lam, limits):
     R, T, n, m = U.shape
-    jacobians = [None] * T
-    if clamps.any():
-        jacobians = reference_clamp_jacobians(W, limits.v_max)
     iu, ju, diff, dist = pairs
     reach = 2.0 * limits.dt**2 * limits.a_max * T * (T - 1)
     near_stage, near_pair = np.nonzero((dist >= r) & (dist <= r + reach))
@@ -174,24 +133,19 @@ def reference_wall_search(gx, U, W, clamps, pairs, r, lam, limits):
     wall = near_dist - r <= WALL_GAP
     stage, pair = near_stage[wall], near_pair[wall]
     if not stage.size:
-        G, row = reference_backprop_controls(gx, W, U, limits, lam, jacobians), stage
+        G, row = backprop_loop(gx, W, U, limits, lam), stage
     else:
         row, t = np.divmod(stage, T - 1)
         e = diff[stage, pair] / near_dist[wall][:, None]
         gd = np.zeros((stage.size, T - 1, n, m))
         k = np.arange(stage.size)
         gd[k, t, iu[pair]], gd[k, t, ju[pair]] = e, -e
-        stacked, stacked_jacobians = W, jacobians
-        if any(jacobians):
-            stacked = np.concatenate([W, W[row]])
-            stacked_jacobians = reference_clamp_jacobians(stacked, limits.v_max)
-        G = reference_backprop_controls(
+        G = backprop_loop(
             np.concatenate([gx, gd]),
-            stacked,
+            np.concatenate([W, W[row]]),
             np.concatenate([U, np.zeros(gd.shape[:1] + U.shape[1:])]),
             limits,
             lam,
-            stacked_jacobians,
         )
         G, walls = G[:R], G[R:].reshape(stage.size, U[0].size)
         norms = np.sqrt((walls * walls).sum(axis=1))
@@ -219,7 +173,7 @@ def reference_wall_search(gx, U, W, clamps, pairs, r, lam, limits):
     if not wall.all():
         stage, pair = near_stage[~wall], near_pair[~wall]
         d = near_dist[~wall]
-        xd = reference_forward_controls(-P, W, limits, jacobians).reshape(-1, n, m)
+        xd = forward_loop(-P, W, limits).reshape(-1, n, m)
         xd_ij = xd[stage, iu[pair]] - xd[stage, ju[pair]]
         rate = (diff[stage, pair] * xd_ij).sum(axis=1)
         inverse = np.zeros(R)
@@ -490,25 +444,6 @@ def reference_pair_cost(tag, params):
     )
 
 
-def reference_rollout_arrays(x0, v0, U, limits):
-    dt, v_max = limits.dt, limits.v_max
-    xs, ws = np.empty_like(U), _accumulate(v0, dt * U)
-    over = np.sqrt(sq_norm(ws)) > v_max
-    if not np.count_nonzero(over):
-        np.multiply(dt, v0, out=xs[:, 0])
-        np.multiply(dt, ws[:, :-1], out=xs[:, 1:])
-        return _accumulate(x0, xs), ws, np.zeros(len(U), dtype=bool)
-    clamps = over.reshape(len(U), -1).any(axis=1)
-    x, v = x0, v0
-    for t in range(U.shape[1]):
-        x = x + dt * v
-        w = v + dt * U[:, t]
-        v = reference_clamp_norm(w, v_max)
-        xs[:, t] = x
-        ws[:, t] = w
-    return xs, ws, clamps
-
-
 def reference_edge_costs(cost, edge_counts, dist):
     edge = cost.weight * cost.term(dist)
     if cost.cohesion:
@@ -524,7 +459,7 @@ class ReferenceBatch(mpc._Problem):
     first: np.ndarray
 
     def evaluate(self, U):
-        xs, ws, clamps = reference_rollout_arrays(self.x0, self.v0, U, self.limits)
+        xs, ws, clamps = rollout_loop(self.x0, self.v0, U, self.limits)
         penalty = (U * U).reshape(len(U), -1).sum(axis=1)
         stages, *pieces = self._stage_sum(xs)
         return stages + self.params.lam * penalty, (xs, ws, clamps, *pieces)
@@ -549,8 +484,10 @@ class ReferenceBatch(mpc._Problem):
             gx.reshape(shape).astype(np.float64, copy=False),
         )
 
-    def gradient(self, U, record):
-        return self._adjoint(record[3], U, record)
+    def search_direction(self, U, record):
+        _, ws, _, gx = record
+        G = backprop_loop(gx, ws, U, self.limits, self.params.lam)
+        return G, G, None
 
     def rows(self, keep):
         edges = keep[self.src]
@@ -626,15 +563,18 @@ def both_batches(tag, pos, vel, agents, params, limits, neighbor_set=None):
 
 
 def assert_batches_agree(problem, reference, U, masks=()):
-    """Evaluations, stage sums and gradients with the same bits at the
-    plans U, on the problems and on their sub-problems p.rows(a).rows(b)...
+    """Evaluations, stage sums and search directions with the same bits at
+    the plans U, on the problems and on their sub-problems p.rows(a).rows(b)...
     for each chain of masks."""
     got, expected = problem.evaluate(U), reference.evaluate(U)
     assert same_bits(got[0], expected[0])
     assert_same_log([got[1]], [expected[1]])
     xs = got[1][0]
     assert_same_log([problem._stage_sum(xs)], [reference._stage_sum(xs)])
-    assert same_bits(problem.gradient(U, got[1]), reference.gradient(U, expected[1]))
+    G, P, cap = problem.search_direction(U, got[1])
+    reference_G, reference_P, reference_cap = reference.search_direction(U, expected[1])
+    assert same_bits(G, reference_G) and same_bits(P, reference_P)
+    assert cap is reference_cap is None
     for chain in masks:
         sub, sub_reference, rows = problem, reference, np.arange(len(U))
         for keep in chain:
