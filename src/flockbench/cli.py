@@ -22,6 +22,7 @@ from .harness import (
     ModelSpec,
     aggregate_finals,
     aggregate_steps,
+    noise_for_level,
     run_comparison,
     run_noise_sweep,
     simulate,
@@ -266,6 +267,8 @@ def _cmd_noise_sweep(args) -> int:
     settings = resolve_settings(args)
     models = _resolve_models(settings, args.models)
     levels = _parse_levels(args.levels)
+    for level in levels:
+        noise_for_level(level)  # raises for a bad level, before any output
     cfg = build_experiment(settings, models[0].tag)
     fixed = [f"noise.{f.name}" for f in fields(NoiseSpec) if getattr(cfg.noise, f.name)]
     if fixed:

@@ -100,6 +100,27 @@ class FlockConfiguration:
         return f"FlockConfiguration(n={self.n}, m={self.dimension})"
 
 
+def _integer(value, name) -> int:
+    """value as an int: a TypeError naming `name` for a bool, numpy's
+    included, or any other value that is not an integer (numpy integers
+    pass)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _agent_index(i) -> int:
+    """The agent or neighbor index i as an int: a TypeError for a bool,
+    numpy's included, with `StackedViews`'s message, or for any other value
+    that is not an integer."""
+    if isinstance(i, (bool, np.bool_)):
+        raise TypeError("agent indices must be integers, got bool")
+    return operator.index(i)
+
+
 def _check_fields(params, integers=()) -> None:
     """The type rule of the parameter classes: no field of the dataclass
     instance `params` is a bool, and each field named in `integers` is an
@@ -110,10 +131,7 @@ def _check_fields(params, integers=()) -> None:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError(f"{name} must be a number, not a bool")
         if f.name in integers:
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            _integer(value, name)
 
 
 @dataclass(frozen=True)
@@ -189,8 +207,10 @@ def mix_seed(base_seed: int, index: int) -> int:
     """Derive the seed of stream `index` from a base seed (SplitMix64 mix).
 
     Distinct indices give distinct, decorrelated 64-bit seeds; the mapping is
-    pure arithmetic, so it is identical on every platform.
+    pure arithmetic, so it is identical on every platform.  Both arguments
+    must be integers: a bool, float or str is a TypeError.
     """
+    base_seed, index = _integer(base_seed, "seed"), _integer(index, "stream index")
     return _splitmix64((base_seed + (index + 1) * _SPLITMIX_GOLDEN) & _MASK64)
 
 
@@ -214,7 +234,7 @@ class RandomStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = _integer(seed, "seed") & _MASK64
         self._bits = np.random.PCG64(self.seed)
 
     def uniforms(self, count: int) -> np.ndarray:
@@ -343,7 +363,7 @@ def pairwise_distances(positions: np.ndarray) -> np.ndarray:
 
 def neighbors(config: FlockConfiguration, i: int, r: float) -> set:
     """Indices of agents strictly closer than r to agent i."""
-    i = operator.index(i)
+    i = _agent_index(i)
     if not 0 <= i < config.n:
         raise IndexError(f"agent index {i} out of range for n={config.n}")
     if not r > 0:
@@ -430,7 +450,7 @@ def sense_local(
     normals even at zero noise: it is the reference those skips are tested
     against.
     """
-    i = operator.index(i)
+    i = _agent_index(i)
     n, m = config.n, config.dimension
     if not 0 <= i < n:
         raise IndexError(f"agent index {i} out of range for n={n}")

@@ -25,7 +25,6 @@ comparison's runs exactly.
 
 from __future__ import annotations
 
-import operator
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -44,6 +43,7 @@ from .core import (
     NoiseSpec,
     RandomStream,
     _check_fields,
+    _integer,
     mix_seed,
     sense_global,
     sense_local_all,
@@ -347,13 +347,14 @@ def run_comparison(cfg: ExperimentConfig, models, workers: int = 1) -> dict:
 
 def noise_for_level(level: int) -> NoiseSpec:
     """Benchmark noise schedule: level i has sigma_x = 0.2 i, sigma_v = 0.1 i.
-    A bool or a non-integer level is a TypeError, a negative one a
-    ValueError."""
-    if isinstance(level, bool):
-        raise TypeError(f"noise level must be an integer, got {level!r}")
-    if operator.index(level) < 0:
+    A bool or a non-integer level is a TypeError; a negative one, or one so
+    large that a sigma is not a finite float, a ValueError."""
+    if _integer(level, "noise level") < 0:
         raise ValueError(f"noise level must be nonnegative, got {level}")
-    return NoiseSpec(sigma_x=0.2 * level, sigma_v=0.1 * level)
+    try:
+        return NoiseSpec(sigma_x=0.2 * level, sigma_v=0.1 * level)
+    except OverflowError:
+        raise ValueError("noise level too large: its sigmas are not finite floats") from None
 
 
 # run-index stride between noise levels; level L run j draws the seed for

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -78,6 +77,7 @@ from .core import (
     FlockConfiguration,
     MotionLimits,
     StackedViews,
+    _agent_index,
     _check_fields,
     clamp_norm,
     clamped,
@@ -196,13 +196,13 @@ class SolverError(RuntimeError):
 
 def _check_neighbor_set(agent, neighbor_set, n) -> list:
     """agent's frozen neighbor set among n agents, sorted: TypeError for an
-    agent or a neighbor that is not an integer, IndexError for an agent
-    index outside 0..n-1, ValueError for a neighbor outside 0..n-1 or the
-    agent itself (no index wraps around)."""
-    agent = operator.index(agent)
+    agent or a neighbor that is a bool or not an integer, IndexError for an
+    agent index outside 0..n-1, ValueError for a neighbor outside 0..n-1 or
+    the agent itself (no index wraps around)."""
+    agent = _agent_index(agent)
     if not 0 <= agent < n:
         raise IndexError(f"agent index {agent} out of range for n={n}")
-    idx = sorted(map(operator.index, neighbor_set))
+    idx = sorted(map(_agent_index, neighbor_set))
     for j in idx:
         if not 0 <= j < n or j == agent:
             raise ValueError(f"invalid neighbor index {j} for agent {agent}")
@@ -733,6 +733,13 @@ def _check_finite(message, rows, name, values, controls):
         )
 
 
+def _narrow(problem, keep, *state):
+    """`problem.rows(keep)` and the rows of each state array where the
+    boolean mask keep is set, in their order."""
+    kept = keep.nonzero()[0]
+    return (problem.rows(keep), *(a.take(kept, axis=0) for a in state))
+
+
 def _solve_batch(problem, warm):
     """Run projected gradient descent on the B rows of `problem` from the
     plans warm (B, T, ...), with a per-row Armijo line search; rows converge
@@ -748,14 +755,14 @@ def _solve_batch(problem, warm):
     one row per live row: plan, objective, projected gradient, previous point
     and the record `evaluate` returned with the plan (its rollout, clamp
     flags and stage pieces), which the search direction reads, so each
-    accepted point is rolled out and priced once.  Live row k's plan is
-    written out to batch row live[k] when it converges or stalls.  Each
-    search direction runs on the live rows, each line-search probe on those
-    still searching, through a problem the solver narrows with `rows`,
-    taking the same rows of its state.  The first probes' plans, objectives
-    and records become the live rows' next state as they are; a row that
-    passes a later probe overwrites its own row.  Rows never interact, so
-    every row computes exactly what a batch of it alone would.
+    accepted point is rolled out and priced once.  A row leaves once its
+    step scale is set if it has converged, and after its line search, with
+    the plan it had, if that stalled; live row k's plan goes to batch row
+    live[k].  Every narrowing, these two and the line search's to the rows
+    still searching, goes through `_narrow`.  The first probes' plans,
+    objectives and records become the live rows' next state as they are; a
+    row that passes a later probe overwrites its own row.  Rows never
+    interact, so every row computes exactly what a batch of it alone would.
 
     `problem.search_direction` gives each live row's gradient g, its
     projected gradient p and its step cap: p is g and no cap (None) for a
@@ -802,30 +809,10 @@ def _solve_batch(problem, warm):
         trace = [float(J[0])]
         plans = np.empty_like(U)  # a row's plan, written when it leaves
         converged = np.zeros(len(U), dtype=bool)
-        U_prev = P_prev = U  # where each live row's last move started, once it has one
         iterations = 0
         for _ in range(MAX_ITER):
             grad, proj, cap = live_problem.search_direction(U, record)
             _check_finite("non-finite MPC gradient", live, "gradient", grad, U)
-            unit = U - clamped(U - proj, a_max)
-            done = np.sqrt(np.add.reduce(unit * unit, axis=row_axes)) <= GRAD_TOL
-            n_done = np.count_nonzero(done)
-            if n_done:
-                if n_done == len(done):
-                    converged[live] = True
-                    break
-                gone = done.nonzero()[0]
-                at = live.take(gone)
-                converged[at] = True
-                plans[at] = U.take(gone, axis=0)
-                keep = ~done
-                idx = keep.nonzero()[0]
-                live, U, J, proj, U_prev, P_prev = (
-                    a.take(idx, axis=0) for a in (live, U, J, proj, U_prev, P_prev)
-                )
-                if cap is not None:
-                    cap = cap.take(idx)
-                live_problem = live_problem.rows(keep)
             if iterations:
                 # every live row accepted a move in the previous iteration:
                 # the Barzilai-Borwein scale s.s / s.y of that move, y being
@@ -841,6 +828,20 @@ def _solve_batch(problem, warm):
                 scale = np.ones(len(U))
             if cap is not None:
                 scale = np.minimum(scale, cap)
+            unit = U - clamped(U - proj, a_max)
+            done = np.sqrt(np.add.reduce(unit * unit, axis=row_axes)) <= GRAD_TOL
+            n_done = np.count_nonzero(done)
+            if n_done:
+                if n_done == len(done):
+                    converged[live] = True
+                    break
+                gone = done.nonzero()[0]
+                at = live.take(gone)
+                converged[at] = True
+                plans[at] = U.take(gone, axis=0)
+                live_problem, live, U, J, proj, scale = _narrow(
+                    live_problem, ~done, live, U, J, proj, scale
+                )
             iterations += 1
             U_prev, P_prev = U, proj
             # the searching rows' places in the live state, and their state
@@ -869,32 +870,26 @@ def _solve_batch(problem, warm):
                 n_ok = np.count_nonzero(ok)
                 if n_ok == len(ok):
                     break
-                fail = ~ok
-                if np.count_nonzero(np.isfinite(J_try)) < len(J_try):
-                    # a non-finite probe fails
-                    _check_finite(
-                        "non-finite MPC objective during line search",
-                        live[ids[fail]], "objective", J_try[fail], U_try[fail],
-                    )
+                # every non-finite probe has failed the test above, as J >= 0
+                _check_finite(
+                    "non-finite MPC objective during line search",
+                    live.take(ids), "objective", J_try, U_try,
+                )
                 if n_ok:
-                    left = fail.nonzero()[0]
-                    ids, base = ids.take(left), tuple(a.take(left, axis=0) for a in base)
-                    probe_problem = probe_problem.rows(fail)
-            # rows whose line search stalled make no further progress
+                    probe_problem, ids, *base = _narrow(probe_problem, ~ok, ids, *base)
+            # rows whose line search stalled leave, with the plan they had
             n_accepted = np.count_nonzero(accepted)
             if not n_accepted:
                 break
-            U, J, *record = moved
-            if live[0] == 0 and accepted[0]:
-                trace.append(float(J[0]))
             if n_accepted < len(accepted):
-                stalled = ~accepted
-                plans[live[stalled]] = U_prev[stalled]
-                idx = accepted.nonzero()[0]
-                live, U, J, U_prev, P_prev, *record = (
-                    a.take(idx, axis=0) for a in (live, U, J, U_prev, P_prev, *record)
+                gone = (~accepted).nonzero()[0]
+                plans[live.take(gone)] = U.take(gone, axis=0)
+                live_problem, live, U_prev, P_prev, *moved = _narrow(
+                    live_problem, accepted, live, U_prev, P_prev, *moved
                 )
-                live_problem = live_problem.rows(accepted)
+            U, J, *record = moved
+            if live[0] == 0:
+                trace.append(float(J[0]))
         plans[live] = U
         return plans, converged, iterations, trace
 

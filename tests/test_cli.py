@@ -361,6 +361,19 @@ def test_duplicate_levels_rejected(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_noise_sweep_rejects_a_level_too_large_for_a_float(tmp_path, capsys):
+    # 0.2 * level used to raise an uncaught OverflowError after the output
+    # directory and its effective_config.txt were written
+    out = tmp_path / "sweep"
+    code = run_cli(
+        ["noise-sweep", "--models", "reynolds", "--levels", "1" + "0" * 400, "--runs", "1"]
+        + ["--set", "n=3", "--set", "steps=1", "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["noise.sigma_x", "r", "mpc.d"])
 def test_nan_setting_fails(tmp_path, capsys, key):
     code = run_cli(

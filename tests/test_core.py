@@ -143,6 +143,10 @@ def test_neighbors_index_out_of_range():
     for i in (0.0, 1.5, "0"):
         with pytest.raises(TypeError):
             neighbors(config([[0, 0], [1, 0]]), i, 8.4)
+    # a bool used to read agent 1 or 0
+    for i in (True, np.True_, False):
+        with pytest.raises(TypeError, match="^agent indices must be integers, got bool$"):
+            neighbors(config([[0, 0], [1, 0], [3, 0]]), i, 8.4)
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
@@ -295,8 +299,9 @@ def test_sense_local_index_check(np_rng):
     stream = RandomStream(0)
     with pytest.raises(IndexError):
         sense_local(cfg, 3, NoiseSpec(0, 0), stream)
-    # an index that is not an integer is rejected before anything is drawn
-    for i in (1.5, 1.0, "1"):
+    # an index that is not an integer, or a bool (which used to be agent
+    # 1's view), is rejected before anything is drawn
+    for i in (1.5, 1.0, "1", True, np.True_):
         for noise in (NoiseSpec(0, 0), NoiseSpec(0.4, 0.3)):
             with pytest.raises(TypeError):
                 sense_local(cfg, i, noise, stream)
@@ -432,6 +437,27 @@ def test_mix_seed_distinct_streams():
     assert len(seeds) == 2000
     assert all(0 <= s < 2**64 for s in seeds)
     assert mix_seed(1, 0) != mix_seed(2, 0)
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, 1.5, np.float64(7.0), "7"])
+def test_seeds_must_be_integers(seed):
+    # RandomStream("7"), RandomStream(1.5) and RandomStream(True) used to
+    # seed 7, 1 and 1, and mix_seed(True, 0) to equal mix_seed(1, 0)
+    with pytest.raises(TypeError, match="must be an integer"):
+        RandomStream(seed)
+    with pytest.raises(TypeError, match="must be an integer"):
+        mix_seed(seed, 0)
+    with pytest.raises(TypeError, match="must be an integer"):
+        mix_seed(1, seed)
+
+
+def test_integer_seeds_keep_their_streams():
+    # numpy integers seed as Python ones, and a negative seed is masked to
+    # 64 bits
+    assert mix_seed(np.int64(3), np.int32(2)) == mix_seed(3, 2)
+    assert mix_seed(-1, 0) == mix_seed(2**64 - 1, 0)
+    assert RandomStream(-1).seed == 2**64 - 1
+    assert np.array_equal(RandomStream(np.uint64(5)).normals(4), RandomStream(5).normals(4))
 
 
 # --------------------------------------------------------------------------

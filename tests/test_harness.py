@@ -240,6 +240,13 @@ def test_single_agent_coasts():
     assert np.allclose(rec.final.positions, [[3.0, 0.0]])
 
 
+@pytest.mark.parametrize("seed", [1.5, "1", True])
+def test_simulate_rejects_a_seed_that_is_not_an_integer(seed):
+    # each of these used to replay seed 1's run
+    with pytest.raises(TypeError, match="^seed must be an integer"):
+        simulate(small_cfg(steps=1), seed=seed)
+
+
 @pytest.mark.parametrize(
     "tag", ["reynolds", "olfati_saber", "df_distributed", "lattice_centralized"]
 )
@@ -380,6 +387,10 @@ def test_noise_sweep_levels_and_pairing():
         with pytest.raises(TypeError, match="integer"):
             noise_for_level(level)
     assert noise_for_level(np.int64(3)) == level3
+    # a level whose sigma is not a finite float used to raise OverflowError
+    with pytest.raises(ValueError, match="too large"):
+        noise_for_level(10**400)
+    assert noise_for_level(10**307).sigma_x == 0.2 * 10**307
     cfg = small_cfg("reynolds", steps=3, runs=2)
     records = run_noise_sweep(cfg, [cfg.model], levels=[0, 2])
     assert set(records) == {("reynolds", 0), ("reynolds", 2)}

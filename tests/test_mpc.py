@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import math
 import warnings
@@ -35,6 +36,7 @@ from flockbench import (
 )
 from flockbench import horizon, mpc
 from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm, fold, sq_norm
+from flockbench.harness import LEVEL_SEED_STRIDE
 from flockbench.mpc import (
     ARMIJO_C,
     CENTRALIZED_MPC_TAGS,
@@ -377,6 +379,13 @@ def test_per_agent_functions_check_the_neighbor_set(name):
     for agent in (-1, 3):
         with pytest.raises(IndexError):
             call(agent, {1})
+    # a bool agent or neighbor used to be read as agent 1 or 0, so that
+    # rollout_distributed(True, ...) moved every agent
+    for flag in (True, np.True_, False, np.False_):
+        with pytest.raises(TypeError, match="^agent indices must be integers, got bool$"):
+            call(flag, {2})
+        with pytest.raises(TypeError, match="^agent indices must be integers, got bool$"):
+            call(2, [flag])
 
 
 # --------------------------------------------------------------------------
@@ -2192,6 +2201,73 @@ def test_first_line_search_of_every_solve_probes_step_one(tag):
         assert capped > 0
 
 
+class WorkLog:
+    """Passes every call on to a problem and logs each `evaluate` and
+    `search_direction` call with the rows it was handed, and each `rows`
+    call with the rows it keeps; its sub-problems log to the same list."""
+
+    def __init__(self, problem, log):
+        self.problem, self.log, self.limits = problem, log, problem.limits
+
+    def rows(self, keep):
+        self.log.append(("rows", int(np.count_nonzero(keep))))
+        return WorkLog(self.problem.rows(keep), self.log)
+
+    def evaluate(self, U):
+        self.log.append(("evaluate", len(U)))
+        return self.problem.evaluate(U)
+
+    def search_direction(self, U, record):
+        self.log.append(("search_direction", len(U)))
+        return self.problem.search_direction(U, record)
+
+
+# (tag, noise level) -> each method's calls and rows, and the sha256 of the
+# call sequence, over the solves of run 0 at seed 1, 20 steps at n = 30
+SOLVER_WORK = {
+    ("lattice_centralized", 0): (
+        {"evaluate": (315, 315), "search_direction": (300, 300)},
+        "58ce3220bdad3c9829a7118eecab98073b337b68cfc7303a3d49e58cb38aa72f",
+    ),
+    ("df_centralized", 0): (
+        {"evaluate": (377, 377), "search_direction": (324, 324)},
+        "2fa9b3b1e629611aaa80de9c51c4159a1aa8a94837542e2741133faf4635570e",
+    ),
+    ("lattice_distributed", 0): (
+        {"evaluate": (172, 3855), "search_direction": (152, 3417), "rows": (79, 1123)},
+        "07d744d02000fd533f0b0f9e86690ffb2e5175b38b85139d10eff6582cc38177",
+    ),
+    ("df_distributed", 0): (
+        {"evaluate": (199, 4113), "search_direction": (179, 3699), "rows": (99, 1200)},
+        "14f925a0a237d5e542d3c1b41d0b86cb9cf52734efa5e138ebb629eca8827bc0",
+    ),
+    ("lattice_distributed", 10): (
+        {"evaluate": (197, 3922), "search_direction": (176, 3770), "rows": (108, 1435)},
+        "95152c94c2645bb79526ed07d4ec0c060206a78a4fb9dfd043420d3f68158af3",
+    ),
+    ("df_distributed", 10): (
+        {"evaluate": (364, 4543), "search_direction": (332, 4392), "rows": (146, 1517)},
+        "388d32602389629625c3113500e1f7c4dde808ea795e6052a7cbb262eed79f95",
+    ),
+}
+
+
+@pytest.mark.parametrize(("tag", "level"), list(SOLVER_WORK))
+def test_solver_work_on_closed_loop_solves(tag, level):
+    # how much work the solves do, not only what they return: every
+    # evaluation, search direction and narrowing, in order, with its rows
+    log = []
+    seed = mix_seed(1, level * LEVEL_SEED_STRIDE)
+    for problem, warm in captured_solves(tag, seed, steps=20, level=level):
+        _solve_batch(WorkLog(problem, log), warm)
+    totals = {}
+    for method, rows in log:
+        calls, total = totals.get(method, (0, 0))
+        totals[method] = (calls + 1, total + rows)
+    digest = hashlib.sha256("".join(f"{m} {r}\n" for m, r in log).encode()).hexdigest()
+    assert (totals, digest) == SOLVER_WORK[tag, level]
+
+
 class QuadraticProblem:
     """Batch rows with the objective sum(c * U**2) / 2 and a record of the
     plan alone: row
@@ -2380,7 +2456,7 @@ def test_distributed_agent_index_validated(tag):
         with pytest.raises(IndexError):
             mpc_objective_gradient(tag, cfg, u, PARAMS, LIMITS, agent=agent)
     # an agent that is not an integer is rejected, not truncated to agent 1
-    for agent in (1.7, 1.0, "1", np.float64(1.9)):
+    for agent in (1.7, 1.0, "1", np.float64(1.9), True, np.True_):
         with pytest.raises(TypeError):
             solve_mpc(tag, cfg, PARAMS, LIMITS, agent=agent)
         with pytest.raises(TypeError):
