@@ -115,6 +115,10 @@ DISTRIBUTED_MPC_TAGS = ("lattice_distributed", "df_distributed")
 MPC_TAGS = CENTRALIZED_MPC_TAGS + DISTRIBUTED_MPC_TAGS
 
 GRAD_TOL = 1e-6
+# A row has also converged where its squared unit step is at most RESOLUTION
+# times 2**-52 times its objective: below the objective's float64 resolution
+# (see `_solve_batch`).
+RESOLUTION = 256
 MAX_ITER = 200
 ARMIJO_C = 1e-4
 LAST_HALVING = 40  # a line search probes its scale times 2**-h, h <= LAST_HALVING
@@ -162,8 +166,9 @@ class MpcParams:
 class SolveResult:
     """Outcome of one MPC solve: the accepted control plan, the objective
     at the start and after each accepted step, the number of iterations
-    that searched for a step, and whether the projected-gradient test
-    passed (a row that stops without it either stalled or hit MAX_ITER).
+    that searched for a step, and whether the convergence test of
+    `_solve_batch` passed (a row that stops without it either stalled or hit
+    MAX_ITER).
     A centralized solve's test projects the gradient off the walls of its
     cost, so a plan that holds a pair just beyond r passes it where the
     gradient pulls that pair in."""
@@ -197,15 +202,17 @@ class SolverError(RuntimeError):
 def _check_neighbor_set(agent, neighbor_set, n) -> list:
     """agent's frozen neighbor set among n agents, sorted: TypeError for an
     agent or a neighbor that is a bool or not an integer, IndexError for an
-    agent index outside 0..n-1, ValueError for a neighbor outside 0..n-1 or
-    the agent itself (no index wraps around)."""
+    agent index outside 0..n-1, ValueError for a neighbor outside 0..n-1,
+    the agent itself (no index wraps around) or a neighbor listed twice."""
     agent = _agent_index(agent)
     if not 0 <= agent < n:
         raise IndexError(f"agent index {agent} out of range for n={n}")
     idx = sorted(map(_agent_index, neighbor_set))
-    for j in idx:
+    for k, j in enumerate(idx):
         if not 0 <= j < n or j == agent:
             raise ValueError(f"invalid neighbor index {j} for agent {agent}")
+        if k and j == idx[k - 1]:
+            raise ValueError(f"neighbor index {j} listed twice for agent {agent}")
     return idx
 
 
@@ -407,14 +414,13 @@ def _centralized_stage_gradient(cost, x, coef):
     return 2.0 * c_n * (n * x - x.sum(axis=1, keepdims=True)) + edges
 
 
-def _stage_cost(cost, config, r, agent=None, neighbor_set=None) -> float:
+def _stage_cost(cost, config, r, agent=None, idx=None) -> float:
     """One configuration's stage cost: the centralized one, or with an agent
-    its own over its frozen neighbor set, 0 when that set is empty (the
-    weighted edge sum, plus the mean squared neighbor distance where the
-    family has cohesion)."""
+    its own over idx, its frozen neighbor set as `_check_neighbor_set`
+    returns it, 0 when that set is empty (the weighted edge sum, plus the
+    mean squared neighbor distance where the family has cohesion)."""
     if agent is None:
         return float(_centralized_stage_values(cost, config.positions[None], r)[0][0])
-    idx = _check_neighbor_set(agent, neighbor_set, config.n)
     if not idx:
         return 0.0
     diff = config.positions[idx] - config.positions[agent]
@@ -435,7 +441,8 @@ def lattice_deviation_distributed(
     i: int, config: FlockConfiguration, neighbor_set, d: float
 ) -> float:
     """Squared deviation of agent i's frozen-neighborhood distances from d."""
-    return _stage_cost(_lattice(d), config, None, i, neighbor_set)
+    idx = _check_neighbor_set(i, neighbor_set, config.n)
+    return _stage_cost(_lattice(d), config, None, i, idx)
 
 
 def cost_df_centralized(config: FlockConfiguration, r: float, omega: float) -> float:
@@ -453,7 +460,8 @@ def cost_df_distributed(
     """Per-agent declarative-flocking cost over the frozen neighbor set:
     mean squared neighbor distance plus omega-weighted inverse squared
     distances.  0 when the neighbor set is empty."""
-    return _stage_cost(_declarative(omega), config, None, i, neighbor_set)
+    idx = _check_neighbor_set(i, neighbor_set, config.n)
+    return _stage_cost(_declarative(omega), config, None, i, idx)
 
 
 def mpc_objective(
@@ -481,12 +489,11 @@ def mpc_objective(
             f" got {len(trajectory)}"
         )
     n, m = trajectory[0].positions.shape
+    idx = None if agent is None else _check_neighbor_set(agent, neighbor_set, n)
     shape = (len(u), n, m) if agent is None else (len(u), m)
     if u.shape != shape:
         raise ValueError(f"controls must have shape {shape}, got {u.shape}")
-    stage = sum(
-        _stage_cost(cost, cfg, params.r, agent, neighbor_set) for cfg in trajectory[1:]
-    )
+    stage = sum(_stage_cost(cost, cfg, params.r, agent, idx) for cfg in trajectory[1:])
     return stage + params.lam * float((u * u).sum())
 
 
@@ -769,8 +776,17 @@ def _solve_batch(problem, warm):
     distributed row, and for a centralized row p is g projected off the
     walls (`horizon._wall_search`).  A row has converged when its unit step
     |U - clamp(U - p)| is at most GRAD_TOL = 1e-6, so a minimum at a wall
-    counts.  Otherwise its line search tries the steps a, a/2, a/4, ...
-    along -p, down to a * 2**-LAST_HALVING = a * 2**-40, and accepts the
+    counts, or when its square is at most RESOLUTION * 2**-52 * J =
+    256 * 2**-52 * J, J >= 0 being the row's objective.  The decrease a unit
+    step along -p predicts is about that square, so the second part stops a
+    row whose predicted decrease is within 256 ulps of J: about the rounding
+    of J itself, a sum of some thousand pair terms in a centralized row.
+    There the Armijo test cannot tell a real decrease from rounding, and
+    such a row would otherwise halve its step LAST_HALVING times per
+    iteration and accept moves that leave J as it was, up to MAX_ITER.  A
+    row whose objective is small keeps the absolute test.  A row that has
+    not converged searches: its line search tries the steps a, a/2, a/4,
+    ... along -p, down to a * 2**-LAST_HALVING = a * 2**-40, and accepts the
     first that passes the Armijo test, J_try <= J - (ARMIJO_C / step) times
     the squared length of the move, so an accepted step never raises the
     objective; where that decrease rounds away, an accepted step can leave
@@ -829,7 +845,9 @@ def _solve_batch(problem, warm):
             if cap is not None:
                 scale = np.minimum(scale, cap)
             unit = U - clamped(U - proj, a_max)
-            done = np.sqrt(np.add.reduce(unit * unit, axis=row_axes)) <= GRAD_TOL
+            unit_sq = np.add.reduce(unit * unit, axis=row_axes)
+            done = np.sqrt(unit_sq) <= GRAD_TOL
+            done |= unit_sq <= RESOLUTION * 2.0**-52 * J
             n_done = np.count_nonzero(done)
             if n_done:
                 if n_done == len(done):

@@ -42,31 +42,31 @@ GOLDEN_STEPS = {
     "reynolds@3": "335cda4d2cfdedac7489653084c0cda75a5288a858030a02a408320a62c74491",
     "olfati_saber@0": "2d990c79cad36617aecaeb73f3e82409fde3bee14a21923fb1e0fce1f749b0ba",
     "olfati_saber@3": "8c37d263f67942ff7c00a02e34cee9e7b23a6e154b5180c44323086fb915811b",
-    "lattice_centralized@0": "ebffe6520512d3017207c002d5e58bd98d76e8cf9d019bfec16fc8a25ccd33ca",
-    "lattice_centralized@3": "8e7c0503951a3b4d00a01832d8f65e0a39b4621f165280d87499e5c21f2bbbda",
-    "lattice_distributed@0": "09ce0f1831073bf391a1c32dda2c1240a613b5fc0838c615021f60afa7128aa9",
-    "lattice_distributed@3": "3544d8d9034ea337bd05b76c2cc2f5fa101c77c2a5e7059d4e674294f106201d",
-    "df_centralized@0": "e0a56c3ed3ba4dd7ee0ac536805ded589baa8541901655edea3a5176b5b77a97",
-    "df_centralized@3": "ae8ab179fe46866b98d58404eccdd996c84707f29a8651f737b1af0e49565120",
-    "df_distributed@0": "51e0c166718834f6bc8f64b9ca333ddd7d895d605ce47de73bea5bab2cfeb310",
-    "df_distributed@3": "da026cdc76f69932da0d8ecfe10b63b1730d93dd2ccc6d862049c70d7f07ffe1",
+    "lattice_centralized@0": "1ab5cb23c7c50dc1d055a48bcac7ac6ea6ed40911ee6e06f784991324f4f1c9f",
+    "lattice_centralized@3": "ea0e60cbe10eb53a023ec9c4d0ba996dc807d631cd14b56c388169831fd7e98d",
+    "lattice_distributed@0": "7e615282a8817ebe511aaf202eb610cfe84972ebafb2243400ba59f2fc53b67f",
+    "lattice_distributed@3": "e034261b9a4a5e209b10b1370205f13c784d11313584c90d1a3a5893e630bd71",
+    "df_centralized@0": "750d782c994f9b2edb827a482cd21364d822c0ec0a19e74c17a2c27c8fc54ff4",
+    "df_centralized@3": "068c0e28a95686bcd3309cedacb2a40b1efb16417e878c793266b81b76afbbd3",
+    "df_distributed@0": "046bac98de24543ef9af383a6be1e1001beb1739035c986c2089a152305f6838",
+    "df_distributed@3": "92fff10dde8d16d37fbfc2afa8ad8c9f1e3d7aa9e740818e6a98874efef52a9d",
 }
 
 # Runs at the paper's flock size, where solves reach long line searches and
 # stalls that the n = 8 runs above seldom do: the centralized models
 # noiseless, the distributed ones under noise.
 GOLDEN_STEPS_N30 = {
-    "lattice_centralized@0": "a1d292f023bb98e11c0b75816af82675b27483fd7c985148e65fb94fec81caac",
-    "df_centralized@0": "e9591377a293ef8432ef801a1ef990bf757ba314e48dd8627938ac2f1162d40d",
-    "lattice_distributed@10": "01b2d3e276a5257fbfab6c80ad0b6da40b85166881d2cd5faf5ef9275327403a",
-    "df_distributed@10": "a6bc7e91607ffb6d55dc8ae5e13e618fbfe90d6b8a18d7164a8d17f6b392058b",
+    "lattice_centralized@0": "04e7f4aa9c0de61b58a93f3f7eea34282b3eb1a0ed8ef51acf05737dd2e97439",
+    "df_centralized@0": "35b5085c2fb15272093a1c0741f37646a8ee26501fcbc1e53e8a4dd1b773f05a",
+    "lattice_distributed@10": "de782915c2e613aa15c8af56b739bb244692eb5c891de87b8b9517335e43eb90",
+    "df_distributed@10": "6dde037fcb699c4b274c748104f1d7aabbcb401d01e3072718bdd2c2468b7546",
 }
 
 # Runs at mpc.horizon = 9, where each row's (or edge's) stage costs are
 # more terms than numpy sums in order: the steps are folded in order.
 GOLDEN_STEPS_H9 = {
-    "df_distributed@3": "c22ee0cf00d9b339c15d6196a8f4ecc5b62923ce93abdfdf2cae111bac3dc8b3",
-    "df_centralized@0": "755c149e57c751fcdab23757a4400d053ae525fe0ddccbb13f804153fc181084",
+    "df_distributed@3": "c4ebfc0259800529ada01e12e26af9e73e3171a1fca056d5e4aadcb2717e8c04",
+    "df_centralized@0": "19077a62eecbd44451a5656a7231fc64a50009e69a2197868ec90aeda58133a9",
 }
 
 # Runs at limits.v_max = 2.0, below the initial speeds of up to 2.83: most
@@ -75,7 +75,7 @@ GOLDEN_STEPS_H9 = {
 VCLAMP_LIMITS = MotionLimits(v_max=2.0)
 GOLDEN_STEPS_VCLAMP = {
     "lattice_centralized@0": "f462fc559374f7aeaa29f65f29098e516f88bd6815958330d3f383d7b2f60281",
-    "df_distributed@0": "54ad21c5c73afa43188110284cc9a64950ffbce9bb8a5755ecef630adecb0c1d",
+    "df_distributed@0": "247277ddf1041853f2b0322a26b43b1080a4b878cf3336cb67f1cd07af79ddb9",
 }
 
 GOLDEN_EFFECTIVE_CONFIG = (
@@ -84,7 +84,7 @@ GOLDEN_EFFECTIVE_CONFIG = (
 
 # final_state.csv of a short `simulate` (FINAL_STATE_RUN)
 GOLDEN_FINAL_STATE = (
-    "ecc6ebf7522b1da137813e7470dfa07343b6a075507e77c78600b57041e6152a"
+    "d2e8ad14b51132484dcccecba0786c9849d21ccdfc56c297b9396d192d512fa6"
 )
 FINAL_STATE_RUN = {"model": "df_centralized", "seed": 11, "n": 6, "steps": 5}
 

@@ -45,6 +45,7 @@ from flockbench.mpc import (
     LAST_HALVING,
     MAX_ITER,
     MPC_TAGS,
+    RESOLUTION,
     _build_batch_problem,
     _build_centralized_problem,
     _CentralizedProblem,
@@ -376,6 +377,11 @@ def test_per_agent_functions_check_the_neighbor_set(name):
             call(0, bad)
     with pytest.raises(TypeError):
         call(0, {1.0})
+    # a repeated neighbor is refused: the per-agent costs would price it
+    # twice and the gradient's neighbor mask once
+    for twice in ([1, 1], [2, 1, 2], (np.int64(2), 2)):
+        with pytest.raises(ValueError, match="^neighbor index . listed twice for agent 0$"):
+            call(0, twice)
     for agent in (-1, 3):
         with pytest.raises(IndexError):
             call(agent, {1})
@@ -386,6 +392,27 @@ def test_per_agent_functions_check_the_neighbor_set(name):
             call(flag, {2})
         with pytest.raises(TypeError, match="^agent indices must be integers, got bool$"):
             call(2, [flag])
+
+
+def test_objective_checks_the_agent_before_pricing():
+    # a zero-step plan prices no configuration, and its agent and neighbor
+    # set are checked all the same
+    controls = np.zeros((0, 2))
+    assert mpc_objective("df_distributed", [TRIO], controls, PARAMS, 0, [1]) == 0.0
+    with pytest.raises(TypeError, match="^agent indices must be integers, got bool$"):
+        mpc_objective("df_distributed", [TRIO], controls, PARAMS, True, [1])
+    with pytest.raises(IndexError, match="^agent index 7 out of range for n=3$"):
+        mpc_objective("df_distributed", [TRIO], controls, PARAMS, 7, [1])
+    with pytest.raises(TypeError):
+        mpc_objective("df_distributed", [TRIO], controls, PARAMS, 0, [0.5])
+    with pytest.raises(ValueError, match="listed twice"):
+        mpc_objective("lattice_distributed", [TRIO], controls, PARAMS, 0, [1, 1])
+    # the check runs once per objective, not once per predicted configuration
+    with mock.patch.object(
+        mpc, "_check_neighbor_set", wraps=mpc._check_neighbor_set
+    ) as check:
+        mpc_objective("df_distributed", [TRIO] * 4, np.zeros((3, 2)), PARAMS, 0, [1])
+    assert check.call_count == 1
 
 
 # --------------------------------------------------------------------------
@@ -769,19 +796,61 @@ def test_solver_monotone_descent(np_rng):
         assert (np.diff(values) <= 1e-12).all()
 
 
-def test_null_moves_keep_a_closed_loop_solve_from_converging():
-    # the df_centralized solve at step 0 of run 1 at seed 1: where the
-    # Armijo test's required decrease rounds away, it accepts a step that
-    # leaves the objective as it was, so the solve runs MAX_ITER iterations
-    # unconverged, its objective never rising and 114 of its accepted steps
-    # leaving it equal.  A line search that demands a strict decrease
-    # changes these counts, and this test with it
+def test_a_solve_at_its_objective_resolution_converges():
+    # the df_centralized solve at step 0 of run 1 at seed 1: its unit step
+    # stays above GRAD_TOL, but the decrease it predicts falls below the
+    # resolution of its objective (about 3 609).  With the resolution test
+    # off, the Armijo test's required decrease rounds away there: the solve
+    # runs MAX_ITER iterations unconverged, 114 of its accepted steps
+    # leaving the objective as it was
     problem, warm = captured_solves("df_centralized", mix_seed(1, 1), steps=1)[0]
     _, converged, iterations, trace = _solve_batch(problem, warm)
+    assert (iterations, converged.tolist(), len(trace)) == (77, [True], 78)
+    steps = list(zip(trace, trace[1:]))
+    assert all(after < before for before, after in steps)
+    with mock.patch.object(mpc, "RESOLUTION", 0):
+        _, converged, iterations, trace = _solve_batch(problem, warm)
     assert (iterations, converged.tolist(), len(trace)) == (MAX_ITER, [False], 201)
     steps = list(zip(trace, trace[1:]))
-    assert all(after <= before for before, after in steps)
     assert sum(after == before for before, after in steps) == 114
+
+
+def test_stopping_at_the_objective_resolution_costs_no_accuracy():
+    # solves of run 0 at noise level 10, seed 1: steps 0, 6, 9, 14 and 34
+    # stop earlier by the resolution test (without it 6 and 9 stall and 34
+    # runs MAX_ITER on null moves), and step 32 is ill-conditioned and runs
+    # MAX_ITER either way.  Each final objective is compared with a long
+    # solve of the same input: the resolution test off and MAX_ITER at 2000
+    steps = (0, 6, 9, 14, 32, 34)
+    seed = mix_seed(1, 10 * LEVEL_SEED_STRIDE)
+    solves = captured_solves("df_centralized", seed, steps=35, level=10)
+    picked = [solves[k] for k in steps]
+    # the rows of one problem, each solved as it would be alone
+    problem = _build_centralized_problem(
+        picked[0][0].cost,
+        np.concatenate([p.x0 for p, _ in picked]),
+        np.concatenate([p.v0 for p, _ in picked]),
+        picked[0][0].params,
+        picked[0][0].limits,
+    )
+    warm = np.concatenate([w for _, w in picked])
+
+    def final_objectives(**patches):
+        with contextlib.ExitStack() as stack:
+            for name, value in patches.items():
+                stack.enter_context(mock.patch.object(mpc, name, value))
+            U, converged, _, _ = _solve_batch(problem, warm)
+        return problem.evaluate(U)[0], converged
+
+    J, converged = final_objectives()
+    J_before, converged_before = final_objectives(RESOLUTION=0)
+    J_long, _ = final_objectives(RESOLUTION=0, MAX_ITER=2000)
+    assert converged.tolist() == [True] * 4 + [False, True]
+    assert converged_before.tolist() == [True, False, False, True, False, False]
+    excess, excess_before = (J - J_long) / J_long, (J_before - J_long) / J_long
+    # about 8e-15 at the median; the worst is step 32's 2.4e-4 both ways
+    assert (excess >= 0).all() and np.median(excess) <= 1e-12
+    assert excess.max() <= excess_before.max()
 
 
 def test_solver_warm_start_validation():
@@ -1730,9 +1799,9 @@ def test_solver_rolls_out_once_per_evaluation():
         (mpc, "_rollout_arrays"), (_CentralizedProblem, "evaluate"), (mpc, "_pairs"),
         (horizon, "_clamp_apply"), (mpc, "_centralized_stage_gradient"),
     ])
-    assert counts["evaluate"] == counts["_rollout_arrays"] == 1047
+    assert counts["evaluate"] == counts["_rollout_arrays"] == 940
     # one pair pass per evaluation and one per problem build, at step 1
-    assert counts["_pairs"] == 1047 + 100
+    assert counts["_pairs"] == 940 + 100
     assert counts["_clamp_apply"] == 0
     assert counts["_centralized_stage_gradient"] == counts["search"] > 0
     for name in ("_rollout_arrays", "evaluate", "_pairs"):
@@ -1859,12 +1928,13 @@ def sequential_solve(problem, warm):
     the steps a, a/2, ..., a * 2**-LAST_HALVING along minus the projected
     gradient P one at a time, each row evaluated alone through problem.rows
     and every row searching in lockstep, raising on the first probe that is
-    non-finite.  A row's first step a is `first_scale`: 1 or the
-    Barzilai-Borwein scale of its last accepted move, at most the row's
-    cap.  Returns the plans, and per row its iterations, converged flag,
-    accepted-objective trace and the halvings of its accepted steps.  The
-    search direction at a point takes the rollout the point's evaluation
-    returned."""
+    non-finite.  A row has converged where its unit step is at most
+    GRAD_TOL or its square at most RESOLUTION * 2**-52 times its objective.
+    A row's first step a is `first_scale`: 1 or the Barzilai-Borwein scale
+    of its last accepted move, at most the row's cap.  Returns the plans,
+    and per row its iterations, converged flag, accepted-objective trace and
+    the halvings of its accepted steps.  The search direction at a point
+    takes the rollout the point's evaluation returned."""
     B, a_max = warm.shape[0], problem.limits.a_max
     alone = [problem.rows(np.arange(B) == i) for i in range(B)]
     U = clamp_norm(warm, a_max)
@@ -1883,8 +1953,12 @@ def sequential_solve(problem, warm):
         found = {i: alone[i].search_direction(U[i : i + 1], rollouts[i]) for i in live}
         G = {i: found[i][1][0] for i in live}
         for i in live:
-            step = np.sqrt(((U[i] - clamp_norm(U[i] - G[i], a_max)) ** 2).sum())
-            converged[i] = step <= GRAD_TOL
+            # the unit step is short, or its square, the decrease it
+            # predicts, is below the resolution of the row's objective
+            unit_sq = ((U[i] - clamp_norm(U[i] - G[i], a_max)) ** 2).sum()
+            converged[i] = (
+                np.sqrt(unit_sq) <= GRAD_TOL or unit_sq <= RESOLUTION * 2.0**-52 * J[i]
+            )
         live = [i for i in live if not converged[i]]
         if not live:
             break
@@ -1924,10 +1998,9 @@ def sequential_solve(problem, warm):
 
 def ladder_cases(np_rng):
     """Random centralized and noisy distributed problems with warm starts,
-    and closed-loop solves at n = 30 whose line searches run long: the df
-    centralized one halves its step dozens of times and stalls.  Each
-    centralized tag also gets one problem of four rows: three distinct
-    views and a repeat of one."""
+    and closed-loop solves at n = 30: one of each centralized tag and one
+    df_distributed batch at noise level 10.  Each centralized tag also gets
+    one problem of four rows: three distinct views and a repeat of one."""
     cases = []
     for tag in CENTRALIZED_MPC_TAGS:
         for n in (5, 10):
@@ -2226,28 +2299,28 @@ class WorkLog:
 # call sequence, over the solves of run 0 at seed 1, 20 steps at n = 30
 SOLVER_WORK = {
     ("lattice_centralized", 0): (
-        {"evaluate": (315, 315), "search_direction": (300, 300)},
-        "58ce3220bdad3c9829a7118eecab98073b337b68cfc7303a3d49e58cb38aa72f",
+        {"evaluate": (290, 290), "search_direction": (277, 277)},
+        "9813ec031ed6d8c0f6f6d3890d315f14dc7880de8e5dd703d6d749004fb0179e",
     ),
     ("df_centralized", 0): (
-        {"evaluate": (377, 377), "search_direction": (324, 324)},
-        "2fa9b3b1e629611aaa80de9c51c4159a1aa8a94837542e2741133faf4635570e",
+        {"evaluate": (337, 337), "search_direction": (292, 292)},
+        "30b6eb19afbfcf28df63773938c5b89f4e7d0d26423cc2749a9f55bf3adfc58e",
     ),
     ("lattice_distributed", 0): (
-        {"evaluate": (172, 3855), "search_direction": (152, 3417), "rows": (79, 1123)},
-        "07d744d02000fd533f0b0f9e86690ffb2e5175b38b85139d10eff6582cc38177",
+        {"evaluate": (169, 3778), "search_direction": (149, 3340), "rows": (76, 1046)},
+        "f6215cc86af2072c0504f07a850da8b3e2fc222b0b8aa43caa4f19a7bdc725c6",
     ),
     ("df_distributed", 0): (
-        {"evaluate": (199, 4113), "search_direction": (179, 3699), "rows": (99, 1200)},
-        "14f925a0a237d5e542d3c1b41d0b86cb9cf52734efa5e138ebb629eca8827bc0",
+        {"evaluate": (191, 3949), "search_direction": (171, 3535), "rows": (98, 1246)},
+        "3d02d4efd8a52424b5efc8af9b96e66531c21c60908abf5bf820a9145688fa8b",
     ),
     ("lattice_distributed", 10): (
-        {"evaluate": (197, 3922), "search_direction": (176, 3770), "rows": (108, 1435)},
-        "95152c94c2645bb79526ed07d4ec0c060206a78a4fb9dfd043420d3f68158af3",
+        {"evaluate": (191, 3817), "search_direction": (170, 3665), "rows": (104, 1361)},
+        "11fd03c52f78206b1e670a633fdda5ebbfb9fd66c4b40423644b84a9ea016b77",
     ),
     ("df_distributed", 10): (
-        {"evaluate": (364, 4543), "search_direction": (332, 4392), "rows": (146, 1517)},
-        "388d32602389629625c3113500e1f7c4dde808ea795e6052a7cbb262eed79f95",
+        {"evaluate": (313, 4241), "search_direction": (290, 4099), "rows": (141, 1505)},
+        "4e1b4e4d5d6f2b0332068f7b6e6f621c1250d57bec9bb96ff89c39e000da7166",
     ),
 }
 
@@ -2379,6 +2452,65 @@ def test_line_search_scale_comes_from_the_projected_gradient_change():
     assert np.array_equal(probe, probe_at(u1, p1, held))
 
 
+class ShiftedQuadratic(QuadraticProblem):
+    """Quadratic rows raised by a constant each: row k's objective is
+    offset[k] + sum(c[k] * U**2) / 2, and its gradient c[k] * U."""
+
+    def __init__(self, c, offset):
+        super().__init__(c)
+        self.offset = np.asarray(offset, dtype=float)
+
+    def rows(self, keep):
+        return ShiftedQuadratic(self.c[keep], self.offset[keep])
+
+    def evaluate(self, U):
+        J, record = super().evaluate(U)
+        return self.offset + J, record
+
+
+def solve_alone(problem, warm, i):
+    """Row i of problem solved alone from warm[i]: its plan, converged flag
+    and iterations."""
+    U, converged, iterations, _ = _solve_batch(
+        problem.rows(np.arange(len(warm)) == i), warm[i : i + 1]
+    )
+    return U[0], bool(converged[0]), iterations
+
+
+def test_rows_stop_below_their_objective_resolution():
+    # each row's unit step starts above GRAD_TOL, every component at 1e-5
+    # (1e-3 in row 1), over six curvatures.  At J near 2**20 the resolution
+    # bound on the squared unit step is 256 * 2**-32, about (2.4e-4)**2:
+    # row 0 stops before any search, and row 1 searches until its unit step
+    # is below 2.4e-4.  Rows 2 and 3 have J near 0 and 1e-3, where the
+    # bound is below GRAD_TOL**2, so they stop where the absolute test does
+    c = np.broadcast_to([[1.0, 0.8], [0.6, 0.45], [0.3, 0.2]], (4, 3, 2))
+    warm = 1e-5 / c
+    warm[1] *= 100.0
+    offset = [2.0**20, 2.0**20, 0.0, 1e-3]
+    problem = ShiftedQuadratic(c, offset)
+    unit_sq = ((c * warm) ** 2).reshape(4, -1).sum(axis=1)
+    bound = RESOLUTION * 2.0**-52 * problem.evaluate(warm)[0]
+    assert (np.sqrt(unit_sq) > GRAD_TOL).all()
+    assert (unit_sq <= bound).tolist() == [True, False, False, False]
+    plan, converged, iterations = solve_alone(problem, warm, 0)
+    assert converged and iterations == 0 and same_bits(plan, warm[0])
+    with mock.patch.object(mpc, "RESOLUTION", 0):
+        absolute = [solve_alone(problem, warm, i) for i in range(4)]
+    assert absolute[0][2] > 0
+    for i in (1, 2, 3):
+        plan, converged, iterations = solve_alone(problem, warm, i)
+        assert converged and iterations > 0
+        got_unit = np.sqrt(((c[i] * plan) ** 2).sum())
+        if i == 1:
+            # stopped below the resolution bound, before the absolute test
+            assert GRAD_TOL < got_unit and got_unit**2 <= bound[1]
+            assert iterations < absolute[i][2]
+        else:
+            assert got_unit <= GRAD_TOL
+            assert same_bits(plan, absolute[i][0]) and iterations == absolute[i][2]
+
+
 def test_distributed_solver_error_names_failing_agents():
     # at omega = 1e308 the close pair's separation gradient overflows; the
     # isolated agent 2 has no neighbors and a finite gradient
@@ -2403,14 +2535,14 @@ def test_single_distributed_solver_error_names_its_agent():
 
 
 def test_solver_error_names_batch_rows_after_rows_have_left(np_rng):
-    # agents 0, 1 and 5 converge at the first check and 3 and 4 after
-    # seven iterations, and each leaves the live state; a NaN probe of agent
-    # 4 in its third line search or of agent 2 in its tenth must be named by
-    # its batch row, not by its place among the live rows
+    # agents 0, 1 and 5 converge at the first check, 4 after six iterations
+    # and 3 after seven, and each leaves the live state; a NaN probe of
+    # agent 4 in its third line search or of agent 2 in its tenth must be
+    # named by its batch row, not by its place among the live rows
     problem, warm, _, _ = staggered_batch(np_rng)
     n = len(warm)
     _, iterations, _, _, accepted = sequential_solve(problem, warm)
-    assert iterations.tolist() == [0, 0, 12, 7, 7, 0]
+    assert iterations.tolist() == [0, 0, 11, 7, 6, 0]
     assert accepted[2][9] > 0  # that search reaches a later halving
     for i, k, h in ((4, 2, 0), (2, 9, 0), (2, 9, accepted[2][9])):
         wrapped = TrappedProblem.wrap(problem, n, {i: [()] * k + [(h,)]})

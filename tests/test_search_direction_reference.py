@@ -343,7 +343,7 @@ def test_wall_search_projects_a_pushed_control_that_a_wall_holds():
 
 @pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
 def test_wall_search_matches_the_earlier_search_on_closed_loop_runs(tag):
-    # every search direction of run 0 at seed 1 (100 steps), with walls,
+    # every search direction of run 0 at seed 1 (120 steps), with walls,
     # controls pushed out, projections that hold saturated controls and
     # capped steps among them
     real_search, real_projection = horizon._wall_search, horizon._wall_projection
@@ -372,8 +372,8 @@ def test_wall_search_matches_the_earlier_search_on_closed_loop_runs(tag):
     with mock.patch.object(mpc, "_wall_search", search_spy), mock.patch.object(
         horizon, "_wall_projection", projection_spy
     ):
-        solves = captured_solves(tag, mix_seed(1, 0), steps=100)
-    assert len(solves) == 100
+        solves = captured_solves(tag, mix_seed(1, 0), steps=120)
+    assert len(solves) == 120
     assert seen["calls"] > 900
     assert all(count > 0 for count in seen.values()), seen
 
