@@ -304,13 +304,11 @@ def clamp_norm(vectors: np.ndarray, max_norm: float) -> np.ndarray:
     """Radially project each vector along the last axis of (..., m)
     `vectors` onto the ball of a positive max_norm; a vector inside it, or
     with a NaN norm (np.fmax ignores a NaN), is scaled by exactly 1.  The
-    result is a new array: where no vector is over max_norm it is a copy,
-    unless the float64 conversion already made one."""
+    result is a new array: where no vector is over max_norm it is a float64
+    copy."""
     v = np.asarray(vectors, dtype=np.float64)
     out = clamped(v, max_norm)
-    if out is v and (v is vectors or np.may_share_memory(v, vectors)):
-        return v.copy()
-    return out
+    return v.copy() if out is v else out
 
 
 def clamped(v: np.ndarray, max_norm: float) -> np.ndarray:

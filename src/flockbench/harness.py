@@ -89,10 +89,8 @@ __all__ = [
 def _shift_plan(controls, axis_t):
     """Receding-horizon warm start: drop the applied step, zero-pad the end."""
     shifted = np.zeros_like(controls)
-    head = [slice(None)] * controls.ndim
-    tail = list(head)
-    head[axis_t], tail[axis_t] = slice(None, -1), slice(1, None)
-    shifted[tuple(head)] = controls[tuple(tail)]
+    lead = (slice(None),) * axis_t
+    shifted[lead + (slice(None, -1),)] = controls[lead + (slice(1, None),)]
     return shifted
 
 

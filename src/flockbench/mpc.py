@@ -36,9 +36,9 @@ state, and a row alone has the same bits as in any batch: a centralized row
 plans every agent, (T, n, m), from one measurement, and a distributed row
 one agent, (T, m), from its own view.  A problem's `rows(keep)` is the
 sub-problem of the rows a boolean mask keeps, in their order.  `solve_mpc`
-solves one row and returns one `SolveResult` (plan, accepted-objective
-trace, iterations, converged); `solve_mpc_distributed_all` solves a step's
-n rows and returns every agent's plan.
+solves one row and returns one `SolveResult` (plan, iterations,
+converged); `solve_mpc_distributed_all` solves a step's n rows and returns
+every agent's plan.
 
 Every solve runs one projected-gradient loop, `_solve_batch`, whose
 docstring states its contract: the line search and its step scale, the
@@ -164,9 +164,8 @@ class MpcParams:
 
 @dataclass
 class SolveResult:
-    """Outcome of one MPC solve: the accepted control plan, the objective
-    at the start and after each accepted step, the number of iterations
-    that searched for a step, and whether the convergence test of
+    """Outcome of one MPC solve: the accepted control plan, the number of
+    iterations that searched for a step, and whether the convergence test of
     `_solve_batch` passed (a row that stops without it either stalled or hit
     MAX_ITER).
     A centralized solve's test projects the gradient off the walls of its
@@ -174,9 +173,8 @@ class SolveResult:
     gradient pulls that pair in."""
 
     controls: np.ndarray
-    objectives: list = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
+    iterations: int
+    converged: bool
 
     @property
     def accel(self) -> np.ndarray:
@@ -753,10 +751,9 @@ def _solve_batch(problem, warm):
     and stop independently.  A row plans one agent in a distributed problem
     and every agent in a centralized one.
 
-    Returns (U, converged, iterations, trace): the final plans, each row's
-    converged flag, the number of iterations in which some row searched for
-    a step (the most any row took), and row 0's objective at the start and
-    after each of its accepted steps.
+    Returns (U, converged, iterations): the final plans, each row's
+    converged flag and the number of iterations in which some row searched
+    for a step (the most any row took).
 
     The live rows (neither converged nor stalled) keep their state compacted,
     one row per live row: plan, objective, projected gradient, previous point
@@ -822,7 +819,6 @@ def _solve_batch(problem, warm):
         _check_finite(
             "non-finite MPC objective at the initial point", live, "objective", J, U
         )
-        trace = [float(J[0])]
         plans = np.empty_like(U)  # a row's plan, written when it leaves
         converged = np.zeros(len(U), dtype=bool)
         iterations = 0
@@ -906,10 +902,8 @@ def _solve_batch(problem, warm):
                     live_problem, accepted, live, U_prev, P_prev, *moved
                 )
             U, J, *record = moved
-            if live[0] == 0:
-                trace.append(float(J[0]))
         plans[live] = U
-        return plans, converged, iterations, trace
+        return plans, converged, iterations
 
 
 # --------------------------------------------------------------------------
@@ -918,16 +912,18 @@ def _solve_batch(problem, warm):
 
 
 def _single_problem(tag, view, params, limits, agent, neighbor_set=None):
-    """One solve as a batch of one row of the tag's pair cost: every agent's
-    plan for a centralized tag, `agent`'s own plan for a distributed one,
+    """One solve as a batch of one row of the tag's pair cost, and the row
+    as its SolverError names it: every agent's plan, row 0, for a
+    centralized tag; `agent`'s own plan, `agent`, for a distributed one,
     over neighbor_set where given and its frozen set at the view otherwise."""
     cost = _pair_cost(tag, params)
     pos, vel = view.positions[None], view.velocities[None]
     if tag in CENTRALIZED_MPC_TAGS:
-        return _build_centralized_problem(cost, pos, vel, params, limits)
+        return _build_centralized_problem(cost, pos, vel, params, limits), np.array([0])
     if agent is None:
         raise ValueError(f"{tag} needs the agent index")
-    return _build_batch_problem(cost, pos, vel, [agent], params, limits, neighbor_set)
+    problem = _build_batch_problem(cost, pos, vel, [agent], params, limits, neighbor_set)
+    return problem, np.array([agent])
 
 
 def mpc_objective_gradient(
@@ -941,10 +937,16 @@ def mpc_objective_gradient(
 ) -> np.ndarray:
     """Analytic gradient of the horizon objective with respect to the
     controls, at the given initial view.  `controls` is a plan of the shape
-    `solve_mpc` returns for the same tag, and so is the gradient."""
-    problem = _single_problem(tag, initial_view, params, limits, agent, neighbor_set)
+    `solve_mpc` returns for the same tag, and so is the gradient.  A
+    non-finite objective or gradient raises `_solve_batch`'s SolverError."""
+    problem, row = _single_problem(tag, initial_view, params, limits, agent, neighbor_set)
     U = _plan(controls, problem, "controls")[None]
-    return problem.search_direction(U, problem.evaluate(U)[1])[0][0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        J, record = problem.evaluate(U)
+        _check_finite("non-finite MPC objective at the initial point", row, "objective", J, U)
+        G = problem.search_direction(U, record)[0]
+    _check_finite("non-finite MPC gradient", row, "gradient", G, U)
+    return G[0]
 
 
 def _plan(plan, problem, name, rows=()):
@@ -977,15 +979,14 @@ def solve_mpc(
     sequence of that shape (projected onto the feasible set on entry);
     zeros are used when absent.
     """
-    problem = _single_problem(tag, initial_view, params, limits, agent)
+    problem, row = _single_problem(tag, initial_view, params, limits, agent)
     warm = _plan(warm_start, problem, "warm start")
     try:
-        U, converged, iterations, trace = _solve_batch(problem, warm[None])
+        U, converged, iterations = _solve_batch(problem, warm[None])
     except SolverError as err:
-        if tag in DISTRIBUTED_MPC_TAGS:  # its one row plans `agent`
-            err.diagnostics["agents"] = np.array([agent])
+        err.diagnostics["agents"] = row
         raise
-    return SolveResult(U[0], trace, iterations, bool(converged[0]))
+    return SolveResult(U[0], iterations, bool(converged[0]))
 
 
 def solve_mpc_distributed_all(
@@ -1011,5 +1012,5 @@ def solve_mpc_distributed_all(
         _pair_cost(tag, params), positions, velocities, None, params, limits
     )
     warm = _plan(warm_start, problem, "warm start", problem.x0.shape[:1])
-    U, _, _, _ = _solve_batch(problem, warm)
+    U, _, _ = _solve_batch(problem, warm)
     return U[:, 0].copy(), U

@@ -113,6 +113,39 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_config_file_skips_comment_and_blank_lines(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("# a whole-line comment\n\n   \nn = 4\n  # indented\nsteps = 2\n")
+    assert parse_config_file(str(cfg)) == {"n": "4", "steps": "2"}
+    out = tmp_path / "sim"
+    code = run_cli(
+        ["simulate", "--model", "reynolds", "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == f"simulated reynolds: 2 steps, n=4 -> {out}\n"
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("bogus=1", "unknown config key 'bogus'"),
+        (
+            "init.position_min=0,1,2",
+            "init.position_min/init.position_max must have 1 or 2 entries",
+        ),
+    ],
+)
+def test_simulate_rejects_a_bad_set_override(tmp_path, capsys, setting, message):
+    out = tmp_path / "x"
+    code = run_cli(
+        ["simulate", "--model", "reynolds", "--out", str(out), "--set", setting]
+        + FAST_OVERRIDES
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["compare", "noise-sweep", "simulate"])
 def test_negative_workers_fail_before_any_output(tmp_path, capsys, command):
     # 0 asks for one worker per CPU; a negative count is an error, whether
@@ -173,6 +206,33 @@ def test_compare_and_plot(tmp_path):
     )
     assert code == 0
     assert (replot / "irregularity.svg").exists()
+
+
+def test_compare_models_all_runs_every_model(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code = run_cli(
+        ["compare", "--models", " all ", "--runs", "1", "--workers", "1"]
+        + ["--out", str(out)]
+        + FAST_OVERRIDES
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        f"compared {len(MODEL_TAGS)} models x 1 runs x 3 steps -> {out}\n"
+    )
+    echoed = (out / "effective_config.txt").read_text().splitlines()
+    assert f"model = {','.join(MODEL_TAGS)}" in echoed
+
+
+def test_plot_rejects_a_summary_without_data_rows(tmp_path, capsys):
+    summary = tmp_path / "summary.csv"
+    summary.write_text(",".join(COMPARISON_SUMMARY_FIELDS) + "\n")
+    out = tmp_path / "charts"
+    code = run_cli(["plot", "--summary", str(summary), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: config: summary file {summary} has no data rows\n"
+    )
+    assert not out.exists()
 
 
 def test_plot_rejects_a_file_that_is_not_a_summary(tmp_path, capsys):
@@ -334,6 +394,28 @@ def test_duplicate_models_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["compare", "--models", ","], "no models selected"),
+        (["noise-sweep", "--models", " , "], "no models selected"),
+        (
+            ["noise-sweep", "--models", "reynolds", "--levels", "-1"],
+            "invalid noise levels '-1'",
+        ),
+    ],
+)
+def test_multi_model_commands_reject_no_models_or_a_negative_level(
+    tmp_path, capsys, command, message
+):
+    # no model tag between the commas, or a negative noise level
+    out = tmp_path / "x"
+    code = run_cli(command + ["--out", str(out)] + FAST_OVERRIDES)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["noise.sigma_x", "noise.sigma_v"])
 def test_noise_sweep_rejects_a_fixed_noise(tmp_path, capsys, key):
     # each level sets the noise, so a configured one would be ignored
@@ -458,7 +540,7 @@ def test_nonpositive_dimension_fails(tmp_path, capsys, dimension):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["init.position_min", "init.velocity_max"])
+@pytest.mark.parametrize("key", ["init.position_min", "init.velocity_max", "r"])
 def test_non_numeric_box_bound_fails(tmp_path, capsys, key):
     code = run_cli(
         ["simulate", "--model", "reynolds", "--out", str(tmp_path / "x")]

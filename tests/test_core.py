@@ -474,6 +474,12 @@ def test_configuration_validation():
         FlockConfiguration([[np.nan, 0]], [[0, 0]])
 
 
+def test_configuration_repr_names_its_size():
+    cfg = FlockConfiguration(np.zeros((3, 2)), np.zeros((3, 2)))
+    assert repr(cfg) == "FlockConfiguration(n=3, m=2)"
+    assert repr(FlockConfiguration([[1.0]], [[0.0]])) == "FlockConfiguration(n=1, m=1)"
+
+
 def test_configuration_is_immutable(np_rng):
     cfg = random_config(np_rng)
     with pytest.raises(AttributeError):

@@ -187,6 +187,12 @@ def test_chart_of_series_without_y_values_draws_no_line():
     assert ticks == ["-1", "-0.5", "0", "0.5", "1"]
 
 
+@pytest.mark.parametrize("series", [[], [("m", [])], [("a", []), ("b", [])]])
+def test_chart_without_points_is_refused(series):
+    with pytest.raises(ValueError, match="^cannot render a chart without points$"):
+        render_line_chart(series, "t", "x", "y")
+
+
 _maybe_y = st.one_of(st.none(), st.floats(-100, 100, allow_nan=False))
 
 

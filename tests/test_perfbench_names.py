@@ -2,15 +2,18 @@
 
 `perfbench/tracing.py` wraps every `ENTRY_POINTS` attribute with `getattr`
 on the named `flockbench` module, and `perfbench/run.py` reads
-`mpc.MAX_ITER`.  A rename here would only show when the benchmark runs, so
-these checks keep the names in the test suite's view.
+`mpc.MAX_ITER` and, from the result of every `harness.solve_mpc` call,
+`iterations` and `converged`.  A rename here would only show when the
+benchmark runs, so these checks keep the names in the test suite's view.
 """
 
 import importlib
 import importlib.util
 import pathlib
 
-from flockbench import mpc
+import numpy as np
+
+from flockbench import FlockConfiguration, MotionLimits, harness, mpc
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,3 +35,13 @@ def test_traced_entry_points_resolve():
 
 def test_solver_iteration_cap_is_an_int():
     assert type(mpc.MAX_ITER) is int
+
+
+def test_solve_result_has_the_fields_the_traced_benchmark_reads():
+    view = FlockConfiguration(np.array([[0.0, 0.0], [5.0, 0.0]]), np.zeros((2, 2)))
+    for tag, agent in (("df_centralized", None), ("df_distributed", 0)):
+        result = harness.solve_mpc(
+            tag, view, mpc.MpcParams(), MotionLimits(), agent=agent
+        )
+        assert type(result.iterations) is int
+        assert type(result.converged) is bool
