@@ -37,9 +37,11 @@ the stage cost and its gradient read, `mpc._pairs`.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .core import clamp_norm, inner, sq_norm
+from .core import clamp_norm, fold, inner, sq_norm
 
 # A centralized pair beyond r by at most WALL_GAP at a predicted step 2..T
 # sits at a wall: entering r would raise the cost by a jump, so the search
@@ -63,18 +65,19 @@ def _accumulate(start, terms):
     return terms
 
 
-def _rollout_arrays(x0, v0, U, limits):
+def _rollout_arrays(x1, v0, U, limits):
     """Positions and pre-clamp velocities at steps 1..T under controls U,
-    from the (B, ...) initial states x0, v0, and whether each row's
-    velocity clamps at some step, a (B,) flag.
+    from the (B, ...) step-1 positions x1 = x0 + dt * v0, which no plan
+    moves and a problem keeps, and the initial velocities v0; and whether
+    each row's velocity clamps at some step, a (B,) flag.
 
-    The step-1 positions x0 + dt * v0 do not depend on U.  A problem's
-    `evaluate` returns this rollout in its record, and the search direction
-    at an accepted point reads the record of the probe that accepted it.
+    A problem's `evaluate` returns this rollout in its record, and the
+    search direction at an accepted point reads the record of the probe
+    that accepted it.
 
     Where no pre-clamp velocity is over v_max, every velocity is its
     pre-clamp one, so the velocities are the running sums of v0 and
-    dt * U[:, t], and the positions those of x0, dt * v0 and dt * ws[:, t];
+    dt * U[:, t], and the positions those of x1 and dt * ws[:, t];
     otherwise the rollout steps, clamping each step's velocities.  A row's
     running sums match its steps up to its first clamp, so the running sums'
     speed test flags the rows whose steps clamp.  The passes differentiate
@@ -85,14 +88,15 @@ def _rollout_arrays(x0, v0, U, limits):
     xs, ws = np.empty_like(U), _accumulate(v0, dt * U)
     over = np.sqrt(sq_norm(ws)) > v_max
     if not np.count_nonzero(over):
-        xs[:, 0] = x0 + dt * v0
+        xs[:, 0] = x1
         np.multiply(dt, ws[:, :-1], out=xs[:, 1:])
         np.add.accumulate(xs, axis=1, out=xs)
         return xs, ws, np.zeros(len(U), dtype=bool)
     clamps = over.reshape(len(U), -1).any(axis=1)
-    x, v = x0, v0
+    x, v = x1, v0
     for t in range(U.shape[1]):
-        x = x + dt * v
+        if t:
+            x = x + dt * v
         w = v + dt * U[:, t]
         v = clamp_norm(w, v_max)
         xs[:, t] = x
@@ -171,6 +175,106 @@ def _forward_controls(D, W, limits, clamps):
         x = x + dt * v
         xd[:, t] = x
     return xd
+
+
+@functools.lru_cache(maxsize=16)
+def _rollout_weights(steps, dt):
+    """Read-only (S, S, 1, S, 1) products a[s, k] * a[s, l] of the rollout
+    map without the clamp, a[s, k] = dt**2 (s + 1 - k) for k <= s and 0
+    otherwise: the derivative of the position at predicted step s + 2 with
+    respect to control k, each (m, m) block a multiple of the identity."""
+    s, k = np.ogrid[:steps, :steps]
+    a = np.where(k <= s, dt * dt * (s + 1 - k), 0.0)
+    weights = (a[:, :, None] * a[:, None, :])[:, :, None, :, None]
+    weights.flags.writeable = False
+    return weights
+
+
+def _control_hessian(hx, lam, dt):
+    """Each row's Hessian of its objective with respect to its first T-1
+    controls, (B, K, K) with K = (T-1) m, under the rollout without the
+    velocity clamp: 2 lam I + sum_s A_s^T hx[:, s] A_s over the stage
+    Hessians hx at steps 2..T, (B, T-1, m, m), A_s being the constant
+    `_rollout_weights` map.  The plan's last control moves no predicted
+    position (its block is 2 lam I, decoupled), so it is left out.  The
+    blocks are assembled elementwise and their steps added by `fold`, in
+    order, so a row's H has the same bits in any batch."""
+    B, steps, m = hx.shape[:3]
+    K = steps * m
+    if not K:
+        return np.zeros((B, 0, 0))
+    terms = _rollout_weights(steps, dt) * hx[:, :, None, :, None, :]
+    H = fold(terms[:, s] for s in range(steps)).reshape(B, K, K)
+    H.reshape(B, K * K)[:, :: K + 1] += 2.0 * lam
+    return H
+
+
+def _newton_direction(hx, free, G, U, lam, limits):
+    """The rows of distributed plans U, (B, T, m), that take a projected
+    Newton step, and that step N, (B, T, m): a row moves to
+    clamp(U - N) at step 1, as it moves to clamp(U - scale * P) along its
+    projected gradient.  hx holds each row's stage Hessians at steps 2..T,
+    which give its Hessian H of its first T-1 controls
+    (`_control_hessian`), and G is its gradient; `free` flags the rows
+    whose rollout does not clamp, the rows where H holds.
+
+    A control on the a_max ball that -G pushes outward (the test
+    `_wall_search` makes) moves along its tangent (the two-metric
+    projection, Bertsekas 1982): its radial direction e leaves its row's
+    system, Q H Q and Q G with Q = I - e e^T on its block, and its block
+    gains the ball's curvature there, push / a_max with the push -e.g,
+    which the probe's retraction onto the ball adds.  A free row whose H
+    so reduced is positive definite steps along N = H^-1 G, its last
+    control to zero (the Newton step of its decoupled 2 lam I block, whose
+    gradient is 2 lam u); H is positive definite where Gershgorin's discs
+    show it and otherwise where its least eigenvalue is positive.  Every
+    other row keeps its projected-gradient step, and its row of N is not
+    set.  Each row's system is reduced elementwise and selected row by row,
+    and tested and solved alone (LAPACK takes a stack matrix by matrix), so
+    a row's step has the same bits in any batch."""
+    B, T, m = U.shape
+    steps = T - 1
+    K = steps * m
+    if not K:
+        return free, U
+    a_max = limits.a_max
+    H = _control_hessian(hx, lam, limits.dt)
+    u, g = U[:, :-1], G[:, :-1]
+    rhs = g.reshape(B, K)
+    sq = sq_norm(u)
+    pushed = sq >= (a_max * (1.0 - 1e-9)) ** 2
+    if np.count_nonzero(pushed):
+        ug = inner(u, g)
+        pushed &= ug < 0
+    if np.count_nonzero(pushed):
+        # e is each pushed control's unit radial direction and e.g its radial
+        # gradient, both +0 elsewhere: there Q = I, and Q H Q and Q G keep
+        # every bit of H and G
+        norms = np.sqrt(sq)
+        radial = np.divide(ug, norms, out=np.zeros_like(ug), where=pushed)
+        e = np.divide(u, norms[..., None], out=np.zeros_like(u), where=pushed[..., None])
+        Q = np.eye(m) - e[..., :, None] * e[..., None, :]
+        h = H.reshape(B, steps, m, steps, m)
+        qh = fold(Q[..., p, None, None] * h[:, :, None, p] for p in range(m))
+        H = fold(qh[..., p, None] * Q[:, None, None, :, p] for p in range(m)).reshape(B, K, K)
+        H.reshape(B, K * K)[:, :: K + 1] += np.repeat(radial / -a_max, m, axis=1)
+        rhs = (g - e * radial[..., None]).reshape(B, K)
+    diag = H.reshape(B, K * K)[:, :: K + 1]
+    unsure = (free & ~(2.0 * diag > np.abs(H).sum(axis=2)).all(axis=1)).nonzero()[0]
+    newton = free
+    if unsure.size:
+        newton = free.copy()
+        newton[unsure] = np.linalg.eigvalsh(H.take(unsure, axis=0))[:, 0] > 0.0
+    take = newton.nonzero()[0]
+    if take.size == B:
+        solved = np.linalg.solve(H, rhs[..., None]).reshape(B, steps, m)
+        return newton, np.concatenate((solved, U[:, -1:]), axis=1)
+    N = np.empty_like(U)
+    N[:, -1] = U[:, -1]
+    if take.size:
+        solved = np.linalg.solve(H.take(take, axis=0), rhs.take(take, axis=0)[..., None])
+        N[take, :-1] = solved.reshape(-1, steps, m)
+    return newton, N
 
 
 def _active_solve(K, b, on):

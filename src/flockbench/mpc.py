@@ -2,19 +2,21 @@
 Receding-horizon (MPC) flocking controllers.
 
 Four models share one machinery: a finite-horizon double-integrator rollout,
-a per-configuration stage cost, and one projected-gradient-descent loop over
-the horizon's accelerations.  A stage cost weights a sum of edge terms
+a per-configuration stage cost, and one projected descent loop over the
+horizon's accelerations.  A stage cost weights a sum of edge terms
 phi(dist) over neighbor edges, dist floored at EPS_DIST, and may add a
 cohesion term.  Each family is stated once, as a `_PairCost` whose one
 pricing method, `terms`, gives both its centralized and its distributed
 kernels each edge's term and the slope weight * phi'(dist) / dist, 0 below
-EPS_DIST, for the gradients:
+EPS_DIST, for the gradients, and the distributed kernel the edge's bend
+(weight * phi''(dist) - slope) / dist^2, for its Hessians:
 
   - lattice_centralized / lattice_distributed: phi = (dist - d)^2, weight 1,
-    slope 2 (dist - d) / dist; no cohesion.
+    slope 2 (dist - d) / dist, curvature 2; no cohesion.
   - df_centralized / df_distributed ("declarative flocking"): phi =
-    1 / dist^2 (separation), weight omega, slope -2 omega / (dist^2)^2, plus
-    the mean squared distance (cohesion); no target geometry.
+    1 / dist^2 (separation), weight omega, slope -2 omega / (dist^2)^2,
+    curvature 6 omega / (dist^2)^2, plus the mean squared distance
+    (cohesion); no target geometry.
 
 Each public entry point resolves its tag once, through `_pair_cost`, the one
 family lookup, which rejects an unknown tag; the problem builders take the
@@ -40,22 +42,26 @@ solves one row and returns one `SolveResult` (plan, iterations,
 converged); `solve_mpc_distributed_all` solves a step's n rows and returns
 every agent's plan.
 
-Every solve runs one projected-gradient loop, `_solve_batch`, whose
-docstring states its contract: the line search and its step scale, the
-lockstep probes and the stopping rules.  A distributed row follows its
-gradient.  A centralized cost counts its edge terms only inside r, so it
-jumps up wherever a predicted pair enters r, and a centralized row treats r
-as a wall; `horizon._wall_search` states its search direction and step cap.
+Every solve runs one loop, `_solve_batch`, whose docstring states its
+contract: the search directions, the line search and its step scale, the
+lockstep probes and the stopping rules.  A distributed row takes a
+projected Newton step where its Hessian is positive definite and its
+rollout does not clamp (`horizon._newton_direction` states it, with the
+a_max ball's curvature), and follows its gradient otherwise.  A
+centralized cost counts its edge terms only inside r, so it jumps up
+wherever a predicted pair enters r, and a centralized row treats r as a
+wall and follows its gradient projected off it; `horizon._wall_search`
+states its search direction and step cap.
 
-The predicted step-1 positions x0 + dt * v0 do not depend on the controls,
-so both problem types price step 1 once, when they are built: a centralized
-problem each row's stage, a distributed batch each edge's cost.  An
-objective call prices steps 2..T alone, and no gradient takes a step-1
-stage gradient.  An objective call returns a record with its values: the
-rollout, which rows' velocities clamp, and what the search direction would
-otherwise compute again, a centralized row's pairs with their gradient
-coefficients (twice the slope inside r, 0 outside) and a distributed row's
-stage gradient.  One function, `_pairs`, lays out every centralized pair
+The predicted step-1 positions x1 = x0 + dt * v0 do not depend on the
+controls, so both problem types keep them and price step 1 once, when they
+are built: a centralized problem each row's stage, a distributed batch each
+edge's cost.  An objective call prices steps 2..T alone, and no gradient
+takes a step-1 stage gradient.  An objective call returns a record with its
+values: the rollout, which rows' velocities clamp, and what the search
+direction would otherwise compute again, a centralized row's pairs with
+their gradient coefficients (twice the slope inside r, 0 outside) and a
+distributed row's stage gradient and stage Hessians.  One function, `_pairs`, lays out every centralized pair
 array, the pairs i < j row-major, for the stage values, the stage gradient
 and the walls alike.  Results are feasible local minimizers; global
 optimality is not claimed.  Gradients are analytic (backpropagated through
@@ -87,6 +93,7 @@ from .core import (
 from .horizon import (
     _accumulate,
     _backprop_controls,
+    _newton_direction,
     _rollout_arrays,
     _wall_search,
 )
@@ -315,43 +322,54 @@ def _pairs(x):
 class _PairCost(NamedTuple):
     """One MPC family's cost of an edge at distance dist, floored at
     EPS_DIST: the term phi, the weight of the edge sum, the slope
-    weight * phi' / dist, and whether a cohesion term (squared distances)
-    is added to the weighted edge sum.  Term and slope share one value g of
-    the floored distance f, `base(f)`: `phi(g)` is the term and `rate(g, f)`
-    the slope.  `terms`, the one pricing method, gives both from one floor
-    and one g; a stage gradient reads the slopes its evaluation recorded."""
+    weight * phi' / dist, the radial curvature weight * phi'', and whether a
+    cohesion term (squared distances) is added to the weighted edge sum.
+    Term, slope and curvature share one value g of the floored distance f,
+    `base(f)`: `phi(g)` is the term, `rate(g, f)` the slope and
+    `curve(g, f)` the curvature.  `terms`, the one pricing method, gives them
+    from one floor and one g; a stage gradient or Hessian reads what its
+    evaluation recorded."""
 
     base: Callable
     phi: Callable
     weight: float
     rate: Callable
+    curve: Callable
     cohesion: bool
 
-    def terms(self, dist):
+    def terms(self, dist, hessian=False):
         """(term, slope) of each distance, the slope 0 below EPS_DIST, where
-        the floor holds the term."""
+        the floor holds the term.  With `hessian`, also each edge's bend
+        (curvature - slope) / f**2, the coefficient of diff diff^T in the
+        Hessian slope * I + bend * diff diff^T of its weighted term with
+        respect to the agent's position, 0 below EPS_DIST."""
         f = np.maximum(dist, EPS_DIST)
         g = self.base(f)
         slope, below = self.rate(g, f), dist < EPS_DIST
+        bend = (self.curve(g, f) - slope) / (f * f) if hessian else None
         if np.count_nonzero(below):
             slope = np.where(below, 0.0, slope)
-        return self.phi(g), slope
+            if hessian:
+                bend = np.where(below, 0.0, bend)
+        return (self.phi(g), slope, bend) if hessian else (self.phi(g), slope)
 
 
 def _lattice(d):
-    """Lattice: (dist - d)^2, weight 1, slope 2 (dist - d) / dist; no
-    cohesion.  g is dist - d."""
+    """Lattice: (dist - d)^2, weight 1, slope 2 (dist - d) / dist, curvature
+    2; no cohesion.  g is dist - d."""
     return _PairCost(
-        lambda f: f - d, lambda g: g**2, 1.0, lambda g, f: 2.0 * g / f, False
+        lambda f: f - d, lambda g: g**2, 1.0, lambda g, f: 2.0 * g / f,
+        lambda g, f: 2.0, False,
     )
 
 
 def _declarative(omega):
     """Declarative flocking: 1 / dist^2, weight omega, slope
-    -2 omega / (dist^2)^2; cohesion.  g is dist^2."""
+    -2 omega / (dist^2)^2, curvature 6 omega / (dist^2)^2; cohesion.  g is
+    dist^2."""
     return _PairCost(
         lambda f: f * f, lambda g: 1.0 / g, omega, lambda g, f: -2.0 * omega / (g * g),
-        True,
+        lambda g, f: 6.0 * omega / (g * g), True,
     )
 
 
@@ -462,6 +480,17 @@ def cost_df_distributed(
     return _stage_cost(_declarative(omega), config, None, i, idx)
 
 
+def _centralized(tag, agent, neighbor_set):
+    """Whether the known tag is centralized; a ValueError naming it where a
+    centralized tag, which plans every agent, is given an agent or a
+    neighbor set."""
+    if tag not in CENTRALIZED_MPC_TAGS:
+        return False
+    if agent is not None or neighbor_set is not None:
+        raise ValueError(f"{tag} plans every agent: it takes no agent or neighbor set")
+    return True
+
+
 def mpc_objective(
     tag: str,
     trajectory,
@@ -476,9 +505,7 @@ def mpc_objective(
     and the plan has the shape `solve_mpc` returns for the tag: (T, n, m)
     centralized, (T, m) distributed, n and m those of trajectory[0]."""
     cost = _pair_cost(tag, params)
-    if tag in CENTRALIZED_MPC_TAGS:
-        agent = None
-    elif agent is None or neighbor_set is None:
+    if not _centralized(tag, agent, neighbor_set) and (agent is None or neighbor_set is None):
         raise ValueError(f"{tag} needs agent index and frozen neighbor set")
     u = np.asarray(controls, dtype=np.float64)
     if len(trajectory) != len(u) + 1:
@@ -502,12 +529,14 @@ def mpc_objective(
 # horizon passes pick running sums or step loops) and the stage pieces the
 # objective computed on the way that the search direction reads (a
 # centralized problem's pairs and their gradient coefficients, a distributed
-# problem's stage gradient).
+# problem's stage gradient and stage Hessians).
 # search_direction(U, record) -> (gradient, projected gradient, step cap (R,)
-# or None for no cap) reads the record evaluate returned for U, and is the
-# one place a problem forms its gradient; rows(keep) -> the sub-problem of
-# the rows where the boolean mask keep (R,) is set, in their order.  The
-# record's rows narrow with the same masks.
+# or None for no cap), and for rows that may take Newton steps also their
+# stage Hessians and the rows whose rollout does not clamp, reads the record
+# evaluate returned for U, and is the one place a problem forms its
+# gradient; rows(keep) -> the sub-problem of the rows where the boolean mask
+# keep (R,) is set, in their order.  The record's rows narrow with the same
+# masks.
 # --------------------------------------------------------------------------
 
 
@@ -515,19 +544,21 @@ def mpc_objective(
 class _Problem:
     """R independent rows, each one plan U[k] from the initial state x0[k],
     v0[k]: the subclass's stage costs at the predicted steps 1..T plus lam
-    times the squared norm of the plan.  Rows never interact, so a row has
-    the same bits alone as in any batch."""
+    times the squared norm of the plan.  x1[k] = x0[k] + dt * v0[k] holds
+    the predicted step-1 positions, which no plan moves.  Rows never
+    interact, so a row has the same bits alone as in any batch."""
 
     cost: _PairCost
     params: MpcParams
     limits: MotionLimits
     x0: np.ndarray
     v0: np.ndarray
+    x1: np.ndarray
 
     def evaluate(self, U):
         """Objective of each row, shape (R,), and its record: the rollout,
         then the subclass's stage pieces."""
-        xs, ws, clamps = _rollout_arrays(self.x0, self.v0, U, self.limits)
+        xs, ws, clamps = _rollout_arrays(self.x1, self.v0, U, self.limits)
         penalty = np.add.reduce((U * U).reshape(len(U), -1), axis=1)
         stages, *pieces = self._stage_sum(xs)
         return stages + self.params.lam * penalty, (xs, ws, clamps, *pieces)
@@ -579,7 +610,7 @@ class _CentralizedProblem(_Problem):
         their order."""
         return _CentralizedProblem(
             self.cost, self.params, self.limits, self.x0[keep], self.v0[keep],
-            self.first_stage[keep],
+            self.x1[keep], self.first_stage[keep],
         )
 
 
@@ -589,8 +620,9 @@ def _build_centralized_problem(cost, pos, vel, params, limits):
     (n, m) each.  Step 1 of every row is priced here, in one stage pass."""
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        first_stage = _centralized_stage_values(cost, pos + limits.dt * vel, params.r)[0]
-    return _CentralizedProblem(cost, params, limits, pos, vel, first_stage)
+        x1 = pos + limits.dt * vel
+        first_stage = _centralized_stage_values(cost, x1, params.r)[0]
+    return _CentralizedProblem(cost, params, limits, pos, vel, x1, first_stage)
 
 
 @functools.lru_cache(maxsize=16)
@@ -598,6 +630,16 @@ def _edge_offsets(horizon, m):
     """Read-only (m, T-1, 1) offsets (t+1) * m + c: the entry of component c
     at predicted step t+2 in a row's (T, m) plan."""
     offsets = np.arange(m)[:, None, None] + m * np.arange(1, horizon)[:, None]
+    offsets.flags.writeable = False
+    return offsets
+
+
+@functools.lru_cache(maxsize=16)
+def _hessian_offsets(steps, m):
+    """Read-only (m, m, S, 1) offsets (s * m + i) * m + j: the entry (i, j)
+    of step s's (m, m) block in a row's (S, m, m) stage Hessians."""
+    i, j, t = np.ogrid[:m, :m, :steps]
+    offsets = ((t * m + i) * m + j)[..., None]
     offsets.flags.writeable = False
     return offsets
 
@@ -612,8 +654,9 @@ class _BatchProblem(_Problem):
     that every edge array of a step is one contiguous row, and the 1 / N and
     2 / N of its row's N neighbors, the cohesion's coefficients; 2 / N is
     set from 1 / N and has the bits of 2.0 / N, as scaling by two is exact.
-    A record carries the stage gradient gx at steps 2..T, (B, T-1, m), so a
-    search direction runs only the adjoint pass."""
+    A record carries the stage gradient gx at steps 2..T, (B, T-1, m), and
+    the stage Hessians hx there, (B, T-1, m, m), so a search direction runs
+    only the adjoint pass and the Hessian's assembly."""
 
     src: np.ndarray  # (E,) batch row of each neighbor edge, ascending
     nbr_later: np.ndarray  # (m, T-1, E) neighbor positions at steps 2..T
@@ -621,39 +664,53 @@ class _BatchProblem(_Problem):
     first: np.ndarray  # (E,) cost of each edge at step 1, priced at build
     two_inv_counts: np.ndarray = field(init=False, repr=False)  # (E,) 2 / N
     entries: np.ndarray = field(init=False, repr=False)  # (m, T-1, E), below
+    blocks: np.ndarray = field(init=False, repr=False)  # (m, m, T-1, E), below
 
     def __post_init__(self):
         self.two_inv_counts = 2.0 * self.inv_counts
         # each edge's entries at steps 2..T of its row's (T, m) plan, in
         # nbr_later's layout: one take gathers the agent's positions there,
         # and one bincount adds each entry's edges, in ascending order, into
-        # the stage gradient
+        # the stage gradient; blocks does the same for the stage Hessians'
+        # (m, m) entries of each step
         m, steps = self.nbr_later.shape[:2]
         self.entries = self.src * ((steps + 1) * m) + _edge_offsets(steps + 1, m)
+        self.blocks = self.src * (steps * m * m) + _hessian_offsets(steps, m)
 
     def _stage_sum(self, xs):
-        """Each edge's steps 1..T `fold`ed, then each row's edges; and the
-        stage gradient gx at steps 2..T from the same edge differences and
-        distances, each distance floored once for its term and slope."""
+        """Each edge's steps 1..T `fold`ed, then each row's edges; the stage
+        gradient gx at steps 2..T from the same edge differences and
+        distances, each distance floored once for its term, slope and bend;
+        and the stage Hessians hx there, each edge's
+        coef * I + bend * diff diff^T summed per row and step."""
         diff = xs.take(self.entries) - self.nbr_later  # (m, T-1, E)
         dist = np.sqrt(fold(diff * diff))  # sq_norm's order, component-major
-        term, coef = self.cost.terms(dist)
+        term, coef, bend = self.cost.terms(dist, True)
         cost = fold((self.first, *_edge_costs(self.cost, self.inv_counts, dist, term)))
         if self.cost.cohesion:
             coef = self.two_inv_counts + coef
         # the gradient at steps 1..T, whose step 1 stays 0; gx is a view
         gx = np.bincount(self.entries.ravel(), (coef * diff).ravel(), xs.size)
+        m, steps = diff.shape[:2]
+        outer = (bend * diff)[:, None] * diff  # (m, m, T-1, E)
+        outer.reshape(m * m, *diff.shape[1:])[:: m + 1] += coef
+        hx = np.bincount(self.blocks.ravel(), outer.ravel(), len(xs) * steps * m * m)
+        # int64 where E = 0
         return (
             np.bincount(self.src, weights=cost, minlength=len(xs)),
-            gx.reshape(xs.shape)[:, 1:].astype(np.float64, copy=False),  # int64 if E = 0
+            gx.reshape(xs.shape)[:, 1:].astype(np.float64, copy=False),
+            hx.reshape(len(xs), steps, m, m).astype(np.float64, copy=False),
         )
 
     def search_direction(self, U, record):
-        """(G, G, None): the adjoint pass from the record's stage gradient
-        gives the gradient, which a distributed row follows uncapped."""
-        _, ws, clamps, gx = record
+        """(G, G, None, hx, free): the adjoint pass from the record's stage
+        gradient gives the gradient, which a distributed row follows
+        uncapped; the record's stage Hessians hx give each row's Newton
+        step (`horizon._newton_direction`) in the rows `free` whose rollout
+        does not clamp."""
+        _, ws, clamps, gx, hx = record
         G = _backprop_controls(gx, ws, U, self.limits, self.params.lam, clamps)
-        return G, G, None
+        return G, G, None, hx, ~clamps
 
     def rows(self, keep):
         """The sub-batch of the rows where the boolean mask keep is set, in
@@ -664,7 +721,8 @@ class _BatchProblem(_Problem):
         edges = keep.take(self.src).nonzero()[0]
         return _BatchProblem(
             self.cost, self.params, self.limits, self.x0.take(kept, axis=0),
-            self.v0.take(kept, axis=0), (keep.cumsum() - 1).take(self.src.take(edges)),
+            self.v0.take(kept, axis=0), self.x1.take(kept, axis=0),
+            (keep.cumsum() - 1).take(self.src.take(edges)),
             self.nbr_later.take(edges, axis=2), self.inv_counts.take(edges),
             self.first.take(edges),
         )
@@ -709,11 +767,12 @@ def _build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=No
     inv_counts = 1.0 / np.bincount(src).take(src)
     # as in _solve_batch: a non-finite cost raises SolverError, unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        step1 = (x0 + limits.dt * v0).take(src, axis=0) - nbr_pos[:, 0].T
+        x1 = x0 + limits.dt * v0
+        step1 = x1.take(src, axis=0) - nbr_pos[:, 0].T
         dist = np.sqrt(sq_norm(step1))
         first = _edge_costs(cost, inv_counts, dist, cost.terms(dist)[0])
     return _BatchProblem(
-        cost, params, limits, x0, v0, src, nbr_pos[:, 1:].copy(), inv_counts, first
+        cost, params, limits, x0, v0, x1, src, nbr_pos[:, 1:].copy(), inv_counts, first
     )
 
 
@@ -746,10 +805,10 @@ def _narrow(problem, keep, *state):
 
 
 def _solve_batch(problem, warm):
-    """Run projected gradient descent on the B rows of `problem` from the
-    plans warm (B, T, ...), with a per-row Armijo line search; rows converge
-    and stop independently.  A row plans one agent in a distributed problem
-    and every agent in a centralized one.
+    """Run projected descent on the B rows of `problem` from the plans warm
+    (B, T, ...), with a per-row Armijo line search; rows converge and stop
+    independently.  A row plans one agent in a distributed problem and every
+    agent in a centralized one.
 
     Returns (U, converged, iterations): the final plans, each row's
     converged flag and the number of iterations in which some row searched
@@ -760,8 +819,8 @@ def _solve_batch(problem, warm):
     and the record `evaluate` returned with the plan (its rollout, clamp
     flags and stage pieces), which the search direction reads, so each
     accepted point is rolled out and priced once.  A row leaves once its
-    step scale is set if it has converged, and after its line search, with
-    the plan it had, if that stalled; live row k's plan goes to batch row
+    convergence test is done if it has converged, and after its line search,
+    with the plan it had, if that stalled; live row k's plan goes to batch row
     live[k].  Every narrowing, these two and the line search's to the rows
     still searching, goes through `_narrow`.  The first probes' plans,
     objectives and records become the live rows' next state as they are; a
@@ -781,18 +840,24 @@ def _solve_batch(problem, warm):
     There the Armijo test cannot tell a real decrease from rounding, and
     such a row would otherwise halve its step LAST_HALVING times per
     iteration and accept moves that leave J as it was, up to MAX_ITER.  A
-    row whose objective is small keeps the absolute test.  A row that has
-    not converged searches: its line search tries the steps a, a/2, a/4,
-    ... along -p, down to a * 2**-LAST_HALVING = a * 2**-40, and accepts the
-    first that passes the Armijo test, J_try <= J - (ARMIJO_C / step) times
-    the squared length of the move, so an accepted step never raises the
-    objective; where that decrease rounds away, an accepted step can leave
-    the objective as it was.  If no step passes, the row stalls.  A row
-    still live after MAX_ITER = 200 iterations stops unconverged.  The
-    scale a is the smaller of the row's cap and 1 in a row's first line
-    search of every solve, warm-started or not.  In each later one the cap
-    bounds the Barzilai-Borwein step s.s / s.y (Barzilai & Borwein 1988) of
-    the row's last accepted move s = U_k - U_{k-1} and the change
+    row whose objective is small keeps the absolute test.
+
+    A row that has not converged searches along a direction d from a scale
+    a.  A distributed problem also gives each row's stage Hessians; a row
+    whose reduced Hessian `horizon._newton_direction` finds positive
+    definite, its rollout unclamped, takes its projected Newton step N:
+    d = N and a = 1.  Every other row takes d = p.  Its line search tries
+    the steps a, a/2, a/4, ... along -d, down to a * 2**-LAST_HALVING =
+    a * 2**-40, and accepts the first that passes the Armijo test,
+    J_try <= J - (ARMIJO_C / step) times the squared length of the move, so
+    an accepted step never raises the objective; where that decrease rounds
+    away, an accepted step can leave the objective as it was.  If no step
+    passes, the row stalls.  A row still live after MAX_ITER = 200
+    iterations stops unconverged.  Along p the scale a is the smaller of
+    the row's cap and 1 in a row's first line search of every solve,
+    warm-started or not.  In each later one the cap bounds the
+    Barzilai-Borwein step s.s / s.y (Barzilai & Borwein 1988) of the row's
+    last accepted move s = U_k - U_{k-1}, Newton or not, and the change
     y = p_k - p_{k-1} in its projected gradient, clipped to
     [BB_SCALE_MIN, BB_SCALE_MAX] = [2**-10, 2**10], or BB_SCALE_MAX where
     s.y <= 0; where no wall holds the row, y is its gradient change.  The
@@ -802,9 +867,10 @@ def _solve_batch(problem, warm):
     accepted step is evaluated.
 
     Overflow and invalid operations are not warned about: a non-finite
-    objective or gradient in a row still being solved raises SolverError,
-    and so does a non-finite probe, which fails the Armijo test.  The error
-    names every row whose probe is non-finite in that objective call.
+    objective, gradient or stage Hessian in a row still being solved raises
+    SolverError, and so does a non-finite probe, which fails the Armijo
+    test.  The error names every row whose probe is non-finite in that
+    objective call.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         row_axes = tuple(range(1, warm.ndim))
@@ -823,7 +889,7 @@ def _solve_batch(problem, warm):
         converged = np.zeros(len(U), dtype=bool)
         iterations = 0
         for _ in range(MAX_ITER):
-            grad, proj, cap = live_problem.search_direction(U, record)
+            grad, proj, cap, *hessian = live_problem.search_direction(U, record)
             _check_finite("non-finite MPC gradient", live, "gradient", grad, U)
             if iterations:
                 # every live row accepted a move in the previous iteration:
@@ -853,14 +919,25 @@ def _solve_batch(problem, warm):
                 at = live.take(gone)
                 converged[at] = True
                 plans[at] = U.take(gone, axis=0)
-                live_problem, live, U, J, proj, scale = _narrow(
-                    live_problem, ~done, live, U, J, proj, scale
+                live_problem, live, U, J, grad, proj, scale, *hessian = _narrow(
+                    live_problem, ~done, live, U, J, grad, proj, scale, *hessian
                 )
+            direction = proj
+            if hessian:
+                # rows whose Hessian is positive definite step along their
+                # Newton direction from step 1
+                hx, free = hessian
+                _check_finite("non-finite MPC Hessian", live, "hessian", hx, U)
+                lam = live_problem.params.lam
+                newton, N = _newton_direction(hx, free, grad, U, lam, problem.limits)
+                if np.count_nonzero(newton):
+                    scale = np.where(newton, 1.0, scale)
+                    direction = np.where(newton.reshape(per_row), N, proj)
             iterations += 1
             U_prev, P_prev = U, proj
             # the searching rows' places in the live state, and their state
             ids, probe_problem = np.arange(len(live)), live_problem
-            base = U, proj, scale, J
+            base = U, direction, scale, J
             for h in range(LAST_HALVING + 1):
                 # every searching row's probe at halving h, in one call
                 U_base, P_base, scale_base, J_base = base
@@ -918,7 +995,7 @@ def _single_problem(tag, view, params, limits, agent, neighbor_set=None):
     over neighbor_set where given and its frozen set at the view otherwise."""
     cost = _pair_cost(tag, params)
     pos, vel = view.positions[None], view.velocities[None]
-    if tag in CENTRALIZED_MPC_TAGS:
+    if _centralized(tag, agent, neighbor_set):
         return _build_centralized_problem(cost, pos, vel, params, limits), np.array([0])
     if agent is None:
         raise ValueError(f"{tag} needs the agent index")

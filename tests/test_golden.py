@@ -44,12 +44,12 @@ GOLDEN_STEPS = {
     "olfati_saber@3": "8c37d263f67942ff7c00a02e34cee9e7b23a6e154b5180c44323086fb915811b",
     "lattice_centralized@0": "1ab5cb23c7c50dc1d055a48bcac7ac6ea6ed40911ee6e06f784991324f4f1c9f",
     "lattice_centralized@3": "ea0e60cbe10eb53a023ec9c4d0ba996dc807d631cd14b56c388169831fd7e98d",
-    "lattice_distributed@0": "7e615282a8817ebe511aaf202eb610cfe84972ebafb2243400ba59f2fc53b67f",
-    "lattice_distributed@3": "e034261b9a4a5e209b10b1370205f13c784d11313584c90d1a3a5893e630bd71",
+    "lattice_distributed@0": "2ef71207729bab81dc77a5b469af7a2d0e9dea88f170a781e723b8a204ab20e3",
+    "lattice_distributed@3": "bd849f7fc21320552d43cbed2f583a9475a62e48d9ba06e751d599b1b93e08ac",
     "df_centralized@0": "750d782c994f9b2edb827a482cd21364d822c0ec0a19e74c17a2c27c8fc54ff4",
     "df_centralized@3": "068c0e28a95686bcd3309cedacb2a40b1efb16417e878c793266b81b76afbbd3",
-    "df_distributed@0": "046bac98de24543ef9af383a6be1e1001beb1739035c986c2089a152305f6838",
-    "df_distributed@3": "92fff10dde8d16d37fbfc2afa8ad8c9f1e3d7aa9e740818e6a98874efef52a9d",
+    "df_distributed@0": "4bb16abf361ecafe22df518fa3863afa7f8c69501e58bd744d21c92a873ff8e2",
+    "df_distributed@3": "c24a29d7e27f93fb3324cf8630ae5247d9f0beba9c4843affefc2a3d84ad550a",
 }
 
 # Runs at the paper's flock size, where solves reach long line searches and
@@ -58,14 +58,14 @@ GOLDEN_STEPS = {
 GOLDEN_STEPS_N30 = {
     "lattice_centralized@0": "04e7f4aa9c0de61b58a93f3f7eea34282b3eb1a0ed8ef51acf05737dd2e97439",
     "df_centralized@0": "35b5085c2fb15272093a1c0741f37646a8ee26501fcbc1e53e8a4dd1b773f05a",
-    "lattice_distributed@10": "de782915c2e613aa15c8af56b739bb244692eb5c891de87b8b9517335e43eb90",
-    "df_distributed@10": "6dde037fcb699c4b274c748104f1d7aabbcb401d01e3072718bdd2c2468b7546",
+    "lattice_distributed@10": "8c322ef3916d4b6aa08febb0dc971acc834ba52e7498e63e37daf5a44b0bcf0e",
+    "df_distributed@10": "821ebfbebbe362d2b6b7da65fe710f37db7ee52ac1de7abcd6bd9b9e1696e353",
 }
 
 # Runs at mpc.horizon = 9, where each row's (or edge's) stage costs are
 # more terms than numpy sums in order: the steps are folded in order.
 GOLDEN_STEPS_H9 = {
-    "df_distributed@3": "c4ebfc0259800529ada01e12e26af9e73e3171a1fca056d5e4aadcb2717e8c04",
+    "df_distributed@3": "780a6ba798c4b3b5d12eb4494e3618623ac0c3449c66875f14415a729f42de94",
     "df_centralized@0": "19077a62eecbd44451a5656a7231fc64a50009e69a2197868ec90aeda58133a9",
 }
 
@@ -75,7 +75,7 @@ GOLDEN_STEPS_H9 = {
 VCLAMP_LIMITS = MotionLimits(v_max=2.0)
 GOLDEN_STEPS_VCLAMP = {
     "lattice_centralized@0": "f462fc559374f7aeaa29f65f29098e516f88bd6815958330d3f383d7b2f60281",
-    "df_distributed@0": "247277ddf1041853f2b0322a26b43b1080a4b878cf3336cb67f1cd07af79ddb9",
+    "df_distributed@0": "8503e86b7ab1dcb7352d6d19545cb22434e63ebc3e260170d0cfa999846efedc",
 }
 
 GOLDEN_EFFECTIVE_CONFIG = (

@@ -35,7 +35,7 @@ from flockbench import (
     step_dynamics,
 )
 from flockbench import horizon, mpc
-from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm, fold, sq_norm
+from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm, fold, inner, sq_norm
 from flockbench.harness import LEVEL_SEED_STRIDE
 from flockbench.mpc import (
     ARMIJO_C,
@@ -52,6 +52,7 @@ from flockbench.mpc import (
     _single_problem,
     _solve_batch,
 )
+from flockbench.horizon import _newton_direction
 from conftest import (
     backprop_loop,
     captured_solves,
@@ -181,20 +182,22 @@ class RolloutPaths:
     """Counts the `_rollout_arrays` calls that step (and so call
     `clamp_norm`) and those that take the running sums, checks each row's
     clamp flag against the speeds of the velocities it returns, and returns
-    the positions and velocities."""
+    the positions and velocities.  Called with the initial positions x0, it
+    hands the rollout the step-1 positions x0 + dt * v0, as a problem
+    does."""
 
     def __init__(self):
         self.stepped = self.summed = 0
 
-    def __call__(self, *args):
+    def __call__(self, x0, v0, U, limits):
         with mock.patch.object(horizon, "clamp_norm", wraps=clamp_norm) as clamp:
-            xs, ws, clamps = mpc._rollout_arrays(*args)
+            xs, ws, clamps = mpc._rollout_arrays(x0 + limits.dt * v0, v0, U, limits)
         if clamp.called:
             self.stepped += 1
         else:
             self.summed += 1
         # each row's flag: does its velocity clamp at some step
-        over = np.sqrt(sq_norm(ws)) > args[3].v_max
+        over = np.sqrt(sq_norm(ws)) > limits.v_max
         assert same_bits(clamps, over.reshape(len(ws), -1).any(axis=1))
         return xs, ws
 
@@ -791,7 +794,8 @@ def test_solver_monotone_descent(np_rng):
     # every step the reference accepts leaves the objective no higher
     for tag in MPC_TAGS:
         view = random_config(np_rng, n=6, span=6.0, v_span=4.0)
-        problem, _ = _single_problem(tag, view, PARAMS, LIMITS, 0)
+        agent = 0 if tag in DISTRIBUTED_MPC_TAGS else None
+        problem, _ = _single_problem(tag, view, PARAMS, LIMITS, agent)
         warm = np.zeros((1, PARAMS.horizon) + problem.x0.shape[1:])
         U, iterations, converged, traces, _ = sequential_solve(problem, warm)
         got_U, got_converged, got_iterations = _solve_batch(problem, warm)
@@ -1177,14 +1181,22 @@ def test_batch_stage_gradient_matches_add_at(tag, np_rng):
         idx = np.asarray(idx)
         oracle = edge_oracle(views, idx, PARAMS.horizon)
         for sub in sub_problems(tag, full, views, idx, PARAMS):
-            _, (xs, _, _, got) = sub.evaluate(U[idx])
+            _, (xs, _, _, got, got_hessians) = sub.evaluate(U[idx])
             diff = edge_diffs(sub, xs, oracle)[:, 1:]
-            coef = sub.cost.terms(np.sqrt((diff * diff).sum(axis=-1)))[1]
+            _, coef, bend = sub.cost.terms(np.sqrt((diff * diff).sum(axis=-1)), True)
             if sub.cost.cohesion:
                 coef = 2.0 / oracle[2] + coef
             expected = np.zeros_like(xs[:, 1:])
             np.add.at(expected, sub.src, coef[:, :, None] * diff)
             assert got.dtype == expected.dtype and same_bits(got, expected)
+            # each edge's stage Hessian coef I + bend diff diff^T, added
+            # into its row in edge order
+            edge = bend[..., None, None] * diff[..., :, None] * diff[..., None, :]
+            m = diff.shape[-1]
+            edge[..., range(m), range(m)] += coef[..., None]
+            hessians = np.zeros(xs[:, 1:].shape + (m,))
+            np.add.at(hessians, sub.src, edge)
+            assert same_bits(got_hessians, hessians)
 
 
 class CountingProblem:
@@ -1193,7 +1205,7 @@ class CountingProblem:
 
     def __init__(self, problem, ids, log):
         self.problem, self.ids, self.log = problem, ids, log
-        self.limits = problem.limits
+        self.limits, self.params = problem.limits, problem.params
 
     def rows(self, keep):
         return CountingProblem(self.problem.rows(keep), self.ids[keep], self.log)
@@ -1238,8 +1250,7 @@ def test_solver_evaluates_only_rows_in_play(np_rng):
     for i in range(n):
         assert np.array_equal(U[i], singles[i].controls)
     iterations = [s.iterations for s in singles]
-    assert iterations[0] == iterations[1] == iterations[5] == 0
-    assert min(iterations[2:5]) >= 5
+    assert iterations == [0, 0, 3, 3, 3, 0]
     # a converged row's last gradient is the one that finds it converged
     gradients = [iterations[i] + singles[i].converged for i in range(n)]
     starts = [k for k, entry in enumerate(log) if entry[0] == "gradient"]
@@ -1273,7 +1284,8 @@ def test_solver_evaluates_only_rows_in_play(np_rng):
 
 class UphillRow(CountingProblem):
     """A CountingProblem whose batch row `uphill` follows plus its gradient
-    (P = -G), so that every probe of its line searches climbs."""
+    (P = -G) and takes no Newton step, so that every probe of its line
+    searches climbs."""
 
     def __init__(self, problem, ids, log, uphill):
         super().__init__(problem, ids, log)
@@ -1283,9 +1295,13 @@ class UphillRow(CountingProblem):
         return UphillRow(self.problem.rows(keep), self.ids[keep], self.log, self.uphill)
 
     def search_direction(self, U, record):
-        G, P, cap = super().search_direction(U, record)
-        climbs = (self.ids == self.uphill).reshape((-1,) + (1,) * (P.ndim - 1))
-        return G, np.where(climbs, -P, P), cap
+        G, P, cap, *hessian = super().search_direction(U, record)
+        uphill = self.ids == self.uphill
+        climbs = uphill.reshape((-1,) + (1,) * (P.ndim - 1))
+        if hessian:
+            # the climbing row takes no Newton step
+            hessian = hessian[0], hessian[1] & ~uphill
+        return G, np.where(climbs, -P, P), cap, *hessian
 
 
 def test_row_that_stalls_while_others_accept_keeps_its_plan(np_rng):
@@ -1559,16 +1575,16 @@ def test_forward_controls_match_finite_differences_of_the_rollout(tag, np_rng):
     problem = _build_centralized_problem(
         mpc._pair_cost(tag, PARAMS), *repeated(view, 4), PARAMS, LIMITS
     )
-    x0, v0 = problem.x0, problem.v0
+    x1, v0 = problem.x1, problem.v0
     U = clamp_norm(np_rng.uniform(-1.0, 1.0, (4, 3, 8, 2)), LIMITS.a_max)
     D = np_rng.uniform(-1.0, 1.0, U.shape)
-    xs, ws, clamps = mpc._rollout_arrays(x0, v0, U, LIMITS)
+    xs, ws, clamps = mpc._rollout_arrays(x1, v0, U, LIMITS)
     assert_clamp_active(ws)
     assert clamps.all()
     xd = horizon._forward_controls(D, ws, LIMITS, clamps)
     h = 1e-6
-    ahead = mpc._rollout_arrays(x0, v0, U + h * D, LIMITS)[0]
-    behind = mpc._rollout_arrays(x0, v0, U - h * D, LIMITS)[0]
+    ahead = mpc._rollout_arrays(x1, v0, U + h * D, LIMITS)[0]
+    behind = mpc._rollout_arrays(x1, v0, U - h * D, LIMITS)[0]
     assert xd.shape == xs[:, 1:].shape
     assert np.allclose(xd, (ahead - behind)[:, 1:] / (2 * h), rtol=1e-6, atol=1e-8)
     # the tangent pass mirrors the adjoint pass: <backprop(gx), D> = <gx, xd>
@@ -1892,18 +1908,29 @@ def first_scale(last, u, p, cap):
     return min(scale, float(cap))
 
 
+def newton_rows(found, U, problem):
+    """The rows of the plans U that take a Newton step and that step, from
+    `problem`'s search direction `found`: `horizon._newton_direction` where
+    the problem gives stage Hessians, and no row otherwise."""
+    G, _, _, *hessian = found
+    if not hessian:
+        return np.zeros(len(U), dtype=bool), None
+    return _newton_direction(*hessian, G, U, problem.params.lam, problem.limits)
+
+
 class TrappedProblem:
     """Passes evaluations on to a problem, except that its objective is NaN
     at chosen line-search probes: traps[i][k] holds the halvings h whose
-    probe (step scale * 2**-h along minus the projected gradient P) is
-    trapped in batch row i's k-th line search, counted by the row's
-    gradient evaluations; the scale is `first_scale` of the row's search.
-    Logs the rows of each objective call and counts the trapped probes it
-    was handed."""
+    probe (step scale * 2**-h along minus the projected gradient P, or
+    2**-h along minus the Newton step of a row that takes one) is trapped in
+    batch row i's k-th line search, counted by the row's gradient
+    evaluations; the scale is `first_scale` of the row's search.  Logs the
+    rows of each objective call and counts the trapped probes it was
+    handed."""
 
     def __init__(self, problem, ids, traps, state):
         self.problem, self.ids, self.traps, self.state = problem, ids, traps, state
-        self.limits = problem.limits
+        self.limits, self.params = problem.limits, problem.params
 
     @classmethod
     def wrap(cls, problem, size, traps=None):
@@ -1914,20 +1941,24 @@ class TrappedProblem:
         return TrappedProblem(self.problem.rows(keep), self.ids[keep], self.traps, self.state)
 
     def search_direction(self, U, record):
-        G, P, cap = self.problem.search_direction(U, record)
+        found = self.problem.search_direction(U, record)
+        G, P, cap = found[:3]
         caps = np.full(len(U), np.inf) if cap is None else cap
-        for i, u, p, c in zip(self.ids.tolist(), U, P, caps):
+        newton, N = newton_rows(found, U, self.problem)
+        for row, (i, u, p, c) in enumerate(zip(self.ids.tolist(), U, P, caps)):
             k = self.state["grads"].get(i, 0)
             self.state["grads"][i] = k + 1
             scale = first_scale(self.state["last"].get(i), u, p, c)
             self.state["last"][i] = (u.copy(), p)
+            if newton[row]:
+                scale, p = 1.0, N[row]
             trapped = self.traps.get(i, [])
             halvings = trapped[k] if k < len(trapped) else ()
             self.state["plans"][i] = [
                 clamp_norm(u - scale * 2.0**-h * p, self.limits.a_max)
                 for h in halvings
             ]
-        return G, P, cap
+        return found
 
     def evaluate(self, U):
         J, record = self.problem.evaluate(U)
@@ -1948,7 +1979,9 @@ def sequential_solve(problem, warm):
     non-finite.  A row has converged where its unit step is at most
     GRAD_TOL or its square at most RESOLUTION * 2**-52 times its objective.
     A row's first step a is `first_scale`: 1 or the Barzilai-Borwein scale
-    of its last accepted move, at most the row's cap.  Returns the plans,
+    of its last accepted move, at most the row's cap; a row that takes a
+    Newton step N (`newton_rows`, the row alone) probes along minus N from
+    a = 1 instead.  Returns the plans,
     and per row its iterations, converged flag, accepted-objective trace and
     the halvings of its accepted steps.  The search direction at a point
     takes the rollout the point's evaluation returned."""
@@ -1980,14 +2013,21 @@ def sequential_solve(problem, warm):
         if not live:
             break
         iterations[live] += 1
+        directions = {}
         for i in live:
             cap = np.inf if found[i][2] is None else found[i][2][0]
             scales[i] = first_scale(last.get(i), U[i], G[i], cap)
             last[i] = (U[i].copy(), G[i])
+            newton, N = newton_rows(found[i], U[i : i + 1], alone[i])
+            directions[i] = N[0] if newton[0] else G[i]
+            if newton[0]:
+                scales[i] = 1.0
         searching, going = list(live), []
         for h in range(LAST_HALVING + 1):
             step = {i: scales[i] * 2.0**-h for i in searching}
-            tried = {i: clamp_norm(U[i] - step[i] * G[i], a_max) for i in searching}
+            tried = {
+                i: clamp_norm(U[i] - step[i] * directions[i], a_max) for i in searching
+            }
             evaluated = {i: alone[i].evaluate(tried[i][None]) for i in searching}
             values = {i: evaluated[i][0][0] for i in searching}
             bad = [i for i in searching if not np.isfinite(values[i])]
@@ -2244,9 +2284,12 @@ def line_search_starts(log):
 
 
 def gradient_at(problem, i, u):
-    """Batch row i's gradient at the plan u, its row evaluated alone."""
+    """Batch row i's gradient at the plan u, and its Newton step there or
+    None where it takes none, its row evaluated alone."""
     row, U = problem.rows(np.arange(len(problem.x0)) == i), u[None]
-    return row.search_direction(U, row.evaluate(U)[1])[0][0]
+    found = row.search_direction(U, row.evaluate(U)[1])
+    newton, N = newton_rows(found, U, row)
+    return found[0][0], N[0] if newton[0] else None
 
 
 def direction_at(problem, i, u):
@@ -2262,9 +2305,10 @@ def test_first_line_search_of_every_solve_probes_step_one(tag):
     # the solves of a closed loop, in order: the first cold, the later ones
     # warm-started; each solve's first search starts at step 1, later ones
     # at the row's own Barzilai-Borwein scale.  A distributed row steps
-    # along minus its gradient; a centralized row along minus its projected
+    # along minus its gradient, or from step 1 along minus its Newton step
+    # where it takes one; a centralized row along minus its projected
     # gradient, and its first step is at most its cap
-    first, later, capped = 0, 0, 0
+    first, later, capped, newton = 0, 0, 0, 0
     for problem, warm in captured_solves(tag, mix_seed(1, 0), 4, level=3):
         log = []
         counting = CountingProblem(problem, np.arange(len(warm)), log)
@@ -2274,7 +2318,11 @@ def test_first_line_search_of_every_solve_probes_step_one(tag):
         for i, searches in starts.items():
             for k, (u, probe) in enumerate(searches):
                 if tag in DISTRIBUTED_MPC_TAGS:
-                    g, cap = gradient_at(problem, i, u), np.inf
+                    (g, N), cap = gradient_at(problem, i, u), np.inf
+                    if N is not None:
+                        assert np.array_equal(probe, clamp_norm(u - N, LIMITS.a_max))
+                        newton += 1
+                        continue
                 else:
                     g, cap = direction_at(problem, i, u)
                 unit = clamp_norm(u - min(1.0, cap) * g, LIMITS.a_max)
@@ -2284,9 +2332,10 @@ def test_first_line_search_of_every_solve_probes_step_one(tag):
                     capped += cap < 1.0
                 else:
                     later += not np.array_equal(probe, unit)
-    assert first > 0 and later > 0
     if tag in CENTRALIZED_MPC_TAGS:
-        assert capped > 0
+        assert first > 0 and later > 0 and capped > 0
+    else:
+        assert newton > 0
 
 
 class WorkLog:
@@ -2295,7 +2344,8 @@ class WorkLog:
     call with the rows it keeps; its sub-problems log to the same list."""
 
     def __init__(self, problem, log):
-        self.problem, self.log, self.limits = problem, log, problem.limits
+        self.problem, self.log = problem, log
+        self.limits, self.params = problem.limits, problem.params
 
     def rows(self, keep):
         self.log.append(("rows", int(np.count_nonzero(keep))))
@@ -2322,20 +2372,20 @@ SOLVER_WORK = {
         "30b6eb19afbfcf28df63773938c5b89f4e7d0d26423cc2749a9f55bf3adfc58e",
     ),
     ("lattice_distributed", 0): (
-        {"evaluate": (169, 3778), "search_direction": (149, 3340), "rows": (76, 1046)},
-        "f6215cc86af2072c0504f07a850da8b3e2fc222b0b8aa43caa4f19a7bdc725c6",
+        {"evaluate": (69, 1840), "search_direction": (69, 1840), "rows": (11, 100)},
+        "bbcf8633bd58c951936768a46dbab3f982a0e6b9e15b8f5be43a8efc6617336a",
     ),
     ("df_distributed", 0): (
-        {"evaluate": (191, 3949), "search_direction": (171, 3535), "rows": (98, 1246)},
-        "3d02d4efd8a52424b5efc8af9b96e66531c21c60908abf5bf820a9145688fa8b",
+        {"evaluate": (78, 1867), "search_direction": (78, 1867), "rows": (19, 97)},
+        "78cf22ba3c3aadcad42eff5ba611952b4d845e67f6558a9d4c622053728e0d5d",
     ),
     ("lattice_distributed", 10): (
-        {"evaluate": (191, 3817), "search_direction": (170, 3665), "rows": (104, 1361)},
-        "11fd03c52f78206b1e670a633fdda5ebbfb9fd66c4b40423644b84a9ea016b77",
+        {"evaluate": (85, 1962), "search_direction": (84, 1961), "rows": (33, 402)},
+        "81ca940ec9ed0181238cb3536e9acaa2b6bc8f15318fc5d5b230888e44dea11b",
     ),
     ("df_distributed", 10): (
-        {"evaluate": (313, 4241), "search_direction": (290, 4099), "rows": (141, 1505)},
-        "4e1b4e4d5d6f2b0332068f7b6e6f621c1250d57bec9bb96ff89c39e000da7166",
+        {"evaluate": (118, 2203), "search_direction": (113, 2198), "rows": (55, 400)},
+        "0df49c7ea3956e24123b88f9f7898e89e17598079c9bb08d81c0a3f04e96ffcf",
     ),
 }
 
@@ -2356,6 +2406,193 @@ def test_solver_work_on_closed_loop_solves(tag, level):
     assert (totals, digest) == SOLVER_WORK[tag, level]
 
 
+# --------------------------------------------------------------------------
+# the Newton direction of distributed rows
+# --------------------------------------------------------------------------
+
+
+def control_hessian_at(tag, view, U, params, limits, neighbor_set):
+    """Agent 0's Hessian of its first T-1 controls at the plan U, from the
+    stage Hessians its evaluation records, and whether its rollout clamps."""
+    problem, _ = _single_problem(tag, view, params, limits, 0, neighbor_set)
+    _, record = problem.evaluate(U[None])
+    *_, hx, free = problem.search_direction(U[None], record)
+    return horizon._control_hessian(hx, params.lam, limits.dt)[0], bool(free[0])
+
+
+def hessian_by_differences(tag, view, U, params, limits, neighbor_set, h):
+    """Central differences of `mpc_objective_gradient` in each control,
+    (T m, T m)."""
+    columns = []
+    for k in range(U.size):
+        step = np.zeros(U.size)
+        step[k] = h
+        step = step.reshape(U.shape)
+        up, down = (
+            mpc_objective_gradient(
+                tag, view, U + sign * step, params, limits, agent=0, neighbor_set=neighbor_set
+            )
+            for sign in (1, -1)
+        )
+        columns.append(((up - down) / (2 * h)).ravel())
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("tag", DISTRIBUTED_MPC_TAGS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_control_hessian_matches_differences_of_the_gradient(tag, m, T, np_rng):
+    # agent 0 against random neighbors, against none, and against a
+    # neighbor it coincides with at every predicted step (below EPS_DIST,
+    # where the floor holds the term and only df's cohesion bends); the
+    # last control is dead, its block 2 lam I and decoupled
+    params, limits = MpcParams(horizon=T), MotionLimits()
+    K = (T - 1) * m
+    pos = np_rng.uniform(-4.0, 4.0, (5, m))
+    vel = np_rng.uniform(-1.0, 1.0, (5, m))
+    pos[4], vel[4] = pos[0], vel[0]
+    view = FlockConfiguration(pos, vel)
+    U = np_rng.uniform(-0.3, 0.3, (T, m))
+    cases = [({1, 2, 3}, U, 1e-5), ((), U, 1e-5), ({1, 4}, np.zeros((T, m)), 1e-8)]
+    for neighbor_set, plan, h in cases:
+        H, free = control_hessian_at(tag, view, plan, params, limits, neighbor_set)
+        expected = hessian_by_differences(tag, view, plan, params, limits, neighbor_set, h)
+        assert free and H.shape == (K, K)
+        assert np.allclose(H, expected[:K, :K], rtol=1e-6, atol=1e-6)
+        assert np.allclose(expected[K:, :K], 0.0, atol=1e-6)
+        assert np.allclose(expected[K:, K:], 2.0 * params.lam * np.eye(m), atol=1e-6)
+        if not neighbor_set:
+            assert same_bits(H, 2.0 * params.lam * np.eye(K))
+
+
+def explicit_newton_step(H, G, U, a_max):
+    """One row's Newton step written out with projection matrices: each
+    pushed control's radial direction e leaves H and G through
+    P = I - blockdiag(e e^T), and its block gains push / a_max on the
+    diagonal; the last control steps to zero."""
+    T, m = U.shape
+    K = (T - 1) * m
+    P, curvature = np.eye(K), np.zeros(K)
+    for k in range(T - 1):
+        u, g = U[k], G[k]
+        norm = np.linalg.norm(u)
+        if norm >= a_max * (1 - 1e-9) and u @ g < 0:
+            e = u / norm
+            P[k * m : (k + 1) * m, k * m : (k + 1) * m] -= np.outer(e, e)
+            curvature[k * m : (k + 1) * m] = -(e @ g) / a_max
+    reduced = P @ H @ P + np.diag(curvature)
+    step = np.linalg.solve(reduced, P @ G[:-1].ravel())
+    return np.concatenate([step, U[-1]]).reshape(T, m), np.linalg.eigvalsh(reduced)[0] > 0
+
+
+def test_newton_step_moves_pushed_controls_along_the_ball():
+    # every search direction of a noisy df_distributed step: each row's step
+    # against the projection written out, and a pushed control's step has
+    # no radial part
+    problem, warm = captured_solves("df_distributed", mix_seed(1, 0), 6, level=10)[-1]
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _newton_direction(*args)
+
+    with mock.patch.object(mpc, "_newton_direction", spy):
+        _solve_batch(problem, warm)
+    pushed = stepped = 0
+    for hx, free, G, U, lam, limits in calls:
+        newton, N = _newton_direction(hx, free, G, U, lam, limits)
+        H = horizon._control_hessian(hx, lam, limits.dt)
+        for k in range(len(U)):
+            step, definite = explicit_newton_step(H[k], G[k], U[k], limits.a_max)
+            assert newton[k] == (free[k] and definite)
+            if not newton[k]:
+                continue
+            stepped += 1
+            assert np.allclose(N[k], step, rtol=1e-9, atol=1e-12)
+            for u, g, n in zip(U[k, :-1], G[k, :-1], N[k, :-1]):
+                if sq_norm(u) >= (limits.a_max * (1 - 1e-9)) ** 2 and u @ g < 0:
+                    pushed += 1
+                    assert abs(u @ n) <= 1e-9 * np.linalg.norm(n)
+    assert pushed > 0 and stepped > pushed
+
+
+def test_noisy_batch_with_pushed_and_clamping_rows_solves_as_each_row_alone():
+    # a noisy df_distributed step at v_max = 2.5: one row's rollout clamps
+    # and keeps its Barzilai-Borwein steps, and rows with controls pushed
+    # against the a_max ball take Newton steps along it; every row has the
+    # bits it gets alone
+    limits = MotionLimits(v_max=2.5)
+    seed = mix_seed(1, 10 * LEVEL_SEED_STRIDE)
+    problem, warm = captured_solves("df_distributed", seed, 6, level=10, limits=limits)[5]
+    clamps = problem.evaluate(clamp_norm(warm, limits.a_max))[1][2]
+    assert np.count_nonzero(clamps) == 1
+    pushed_newton = []
+
+    def spy(hx, free, G, U, lam, limits):
+        newton, N = _newton_direction(hx, free, G, U, lam, limits)
+        u, g = U[:, :-1], G[:, :-1]
+        pushed = (sq_norm(u) >= (limits.a_max * (1 - 1e-9)) ** 2) & (inner(u, g) < 0)
+        pushed_newton.append(np.count_nonzero(pushed.any(axis=1) & newton))
+        return newton, N
+
+    with mock.patch.object(mpc, "_newton_direction", spy):
+        U, converged, iterations = _solve_batch(problem, warm)
+    assert sum(pushed_newton) > 0
+    B = len(warm)
+    for i in range(B):
+        plan, one_converged, one_iterations = _solve_batch(
+            problem.rows(np.arange(B) == i), warm[i : i + 1]
+        )
+        assert same_bits(plan[0], U[i]) and one_converged[0] == converged[i]
+        assert one_iterations <= iterations
+
+
+def test_non_finite_hessian_raises_naming_the_agents():
+    # agents 0 and 1 at rest 1e-3 apart at omega = 1e292: their objectives
+    # and gradients are finite, but the separation's curvature 8 omega /
+    # d**6 overflows; agent 2 has no neighbor.  With no a_max, the
+    # resolution test cannot stop their huge objectives at once
+    pos = np.array([[0.0, 0.0], [1e-3, 0.0], [40.0, 40.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="^non-finite MPC Hessian$") as info:
+            solve_mpc_distributed_all(
+                "df_distributed", np.stack([pos] * 3), np.zeros((3, 3, 2)),
+                MpcParams(omega=1e292), MotionLimits(a_max=math.inf),
+            )
+    diagnostics = info.value.diagnostics
+    assert diagnostics["agents"].tolist() == [0, 1]
+    assert diagnostics["hessian"].shape == (2, 2, 2, 2)
+    assert not np.isfinite(diagnostics["hessian"]).all(axis=(1, 2, 3)).any()
+    assert diagnostics["controls"].shape == (2, 3, 2)
+
+
+def test_row_that_is_not_positive_definite_keeps_its_barzilai_borwein_step():
+    # noisy df_distributed steps: a search from a point where the row's
+    # reduced Hessian is not positive definite starts along minus its
+    # gradient at 1 in the row's first search and at the Barzilai-Borwein
+    # scale of its last move (Newton or not) later; every other search
+    # starts at its Newton step
+    kinds = {"first": 0, "bb": 0, "newton": 0}
+    seed = mix_seed(1, 10 * LEVEL_SEED_STRIDE)
+    for problem, warm in captured_solves("df_distributed", seed, 10, level=10):
+        log = []
+        _solve_batch(CountingProblem(problem, np.arange(len(warm)), log), warm)
+        for i, searches in line_search_starts(log).items():
+            last = None
+            for u, probe in searches:
+                g, N = gradient_at(problem, i, u)
+                if N is None:
+                    scale = first_scale(last, u, g, np.inf)
+                    assert np.array_equal(probe, clamp_norm(u - scale * g, LIMITS.a_max))
+                    kinds["bb" if last is not None else "first"] += 1
+                else:
+                    assert np.array_equal(probe, clamp_norm(u - N, LIMITS.a_max))
+                    kinds["newton"] += 1
+                last = u, g
+    assert min(kinds.values()) > 0 and kinds["newton"] > kinds["bb"]
+
+
 class QuadraticProblem:
     """Batch rows with the objective sum(c * U**2) / 2 and a record of the
     plan alone: row
@@ -2364,7 +2601,7 @@ class QuadraticProblem:
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
-        self.limits = LIMITS
+        self.limits, self.params = LIMITS, PARAMS
 
     def rows(self, keep):
         return QuadraticProblem(self.c[keep])
@@ -2590,17 +2827,23 @@ def test_objective_gradient_raises_where_the_solver_does(tag, agent, pos, omega,
 
 
 def test_solver_error_names_batch_rows_after_rows_have_left(np_rng):
-    # agents 0, 1 and 5 converge at the first check, 4 after six iterations
-    # and 3 after seven, and each leaves the live state; a NaN probe of
-    # agent 4 in its third line search or of agent 2 in its tenth must be
-    # named by its batch row, not by its place among the live rows
+    # staggered batch: agents 0, 1 and 5 converge at the first check and
+    # leave the live state, and 2-4 take three Newton steps each; a NaN
+    # probe of agent 4 or of agent 2 in its third line search must be named
+    # by its batch row, not by its place among the live rows.  In a noisy
+    # closed-loop batch, a NaN probe at a later halving of a search, where
+    # other rows have left, must be named too
     problem, warm, _, _ = staggered_batch(np_rng)
-    n = len(warm)
     _, iterations, _, _, accepted = sequential_solve(problem, warm)
-    assert iterations.tolist() == [0, 0, 11, 7, 6, 0]
-    assert accepted[2][9] > 0  # that search reaches a later halving
-    for i, k, h in ((4, 2, 0), (2, 9, 0), (2, 9, accepted[2][9])):
-        wrapped = TrappedProblem.wrap(problem, n, {i: [()] * k + [(h,)]})
+    assert iterations.tolist() == [0, 0, 3, 3, 3, 0]
+    cases = [(problem, warm, 4, 2, 0), (problem, warm, 2, 2, 0)]
+    problem, warm = captured_solves("df_distributed", mix_seed(1, 0), 15, level=10)[14]
+    _, iterations, _, _, accepted = sequential_solve(problem, warm)
+    # row 6's fourth search accepts its second probe; other rows have left
+    assert accepted[6][3] == 1 and (iterations <= 3).any()
+    cases.append((problem, warm, 6, 3, 1))
+    for problem, warm, i, k, h in cases:
+        wrapped = TrappedProblem.wrap(problem, len(warm), {i: [()] * k + [(h,)]})
         with pytest.raises(SolverError, match="during line search") as info:
             _solve_batch(wrapped, warm)
         diagnostics = info.value.diagnostics
@@ -2664,6 +2907,26 @@ def test_distributed_agent_index_validated(tag):
     # and a distributed solve needs an agent
     with pytest.raises(ValueError):
         solve_mpc(tag, cfg, PARAMS, LIMITS)
+
+
+@pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
+@pytest.mark.parametrize(
+    "given", [dict(agent=7), dict(agent=True, neighbor_set=[9]), dict(agent=-4), dict(neighbor_set=[])]
+)
+def test_centralized_entry_points_reject_an_agent_or_a_neighbor_set(tag, given):
+    # a centralized tag plans every agent: a given agent or neighbor set is
+    # an error, not something silently ignored
+    cfg = config([[0, 0], [3, 0], [0, 4]])
+    traj, u = [cfg] * 4, np.zeros((3, 3, 2))
+    calls = [
+        lambda: mpc_objective(tag, traj, u, PARAMS, **given),
+        lambda: mpc_objective_gradient(tag, cfg, u, PARAMS, LIMITS, **given),
+    ]
+    if "neighbor_set" not in given:
+        calls.append(lambda: solve_mpc(tag, cfg, PARAMS, LIMITS, **given))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{tag} plans every agent: it takes no agent"):
+            call()
 
 
 def test_unknown_tag_rejected():

@@ -8,8 +8,10 @@ with no early exit, the projection that always stacked its control rows, and
 the wall search with the tangent pass along -P.  Distributed: the batch
 problem that stored each edge's neighbor positions at steps 1..T edge-major
 with its row's neighbor count, gathered with two-axis fancy indexing,
-priced term and slope from two floors and narrowed by boolean masks, its
-builder, and `clamp_norm`, which copied whatever it was given.  The
+priced term and slope from two floors, added each edge's stage Hessian
+into its row with `np.add.at` and assembled each row's control Hessian block
+by block, and narrowed by boolean masks, its builder, and `clamp_norm`,
+which copied whatever it was given.  The
 references roll out, and take their gradients and tangents, through
 `conftest`'s step loops `rollout_loop`, `backprop_loop` and `forward_loop`,
 which differentiate the velocity clamp through a per-step list of
@@ -20,6 +22,7 @@ every evaluation of closed-loop runs of both distributed models.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 from unittest import mock
@@ -422,6 +425,7 @@ class ReferencePairCost(NamedTuple):
     phi: Callable
     weight: float
     rate: Callable
+    curve: Callable
     cohesion: bool
 
     def term(self, dist):
@@ -430,18 +434,41 @@ class ReferencePairCost(NamedTuple):
     def slope(self, dist):
         return np.where(dist < EPS_DIST, 0.0, self.rate(np.maximum(dist, EPS_DIST)))
 
+    def bend(self, dist):
+        f = np.maximum(dist, EPS_DIST)
+        return np.where(dist < EPS_DIST, 0.0, (self.curve(f) - self.rate(f)) / (f * f))
+
 
 def reference_pair_cost(tag, params):
     if tag == "lattice_distributed":
         d = params.d
         return ReferencePairCost(
-            lambda f: (f - d) ** 2, 1.0, lambda f: 2.0 * (f - d) / f, False
+            lambda f: (f - d) ** 2, 1.0, lambda f: 2.0 * (f - d) / f, lambda f: 2.0, False
         )
     omega = params.omega
     return ReferencePairCost(
         lambda f: 1.0 / (f * f), omega, lambda f: -2.0 * omega / ((f * f) * (f * f)),
-        True,
+        lambda f: 6.0 * omega / ((f * f) * (f * f)), True,
     )
+
+
+def reference_control_hessian(hx, lam, dt):
+    """The Hessian of each row's first T-1 controls block by block: block
+    (k, l) sums a[s, k] a[s, l] hx[:, s] over the steps s in order, a[s, k]
+    = dt**2 (s + 1 - k) for k <= s and 0 otherwise, and the diagonal adds
+    2 lam."""
+    B, S, m = hx.shape[:3]
+    H = np.zeros((B, S * m, S * m))
+    for k, l in itertools.product(range(S), repeat=2):
+        block = None
+        for s in range(S):
+            a_k = dt * dt * (s + 1 - k) if k <= s else 0.0
+            a_l = dt * dt * (s + 1 - l) if l <= s else 0.0
+            term = (a_k * a_l) * hx[:, s]
+            block = term if block is None else block + term
+        H[:, k * m : (k + 1) * m, l * m : (l + 1) * m] = block
+    H[:, range(S * m), range(S * m)] += 2.0 * lam
+    return H
 
 
 def reference_edge_costs(cost, edge_counts, dist):
@@ -479,21 +506,29 @@ class ReferenceBatch(mpc._Problem):
         shape = (len(xs),) + diff.shape[1:]
         size = shape[0] * shape[1] * shape[2]
         gx = np.bincount(self._slots, (coef[:, :, None] * diff).ravel(), size)
+        # each edge's stage Hessian coef I + bend diff diff^T, added into its
+        # row in edge order
+        m = shape[2]
+        edge = self.cost.bend(dist)[..., None, None] * diff[..., :, None] * diff[..., None, :]
+        edge[..., range(m), range(m)] += coef[..., None]
+        hx = np.zeros(shape + (m,))
+        np.add.at(hx, self.src, edge)
         return (
             np.bincount(self.src, weights=cost, minlength=len(xs)),
             gx.reshape(shape).astype(np.float64, copy=False),
+            hx,
         )
 
     def search_direction(self, U, record):
-        _, ws, _, gx = record
+        _, ws, clamps, gx, hx = record
         G = backprop_loop(gx, ws, U, self.limits, self.params.lam)
-        return G, G, None
+        return G, G, None, hx, ~clamps
 
     def rows(self, keep):
         edges = keep[self.src]
         return ReferenceBatch(
             self.cost, self.params, self.limits, self.x0[keep], self.v0[keep],
-            (np.cumsum(keep) - 1)[self.src[edges]], self.nbr_pos[edges],
+            self.x1[keep], (np.cumsum(keep) - 1)[self.src[edges]], self.nbr_pos[edges],
             self.edge_counts[edges], self.first[edges],
         )
 
@@ -512,9 +547,10 @@ def reference_build_batch_problem(cost, pos, vel, agents, params, limits, neighb
     _accumulate(views.x[:, nbr, src].T, nbr_pos)
     edge_counts = np.bincount(src)[src][:, None].astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        step1 = (x0 + limits.dt * v0)[src, None] - nbr_pos[:, :1]
+        x1 = x0 + limits.dt * v0
+        step1 = x1[src, None] - nbr_pos[:, :1]
         first = reference_edge_costs(cost, edge_counts, np.sqrt(sq_norm(step1)))[:, 0]
-    return ReferenceBatch(cost, params, limits, x0, v0, src, nbr_pos, edge_counts, first)
+    return ReferenceBatch(cost, params, limits, x0, v0, x1, src, nbr_pos, edge_counts, first)
 
 
 class LoggedProblem:
@@ -523,7 +559,8 @@ class LoggedProblem:
     gradient; its sub-problems log to the same list."""
 
     def __init__(self, problem, log):
-        self.problem, self.log, self.limits = problem, log, problem.limits
+        self.problem, self.log = problem, log
+        self.limits, self.params = problem.limits, problem.params
 
     def rows(self, keep):
         return LoggedProblem(self.problem.rows(keep), self.log)
@@ -535,7 +572,7 @@ class LoggedProblem:
 
     def search_direction(self, U, record):
         found = self.problem.search_direction(U, record)
-        self.log.append(found[:2])
+        self.log.append(tuple(a for a in found if a is not None))
         return found
 
 
@@ -571,10 +608,15 @@ def assert_batches_agree(problem, reference, U, masks=()):
     assert_same_log([got[1]], [expected[1]])
     xs = got[1][0]
     assert_same_log([problem._stage_sum(xs)], [reference._stage_sum(xs)])
-    G, P, cap = problem.search_direction(U, got[1])
-    reference_G, reference_P, reference_cap = reference.search_direction(U, expected[1])
+    G, P, cap, hx, free = problem.search_direction(U, got[1])
+    reference_G, reference_P, reference_cap, *reference_hessian = reference.search_direction(
+        U, expected[1]
+    )
     assert same_bits(G, reference_G) and same_bits(P, reference_P)
     assert cap is reference_cap is None
+    assert_same_log([(hx, free)], [reference_hessian])
+    lam, dt = problem.params.lam, problem.limits.dt
+    assert same_bits(horizon._control_hessian(hx, lam, dt), reference_control_hessian(hx, lam, dt))
     for chain in masks:
         sub, sub_reference, rows = problem, reference, np.arange(len(U))
         for keep in chain:
@@ -631,7 +673,9 @@ def test_distributed_solves_match_the_earlier_batch_on_closed_loop_runs(tag, lev
             n = len(U)
             masks = [(np.arange(n) % 3 > 0, np.arange(2 * n // 3) % 2 == 0)]
             assert_batches_agree(problem, reference, U, masks)
-    assert calls > 1000
+    # Newton steps take 2-5 iterations per solve, so a run's 100 solves
+    # make 600-1 100 logged calls
+    assert calls > 600
 
 
 def close_views(np_rng, n=8, m=2):
@@ -682,7 +726,7 @@ def test_distributed_batch_matches_the_earlier_batch(tag, horizon, v_max, np_rng
         U[np_rng.random(U.shape) < 0.1] = -0.0
         U[:4] = 0.0  # agents 0-3 keep their close neighbors close
         assert_batches_agree(problem, reference, U, nested_masks(np_rng, 8))
-        xs, _, clamps, _ = problem.evaluate(U)[1]
+        xs, _, clamps, _, _ = problem.evaluate(U)[1]
         diff = xs.take(problem.entries) - problem.nbr_later
         floored += np.count_nonzero(np.sqrt(fold(diff * diff)) < EPS_DIST)
         clamping += np.count_nonzero(clamps)
