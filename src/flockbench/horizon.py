@@ -260,7 +260,7 @@ def _newton_direction(hx, free, G, U, lam, limits):
         H.reshape(B, K * K)[:, :: K + 1] += np.repeat(radial / -a_max, m, axis=1)
         rhs = (g - e * radial[..., None]).reshape(B, K)
     diag = H.reshape(B, K * K)[:, :: K + 1]
-    unsure = (free & ~(2.0 * diag > np.abs(H).sum(axis=2)).all(axis=1)).nonzero()[0]
+    unsure = (free > (2.0 * diag > np.abs(H).sum(axis=2)).all(axis=1)).nonzero()[0]
     newton = free
     if unsure.size:
         newton = free.copy()

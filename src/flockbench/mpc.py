@@ -891,48 +891,51 @@ def _solve_batch(problem, warm):
         for _ in range(MAX_ITER):
             grad, proj, cap, *hessian = live_problem.search_direction(U, record)
             _check_finite("non-finite MPC gradient", live, "gradient", grad, U)
-            if iterations:
-                # every live row accepted a move in the previous iteration:
-                # the Barzilai-Borwein scale s.s / s.y of that move, y being
-                # the change in the projected gradient
-                s, y = U - U_prev, proj - P_prev
-                ss = np.add.reduce(s * s, axis=row_axes)
-                sy = np.add.reduce(s * y, axis=row_axes)
-                scale = np.minimum(np.maximum(ss / sy, BB_SCALE_MIN), BB_SCALE_MAX)
-                curved = sy > 0
-                if np.count_nonzero(curved) < len(curved):
-                    scale = np.where(curved, scale, BB_SCALE_MAX)
-            else:
-                scale = np.ones(len(U))
-            if cap is not None:
-                scale = np.minimum(scale, cap)
             unit = U - clamped(U - proj, a_max)
             unit_sq = np.add.reduce(unit * unit, axis=row_axes)
             done = np.sqrt(unit_sq) <= GRAD_TOL
             done |= unit_sq <= RESOLUTION * 2.0**-52 * J
             n_done = np.count_nonzero(done)
-            if n_done:
-                if n_done == len(done):
-                    converged[live] = True
-                    break
-                gone = done.nonzero()[0]
-                at = live.take(gone)
-                converged[at] = True
-                plans[at] = U.take(gone, axis=0)
-                live_problem, live, U, J, grad, proj, scale, *hessian = _narrow(
-                    live_problem, ~done, live, U, J, grad, proj, scale, *hessian
-                )
-            direction = proj
+            if n_done == len(done):
+                converged[live] = True
+                break
+            # each row's direction and first step scale: its Newton step from
+            # 1 where its Hessian allows, else its projected gradient from 1
+            # or the Barzilai-Borwein scale
+            newton = done
             if hessian:
-                # rows whose Hessian is positive definite step along their
-                # Newton direction from step 1
                 hx, free = hessian
                 _check_finite("non-finite MPC Hessian", live, "hessian", hx, U)
                 lam = live_problem.params.lam
                 newton, N = _newton_direction(hx, free, grad, U, lam, problem.limits)
-                if np.count_nonzero(newton):
+            if np.count_nonzero(newton | done) == len(done):
+                direction, scale = N, np.ones(len(U))
+            else:
+                direction, scale = proj, np.ones(len(U))
+                if iterations:
+                    # every live row accepted a move in the previous
+                    # iteration: the Barzilai-Borwein scale s.s / s.y of that
+                    # move, y being the change in the projected gradient
+                    s, y = U - U_prev, proj - P_prev
+                    ss = np.add.reduce(s * s, axis=row_axes)
+                    sy = np.add.reduce(s * y, axis=row_axes)
+                    scale = np.minimum(np.maximum(ss / sy, BB_SCALE_MIN), BB_SCALE_MAX)
+                    curved = sy > 0
+                    if np.count_nonzero(curved) < len(curved):
+                        scale = np.where(curved, scale, BB_SCALE_MAX)
+                if cap is not None:
+                    scale = np.minimum(scale, cap)
+                if hessian and np.count_nonzero(newton):
                     scale = np.where(newton, 1.0, scale)
                     direction = np.where(newton.reshape(per_row), N, proj)
+            if n_done:
+                gone = done.nonzero()[0]
+                at = live.take(gone)
+                converged[at] = True
+                plans[at] = U.take(gone, axis=0)
+                live_problem, live, U, J, proj, direction, scale = _narrow(
+                    live_problem, ~done, live, U, J, proj, direction, scale
+                )
             iterations += 1
             U_prev, P_prev = U, proj
             # the searching rows' places in the live state, and their state
