@@ -179,13 +179,14 @@ def _forward_controls(D, W, limits, clamps):
 
 @functools.lru_cache(maxsize=16)
 def _rollout_weights(steps, dt):
-    """Read-only (S, S, 1, S, 1) products a[s, k] * a[s, l] of the rollout
-    map without the clamp, a[s, k] = dt**2 (s + 1 - k) for k <= s and 0
-    otherwise: the derivative of the position at predicted step s + 2 with
-    respect to control k, each (m, m) block a multiple of the identity."""
+    """Read-only (S, S * S, 1) products a[s, k] * a[s, l], entry k * S + l of
+    row s, of the rollout map without the clamp, a[s, k] = dt**2 (s + 1 - k)
+    for k <= s and 0 otherwise: the derivative of the position at predicted
+    step s + 2 with respect to control k, each (m, m) block a multiple of
+    the identity."""
     s, k = np.ogrid[:steps, :steps]
     a = np.where(k <= s, dt * dt * (s + 1 - k), 0.0)
-    weights = (a[:, :, None] * a[:, None, :])[:, :, None, :, None]
+    weights = (a[:, :, None] * a[:, None, :]).reshape(steps, steps * steps, 1)
     weights.flags.writeable = False
     return weights
 
@@ -203,8 +204,11 @@ def _control_hessian(hx, lam, dt):
     K = steps * m
     if not K:
         return np.zeros((B, 0, 0))
-    terms = _rollout_weights(steps, dt) * hx[:, :, None, :, None, :]
-    H = fold(terms[:, s] for s in range(steps)).reshape(B, K, K)
+    # block (k, l) of each row, entries (i, j): (B, S * S, m * m)
+    weights, flat = _rollout_weights(steps, dt), hx.reshape(B, steps, 1, m * m)
+    blocks = fold(weights[s] * flat[:, s] for s in range(steps))
+    blocks = blocks.reshape(B, steps, steps, m, m).transpose(0, 1, 3, 2, 4)
+    H = blocks.reshape(B, K, K)
     H.reshape(B, K * K)[:, :: K + 1] += 2.0 * lam
     return H
 
@@ -247,16 +251,18 @@ def _newton_direction(hx, free, G, U, lam, limits):
         ug = inner(u, g)
         pushed &= ug < 0
     if np.count_nonzero(pushed):
-        # e is each pushed control's unit radial direction and e.g its radial
-        # gradient, both +0 elsewhere: there Q = I, and Q H Q and Q G keep
-        # every bit of H and G
+        # e is each pushed control's unit radial direction and radial its
+        # gradient's part e . g, both +0 at every other control: there Q = I,
+        # and Q H Q and Q G keep every bit of H and G
         norms = np.sqrt(sq)
         radial = np.divide(ug, norms, out=np.zeros_like(ug), where=pushed)
-        e = np.divide(u, norms[..., None], out=np.zeros_like(u), where=pushed[..., None])
+        e = np.zeros_like(u)
+        np.divide(u, norms[..., None], out=e, where=pushed[..., None])
         Q = np.eye(m) - e[..., :, None] * e[..., None, :]
         h = H.reshape(B, steps, m, steps, m)
         qh = fold(Q[..., p, None, None] * h[:, :, None, p] for p in range(m))
-        H = fold(qh[..., p, None] * Q[:, None, None, :, p] for p in range(m)).reshape(B, K, K)
+        H = fold(qh[..., p, None] * Q[:, None, None, :, p] for p in range(m))
+        H = H.reshape(B, K, K)
         H.reshape(B, K * K)[:, :: K + 1] += np.repeat(radial / -a_max, m, axis=1)
         rhs = (g - e * radial[..., None]).reshape(B, K)
     diag = H.reshape(B, K * K)[:, :: K + 1]
@@ -272,7 +278,8 @@ def _newton_direction(hx, free, G, U, lam, limits):
     N = np.empty_like(U)
     N[:, -1] = U[:, -1]
     if take.size:
-        solved = np.linalg.solve(H.take(take, axis=0), rhs.take(take, axis=0)[..., None])
+        rows = H.take(take, axis=0), rhs.take(take, axis=0)[..., None]
+        solved = np.linalg.solve(*rows)
         N[take, :-1] = solved.reshape(-1, steps, m)
     return newton, N
 

@@ -61,11 +61,12 @@ takes a step-1 stage gradient.  An objective call returns a record with its
 values: the rollout, which rows' velocities clamp, and what the search
 direction would otherwise compute again, a centralized row's pairs with
 their gradient coefficients (twice the slope inside r, 0 outside) and a
-distributed row's stage gradient and stage Hessians.  One function, `_pairs`, lays out every centralized pair
-array, the pairs i < j row-major, for the stage values, the stage gradient
-and the walls alike.  Results are feasible local minimizers; global
-optimality is not claimed.  Gradients are analytic (backpropagated through
-the rollout, including the velocity clamp); finite differences are used as
+distributed row's stage gradient and stage Hessians.  One function,
+`_pairs`, lays out every centralized pair array, the pairs i < j row-major,
+for the stage values, the stage gradient and the walls alike.  Results are
+feasible local minimizers; global optimality is not claimed.  Gradients are
+analytic (backpropagated through the rollout, including the velocity
+clamp), and so are the distributed Hessians; finite differences are used as
 an independent oracle in the tests.
 """
 
@@ -487,7 +488,9 @@ def _centralized(tag, agent, neighbor_set):
     if tag not in CENTRALIZED_MPC_TAGS:
         return False
     if agent is not None or neighbor_set is not None:
-        raise ValueError(f"{tag} plans every agent: it takes no agent or neighbor set")
+        raise ValueError(
+            f"{tag} plans every agent: it takes no agent or neighbor set"
+        )
     return True
 
 
@@ -505,7 +508,8 @@ def mpc_objective(
     and the plan has the shape `solve_mpc` returns for the tag: (T, n, m)
     centralized, (T, m) distributed, n and m those of trajectory[0]."""
     cost = _pair_cost(tag, params)
-    if not _centralized(tag, agent, neighbor_set) and (agent is None or neighbor_set is None):
+    centralized = _centralized(tag, agent, neighbor_set)
+    if not centralized and (agent is None or neighbor_set is None):
         raise ValueError(f"{tag} needs agent index and frozen neighbor set")
     u = np.asarray(controls, dtype=np.float64)
     if len(trajectory) != len(u) + 1:
@@ -902,13 +906,13 @@ def _solve_batch(problem, warm):
             # each row's direction and first step scale: its Newton step from
             # 1 where its Hessian allows, else its projected gradient from 1
             # or the Barzilai-Borwein scale
-            newton = done
+            newton = None
             if hessian:
                 hx, free = hessian
                 _check_finite("non-finite MPC Hessian", live, "hessian", hx, U)
                 lam = live_problem.params.lam
                 newton, N = _newton_direction(hx, free, grad, U, lam, problem.limits)
-            if np.count_nonzero(newton | done) == len(done):
+            if newton is not None and np.count_nonzero(newton | done) == len(done):
                 direction, scale = N, np.ones(len(U))
             else:
                 direction, scale = proj, np.ones(len(U))
@@ -925,7 +929,7 @@ def _solve_batch(problem, warm):
                         scale = np.where(curved, scale, BB_SCALE_MAX)
                 if cap is not None:
                     scale = np.minimum(scale, cap)
-                if hessian and np.count_nonzero(newton):
+                if newton is not None and np.count_nonzero(newton):
                     scale = np.where(newton, 1.0, scale)
                     direction = np.where(newton.reshape(per_row), N, proj)
             if n_done:
