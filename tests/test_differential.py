@@ -4,8 +4,9 @@ Each case is drawn from its own seeded generator over the public
 constructors: any of the six model tags, n 1-7 agents in m 1-3 dimensions,
 an MPC horizon of 1-5 steps, the radius r (olfati_saber's d below it), the
 control penalty lam and the time step dt, v_max and a_max each finite or
-inf, a noise level of 0-10, 1-10 steps and the initial boxes.  The case runs through `simulate`, whose
-solver batches every agent of a distributed step, and through
+inf, a noise level of 0-10, 1-10 steps and the initial boxes.  The case
+runs through `simulate`, whose solver batches every agent of a distributed
+step, and through
 `tests/test_reference_loop.py`'s `reference_run`, which solves each agent
 alone.  Both must give the same records and final state bit for bit, or
 raise the same error with the same message.  It is the net for the

@@ -2911,7 +2911,8 @@ def test_distributed_agent_index_validated(tag):
 
 @pytest.mark.parametrize("tag", CENTRALIZED_MPC_TAGS)
 @pytest.mark.parametrize(
-    "given", [dict(agent=7), dict(agent=True, neighbor_set=[9]), dict(agent=-4), dict(neighbor_set=[])]
+    "given",
+    [dict(agent=7), dict(agent=True, neighbor_set=[9]), dict(agent=-4), dict(neighbor_set=[])],
 )
 def test_centralized_entry_points_reject_an_agent_or_a_neighbor_set(tag, given):
     # a centralized tag plans every agent: a given agent or neighbor set is
