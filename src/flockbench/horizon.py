@@ -213,6 +213,23 @@ def _control_hessian(hx, lam, dt):
     return H
 
 
+def _ball_contact(U, G, a_max):
+    """Which controls of U, (..., m), sit on the a_max ball, up to the
+    rounding `clamp_norm` leaves, and which of those -G pushes outward, by a
+    negative radial part U . G (a zero one, of either sign, pushes
+    nothing): (saturated, pushed, sq, radial), the two (...,) masks with
+    sq_norm(U) and U . G, the latter None where no control is saturated.
+    `_wall_search` drops a pushed control's outward radial part, and
+    `_newton_direction` its radial direction."""
+    sq = sq_norm(U)
+    saturated = pushed = sq >= (a_max * (1.0 - 1e-9)) ** 2
+    radial = None
+    if np.count_nonzero(saturated):
+        radial = inner(U, G)
+        pushed = saturated & (radial < 0)
+    return saturated, pushed, sq, radial
+
+
 def _newton_direction(hx, free, G, U, lam, limits):
     """The rows of distributed plans U, (B, T, m), that take a projected
     Newton step, and that step N, (B, T, m): a row moves to
@@ -222,34 +239,29 @@ def _newton_direction(hx, free, G, U, lam, limits):
     (`_control_hessian`), and G is its gradient; `free` flags the rows
     whose rollout does not clamp, the rows where H holds.
 
-    A control on the a_max ball that -G pushes outward (the test
-    `_wall_search` makes) moves along its tangent (the two-metric
-    projection, Bertsekas 1982): its radial direction e leaves its row's
-    system, Q H Q and Q G with Q = I - e e^T on its block, and its block
-    gains the ball's curvature there, push / a_max with the push -e.g,
-    which the probe's retraction onto the ball adds.  A free row whose H
-    so reduced is positive definite steps along N = H^-1 G, its last
-    control to zero (the Newton step of its decoupled 2 lam I block, whose
-    gradient is 2 lam u); H is positive definite where Gershgorin's discs
-    show it and otherwise where its least eigenvalue is positive.  Every
-    other row keeps its projected-gradient step, and its row of N is not
-    set.  Each row's system is reduced elementwise and selected row by row,
-    and tested and solved alone (LAPACK takes a stack matrix by matrix), so
-    a row's step has the same bits in any batch."""
+    A control on the a_max ball that -G pushes outward (`_ball_contact`)
+    moves along its tangent (the two-metric projection, Bertsekas 1982):
+    its radial direction e leaves its row's system, Q H Q and Q G with
+    Q = I - e e^T on its block, and its block gains the ball's curvature
+    there, push / a_max with the push -e.g, which the probe's retraction
+    onto the ball adds.  A free row whose H so reduced is positive definite
+    steps along N = H^-1 G, its last control to zero (the Newton step of
+    its decoupled 2 lam I block, whose gradient is 2 lam u); H is positive
+    definite where Gershgorin's discs show it and otherwise where its least
+    eigenvalue is positive.  Every other row keeps its projected-gradient
+    step, and its row of N is not set.  Each row's system is reduced
+    elementwise and selected row by row, and tested and solved alone
+    (LAPACK takes a stack matrix by matrix), so a row's step has the same
+    bits in any batch."""
     B, T, m = U.shape
     steps = T - 1
     K = steps * m
     if not K:
         return free, U
-    a_max = limits.a_max
     H = _control_hessian(hx, lam, limits.dt)
     u, g = U[:, :-1], G[:, :-1]
     rhs = g.reshape(B, K)
-    sq = sq_norm(u)
-    pushed = sq >= (a_max * (1.0 - 1e-9)) ** 2
-    if np.count_nonzero(pushed):
-        ug = inner(u, g)
-        pushed &= ug < 0
+    _, pushed, sq, ug = _ball_contact(u, g, limits.a_max)
     if np.count_nonzero(pushed):
         # e is each pushed control's unit radial direction and radial its
         # gradient's part e . g, both +0 at every other control: there Q = I,
@@ -263,7 +275,8 @@ def _newton_direction(hx, free, G, U, lam, limits):
         qh = fold(Q[..., p, None, None] * h[:, :, None, p] for p in range(m))
         H = fold(qh[..., p, None] * Q[:, None, None, :, p] for p in range(m))
         H = H.reshape(B, K, K)
-        H.reshape(B, K * K)[:, :: K + 1] += np.repeat(radial / -a_max, m, axis=1)
+        curvature = np.repeat(radial / -limits.a_max, m, axis=1)
+        H.reshape(B, K * K)[:, :: K + 1] += curvature
         rhs = (g - e * radial[..., None]).reshape(B, K)
     diag = H.reshape(B, K * K)[:, :: K + 1]
     unsure = (free > (2.0 * diag > np.abs(H).sum(axis=2)).all(axis=1)).nonzero()[0]
@@ -272,15 +285,10 @@ def _newton_direction(hx, free, G, U, lam, limits):
         newton = free.copy()
         newton[unsure] = np.linalg.eigvalsh(H.take(unsure, axis=0))[:, 0] > 0.0
     take = newton.nonzero()[0]
-    if take.size == B:
-        solved = np.linalg.solve(H, rhs[..., None]).reshape(B, steps, m)
-        return newton, np.concatenate((solved, U[:, -1:]), axis=1)
     N = np.empty_like(U)
     N[:, -1] = U[:, -1]
-    if take.size:
-        rows = H.take(take, axis=0), rhs.take(take, axis=0)[..., None]
-        solved = np.linalg.solve(*rows)
-        N[take, :-1] = solved.reshape(-1, steps, m)
+    solved = np.linalg.solve(H.take(take, axis=0), rhs.take(take, axis=0)[..., None])
+    N[take, :-1] = solved.reshape(-1, steps, m)
     return newton, N
 
 
@@ -435,17 +443,12 @@ def _wall_search(gx, U, W, clamps, pairs, r, lam, limits):
         norms = np.sqrt((walls * walls).sum(axis=1))
         keep = norms > 0
         row, walls = row[keep], walls[keep] / norms[keep, None]
-    # clamp_norm leaves a projected control within rounding of a_max
-    sq = sq_norm(U)
-    saturated = pushed = sq >= (limits.a_max * (1.0 - 1e-9)) ** 2
+    saturated, pushed, sq, radial = _ball_contact(U, G, limits.a_max)
     P = G
-    if np.count_nonzero(saturated):
-        radial = inner(U, G)  # a zero radial part, of either sign, pushes nothing
-        pushed = saturated & (radial < 0)
-        if np.count_nonzero(pushed):
-            # each saturated control alone: drop the outward radial part
-            outward = np.divide(radial, sq, out=np.zeros_like(sq), where=pushed)
-            P = G - outward[..., None] * U
+    if np.count_nonzero(pushed):
+        # each saturated control alone: drop the outward radial part
+        outward = np.divide(radial, sq, out=np.zeros_like(sq), where=pushed)
+        P = G - outward[..., None] * U
     if row.size:
         # rows whose wall pairs -G pulls in, or whose controls it pushes out,
         # project onto every constraint of the row at once

@@ -9,13 +9,14 @@ cohesion term.  Each family is stated once, as a `_PairCost` whose one
 pricing method, `terms`, gives both its centralized and its distributed
 kernels each edge's term and the slope weight * phi'(dist) / dist, 0 below
 EPS_DIST, for the gradients, and the distributed kernel the edge's bend
-(weight * phi''(dist) - slope) / dist^2, for its Hessians:
+weight * phi''(dist) - slope, the coefficient of e e^T (e the edge's unit
+difference) in its Hessian, for the Hessians:
 
   - lattice_centralized / lattice_distributed: phi = (dist - d)^2, weight 1,
-    slope 2 (dist - d) / dist, curvature 2; no cohesion.
+    slope 2 (dist - d) / dist, bend 2 - slope; no cohesion.
   - df_centralized / df_distributed ("declarative flocking"): phi =
     1 / dist^2 (separation), weight omega, slope -2 omega / (dist^2)^2,
-    curvature 6 omega / (dist^2)^2, plus the mean squared distance
+    bend 8 omega / (dist^2)^2, plus the mean squared distance
     (cohesion); no target geometry.
 
 Each public entry point resolves its tag once, through `_pair_cost`, the one
@@ -323,54 +324,55 @@ def _pairs(x):
 class _PairCost(NamedTuple):
     """One MPC family's cost of an edge at distance dist, floored at
     EPS_DIST: the term phi, the weight of the edge sum, the slope
-    weight * phi' / dist, the radial curvature weight * phi'', and whether a
-    cohesion term (squared distances) is added to the weighted edge sum.
-    Term, slope and curvature share one value g of the floored distance f,
-    `base(f)`: `phi(g)` is the term, `rate(g, f)` the slope and
-    `curve(g, f)` the curvature.  `terms`, the one pricing method, gives them
-    from one floor and one g; a stage gradient or Hessian reads what its
-    evaluation recorded."""
+    weight * phi' / dist, the bend, the radial curvature weight * phi'' less
+    the slope, and whether a cohesion term (squared distances) is added to
+    the weighted edge sum.  Term and slope share one value g of the floored
+    distance f, `base(f)`: `phi(g)` is the term, `rate(g, f)` the slope, and
+    `bend(slope)` the bend, which each family states through its slope.
+    `terms`, the one pricing method, gives them from one floor and one g; a
+    stage gradient or Hessian reads what its evaluation recorded."""
 
     base: Callable
     phi: Callable
     weight: float
     rate: Callable
-    curve: Callable
+    bend: Callable
     cohesion: bool
 
     def terms(self, dist, hessian=False):
         """(term, slope) of each distance, the slope 0 below EPS_DIST, where
-        the floor holds the term.  With `hessian`, also each edge's bend
-        (curvature - slope) / f**2, the coefficient of diff diff^T in the
-        Hessian slope * I + bend * diff diff^T of its weighted term with
-        respect to the agent's position, 0 below EPS_DIST."""
+        the floor holds the term.  With `hessian`, also each edge's bend, 0
+        below EPS_DIST, and its floored distance f: the Hessian of its
+        weighted term with respect to the agent's position is
+        slope * I + bend * e e^T with e = diff / f, which no step overflows
+        where the Hessian is finite."""
         f = np.maximum(dist, EPS_DIST)
         g = self.base(f)
         slope, below = self.rate(g, f), dist < EPS_DIST
-        bend = (self.curve(g, f) - slope) / (f * f) if hessian else None
+        bend = self.bend(slope) if hessian else None
         if np.count_nonzero(below):
             slope = np.where(below, 0.0, slope)
             if hessian:
                 bend = np.where(below, 0.0, bend)
-        return (self.phi(g), slope, bend) if hessian else (self.phi(g), slope)
+        return (self.phi(g), slope, bend, f) if hessian else (self.phi(g), slope)
 
 
 def _lattice(d):
     """Lattice: (dist - d)^2, weight 1, slope 2 (dist - d) / dist, curvature
-    2; no cohesion.  g is dist - d."""
+    2, so bend 2 - slope; no cohesion.  g is dist - d."""
     return _PairCost(
         lambda f: f - d, lambda g: g**2, 1.0, lambda g, f: 2.0 * g / f,
-        lambda g, f: 2.0, False,
+        lambda slope: 2.0 - slope, False,
     )
 
 
 def _declarative(omega):
     """Declarative flocking: 1 / dist^2, weight omega, slope
-    -2 omega / (dist^2)^2, curvature 6 omega / (dist^2)^2; cohesion.  g is
-    dist^2."""
+    -2 omega / (dist^2)^2, curvature 6 omega / (dist^2)^2 = -3 slope, so
+    bend -4 slope; cohesion.  g is dist^2."""
     return _PairCost(
         lambda f: f * f, lambda g: 1.0 / g, omega, lambda g, f: -2.0 * omega / (g * g),
-        lambda g, f: 6.0 * omega / (g * g), True,
+        lambda slope: -4.0 * slope, True,
     )
 
 
@@ -686,17 +688,18 @@ class _BatchProblem(_Problem):
         gradient gx at steps 2..T from the same edge differences and
         distances, each distance floored once for its term, slope and bend;
         and the stage Hessians hx there, each edge's
-        coef * I + bend * diff diff^T summed per row and step."""
+        coef * I + bend * e e^T, e = diff / f, summed per row and step."""
         diff = xs.take(self.entries) - self.nbr_later  # (m, T-1, E)
         dist = np.sqrt(fold(diff * diff))  # sq_norm's order, component-major
-        term, coef, bend = self.cost.terms(dist, True)
+        term, coef, bend, f = self.cost.terms(dist, True)
         cost = fold((self.first, *_edge_costs(self.cost, self.inv_counts, dist, term)))
         if self.cost.cohesion:
             coef = self.two_inv_counts + coef
         # the gradient at steps 1..T, whose step 1 stays 0; gx is a view
         gx = np.bincount(self.entries.ravel(), (coef * diff).ravel(), xs.size)
         m, steps = diff.shape[:2]
-        outer = (bend * diff)[:, None] * diff  # (m, m, T-1, E)
+        e = diff / f
+        outer = (bend * e)[:, None] * e  # (m, m, T-1, E)
         outer.reshape(m * m, *diff.shape[1:])[:: m + 1] += coef
         hx = np.bincount(self.blocks.ravel(), outer.ravel(), len(xs) * steps * m * m)
         # int64 where E = 0
@@ -785,12 +788,17 @@ def _build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=No
 # --------------------------------------------------------------------------
 
 
-def _check_finite(message, rows, name, values, controls):
-    """Raise SolverError if any row of values is non-finite; rows holds the
-    batch row of each row of values and controls."""
+def _check_finite(message, rows, name, values, controls, among=None):
+    """Raise SolverError if any row of values, of those the mask `among`
+    flags where given, is non-finite; rows holds the batch row of each row
+    of values and controls."""
     finite = np.isfinite(values)
     if np.count_nonzero(finite) < finite.size:
         bad = ~finite.reshape(finite.shape[0], -1).all(axis=1)
+        if among is not None:
+            bad &= among
+            if not np.count_nonzero(bad):
+                return
         raise SolverError(
             message,
             diagnostics={
@@ -871,10 +879,10 @@ def _solve_batch(problem, warm):
     accepted step is evaluated.
 
     Overflow and invalid operations are not warned about: a non-finite
-    objective, gradient or stage Hessian in a row still being solved raises
-    SolverError, and so does a non-finite probe, which fails the Armijo
-    test.  The error names every row whose probe is non-finite in that
-    objective call.
+    objective or gradient in a row still being solved, or stage Hessian in
+    such a row whose rollout does not clamp, raises SolverError, and so does
+    a non-finite probe, which fails the Armijo test.  The error names every
+    row whose probe is non-finite in that objective call.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         row_axes = tuple(range(1, warm.ndim))
@@ -903,43 +911,38 @@ def _solve_batch(problem, warm):
             if n_done == len(done):
                 converged[live] = True
                 break
-            # each row's direction and first step scale: its Newton step from
-            # 1 where its Hessian allows, else its projected gradient from 1
-            # or the Barzilai-Borwein scale
-            newton = None
-            if hessian:
-                hx, free = hessian
-                _check_finite("non-finite MPC Hessian", live, "hessian", hx, U)
-                lam = live_problem.params.lam
-                newton, N = _newton_direction(hx, free, grad, U, lam, problem.limits)
-            if newton is not None and np.count_nonzero(newton | done) == len(done):
-                direction, scale = N, np.ones(len(U))
-            else:
-                direction, scale = proj, np.ones(len(U))
-                if iterations:
-                    # every live row accepted a move in the previous
-                    # iteration: the Barzilai-Borwein scale s.s / s.y of that
-                    # move, y being the change in the projected gradient
-                    s, y = U - U_prev, proj - P_prev
-                    ss = np.add.reduce(s * s, axis=row_axes)
-                    sy = np.add.reduce(s * y, axis=row_axes)
-                    scale = np.minimum(np.maximum(ss / sy, BB_SCALE_MIN), BB_SCALE_MAX)
-                    curved = sy > 0
-                    if np.count_nonzero(curved) < len(curved):
-                        scale = np.where(curved, scale, BB_SCALE_MAX)
-                if cap is not None:
-                    scale = np.minimum(scale, cap)
-                if newton is not None and np.count_nonzero(newton):
-                    scale = np.where(newton, 1.0, scale)
-                    direction = np.where(newton.reshape(per_row), N, proj)
+            scale = np.ones(len(U))
+            if iterations:
+                # every live row accepted a move in the previous iteration:
+                # the Barzilai-Borwein scale s.s / s.y of that move, y being
+                # the change in the projected gradient
+                s, y = U - U_prev, proj - P_prev
+                ss = np.add.reduce(s * s, axis=row_axes)
+                sy = np.add.reduce(s * y, axis=row_axes)
+                scale = np.minimum(np.maximum(ss / sy, BB_SCALE_MIN), BB_SCALE_MAX)
+                curved = sy > 0
+                if np.count_nonzero(curved) < len(curved):
+                    scale = np.where(curved, scale, BB_SCALE_MAX)
+            if cap is not None:
+                scale = np.minimum(scale, cap)
             if n_done:
                 gone = done.nonzero()[0]
                 at = live.take(gone)
                 converged[at] = True
                 plans[at] = U.take(gone, axis=0)
-                live_problem, live, U, J, proj, direction, scale = _narrow(
-                    live_problem, ~done, live, U, J, proj, direction, scale
+                live_problem, live, U, J, grad, proj, scale, *hessian = _narrow(
+                    live_problem, ~done, live, U, J, grad, proj, scale, *hessian
                 )
+            direction = proj
+            if hessian:
+                # the rows whose Hessians allow take their Newton steps from
+                # 1; only a free row reads its Hessian, which must be finite
+                hx, free = hessian
+                _check_finite("non-finite MPC Hessian", live, "hessian", hx, U, free)
+                lam, limits = live_problem.params.lam, live_problem.limits
+                newton, N = _newton_direction(hx, free, grad, U, lam, limits)
+                scale = np.where(newton, 1.0, scale)
+                direction = np.where(newton.reshape(per_row), N, proj)
             iterations += 1
             U_prev, P_prev = U, proj
             # the searching rows' places in the live state, and their state

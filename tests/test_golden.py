@@ -58,14 +58,14 @@ GOLDEN_STEPS = {
 GOLDEN_STEPS_N30 = {
     "lattice_centralized@0": "04e7f4aa9c0de61b58a93f3f7eea34282b3eb1a0ed8ef51acf05737dd2e97439",
     "df_centralized@0": "35b5085c2fb15272093a1c0741f37646a8ee26501fcbc1e53e8a4dd1b773f05a",
-    "lattice_distributed@10": "8c322ef3916d4b6aa08febb0dc971acc834ba52e7498e63e37daf5a44b0bcf0e",
-    "df_distributed@10": "821ebfbebbe362d2b6b7da65fe710f37db7ee52ac1de7abcd6bd9b9e1696e353",
+    "lattice_distributed@10": "35612d50bcc260e398ff9c67053bf26a5384c6285d9adda47bfc51b23f38edc1",
+    "df_distributed@10": "6c98581f4aa6db310c89af7e0da74f0a47348d4579f7508ff549da6cc7d56fde",
 }
 
 # Runs at mpc.horizon = 9, where each row's (or edge's) stage costs are
 # more terms than numpy sums in order: the steps are folded in order.
 GOLDEN_STEPS_H9 = {
-    "df_distributed@3": "780a6ba798c4b3b5d12eb4494e3618623ac0c3449c66875f14415a729f42de94",
+    "df_distributed@3": "4902d9b44b6f7af610e3b8af38f0f30cde2f37999700514f289442288464f18a",
     "df_centralized@0": "19077a62eecbd44451a5656a7231fc64a50009e69a2197868ec90aeda58133a9",
 }
 
@@ -75,7 +75,7 @@ GOLDEN_STEPS_H9 = {
 VCLAMP_LIMITS = MotionLimits(v_max=2.0)
 GOLDEN_STEPS_VCLAMP = {
     "lattice_centralized@0": "f462fc559374f7aeaa29f65f29098e516f88bd6815958330d3f383d7b2f60281",
-    "df_distributed@0": "8503e86b7ab1dcb7352d6d19545cb22434e63ebc3e260170d0cfa999846efedc",
+    "df_distributed@0": "513eca0415ae63216882e537d74eef870ca4ecfd675b22610b981aa48e795fd7",
 }
 
 GOLDEN_EFFECTIVE_CONFIG = (

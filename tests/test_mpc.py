@@ -1183,15 +1183,16 @@ def test_batch_stage_gradient_matches_add_at(tag, np_rng):
         for sub in sub_problems(tag, full, views, idx, PARAMS):
             _, (xs, _, _, got, got_hessians) = sub.evaluate(U[idx])
             diff = edge_diffs(sub, xs, oracle)[:, 1:]
-            _, coef, bend = sub.cost.terms(np.sqrt((diff * diff).sum(axis=-1)), True)
+            _, coef, bend, f = sub.cost.terms(np.sqrt((diff * diff).sum(axis=-1)), True)
             if sub.cost.cohesion:
                 coef = 2.0 / oracle[2] + coef
             expected = np.zeros_like(xs[:, 1:])
             np.add.at(expected, sub.src, coef[:, :, None] * diff)
             assert got.dtype == expected.dtype and same_bits(got, expected)
-            # each edge's stage Hessian coef I + bend diff diff^T, added
-            # into its row in edge order
-            edge = bend[..., None, None] * diff[..., :, None] * diff[..., None, :]
+            # each edge's stage Hessian coef I + bend e e^T, e = diff / f,
+            # added into its row in edge order
+            e = diff / f[..., None]
+            edge = bend[..., None, None] * e[..., :, None] * e[..., None, :]
             m = diff.shape[-1]
             edge[..., range(m), range(m)] += coef[..., None]
             hessians = np.zeros(xs[:, 1:].shape + (m,))
@@ -2473,11 +2474,11 @@ def explicit_newton_step(H, G, U, a_max):
     T, m = U.shape
     K = (T - 1) * m
     P, curvature = np.eye(K), np.zeros(K)
+    pushed = horizon._ball_contact(U[:-1], G[:-1], a_max)[1]
     for k in range(T - 1):
         u, g = U[k], G[k]
-        norm = np.linalg.norm(u)
-        if norm >= a_max * (1 - 1e-9) and u @ g < 0:
-            e = u / norm
+        if pushed[k]:
+            e = u / np.linalg.norm(u)
             P[k * m : (k + 1) * m, k * m : (k + 1) * m] -= np.outer(e, e)
             curvature[k * m : (k + 1) * m] = -(e @ g) / a_max
     reduced = P @ H @ P + np.diag(curvature)
@@ -2509,10 +2510,10 @@ def test_newton_step_moves_pushed_controls_along_the_ball():
                 continue
             stepped += 1
             assert np.allclose(N[k], step, rtol=1e-9, atol=1e-12)
-            for u, g, n in zip(U[k, :-1], G[k, :-1], N[k, :-1]):
-                if sq_norm(u) >= (limits.a_max * (1 - 1e-9)) ** 2 and u @ g < 0:
-                    pushed += 1
-                    assert abs(u @ n) <= 1e-9 * np.linalg.norm(n) + 1e-14
+            held = horizon._ball_contact(U[k, :-1], G[k, :-1], limits.a_max)[1]
+            for u, n in zip(U[k, :-1][held], N[k, :-1][held]):
+                pushed += 1
+                assert abs(u @ n) <= 1e-9 * np.linalg.norm(n) + 1e-14
     assert pushed > 0 and stepped > pushed
 
 
@@ -2531,7 +2532,7 @@ def test_noisy_batch_with_pushed_and_clamping_rows_solves_as_each_row_alone():
     def spy(hx, free, G, U, lam, limits):
         newton, N = _newton_direction(hx, free, G, U, lam, limits)
         u, g = U[:, :-1], G[:, :-1]
-        pushed = (sq_norm(u) >= (limits.a_max * (1 - 1e-9)) ** 2) & (inner(u, g) < 0)
+        pushed = horizon._ball_contact(u, g, limits.a_max)[1]
         pushed_newton.append(np.count_nonzero(pushed.any(axis=1) & newton))
         return newton, N
 
@@ -2548,23 +2549,58 @@ def test_noisy_batch_with_pushed_and_clamping_rows_solves_as_each_row_alone():
 
 
 def test_non_finite_hessian_raises_naming_the_agents():
-    # agents 0 and 1 at rest 1e-3 apart at omega = 1e292: their objectives
-    # and gradients are finite, but the separation's curvature 8 omega /
-    # d**6 overflows; agent 2 has no neighbor.  With no a_max, the
-    # resolution test cannot stop their huge objectives at once
+    # agents 0 and 1 at rest 1e-3 apart at omega = 5e295: their objectives,
+    # slopes -2 omega / d**4 and gradients are finite, but the separation's
+    # curvature 6 omega / d**4 = 3e308 is not, so their stage Hessians hold
+    # inf (and nan off the axis the pair lies on); agent 2 has no neighbor.
+    # With no a_max, the resolution test cannot stop their huge objectives
+    # at once
     pos = np.array([[0.0, 0.0], [1e-3, 0.0], [40.0, 40.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="^non-finite MPC Hessian$") as info:
             solve_mpc_distributed_all(
                 "df_distributed", np.stack([pos] * 3), np.zeros((3, 3, 2)),
-                MpcParams(omega=1e292), MotionLimits(a_max=math.inf),
+                MpcParams(omega=5e295), MotionLimits(a_max=math.inf),
             )
     diagnostics = info.value.diagnostics
     assert diagnostics["agents"].tolist() == [0, 1]
     assert diagnostics["hessian"].shape == (2, 2, 2, 2)
-    assert not np.isfinite(diagnostics["hessian"]).all(axis=(1, 2, 3)).any()
+    assert (diagnostics["hessian"][:, :, 0, 0] == math.inf).all()
     assert diagnostics["controls"].shape == (2, 3, 2)
+
+
+def test_stage_hessian_near_the_distance_floor_does_not_overflow():
+    # a df pair 2e-6 apart along x at omega = 1e280: its stage Hessian
+    # 6 omega / d**4 along the pair and -2 omega / d**4 across it is finite,
+    # though 8 omega / d**6, the curvature's factor on diff diff^T, is not
+    omega, d = 1e280, 2e-6
+    pos = np.array([[0.0, 0.0], [d, 0.0]])
+    params = MpcParams(omega=omega)
+    problem = _build_batch_problem(
+        mpc._pair_cost("df_distributed", params), np.stack([pos] * 2),
+        np.zeros((2, 2, 2)), None, params, LIMITS,
+    )
+    with np.errstate(over="raise", invalid="raise"):
+        hx = problem.evaluate(np.zeros((2, params.horizon, 2)))[1][4]
+    assert np.isfinite(hx).all()
+    along, across = 6.0 * omega / d**4, -2.0 * omega / d**4
+    assert hx[:, :, 0, 0] == pytest.approx(np.full((2, 2), along), rel=1e-12)
+    assert hx[:, :, 1, 1] == pytest.approx(np.full((2, 2), across), rel=1e-12)
+    assert (hx[:, :, 0, 1] == 0.0).all() and (hx[:, :, 1, 0] == 0.0).all()
+
+
+def test_only_flagged_rows_fail_the_finiteness_check():
+    # the Hessian check reads only the rows that may take a Newton step: a
+    # non-finite row outside `among` passes, and the error names only the
+    # flagged rows that are non-finite
+    values = np.array([[1.0, math.inf], [2.0, 3.0], [math.nan, 0.0]])
+    controls, rows = np.zeros((3, 2)), np.array([4, 5, 6])
+    among = np.array([False, True, True])
+    mpc._check_finite("bad", rows, "v", values, controls, among & [True, True, False])
+    with pytest.raises(SolverError, match="^bad$") as info:
+        mpc._check_finite("bad", rows, "v", values, controls, among)
+    assert info.value.diagnostics["agents"].tolist() == [6]
 
 
 def test_row_that_is_not_positive_definite_keeps_its_barzilai_borwein_step():

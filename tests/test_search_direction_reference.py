@@ -425,7 +425,7 @@ class ReferencePairCost(NamedTuple):
     phi: Callable
     weight: float
     rate: Callable
-    curve: Callable
+    bend_of: Callable
     cohesion: bool
 
     def term(self, dist):
@@ -435,20 +435,19 @@ class ReferencePairCost(NamedTuple):
         return np.where(dist < EPS_DIST, 0.0, self.rate(np.maximum(dist, EPS_DIST)))
 
     def bend(self, dist):
-        f = np.maximum(dist, EPS_DIST)
-        return np.where(dist < EPS_DIST, 0.0, (self.curve(f) - self.rate(f)) / (f * f))
+        return np.where(dist < EPS_DIST, 0.0, self.bend_of(self.rate(np.maximum(dist, EPS_DIST))))
 
 
 def reference_pair_cost(tag, params):
     if tag == "lattice_distributed":
         d = params.d
         return ReferencePairCost(
-            lambda f: (f - d) ** 2, 1.0, lambda f: 2.0 * (f - d) / f, lambda f: 2.0, False
+            lambda f: (f - d) ** 2, 1.0, lambda f: 2.0 * (f - d) / f, lambda s: 2.0 - s, False
         )
     omega = params.omega
     return ReferencePairCost(
         lambda f: 1.0 / (f * f), omega, lambda f: -2.0 * omega / ((f * f) * (f * f)),
-        lambda f: 6.0 * omega / ((f * f) * (f * f)), True,
+        lambda s: -4.0 * s, True,
     )
 
 
@@ -506,10 +505,11 @@ class ReferenceBatch(mpc._Problem):
         shape = (len(xs),) + diff.shape[1:]
         size = shape[0] * shape[1] * shape[2]
         gx = np.bincount(self._slots, (coef[:, :, None] * diff).ravel(), size)
-        # each edge's stage Hessian coef I + bend diff diff^T, added into its
-        # row in edge order
+        # each edge's stage Hessian coef I + bend e e^T, e = diff / f, added
+        # into its row in edge order
         m = shape[2]
-        edge = self.cost.bend(dist)[..., None, None] * diff[..., :, None] * diff[..., None, :]
+        e = diff / np.maximum(dist, EPS_DIST)[..., None]
+        edge = self.cost.bend(dist)[..., None, None] * e[..., :, None] * e[..., None, :]
         edge[..., range(m), range(m)] += coef[..., None]
         hx = np.zeros(shape + (m,))
         np.add.at(hx, self.src, edge)
