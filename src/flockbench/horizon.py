@@ -178,39 +178,39 @@ def _forward_controls(D, W, limits, clamps):
 
 
 @functools.lru_cache(maxsize=16)
-def _rollout_weights(steps, dt):
-    """Read-only (S, S * S, 1) products a[s, k] * a[s, l], entry k * S + l of
-    row s, of the rollout map without the clamp, a[s, k] = dt**2 (s + 1 - k)
-    for k <= s and 0 otherwise: the derivative of the position at predicted
-    step s + 2 with respect to control k, each (m, m) block a multiple of
-    the identity."""
+def _hessian_constants(steps, m, dt, lam):
+    """Read-only constants of `_control_hessian`: the (S, S, 1, S, 1)
+    products a[s, k] * a[s, l], at [s, k, 0, l, 0], of the rollout map
+    without the clamp, a[s, k] = dt**2 (s + 1 - k) for k <= s and 0
+    otherwise (the derivative of the position at predicted step s + 2 with
+    respect to control k, each (m, m) block a multiple of the identity),
+    and the control penalty's Hessian 2 lam I, (S, m, S, m)."""
     s, k = np.ogrid[:steps, :steps]
     a = np.where(k <= s, dt * dt * (s + 1 - k), 0.0)
-    weights = (a[:, :, None] * a[:, None, :]).reshape(steps, steps * steps, 1)
-    weights.flags.writeable = False
-    return weights
+    weights = a[:, :, None, None, None] * a[:, None, None, :, None]
+    penalty = (2.0 * lam) * np.eye(steps * m).reshape(steps, m, steps, m)
+    weights.flags.writeable = penalty.flags.writeable = False
+    return weights, penalty
 
 
 def _control_hessian(hx, lam, dt):
     """Each row's Hessian of its objective with respect to its first T-1
     controls, (B, K, K) with K = (T-1) m, under the rollout without the
-    velocity clamp: 2 lam I + sum_s A_s^T hx[:, s] A_s over the stage
+    velocity clamp: sum_s A_s^T hx[:, s] A_s + 2 lam I over the stage
     Hessians hx at steps 2..T, (B, T-1, m, m), A_s being the constant
-    `_rollout_weights` map.  The plan's last control moves no predicted
-    position (its block is 2 lam I, decoupled), so it is left out.  The
-    blocks are assembled elementwise and their steps added by `fold`, in
-    order, so a row's H has the same bits in any batch."""
+    rollout map of `_hessian_constants`.  The plan's last control moves no
+    predicted position (its block is 2 lam I, decoupled), so it is left
+    out.  The entries are formed elementwise and their steps, then the
+    penalty, added by `fold`, in order, so a row's H has the same bits in
+    any batch."""
     B, steps, m = hx.shape[:3]
     K = steps * m
     if not K:
         return np.zeros((B, 0, 0))
-    # block (k, l) of each row, entries (i, j): (B, S * S, m * m)
-    weights, flat = _rollout_weights(steps, dt), hx.reshape(B, steps, 1, m * m)
-    blocks = fold(weights[s] * flat[:, s] for s in range(steps))
-    blocks = blocks.reshape(B, steps, steps, m, m).transpose(0, 1, 3, 2, 4)
-    H = blocks.reshape(B, K, K)
-    H.reshape(B, K * K)[:, :: K + 1] += 2.0 * lam
-    return H
+    weights, penalty = _hessian_constants(steps, m, dt, lam)
+    # entry (i, j) of block (k, l) of each row at [:, k, i, l, j]
+    terms = (weights[s] * hx[:, s, None, :, None, :] for s in range(steps))
+    return fold((*terms, penalty)).reshape(B, K, K)
 
 
 def _ball_contact(U, G, a_max):

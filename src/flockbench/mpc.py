@@ -911,7 +911,6 @@ def _solve_batch(problem, warm):
             if n_done == len(done):
                 converged[live] = True
                 break
-            scale = np.ones(len(U))
             if iterations:
                 # every live row accepted a move in the previous iteration:
                 # the Barzilai-Borwein scale s.s / s.y of that move, y being
@@ -923,6 +922,8 @@ def _solve_batch(problem, warm):
                 curved = sy > 0
                 if np.count_nonzero(curved) < len(curved):
                     scale = np.where(curved, scale, BB_SCALE_MAX)
+            else:
+                scale = np.ones(len(U))
             if cap is not None:
                 scale = np.minimum(scale, cap)
             if n_done:
