@@ -35,7 +35,7 @@ from flockbench import (
     step_dynamics,
 )
 from flockbench import horizon, mpc
-from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm, fold, inner, sq_norm
+from flockbench.core import EPS_DIST, EPS_DIST_SQ, clamp_norm, fold, sq_norm
 from flockbench.harness import LEVEL_SEED_STRIDE
 from flockbench.mpc import (
     ARMIJO_C,
