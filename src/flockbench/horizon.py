@@ -204,13 +204,10 @@ def _control_hessian(hx, lam, dt):
     penalty, added by `fold`, in order, so a row's H has the same bits in
     any batch."""
     B, steps, m = hx.shape[:3]
-    K = steps * m
-    if not K:
-        return np.zeros((B, 0, 0))
     weights, penalty = _hessian_constants(steps, m, dt, lam)
     # entry (i, j) of block (k, l) of each row at [:, k, i, l, j]
     terms = (weights[s] * hx[:, s, None, :, None, :] for s in range(steps))
-    return fold((*terms, penalty)).reshape(B, K, K)
+    return fold((*terms, penalty)).reshape(B, steps * m, steps * m)
 
 
 def _ball_contact(U, G, a_max):
@@ -244,20 +241,18 @@ def _newton_direction(hx, free, G, U, lam, limits):
     its radial direction e leaves its row's system, Q H Q and Q G with
     Q = I - e e^T on its block, and its block gains the ball's curvature
     there, push / a_max with the push -e.g, which the probe's retraction
-    onto the ball adds.  A free row whose H so reduced is positive definite
-    steps along N = H^-1 G, its last control to zero (the Newton step of
-    its decoupled 2 lam I block, whose gradient is 2 lam u); H is positive
-    definite where Gershgorin's discs show it and otherwise where its least
-    eigenvalue is positive.  Every other row keeps its projected-gradient
-    step, and its row of N is not set.  Each row's system is reduced
-    elementwise and selected row by row, and tested and solved alone
-    (LAPACK takes a stack matrix by matrix), so a row's step has the same
-    bits in any batch."""
+    onto the ball adds.  A free row whose H so reduced is finite and
+    positive definite steps along N = H^-1 G, its last control to zero (the
+    Newton step of its decoupled 2 lam I block, whose gradient is 2 lam u);
+    H is positive definite where Gershgorin's discs show it and otherwise
+    where its least eigenvalue is positive.  Every other row, one whose H
+    is not finite included, keeps its projected-gradient step, and its row
+    of N is not read.  Each row's system is reduced elementwise and
+    selected row by row, and tested and solved alone (LAPACK takes a stack
+    matrix by matrix), so a row's step has the same bits in any batch."""
     B, T, m = U.shape
     steps = T - 1
     K = steps * m
-    if not K:
-        return free, U
     H = _control_hessian(hx, lam, limits.dt)
     u, g = U[:, :-1], G[:, :-1]
     rhs = g.reshape(B, K)
@@ -278,6 +273,7 @@ def _newton_direction(hx, free, G, U, lam, limits):
         curvature = np.repeat(radial / -limits.a_max, m, axis=1)
         H.reshape(B, K * K)[:, :: K + 1] += curvature
         rhs = (g - e * radial[..., None]).reshape(B, K)
+    free = free & np.isfinite(H).all(axis=(1, 2))
     diag = H.reshape(B, K * K)[:, :: K + 1]
     unsure = (free > (2.0 * diag > np.abs(H).sum(axis=2)).all(axis=1)).nonzero()[0]
     newton = free
@@ -288,7 +284,7 @@ def _newton_direction(hx, free, G, U, lam, limits):
     N = np.empty_like(U)
     N[:, -1] = U[:, -1]
     solved = np.linalg.solve(H.take(take, axis=0), rhs.take(take, axis=0)[..., None])
-    N[take, :-1] = solved.reshape(-1, steps, m)
+    N[take, :-1] = solved.reshape(take.size, steps, m)
     return newton, N
 
 

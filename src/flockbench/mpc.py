@@ -46,8 +46,8 @@ every agent's plan.
 Every solve runs one loop, `_solve_batch`, whose docstring states its
 contract: the search directions, the line search and its step scale, the
 lockstep probes and the stopping rules.  A distributed row takes a
-projected Newton step where its Hessian is positive definite and its
-rollout does not clamp (`horizon._newton_direction` states it, with the
+projected Newton step where its Hessian is finite and positive definite
+and its rollout does not clamp (`horizon._newton_direction` states it, with the
 a_max ball's curvature), and follows its gradient otherwise.  A
 centralized cost counts its edge terms only inside r, so it jumps up
 wherever a predicted pair enters r, and a centralized row treats r as a
@@ -788,17 +788,12 @@ def _build_batch_problem(cost, pos, vel, agents, params, limits, neighbor_set=No
 # --------------------------------------------------------------------------
 
 
-def _check_finite(message, rows, name, values, controls, among=None):
-    """Raise SolverError if any row of values, of those the mask `among`
-    flags where given, is non-finite; rows holds the batch row of each row
-    of values and controls."""
+def _check_finite(message, rows, name, values, controls):
+    """Raise SolverError if any row of values is non-finite; rows holds the
+    batch row of each row of values and controls."""
     finite = np.isfinite(values)
     if np.count_nonzero(finite) < finite.size:
         bad = ~finite.reshape(finite.shape[0], -1).all(axis=1)
-        if among is not None:
-            bad &= among
-            if not np.count_nonzero(bad):
-                return
         raise SolverError(
             message,
             diagnostics={
@@ -856,8 +851,8 @@ def _solve_batch(problem, warm):
 
     A row that has not converged searches along a direction d from a scale
     a.  A distributed problem also gives each row's stage Hessians; a row
-    whose reduced Hessian `horizon._newton_direction` finds positive
-    definite, its rollout unclamped, takes its projected Newton step N:
+    whose reduced Hessian `horizon._newton_direction` finds finite and
+    positive definite, its rollout unclamped, takes its projected Newton step N:
     d = N and a = 1.  Every other row takes d = p.  Its line search tries
     the steps a, a/2, a/4, ... along -d, down to a * 2**-LAST_HALVING =
     a * 2**-40, and accepts the first that passes the Armijo test,
@@ -879,10 +874,9 @@ def _solve_batch(problem, warm):
     accepted step is evaluated.
 
     Overflow and invalid operations are not warned about: a non-finite
-    objective or gradient in a row still being solved, or stage Hessian in
-    such a row whose rollout does not clamp, raises SolverError, and so does
-    a non-finite probe, which fails the Armijo test.  The error names every
-    row whose probe is non-finite in that objective call.
+    objective or gradient in a row still being solved raises SolverError,
+    and so does a non-finite probe, which fails the Armijo test.  The error
+    names every row whose probe is non-finite in that objective call.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         row_axes = tuple(range(1, warm.ndim))
@@ -936,12 +930,9 @@ def _solve_batch(problem, warm):
                 )
             direction = proj
             if hessian:
-                # the rows whose Hessians allow take their Newton steps from
-                # 1; only a free row reads its Hessian, which must be finite
-                hx, free = hessian
-                _check_finite("non-finite MPC Hessian", live, "hessian", hx, U, free)
+                # the rows whose Hessians allow take their Newton steps from 1
                 lam, limits = live_problem.params.lam, live_problem.limits
-                newton, N = _newton_direction(hx, free, grad, U, lam, limits)
+                newton, N = _newton_direction(*hessian, grad, U, lam, limits)
                 scale = np.where(newton, 1.0, scale)
                 direction = np.where(newton.reshape(per_row), N, proj)
             iterations += 1

@@ -11,6 +11,7 @@ import pytest
 from flockbench import (
     ExperimentConfig,
     FlockConfiguration,
+    ModelSpec,
     MotionLimits,
     MpcParams,
     RandomStream,
@@ -2548,26 +2549,100 @@ def test_noisy_batch_with_pushed_and_clamping_rows_solves_as_each_row_alone():
         assert one_iterations <= iterations
 
 
-def test_non_finite_hessian_raises_naming_the_agents():
+def newton_spy(calls):
+    """Patch `mpc._newton_direction` to append, per call, the rows whose
+    rollout does not clamp, whose stage Hessians are finite, whose Hessian
+    of the controls is finite, and which take a Newton step."""
+
+    def spy(hx, free, G, U, lam, limits):
+        newton, N = _newton_direction(hx, free, G, U, lam, limits)
+        H = horizon._control_hessian(hx, lam, limits.dt)
+        stages = np.isfinite(hx).reshape(len(hx), -1).all(axis=1)
+        calls.append((free, stages, np.isfinite(H).all(axis=(1, 2)), newton))
+        return newton, N
+
+    return mock.patch.object(mpc, "_newton_direction", spy)
+
+
+def test_non_finite_hessian_withholds_the_newton_step():
     # agents 0 and 1 at rest 1e-3 apart at omega = 5e295: their objectives,
     # slopes -2 omega / d**4 and gradients are finite, but the separation's
     # curvature 6 omega / d**4 = 3e308 is not, so their stage Hessians hold
-    # inf (and nan off the axis the pair lies on); agent 2 has no neighbor.
+    # inf (and nan off the axis the pair lies on); agent 2 has no neighbor.  Their rollouts do not clamp, yet neither
+    # takes a Newton step: each follows its gradient, whose probes overflow.
     # With no a_max, the resolution test cannot stop their huge objectives
     # at once
     pos = np.array([[0.0, 0.0], [1e-3, 0.0], [40.0, 40.0]])
-    with warnings.catch_warnings():
+    calls = []
+    with warnings.catch_warnings(), newton_spy(calls):
         warnings.simplefilter("error")
-        with pytest.raises(SolverError, match="^non-finite MPC Hessian$") as info:
+        with pytest.raises(
+            SolverError, match="^non-finite MPC objective during line search$"
+        ) as info:
             solve_mpc_distributed_all(
                 "df_distributed", np.stack([pos] * 3), np.zeros((3, 3, 2)),
                 MpcParams(omega=5e295), MotionLimits(a_max=math.inf),
             )
     diagnostics = info.value.diagnostics
     assert diagnostics["agents"].tolist() == [0, 1]
-    assert diagnostics["hessian"].shape == (2, 2, 2, 2)
-    assert (diagnostics["hessian"][:, :, 0, 0] == math.inf).all()
+    assert "hessian" not in diagnostics
     assert diagnostics["controls"].shape == (2, 3, 2)
+    # agent 2, with no neighbor, converges at once and forms no direction
+    free, _, finite, newton = calls[0]
+    assert free.tolist() == [True, True] and not finite.any() and not newton.any()
+
+
+# under these limits a df pair 1e-3 apart at omega = 1e295 has finite stage
+# Hessians but a control Hessian that overflows as it is assembled: the
+# rollout map's dt**4 weights carry it past 1e308
+ASSEMBLY_OVERFLOW_LIMITS = MotionLimits(v_max=math.inf, a_max=math.inf, dt=2.0)
+
+
+def test_hessian_overflowing_in_assembly_raises_solver_error_naming_the_agents():
+    # the stage Hessians of agents 0 and 1 are finite, so only the assembled
+    # Hessian's own test sends them to their gradients; without it, LAPACK's
+    # eigvalsh fails on it with numpy's LinAlgError, which names no agent
+    pos = np.array([[0.0, 0.0], [1e-3, 0.0], [40.0, 40.0]])
+    calls = []
+    with warnings.catch_warnings(), newton_spy(calls):
+        warnings.simplefilter("error")
+        with pytest.raises(
+            SolverError, match="^non-finite MPC objective during line search$"
+        ) as info:
+            solve_mpc_distributed_all(
+                "df_distributed", np.stack([pos] * 3), np.zeros((3, 3, 2)),
+                MpcParams(omega=1e295), ASSEMBLY_OVERFLOW_LIMITS,
+            )
+    diagnostics = info.value.diagnostics
+    assert diagnostics["agents"].tolist() == [0, 1]
+    assert diagnostics["controls"].shape == (2, 3, 2)
+    free, stages, finite, newton = calls[0]
+    assert free.tolist() == [True, True] and stages.all()
+    assert not finite.any() and not newton.any()
+
+
+def test_simulate_with_an_overflowing_hessian_raises_solver_error():
+    # three agents within 1e-3 of each other under the same settings: the
+    # closed loop's error names its run, step and model
+    cfg = ExperimentConfig(
+        model=ModelSpec("df_distributed", MpcParams(omega=1e295)),
+        n=3,
+        steps=2,
+        limits=ASSEMBLY_OVERFLOW_LIMITS,
+        runs=1,
+        init_position_box=((-1e-3, 1e-3),) * 2,
+        init_velocity_box=((0.0, 0.0),) * 2,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            SolverError, match="^non-finite MPC objective during line search$"
+        ) as info:
+            simulate(cfg, 1)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["run_id"] == 0 and diagnostics["step"] == 0
+    assert diagnostics["model"] == "df_distributed"
+    assert diagnostics["agents"].tolist() == [0, 1, 2]
 
 
 def test_stage_hessian_near_the_distance_floor_does_not_overflow():
@@ -2588,19 +2663,6 @@ def test_stage_hessian_near_the_distance_floor_does_not_overflow():
     assert hx[:, :, 0, 0] == pytest.approx(np.full((2, 2), along), rel=1e-12)
     assert hx[:, :, 1, 1] == pytest.approx(np.full((2, 2), across), rel=1e-12)
     assert (hx[:, :, 0, 1] == 0.0).all() and (hx[:, :, 1, 0] == 0.0).all()
-
-
-def test_only_flagged_rows_fail_the_finiteness_check():
-    # the Hessian check reads only the rows that may take a Newton step: a
-    # non-finite row outside `among` passes, and the error names only the
-    # flagged rows that are non-finite
-    values = np.array([[1.0, math.inf], [2.0, 3.0], [math.nan, 0.0]])
-    controls, rows = np.zeros((3, 2)), np.array([4, 5, 6])
-    among = np.array([False, True, True])
-    mpc._check_finite("bad", rows, "v", values, controls, among & [True, True, False])
-    with pytest.raises(SolverError, match="^bad$") as info:
-        mpc._check_finite("bad", rows, "v", values, controls, among)
-    assert info.value.diagnostics["agents"].tolist() == [6]
 
 
 def test_row_that_is_not_positive_definite_keeps_its_barzilai_borwein_step():
