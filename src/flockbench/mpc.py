@@ -47,8 +47,8 @@ Every solve runs one loop, `_solve_batch`, whose docstring states its
 contract: the search directions, the line search and its step scale, the
 lockstep probes and the stopping rules.  A distributed row takes a
 projected Newton step where its Hessian is finite and positive definite
-and its rollout does not clamp (`horizon._newton_direction` states it, with the
-a_max ball's curvature), and follows its gradient otherwise.  A
+and its rollout does not clamp (`horizon._newton_direction` states it,
+with the a_max ball's curvature), and follows its gradient otherwise.  A
 centralized cost counts its edge terms only inside r, so it jumps up
 wherever a predicted pair enters r, and a centralized row treats r as a
 wall and follows its gradient projected off it; `horizon._wall_search`
@@ -852,10 +852,10 @@ def _solve_batch(problem, warm):
     A row that has not converged searches along a direction d from a scale
     a.  A distributed problem also gives each row's stage Hessians; a row
     whose reduced Hessian `horizon._newton_direction` finds finite and
-    positive definite, its rollout unclamped, takes its projected Newton step N:
-    d = N and a = 1.  Every other row takes d = p.  Its line search tries
-    the steps a, a/2, a/4, ... along -d, down to a * 2**-LAST_HALVING =
-    a * 2**-40, and accepts the first that passes the Armijo test,
+    positive definite, its rollout unclamped, takes its projected Newton
+    step N: d = N and a = 1.  Every other row takes d = p.  Its line search
+    tries the steps a, a/2, a/4, ... along -d, down to a * 2**-LAST_HALVING
+    = a * 2**-40, and accepts the first that passes the Armijo test,
     J_try <= J - (ARMIJO_C / step) times the squared length of the move, so
     an accepted step never raises the objective; where that decrease rounds
     away, an accepted step can leave the objective as it was.  If no step
